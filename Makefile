@@ -8,7 +8,7 @@ FUZZTIME ?= 20s
 # Per-benchmark budget for bench-json (CI smoke passes 1x).
 BENCHTIME ?= 1s
 
-.PHONY: all build test race bench bench-json bench-compare bench-compare-base fmt vet cover fuzz determinism docs lint-imports loadtest-smoke ci
+.PHONY: all build test race bench bench-json bench-compare bench-compare-base fmt vet cover fuzz determinism parity docs lint-imports loadtest-smoke ci
 
 all: build test
 
@@ -100,6 +100,13 @@ determinism:
 	$$dir/flowcon-sim -scenario chaos-day,chaos-day-scratch -seeds 2 -parallel 1 -shard-sim 8 > $$dir/chaos-sharded.out && \
 	cmp $$dir/chaos-serial.out $$dir/chaos-sharded.out && \
 	echo "chaos-day fault traces are byte-identical at -parallel 1/8 and -shard-sim 1/8"
+
+# Byte-for-byte output parity with the merge base: every figure/table
+# regenerator, the scenario registry, the chaos pair and megacluster-smoke
+# through both binaries. The check a simplification PR must pass (or
+# explain, target by target); deliberately not part of ci.
+parity:
+	./scripts/parity-base.sh
 
 # Short smoke run of every native fuzz target (the corpus under
 # testdata/fuzz runs as regular tests too).

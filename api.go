@@ -225,7 +225,7 @@ var (
 // The *Stream forms are their lazy equivalents: RecordTraceStream drains
 // an ArrivalStream to a writer and ReplayTraceStream reads a trace one
 // submission at a time, both in O(1) schedule memory. SliceStream and
-// CollectStream convert between the eager and lazy forms.
+// CollectStream convert between the materialized and lazy forms.
 var (
 	RecordTrace       = workload.Record
 	ReplayTrace       = workload.Replay

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiment"
+	"repro/internal/faults"
 	"repro/internal/flowcon"
 	"repro/internal/resource"
 	"repro/internal/sched"
@@ -78,6 +79,9 @@ func BenchmarkAblationPlacement(b *testing.B) {
 	b.ReportMetric(binpack.Makespan, "binpack_makespan_s")
 }
 
+// crashAt300 crashes worker 0 at t=300 and leaves it down.
+var crashAt300 = &faults.Plan{Script: []faults.ScriptedFault{{At: 300, Kind: faults.KindCrash, Worker: 0}}}
+
 // BenchmarkAblationFailure measures the cost of one worker crash at t=300
 // on a two-worker ten-job run: lost work plus rescheduling.
 func BenchmarkAblationFailure(b *testing.B) {
@@ -88,7 +92,7 @@ func BenchmarkAblationFailure(b *testing.B) {
 		clean = experiment.Run(s)
 		s = tenJobSpec(experiment.FlowConPolicy(0.10, 20))
 		s.Workers = 2
-		s.Failures = map[int]float64{0: 300}
+		s.Faults = crashAt300
 		crashed = experiment.Run(s)
 	}
 	b.ReportMetric(clean.Makespan, "healthy_makespan_s")
@@ -176,12 +180,9 @@ func BenchmarkAblationCheckpointing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := tenJobSpec(experiment.FlowConPolicy(0.10, 20))
 		s.Workers = 2
-		s.Failures = map[int]float64{0: 300}
+		s.Faults = crashAt300
 		scratch = experiment.Run(s)
-		s = tenJobSpec(experiment.FlowConPolicy(0.10, 20))
-		s.Workers = 2
-		s.Failures = map[int]float64{0: 300}
-		s.CheckpointWork = 30
+		s.Recovery = &cluster.RecoveryPolicy{CheckpointEverySec: 30}
 		resumed = experiment.Run(s)
 	}
 	b.ReportMetric(scratch.Makespan, "scratch_restart_makespan_s")

@@ -6,13 +6,12 @@
 //
 //	benchcompare -old BENCH_sim.json -new fresh.json [-threshold 25] [-keys a,b,...]
 //
-// Both files may be schema-1 (single entry) or schema-2 (history)
-// documents (see internal/benchfile); the latest entry of each is
-// compared. Only the curated key list is gated — the full ladder is noisy
-// at smoke benchtimes, while the keys below are the O(n)-per-op hot paths
-// whose regressions compound at cluster scale. A key missing from either
-// side is reported but does not fail the gate (benchmark sets evolve
-// across PRs).
+// Both files are schema-2 history documents (see internal/benchfile); the
+// latest entry of each is compared. Only the curated key list is gated —
+// the full ladder is noisy at smoke benchtimes, while the keys below are
+// the O(n)-per-op hot paths whose regressions compound at cluster scale.
+// A key missing from either side is reported but does not fail the gate
+// (benchmark sets evolve across PRs).
 //
 // ns/op comparisons are only meaningful when both documents were recorded
 // on the same machine. The committed BENCH_sim.json baseline comes from a

@@ -29,8 +29,7 @@
 // BENCH_sim.json is a history document (internal/benchfile, schema 2):
 // every invocation appends an entry stamped with the current git revision,
 // preserving the prior points, so the file records the cross-PR trajectory
-// machine-readably. A legacy single-entry document (schema 1) is migrated
-// in place on first append. The microbenchmarks go through
+// machine-readably. The microbenchmarks go through
 // `go test -bench`, so the recorded numbers are exactly what a developer
 // sees locally; the scenarios run in-process. CI runs this with
 // -benchtime=1x as a smoke check and uploads the artifact, and
@@ -163,7 +162,7 @@ func main() {
 		fatalf("scenario (chaos-day): %v", err)
 	}
 	entry.Scenarios = append(entry.Scenarios, chaos)
-	// The megacluster run exercises the streaming admission path at the
+	// The megacluster run exercises lazy arrival generation at the
 	// ROADMAP's thousand-worker scale; its row is where the trajectory
 	// tracks sustained jobs/sec and the O(1)-workload memory claim. It
 	// runs sharded so the entry also records the epoch profile at that
@@ -297,7 +296,7 @@ func runScenario(name string, simShards int, tier metrics.Tier) (benchfile.Scena
 		WallSec:          wall,
 		TraceLevel:       tier.String(),
 		CollectorBytes:   int64(res.Collector.MemoryBytes()),
-		ArrivalsStreamed: scen.StreamWorkload != nil,
+		ArrivalsStreamed: true, // every scenario admits from a stream
 	}
 	if wall > 0 {
 		sr.SimulatedPerWallSec = res.Makespan / wall

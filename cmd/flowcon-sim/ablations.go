@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiment"
+	"repro/internal/faults"
 	"repro/internal/flowcon"
 	"repro/internal/plot"
 	"repro/internal/sched"
@@ -71,12 +72,9 @@ func runAblations() {
 
 	crashSpec := tenJobs(experiment.FlowConPolicy(0.10, 20))
 	crashSpec.Workers = 2
-	crashSpec.Failures = map[int]float64{0: 300}
+	crashSpec.Faults = &faults.Plan{Script: []faults.ScriptedFault{{At: 300, Kind: faults.KindCrash, Worker: 0}}}
 	crashed := experiment.Run(crashSpec)
-	crashSpec = tenJobs(experiment.FlowConPolicy(0.10, 20))
-	crashSpec.Workers = 2
-	crashSpec.Failures = map[int]float64{0: 300}
-	crashSpec.CheckpointWork = 30
+	crashSpec.Recovery = &cluster.RecoveryPolicy{CheckpointEverySec: 30}
 	resumed := experiment.Run(crashSpec)
 	rows = append(rows, row{"worker crash at t=300 (2 workers)",
 		fmt.Sprintf("scratch restart %.1fs vs checkpointed %.1fs (%d jobs rescheduled)",

@@ -208,9 +208,10 @@ func laneImbalance(lanes []int64) string {
 
 // runScenarios executes the selected scenarios across the sweep pool and
 // renders the summary table. With -record dir it also writes each
-// (scenario, seed) schedule as a replayable JSONL trace; the recorded
-// schedules are the ones simulated — generation happens once and the
-// specs reuse it — so a trace always reproduces the run it sits next to.
+// (scenario, seed) schedule as a replayable JSONL trace, drained from a
+// throwaway stream so the schedule is never materialized; the run pulls a
+// fresh stream, which generates the identical sequence for the seed, so a
+// trace always reproduces the run it sits next to.
 // With -trace-out every run records lifecycle spans, exported as one
 // JSONL file after the sweep; -observe appends the phase-profile table.
 func runScenarios(scens []experiment.Scenario, seeds []int64, recordDir string, observe bool, traceOut string) {
@@ -219,41 +220,14 @@ func runScenarios(scens []experiment.Scenario, seeds []int64, recordDir string, 
 			fmt.Fprintln(os.Stderr, "flowcon-sim:", err)
 			os.Exit(1)
 		}
-		for i, s := range scens {
-			if s.Workload == nil {
-				// Stream-only scenario (megacluster family): record
-				// incrementally from a throwaway stream — the schedule is
-				// never materialized — and let the run pull a fresh stream,
-				// which generates the identical sequence for the seed.
-				for _, seed := range seeds {
-					path := filepath.Join(recordDir, fmt.Sprintf("%s-seed%d.jsonl", s.Name, seed))
-					if err := recordStreamTrace(path, s.StreamWorkload(seed)); err != nil {
-						fmt.Fprintln(os.Stderr, "flowcon-sim:", err)
-						os.Exit(1)
-					}
-				}
-				continue
-			}
-			generated := make(map[int64][]workload.Submission, len(seeds))
+		for _, s := range scens {
 			for _, seed := range seeds {
-				subs := s.Workload(seed)
-				generated[seed] = subs
 				path := filepath.Join(recordDir, fmt.Sprintf("%s-seed%d.jsonl", s.Name, seed))
-				if err := recordTrace(path, subs); err != nil {
+				if err := recordStreamTrace(path, s.StreamWorkload(seed)); err != nil {
 					fmt.Fprintln(os.Stderr, "flowcon-sim:", err)
 					os.Exit(1)
 				}
 			}
-			inner := s.Workload
-			scens[i].Workload = func(seed int64) []workload.Submission {
-				if subs, ok := generated[seed]; ok {
-					return subs
-				}
-				return inner(seed)
-			}
-			// The recorded schedules must be the ones simulated, so the
-			// run takes the eager path through the cache above.
-			scens[i].StreamWorkload = nil
 		}
 		fmt.Printf("recorded %d trace(s) into %s\n", len(scens)*len(seeds), recordDir)
 	}
@@ -272,23 +246,6 @@ func runScenarios(scens []experiment.Scenario, seeds []int64, recordDir string, 
 	if observe {
 		reportProfiles(os.Stdout, outs)
 	}
-}
-
-// recordTrace writes one schedule as a JSONL trace file. Record is
-// all-or-nothing (it validates the whole schedule before writing), so a
-// rejected schedule leaves no partial trace; the empty file from a
-// failed create/record is removed.
-func recordTrace(path string, subs []workload.Submission) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := workload.Record(f, subs); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	return f.Close()
 }
 
 // recordStreamTrace drains an arrival stream straight into a JSONL trace
@@ -323,10 +280,10 @@ func runReplay(path string, workers, shardSim int, tier metrics.Tier, observe bo
 	}
 	name := filepath.Base(path)
 	scen := experiment.Scenario{
-		Name:        "replay:" + name,
-		Description: "replayed trace " + path,
-		Workload:    func(int64) []workload.Submission { return subs },
-		Workers:     workers,
+		Name:           "replay:" + name,
+		Description:    "replayed trace " + path,
+		StreamWorkload: func(int64) workload.ArrivalStream { return workload.SliceStream(subs) },
+		Workers:        workers,
 	}
 	scens := []experiment.Scenario{scen}
 	applyShardSim(scens, shardSim)

@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/faults"
 )
 
 func main() {
@@ -27,7 +28,8 @@ func main() {
 		NewPolicy:   repro.FlowConPolicy(0.03, 30),
 		Submissions: subs,
 		Workers:     2,
-		Failures:    map[int]float64{0: 150}, // worker-0 dies at t=150s
+		// worker-0 dies at t=150s
+		Faults: &faults.Plan{Script: []faults.ScriptedFault{{At: 150, Kind: faults.KindCrash, Worker: 0}}},
 	})
 
 	fmt.Println("Two FlowCon workers, five jobs; worker-0 crashes at t=150s.")

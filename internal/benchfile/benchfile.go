@@ -182,61 +182,17 @@ type Report struct {
 	Entries       []Entry `json:"entries"`
 }
 
-// legacyReport is the schema-1 single-entry document, accepted on read so
-// the PR 3/PR 4 data point survives the migration to the history schema.
-type legacyReport struct {
-	SchemaVersion int            `json:"schema_version"`
-	GeneratedAt   string         `json:"generated_at"`
-	GoVersion     string         `json:"go_version"`
-	GOOS          string         `json:"goos"`
-	GOARCH        string         `json:"goarch"`
-	BenchTime     string         `json:"benchtime"`
-	Benchmarks    []Benchmark    `json:"benchmarks"`
-	Scenario      ScenarioResult `json:"scenario"`
-}
-
-// Parse decodes a document of either schema into the history form. A
-// schema-1 document becomes a single "pre-history" entry (its serial-era
-// scenario backfilled to SimShards 1).
+// Parse decodes a history document. Any other schema_version — the
+// pre-history schema 1 included — is rejected.
 func Parse(raw []byte) (Report, error) {
-	var probe struct {
-		SchemaVersion int `json:"schema_version"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
+	var rep Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
 		return Report{}, err
 	}
-	switch probe.SchemaVersion {
-	case 1:
-		var legacy legacyReport
-		if err := json.Unmarshal(raw, &legacy); err != nil {
-			return Report{}, err
-		}
-		if legacy.Scenario.SimShards == 0 {
-			legacy.Scenario.SimShards = 1 // pre-sharding runs were serial
-		}
-		return Report{
-			SchemaVersion: SchemaVersion,
-			Entries: []Entry{{
-				Commit:      "pre-history",
-				GeneratedAt: legacy.GeneratedAt,
-				GoVersion:   legacy.GoVersion,
-				GOOS:        legacy.GOOS,
-				GOARCH:      legacy.GOARCH,
-				BenchTime:   legacy.BenchTime,
-				Benchmarks:  legacy.Benchmarks,
-				Scenarios:   []ScenarioResult{legacy.Scenario},
-			}},
-		}, nil
-	case SchemaVersion:
-		var rep Report
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return Report{}, err
-		}
-		rep.SchemaVersion = SchemaVersion
-		return rep, nil
-	default:
-		return Report{}, fmt.Errorf("unknown schema_version %d", probe.SchemaVersion)
+	if rep.SchemaVersion != SchemaVersion {
+		return Report{}, fmt.Errorf("unknown schema_version %d", rep.SchemaVersion)
 	}
+	return rep, nil
 }
 
 // Load reads and parses the document at path.

@@ -393,18 +393,11 @@ type Manager struct {
 	// m.engine.Now() is the correct sim stamp at every hook site.
 	tracer *telemetry.Tracer
 
-	// checkpointInterval, when positive, enables checkpoint-based
-	// recovery: jobs persist their progress every interval of delivered
-	// CPU work, and a job lost to a worker failure resumes from its last
-	// checkpoint instead of restarting from scratch. This models
-	// periodic model-state snapshots (an extension beyond the paper,
-	// whose jobs do not checkpoint).
-	checkpointInterval float64
-
-	// Self-healing state (see selfheal.go). recovery is nil until
-	// EnableSelfHealing; everything below it is maintained regardless, so
-	// the availability ledger covers legacy fault paths too.
-	recovery *RecoveryPolicy
+	// Recovery state (see selfheal.go). recovery is the zero policy —
+	// every mechanism off — until EnableSelfHealing installs another; the
+	// state below it is maintained under any policy, so the availability
+	// ledger covers every run.
+	recovery RecoveryPolicy
 	// snapshots holds each job's last priced periodic checkpoint (CPU
 	// work), the floor a crash restart resumes from.
 	snapshots map[string]float64
@@ -507,27 +500,17 @@ func (m *Manager) Kick() {
 	}
 }
 
-// Submit schedules a job to be launched at virtual time `at`. The job name
-// must be unique per experiment. If no worker can host the job at its
-// arrival, it queues until one can.
+// Submit schedules SubmitNow at virtual time `at` — the convenience form
+// for callers that know their whole schedule upfront.
 func (m *Manager) Submit(at sim.Time, name string, profile dlmodel.Profile) {
-	if _, dup := m.placed[name]; dup {
-		panic(fmt.Sprintf("cluster: duplicate job name %q", name))
-	}
-	m.placed[name] = nil // reserve
-	m.profiles[name] = profile
-	m.submitted++
-	m.engine.At(at, sim.PriorityState, "manager.place."+name, func() {
-		m.trace(telemetry.PhaseSubmit, name, "", "")
-		m.admit(pendingJob{name: name, profile: profile})
-	})
+	m.engine.At(at, sim.PriorityState, "manager.place."+name, func() { m.SubmitNow(name, profile) })
 }
 
-// SubmitNow admits a job at the current virtual time, placing (or
-// queueing) it immediately instead of scheduling an arrival event. It is
-// the entry point for callers that drive admission themselves — the
-// streaming runner schedules each arrival as its own event and hands the
-// job over the moment it fires, so the manager never holds a schedule.
+// SubmitNow admits a job at the current virtual time: it places the job,
+// or queues it until a worker can host it. The job name must be unique
+// per experiment. The experiment runner schedules each arrival as its own
+// event and hands the job over the moment it fires, so the manager never
+// holds a schedule.
 func (m *Manager) SubmitNow(name string, profile dlmodel.Profile) {
 	if _, dup := m.placed[name]; dup {
 		panic(fmt.Sprintf("cluster: duplicate job name %q", name))
@@ -581,16 +564,6 @@ func (m *Manager) drainQueue() {
 	}
 }
 
-// EnableCheckpointing turns on checkpoint-based failure recovery with the
-// given checkpoint interval in CPU-work units (e.g. 30 ≈ one snapshot per
-// 30 cpu-seconds of training).
-func (m *Manager) EnableCheckpointing(interval float64) {
-	if interval <= 0 {
-		panic("cluster: non-positive checkpoint interval")
-	}
-	m.checkpointInterval = interval
-}
-
 // placeOn launches a job on a specific worker and notifies subscribers.
 func (m *Manager) placeOn(w *Worker, job pendingJob) {
 	m.trace(telemetry.PhaseAdmit, job.name, w.Name(), "")
@@ -609,12 +582,10 @@ func (m *Manager) placeOn(w *Worker, job pendingJob) {
 
 // handleFailure reschedules every job that was running on the failed
 // worker. The containers were already stopped (and settled) by
-// Worker.Fail; each job resumes from its best checkpoint — the legacy
-// free-snapshot interval or the last priced periodic snapshot — or from
-// scratch, routed through the recovery policy's retry budget and backoff
-// when one is installed. Jobs frozen mid-checkpoint or mid-migration are
-// placed nowhere and survive untouched: their state already left the
-// node.
+// Worker.Fail; each job resumes from its last periodic snapshot, or from
+// scratch without one, routed through the recovery policy's retry budget
+// and backoff. Jobs frozen mid-checkpoint or mid-migration are placed
+// nowhere and survive untouched: their state already left the node.
 func (m *Manager) handleFailure(failed *Worker) {
 	now := float64(m.engine.Now())
 	m.avail.workerDown(failed, now)
@@ -638,7 +609,7 @@ func (m *Manager) handleFailure(failed *Worker) {
 		// Work is 0 when the workload does not expose it — a from-scratch
 		// restart.
 		workAtLoss := c.Work
-		job.resumeWork = m.resumeWorkFor(name, workAtLoss)
+		job.resumeWork = m.snapshots[name]
 		lost = append(lost, job)
 		m.placed[name] = nil
 		m.requeued++

@@ -147,12 +147,14 @@ func TestManagerDuplicateJobPanics(t *testing.T) {
 	w, _ := NewSimWorker("w0", e, 1.0)
 	m := NewManager(e, []*Worker{w}, nil)
 	m.Submit(0, "dup", dlmodel.GRU())
+	m.Submit(1, "dup", dlmodel.GRU())
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate submit did not panic")
 		}
 	}()
-	m.Submit(1, "dup", dlmodel.GRU())
+	// The name is checked when the arrival fires, not when it is scheduled.
+	e.Run(2)
 }
 
 func TestManagerNoWorkersPanics(t *testing.T) {

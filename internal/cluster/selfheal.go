@@ -11,12 +11,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// RecoveryPolicy configures the manager's self-healing layer: periodic
+// RecoveryPolicy configures how the manager recovers lost work: periodic
 // priced checkpoints, a retry budget with exponential backoff on restart
 // placement, flap detection that cordons repeatedly crashing workers, and
 // admission shedding below a surviving-capacity watermark. The zero value
 // of every knob means "off", so a policy enables exactly the mechanisms
-// it names; EnableSelfHealing(RecoveryPolicy{}) is a no-op with a ledger.
+// it names, and the zero policy — what a manager starts with — is the
+// paper's behaviour: a lost job restarts from scratch at once.
 type RecoveryPolicy struct {
 	// CheckpointEverySec, when positive, snapshots every long-running job
 	// periodically: each scan freezes jobs that accumulated enough fresh
@@ -35,12 +36,12 @@ type RecoveryPolicy struct {
 	MinSnapshotDelta float64
 	// RetryBudget caps failure-driven restarts per job; the budget
 	// exhausted, the job is abandoned (PhaseGiveUp, OnAbandon). 0 retries
-	// forever — the pre-self-healing behaviour.
+	// forever.
 	RetryBudget int
 	// BackoffBaseSec delays the n-th restart of a job by
 	// min(base·2^(n−1), cap) virtual seconds — breathing room so a
 	// flapping worker does not churn the same placement. 0 reschedules
-	// at the same instant, exactly like the legacy failure path.
+	// at the same instant.
 	BackoffBaseSec float64
 	// BackoffCapSec bounds the exponential backoff (0 = uncapped).
 	BackoffCapSec float64
@@ -133,18 +134,21 @@ func (m *Manager) EnableSelfHealing(p RecoveryPolicy) {
 	if err := p.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if m.recovery != nil {
+	if m.recovery != (RecoveryPolicy{}) {
 		panic("cluster: self-healing already enabled")
 	}
+	// withDefaults leaves no policy at the zero value, so the guard above
+	// trips on any second call.
 	p = p.withDefaults()
-	m.recovery = &p
+	m.recovery = p
 	if p.CheckpointEverySec > 0 {
 		m.engine.After(p.CheckpointEverySec, sim.PriorityState, "manager.ckpt-scan", m.checkpointScan)
 	}
 }
 
-// Recovery returns the installed policy (nil when self-healing is off).
-func (m *Manager) Recovery() *RecoveryPolicy { return m.recovery }
+// Recovery returns the installed policy (the zero policy until
+// EnableSelfHealing).
+func (m *Manager) Recovery() RecoveryPolicy { return m.recovery }
 
 // Availability returns the manager's fault/recovery ledger. Always
 // non-nil; Finalize it at the end of the run before reading the report
@@ -314,44 +318,18 @@ func (m *Manager) FailContainer(job string) error {
 	m.avail.Kills++
 	m.trace(telemetry.PhaseKill, job, w.Name(), "container killed")
 	now := float64(m.engine.Now())
-	resume := m.resumeWorkFor(job, c.Work)
+	resume := m.snapshots[job]
 	m.avail.jobLost(job, now, c.Work, resume)
 	m.rescheduleLost([]pendingJob{{name: job, profile: m.profiles[job], resumeWork: resume}})
 	return nil
 }
 
-// resumeWorkFor returns the work a restarted job resumes with: the best
-// of the legacy free-snapshot interval (EnableCheckpointing) and the last
-// priced periodic snapshot.
-func (m *Manager) resumeWorkFor(job string, workAtLoss float64) float64 {
-	resume := 0.0
-	if m.checkpointInterval > 0 {
-		resume = math.Floor(workAtLoss/m.checkpointInterval) * m.checkpointInterval
-	}
-	if snap, ok := m.snapshots[job]; ok && snap > resume {
-		resume = snap
-	}
-	return resume
-}
-
-// rescheduleLost routes lost placements through recovery. Without a
-// policy (or with budget and backoff both off) it reproduces the legacy
-// path byte-for-byte: one grouped same-instant reschedule at listener
-// priority. With one, each job pays its own backoff delay — and a job
-// over its retry budget is abandoned instead.
+// rescheduleLost routes lost placements through the recovery policy: each
+// job is retried after its own backoff delay (none = the same instant, at
+// listener priority), and a job over its retry budget is abandoned
+// instead.
 func (m *Manager) rescheduleLost(lost []pendingJob) {
-	if len(lost) == 0 {
-		return
-	}
 	p := m.recovery
-	if p == nil || (p.RetryBudget == 0 && p.BackoffBaseSec == 0) {
-		m.engine.At(m.engine.Now(), sim.PriorityListener, "manager.reschedule", func() {
-			for _, job := range lost {
-				m.tryPlace(job)
-			}
-		})
-		return
-	}
 	for _, job := range lost {
 		job := job
 		m.attempts[job.name]++
@@ -388,7 +366,7 @@ func (m *Manager) abandon(job string) {
 // window. Crash history resets on cordon so the cooldown starts clean.
 func (m *Manager) noteFlap(w *Worker, now float64) {
 	p := m.recovery
-	if p == nil || p.FlapThreshold <= 0 {
+	if p.FlapThreshold <= 0 {
 		return
 	}
 	log := append(m.crashLog[w.Name()], now)
@@ -419,7 +397,7 @@ func (m *Manager) noteFlap(w *Worker, now float64) {
 // live, uncordoned capacity fell below the policy's watermark fraction.
 func (m *Manager) shouldShed() bool {
 	p := m.recovery
-	if p == nil || p.ShedBelowFrac <= 0 {
+	if p.ShedBelowFrac <= 0 {
 		return false
 	}
 	total, alive := 0.0, 0.0

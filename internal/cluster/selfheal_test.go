@@ -70,7 +70,7 @@ func TestEnableSelfHealingGuards(t *testing.T) {
 		m.EnableSelfHealing(RecoveryPolicy{RetryBudget: -1})
 	}()
 	m.EnableSelfHealing(RecoveryPolicy{RetryBudget: 3})
-	if m.Recovery() == nil || m.Recovery().RetryBudget != 3 {
+	if m.Recovery().RetryBudget != 3 {
 		t.Fatal("policy not installed")
 	}
 	defer func() {

@@ -61,7 +61,6 @@ func init() {
 		Name: "chaos-day",
 		Description: "full fault storm with checkpoint-aware self-healing on 8 workers: " +
 			arrivals.Describe(),
-		Workload:               gen.Generate,
 		StreamWorkload:         gen.Stream,
 		Workers:                8,
 		MaxContainersPerWorker: 8,
@@ -72,7 +71,6 @@ func init() {
 		Name: "chaos-day-scratch",
 		Description: "chaos-day storm without periodic checkpoints: every crash restarts " +
 			"the job from scratch (the ablation the acceptance test beats)",
-		Workload:               gen.Generate,
 		StreamWorkload:         gen.Stream,
 		Workers:                8,
 		MaxContainersPerWorker: 8,

@@ -108,7 +108,7 @@ func TestChaosAvailabilityLedgerCoherent(t *testing.T) {
 
 // The chaos invariant: one seed fixes the whole run — schedule and fault
 // trace — so the rendered report is byte-identical across sweep-pool
-// widths, shard counts, and the eager/streaming admission paths.
+// widths and shard counts.
 func TestChaosScenarioDeterministic(t *testing.T) {
 	base := []Scenario{chaosScenario(t, "chaos-day"), chaosScenario(t, "chaos-day-scratch")}
 	seeds := ScenarioSeeds(2)
@@ -132,14 +132,6 @@ func TestChaosScenarioDeterministic(t *testing.T) {
 	}
 	if got := render(sharded, 1); got != serial {
 		t.Fatalf("report differs between -shard-sim 1 and 8:\n%s\nvs\n%s", serial, got)
-	}
-	eager := make([]Scenario, len(base))
-	for i, s := range base {
-		s.StreamWorkload = nil // force the eager admission path
-		eager[i] = s
-	}
-	if got := render(eager, 1); got != serial {
-		t.Fatalf("report differs between streaming and eager admission:\n%s\nvs\n%s", serial, got)
 	}
 }
 

@@ -1,13 +1,20 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
 
-	"repro/internal/sim"
-
 	"repro/internal/cluster"
+	"repro/internal/faults"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
+
+// crashAt is the one-line fault plan most tests here need: worker idx
+// crashes at virtual time at and stays down.
+func crashAt(idx int, at float64) *faults.Plan {
+	return &faults.Plan{Script: []faults.ScriptedFault{{At: at, Kind: faults.KindCrash, Worker: idx}}}
+}
 
 func TestFailureInjectionRecovers(t *testing.T) {
 	res := Run(Spec{
@@ -15,7 +22,7 @@ func TestFailureInjectionRecovers(t *testing.T) {
 		NewPolicy:   FlowConPolicy(0.05, 20),
 		Submissions: workload.RandomFive(7),
 		Workers:     2,
-		Failures:    map[int]float64{0: 120},
+		Faults:      crashAt(0, 120),
 	})
 	if !res.Completed {
 		t.Fatal("workload did not survive the worker failure")
@@ -44,7 +51,7 @@ func TestFailureDelaysAffectedJobs(t *testing.T) {
 	clean := Run(base)
 	failed := base
 	failed.Name = "fail"
-	failed.Failures = map[int]float64{0: 120}
+	failed.Faults = crashAt(0, 120)
 	crashed := Run(failed)
 	if !crashed.Completed {
 		t.Fatal("did not complete")
@@ -65,7 +72,7 @@ func TestFailureIndexValidation(t *testing.T) {
 		Name:        "bad",
 		NewPolicy:   NAPolicy(20),
 		Submissions: workload.FixedSchedule(),
-		Failures:    map[int]float64{5: 10},
+		Faults:      crashAt(5, 10),
 	})
 }
 
@@ -146,11 +153,11 @@ func TestCheckpointingSpeedsRecovery(t *testing.T) {
 		NewPolicy:   NAPolicy(20),
 		Submissions: workload.RandomFive(7),
 		Workers:     2,
-		Failures:    map[int]float64{0: 150},
+		Faults:      crashAt(0, 150),
 	}
 	scratch := Run(base)
 	withCkpt := base
-	withCkpt.CheckpointWork = 20
+	withCkpt.Recovery = &cluster.RecoveryPolicy{CheckpointEverySec: 20}
 	resumed := Run(withCkpt)
 	if !scratch.Completed || !resumed.Completed {
 		t.Fatal("runs did not complete")
@@ -164,17 +171,43 @@ func TestCheckpointingSpeedsRecovery(t *testing.T) {
 	}
 }
 
-func TestCheckpointIntervalValidation(t *testing.T) {
-	e := simNewEngineForTest()
-	w, _ := cluster.NewSimWorker("w0", e, 1.0)
-	m := cluster.NewManager(e, []*cluster.Worker{w}, nil)
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive checkpoint interval did not panic")
+// Two workers crashing at the same instant fail in script order on every
+// run, so the survivors' reschedule order — and with it every job record
+// and the span log — is reproducible. (A map-keyed crash schedule could
+// not promise that: Go randomizes map iteration.)
+func TestSimultaneousCrashesAreDeterministic(t *testing.T) {
+	run := func() (*Result, []telemetry.Span) {
+		tr := telemetry.NewTracer(0)
+		res := Run(Spec{
+			Name:                   "double-crash",
+			NewPolicy:              FlowConPolicy(0.05, 20),
+			Submissions:            workload.RandomN(9, 11),
+			Workers:                3,
+			MaxContainersPerWorker: 4,
+			Faults: &faults.Plan{Script: []faults.ScriptedFault{
+				{At: 100, Kind: faults.KindCrash, Worker: 1},
+				{At: 100, Kind: faults.KindCrash, Worker: 0},
+			}},
+			Tracer: tr,
+		})
+		spans := tr.Spans(res.Name)
+		for i := range spans {
+			spans[i].Wall = "" // host clock, not part of the contract
 		}
-	}()
-	m.EnableCheckpointing(0)
+		return res, spans
+	}
+	want, wantSpans := run()
+	if !want.Completed || want.Requeued < 2 {
+		t.Fatalf("test premise broken: completed=%v requeued=%d (both crashed workers should lose jobs)",
+			want.Completed, want.Requeued)
+	}
+	for i := 1; i < 20; i++ {
+		got, gotSpans := run()
+		if !reflect.DeepEqual(got.Jobs, want.Jobs) {
+			t.Fatalf("run %d: job records diverged:\n%+v\nvs\n%+v", i, got.Jobs, want.Jobs)
+		}
+		if !reflect.DeepEqual(gotSpans, wantSpans) {
+			t.Fatalf("run %d: span log diverged", i)
+		}
+	}
 }
-
-// simNewEngineForTest avoids importing sim at the top for one helper.
-func simNewEngineForTest() *sim.Engine { return sim.NewEngine() }

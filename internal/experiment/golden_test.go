@@ -22,7 +22,10 @@ func goldenFixedTrace(t *testing.T) []byte {
 	if !ok {
 		t.Fatal("fixed scenario missing from registry")
 	}
-	subs := s.Workload(1)
+	subs, err := workload.Collect(s.StreamWorkload(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	spec := s.Spec(1)
 	// Limit events come from the dense tier's LimitSeries; the summary
 	// default would silently drop them from the golden.
@@ -87,7 +90,10 @@ func TestReplayedScheduleReproducesEventTrace(t *testing.T) {
 	if !ok {
 		t.Fatal("fixed scenario missing")
 	}
-	subs := s.Workload(1)
+	subs, err := workload.Collect(s.StreamWorkload(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var trace bytes.Buffer
 	if err := workload.Record(&trace, subs); err != nil {
@@ -101,7 +107,7 @@ func TestReplayedScheduleReproducesEventTrace(t *testing.T) {
 	run := func(subs []workload.Submission) []byte {
 		spec := s.Spec(1)
 		spec.TraceLevel = metrics.TierDense
-		spec.Submissions = subs
+		spec.Arrivals = workload.SliceStream(subs)
 		res, err := RunE(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -10,9 +10,9 @@ import (
 // rate with a morning surge and a retry storm, drawn from the
 // short-skewed production tenant mix. One light member rides the
 // default sweep; the megacluster members scale the same shape to the
-// ROADMAP's thousand-worker, million-job north star and exist only on
-// the streaming admission path — their schedules are never
-// materialized, so workload memory stays O(1) in job count.
+// ROADMAP's thousand-worker, million-job north star; their schedules
+// are generated lazily and never materialized, so workload memory stays
+// O(1) in job count.
 
 // productionDay builds the family's arrival process and generator at a
 // given scale. Spike placement is phase-locked to the diurnal cycle
@@ -63,19 +63,17 @@ func megaclusterScenario(name string, workers int, baseRate, windowSec, horizon 
 func init() {
 	// The light member: same shape, sweep-sized. It keeps the family
 	// honest in "-scenario all" and make determinism, where the
-	// stream-vs-eager and shard-equivalence properties are cheap to
-	// check on every run.
+	// shard-equivalence property is cheap to check on every run.
 	proc, gen := productionDay(0.2, 500, 8, 150)
 	mustRegisterScenario(Scenario{
 		Name:                   "production-day",
 		Description:            "compressed production day on 8 4-core workers: " + proc.Describe(),
-		Workload:               gen.Generate,
 		StreamWorkload:         gen.Stream,
 		Workers:                8,
 		Capacity:               4,
 		MaxContainersPerWorker: 8,
 	})
-	// megacluster is the acceptance run for the streaming path: ~1M jobs
+	// megacluster is the acceptance run for lazy generation: ~1M jobs
 	// over a 10-hour simulated day on 1000 workers. `make bench-json`
 	// records its smoke sibling; the full run lands in BENCH_sim.json
 	// via `bench-json -mega full`.

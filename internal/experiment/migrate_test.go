@@ -196,7 +196,7 @@ func TestFailureWithRebalancerRecoversExactlyOnce(t *testing.T) {
 		Workers:       3,
 		Placement:     cluster.FirstFit,
 		ClusterPolicy: RebalancerPolicy(migrate.Config{Interval: 15, MaxMovesPerScan: 2}),
-		Failures:      map[int]float64{0: 90},
+		Faults:        crashAt(0, 90),
 	})
 	if !res.Completed {
 		t.Fatal("run did not survive the failure")
@@ -240,9 +240,9 @@ func TestMigrationSpecValidation(t *testing.T) {
 		t.Fatal("negative migration cost accepted")
 	}
 	if err := RegisterScenario(Scenario{
-		Name:     "test-bad-drain",
-		Workload: workload.RandomFive,
-		Drains:   []Drain{{Worker: 3, At: 1}},
+		Name:           "test-bad-drain",
+		StreamWorkload: sliceWorkload(workload.RandomFive),
+		Drains:         []Drain{{Worker: 3, At: 1}},
 	}); err == nil {
 		t.Fatal("scenario with out-of-range drain accepted")
 	}

@@ -5,9 +5,11 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -30,16 +32,18 @@ type Spec struct {
 	// receives the run's tracer (the metrics collector) for policies that
 	// record growth efficiency. Required.
 	NewPolicy func(tr flowcon.Tracer) sched.Policy
-	// Submissions is the materialized job arrival schedule. Exactly one
-	// of Submissions and Arrivals must be set.
+	// Submissions is the materialized job arrival schedule: a slice many
+	// specs can share (grids do) and run concurrently — the runner never
+	// writes to it, and admits it in arrival order whatever order it is
+	// listed in. Exactly one of Submissions and Arrivals must be set.
 	Submissions []workload.Submission
-	// Arrivals streams the arrival schedule lazily instead: the runner
+	// Arrivals is the lazy input form of the same schedule: the runner
 	// keeps exactly one arrival event in flight, pulling the next
 	// submission from the stream when it fires, so a run's memory is
-	// bounded by simulation state rather than schedule length — the
-	// megacluster path. The stream must yield non-decreasing arrival
-	// times (Generator.Stream and ReplayStream both guarantee it) and is
-	// consumed exactly once: a Spec holding a stream is single-use.
+	// bounded by simulation state rather than schedule length — what the
+	// megacluster family needs. The stream must yield non-decreasing
+	// arrival times (Generator.Stream and ReplayStream both guarantee it)
+	// and is consumed exactly once: a Spec holding a stream is single-use.
 	Arrivals workload.ArrivalStream
 	// Workers is the node count (default 1, as in the paper's testbed).
 	Workers int
@@ -65,25 +69,19 @@ type Spec struct {
 	// MemoryBytesPerWorker overrides node memory (0 = the testbed's
 	// 16 GB; negative disables memory modelling).
 	MemoryBytesPerWorker float64
-	// Failures injects worker crashes: worker index → crash time.
-	// Affected jobs restart from scratch on surviving workers.
-	Failures map[int]float64
-	// CheckpointWork enables checkpoint-based recovery: jobs snapshot
-	// their progress every CheckpointWork cpu-seconds and resume from the
-	// last snapshot after a failure (0 = no checkpointing, the paper's
-	// behaviour).
-	CheckpointWork float64
-	// Faults attaches the seeded chaos engine (worker churn, container
-	// kills, degraded nodes, scripted faults) to the run. Nil injects
-	// nothing. The fault trace is a pure function of (Faults, FaultSeed).
+	// Faults attaches the fault engine to the run: seeded worker churn,
+	// container kills and degraded nodes, plus Script for deterministic
+	// drills (a worker crash at a fixed time is one ScriptedFault). Nil
+	// injects nothing. The fault trace is a pure function of (Faults,
+	// FaultSeed).
 	Faults *faults.Plan
 	// FaultSeed seeds the chaos engine's RNG streams; scenarios set it to
 	// the workload seed so one seed fixes the whole run.
 	FaultSeed int64
-	// Recovery installs the manager's self-healing layer (periodic priced
+	// Recovery is the manager's recovery policy (periodic priced
 	// checkpoints, retry budget + backoff, flap cordons, load shedding).
-	// Nil keeps the legacy recovery path: immediate reschedule, unlimited
-	// retries, snapshots only via CheckpointWork.
+	// Nil is the zero policy, every mechanism off — the paper's behaviour:
+	// a lost job restarts from scratch at once, as often as it takes.
 	Recovery *cluster.RecoveryPolicy
 	// ClusterPolicy constructs an optional cluster-level policy (e.g. the
 	// GE-aware rebalancer in internal/migrate) attached to the manager
@@ -125,7 +123,7 @@ type Spec struct {
 // everything off at At, and (optionally) reopen for placements at
 // UncordonAt.
 type Drain struct {
-	// Worker is the worker index, as in Spec.Failures.
+	// Worker is the worker index (0-based, as in faults.ScriptedFault).
 	Worker int
 	// At is when the drain starts (virtual seconds).
 	At float64
@@ -143,9 +141,10 @@ type Result struct {
 	Policy   string
 	Jobs     []metrics.JobRecord
 	Makespan float64
-	// Submitted is how many jobs the schedule submitted. It can exceed
-	// len(Jobs): jobs still waiting in the manager's admission queue when
-	// the horizon hit were never placed and have no record.
+	// Submitted is how many arrivals fired before the run ended (arrivals
+	// the horizon cut off are not counted; Completed is false then). It can
+	// exceed len(Jobs): jobs still waiting in the manager's admission queue
+	// when the horizon hit were never placed and have no record.
 	Submitted int
 	// Completed is false if the horizon was hit before every submitted
 	// job was placed and finished.
@@ -213,6 +212,23 @@ func (r *Result) Job(name string) (metrics.JobRecord, bool) {
 	return metrics.JobRecord{}, false
 }
 
+// arrivalStream returns the spec's schedule as the stream RunE admits
+// from. A materialized schedule is replayed in arrival order (ties keep
+// their listed order); sorting happens on a copy, and only when needed,
+// because grids hand one Submissions slice to specs that run concurrently.
+func (spec Spec) arrivalStream() workload.ArrivalStream {
+	if spec.Arrivals != nil {
+		return spec.Arrivals
+	}
+	subs := spec.Submissions
+	byAt := func(a, b workload.Submission) int { return cmp.Compare(a.At, b.At) }
+	if !slices.IsSortedFunc(subs, byAt) {
+		subs = slices.Clone(subs)
+		slices.SortStableFunc(subs, byAt)
+	}
+	return workload.SliceStream(subs)
+}
+
 // Run executes the spec to completion (or horizon) and returns the result.
 // It panics on an invalid spec; Sweep and other programmatic callers should
 // prefer RunE, which reports the same conditions as errors.
@@ -226,8 +242,8 @@ func Run(spec Spec) *Result {
 
 // RunE executes the spec to completion (or horizon) and returns the
 // result. Unlike Run it rejects invalid specs — nil policy, empty
-// submissions, out-of-range failure index — with an error instead of a
-// panic.
+// submissions, out-of-range fault or drain index — with an error instead
+// of a panic.
 func RunE(spec Spec) (*Result, error) {
 	if spec.NewPolicy == nil {
 		return nil, fmt.Errorf("experiment: spec %q without policy", spec.Name)
@@ -240,19 +256,14 @@ func RunE(spec Spec) (*Result, error) {
 	}
 	for _, s := range spec.Submissions {
 		// A framework with no image would otherwise surface as a launch
-		// panic mid-run; custom profiles are user input, so fail upfront.
-		// (Streamed submissions get the same check at admission time.)
+		// panic mid-run; custom profiles are user input, so fail upfront
+		// (a lazy stream can only be checked as each arrival fires).
 		if _, err := cluster.ImageFor(s.Profile.Framework); err != nil {
 			return nil, fmt.Errorf("experiment: spec %q job %q: %v", spec.Name, s.Name, err)
 		}
 	}
 	if spec.Workers < 0 {
 		return nil, fmt.Errorf("experiment: spec %q has negative worker count %d", spec.Name, spec.Workers)
-	}
-	for idx := range spec.Failures {
-		if idx < 0 || idx >= max(spec.Workers, 1) {
-			return nil, fmt.Errorf("experiment: spec %q failure index %d out of range", spec.Name, idx)
-		}
 	}
 	for _, d := range spec.Drains {
 		if d.Worker < 0 || d.Worker >= max(spec.Workers, 1) {
@@ -305,7 +316,7 @@ func RunE(spec Spec) (*Result, error) {
 	collector := metrics.NewCollectorTier(engine, spec.SamplePeriod, spec.TraceLevel)
 
 	// With SimShards, each worker's events ride a private lane of the
-	// sharded executor; cluster-level machinery (manager, failures, drains,
+	// sharded executor; cluster-level machinery (manager, faults, drains,
 	// cluster policies) stays on the engine itself (lane 0).
 	shards := spec.SimShards
 	if shards < 0 {
@@ -341,20 +352,10 @@ func RunE(spec Spec) (*Result, error) {
 		p.Attach(laneOf(i), w)
 		policies[i] = p
 	}
-	for idx, at := range spec.Failures {
-		w := workers[idx]
-		engine.At(sim.Time(at), sim.PriorityState, "experiment.fail."+w.Name(), w.Fail)
-	}
 
 	modelOf := make(map[string]string, len(spec.Submissions))
-	for _, s := range spec.Submissions {
-		modelOf[s.Name] = s.Profile.Key()
-	}
 	manager := cluster.NewManager(engine, workers, spec.Placement)
 	manager.SetTracer(spec.Tracer)
-	if spec.CheckpointWork > 0 {
-		manager.EnableCheckpointing(spec.CheckpointWork)
-	}
 	manager.OnPlace(func(name string, w *cluster.Worker, c rt.Container) {
 		collector.TrackJob(name, w.Name(), modelOf[name], c.ID, c.StartedAt)
 		// The run span follows the manager's place span: the container is
@@ -410,16 +411,11 @@ func RunE(spec Spec) (*Result, error) {
 	// periodic samplers and executor ticks self-schedule forever. Exits
 	// whose workload did not finish (failure kills) do not count. The
 	// counters are atomic because in sharded mode exits land on concurrent
-	// worker lanes. In streaming mode the schedule length is unknown until
-	// the stream drains, so termination is stream-exhausted + every
-	// admitted job finished; eager mode marks the stream exhausted upfront
-	// so both modes share one predicate.
+	// worker lanes. The schedule length is unknown until the arrival stream
+	// drains, so termination is stream-exhausted + every admitted job
+	// finished.
 	var submitted atomic.Int64
 	var exhausted atomic.Bool
-	if spec.Arrivals == nil {
-		submitted.Store(int64(len(spec.Submissions)))
-		exhausted.Store(true)
-	}
 	var finished atomic.Int64
 	for i, d := range daemons {
 		workerName := workers[i].Name()
@@ -448,65 +444,60 @@ func RunE(spec Spec) (*Result, error) {
 		}
 	})
 
+	// Admission: exactly one arrival event is in flight at a time.
+	// Admitting submission i pulls i+1 from the stream and schedules its
+	// arrival, so workload-layer memory stays O(1) in schedule length. The
+	// pull-ahead also means exhaustion is always discovered at the last
+	// real admission — before that job can have finished — which keeps the
+	// stop predicate race-free. A stream that fails mid-run aborts the
+	// run; RunE reports its error.
+	arrivals := spec.arrivalStream()
 	var streamErr error
-	if spec.Arrivals == nil {
-		for _, s := range spec.Submissions {
-			manager.Submit(sim.Time(s.At), s.Name, s.Profile)
-		}
-	} else {
-		// Streaming admission: exactly one arrival event is in flight at a
-		// time. Admitting submission i pulls i+1 from the stream and
-		// schedules its arrival, so workload-layer memory stays O(1) in
-		// schedule length. The pull-ahead also means exhaustion is always
-		// discovered at the last real admission — before that job can have
-		// finished — which keeps the stop predicate race-free. A stream
-		// that fails mid-run aborts the run; RunE reports its error.
-		fail := func(err error) {
-			streamErr = err
-			engine.Stop()
-		}
-		var schedule func(sub workload.Submission)
-		schedule = func(sub workload.Submission) {
-			engine.At(sim.Time(sub.At), sim.PriorityState, "experiment.arrive."+sub.Name, func() {
-				if _, err := cluster.ImageFor(sub.Profile.Framework); err != nil {
-					fail(fmt.Errorf("experiment: spec %q job %q: %v", spec.Name, sub.Name, err))
+	fail := func(err error) {
+		streamErr = err
+		engine.Stop()
+	}
+	var schedule func(sub workload.Submission)
+	schedule = func(sub workload.Submission) {
+		engine.At(sim.Time(sub.At), sim.PriorityState, "experiment.arrive."+sub.Name, func() {
+			if _, err := cluster.ImageFor(sub.Profile.Framework); err != nil {
+				fail(fmt.Errorf("experiment: spec %q job %q: %v", spec.Name, sub.Name, err))
+				return
+			}
+			modelOf[sub.Name] = sub.Profile.Key()
+			submitted.Add(1)
+			manager.SubmitNow(sub.Name, sub.Profile)
+			next, ok := arrivals.Next()
+			switch {
+			case ok:
+				// NaN compares false against everything, so test it
+				// explicitly — it must not reach engine.At.
+				if !(next.At >= sub.At) || math.IsInf(next.At, 0) {
+					fail(fmt.Errorf("experiment: spec %q arrival stream went backwards: %q at %g after %q at %g",
+						spec.Name, next.Name, next.At, sub.Name, sub.At))
 					return
 				}
-				modelOf[sub.Name] = sub.Profile.Key()
-				submitted.Add(1)
-				manager.SubmitNow(sub.Name, sub.Profile)
-				next, ok := spec.Arrivals.Next()
-				switch {
-				case ok:
-					// NaN compares false against everything, so test it
-					// explicitly — it must not reach engine.At.
-					if !(next.At >= sub.At) || math.IsInf(next.At, 0) {
-						fail(fmt.Errorf("experiment: spec %q arrival stream went backwards: %q at %g after %q at %g",
-							spec.Name, next.Name, next.At, sub.Name, sub.At))
-						return
-					}
-					schedule(next)
-				default:
-					if err := spec.Arrivals.Err(); err != nil {
-						fail(fmt.Errorf("experiment: spec %q arrival stream: %w", spec.Name, err))
-						return
-					}
-					exhausted.Store(true)
+				schedule(next)
+			default:
+				if err := arrivals.Err(); err != nil {
+					fail(fmt.Errorf("experiment: spec %q arrival stream: %w", spec.Name, err))
+					return
 				}
-			})
-		}
-		first, ok := spec.Arrivals.Next()
-		if !ok {
-			if err := spec.Arrivals.Err(); err != nil {
-				return nil, fmt.Errorf("experiment: spec %q arrival stream: %w", spec.Name, err)
+				exhausted.Store(true)
 			}
-			return nil, fmt.Errorf("experiment: spec %q arrival stream is empty (streams are single-use)", spec.Name)
-		}
-		if first.At < 0 || math.IsNaN(first.At) || math.IsInf(first.At, 0) {
-			return nil, fmt.Errorf("experiment: spec %q arrival stream starts at invalid time %g", spec.Name, first.At)
-		}
-		schedule(first)
+		})
 	}
+	first, ok := arrivals.Next()
+	if !ok {
+		if err := arrivals.Err(); err != nil {
+			return nil, fmt.Errorf("experiment: spec %q arrival stream: %w", spec.Name, err)
+		}
+		return nil, fmt.Errorf("experiment: spec %q arrival stream is empty (streams are single-use)", spec.Name)
+	}
+	if first.At < 0 || math.IsNaN(first.At) || math.IsInf(first.At, 0) {
+		return nil, fmt.Errorf("experiment: spec %q arrival stream starts at invalid time %g", spec.Name, first.At)
+	}
+	schedule(first)
 
 	if sharded != nil {
 		// Exits interact with the cluster exactly when the manager's
@@ -540,11 +531,9 @@ func RunE(spec Spec) (*Result, error) {
 		Jobs:       collector.Jobs(),
 		Makespan:   collector.Makespan(),
 		Submitted:  manager.Submitted(),
-		// Complete means the arrival schedule was fully admitted (a stream
-		// cut off by the horizon leaves exhausted false; an eager
-		// submission past the horizon never fires and is invisible to both
-		// the collector and the manager queue) and every submitted job was
-		// placed and ran to completion.
+		// Complete means the arrival schedule was fully admitted (a
+		// schedule cut off by the horizon leaves exhausted false) and every
+		// submitted job was placed and ran to completion.
 		Completed: collector.AllFinished() && manager.Queued() == 0 &&
 			manager.Submitted() == len(collector.Jobs()) && exhausted.Load(),
 		Collector: collector,

@@ -28,16 +28,13 @@ type Scenario struct {
 	Name string
 	// Description is the one-line summary shown by -scenario-list.
 	Description string
-	// Workload generates the seed's arrival schedule eagerly. Must be a
-	// pure function of the seed. At least one of Workload and
-	// StreamWorkload is required.
-	Workload func(seed int64) []workload.Submission
-	// StreamWorkload generates the seed's arrival schedule lazily
-	// (workload.Generator.Stream): Spec admits arrivals through the
-	// runner's streaming path, holding O(1) workload state however many
-	// jobs the schedule contains. When both generators are set they must
-	// describe the identical schedule — built-ins derive both from one
-	// Generator, and the streaming runner is then the default path.
+	// StreamWorkload generates the seed's arrival schedule as a fresh
+	// stream per call. Required, and must be a pure function of the seed:
+	// trace recording and the run each pull their own stream and rely on
+	// both yielding the same sequence. A generator-backed scenario
+	// (workload.Generator.Stream) holds O(1) workload state however many
+	// jobs the schedule contains; a materialized schedule wraps its slice
+	// in workload.SliceStream.
 	StreamWorkload func(seed int64) workload.ArrivalStream
 	// Heavy marks cluster-scale stress scenarios (the megacluster
 	// family) that are far too expensive for registry-wide sweeps: they
@@ -136,22 +133,21 @@ func (s Scenario) Spec(seed int64) Spec {
 		Recovery:               s.Recovery,
 		SimShards:              s.SimShards,
 		TraceLevel:             s.TraceLevel,
+		Arrivals:               s.StreamWorkload(seed),
 	}
 	if s.NewTracer != nil {
 		spec.Tracer = s.NewTracer()
-	}
-	// Streaming is the preferred admission path when the scenario offers
-	// it; the eager generator remains for trace recording and for the
-	// equivalence tests that pin both paths to the same schedule.
-	if s.StreamWorkload != nil {
-		spec.Arrivals = s.StreamWorkload(seed)
-	} else {
-		spec.Submissions = s.Workload(seed)
 	}
 	if s.Rebalance != nil {
 		spec.ClusterPolicy = RebalancerPolicy(*s.Rebalance)
 	}
 	return spec
+}
+
+// sliceWorkload adapts a per-seed materialized schedule generator to
+// Scenario.StreamWorkload.
+func sliceWorkload(gen func(seed int64) []workload.Submission) func(int64) workload.ArrivalStream {
+	return func(seed int64) workload.ArrivalStream { return workload.SliceStream(gen(seed)) }
 }
 
 // validate rejects unusable scenario definitions — RegisterScenario is a
@@ -161,7 +157,7 @@ func (s Scenario) validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("experiment: scenario without name")
 	}
-	if s.Workload == nil && s.StreamWorkload == nil {
+	if s.StreamWorkload == nil {
 		return fmt.Errorf("experiment: scenario %q without workload generator", s.Name)
 	}
 	if s.Workers < 0 {
@@ -301,13 +297,15 @@ func init() {
 	mustRegisterScenario(Scenario{
 		Name:        "fixed",
 		Description: "paper §5.3 administrator schedule: VAE@0s, MNIST-PT@40s, MNIST-TF@80s",
-		Workload:    func(int64) []workload.Submission { return workload.FixedSchedule() },
-		Alpha:       0.05, Itval: 20,
+		StreamWorkload: func(int64) workload.ArrivalStream {
+			return workload.SliceStream(workload.FixedSchedule())
+		},
+		Alpha: 0.05, Itval: 20,
 	})
 	mustRegisterScenario(Scenario{
-		Name:        "uniform5",
-		Description: "paper §5.4 mix: 5 models at uniform times in 200s",
-		Workload:    workload.RandomFive,
+		Name:           "uniform5",
+		Description:    "paper §5.4 mix: 5 models at uniform times in 200s",
+		StreamWorkload: sliceWorkload(workload.RandomFive),
 	})
 	// Each process is declared once and feeds both the generator and the
 	// -scenario-list description, so the listing can never drift from the
@@ -317,7 +315,6 @@ func init() {
 	mustRegisterScenario(Scenario{
 		Name:           "poisson",
 		Description:    "steady production traffic: " + poisson.Describe(),
-		Workload:       poissonGen.Generate,
 		StreamWorkload: poissonGen.Stream,
 	})
 	bursty := workload.OnOff{OnRate: 0.2, OnSec: 20, OffSec: 70, WindowSec: 290, MaxJobs: 24}
@@ -325,7 +322,6 @@ func init() {
 	mustRegisterScenario(Scenario{
 		Name:           "bursty",
 		Description:    "queue-flush bursts on 2 spread workers: " + bursty.Describe(),
-		Workload:       burstyGen.Generate,
 		StreamWorkload: burstyGen.Stream,
 		Workers:        2,
 	})
@@ -334,7 +330,6 @@ func init() {
 	mustRegisterScenario(Scenario{
 		Name:           "diurnal",
 		Description:    "compressed day/night cycle on 4 spread workers: " + diurnal.Describe(),
-		Workload:       diurnalGen.Generate,
 		StreamWorkload: diurnalGen.Stream,
 		Workers:        4,
 	})
@@ -344,7 +339,6 @@ func init() {
 	mustRegisterScenario(Scenario{
 		Name:                   "flashcrowd",
 		Description:            "retry-storm spike, 4 consolidated workers with admission cap: " + flashcrowd.Describe(),
-		Workload:               flashcrowdGen.Generate,
 		StreamWorkload:         flashcrowdGen.Stream,
 		Workers:                4,
 		Placement:              cluster.BinPackMemory,
@@ -364,7 +358,6 @@ func init() {
 		Name: "cluster-scale",
 		Description: "perf baseline, 256 workers with admission cap: " +
 			clusterScale.Describe(),
-		Workload:               clusterScaleGen.Generate,
 		StreamWorkload:         clusterScaleGen.Stream,
 		Workers:                256,
 		MaxContainersPerWorker: 16,
@@ -382,7 +375,6 @@ func init() {
 	mustRegisterScenario(Scenario{
 		Name:                   "hotspot",
 		Description:            "skewed first-fit placement, no rebalancing: " + hotspot.Describe(),
-		Workload:               hotspotGen.Generate,
 		StreamWorkload:         hotspotGen.Stream,
 		Workers:                4,
 		Placement:              cluster.FirstFit,
@@ -392,7 +384,6 @@ func init() {
 	mustRegisterScenario(Scenario{
 		Name:                   "hotspot-rebalance",
 		Description:            "hotspot workload with the GE-aware migration rebalancer attached",
-		Workload:               hotspotGen.Generate,
 		StreamWorkload:         hotspotGen.Stream,
 		Workers:                4,
 		Placement:              cluster.FirstFit,
@@ -409,7 +400,6 @@ func init() {
 	mustRegisterScenario(Scenario{
 		Name:           "rolling-drain",
 		Description:    "rolling maintenance, 3 workers drained in turn: " + drainArrivals.Describe(),
-		Workload:       drainGen.Generate,
 		StreamWorkload: drainGen.Stream,
 		Workers:        3,
 		Drains: []Drain{

