@@ -27,8 +27,9 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # Record the perf trajectory: hot-path microbenchmarks (sim, simdocker,
-# flowcon, migrate; 16/64/256 containers per node) plus the cluster-scale
-# scenario on the serial engine and the sharded executor, and the
+# flowcon, migrate, stats, metrics; 16/64/256 containers per node) plus
+# the cluster-scale scenario on the serial engine and the sharded
+# executor, and the
 # megacluster-smoke streaming run (1000 workers, ~50k lazily generated
 # arrivals), appended as a per-commit entry to BENCH_sim.json. Pass
 # MEGA=full for the complete ~1M-job megacluster day, MEGA=off to skip.
@@ -114,6 +115,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzPlanLimits$$' -fuzztime=$(FUZZTIME) ./internal/flowcon
 	$(GO) test -run='^$$' -fuzz='^FuzzGenerate$$' -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run='^$$' -fuzz='^FuzzReplay$$' -fuzztime=$(FUZZTIME) ./internal/workload
+	$(GO) test -run='^$$' -fuzz='^FuzzSketchStore$$' -fuzztime=$(FUZZTIME) ./internal/stats
 
 # Docs hygiene: every relative markdown link in README/ROADMAP/docs/
 # must resolve (no network — external links are skipped), and the Go

@@ -30,9 +30,10 @@ import (
 )
 
 // defaultKeys are the gated hot paths: the per-event engine cost, the
-// daemon's settle/reallocate ladder top, one full Algorithm 1 cycle, and
-// the migration round trip — the benchmarks the ROADMAP's perf baseline
-// tracks across PRs.
+// daemon's settle/reallocate ladder top, one full Algorithm 1 cycle, the
+// migration round trip, and one metrics sampler pass (the observer, which
+// runs every sampling period on every node) — the benchmarks the
+// ROADMAP's perf baseline tracks across PRs.
 var defaultKeys = []string{
 	"ScheduleCancel/256",
 	"Settle/256",
@@ -40,6 +41,7 @@ var defaultKeys = []string{
 	"Algorithm1/256",
 	"CheckpointRestore/256",
 	"Migrate/256",
+	"SamplerPass/256",
 }
 
 func nsByName(e benchfile.Entry) map[string]float64 {

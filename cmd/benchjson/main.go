@@ -1,10 +1,10 @@
 // Command benchjson records the repo's perf trajectory: it runs the
 // simulation hot-path microbenchmarks (event cancellation, daemon
-// settle/reallocate, Algorithm 1, the migration ladder, sharded lanes)
-// across the 16/64/256 containers-per-node ladder, runs the cluster-scale
-// scenario end to end — serial engine, sharded executor, and a serial
-// dense-tier run — and appends the results as one per-commit entry to
-// BENCH_sim.json.
+// settle/reallocate, Algorithm 1, the migration ladder, sharded lanes,
+// sketch insert and the metrics sampler pass) across the 16/64/256
+// containers-per-node ladder, runs the cluster-scale scenario end to end
+// — serial engine, sharded executor, and a serial dense-tier run — and
+// appends the results as one per-commit entry to BENCH_sim.json.
 //
 // Usage:
 //
@@ -57,12 +57,15 @@ import (
 
 // benchPackages are the packages holding the hot-path microbenchmarks,
 // including the migration ladder (checkpoint/restore in simdocker, full
-// manager-mediated migrate and rebalancer scans in migrate).
+// manager-mediated migrate and rebalancer scans in migrate) and the
+// observer (sketch insert in stats, the sampler pass in metrics).
 var benchPackages = []string{
 	"./internal/sim",
 	"./internal/simdocker",
 	"./internal/flowcon",
 	"./internal/migrate",
+	"./internal/stats",
+	"./internal/metrics",
 }
 
 // scenarioName is the registered cluster-scale stress scenario.

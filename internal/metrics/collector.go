@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/flowcon"
 	"repro/internal/sim"
@@ -46,6 +47,48 @@ func (r JobRecord) CompletionTime() float64 {
 	return r.FinishedAt - r.StartedAt
 }
 
+// seriesKind indexes the five series the collector keeps per job.
+type seriesKind int
+
+const (
+	kindCPU    seriesKind = iota // usage (fraction of node)
+	kindEval                     // raw evaluation-function values
+	kindLimit                    // configured soft limit
+	kindGrowth                   // growth efficiency
+	kindList                     // list membership (0=NL,1=WL,2=CL)
+	numKinds
+)
+
+// kindNames are the archive keys of the series kinds.
+var kindNames = [numKinds]string{"cpu", "eval", "limit", "growth", "list"}
+
+// job is the collector's one record per tracked job: the lifecycle
+// summary, the constant-memory summaries (held by value, so the record is
+// one allocation) and the tier's trajectory store. Both indexes — jobs by
+// name, byCID by container — lead here, so the sampling and tracing paths
+// do one lookup and then follow pointers.
+type job struct {
+	JobRecord
+
+	// sums are maintained in both tiers.
+	sums [numKinds]SeriesSummary
+	// dense holds the raw traces; nil in TierSummary.
+	dense *[numKinds]Series
+	// growthC is the bounded growth trajectory behind GrowthAt; nil in
+	// TierDense, which answers from dense[kindGrowth].
+	growthC *CompactSeries
+}
+
+// observe records one sample of kind k in the active tier's stores.
+// Allocation-free at steady state: sketch buckets exist after a job's
+// first few samples.
+func (j *job) observe(k seriesKind, t, v float64) {
+	if j.dense != nil {
+		j.dense[k].Append(t, v)
+	}
+	j.sums[k].Observe(t, v)
+}
+
 // Collector accumulates everything an experiment reports. It subscribes to
 // worker daemons for job lifecycle and samples CPU usage at a fixed
 // period, and implements flowcon.Tracer to capture growth-efficiency and
@@ -63,25 +106,8 @@ type Collector struct {
 	period float64
 	tier   Tier
 
-	jobs  map[string]*JobRecord // by job name
-	byCID map[string]*JobRecord
-
-	// Dense-tier raw traces (nil maps in TierSummary).
-	cpu    map[string]*Series // usage (fraction of node) by job name
-	evals  map[string]*Series // raw evaluation-function values by job name
-	limits map[string]*Series // configured soft limit by job name
-	growth map[string]*Series // growth efficiency by job name
-	lists  map[string]*Series // list membership (0=NL,1=WL,2=CL) by job name
-
-	// Constant-memory summaries, maintained in both tiers.
-	cpuSum    map[string]*SeriesSummary
-	evalSum   map[string]*SeriesSummary
-	limitSum  map[string]*SeriesSummary
-	growthSum map[string]*SeriesSummary
-	listSum   map[string]*SeriesSummary
-
-	// Summary-tier bounded growth trajectory per job, for GrowthAt.
-	growthC map[string]*CompactSeries
+	jobs  map[string]*job // by job name
+	byCID map[string]*job // by the container the job is bound to
 
 	// algoRuns is atomic: in a sharded simulation controllers on different
 	// worker lanes record runs concurrently. The total is deterministic
@@ -105,28 +131,13 @@ func NewCollectorTier(engine *sim.Engine, period float64, tier Tier) *Collector 
 	if tier != TierSummary && tier != TierDense {
 		panic(fmt.Sprintf("metrics: unknown tier %d", int(tier)))
 	}
-	c := &Collector{
-		engine:    engine,
-		period:    period,
-		tier:      tier,
-		jobs:      make(map[string]*JobRecord),
-		byCID:     make(map[string]*JobRecord),
-		cpuSum:    make(map[string]*SeriesSummary),
-		evalSum:   make(map[string]*SeriesSummary),
-		limitSum:  make(map[string]*SeriesSummary),
-		growthSum: make(map[string]*SeriesSummary),
-		listSum:   make(map[string]*SeriesSummary),
+	return &Collector{
+		engine: engine,
+		period: period,
+		tier:   tier,
+		jobs:   make(map[string]*job),
+		byCID:  make(map[string]*job),
 	}
-	if tier == TierDense {
-		c.cpu = make(map[string]*Series)
-		c.evals = make(map[string]*Series)
-		c.limits = make(map[string]*Series)
-		c.growth = make(map[string]*Series)
-		c.lists = make(map[string]*Series)
-	} else {
-		c.growthC = make(map[string]*CompactSeries)
-	}
-	return c
 }
 
 // Tier returns the collector's retention tier.
@@ -137,34 +148,28 @@ func (c *Collector) Tier() Tier { return c.tier }
 // manager does this when a job is rescheduled after a worker failure; the
 // original start time is kept so CompletionTime covers the restart.
 func (c *Collector) TrackJob(name, worker, model, containerID string, startedAt float64) {
-	if r, ok := c.jobs[name]; ok {
-		c.rebind(r, name, worker, containerID)
-		r.Restarts++
+	if j, ok := c.jobs[name]; ok {
+		c.rebind(j, worker, containerID)
+		j.Restarts++
 		return
 	}
-	r := &JobRecord{
+	j := &job{JobRecord: JobRecord{
 		Name:        name,
 		ContainerID: containerID,
 		Worker:      worker,
 		Model:       model,
 		StartedAt:   startedAt,
+	}}
+	for k := range j.sums {
+		j.sums[k].init()
 	}
-	c.jobs[name] = r
-	c.byCID[containerID] = r
-	c.cpuSum[name] = NewSeriesSummary()
-	c.evalSum[name] = NewSeriesSummary()
-	c.limitSum[name] = NewSeriesSummary()
-	c.growthSum[name] = NewSeriesSummary()
-	c.listSum[name] = NewSeriesSummary()
 	if c.tier == TierDense {
-		c.cpu[name] = &Series{}
-		c.evals[name] = &Series{}
-		c.limits[name] = &Series{}
-		c.growth[name] = &Series{}
-		c.lists[name] = &Series{}
+		j.dense = new([numKinds]Series)
 	} else {
-		c.growthC[name] = NewCompactSeries(0)
+		j.growthC = NewCompactSeries(0)
 	}
+	c.jobs[name] = j
+	c.byCID[containerID] = j
 }
 
 // TrackJobMigrated re-binds a job to the container a live migration
@@ -173,13 +178,13 @@ func (c *Collector) TrackJob(name, worker, model, containerID string, startedAt 
 // Migration, not a Restart. A job never seen before falls through to
 // TrackJob (defensive; the manager always places before it migrates).
 func (c *Collector) TrackJobMigrated(name, worker, model, containerID string, startedAt float64) {
-	r, ok := c.jobs[name]
+	j, ok := c.jobs[name]
 	if !ok {
 		c.TrackJob(name, worker, model, containerID, startedAt)
 		return
 	}
-	c.rebind(r, name, worker, containerID)
-	r.Migrations++
+	c.rebind(j, worker, containerID)
+	j.Migrations++
 }
 
 // TrackJobCheckpointed re-binds a job to the container a periodic
@@ -189,131 +194,163 @@ func (c *Collector) TrackJobMigrated(name, worker, model, containerID string, st
 // Restart nor a Migration. A job never seen before falls through to
 // TrackJob (defensive; the manager always places before it snapshots).
 func (c *Collector) TrackJobCheckpointed(name, worker, model, containerID string, startedAt float64) {
-	r, ok := c.jobs[name]
+	j, ok := c.jobs[name]
 	if !ok {
 		c.TrackJob(name, worker, model, containerID, startedAt)
 		return
 	}
-	c.rebind(r, name, worker, containerID)
-	r.Checkpoints++
+	c.rebind(j, worker, containerID)
+	j.Checkpoints++
 }
 
-// rebind points an open job record at a new container.
-func (c *Collector) rebind(r *JobRecord, name, worker, containerID string) {
-	if r.Finished {
-		panic(fmt.Sprintf("metrics: re-tracking finished job %q", name))
+// rebind points an open job record at a new container. Sampler slots
+// holding the old container notice on their next pass: the record's
+// ContainerID no longer names theirs.
+func (c *Collector) rebind(j *job, worker, containerID string) {
+	if j.Finished {
+		panic(fmt.Sprintf("metrics: re-tracking finished job %q", j.Name))
 	}
-	delete(c.byCID, r.ContainerID)
-	r.ContainerID = containerID
-	r.Worker = worker
-	c.byCID[containerID] = r
+	delete(c.byCID, j.ContainerID)
+	j.ContainerID = containerID
+	j.Worker = worker
+	c.byCID[containerID] = j
 }
 
 // JobExited records a job's completion. Call from the daemon's OnExit
 // hook. An exit whose workload did not finish (a worker failure or manual
 // stop) is not a completion — the job record stays open for re-binding.
 func (c *Collector) JobExited(cont *simdocker.Container) {
-	r, ok := c.byCID[cont.ID()]
+	j, ok := c.byCID[cont.ID()]
 	if !ok {
 		return
 	}
 	if !cont.Workload().Done() {
 		return
 	}
-	r.FinishedAt = float64(cont.FinishedAt())
-	r.Finished = true
+	j.FinishedAt = float64(cont.FinishedAt())
+	j.Finished = true
 }
 
-// observeCPU records one CPU-usage sample in the active tier's stores.
-// Allocation-free at steady state: map entries and sketch buckets exist
-// after the first sample of a job.
-func (c *Collector) observeCPU(name string, t, v float64) {
-	if c.tier == TierDense {
-		c.cpu[name].Append(t, v)
-	}
-	c.cpuSum[name].Observe(t, v)
+// sampler is one worker's periodic CPU sampler. All its bookkeeping (usage
+// differencing, post-exit tail counts) lives here, so per-worker samplers
+// on different lanes never share state.
+type sampler struct {
+	c      *Collector
+	daemon *simdocker.Daemon
+	sched  sim.Scheduler
+	// live holds one slot per container that can still produce a sample,
+	// in creation order: a pass costs O(live containers), not O(every
+	// container the daemon ever held).
+	live   []samplerSlot
+	lastAt float64
 }
 
-// observeEval records one evaluation-function sample.
-func (c *Collector) observeEval(name string, t, v float64) {
-	if c.tier == TierDense {
-		c.evals[name].Append(t, v)
-	}
-	c.evalSum[name].Observe(t, v)
+// samplerSlot is the sampler's state for one live container.
+type samplerSlot struct {
+	cont *simdocker.Container
+	// job is the record cont is bound to; nil until its id resolves in
+	// byCID (OnStart fires before the manager's TrackJob) and again after
+	// the record is rebound to another container.
+	job *job
+	// lastCPU is cont's cumulative CPU seconds at the previous sample.
+	lastCPU float64
+	// tail counts samples taken after cont was observed exited. At
+	// PostExitSamples the slot is dropped; see the constant's doc for why
+	// the cap is lossless.
+	tail int
 }
 
 // AttachWorker subscribes the collector to a worker daemon's lifecycle and
 // starts the periodic CPU sampler against it. The sampler schedules on the
 // daemon's own scheduler, so in a sharded simulation it rides the worker's
-// lane and samples in parallel with the other shards. All sampler
-// bookkeeping (usage differencing, post-exit tail counts) lives in this
-// closure, so per-worker samplers on different lanes never share state.
+// lane and samples in parallel with the other shards. Containers already
+// in the daemon's pool are picked up, so attaching after launching works.
 func (c *Collector) AttachWorker(name string, daemon *simdocker.Daemon) {
 	daemon.OnExit(c.JobExited)
-
-	sched := daemon.Scheduler()
-	lastCPUSeconds := make(map[string]float64)
-	// tails counts samples taken after a container was observed exited.
-	// At PostExitSamples the container is sealed: skipped by future
-	// sampler passes and its differencing state freed. See the constant's
-	// doc for why the cap is lossless.
-	tails := make(map[string]int)
-	lastSampleAt := float64(sched.Now())
-	var sample func()
-	sample = func() {
-		now := float64(sched.Now())
-		daemon.Sync()
-		dt := now - lastSampleAt
-		daemon.EachContainer(func(cont *simdocker.Container) {
-			id := cont.ID()
-			if tails[id] >= PostExitSamples {
-				return
-			}
-			exited := cont.State() == simdocker.Exited
-			r, ok := c.byCID[id]
-			if !ok {
-				// Untracked and gone (e.g. replaced after a rebind):
-				// seal immediately so the dead ID costs nothing.
-				if exited {
-					tails[id] = PostExitSamples
-					delete(lastCPUSeconds, id)
-				}
-				return
-			}
-			if r.Finished && exited {
-				// Exited containers have frozen counters and a closed
-				// record: read them without the settled-stats round trip.
-				// The appended values are identical to the slow path's.
-				if dt > 0 {
-					usage := (cont.CPUSeconds() - lastCPUSeconds[id]) / dt
-					c.observeCPU(r.Name, now, usage)
-				}
-				lastCPUSeconds[id] = cont.CPUSeconds()
-			} else {
-				s, err := daemon.Stats(id)
-				if err != nil {
-					return
-				}
-				if dt > 0 {
-					usage := (s.CPUSeconds - lastCPUSeconds[id]) / dt
-					c.observeCPU(r.Name, now, usage)
-				}
-				lastCPUSeconds[id] = s.CPUSeconds
-				if !r.Finished {
-					c.observeEval(r.Name, now, s.Eval)
-				}
-			}
-			if exited {
-				tails[id]++
-				if tails[id] >= PostExitSamples {
-					delete(lastCPUSeconds, id)
-				}
-			}
-		})
-		lastSampleAt = now
-		sched.After(c.period, sim.PriorityMetric, "metrics.sample", sample)
+	s := c.newSampler(daemon)
+	var tick func()
+	tick = func() {
+		s.pass()
+		s.sched.After(c.period, sim.PriorityMetric, "metrics.sample", tick)
 	}
-	sched.After(c.period, sim.PriorityMetric, "metrics.sample", sample)
+	s.sched.After(c.period, sim.PriorityMetric, "metrics.sample", tick)
+}
+
+// newSampler builds a daemon's sampler: one slot per container already in
+// the pool, extended from the daemon's start notifications. The caller
+// decides when passes run.
+func (c *Collector) newSampler(daemon *simdocker.Daemon) *sampler {
+	s := &sampler{c: c, daemon: daemon, sched: daemon.Scheduler()}
+	s.lastAt = float64(s.sched.Now())
+	track := func(cont *simdocker.Container) {
+		s.live = append(s.live, samplerSlot{cont: cont})
+	}
+	daemon.EachContainer(track)
+	daemon.OnStart(track)
+	return s
+}
+
+// pass takes one sample of every live container and drops the slots that
+// can produce no further sample. Allocation-free at steady state.
+func (s *sampler) pass() {
+	now := float64(s.sched.Now())
+	s.daemon.Sync()
+	dt := now - s.lastAt
+	kept := s.live[:0]
+	for i := range s.live {
+		if s.sample(&s.live[i], now, dt) {
+			kept = append(kept, s.live[i])
+		}
+	}
+	clear(s.live[len(kept):]) // let dropped containers be collected
+	s.live = kept
+	s.lastAt = now
+}
+
+// sample records one slot's usage over the last dt seconds and reports
+// whether the slot stays live.
+func (s *sampler) sample(sl *samplerSlot, now, dt float64) bool {
+	cont := sl.cont
+	if cont.Removed() {
+		// Frozen by a checkpoint, killed, or reaped on repair since the
+		// last pass. Its final partial window goes unsampled: the job's
+		// series continue from the container it is restored into, and
+		// archives have always read that way.
+		return false
+	}
+	exited := cont.State() == simdocker.Exited
+	j := sl.job
+	if j == nil || j.ContainerID != cont.ID() {
+		j = s.c.byCID[cont.ID()]
+		sl.job = j
+		if j == nil {
+			// Untracked. A running container may yet be bound; an exited
+			// one (e.g. replaced after a rebind) never will be.
+			return !exited
+		}
+	}
+	if j.Finished && exited {
+		// Exited containers have frozen counters and a closed record:
+		// read them without settling. The values are identical.
+		if dt > 0 {
+			j.observe(kindCPU, now, (cont.CPUSeconds()-sl.lastCPU)/dt)
+		}
+		sl.lastCPU = cont.CPUSeconds()
+	} else {
+		cpu, eval := s.daemon.Usage(cont)
+		if dt > 0 {
+			j.observe(kindCPU, now, (cpu-sl.lastCPU)/dt)
+		}
+		sl.lastCPU = cpu
+		if !j.Finished {
+			j.observe(kindEval, now, eval)
+		}
+	}
+	if exited {
+		sl.tail++
+		return sl.tail < PostExitSamples
+	}
+	return true
 }
 
 // RecordRun implements flowcon.Tracer: it stores growth efficiency, limit
@@ -322,24 +359,18 @@ func (c *Collector) RecordRun(e flowcon.TraceEntry) {
 	c.algoRuns.Add(1)
 	now := float64(e.At)
 	for _, tc := range e.Containers {
-		r, ok := c.byCID[tc.ID]
+		j, ok := c.byCID[tc.ID]
 		if !ok {
 			continue
 		}
 		if tc.GDefined {
-			if c.tier == TierDense {
-				c.growth[r.Name].Append(now, tc.G)
-			} else {
-				c.growthC[r.Name].Append(now, tc.G)
+			if j.growthC != nil {
+				j.growthC.Append(now, tc.G)
 			}
-			c.growthSum[r.Name].Observe(now, tc.G)
+			j.observe(kindGrowth, now, tc.G)
 		}
-		if c.tier == TierDense {
-			c.limits[r.Name].Append(now, tc.Limit)
-			c.lists[r.Name].Append(now, float64(tc.List))
-		}
-		c.limitSum[r.Name].Observe(now, tc.Limit)
-		c.listSum[r.Name].Observe(now, float64(tc.List))
+		j.observe(kindLimit, now, tc.Limit)
+		j.observe(kindList, now, float64(tc.List))
 	}
 }
 
@@ -349,8 +380,8 @@ func (c *Collector) AlgorithmRuns() int { return int(c.algoRuns.Load()) }
 // Jobs returns all tracked job records sorted by start time then name.
 func (c *Collector) Jobs() []JobRecord {
 	out := make([]JobRecord, 0, len(c.jobs))
-	for _, r := range c.jobs {
-		out = append(out, *r)
+	for _, j := range c.jobs {
+		out = append(out, j.JobRecord)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].StartedAt != out[j].StartedAt {
@@ -363,49 +394,67 @@ func (c *Collector) Jobs() []JobRecord {
 
 // Job returns one tracked job record by name.
 func (c *Collector) Job(name string) (JobRecord, bool) {
-	r, ok := c.jobs[name]
+	j, ok := c.jobs[name]
 	if !ok {
 		return JobRecord{}, false
 	}
-	return *r, true
+	return j.JobRecord, true
+}
+
+// series returns one of a job's raw traces: nil for an untracked job and
+// outside TierDense.
+func (c *Collector) series(name string, k seriesKind) *Series {
+	if j := c.jobs[name]; j != nil && j.dense != nil {
+		return &j.dense[k]
+	}
+	return nil
+}
+
+// summary returns one of a job's constant-memory summaries (available in
+// both tiers), or nil for an untracked job.
+func (c *Collector) summary(name string, k seriesKind) *SeriesSummary {
+	if j := c.jobs[name]; j != nil {
+		return &j.sums[k]
+	}
+	return nil
 }
 
 // CPUSeries returns the sampled CPU-usage trace for a job. Dense tier
 // only: nil in TierSummary — use CPUSummary there.
-func (c *Collector) CPUSeries(name string) *Series { return c.cpu[name] }
+func (c *Collector) CPUSeries(name string) *Series { return c.series(name, kindCPU) }
 
 // EvalSeries returns the sampled evaluation-function trace for a job.
 // Dense tier only: nil in TierSummary — use EvalSummary there.
-func (c *Collector) EvalSeries(name string) *Series { return c.evals[name] }
+func (c *Collector) EvalSeries(name string) *Series { return c.series(name, kindEval) }
 
 // LimitSeries returns the configured-limit trace for a job. Dense tier
 // only: nil in TierSummary — use LimitSummary there. Event traces that
 // include limit updates (the §5.3 golden) therefore require TierDense.
-func (c *Collector) LimitSeries(name string) *Series { return c.limits[name] }
+func (c *Collector) LimitSeries(name string) *Series { return c.series(name, kindLimit) }
 
 // GrowthSeries returns the growth-efficiency trace for a job. Dense tier
 // only: nil in TierSummary — use GrowthAt or GrowthSummary there.
-func (c *Collector) GrowthSeries(name string) *Series { return c.growth[name] }
+func (c *Collector) GrowthSeries(name string) *Series { return c.series(name, kindGrowth) }
 
 // ListSeries returns the list-membership trace for a job. Dense tier
 // only: nil in TierSummary — use ListSummary there.
-func (c *Collector) ListSeries(name string) *Series { return c.lists[name] }
+func (c *Collector) ListSeries(name string) *Series { return c.series(name, kindList) }
 
 // CPUSummary returns the constant-memory CPU-usage summary for a job
 // (available in both tiers), or nil for an untracked job.
-func (c *Collector) CPUSummary(name string) *SeriesSummary { return c.cpuSum[name] }
+func (c *Collector) CPUSummary(name string) *SeriesSummary { return c.summary(name, kindCPU) }
 
 // EvalSummary returns the evaluation-function summary for a job.
-func (c *Collector) EvalSummary(name string) *SeriesSummary { return c.evalSum[name] }
+func (c *Collector) EvalSummary(name string) *SeriesSummary { return c.summary(name, kindEval) }
 
 // LimitSummary returns the configured-limit summary for a job.
-func (c *Collector) LimitSummary(name string) *SeriesSummary { return c.limitSum[name] }
+func (c *Collector) LimitSummary(name string) *SeriesSummary { return c.summary(name, kindLimit) }
 
 // GrowthSummary returns the growth-efficiency summary for a job.
-func (c *Collector) GrowthSummary(name string) *SeriesSummary { return c.growthSum[name] }
+func (c *Collector) GrowthSummary(name string) *SeriesSummary { return c.summary(name, kindGrowth) }
 
 // ListSummary returns the list-membership summary for a job.
-func (c *Collector) ListSummary(name string) *SeriesSummary { return c.listSum[name] }
+func (c *Collector) ListSummary(name string) *SeriesSummary { return c.summary(name, kindList) }
 
 // GrowthAt returns the growth efficiency in effect for a job at time t,
 // the tier-agnostic query behind the GE@fraction report columns. ok is
@@ -414,41 +463,47 @@ func (c *Collector) ListSummary(name string) *SeriesSummary { return c.listSum[n
 // bounded CompactSeries and is exact until compaction triggers (which no
 // built-in scenario reaches — see DefaultCompactPoints).
 func (c *Collector) GrowthAt(name string, t float64) (float64, bool) {
-	if c.tier == TierDense {
-		g := c.growth[name]
-		if g == nil || g.Len() == 0 || g.Points()[0].T > t {
+	j := c.jobs[name]
+	if j == nil {
+		return 0, false
+	}
+	if j.dense != nil {
+		g := &j.dense[kindGrowth]
+		if g.Len() == 0 || g.Points()[0].T > t {
 			return 0, false
 		}
 		return g.At(t), true
 	}
-	g := c.growthC[name]
-	if g == nil {
-		return 0, false
-	}
-	return g.At(t)
+	return j.growthC.At(t)
 }
 
-// MemoryBytes estimates the collector's retained observability memory:
-// every series, summary and compact trajectory plus job records. It is
-// the figure cmd/benchjson records as collector_bytes, used to verify
-// the summary tier is O(jobs) rather than O(jobs × makespan).
+// MemoryBytes returns the collector's retained observability memory: per
+// job, the record itself (lifecycle fields and the summaries it embeds)
+// plus everything it points at — sketch bucket slices, raw series or the
+// compact trajectory — and an estimate for its two index entries. It is
+// the figure cmd/benchjson records as collector_bytes, used to verify the
+// summary tier is O(jobs) rather than O(jobs × makespan).
 func (c *Collector) MemoryBytes() int {
+	// The name and container-id index entries: a string header and a
+	// pointer each, at the runtime map's ~7/8 load factor. Key bytes
+	// belong to the caller's strings and are not counted.
+	const indexEntries = 2 * 28
+	// The record minus its summaries, which report their own size below.
+	fixed := int(unsafe.Sizeof(job{})-unsafe.Sizeof(job{}.sums)) + indexEntries
 	total := 0
-	for _, m := range []map[string]*Series{c.cpu, c.evals, c.limits, c.growth, c.lists} {
-		for _, s := range m {
-			total += s.MemoryBytes()
+	for _, j := range c.jobs {
+		total += fixed
+		for k := range j.sums {
+			total += j.sums[k].MemoryBytes()
+		}
+		if j.dense != nil {
+			for k := range j.dense {
+				total += j.dense[k].MemoryBytes()
+			}
+		} else {
+			total += j.growthC.MemoryBytes()
 		}
 	}
-	for _, m := range []map[string]*SeriesSummary{c.cpuSum, c.evalSum, c.limitSum, c.growthSum, c.listSum} {
-		for _, s := range m {
-			total += s.MemoryBytes()
-		}
-	}
-	for _, s := range c.growthC {
-		total += s.MemoryBytes()
-	}
-	const perJobRecord = 160 // struct + two map entries
-	total += len(c.jobs) * perJobRecord
 	return total
 }
 
@@ -456,9 +511,9 @@ func (c *Collector) MemoryBytes() int {
 // (0 origin, as the paper measures from the first submission at 0s).
 func (c *Collector) Makespan() float64 {
 	end := 0.0
-	for _, r := range c.jobs {
-		if r.Finished && r.FinishedAt > end {
-			end = r.FinishedAt
+	for _, j := range c.jobs {
+		if j.Finished && j.FinishedAt > end {
+			end = j.FinishedAt
 		}
 	}
 	return end
@@ -466,8 +521,8 @@ func (c *Collector) Makespan() float64 {
 
 // AllFinished reports whether every tracked job completed.
 func (c *Collector) AllFinished() bool {
-	for _, r := range c.jobs {
-		if !r.Finished {
+	for _, j := range c.jobs {
+		if !j.Finished {
 			return false
 		}
 	}

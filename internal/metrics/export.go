@@ -81,45 +81,27 @@ func (c *Collector) Export() Archive {
 		Tier:      c.tier.String(),
 		Jobs:      c.Jobs(),
 		Makespan:  c.Makespan(),
-		Summaries: make(map[string]map[string]ArchiveSummary, 5),
+		Summaries: make(map[string]map[string]ArchiveSummary, len(kindNames)),
 	}
-	sums := map[string]map[string]*SeriesSummary{
-		"cpu":    c.cpuSum,
-		"eval":   c.evalSum,
-		"limit":  c.limitSum,
-		"growth": c.growthSum,
-		"list":   c.listSum,
-	}
-	for kind, m := range sums {
-		out := make(map[string]ArchiveSummary, len(m))
-		for name, s := range m {
-			if s.Count() == 0 {
-				continue
+	for k, kind := range kindNames {
+		out := make(map[string]ArchiveSummary, len(c.jobs))
+		for name, j := range c.jobs {
+			if s := &j.sums[k]; s.Count() > 0 {
+				out[name] = summarize(s)
 			}
-			out[name] = summarize(s)
 		}
 		a.Summaries[kind] = out
 	}
 	if c.tier != TierDense {
 		return a
 	}
-	a.Series = make(map[string]map[string][]Point, 5)
-	kinds := map[string]map[string]*Series{
-		"cpu":    c.cpu,
-		"eval":   c.evals,
-		"limit":  c.limits,
-		"growth": c.growth,
-		"list":   c.lists,
-	}
-	for kind, m := range kinds {
-		out := make(map[string][]Point, len(m))
-		for name, s := range m {
-			if s.Len() == 0 {
-				continue
+	a.Series = make(map[string]map[string][]Point, len(kindNames))
+	for k, kind := range kindNames {
+		out := make(map[string][]Point, len(c.jobs))
+		for name, j := range c.jobs {
+			if s := &j.dense[k]; s.Len() > 0 {
+				out[name] = append([]Point(nil), s.Points()...)
 			}
-			pts := make([]Point, s.Len())
-			copy(pts, s.Points())
-			out[name] = pts
 		}
 		a.Series[kind] = out
 	}

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"repro/internal/stats"
 )
@@ -20,18 +21,24 @@ const SketchAccuracy = stats.DefaultSketchAccuracy
 //
 // Memory behavior: O(sketch buckets) ≈ O(distinct magnitude scales),
 // independent of sample count. Observe is allocation-free at steady
-// state (allocation only on first contact with a sketch bucket).
+// state (allocation only when a sketch's bucket slice grows). The sketch
+// is held by value so a collector's per-job record is one allocation.
 type SeriesSummary struct {
 	moments     stats.Welford
-	sketch      *stats.QuantileSketch
+	sketch      stats.QuantileSketch
 	first, last Point
 }
 
 // NewSeriesSummary returns an empty summary with the package-level
 // SketchAccuracy.
 func NewSeriesSummary() *SeriesSummary {
-	return &SeriesSummary{sketch: stats.NewQuantileSketch(SketchAccuracy)}
+	s := new(SeriesSummary)
+	s.init()
+	return s
 }
+
+// init makes a zero SeriesSummary ready to Observe.
+func (s *SeriesSummary) init() { s.sketch.Init(SketchAccuracy) }
 
 // Observe folds one timestamped sample in. Timestamps must be
 // non-decreasing, matching Series.Append's contract.
@@ -62,11 +69,11 @@ func (s *SeriesSummary) First() (Point, bool) { return s.first, s.moments.Count(
 // Last returns the latest observed point; ok is false when empty.
 func (s *SeriesSummary) Last() (Point, bool) { return s.last, s.moments.Count() > 0 }
 
-// MemoryBytes estimates retained memory: the sketch's buckets plus the
-// fixed accumulator fields.
+// MemoryBytes returns retained memory: the struct (moments, first/last,
+// the embedded sketch) plus the sketch's bucket slices, exact in the
+// sense of stats.QuantileSketch.MemoryBytes.
 func (s *SeriesSummary) MemoryBytes() int {
-	const fixed = 96 // Welford + first/last + header
-	return fixed + s.sketch.MemoryBytes()
+	return int(unsafe.Sizeof(*s)-unsafe.Sizeof(s.sketch)) + s.sketch.MemoryBytes()
 }
 
 // DefaultCompactPoints is the retention bound of a CompactSeries. All

@@ -184,10 +184,11 @@ func TestSummaryTierSteadyStateAllocs(t *testing.T) {
 func TestCollectorObserveAllocs(t *testing.T) {
 	col := buildCollectorTier(t, TierSummary)
 	tNow := col.Makespan() + 1
+	j := col.jobs["A"]
 	allocs := testing.AllocsPerRun(1000, func() {
 		tNow++
-		col.observeCPU("A", tNow, 0.5)
-		col.observeEval("A", tNow, 1.25)
+		j.observe(kindCPU, tNow, 0.5)
+		j.observe(kindEval, tNow, 1.25)
 	})
 	if allocs != 0 {
 		t.Fatalf("collector observe allocates %.1f per run, want 0", allocs)

@@ -122,6 +122,9 @@ type Container struct {
 	// the daemon's completion min-heap, -1 when not enqueued.
 	eta      sim.Time
 	etaIndex int
+	// removed is set when Remove (or a Checkpoint freeze) drops the
+	// container from the pool, so whoever still holds the handle can tell.
+	removed bool
 }
 
 // ID returns the container id (cid in the paper's notation).
@@ -135,6 +138,11 @@ func (c *Container) Image() string { return c.image }
 
 // State returns the lifecycle state.
 func (c *Container) State() State { return c.state }
+
+// Removed reports whether the container has left its daemon's pool
+// (`docker rm`, or a checkpoint freeze). Observers that hold container
+// handles across events — the metrics sampler — drop them on this.
+func (c *Container) Removed() bool { return c.removed }
 
 // CreatedAt returns when the container was created.
 func (c *Container) CreatedAt() sim.Time { return c.createdAt }

@@ -338,6 +338,7 @@ func (d *Daemon) Remove(id string) error {
 	}
 	delete(d.containers, id)
 	delete(d.byName, c.name)
+	c.removed = true
 	for i, oid := range d.order {
 		if oid == id {
 			d.order = append(d.order[:i], d.order[i+1:]...)
@@ -393,6 +394,15 @@ func (d *Daemon) Stats(id string) (Stats, error) {
 	}
 	d.settle()
 	return d.statsOf(c), nil
+}
+
+// Usage is the handle-taking form of Stats for observers that already
+// hold the container and need only what a usage sampler reads: settled
+// cumulative CPU seconds and the workload's current evaluation value. No
+// id lookup, no snapshot struct.
+func (d *Daemon) Usage(c *Container) (cpuSeconds, eval float64) {
+	d.settle()
+	return c.cpuSeconds, c.workload.Eval()
 }
 
 // statsOf builds one container's snapshot. Callers must settle first.

@@ -3,7 +3,8 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"unsafe"
 )
 
 // DefaultSketchAccuracy is the relative-error bound used by summary-tier
@@ -35,9 +36,10 @@ const minSketchMagnitude = 1e-9
 // number of distinct magnitude scales in the stream — not with the
 // number of samples — and is hard-capped at maxSketchBuckets per sign
 // (lowest-magnitude buckets collapse first, so upper quantiles keep
-// their guarantee even in the capped regime). Add allocates only when a
-// value lands in a previously unseen bucket; steady-state sampling is
-// allocation-free.
+// their guarantee even in the capped regime): 16 bytes per live bucket,
+// see MemoryBytes. Add allocates only when a value lands in a previously
+// unseen bucket and the bucket slice is full; steady-state sampling is
+// allocation-free, and Quantile neither sorts nor allocates.
 //
 // The guarantee: for a sample of n values, Quantile(q) returns a value v
 // such that |v − x| ≤ α·|x| where x is the exact order statistic of rank
@@ -52,11 +54,29 @@ type QuantileSketch struct {
 	n          int64
 }
 
-// sketchStore is one sign's bucket map. After a collapse, clampKey marks
-// the lowest live key: anything below it merges into it, trading accuracy
-// at the collapsed (low-magnitude) end for bounded memory.
+// sketchBucket is one live bucket: its index k and how many values fell
+// into (γ^(k−1), γ^k].
+type sketchBucket struct {
+	key   int32
+	count int64
+}
+
+// sketchStore is one sign's buckets: only the live ones, sorted by key —
+// the contiguous ordered store the DDSketch paper recommends over a hash
+// map. A metric stream lands in a handful of neighbouring buckets and
+// mostly in the one it hit last, so add checks the last-hit index first,
+// binary-searches on a miss and shifts the tail up on first contact with
+// a key; Quantile walks the slice in order. After a collapse, clampKey
+// marks the lowest live key: anything below it merges into it, trading
+// accuracy at the collapsed (low-magnitude) end for bounded memory.
+//
+// A dense window indexed by key − minKey would make add O(1), but metric
+// series here hold a few live buckets spread over a span of 80–850 keys
+// (growth efficiency swings over decades), and ~250k such stores are
+// alive in a megacluster run: the window doubled that run's peak RSS.
 type sketchStore struct {
-	buckets  map[int32]int64
+	buckets  []sketchBucket
+	last     int
 	clampKey int32
 	clamped  bool
 }
@@ -65,7 +85,28 @@ func (s *sketchStore) add(key int32) {
 	if s.clamped && key < s.clampKey {
 		key = s.clampKey
 	}
-	s.buckets[key]++
+	if s.last < len(s.buckets) && s.buckets[s.last].key == key {
+		s.buckets[s.last].count++
+		return
+	}
+	// Hand-rolled: through slices.BinarySearchFunc's comparator this,
+	// the miss path of every sample, measured 22 → 36 ns per Add
+	// (BenchmarkSketchAdd).
+	lo, hi := 0, len(s.buckets)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.buckets[mid].key < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	s.last = lo
+	if lo < len(s.buckets) && s.buckets[lo].key == key {
+		s.buckets[lo].count++
+		return
+	}
+	s.buckets = slices.Insert(s.buckets, lo, sketchBucket{key: key, count: 1})
 	if len(s.buckets) > maxSketchBuckets {
 		s.collapse()
 	}
@@ -74,53 +115,34 @@ func (s *sketchStore) add(key int32) {
 // collapse merges the lowest-keyed (smallest-magnitude) bucket into the
 // next lowest, keeping the store at the cap.
 func (s *sketchStore) collapse() {
-	lowest, second := int32(math.MaxInt32), int32(math.MaxInt32)
-	for k := range s.buckets {
-		if k < lowest {
-			lowest, second = k, lowest
-		} else if k < second {
-			second = k
-		}
-	}
-	s.buckets[second] += s.buckets[lowest]
-	delete(s.buckets, lowest)
-	s.clampKey = second
+	s.buckets[1].count += s.buckets[0].count
+	s.buckets = slices.Delete(s.buckets, 0, 1)
+	s.clampKey = s.buckets[0].key
 	s.clamped = true
-}
-
-func (s *sketchStore) count() int64 {
-	var n int64
-	for _, c := range s.buckets {
-		n += c
-	}
-	return n
-}
-
-// sortedKeys returns the store's bucket keys in ascending order. It
-// allocates; quantile queries are rare (report time), adds are not.
-func (s *sketchStore) sortedKeys() []int32 {
-	keys := make([]int32, 0, len(s.buckets))
-	for k := range s.buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+	s.last = max(s.last-1, 0)
 }
 
 // NewQuantileSketch returns an empty sketch with relative accuracy
 // alpha ∈ (0, 1). Use DefaultSketchAccuracy unless a caller has a
 // documented reason to trade memory for precision.
 func NewQuantileSketch(alpha float64) *QuantileSketch {
+	s := new(QuantileSketch)
+	s.Init(alpha)
+	return s
+}
+
+// Init resets s to an empty sketch with relative accuracy alpha — the
+// in-place form of NewQuantileSketch, for sketches embedded by value in
+// a larger record.
+func (s *QuantileSketch) Init(alpha float64) {
 	if !(alpha > 0 && alpha < 1) {
 		panic(fmt.Sprintf("stats: sketch accuracy %g outside (0,1)", alpha))
 	}
 	gamma := (1 + alpha) / (1 - alpha)
-	return &QuantileSketch{
+	*s = QuantileSketch{
 		alpha:      alpha,
 		gamma:      gamma,
 		invLnGamma: 1 / math.Log(gamma),
-		pos:        sketchStore{buckets: make(map[int32]int64)},
-		neg:        sketchStore{buckets: make(map[int32]int64)},
 	}
 }
 
@@ -136,12 +158,14 @@ func (s *QuantileSketch) rep(k int32) float64 {
 	return 2 * math.Pow(s.gamma, float64(k)) / (s.gamma + 1)
 }
 
-// Add folds one value into the sketch. NaN values panic — the metric
-// pipeline never produces them, so one is a collection bug. Allocation
-// happens only on first contact with a bucket; repeated values are free.
+// Add folds one value into the sketch. NaN and ±Inf panic — the metric
+// pipeline never produces them, so one is a collection bug, and no bucket
+// index can hold an infinity (its key overflows int32 and would file +Inf
+// as the smallest value). Allocation happens only on first contact with a
+// bucket; repeated values are free.
 func (s *QuantileSketch) Add(v float64) {
-	if math.IsNaN(v) {
-		panic("stats: NaN added to sketch")
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		panic(fmt.Sprintf("stats: %g added to sketch", v))
 	}
 	s.n++
 	switch {
@@ -174,31 +198,30 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 	// Walk values in ascending order: negatives from largest magnitude
 	// down, then the zero bucket, then positives from smallest up.
 	cum := int64(0)
-	negKeys := s.neg.sortedKeys()
-	for i := len(negKeys) - 1; i >= 0; i-- {
-		cum += s.neg.buckets[negKeys[i]]
+	for i := len(s.neg.buckets) - 1; i >= 0; i-- {
+		cum += s.neg.buckets[i].count
 		if rank < cum {
-			return -s.rep(negKeys[i])
+			return -s.rep(s.neg.buckets[i].key)
 		}
 	}
 	cum += s.zeros
 	if rank < cum {
 		return 0
 	}
-	for _, k := range s.pos.sortedKeys() {
-		cum += s.pos.buckets[k]
+	for _, b := range s.pos.buckets {
+		cum += b.count
 		if rank < cum {
-			return s.rep(k)
+			return s.rep(b.key)
 		}
 	}
 	// Unreachable unless counts are inconsistent.
 	panic("stats: sketch rank walk overran total count")
 }
 
-// MemoryBytes estimates the sketch's retained memory. Map buckets are
-// costed at 24 bytes each (key+count plus amortized bucket overhead);
-// the figure is an accounting estimate, not a precise heap measurement.
+// MemoryBytes returns the sketch's retained memory: the struct itself
+// plus 16 bytes (key + count) per slot of the two bucket slices, by
+// capacity since the backing arrays are held either way. It is exact for
+// the heap the sketch owns; allocator size-class rounding is not counted.
 func (s *QuantileSketch) MemoryBytes() int {
-	const perBucket, fixed = 24, 96
-	return fixed + (len(s.pos.buckets)+len(s.neg.buckets))*perBucket
+	return int(unsafe.Sizeof(*s)) + (cap(s.pos.buckets)+cap(s.neg.buckets))*int(unsafe.Sizeof(sketchBucket{}))
 }

@@ -128,6 +128,10 @@ func TestSketchPanics(t *testing.T) {
 	assertPanics("bad alpha", func() { NewQuantileSketch(0) })
 	assertPanics("alpha one", func() { NewQuantileSketch(1) })
 	assertPanics("NaN add", func() { NewQuantileSketch(0.01).Add(math.NaN()) })
+	// ±Inf has no bucket: int32(Ceil(+Inf)) is MinInt32 on amd64, which
+	// used to file +Inf as the smallest value in the sketch.
+	assertPanics("+Inf add", func() { NewQuantileSketch(0.01).Add(math.Inf(1)) })
+	assertPanics("-Inf add", func() { NewQuantileSketch(0.01).Add(math.Inf(-1)) })
 	assertPanics("empty quantile", func() { NewQuantileSketch(0.01).Quantile(0.5) })
 	assertPanics("bad q", func() {
 		sk := NewQuantileSketch(0.01)
