@@ -31,9 +31,10 @@ import (
 
 // defaultKeys are the gated hot paths: the per-event engine cost, the
 // daemon's settle/reallocate ladder top, one full Algorithm 1 cycle, the
-// migration round trip, and one metrics sampler pass (the observer, which
-// runs every sampling period on every node) — the benchmarks the
-// ROADMAP's perf baseline tracks across PRs.
+// migration round trip, one metrics sampler pass (the observer, which
+// runs every sampling period on every node), and one arrival on a live
+// node already running 4000 containers (the /v1/jobs submit path) — the
+// benchmarks the ROADMAP's perf baseline tracks across PRs.
 var defaultKeys = []string{
 	"ScheduleCancel/256",
 	"Settle/256",
@@ -42,6 +43,7 @@ var defaultKeys = []string{
 	"CheckpointRestore/256",
 	"Migrate/256",
 	"SamplerPass/256",
+	"NodeLaunch/4000",
 }
 
 func nsByName(e benchfile.Entry) map[string]float64 {

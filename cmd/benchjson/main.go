@@ -2,7 +2,8 @@
 // simulation hot-path microbenchmarks (event cancellation, daemon
 // settle/reallocate, Algorithm 1, the migration ladder, sharded lanes,
 // sketch insert and the metrics sampler pass) across the 16/64/256
-// containers-per-node ladder, runs the cluster-scale scenario end to end
+// containers-per-node ladder and the live node's launch/lookup pair at
+// 1/1000/4000 running, runs the cluster-scale scenario end to end
 // — serial engine, sharded executor, and a serial dense-tier run — and
 // appends the results as one per-commit entry to BENCH_sim.json.
 //
@@ -57,8 +58,9 @@ import (
 
 // benchPackages are the packages holding the hot-path microbenchmarks,
 // including the migration ladder (checkpoint/restore in simdocker, full
-// manager-mediated migrate and rebalancer scans in migrate) and the
-// observer (sketch insert in stats, the sampler pass in metrics).
+// manager-mediated migrate and rebalancer scans in migrate), the
+// observer (sketch insert in stats, the sampler pass in metrics) and the
+// live submit path (launch and status lookup on a livedock node).
 var benchPackages = []string{
 	"./internal/sim",
 	"./internal/simdocker",
@@ -66,6 +68,7 @@ var benchPackages = []string{
 	"./internal/migrate",
 	"./internal/stats",
 	"./internal/metrics",
+	"./internal/livedock",
 }
 
 // scenarioName is the registered cluster-scale stress scenario.

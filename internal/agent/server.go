@@ -19,7 +19,9 @@
 //	POST   /v1/containers/{id}/stop      stop a running container
 //	POST   /v1/jobs                      submit a job {name, model, cpu_limit}:
 //	                                     201 running, 202 queued, 429 queue full,
-//	                                     503 draining
+//	                                     503 draining; a cpu_limit outside (0,1]
+//	                                     is 409 bad_limit whether the job would
+//	                                     have launched or queued (0 = default 1.0)
 //	GET    /v1/jobs/{name}               job status (queued/running/exited/failed)
 //	POST   /v1/jobs/{name}/cancel        cancel: dequeue a queued job or stop a
 //	                                     running one
@@ -140,11 +142,13 @@ type errorBody struct {
 	Code  string `json:"code,omitempty"`
 }
 
-// queuedJob is one admission-queue entry.
+// queuedJob is one admission-queue entry: a validated submission waiting
+// for a slot.
 type queuedJob struct {
-	name  string
-	model string
-	limit float64
+	name    string
+	model   string
+	profile dlmodel.Profile
+	limit   float64
 }
 
 // Server exposes a livedock node over HTTP. Create with NewServer and
@@ -162,6 +166,10 @@ type Server struct {
 	// 429 and the client backs off.
 	queueDepth int
 	queue      []queuedJob
+	// launching counts admitted launches still in flight: a slot is
+	// reserved under mu before the node is called and returned when the
+	// launch comes back, so concurrent admissions cannot share one.
+	launching int
 	// failed records queued jobs whose deferred launch failed, so a
 	// status poll explains what happened instead of 404ing.
 	failed map[string]string
@@ -285,17 +293,13 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// launchModel validates a catalog launch and runs it on the node.
-func (s *Server) launchModel(name, model string, limit float64) (runtime.Container, error) {
-	profile, ok := dlmodel.Find(model)
-	if !ok {
-		return runtime.Container{}, fmt.Errorf("unknown model %q", model)
-	}
-	job := dlmodel.NewJob(name, profile)
+// launch runs a catalog model (the profile its key resolved to) on the
+// node.
+func (s *Server) launch(name, model string, profile dlmodel.Profile, limit float64) (runtime.Container, error) {
 	return s.node.Launch(runtime.LaunchSpec{
 		Name:     name,
 		Model:    model,
-		Workload: job,
+		Workload: dlmodel.NewJob(name, profile),
 		CPULimit: limit,
 	})
 }
@@ -310,11 +314,12 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, errors.New("name and model are required"))
 		return
 	}
-	if _, ok := dlmodel.Find(req.Model); !ok {
+	profile, ok := dlmodel.Find(req.Model)
+	if !ok {
 		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("unknown model %q", req.Model))
 		return
 	}
-	v, err := s.launchModel(req.Name, req.Model, req.CPULimit)
+	v, err := s.launch(req.Name, req.Model, profile, req.CPULimit)
 	if err != nil {
 		s.writeRuntimeErr(w, err)
 		return
@@ -352,7 +357,10 @@ func (s *Server) handleStop(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSubmit is the managed admission path: launch if a slot is free,
-// queue if the queue has room, 429 otherwise, 503 while draining.
+// queue if the queue has room, 429 otherwise, 503 while draining. The
+// request is fully validated before it can queue, so a queued job can
+// only fail later for a reason that arose later (its name taken
+// meanwhile).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	start := s.met.clock()
 	var req SubmitRequest
@@ -364,7 +372,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, errors.New("name and model are required"))
 		return
 	}
-	if _, ok := dlmodel.Find(req.Model); !ok {
+	profile, ok := dlmodel.Find(req.Model)
+	if !ok {
 		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("unknown model %q", req.Model))
 		return
 	}
@@ -385,7 +394,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	delete(s.failed, req.Name)
-	if s.maxRunning > 0 && s.node.RunningCount() >= s.maxRunning {
+	// The node's own answer to an immediate launch, given where the node
+	// would have given it, so queueing cannot hide a bad limit.
+	if _, err := livedock.LaunchLimit(req.CPULimit); err != nil {
+		s.mu.Unlock()
+		s.writeRuntimeErr(w, err)
+		return
+	}
+	if s.fullLocked() {
 		if len(s.queue) >= s.queueDepth {
 			depth := s.queueDepth
 			s.mu.Unlock()
@@ -394,14 +410,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("%d jobs already queued: %w", depth, runtime.ErrQueueFull))
 			return
 		}
-		s.queue = append(s.queue, queuedJob{name: req.Name, model: req.Model, limit: req.CPULimit})
+		s.queue = append(s.queue, queuedJob{name: req.Name, model: req.Model, profile: profile, limit: req.CPULimit})
 		s.mu.Unlock()
 		s.met.observeSubmit(s.met.clock().Sub(start), true)
 		writeJSON(w, http.StatusAccepted, JobStatus{Name: req.Name, Model: req.Model, State: "queued"})
 		return
 	}
+	s.launching++
 	s.mu.Unlock()
-	v, err := s.launchModel(req.Name, req.Model, req.CPULimit)
+	v, err := s.launch(req.Name, req.Model, profile, req.CPULimit)
+	s.mu.Lock()
+	s.launching--
+	s.mu.Unlock()
+	// A submit that arrived while this launch was in flight may have
+	// counted it twice (reserved, and running once the node had it) and
+	// queued behind a slot that is in fact free. Admit it once this
+	// submitter has its latency reading and its answer.
+	defer s.admitQueued()
 	if err != nil {
 		s.writeRuntimeErr(w, err)
 		return
@@ -410,24 +435,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, jobStatusOf(req.Name, req.Model, v))
 }
 
-// admitQueued launches queued jobs while slots are free. Launches happen
-// outside the server lock: a launch can settle the node and retire more
-// containers, whose exit hooks re-enter admitQueued.
+// fullLocked reports whether every admission slot is taken, by a running
+// container or by a launch in flight. Callers hold mu.
+func (s *Server) fullLocked() bool {
+	return s.maxRunning > 0 && s.node.RunningCount()+s.launching >= s.maxRunning
+}
+
+// admitQueued launches queued jobs while slots are free. The lock is
+// released around each launch: a launch can settle the node and retire
+// more containers, whose exit hooks re-enter admitQueued.
 func (s *Server) admitQueued() {
-	for {
-		s.mu.Lock()
-		if len(s.queue) == 0 ||
-			(s.maxRunning > 0 && s.node.RunningCount() >= s.maxRunning) {
-			s.mu.Unlock()
-			return
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.queue) > 0 && !s.fullLocked() {
 		next := s.queue[0]
-		s.queue = append([]queuedJob{}, s.queue[1:]...)
+		s.queue = s.queue[1:]
+		s.launching++
 		s.mu.Unlock()
-		if _, err := s.launchModel(next.name, next.model, next.limit); err != nil {
-			s.mu.Lock()
+		_, err := s.launch(next.name, next.model, next.profile, next.limit)
+		s.mu.Lock()
+		s.launching--
+		if err != nil {
 			s.failed[next.name] = err.Error()
-			s.mu.Unlock()
 		}
 	}
 }

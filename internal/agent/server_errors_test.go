@@ -27,9 +27,9 @@ func rawAgent(t *testing.T) (string, *http.Client, *fakeClock) {
 	return srv.URL, srv.Client(), clk
 }
 
-// post sends a raw body and returns status plus decoded error envelope
-// (empty when the body is not an error envelope).
-func post(t *testing.T, hc *http.Client, url, body string) (int, string) {
+// postEnvelope sends a raw body and returns the status plus the decoded
+// error envelope (zero when the body is not an error envelope).
+func postEnvelope(t *testing.T, hc *http.Client, url, body string) (int, errorBody) {
 	t.Helper()
 	resp, err := hc.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -42,7 +42,14 @@ func post(t *testing.T, hc *http.Client, url, body string) (int, string) {
 	}
 	var env errorBody
 	_ = json.Unmarshal(raw, &env)
-	return resp.StatusCode, env.Error
+	return resp.StatusCode, env
+}
+
+// post is postEnvelope reduced to the status and the error message.
+func post(t *testing.T, hc *http.Client, url, body string) (int, string) {
+	t.Helper()
+	status, env := postEnvelope(t, hc, url, body)
+	return status, env.Error
 }
 
 // Malformed JSON bodies are rejected with 400 and a JSON error envelope,
@@ -243,5 +250,64 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	stopWG.Wait()
 	if pong, err := c.Ping(context.Background()); err != nil || pong.Running != 0 {
 		t.Fatalf("after stops: pong=%+v err=%v", pong, err)
+	}
+}
+
+// postCode is postEnvelope reduced to the status and the error code.
+func postCode(t *testing.T, hc *http.Client, url, body string) (int, string) {
+	t.Helper()
+	status, env := postEnvelope(t, hc, url, body)
+	return status, env.Code
+}
+
+// A cpu_limit outside (0,1] is refused at the edge with the same status
+// and code whether the job would have launched at once or queued; it used
+// to be answered 202 when queued and surface later as state "failed".
+func TestSubmitBadLimitSameAnswerQueuedOrNot(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		maxRunning int
+		okStatus   int
+	}{
+		{"launches immediately", 0, http.StatusCreated},
+		{"queues behind a full slot", 1, http.StatusAccepted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node := livedock.NewNodeWithClock(1.0, newFakeClock().Now)
+			s := NewServer(node, 1.0)
+			s.SetAdmissionLimits(tc.maxRunning, 4)
+			srv := httptest.NewServer(s.Handler())
+			defer srv.Close()
+			hc, jobs := srv.Client(), srv.URL+"/v1/jobs"
+			if tc.maxRunning > 0 {
+				if status, _ := postCode(t, hc, jobs, `{"name":"filler","model":"MNIST (Pytorch)"}`); status != http.StatusCreated {
+					t.Fatalf("filler submit: status %d", status)
+				}
+			}
+			for _, limit := range []string{"-0.5", "1.5"} {
+				body := `{"name":"bad","model":"MNIST (Pytorch)","cpu_limit":` + limit + `}`
+				if status, code := postCode(t, hc, jobs, body); status != http.StatusConflict || code != CodeBadLimit {
+					t.Fatalf("cpu_limit %s: %d %q, want 409 %q", limit, status, code, CodeBadLimit)
+				}
+			}
+			resp, err := hc.Get(jobs + "/bad")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("refused job is visible: status %d, want 404", resp.StatusCode)
+			}
+			// 0 still means "default 1.0" on both paths.
+			if status, _ := postCode(t, hc, jobs, `{"name":"dflt","model":"MNIST (Pytorch)","cpu_limit":0}`); status != tc.okStatus {
+				t.Fatalf("cpu_limit 0: status %d, want %d", status, tc.okStatus)
+			}
+			// A draining agent refuses everything alike, as it always has.
+			s.Drain()
+			body := `{"name":"late","model":"MNIST (Pytorch)","cpu_limit":1.5}`
+			if status, code := postCode(t, hc, jobs, body); status != http.StatusServiceUnavailable || code != CodeDraining {
+				t.Fatalf("bad limit while draining: %d %q, want 503 %q", status, code, CodeDraining)
+			}
+		})
 	}
 }

@@ -13,12 +13,27 @@
 //
 // The clock is injectable: tests drive a fake clock deterministically,
 // production uses time.Now.
+//
+// # Pool invariants
+//
+// The pool is two pointer slices, both in creation order: order holds
+// every container until Remove, running the subset that is Running. A
+// container is appended to both on Launch, spliced out of running the
+// moment it exits and out of order on Remove, so the hot path (settle,
+// reallocate, PS, RunningStats) walks running and never looks an id up.
+// RunningCount is len(running) and MemoryUsed an incrementally kept sum.
+// Container ids are unique by construction (one sequence counter) and
+// that is enforced where an id enters the pool: Launch panics on a
+// duplicate, which is what lets reallocation use the unchecked
+// resource.Allocator. Every launch, exit and limit change moves every
+// share, so those stay O(running) by design — one accounting pass and
+// one water-fill.
 package livedock
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -73,6 +88,9 @@ type Container struct {
 
 	workload Workload
 	memBytes float64
+	// seq is the creation sequence number the id was minted from; exit
+	// notifications are delivered in this order.
+	seq int
 }
 
 // Node is a live worker node. All methods are safe for concurrent use.
@@ -83,12 +101,19 @@ type Node struct {
 	clock       func() time.Time
 	epoch       time.Time
 	containers  map[string]*Container
-	byName      map[string]string
-	order       []string
-	seq         int
-	lastSettle  time.Time
-	onStart     []func(runtime.Container)
-	onExit      []func(runtime.Container)
+	byName      map[string]*Container
+	// order and running are the pool in creation order (see the package
+	// doc); memUsed is the resident sum over running.
+	order      []*Container
+	running    []*Container
+	memUsed    float64
+	seq        int
+	lastSettle time.Time
+	// alloc and claims are reused across reallocations.
+	alloc   resource.Allocator
+	claims  []resource.Claim
+	onStart []func(runtime.Container)
+	onExit  []func(runtime.Container)
 }
 
 var _ runtime.Runtime = (*Node)(nil)
@@ -113,7 +138,7 @@ func NewNodeWithClock(capacity float64, clock func() time.Time) *Node {
 		clock:      clock,
 		epoch:      now,
 		containers: make(map[string]*Container),
-		byName:     make(map[string]string),
+		byName:     make(map[string]*Container),
 		lastSettle: now,
 	}
 }
@@ -142,13 +167,7 @@ func (n *Node) MemoryCapacity() float64 {
 func (n *Node) MemoryUsed() float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	used := 0.0
-	for _, c := range n.containers {
-		if c.State == Running {
-			used += c.memBytes
-		}
-	}
-	return used
+	return n.memUsed
 }
 
 // OnStart subscribes to container-start notifications. Callbacks run
@@ -200,43 +219,45 @@ func (n *Node) Launch(spec runtime.LaunchSpec) (runtime.Container, error) {
 	if spec.Workload == nil {
 		return runtime.Container{}, errors.New("livedock: nil workload")
 	}
-	limit := spec.CPULimit
-	if limit == 0 {
-		limit = 1.0
-	}
-	if limit <= 0 || limit > 1 {
-		return runtime.Container{}, fmt.Errorf("%w: %g", ErrBadLimit, limit)
+	limit, err := LaunchLimit(spec.CPULimit)
+	if err != nil {
+		return runtime.Container{}, err
 	}
 	n.mu.Lock()
 	exited := n.settleLocked()
 	if spec.Name != "" {
 		if _, taken := n.byName[spec.Name]; taken {
-			n.mu.Unlock()
-			n.notify(exited)
+			n.unlockAndNotify(exited)
 			return runtime.Container{}, fmt.Errorf("%w: %s", ErrNameInUse, spec.Name)
 		}
 	}
 	n.seq++
 	id := fmt.Sprintf("live-c%04d", n.seq)
+	if _, dup := n.containers[id]; dup {
+		// The one point an id enters the pool: reallocation relies on ids
+		// being unique instead of re-checking them on every call.
+		panic(fmt.Sprintf("livedock: duplicate container id %q", id))
+	}
 	name := spec.Name
 	if name == "" {
 		name = id
 	}
 	c := &Container{
 		ID: id, Name: name, Model: spec.Model, State: Running,
-		Limit: limit, Started: n.clock(), workload: spec.Workload,
+		Limit: limit, Started: n.clock(), workload: spec.Workload, seq: n.seq,
 	}
 	if mb, ok := spec.Workload.(interface{ MemoryBytes() float64 }); ok {
 		c.memBytes = mb.MemoryBytes()
 	}
 	n.containers[id] = c
-	n.byName[name] = id
-	n.order = append(n.order, id)
+	n.byName[name] = c
+	n.order = append(n.order, c)
+	n.running = append(n.running, c)
+	n.memUsed += c.memBytes
 	n.reallocateLocked()
 	v := n.view(c)
 	starts := append([]func(runtime.Container){}, n.onStart...)
-	n.mu.Unlock()
-	n.notify(exited)
+	n.unlockAndNotify(exited)
 	for _, fn := range starts {
 		fn(v)
 	}
@@ -253,10 +274,30 @@ func (n *Node) Run(name string, w Workload) (string, error) {
 	return v.ID, nil
 }
 
-// SetCPULimit applies a soft limit — realtime.Runtime's update call.
-func (n *Node) SetCPULimit(id string, limit float64) error {
+// checkLimit is the one statement of the soft-limit range, (0,1].
+func checkLimit(limit float64) error {
 	if limit <= 0 || limit > 1 {
 		return fmt.Errorf("%w: %g", ErrBadLimit, limit)
+	}
+	return nil
+}
+
+// LaunchLimit resolves a LaunchSpec.CPULimit to the limit the container
+// starts with: 0 means the default 1.0, anything else must lie in (0,1]
+// (else an error wrapping ErrBadLimit). Launch applies it; the agent calls
+// it to reject a submission it would otherwise queue with the answer an
+// immediate launch gets.
+func LaunchLimit(limit float64) (float64, error) {
+	if limit == 0 {
+		limit = 1.0
+	}
+	return limit, checkLimit(limit)
+}
+
+// SetCPULimit applies a soft limit — realtime.Runtime's update call.
+func (n *Node) SetCPULimit(id string, limit float64) error {
+	if err := checkLimit(limit); err != nil {
+		return err
 	}
 	n.mu.Lock()
 	c, ok := n.containers[id]
@@ -271,8 +312,7 @@ func (n *Node) SetCPULimit(id string, limit float64) error {
 	exited := n.settleLocked()
 	c.Limit = limit
 	n.reallocateLocked()
-	n.mu.Unlock()
-	n.notify(exited)
+	n.unlockAndNotify(exited)
 	return nil
 }
 
@@ -291,58 +331,54 @@ func (n *Node) Stop(id string) error {
 	exited := n.settleLocked()
 	if c.State == Running {
 		n.exitLocked(c)
-		exited = append(exited, n.view(c))
+		exited = append(exited, c)
 	}
 	n.reallocateLocked()
-	n.mu.Unlock()
-	n.notify(exited)
+	n.unlockAndNotify(exited)
 	return nil
 }
 
 // Remove deletes an exited container from the pool, freeing its name.
 func (n *Node) Remove(id string) error {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	c, ok := n.containers[id]
 	if !ok {
-		n.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	if c.State == Running {
-		n.mu.Unlock()
 		return fmt.Errorf("livedock: container %s is running (stop it first)", id)
 	}
 	n.removeLocked(c)
-	n.mu.Unlock()
 	return nil
 }
 
-// removeLocked splices a container out of the pool.
+// removeLocked splices an exited container out of the pool.
 func (n *Node) removeLocked(c *Container) {
 	delete(n.containers, c.ID)
-	if n.byName[c.Name] == c.ID {
+	if n.byName[c.Name] == c {
 		delete(n.byName, c.Name)
 	}
-	for i, id := range n.order {
-		if id == c.ID {
-			n.order = append(n.order[:i], n.order[i+1:]...)
-			break
-		}
-	}
+	n.order = deleteContainer(n.order, c)
+}
+
+// deleteContainer splices c out of a pool slice, keeping creation order.
+func deleteContainer(s []*Container, c *Container) []*Container {
+	i := slices.Index(s, c)
+	return slices.Delete(s, i, i+1)
 }
 
 // Lookup implements runtime.Runtime: the container view by name.
 func (n *Node) Lookup(name string) (runtime.Container, error) {
 	n.mu.Lock()
 	exited := n.settleLocked()
-	id, ok := n.byName[name]
+	c, ok := n.byName[name]
 	if !ok {
-		n.mu.Unlock()
-		n.notify(exited)
+		n.unlockAndNotify(exited)
 		return runtime.Container{}, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	v := n.view(n.containers[id])
-	n.mu.Unlock()
-	n.notify(exited)
+	v := n.view(c)
+	n.unlockAndNotify(exited)
 	return v, nil
 }
 
@@ -350,16 +386,15 @@ func (n *Node) Lookup(name string) (runtime.Container, error) {
 func (n *Node) PS(all bool) []runtime.Container {
 	n.mu.Lock()
 	exited := n.settleLocked()
-	out := make([]runtime.Container, 0, len(n.order))
-	for _, id := range n.order {
-		c := n.containers[id]
-		if !all && c.State != Running {
-			continue
-		}
-		out = append(out, n.view(c))
+	pool := n.running
+	if all {
+		pool = n.order
 	}
-	n.mu.Unlock()
-	n.notify(exited)
+	out := make([]runtime.Container, len(pool))
+	for i, c := range pool {
+		out[i] = n.view(c)
+	}
+	n.unlockAndNotify(exited)
 	return out
 }
 
@@ -368,21 +403,16 @@ func (n *Node) PS(all bool) []runtime.Container {
 func (n *Node) RunningStats() []flowcon.Stat {
 	n.mu.Lock()
 	exited := n.settleLocked()
-	out := make([]flowcon.Stat, 0, len(n.order))
-	for _, id := range n.order {
-		c := n.containers[id]
-		if c.State != Running {
-			continue
-		}
-		out = append(out, flowcon.Stat{
+	out := make([]flowcon.Stat, len(n.running))
+	for i, c := range n.running {
+		out[i] = flowcon.Stat{
 			ID:          c.ID,
 			Eval:        c.workload.Eval(),
 			CPUSeconds:  c.CPUSec,
 			MemoryBytes: c.memBytes,
-		})
+		}
 	}
-	n.mu.Unlock()
-	n.notify(exited)
+	n.unlockAndNotify(exited)
 	return out
 }
 
@@ -390,12 +420,11 @@ func (n *Node) RunningStats() []flowcon.Stat {
 func (n *Node) Snapshot() []Container {
 	n.mu.Lock()
 	exited := n.settleLocked()
-	out := make([]Container, 0, len(n.order))
-	for _, id := range n.order {
-		out = append(out, *n.containers[id])
+	out := make([]Container, len(n.order))
+	for i, c := range n.order {
+		out[i] = *c
 	}
-	n.mu.Unlock()
-	n.notify(exited)
+	n.unlockAndNotify(exited)
 	return out
 }
 
@@ -409,13 +438,11 @@ func (n *Node) Checkpoint(id string) (*runtime.Checkpoint, error) {
 	exited := n.settleLocked()
 	c, ok := n.containers[id]
 	if !ok {
-		n.mu.Unlock()
-		n.notify(exited)
+		n.unlockAndNotify(exited)
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	if c.State != Running {
-		n.mu.Unlock()
-		n.notify(exited)
+		n.unlockAndNotify(exited)
 		return nil, fmt.Errorf("%w: %s", ErrNotRunning, id)
 	}
 	cp := &runtime.Checkpoint{
@@ -435,11 +462,10 @@ func (n *Node) Checkpoint(id string) (*runtime.Checkpoint, error) {
 		}
 	}
 	n.exitLocked(c)
-	exited = append(exited, n.view(c))
+	exited = append(exited, c)
 	n.removeLocked(c)
 	n.reallocateLocked()
-	n.mu.Unlock()
-	n.notify(exited)
+	n.unlockAndNotify(exited)
 	return cp, nil
 }
 
@@ -471,94 +497,101 @@ func (n *Node) Restore(cp *runtime.Checkpoint) (runtime.Container, error) {
 // the resolution they need.
 func (n *Node) Settle() {
 	n.mu.Lock()
-	exited := n.settleLocked()
-	n.mu.Unlock()
-	n.notify(exited)
+	n.unlockAndNotify(n.settleLocked())
 }
 
 // RunningCount returns the number of running containers.
 func (n *Node) RunningCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	count := 0
-	for _, c := range n.containers {
-		if c.State == Running {
-			count++
-		}
-	}
-	return count
+	return len(n.running)
 }
 
 // settleLocked integrates work since the last settle at the current
-// allocations, retires finished workloads, and returns their exit views.
-// Callers must hold the lock and pass the views to notify after
-// releasing it.
-func (n *Node) settleLocked() []runtime.Container {
+// allocations and retires finished workloads, returning them in creation
+// order. Callers must hold the lock and hand the result to
+// unlockAndNotify.
+func (n *Node) settleLocked() []*Container {
 	now := n.clock()
 	dt := now.Sub(n.lastSettle).Seconds()
 	n.lastSettle = now
 	if dt <= 0 {
 		return nil
 	}
-	var exited []runtime.Container
-	for _, id := range n.order {
-		c := n.containers[id]
-		if c.State != Running || c.Alloc == 0 {
-			continue
+	var exited []*Container
+	for i, c := range n.running {
+		if c.Alloc != 0 {
+			work := c.Alloc * dt
+			c.workload.Advance(work)
+			c.CPUSec += work
 		}
-		work := c.Alloc * dt
-		c.workload.Advance(work)
-		c.CPUSec += work
-	}
-	for _, id := range n.order {
-		c := n.containers[id]
-		if c.State == Running && (c.workload.Done() || c.workload.CPUDemand() <= 0) {
-			n.exitLocked(c)
-			exited = append(exited, n.view(c))
+		if c.workload.Done() || c.workload.CPUDemand() <= 0 {
+			n.retireLocked(c)
+			exited = append(exited, c)
+		} else if len(exited) > 0 {
+			// Compact the survivors in place once something has left.
+			n.running[i-len(exited)] = c
 		}
 	}
 	if len(exited) > 0 {
+		live := len(n.running) - len(exited)
+		clear(n.running[live:])
+		n.running = n.running[:live]
 		n.reallocateLocked()
 	}
 	return exited
 }
 
-// exitLocked marks a container exited.
-func (n *Node) exitLocked(c *Container) {
+// retireLocked marks a running container exited and takes its footprint
+// out of the aggregates; the caller splices it out of running.
+func (n *Node) retireLocked(c *Container) {
 	c.State = Exited
 	c.Alloc = 0
 	c.Finished = n.clock()
+	n.memUsed -= c.memBytes
+}
+
+// exitLocked retires one running container and splices it out of running.
+func (n *Node) exitLocked(c *Container) {
+	n.retireLocked(c)
+	n.running = deleteContainer(n.running, c)
 }
 
 // reallocateLocked recomputes shares with the proportional-share
-// allocator.
+// allocator. Every change to the running set or a limit ends here.
 func (n *Node) reallocateLocked() {
-	claims := make([]resource.Claim, 0, len(n.order))
-	running := make([]*Container, 0, len(n.order))
-	for _, id := range n.order {
-		c := n.containers[id]
-		if c.State != Running {
-			continue
-		}
-		claims = append(claims, resource.Claim{ID: c.ID, Limit: c.Limit, Demand: c.workload.CPUDemand()})
-		running = append(running, c)
+	if len(n.running) == 0 {
+		// An empty node holds exactly zero bytes; resetting here keeps
+		// float cancellation error from accumulating across generations
+		// of containers.
+		n.memUsed = 0
 	}
-	alloc := resource.AllocateMap(n.capacity, claims)
-	for _, c := range running {
-		c.Alloc = alloc[c.ID]
+	n.claims = n.claims[:0]
+	for _, c := range n.running {
+		n.claims = append(n.claims, resource.Claim{ID: c.ID, Limit: c.Limit, Demand: c.workload.CPUDemand()})
+	}
+	for i, a := range n.alloc.Allocate(n.capacity, n.claims) {
+		n.running[i].Alloc = a.Amount
 	}
 }
 
-// notify fires exit callbacks outside the lock, in deterministic order.
-func (n *Node) notify(exited []runtime.Container) {
+// unlockAndNotify releases the lock and then fires the exit callbacks for
+// the containers the operation retired, in creation order.
+func (n *Node) unlockAndNotify(exited []*Container) {
 	if len(exited) == 0 {
+		n.mu.Unlock()
 		return
 	}
-	sort.Slice(exited, func(i, j int) bool { return exited[i].ID < exited[j].ID })
-	n.mu.Lock()
-	subs := append([]func(runtime.Container){}, n.onExit...)
+	// settleLocked's exits are already ordered; Stop and Checkpoint append
+	// theirs after them.
+	slices.SortFunc(exited, func(a, b *Container) int { return a.seq - b.seq })
+	views := make([]runtime.Container, len(exited))
+	for i, c := range exited {
+		views[i] = n.view(c)
+	}
+	subs := slices.Clone(n.onExit)
 	n.mu.Unlock()
-	for _, v := range exited {
+	for _, v := range views {
 		for _, fn := range subs {
 			fn(v)
 		}
