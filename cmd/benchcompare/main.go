@@ -30,7 +30,8 @@ import (
 )
 
 // defaultKeys are the gated hot paths: the per-event engine cost, the
-// daemon's settle/reallocate ladder top, one full Algorithm 1 cycle, the
+// daemon's settle/reallocate ladder top, one Algorithm 1 plan applied by
+// the daemon (128 updates, one fill), one full Algorithm 1 cycle, the
 // migration round trip, one metrics sampler pass (the observer, which
 // runs every sampling period on every node), and one arrival on a live
 // node already running 4000 containers (the /v1/jobs submit path) — the
@@ -39,6 +40,7 @@ var defaultKeys = []string{
 	"ScheduleCancel/256",
 	"Settle/256",
 	"Reallocate/256",
+	"PlanApply/256",
 	"Algorithm1/256",
 	"CheckpointRestore/256",
 	"Migrate/256",

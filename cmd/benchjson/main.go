@@ -1,9 +1,9 @@
 // Command benchjson records the repo's perf trajectory: it runs the
 // simulation hot-path microbenchmarks (event cancellation, daemon
-// settle/reallocate, Algorithm 1, the migration ladder, sharded lanes,
-// sketch insert and the metrics sampler pass) across the 16/64/256
-// containers-per-node ladder and the live node's launch/lookup pair at
-// 1/1000/4000 running, runs the cluster-scale scenario end to end
+// settle/reallocate and plan apply, Algorithm 1, the migration ladder,
+// sharded lanes, sketch insert and the metrics sampler pass) across the
+// 16/64/256 containers-per-node ladder and the live node's launch/lookup
+// pair at 1/1000/4000 running, runs the cluster-scale scenario end to end
 // — serial engine, sharded executor, and a serial dense-tier run — and
 // appends the results as one per-commit entry to BENCH_sim.json.
 //
@@ -57,10 +57,12 @@ import (
 )
 
 // benchPackages are the packages holding the hot-path microbenchmarks,
-// including the migration ladder (checkpoint/restore in simdocker, full
-// manager-mediated migrate and rebalancer scans in migrate), the
-// observer (sketch insert in stats, the sampler pass in metrics) and the
-// live submit path (launch and status lookup on a livedock node).
+// including the daemon's plan ladder (PlanApply in simdocker: half the
+// pool re-limited at one instant, one fill), the migration ladder
+// (checkpoint/restore in simdocker, full manager-mediated migrate and
+// rebalancer scans in migrate), the observer (sketch insert in stats,
+// the sampler pass in metrics) and the live submit path (launch and
+// status lookup on a livedock node).
 var benchPackages = []string{
 	"./internal/sim",
 	"./internal/simdocker",

@@ -190,6 +190,11 @@ func TestConfigValidation(t *testing.T) {
 		{Alpha: 0.05, InitialInterval: 0},
 		{Alpha: 0.05, InitialInterval: 20, Beta: -1},
 		{Alpha: 0.05, InitialInterval: 20, MinLimit: 2},
+		{Alpha: 0.05, InitialInterval: 20, MinLimit: -0.5},
+		{Alpha: 0.05, InitialInterval: 20, MinLimit: math.NaN()},
+		{Alpha: math.NaN(), InitialInterval: 20},
+		{Alpha: 0.05, InitialInterval: 20, Beta: math.NaN()},
+		{Alpha: 0.05, InitialInterval: math.NaN()},
 	}
 	for i, c := range bad {
 		func() {

@@ -2,7 +2,8 @@ package flowcon
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -254,6 +255,8 @@ func (c *Controller) pruneStale(measurements []Measurement) {
 }
 
 // traceEntry assembles the per-run trace record in a stable order.
+// stepInto emits Decisions[i] for snaps[i], so each decision's growth
+// efficiency is read by position.
 func (c *Controller) traceEntry(trigger string, res StepResult, snaps []JobSnapshot) TraceEntry {
 	entry := TraceEntry{
 		At:            c.engine.Now(),
@@ -261,12 +264,11 @@ func (c *Controller) traceEntry(trigger string, res StepResult, snaps []JobSnaps
 		AllCompleting: res.AllCompleting,
 		Interval:      c.itval,
 	}
-	byID := make(map[string]JobSnapshot, len(snaps))
-	for _, s := range snaps {
-		byID[s.ID] = s
+	if n := len(res.Decisions); n > 0 { // an empty run keeps a nil slice
+		entry.Containers = make([]TraceContainer, 0, n)
 	}
-	for _, d := range res.Decisions {
-		s := byID[d.ID]
+	for i, d := range res.Decisions {
+		s := snaps[i]
 		entry.Containers = append(entry.Containers, TraceContainer{
 			ID:       d.ID,
 			G:        s.G,
@@ -275,8 +277,8 @@ func (c *Controller) traceEntry(trigger string, res StepResult, snaps []JobSnaps
 			Limit:    c.limits[d.ID],
 		})
 	}
-	sort.Slice(entry.Containers, func(i, j int) bool {
-		return entry.Containers[i].ID < entry.Containers[j].ID
+	slices.SortFunc(entry.Containers, func(a, b TraceContainer) int {
+		return strings.Compare(a.ID, b.ID)
 	})
 	return entry
 }

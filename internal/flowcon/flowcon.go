@@ -99,16 +99,17 @@ func (c Config) withDefaults() Config {
 	if c.MinLimit == 0 {
 		c.MinLimit = 0.001
 	}
-	if c.Alpha <= 0 || c.Alpha >= 1 {
+	// Positive range tests throughout, so NaN fails every one of them.
+	if !(c.Alpha > 0 && c.Alpha < 1) {
 		panic(fmt.Sprintf("flowcon: alpha %g outside (0,1)", c.Alpha))
 	}
-	if c.Beta <= 0 {
+	if !(c.Beta > 0) {
 		panic(fmt.Sprintf("flowcon: beta %g must be positive", c.Beta))
 	}
-	if c.InitialInterval <= 0 {
+	if !(c.InitialInterval > 0) {
 		panic(fmt.Sprintf("flowcon: initial interval %g must be positive", c.InitialInterval))
 	}
-	if c.MinLimit <= 0 || c.MinLimit > 1 {
+	if !(c.MinLimit > 0 && c.MinLimit <= 1) {
 		panic(fmt.Sprintf("flowcon: min limit %g outside (0,1]", c.MinLimit))
 	}
 	if c.Resource < 0 || c.Resource >= resource.NumKinds {

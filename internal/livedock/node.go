@@ -274,9 +274,10 @@ func (n *Node) Run(name string, w Workload) (string, error) {
 	return v.ID, nil
 }
 
-// checkLimit is the one statement of the soft-limit range, (0,1].
+// checkLimit is the one statement of the soft-limit range, (0,1], written
+// as a positive range test so NaN fails it.
 func checkLimit(limit float64) error {
-	if limit <= 0 || limit > 1 {
+	if !(limit > 0 && limit <= 1) {
 		return fmt.Errorf("%w: %g", ErrBadLimit, limit)
 	}
 	return nil

@@ -3,6 +3,7 @@ package livedock
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -132,6 +133,38 @@ func TestNodeStopAndErrors(t *testing.T) {
 	}
 	if err := n.SetCPULimit(id, 1.5); !errors.Is(err, ErrBadLimit) {
 		t.Fatalf("bad limit err = %v", err)
+	}
+}
+
+// TestBadLimitsRejectedAtTheEdge: every limit outside (0,1] — NaN
+// included, which a `<= 0 || > 1` test lets through — is refused by
+// LaunchLimit, Launch and SetCPULimit, and a refused update leaves the
+// running container's limit and share untouched.
+func TestBadLimitsRejectedAtTheEdge(t *testing.T) {
+	n := NewNodeWithClock(1.0, newFakeClock().Now)
+	id, err := n.Run("x", &tinyJob{total: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []float64{math.NaN(), -0.5, 1.5, math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(limit), func(t *testing.T) {
+			if _, err := LaunchLimit(limit); !errors.Is(err, ErrBadLimit) {
+				t.Errorf("LaunchLimit(%v) = %v, want ErrBadLimit", limit, err)
+			}
+			if _, err := n.Launch(runtime.LaunchSpec{Name: "bad", Workload: &tinyJob{total: 1}, CPULimit: limit}); !errors.Is(err, ErrBadLimit) {
+				t.Errorf("Launch(limit %v) = %v, want ErrBadLimit", limit, err)
+			}
+			if err := n.SetCPULimit(id, limit); !errors.Is(err, ErrBadLimit) {
+				t.Errorf("SetCPULimit(%v) = %v, want ErrBadLimit", limit, err)
+			}
+			v, err := n.Lookup("x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.CPULimit != 1 || v.CPUAlloc != 1 {
+				t.Errorf("after refused update: limit %v alloc %v, want 1/1", v.CPULimit, v.CPUAlloc)
+			}
+		})
 	}
 }
 

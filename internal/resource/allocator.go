@@ -54,9 +54,10 @@ const allocEps = 1e-12
 // The allocation is work-conserving: capacity goes idle only when every
 // claim's Demand is satisfied.
 //
-// Allocate panics on malformed input (negative capacity, non-positive
-// limit, negative demand, duplicate IDs): those are programming errors in a
-// deterministic simulation, not runtime conditions.
+// Allocate panics on malformed input (negative or NaN capacity, a limit
+// outside (0,1] or NaN, a negative, NaN or infinite demand, duplicate
+// IDs): those are programming errors in a deterministic simulation, not
+// runtime conditions.
 func Allocate(capacity float64, claims []Claim) []Allocation {
 	seen := make(map[string]bool, len(claims))
 	for _, c := range claims {
@@ -91,11 +92,12 @@ type Allocator struct {
 // Allocate divides capacity among the claims with the semantics documented
 // on the package-level Allocate, reusing the Allocator's scratch buffers.
 func (a *Allocator) Allocate(capacity float64, claims []Claim) []Allocation {
-	if capacity < 0 {
-		panic(fmt.Sprintf("resource: negative capacity %g", capacity))
+	// Positive range tests, so a NaN capacity or limit fails them.
+	if !(capacity >= 0) {
+		panic(fmt.Sprintf("resource: invalid capacity %g", capacity))
 	}
 	for _, c := range claims {
-		if c.Limit <= 0 || c.Limit > 1 {
+		if !(c.Limit > 0 && c.Limit <= 1) {
 			panic(fmt.Sprintf("resource: claim %q has limit %g outside (0,1]", c.ID, c.Limit))
 		}
 		if c.Demand < 0 || math.IsNaN(c.Demand) || math.IsInf(c.Demand, 0) {

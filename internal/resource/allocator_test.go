@@ -147,20 +147,32 @@ func TestAllocatePanicsOnBadInput(t *testing.T) {
 		claims   []Claim
 	}{
 		{"negative capacity", -1, nil},
+		{"NaN capacity", math.NaN(), nil},
 		{"zero limit", 1, []Claim{{ID: "a", Limit: 0, Demand: 1}}},
 		{"limit above one", 1, []Claim{{ID: "a", Limit: 1.5, Demand: 1}}},
+		{"NaN limit", 1, []Claim{{ID: "a", Limit: 1, Demand: 1}, {ID: "b", Limit: math.NaN(), Demand: 1}}},
 		{"negative demand", 1, []Claim{{ID: "a", Limit: 1, Demand: -1}}},
 		{"NaN demand", 1, []Claim{{ID: "a", Limit: 1, Demand: math.NaN()}}},
+		{"infinite demand", 1, []Claim{{ID: "a", Limit: 1, Demand: math.Inf(1)}}},
 		{"duplicate id", 1, []Claim{{ID: "a", Limit: 1, Demand: 1}, {ID: "a", Limit: 1, Demand: 1}}},
+	}
+	mustPanic := func(t *testing.T, what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", tc.name)
-				}
-			}()
-			Allocate(tc.capacity, tc.claims)
+			mustPanic(t, "Allocate", func() { Allocate(tc.capacity, tc.claims) })
+			if tc.name == "duplicate id" {
+				return // the pooled Allocator leaves id uniqueness to its caller
+			}
+			var a Allocator
+			mustPanic(t, "Allocator.Allocate", func() { a.Allocate(tc.capacity, tc.claims) })
 		})
 	}
 }

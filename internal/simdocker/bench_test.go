@@ -55,18 +55,40 @@ func BenchmarkSettle(b *testing.B) {
 }
 
 // BenchmarkReallocate measures the full settle+reallocate+reschedule cycle
-// through the `docker update` path — the exact operation FlowCon's limit
-// plans trigger per container per Algorithm 1 run.
+// through the `docker update` path for a one-update plan: the update, then
+// the instant's reallocation event.
 func BenchmarkReallocate(b *testing.B) {
 	for _, n := range poolSizes {
 		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
-			_, d, ids := benchDaemon(b, n)
+			e, d, ids := benchDaemon(b, n)
 			limits := [2]float64{0.5, 0.6}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := d.Update(ids[i%n], limits[i%2]); err != nil {
 					b.Fatal(err)
 				}
+				e.Run(e.Now())
+			}
+		})
+	}
+}
+
+// BenchmarkPlanApply measures one Algorithm 1 plan as the daemon applies
+// it: n/2 limit updates at one instant, then the instant drains — the
+// whole plan costs one water-fill.
+func BenchmarkPlanApply(b *testing.B) {
+	for _, n := range poolSizes {
+		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
+			e, d, ids := benchDaemon(b, n)
+			limits := [2]float64{0.5, 0.6}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < n/2; j++ {
+					if err := d.Update(ids[j], limits[(i+j)%2]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				e.Run(e.Now())
 			}
 		})
 	}

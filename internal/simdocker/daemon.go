@@ -71,8 +71,18 @@ type Daemon struct {
 
 	// lastAdvance is the time up to which container accounting is settled.
 	lastAdvance sim.Time
-	// completion is the pending earliest-completion event, if any.
+	// completion is the pending earliest-completion event, if any;
+	// completeFn is its callback, built once.
 	completion *sim.Event
+	completeFn func()
+
+	// stale is set when Update has written a limit the current allocation
+	// does not reflect yet; every reallocate clears it. reallocQueued
+	// records that this instant's one reallocation event is pending, and
+	// reallocFn is that event's callback, built once.
+	stale         bool
+	reallocQueued bool
+	reallocFn     func()
 
 	// alloc, claimScratch and retireScratch are reused across reallocate
 	// calls so the per-event hot path allocates nothing in steady state.
@@ -107,16 +117,17 @@ func NewDaemon(engine sim.Scheduler, capacity float64) *Daemon {
 	if engine == nil {
 		panic("simdocker: nil engine")
 	}
-	if capacity <= 0 {
-		panic(fmt.Sprintf("simdocker: capacity %g must be positive", capacity))
-	}
-	return &Daemon{
+	checkCapacity(capacity)
+	d := &Daemon{
 		engine:     engine,
 		capacity:   capacity,
 		images:     make(map[string]Image),
 		containers: make(map[string]*Container),
 		byName:     make(map[string]string),
 	}
+	d.completeFn = d.complete
+	d.reallocFn = d.applyStaged
+	return d
 }
 
 // Capacity returns the node's CPU capacity.
@@ -130,9 +141,7 @@ func (d *Daemon) Capacity() float64 { return d.capacity }
 // Like Stop and Checkpoint it must be called from the daemon's own lane
 // or a cluster-level event (the fault injector's discipline).
 func (d *Daemon) SetCapacity(capacity float64) {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("simdocker: capacity %g must be positive", capacity))
-	}
+	checkCapacity(capacity)
 	if capacity == d.capacity {
 		return
 	}
@@ -246,8 +255,8 @@ func (d *Daemon) Run(spec RunSpec) (*Container, error) {
 	if limit == 0 {
 		limit = 1.0
 	}
-	if limit < 0 || limit > 1 {
-		return nil, fmt.Errorf("%w: %g", ErrBadLimit, limit)
+	if err := checkLimit(limit); err != nil {
+		return nil, err
 	}
 	d.seq++
 	id := fmt.Sprintf("c%04d", d.seq)
@@ -293,8 +302,14 @@ func (d *Daemon) Run(spec RunSpec) (*Container, error) {
 }
 
 // Update re-sets a running container's soft CPU limit — the simulated
-// `docker update --cpus`. Takes effect immediately; already-accrued work
-// is settled at the old rate first.
+// `docker update --cpus`. The limit takes effect at the current instant:
+// already-accrued work is settled at the old rate, the new limit is
+// written at once (CPULimit and Stats report it), and the water-fill runs
+// in a single reallocation event the daemon queues at (now,
+// PriorityState). CPUAlloc reflects the new limit once that event has
+// run, which happens before any Listener-or-later event at this instant
+// and before the clock advances. A whole Algorithm 1 plan — k updates at
+// one instant — therefore costs one fill, not k.
 func (d *Daemon) Update(id string, cpuLimit float64) error {
 	c, ok := d.containers[id]
 	if !ok {
@@ -303,13 +318,49 @@ func (d *Daemon) Update(id string, cpuLimit float64) error {
 	if c.state != Running {
 		return fmt.Errorf("%w: %s", ErrNotRunning, id)
 	}
-	if cpuLimit <= 0 || cpuLimit > 1 {
-		return fmt.Errorf("%w: %g", ErrBadLimit, cpuLimit)
+	if err := checkLimit(cpuLimit); err != nil {
+		return err
 	}
 	d.settle()
 	c.cpuLimit = cpuLimit
-	d.reallocate()
+	d.stale = true
+	if !d.reallocQueued {
+		d.reallocQueued = true
+		// A separate event, never a replacement for the pending completion
+		// event: re-creating that one would give it a newer sequence number
+		// and reorder it behind same-instant events queued meanwhile.
+		// Exit-tagged because the fill may retire float-residue finishers.
+		d.engine.At(d.engine.Now(), sim.PriorityState, "simdocker.reallocate", d.reallocFn).MarkExit()
+	}
 	return nil
+}
+
+// applyStaged is the callback of an instant's reallocation event: one
+// settle and fill for every limit Update staged. A Run, Stop, Checkpoint,
+// SetCapacity or completion at the same instant reallocates too and
+// clears the stale flag, leaving nothing to do here.
+func (d *Daemon) applyStaged() {
+	d.reallocQueued = false
+	if d.stale {
+		d.settle()
+		d.reallocate()
+	}
+}
+
+// checkLimit is the daemon's statement of the soft-limit range (0,1].
+// Written as a positive range test so NaN fails it.
+func checkLimit(limit float64) error {
+	if !(limit > 0 && limit <= 1) {
+		return fmt.Errorf("%w: %g", ErrBadLimit, limit)
+	}
+	return nil
+}
+
+// checkCapacity panics unless capacity is positive (NaN included).
+func checkCapacity(capacity float64) {
+	if !(capacity > 0) {
+		panic(fmt.Sprintf("simdocker: capacity %g must be positive", capacity))
+	}
 }
 
 // Stop terminates a running container before its workload finishes.
@@ -513,7 +564,10 @@ func (d *Daemon) exit(c *Container) {
 // reallocate recomputes every running container's CPU share from the
 // current limits and demands, retires any workload that has finished, and
 // schedules the next analytic completion event. Callers must settle first.
+// It consumes every limit Update staged, so a pending reallocation event
+// at this instant becomes a no-op.
 func (d *Daemon) reallocate() {
+	d.stale = false
 	// Retire finished workloads before computing shares. Analytic
 	// completion events can leave ~1e-15 work of float residue; deliver it
 	// so Done() is authoritative for every observer, then exit. Exits
@@ -585,14 +639,17 @@ func (d *Daemon) scheduleCompletion() {
 	if earliest == sim.Infinity {
 		return
 	}
-	d.completion = d.engine.At(earliest, sim.PriorityState, "simdocker.completion", func() {
-		d.completion = nil
-		d.settle()
-		d.reallocate()
-	})
+	d.completion = d.engine.At(earliest, sim.PriorityState, "simdocker.completion", d.completeFn)
 	// Completions retire containers: in sharded mode each one must close
 	// its parallel batch so exit effects are never overtaken.
 	d.completion.MarkExit()
+}
+
+// complete is the completion event's callback.
+func (d *Daemon) complete() {
+	d.completion = nil
+	d.settle()
+	d.reallocate()
 }
 
 // etaHeap is an indexed min-heap of running containers ordered by analytic

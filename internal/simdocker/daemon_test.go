@@ -2,6 +2,7 @@ package simdocker
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -163,6 +164,34 @@ func TestUpdateErrors(t *testing.T) {
 	}
 }
 
+// TestBadLimitsRejectedAtTheEdge: every limit outside (0,1] — NaN
+// included, which a `<= 0 || > 1` test lets through — is refused by Run
+// and by Update. A refused Update stages nothing: the limit is unchanged
+// and no reallocation event is queued.
+func TestBadLimitsRejectedAtTheEdge(t *testing.T) {
+	e, d := newTestDaemon(t)
+	c := mustRun(t, d, "a", &fakeJob{total: 100, demand: 1})
+	for _, limit := range []float64{math.NaN(), -0.5, 1.5, math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(limit), func(t *testing.T) {
+			_, err := d.Run(RunSpec{Image: "test/img:1", Workload: &fakeJob{total: 1, demand: 1}, CPULimit: limit})
+			if !errors.Is(err, ErrBadLimit) {
+				t.Errorf("Run(limit %v) = %v, want ErrBadLimit", limit, err)
+			}
+			queued := e.Len()
+			if err := d.Update(c.ID(), limit); !errors.Is(err, ErrBadLimit) {
+				t.Errorf("Update(%v) = %v, want ErrBadLimit", limit, err)
+			}
+			if e.Len() != queued || c.CPULimit() != 1 {
+				t.Errorf("refused Update(%v) staged something: %d events queued (was %d), limit %v",
+					limit, e.Len(), queued, c.CPULimit())
+			}
+		})
+	}
+	if d.RunningCount() != 1 || c.CPUAlloc() != 1 {
+		t.Fatalf("running %d, alloc %v after refused limits, want 1 and 1", d.RunningCount(), c.CPUAlloc())
+	}
+}
+
 func TestStopAndRemove(t *testing.T) {
 	e, d := newTestDaemon(t)
 	c := mustRun(t, d, "a", &fakeJob{total: 1000, demand: 1})
@@ -310,12 +339,24 @@ func TestStateString(t *testing.T) {
 }
 
 func TestNewDaemonValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero capacity did not panic")
-		}
-	}()
-	NewDaemon(sim.NewEngine(), 0)
+	for _, capacity := range []float64{0, -1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("capacity %v did not panic", capacity)
+				}
+			}()
+			NewDaemon(sim.NewEngine(), capacity)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetCapacity(%v) did not panic", capacity)
+				}
+			}()
+			NewDaemon(sim.NewEngine(), 1).SetCapacity(capacity)
+		}()
+	}
 }
 
 // TestManyContainersDrain is a stress check: 30 staggered containers all

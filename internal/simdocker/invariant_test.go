@@ -9,9 +9,13 @@ import (
 )
 
 // checkAggregates cross-checks every incrementally maintained daemon
-// aggregate against a recompute-from-scratch over the container map.
+// aggregate against a recompute-from-scratch over the container map. Call
+// it once the current instant has drained: no update may still be staged.
 func checkAggregates(t *testing.T, step int, d *Daemon) {
 	t.Helper()
+	if d.stale || d.reallocQueued {
+		t.Fatalf("step %d: instant drained with an update still staged (stale %v, event queued %v)", step, d.stale, d.reallocQueued)
+	}
 	n, mem := 0, 0.0
 	for _, c := range d.containers {
 		if c.state != Running {
@@ -63,8 +67,9 @@ func checkAggregates(t *testing.T, step int, d *Daemon) {
 
 // TestIncrementalAggregatesInvariant drives thousands of random mixed
 // Run/Update/Stop/Remove/advance operations and checks after every one
-// that the cached RunningCount/MemoryUsed, the running list, the name
-// index, and the ETA heap all agree with values recomputed from scratch.
+// (once its instant has drained) that the cached RunningCount/MemoryUsed,
+// the running list, the name index, the ETA heap and every share agree
+// with values recomputed from scratch.
 func TestIncrementalAggregatesInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	e := sim.NewEngine()
@@ -111,7 +116,9 @@ func TestIncrementalAggregatesInvariant(t *testing.T) {
 		case 5: // advance virtual time; completions fire along the way
 			e.Run(e.Now() + sim.Time(rng.Float64()*5))
 		}
+		e.Run(e.Now()) // drain the instant: a staged update's fill runs here
 		checkAggregates(t, step, d)
+		checkShares(t, step, d)
 	}
 
 	// Drain everything: the aggregates must return to exactly zero.

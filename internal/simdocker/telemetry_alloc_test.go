@@ -21,27 +21,11 @@ import (
 // existing flowcon AllocsPerRun guard already covers it unchanged.
 func TestSettleReallocateAllocsZeroWithTracer(t *testing.T) {
 	tr := telemetry.NewTracer(0)
-	eng := sim.NewEngine()
-	d := NewDaemon(eng, 1.0)
+	eng, d, ids := steadyDaemon(t, 64)
 	d.OnExit(func(c *Container) {
 		tr.Record(float64(c.FinishedAt()), telemetry.PhaseExit, c.Name(), "node", c.ID())
 	})
-	d.Pull(Image{Ref: "img", SizeBytes: 1})
-	for i := 0; i < 64; i++ {
-		if _, err := d.Run(RunSpec{Image: "img", Workload: &steadyWork{rem: 1e9}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	id := d.PS(false)[10].ID()
-	horizon := sim.Time(0)
-	avg := testing.AllocsPerRun(200, func() {
-		horizon += 0.25
-		eng.Run(horizon)
-		if err := d.Update(id, 0.5); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
+	if avg := refillAllocs(t, eng, d, ids[10], 200); avg != 0 {
 		t.Fatalf("settle+reallocate with tracer hook allocates %.1f objects per op, want 0", avg)
 	}
 }
