@@ -61,7 +61,8 @@ import (
 // pool re-limited at one instant, one fill), the migration ladder
 // (checkpoint/restore in simdocker, full manager-mediated migrate and
 // rebalancer scans in migrate), the observer (sketch insert in stats,
-// the sampler pass in metrics) and the live submit path (launch and
+// the sampler pass and the whole collector tick over 16/256 workers in
+// metrics) and the live submit path (launch and
 // status lookup on a livedock node).
 var benchPackages = []string{
 	"./internal/sim",

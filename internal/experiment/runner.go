@@ -265,6 +265,12 @@ func RunE(spec Spec) (*Result, error) {
 	if spec.Workers < 0 {
 		return nil, fmt.Errorf("experiment: spec %q has negative worker count %d", spec.Name, spec.Workers)
 	}
+	if math.IsNaN(spec.SamplePeriod) || math.IsInf(spec.SamplePeriod, 0) || spec.SamplePeriod < 0 {
+		return nil, fmt.Errorf("experiment: spec %q sample period %g must be finite and non-negative (0 = default)", spec.Name, spec.SamplePeriod)
+	}
+	if math.IsNaN(spec.Horizon) || math.IsInf(spec.Horizon, 0) || spec.Horizon < 0 {
+		return nil, fmt.Errorf("experiment: spec %q horizon %g must be finite and non-negative (0 = default)", spec.Name, spec.Horizon)
+	}
 	for _, d := range spec.Drains {
 		if d.Worker < 0 || d.Worker >= max(spec.Workers, 1) {
 			return nil, fmt.Errorf("experiment: spec %q drain index %d out of range", spec.Name, d.Worker)

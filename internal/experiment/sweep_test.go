@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -207,6 +208,12 @@ func TestRunEValidation(t *testing.T) {
 			Submissions: subs,
 			Faults:      crashAt(3, 100),
 		},
+		"NaN sample period":      {NewPolicy: NAPolicy(20), Submissions: subs, SamplePeriod: math.NaN()},
+		"infinite sample period": {NewPolicy: NAPolicy(20), Submissions: subs, SamplePeriod: math.Inf(1)},
+		"negative sample period": {NewPolicy: NAPolicy(20), Submissions: subs, SamplePeriod: -1},
+		"NaN horizon":            {NewPolicy: NAPolicy(20), Submissions: subs, Horizon: math.NaN()},
+		"infinite horizon":       {NewPolicy: NAPolicy(20), Submissions: subs, Horizon: math.Inf(1)},
+		"negative horizon":       {NewPolicy: NAPolicy(20), Submissions: subs, Horizon: -1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := RunE(spec); err == nil {

@@ -16,7 +16,7 @@ func BenchmarkSamplerPass(b *testing.B) {
 		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
 			e := sim.NewEngine()
 			col := NewCollector(e, 2.0)
-			s := col.newSampler(endlessPool(b, col, e, n))
+			s := col.newSampler(endlessPool(b, col, e, "", n))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -24,6 +24,27 @@ func BenchmarkSamplerPass(b *testing.B) {
 				s.pass()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/container")
+		})
+	}
+}
+
+// BenchmarkSampleTick measures one whole collector period through the
+// engine — the single metrics.sample event running every worker's pass,
+// then rescheduling — on w workers of 8 containers each in the summary
+// tier: the observer's per-period cost at cluster widths.
+func BenchmarkSampleTick(b *testing.B) {
+	const perWorker = 8
+	for _, w := range []int{16, 256} {
+		b.Run(fmt.Sprintf("%d", w), func(b *testing.B) {
+			e := sim.NewEngine()
+			col := NewCollector(e, 2.0)
+			attachWorkers(b, col, e, w, perWorker)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Run(e.Now() + 2.0)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w*perWorker), "ns/container")
 		})
 	}
 }

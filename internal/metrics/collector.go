@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 	"unsafe"
@@ -109,6 +110,12 @@ type Collector struct {
 	jobs  map[string]*job // by job name
 	byCID map[string]*job // by the container the job is bound to
 
+	// samplers holds one sampler per attached worker, in attach order;
+	// tickFn is the bound tick method, built once so rescheduling the
+	// metrics.sample event allocates only the event.
+	samplers []*sampler
+	tickFn   func()
+
 	// algoRuns is atomic: in a sharded simulation controllers on different
 	// worker lanes record runs concurrently. The total is deterministic
 	// even though the increment order is not.
@@ -123,10 +130,11 @@ func NewCollector(engine *sim.Engine, period float64) *Collector {
 
 // NewCollectorTier creates a collector with an explicit retention tier.
 // The tier only changes what is retained, never what the simulation does:
-// samplers fire at the same instants either way.
+// samplers fire at the same instants either way. The period must be finite
+// and positive.
 func NewCollectorTier(engine *sim.Engine, period float64, tier Tier) *Collector {
-	if period <= 0 {
-		panic("metrics: non-positive sampling period")
+	if !(period > 0) || math.IsInf(period, 1) {
+		panic(fmt.Sprintf("metrics: sampling period %g is not finite and positive", period))
 	}
 	if tier != TierSummary && tier != TierDense {
 		panic(fmt.Sprintf("metrics: unknown tier %d", int(tier)))
@@ -231,17 +239,18 @@ func (c *Collector) JobExited(cont *simdocker.Container) {
 	j.Finished = true
 }
 
-// sampler is one worker's periodic CPU sampler. All its bookkeeping (usage
-// differencing, post-exit tail counts) lives here, so per-worker samplers
-// on different lanes never share state.
+// sampler is one worker's CPU sampler. All its bookkeeping (usage
+// differencing, post-exit tail counts) lives here; the collector's tick
+// decides when its passes run.
 type sampler struct {
 	c      *Collector
 	daemon *simdocker.Daemon
-	sched  sim.Scheduler
 	// live holds one slot per container that can still produce a sample,
 	// in creation order: a pass costs O(live containers), not O(every
 	// container the daemon ever held).
-	live   []samplerSlot
+	live []samplerSlot
+	// lastAt is this sampler's previous pass (or its attach instant), so a
+	// worker attached between ticks gets a partial first window.
 	lastAt float64
 }
 
@@ -261,27 +270,39 @@ type samplerSlot struct {
 }
 
 // AttachWorker subscribes the collector to a worker daemon's lifecycle and
-// starts the periodic CPU sampler against it. The sampler schedules on the
-// daemon's own scheduler, so in a sharded simulation it rides the worker's
-// lane and samples in parallel with the other shards. Containers already
-// in the daemon's pool are picked up, so attaching after launching works.
+// adds a CPU sampler for it to the collector's periodic tick. The first
+// attach schedules the tick: one metrics.sample event per period on the
+// collector's engine, which runs every attached worker's sampler in attach
+// order and reschedules itself once — O(1) events per period however many
+// workers there are. In a sharded simulation the tick rides the cluster
+// lane (lane 0), so it runs on the coordinator outside parallel batches,
+// where reading any worker's daemon is safe. A worker attached between
+// ticks joins the collector's phase; its first sample covers the time
+// from attach to the next tick. Containers already in the daemon's pool
+// are picked up, so attaching after launching works.
 func (c *Collector) AttachWorker(name string, daemon *simdocker.Daemon) {
 	daemon.OnExit(c.JobExited)
-	s := c.newSampler(daemon)
-	var tick func()
-	tick = func() {
-		s.pass()
-		s.sched.After(c.period, sim.PriorityMetric, "metrics.sample", tick)
+	c.samplers = append(c.samplers, c.newSampler(daemon))
+	if len(c.samplers) == 1 {
+		c.tickFn = c.tick
+		c.engine.After(c.period, sim.PriorityMetric, "metrics.sample", c.tickFn)
 	}
-	s.sched.After(c.period, sim.PriorityMetric, "metrics.sample", tick)
+}
+
+// tick is the collector's metrics.sample event: one pass of every
+// attached sampler, then the next period's event.
+func (c *Collector) tick() {
+	for _, s := range c.samplers {
+		s.pass()
+	}
+	c.engine.After(c.period, sim.PriorityMetric, "metrics.sample", c.tickFn)
 }
 
 // newSampler builds a daemon's sampler: one slot per container already in
 // the pool, extended from the daemon's start notifications. The caller
 // decides when passes run.
 func (c *Collector) newSampler(daemon *simdocker.Daemon) *sampler {
-	s := &sampler{c: c, daemon: daemon, sched: daemon.Scheduler()}
-	s.lastAt = float64(s.sched.Now())
+	s := &sampler{c: c, daemon: daemon, lastAt: float64(c.engine.Now())}
 	track := func(cont *simdocker.Container) {
 		s.live = append(s.live, samplerSlot{cont: cont})
 	}
@@ -293,7 +314,7 @@ func (c *Collector) newSampler(daemon *simdocker.Daemon) *sampler {
 // pass takes one sample of every live container and drops the slots that
 // can produce no further sample. Allocation-free at steady state.
 func (s *sampler) pass() {
-	now := float64(s.sched.Now())
+	now := float64(s.c.engine.Now())
 	s.daemon.Sync()
 	dt := now - s.lastAt
 	kept := s.live[:0]

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -309,11 +310,18 @@ func TestCollectorOverlapEdgeCases(t *testing.T) {
 	}
 }
 
+// TestNewCollectorValidation: a sampling period that is not finite and
+// positive fails at construction, not deep in the sketch (NaN) or as a
+// silent run with no samples (+Inf).
 func TestNewCollectorValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero period did not panic")
-		}
-	}()
-	NewCollector(sim.NewEngine(), 0)
+	for _, period := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(period), func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("period %g did not panic", period)
+				}
+			}()
+			NewCollectorTier(sim.NewEngine(), period, TierSummary)
+		})
+	}
 }

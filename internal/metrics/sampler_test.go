@@ -11,16 +11,19 @@ import (
 )
 
 // endlessPool starts n tracked jobs whose budgets no test exhausts, so the
-// node's running set stays pinned at n.
-func endlessPool(tb testing.TB, col *Collector, e *sim.Engine, n int) *simdocker.Daemon {
+// node's running set stays pinned at n. prefix namespaces the node's
+// container ids and job names (prefix+"J0", prefix+"J1", …) when several
+// nodes share a collector.
+func endlessPool(tb testing.TB, col *Collector, e *sim.Engine, prefix string, n int) *simdocker.Daemon {
 	tb.Helper()
 	d := simdocker.NewDaemon(e, 1.0)
+	d.SetIDPrefix(prefix)
 	d.Pull(simdocker.Image{Ref: "img:1"})
 	catalog := dlmodel.Catalog()
 	for i := 0; i < n; i++ {
 		p := catalog[i%len(catalog)]
 		p.TotalWork = 1e15
-		name := fmt.Sprintf("J%d", i)
+		name := fmt.Sprintf("%sJ%d", prefix, i)
 		c, err := d.Run(simdocker.RunSpec{Image: "img:1", Name: name, Workload: dlmodel.NewJob(name, p)})
 		if err != nil {
 			tb.Fatal(err)
@@ -30,6 +33,92 @@ func endlessPool(tb testing.TB, col *Collector, e *sim.Engine, n int) *simdocker
 	return d
 }
 
+// attachWorkers attaches w endless workers of n containers each to col.
+func attachWorkers(tb testing.TB, col *Collector, e *sim.Engine, w, n int) {
+	tb.Helper()
+	for i := 0; i < w; i++ {
+		prefix := fmt.Sprintf("w%d.", i)
+		col.AttachWorker(prefix, endlessPool(tb, col, e, prefix, n))
+	}
+}
+
+// TestOneSampleEventPerPeriod pins the collector's event cost: however
+// many workers are attached, a period executes exactly one metrics.sample
+// event, and that event samples every container of every worker.
+func TestOneSampleEventPerPeriod(t *testing.T) {
+	const n, periods = 4, 10
+	for _, w := range []int{1, 16} {
+		t.Run(fmt.Sprint(w), func(t *testing.T) {
+			e := sim.NewEngine()
+			col := NewCollector(e, 1.0)
+			attachWorkers(t, col, e, w, n)
+			before := e.Executed()
+			e.Run(periods)
+			if got := e.Executed() - before; got != periods {
+				t.Fatalf("%d workers: %d events in %d periods, want one per period", w, got, periods)
+			}
+			for i := 0; i < w; i++ {
+				for j := 0; j < n; j++ {
+					name := fmt.Sprintf("w%d.J%d", i, j)
+					if got := col.CPUSummary(name).Count(); got != periods {
+						t.Fatalf("%s: %d cpu samples after %d periods", name, got, periods)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestLateAttachJoinsCollectorPhase: a worker attached between ticks is
+// sampled at the collector's instants, not on a phase of its own, and its
+// first CPU sample covers only the time from attach to the next tick.
+func TestLateAttachJoinsCollectorPhase(t *testing.T) {
+	const n = 4
+	e := sim.NewEngine()
+	col := NewCollectorTier(e, 1.0, TierDense)
+	attachWorkers(t, col, e, 1, n)
+	e.Run(0.5)
+	late := endlessPool(t, col, e, "late.", n)
+	col.AttachWorker("late.", late)
+	e.Run(3)
+	pts := col.CPUSeries("late.J0").Points()
+	if len(pts) != 3 {
+		t.Fatalf("late worker: %d cpu samples by t=3, want 3 (t=1,2,3): %+v", len(pts), pts)
+	}
+	for i, p := range pts {
+		if p.T != float64(i+1) {
+			t.Fatalf("late sample %d at t=%g, want the collector's tick %d", i, p.T, i+1)
+		}
+		// Each container holds 1/n of the node. A first window measured
+		// over the whole period instead of the half since attach would
+		// read half that.
+		if math.Abs(p.V-1.0/n) > 1e-9 {
+			t.Fatalf("late sample %d = %g, want %g", i, p.V, 1.0/n)
+		}
+	}
+}
+
+// TestSampleTickAllocs pins one whole collector tick — every attached
+// worker's pass plus rescheduling — at one allocation: the next period's
+// event.
+func TestSampleTickAllocs(t *testing.T) {
+	e := sim.NewEngine()
+	col := NewCollector(e, 1.0)
+	attachWorkers(t, col, e, 8, 8)
+	tick := func() { e.Run(e.Now() + 1) }
+	// Warm the sketch buckets each job keeps landing in (see
+	// TestSamplerPassAllocs).
+	for i := 0; i < 200; i++ {
+		tick()
+	}
+	if allocs := testing.AllocsPerRun(100, tick); allocs > 1 {
+		t.Fatalf("steady-state collector tick allocates %.1f per run, want at most 1", allocs)
+	}
+	if got := col.CPUSummary("w7.J7").Count(); got < 300 {
+		t.Fatalf("ticks recorded %d samples: the guard measured nothing", got)
+	}
+}
+
 // TestAttachWorkerSamplesRunningContainers: the bench drives (and any
 // late observer) attach after launching, so containers already in the
 // pool must be sampled, not only the ones started afterwards.
@@ -37,7 +126,7 @@ func TestAttachWorkerSamplesRunningContainers(t *testing.T) {
 	const n, passes = 3, 10
 	e := sim.NewEngine()
 	col := NewCollector(e, 1.0)
-	d := endlessPool(t, col, e, n)
+	d := endlessPool(t, col, e, "", n)
 	col.AttachWorker("w0", d)
 	e.Run(passes)
 	for i := 0; i < n; i++ {
@@ -110,7 +199,7 @@ func TestSamplerStateBoundedAcrossCheckpoints(t *testing.T) {
 func TestSamplerPassAllocs(t *testing.T) {
 	e := sim.NewEngine()
 	col := NewCollector(e, 1.0)
-	d := endlessPool(t, col, e, 8)
+	d := endlessPool(t, col, e, "", 8)
 	s := col.newSampler(d)
 	step := func() {
 		e.Run(e.Now() + 1)

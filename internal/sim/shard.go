@@ -50,10 +50,11 @@ type ShardProfile struct {
 //
 // The model: every event belongs to a lane. Lane 0 is the cluster lane —
 // events scheduled directly on the Engine (manager placements, arrivals,
-// failures, drains, rebalancer scans, migration thaws) that may read or
-// mutate state on any worker. Lanes 1..N are worker lanes — events
-// scheduled through a Lane handle (executor ticks, listener runs, metric
-// samplers, container completions) that only touch that worker's state.
+// failures, drains, rebalancer scans, migration thaws, the metrics
+// collector's sampling tick) that may read or mutate state on any worker.
+// Lanes 1..N are worker lanes — events scheduled through a Lane handle
+// (executor ticks, listener runs, container completions) that only touch
+// that worker's state.
 //
 // The coordinator alternates two regimes:
 //
@@ -427,7 +428,7 @@ func (ln *Lane) At(t Time, prio Priority, name string, fn func()) *Event {
 		ev.lane = ln.id
 		return ev
 	}
-	if t < ln.now {
+	if !(t >= ln.now) {
 		panic(fmt.Sprintf("sim: scheduling %q at %.6f before lane now %.6f", name, float64(t), float64(ln.now)))
 	}
 	if fn == nil {

@@ -202,9 +202,9 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // At schedules fn to run at absolute virtual time t with the given priority.
 // Scheduling in the past panics: with a deterministic single-threaded engine
 // that is always a programming error, and silently clamping would corrupt
-// causality.
+// causality. A NaN time panics the same way: it orders against nothing.
 func (e *Engine) At(t Time, prio Priority, name string, fn func()) *Event {
-	if t < e.now {
+	if !(t >= e.now) {
 		panic(fmt.Sprintf("sim: scheduling %q at %.6f before now %.6f", name, float64(t), float64(e.now)))
 	}
 	if fn == nil {

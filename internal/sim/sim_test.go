@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -160,6 +161,38 @@ func TestEngineNegativeAfterPanics(t *testing.T) {
 		}
 	}()
 	e.After(-1, PriorityState, "neg", func() {})
+}
+
+// TestEngineRejectsBadTimes: every schedule that cannot order against the
+// clock — the past, NaN, a negative or NaN delay — panics at the call and
+// leaves the queue and the clock untouched.
+func TestEngineRejectsBadTimes(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name     string
+		schedule func(e *Engine)
+	}{
+		{"At past", func(e *Engine) { e.At(1, PriorityState, "x", func() {}) }},
+		{"At NaN", func(e *Engine) { e.At(Time(nan), PriorityState, "x", func() {}) }},
+		{"After negative", func(e *Engine) { e.After(-1, PriorityState, "x", func() {}) }},
+		{"After NaN", func(e *Engine) { e.After(nan, PriorityState, "x", func() {}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			e.Run(5)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("schedule did not panic")
+					}
+				}()
+				tc.schedule(e)
+			}()
+			if e.Len() != 0 || e.Now() != 5 {
+				t.Fatalf("after rejected schedule: Len %d, clock %v; want 0 at 5", e.Len(), e.Now())
+			}
+		})
+	}
 }
 
 func TestEngineNilCallbackPanics(t *testing.T) {

@@ -150,12 +150,6 @@ func (d *Daemon) SetCapacity(capacity float64) {
 	d.reallocate()
 }
 
-// Scheduler returns the scheduler the daemon runs on — the engine itself
-// in a serial simulation, the worker's lane in a sharded one. Components
-// that must observe the daemon's clock (the metrics sampler) schedule
-// through it so their events stay on the daemon's shard.
-func (d *Daemon) Scheduler() sim.Scheduler { return d.engine }
-
 // SetIDPrefix namespaces this daemon's container ids (e.g. the hosting
 // worker's name), keeping ids unique across a multi-worker cluster. Must
 // be called before any container runs.
