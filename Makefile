@@ -8,7 +8,7 @@ FUZZTIME ?= 20s
 # Per-benchmark budget for bench-json (CI smoke passes 1x).
 BENCHTIME ?= 1s
 
-.PHONY: all build test race bench bench-json bench-compare bench-compare-base fmt vet cover fuzz determinism parity docs lint-imports loadtest-smoke ci
+.PHONY: all build test race bench bench-json bench-compare-base fmt vet cover fuzz determinism parity docs lint-imports loadtest-smoke ci
 
 all: build test
 
@@ -26,28 +26,12 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Record the perf trajectory: hot-path microbenchmarks (sim, simdocker,
-# flowcon, migrate, stats, metrics; 16/64/256 containers per node) plus
-# the cluster-scale scenario on the serial engine and the sharded
-# executor, and the
-# megacluster-smoke streaming run (1000 workers, ~50k lazily generated
-# arrivals), appended as a per-commit entry to BENCH_sim.json. Pass
-# MEGA=full for the complete ~1M-job megacluster day, MEGA=off to skip.
-# See README "Performance". SHARDS overrides the sharded runs' lane
-# count (default GOMAXPROCS) — on a one-core box pass SHARDS=8 to record
-# the epoch profile anyway.
-MEGA ?= smoke
-SHARDS ?=
+# Record the microbenchmark trajectory: the hot-path ladder (sim,
+# simdocker, flowcon, migrate, stats, metrics, livedock; 16/64/256
+# containers per node), appended as a per-commit entry to BENCH_sim.json.
+# End-to-end numbers come from `go run ./bench`; see README "Performance".
 bench-json:
-	$(GO) run ./cmd/benchjson -benchtime $(BENCHTIME) -out BENCH_sim.json -mega $(MEGA) $(if $(SHARDS),-shards $(SHARDS))
-
-# Regression gate against the committed BENCH_sim.json: meaningful on the
-# box that recorded the committed baseline (ns/op from different machines
-# are incomparable). CI uses bench-compare-base instead.
-bench-compare:
-	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/benchjson -benchtime $(BENCHTIME) -out $$dir/fresh.json && \
-	$(GO) run ./cmd/benchcompare -old BENCH_sim.json -new $$dir/fresh.json
+	$(GO) run ./cmd/benchjson -benchtime $(BENCHTIME) -out BENCH_sim.json
 
 # Same-runner regression gate: benchmark the merge base AND the working
 # tree on this machine and compare — the form CI runs on every PR.

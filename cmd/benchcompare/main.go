@@ -1,10 +1,10 @@
-// Command benchcompare gates benchmark regressions: it diffs two
+// Command benchcompare gates microbenchmark regressions: it diffs two
 // BENCH_sim.json documents and fails when any curated key benchmark
-// regressed by more than the threshold.
+// regressed by more than threshold percent ns/op.
 //
 // Usage:
 //
-//	benchcompare -old BENCH_sim.json -new fresh.json [-threshold 25] [-keys a,b,...]
+//	benchcompare -old BENCH_sim.json -new fresh.json
 //
 // Both files are schema-2 history documents (see internal/benchfile); the
 // latest entry of each is compared. Only the curated key list is gated —
@@ -14,29 +14,31 @@
 // (benchmark sets evolve across PRs).
 //
 // ns/op comparisons are only meaningful when both documents were recorded
-// on the same machine. The committed BENCH_sim.json baseline comes from a
-// developer box, so CI does not compare against it directly — the
-// benchmark-smoke job regenerates both the merge-base's numbers and the
-// head's numbers on the same runner and compares those (see the workflow).
+// on the same machine, so the one gate is `make bench-compare-base`: it
+// records the merge base's numbers and the head's numbers on the same
+// runner and compares those (scripts/bench-compare-base.sh).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"repro/internal/benchfile"
 )
 
-// defaultKeys are the gated hot paths: the per-event engine cost, the
-// daemon's settle/reallocate ladder top, one Algorithm 1 plan applied by
-// the daemon (128 updates, one fill), one full Algorithm 1 cycle, the
+// threshold is the largest ns/op regression, in percent, a key may show.
+const threshold = 25.0
+
+// keys are the gated hot paths: the per-event engine cost, the daemon's
+// settle/reallocate ladder top, one Algorithm 1 plan applied by the
+// daemon (128 updates, one fill), one full Algorithm 1 cycle, the
 // migration round trip, one metrics sampler pass (the observer, which
 // runs every sampling period on every node), and one arrival on a live
 // node already running 4000 containers (the /v1/jobs submit path) — the
 // benchmarks the ROADMAP's perf baseline tracks across PRs.
-var defaultKeys = []string{
+var keys = []string{
 	"ScheduleCancel/256",
 	"Settle/256",
 	"Reallocate/256",
@@ -48,38 +50,14 @@ var defaultKeys = []string{
 	"NodeLaunch/4000",
 }
 
-func nsByName(e benchfile.Entry) map[string]float64 {
-	m := make(map[string]float64, len(e.Benchmarks))
-	for _, b := range e.Benchmarks {
-		m[b.Name] = b.NsPerOp
-	}
-	return m
-}
-
 func main() {
 	oldPath := flag.String("old", "BENCH_sim.json", "baseline document")
 	newPath := flag.String("new", "", "freshly generated document (required)")
-	threshold := flag.Float64("threshold", 25, "max allowed ns/op regression in percent")
-	keysFlag := flag.String("keys", "", "comma-separated key benchmarks (default: curated hot-path list)")
 	flag.Parse()
 	if *newPath == "" {
 		fmt.Fprintln(os.Stderr, "benchcompare: -new is required")
 		os.Exit(2)
 	}
-	if *threshold <= 0 {
-		fmt.Fprintln(os.Stderr, "benchcompare: -threshold must be positive")
-		os.Exit(2)
-	}
-	keys := defaultKeys
-	if *keysFlag != "" {
-		keys = nil
-		for _, k := range strings.Split(*keysFlag, ",") {
-			if k = strings.TrimSpace(k); k != "" {
-				keys = append(keys, k)
-			}
-		}
-	}
-
 	oldE, err := loadLatest(*oldPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcompare:", err)
@@ -90,34 +68,48 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchcompare:", err)
 		os.Exit(1)
 	}
-	oldNs, newNs := nsByName(oldE), nsByName(newE)
 
 	fmt.Printf("comparing %s (baseline %s) vs %s (%s), threshold +%.0f%%\n",
-		*oldPath, oldE.Commit, *newPath, newE.Commit, *threshold)
-	failed := 0
+		*oldPath, oldE.Commit, *newPath, newE.Commit, threshold)
+	if failed := compare(os.Stdout, oldE, newE); failed > 0 {
+		fmt.Fprintf(os.Stderr, "benchcompare: %d key benchmark(s) regressed more than %.0f%%\n", failed, threshold)
+		os.Exit(1)
+	}
+	fmt.Println("no key benchmark regressed beyond the threshold")
+}
+
+// compare prints one line per key and returns how many keys regressed by
+// more than threshold percent. A key missing from either entry, or with a
+// zero baseline, is skipped rather than failed.
+func compare(w io.Writer, oldE, newE benchfile.Entry) (failed int) {
+	oldNs, newNs := nsByName(oldE), nsByName(newE)
 	for _, k := range keys {
 		o, okO := oldNs[k]
 		n, okN := newNs[k]
 		switch {
 		case !okO || !okN:
-			fmt.Printf("  %-24s skipped (missing from %s)\n", k, missingSide(okO, okN))
+			fmt.Fprintf(w, "  %-24s skipped (missing from %s)\n", k, missingSide(okO, okN))
 		case o <= 0:
-			fmt.Printf("  %-24s skipped (baseline 0 ns/op)\n", k)
+			fmt.Fprintf(w, "  %-24s skipped (baseline 0 ns/op)\n", k)
 		default:
 			delta := (n - o) / o * 100
 			verdict := "ok"
-			if delta > *threshold {
+			if delta > threshold {
 				verdict = "REGRESSED"
 				failed++
 			}
-			fmt.Printf("  %-24s %10.1f -> %10.1f ns/op  %+6.1f%%  %s\n", k, o, n, delta, verdict)
+			fmt.Fprintf(w, "  %-24s %10.1f -> %10.1f ns/op  %+6.1f%%  %s\n", k, o, n, delta, verdict)
 		}
 	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "benchcompare: %d key benchmark(s) regressed more than %.0f%%\n", failed, *threshold)
-		os.Exit(1)
+	return failed
+}
+
+func nsByName(e benchfile.Entry) map[string]float64 {
+	m := make(map[string]float64, len(e.Benchmarks))
+	for _, b := range e.Benchmarks {
+		m[b.Name] = b.NsPerOp
 	}
-	fmt.Println("no key benchmark regressed beyond the threshold")
+	return m
 }
 
 func loadLatest(path string) (benchfile.Entry, error) {

@@ -37,8 +37,8 @@
 // -cpuprofile/-memprofile capture pprof profiles in every mode (see the
 // README's Profiling subsection).
 // The cluster-scale scenario (256 workers, thousands of jobs) is the
-// perf-baseline workload that `make bench-json` records in BENCH_sim.json;
-// see the README's Performance section.
+// perf-baseline workload that `go run ./bench` measures end to end; see
+// the README's Performance section.
 package main
 
 import (

@@ -74,9 +74,9 @@ func init() {
 		MaxContainersPerWorker: 8,
 	})
 	// megacluster is the acceptance run for lazy generation: ~1M jobs
-	// over a 10-hour simulated day on 1000 workers. `make bench-json`
-	// records its smoke sibling; the full run lands in BENCH_sim.json
-	// via `bench-json -mega full`.
+	// over a 10-hour simulated day on 1000 workers. `go run ./bench`
+	// measures its smoke sibling; time the full run from outside with
+	// `/usr/bin/time -v flowcon-sim -scenario megacluster -seeds 1`.
 	mustRegisterScenario(megaclusterScenario("megacluster", 1000, 28, 36000, 45000, 1200000))
 	mustRegisterScenario(megaclusterScenario("megacluster-5k", 5000, 140, 7500, 12000, 1300000))
 	// megacluster-smoke is the CI-sized slice: same cluster and rates,

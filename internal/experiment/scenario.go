@@ -349,8 +349,8 @@ func init() {
 	// workers and thousands of jobs, steady Poisson traffic with a
 	// flash-crowd spike on top (FlashCrowd = Poisson base + superimposed
 	// burst). It exists to exercise the simulation hot path at the
-	// cluster sizes the ROADMAP's north star targets; `make bench-json`
-	// runs it and records the result in BENCH_sim.json.
+	// cluster sizes the ROADMAP's north star targets; `go run ./bench`
+	// measures it end to end as its cluster-scale workload.
 	clusterScale := workload.FlashCrowd{BaseRate: 3, SpikeAt: 600, SpikeSec: 60, SpikeRate: 12,
 		WindowSec: 900, MaxJobs: 5000}
 	clusterScaleGen := workload.Generator{Process: clusterScale, Mix: catalog, MinJobs: 256}

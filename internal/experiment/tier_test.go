@@ -3,6 +3,8 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/metrics"
@@ -67,7 +69,9 @@ func TestSummaryTierResultShape(t *testing.T) {
 // TestSummaryTierMemoryClusterScale is the acceptance criterion for the
 // memory model: on the 256-worker cluster-scale scenario the summary
 // tier's collector must retain at least 5× less memory than the dense
-// tier — O(jobs), not O(jobs × makespan).
+// tier — O(jobs), not O(jobs × makespan) — and the sketches it keeps
+// instead of raw series must stay within metrics.SketchAccuracy of the
+// exact quantiles.
 func TestSummaryTierMemoryClusterScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster-scale memory comparison is expensive; run without -short")
@@ -97,5 +101,36 @@ func TestSummaryTierMemoryClusterScale(t *testing.T) {
 	}
 	if dense.Makespan != summary.Makespan {
 		t.Errorf("tier changed simulation output: makespan %g vs %g", dense.Makespan, summary.Makespan)
+	}
+
+	// The dense collector keeps both the raw CPU series and the streaming
+	// sketches of the same samples, so it can check the summary tier's
+	// accuracy claim against ground truth: for every job with a
+	// meaningfully long series, the sketch's p50/p95/p99 must sit within
+	// SketchAccuracy relative error of the exact sorted-sample quantile.
+	col := dense.Collector
+	checked := 0
+	for _, job := range col.Jobs() {
+		series, sum := col.CPUSeries(job.Name), col.CPUSummary(job.Name)
+		if series == nil || sum == nil || series.Len() < 20 {
+			continue
+		}
+		checked++
+		vals := make([]float64, 0, series.Len())
+		for _, p := range series.Points() {
+			vals = append(vals, p.V)
+		}
+		sort.Float64s(vals)
+		for _, q := range []float64{0.5, 0.95, 0.99} {
+			exact := vals[int(q*float64(len(vals)-1))]
+			est := sum.Quantile(q)
+			if rel := math.Abs(est-exact) / math.Max(math.Abs(exact), 1e-9); rel > metrics.SketchAccuracy {
+				t.Errorf("job %s p%g: sketch %g vs exact %g, relative error %g > %g",
+					job.Name, q*100, est, exact, rel, metrics.SketchAccuracy)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no job had a dense CPU series long enough to check the sketch")
 	}
 }

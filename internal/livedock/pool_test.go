@@ -209,8 +209,7 @@ func TestExitOrderAcrossIDRollover(t *testing.T) {
 
 // Ids are unique because one counter mints them; if that ever breaks, the
 // launch that would put a second container under an id panics instead of
-// corrupting the pool (the check resource.AllocateMap used to make on
-// every reallocation).
+// corrupting the pool.
 func TestDuplicateContainerIDPanics(t *testing.T) {
 	n := NewNodeWithClock(1.0, newFakeClock().Now)
 	if _, err := n.Run("a", &tinyJob{total: 10}); err != nil {

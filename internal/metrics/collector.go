@@ -502,8 +502,9 @@ func (c *Collector) GrowthAt(name string, t float64) (float64, bool) {
 // job, the record itself (lifecycle fields and the summaries it embeds)
 // plus everything it points at — sketch bucket slices, raw series or the
 // compact trajectory — and an estimate for its two index entries. It is
-// the figure cmd/benchjson records as collector_bytes, used to verify the
-// summary tier is O(jobs) rather than O(jobs × makespan).
+// the figure ./bench reports as metrics.collector_mb, and the one
+// TestSummaryTierMemoryClusterScale uses to verify the summary tier is
+// O(jobs) rather than O(jobs × makespan).
 func (c *Collector) MemoryBytes() int {
 	// The name and container-id index entries: a string header and a
 	// pointer each, at the runtime map's ~7/8 load factor. Key bytes

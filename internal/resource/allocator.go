@@ -143,15 +143,6 @@ func growFloats(s []float64, n int) []float64 {
 	return s
 }
 
-// AllocateMap is Allocate with a map result, convenient for lookups.
-func AllocateMap(capacity float64, claims []Claim) map[string]float64 {
-	m := make(map[string]float64, len(claims))
-	for _, a := range Allocate(capacity, claims) {
-		m[a.ID] = a.Amount
-	}
-	return m
-}
-
 // waterFill distributes capacity among a.caps/a.weights entries into
 // a.fill: capacity flows in proportion to weights, clamped at each entry's
 // cap, with the remainder redistributed among unsaturated entries until

@@ -10,6 +10,15 @@ import (
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// allocateMap is Allocate keyed by claim id, for lookups in assertions.
+func allocateMap(capacity float64, claims []Claim) map[string]float64 {
+	m := make(map[string]float64, len(claims))
+	for _, a := range Allocate(capacity, claims) {
+		m[a.ID] = a.Amount
+	}
+	return m
+}
+
 func TestAllocateEmptyAndZero(t *testing.T) {
 	if got := Allocate(1.0, nil); len(got) != 0 {
 		t.Fatalf("Allocate(1, nil) = %v, want empty", got)
@@ -21,14 +30,14 @@ func TestAllocateEmptyAndZero(t *testing.T) {
 }
 
 func TestAllocateSingleUnlimited(t *testing.T) {
-	got := AllocateMap(1.0, []Claim{{ID: "a", Limit: 1, Demand: 2}})
+	got := allocateMap(1.0, []Claim{{ID: "a", Limit: 1, Demand: 2}})
 	if !approx(got["a"], 1.0) {
 		t.Fatalf("single claim got %v, want full capacity", got["a"])
 	}
 }
 
 func TestAllocateSingleDemandBound(t *testing.T) {
-	got := AllocateMap(1.0, []Claim{{ID: "a", Limit: 1, Demand: 0.3}})
+	got := allocateMap(1.0, []Claim{{ID: "a", Limit: 1, Demand: 0.3}})
 	if !approx(got["a"], 0.3) {
 		t.Fatalf("got %v, want demand-bound 0.3", got["a"])
 	}
@@ -38,7 +47,7 @@ func TestAllocateSingleDemandBound(t *testing.T) {
 // on the node uses the whole node regardless of its weight — the Figure 7
 // behaviour where VAE returns to full usage once its competitors exit.
 func TestAllocateWeightIgnoredWhenAlone(t *testing.T) {
-	got := AllocateMap(1.0, []Claim{{ID: "vae", Limit: 0.25, Demand: 1.0}})
+	got := allocateMap(1.0, []Claim{{ID: "vae", Limit: 0.25, Demand: 1.0}})
 	if !approx(got["vae"], 1.0) {
 		t.Fatalf("solo weighted container got %v, want 1.0 (work conserving)", got["vae"])
 	}
@@ -48,7 +57,7 @@ func TestAllocateWeightIgnoredWhenAlone(t *testing.T) {
 // t=40s where VAE is limited to 0.25 and MNIST to 1 splits 0.2/0.8 (the
 // paper reads it as 25%/75%).
 func TestAllocateWeightsUnderContention(t *testing.T) {
-	got := AllocateMap(1.0, []Claim{
+	got := allocateMap(1.0, []Claim{
 		{ID: "vae", Limit: 0.25, Demand: 1.0},
 		{ID: "mnist", Limit: 1.0, Demand: 1.0},
 	})
@@ -59,7 +68,7 @@ func TestAllocateWeightsUnderContention(t *testing.T) {
 
 func TestAllocateEqualSharesNA(t *testing.T) {
 	// NA baseline: all limits 1, ample demand -> equal split.
-	got := AllocateMap(1.0, []Claim{
+	got := allocateMap(1.0, []Claim{
 		{ID: "a", Limit: 1, Demand: 1},
 		{ID: "b", Limit: 1, Demand: 1},
 		{ID: "c", Limit: 1, Demand: 1},
@@ -74,7 +83,7 @@ func TestAllocateEqualSharesNA(t *testing.T) {
 func TestAllocateLowDemandSlackRedistributed(t *testing.T) {
 	// The Section 5.4 observation: LSTM-CFC demands only ~0.2; the other
 	// job should absorb the slack (19%/79%-style split).
-	got := AllocateMap(1.0, []Claim{
+	got := allocateMap(1.0, []Claim{
 		{ID: "cfc", Limit: 1, Demand: 0.2},
 		{ID: "vae", Limit: 1, Demand: 1.0},
 	})
@@ -87,7 +96,7 @@ func TestAllocateDemandSlackFlowsToLowWeight(t *testing.T) {
 	// One container weighted 0.1 but hungry, one satisfied early: the
 	// slack the satisfied container leaves flows to the low-weight one —
 	// "the unused option will be utilized by others".
-	got := AllocateMap(1.0, []Claim{
+	got := allocateMap(1.0, []Claim{
 		{ID: "limited", Limit: 0.1, Demand: 1.0},
 		{ID: "small", Limit: 1.0, Demand: 0.3},
 	})
@@ -99,7 +108,7 @@ func TestAllocateDemandSlackFlowsToLowWeight(t *testing.T) {
 func TestAllocateProportionalToLimits(t *testing.T) {
 	// Three contending containers with FlowCon-style limits: allocation is
 	// proportional to limits when all demands exceed their share.
-	got := AllocateMap(1.0, []Claim{
+	got := allocateMap(1.0, []Claim{
 		{ID: "a", Limit: 0.5, Demand: 1},
 		{ID: "b", Limit: 0.3, Demand: 1},
 		{ID: "c", Limit: 0.2, Demand: 1},
@@ -112,7 +121,7 @@ func TestAllocateProportionalToLimits(t *testing.T) {
 func TestAllocateLowWeightsStillUseFullNode(t *testing.T) {
 	// Because limits are weights, a configuration summing below 1 never
 	// strands capacity — only ratios matter.
-	got := AllocateMap(1.0, []Claim{
+	got := allocateMap(1.0, []Claim{
 		{ID: "a", Limit: 0.2, Demand: 1},
 		{ID: "b", Limit: 0.2, Demand: 1},
 	})
@@ -129,7 +138,7 @@ func TestAllocateFlooredConvergedPlusOneGrower(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		claims = append(claims, Claim{ID: fmt.Sprintf("cl%d", i), Limit: 0.05, Demand: 1})
 	}
-	got := AllocateMap(1.0, claims)
+	got := allocateMap(1.0, claims)
 	if !approx(got["grower"], 1.0/1.45) {
 		t.Fatalf("grower got %v, want %v", got["grower"], 1.0/1.45)
 	}

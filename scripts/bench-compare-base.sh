@@ -40,7 +40,5 @@ if ! (cd "$dir/base" && go run ./cmd/benchjson -benchtime "$BENCHTIME" -out "$di
     exit 0
 fi
 echo "bench-compare-base: recording working tree..."
-# -mega off: the gate diffs microbenchmarks only, and the merge base may
-# predate the megacluster scenarios anyway.
-go run ./cmd/benchjson -benchtime "$BENCHTIME" -out "$dir/head.json" -mega off
+go run ./cmd/benchjson -benchtime "$BENCHTIME" -out "$dir/head.json"
 go run ./cmd/benchcompare -old "$dir/base.json" -new "$dir/head.json"
