@@ -35,9 +35,11 @@ const threshold = 25.0
 // settle/reallocate ladder top, one Algorithm 1 plan applied by the
 // daemon (128 updates, one fill), one full Algorithm 1 cycle, the
 // migration round trip, one metrics sampler pass (the observer, which
-// runs every sampling period on every node), and one arrival on a live
-// node already running 4000 containers (the /v1/jobs submit path) — the
-// benchmarks the ROADMAP's perf baseline tracks across PRs.
+// runs every sampling period on every node), one arrival on a live node
+// already running 4000 containers (the /v1/jobs submit path), and one
+// default placement scan over 1000 workers (the manager's per-arrival
+// serial step) — the benchmarks the ROADMAP's perf baseline tracks
+// across PRs.
 var keys = []string{
 	"ScheduleCancel/256",
 	"Settle/256",
@@ -48,6 +50,7 @@ var keys = []string{
 	"Migrate/256",
 	"SamplerPass/256",
 	"NodeLaunch/4000",
+	"LeastLoaded/1000",
 }
 
 func main() {

@@ -2,9 +2,10 @@
 // the simulation hot-path microbenchmarks (event cancellation, daemon
 // settle/reallocate and plan apply, Algorithm 1, the migration ladder,
 // sharded lanes, sketch insert and the metrics sampler pass) across the
-// 16/64/256 containers-per-node ladder and the live node's launch/lookup
-// pair at 1/1000/4000 running, and appends the results as one per-commit
-// entry to BENCH_sim.json.
+// 16/64/256 containers-per-node ladder, the placement scan over 256 and
+// 1000 workers, and the live node's launch/lookup pair at 1/1000/4000
+// running, and appends the results as one per-commit entry to
+// BENCH_sim.json.
 //
 // Usage:
 //
@@ -44,11 +45,13 @@ import (
 // (checkpoint/restore in simdocker, full manager-mediated migrate and
 // rebalancer scans in migrate), the observer (sketch insert in stats,
 // the sampler pass and the whole collector tick over 16/256 workers in
-// metrics) and the live submit path (launch and
+// metrics), the manager's placement scan (LeastLoaded and BinPackMemory
+// over loaded workers in cluster) and the live submit path (launch and
 // status lookup on a livedock node).
 var benchPackages = []string{
 	"./internal/sim",
 	"./internal/simdocker",
+	"./internal/cluster",
 	"./internal/flowcon",
 	"./internal/migrate",
 	"./internal/stats",

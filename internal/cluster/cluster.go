@@ -259,7 +259,9 @@ func (w *Worker) Cordoned() bool { return w.cordoned }
 
 // CanHost reports whether the worker can admit a job with the given
 // profile right now: it is alive, not cordoned, below its container cap,
-// and the job's resident memory fits the node without overcommit.
+// and the job's resident memory fits the node without overcommit. The
+// built-in placements consult it only for a would-be winner, so it must
+// stay a pure read: no side effects, no caching across calls.
 func (w *Worker) CanHost(p dlmodel.Profile) bool {
 	if w.failed || w.cordoned {
 		return false
@@ -303,19 +305,28 @@ func (w *Worker) Restore(cp *runtime.Checkpoint) (runtime.Container, error) {
 }
 
 // Placement selects a worker able to host the given job, or nil to make
-// the manager queue the job until capacity frees up.
+// the manager queue the job until capacity frees up. The built-in
+// placements read each worker's ranking value once and consult CanHost
+// only for a worker that would beat the best so far, so a worker the
+// scan would not choose is never asked; CanHost must therefore stay free
+// of side effects.
 type Placement func(workers []*Worker, p dlmodel.Profile) *Worker
 
 // LeastLoaded places on the hosting-capable worker with the fewest running
 // containers, breaking ties by declaration order — the spread strategy.
+// It reads RunningCount once per worker and asks CanHost only of a worker
+// with strictly fewer containers than the best so far: on a remote
+// backend a placement costs about one ping per worker.
 func LeastLoaded(workers []*Worker, p dlmodel.Profile) *Worker {
 	var best *Worker
+	bestN := 0
 	for _, w := range workers {
-		if !w.CanHost(p) {
+		n := w.RunningCount()
+		if best != nil && n >= bestN {
 			continue
 		}
-		if best == nil || w.RunningCount() < best.RunningCount() {
-			best = w
+		if w.CanHost(p) {
+			best, bestN = w, n
 		}
 	}
 	return best
@@ -323,15 +334,20 @@ func LeastLoaded(workers []*Worker, p dlmodel.Profile) *Worker {
 
 // BinPackMemory places on the hosting-capable worker with the least free
 // memory that still fits the job — the consolidation strategy used by
-// server-consolidation schedulers in the related work.
+// server-consolidation schedulers in the related work. Like LeastLoaded
+// it reads MemoryFree once per worker and asks CanHost only of a worker
+// that would win; ties go to declaration order, and a NaN free-memory
+// reading on either side never displaces the best so far.
 func BinPackMemory(workers []*Worker, p dlmodel.Profile) *Worker {
 	var best *Worker
+	bestFree := 0.0
 	for _, w := range workers {
-		if !w.CanHost(p) {
+		free := w.MemoryFree()
+		if best != nil && !(free < bestFree) {
 			continue
 		}
-		if best == nil || w.MemoryFree() < best.MemoryFree() {
-			best = w
+		if w.CanHost(p) {
+			best, bestFree = w, free
 		}
 	}
 	return best

@@ -19,6 +19,7 @@
 package dlmodel
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -148,35 +149,39 @@ func (c StagedCurve) Slope(work float64) float64 {
 	panic("dlmodel: StagedCurve with no stages")
 }
 
-// validateCurve panics if the curve's parameters are malformed.
-func validateCurve(c Curve) {
+// validateCurve returns an error if the curve's parameters are malformed.
+// The tests are positive range tests, so a NaN parameter fails them.
+func validateCurve(c Curve) error {
 	switch cc := c.(type) {
 	case ExpCurve:
-		if cc.K <= 0 {
-			panic(fmt.Sprintf("dlmodel: ExpCurve K=%g must be positive", cc.K))
+		if !(cc.K > 0) {
+			return fmt.Errorf("dlmodel: ExpCurve K=%g must be positive", cc.K)
 		}
 	case PowerCurve:
-		if cc.W0 <= 0 || cc.P <= 0 {
-			panic(fmt.Sprintf("dlmodel: PowerCurve W0=%g P=%g must be positive", cc.W0, cc.P))
+		if !(cc.W0 > 0 && cc.P > 0) {
+			return fmt.Errorf("dlmodel: PowerCurve W0=%g P=%g must be positive", cc.W0, cc.P)
 		}
 	case LogisticCurve:
-		if cc.W0 <= 0 || cc.S <= 0 {
-			panic(fmt.Sprintf("dlmodel: LogisticCurve W0=%g S=%g must be positive", cc.W0, cc.S))
+		if !(cc.W0 > 0 && cc.S > 0) {
+			return fmt.Errorf("dlmodel: LogisticCurve W0=%g S=%g must be positive", cc.W0, cc.S)
 		}
 	case StagedCurve:
 		if len(cc.Stages) == 0 {
-			panic("dlmodel: StagedCurve needs at least one stage")
+			return errors.New("dlmodel: StagedCurve needs at least one stage")
 		}
 		if len(cc.Bounds) != len(cc.Stages)-1 {
-			panic("dlmodel: StagedCurve bounds/stages mismatch")
+			return errors.New("dlmodel: StagedCurve bounds/stages mismatch")
 		}
 		for i := 1; i < len(cc.Bounds); i++ {
-			if cc.Bounds[i] <= cc.Bounds[i-1] {
-				panic("dlmodel: StagedCurve bounds must ascend")
+			if !(cc.Bounds[i] > cc.Bounds[i-1]) {
+				return errors.New("dlmodel: StagedCurve bounds must ascend")
 			}
 		}
 		for _, s := range cc.Stages {
-			validateCurve(s)
+			if err := validateCurve(s); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }

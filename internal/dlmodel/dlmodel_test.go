@@ -64,7 +64,9 @@ func TestStagedCurveContinuity(t *testing.T) {
 		},
 		Bounds: []float64{20},
 	}
-	validateCurve(c)
+	if err := validateCurve(c); err != nil {
+		t.Fatal(err)
+	}
 	left := c.Eval(20 - 1e-9)
 	right := c.Eval(20 + 1e-9)
 	if math.Abs(left-right) > 1e-6 {
@@ -88,14 +90,9 @@ func TestStagedCurveValidation(t *testing.T) {
 		{Stages: []Curve{ExpCurve{Start: 1, Final: 0, K: 1}, ExpCurve{Start: 1, Final: 0, K: 1}, ExpCurve{Start: 1, Final: 0, K: 1}}, Bounds: []float64{5, 5}},
 	}
 	for i, c := range bad {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: invalid StagedCurve did not panic", i)
-				}
-			}()
-			validateCurve(c)
-		}()
+		if validateCurve(c) == nil {
+			t.Errorf("case %d: invalid StagedCurve accepted", i)
+		}
 	}
 }
 
@@ -343,6 +340,14 @@ func TestProfileValidatePanics(t *testing.T) {
 		func(p *Profile) { p.Curve = nil },
 		func(p *Profile) { p.NoiseAmp = -1 },
 		func(p *Profile) { p.Curve = ExpCurve{Start: 1, Final: 0, K: 0} },
+		func(p *Profile) { p.Curve = ExpCurve{Start: 1, Final: 0, K: math.NaN()} },
+		func(p *Profile) { p.TotalWork = math.NaN() },
+		func(p *Profile) { p.TotalWork = math.Inf(1) },
+		func(p *Profile) { p.CPUDemand = math.NaN() },
+		func(p *Profile) { p.NoiseAmp = math.NaN() },
+		func(p *Profile) { p.MemoryBytes = math.NaN() },
+		func(p *Profile) { p.MemoryBytes = math.Inf(1) },
+		func(p *Profile) { p.MemoryBytes = -1 },
 	}
 	for i, mutate := range cases {
 		p := good

@@ -1,6 +1,7 @@
 package dlmodel
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -64,25 +65,41 @@ type Profile struct {
 	NoiseAmp float64
 }
 
-// Validate panics if the profile is malformed. Catalog construction calls
-// this, so a bad profile fails fast at startup rather than mid-experiment.
-func (p Profile) Validate() {
+// Check reports how the profile is malformed, or nil. Every numeric test
+// is a positive range test, so NaN fails it. Profiles are user input to
+// the experiment runner, which calls Check to turn a bad one into an
+// error instead of a panic mid-run.
+func (p Profile) Check() error {
 	if p.Name == "" {
-		panic("dlmodel: profile with empty name")
+		return errors.New("dlmodel: profile with empty name")
 	}
-	if p.TotalWork <= 0 {
-		panic(fmt.Sprintf("dlmodel: profile %s TotalWork=%g must be positive", p.Name, p.TotalWork))
+	if !(p.TotalWork > 0 && p.TotalWork <= math.MaxFloat64) {
+		return fmt.Errorf("dlmodel: profile %s TotalWork=%g must be positive and finite", p.Name, p.TotalWork)
 	}
-	if p.CPUDemand <= 0 || p.CPUDemand > 1 {
-		panic(fmt.Sprintf("dlmodel: profile %s CPUDemand=%g outside (0,1]", p.Name, p.CPUDemand))
+	if !(p.CPUDemand > 0 && p.CPUDemand <= 1) {
+		return fmt.Errorf("dlmodel: profile %s CPUDemand=%g outside (0,1]", p.Name, p.CPUDemand)
 	}
 	if p.Curve == nil {
-		panic(fmt.Sprintf("dlmodel: profile %s has nil curve", p.Name))
+		return fmt.Errorf("dlmodel: profile %s has nil curve", p.Name)
 	}
-	if p.NoiseAmp < 0 {
-		panic(fmt.Sprintf("dlmodel: profile %s NoiseAmp=%g negative", p.Name, p.NoiseAmp))
+	if !(p.NoiseAmp >= 0 && p.NoiseAmp <= math.MaxFloat64) {
+		return fmt.Errorf("dlmodel: profile %s NoiseAmp=%g must be finite and non-negative", p.Name, p.NoiseAmp)
 	}
-	validateCurve(p.Curve)
+	// A NaN footprint would make the node's memory aggregate NaN and
+	// silently disable memory admission there for good.
+	if !(p.MemoryBytes >= 0 && p.MemoryBytes <= math.MaxFloat64) {
+		return fmt.Errorf("dlmodel: profile %s MemoryBytes=%g must be finite and non-negative", p.Name, p.MemoryBytes)
+	}
+	return validateCurve(p.Curve)
+}
+
+// Validate panics if the profile is malformed (see Check). Catalog
+// construction calls this, so a bad built-in profile fails fast at
+// startup rather than mid-experiment.
+func (p Profile) Validate() {
+	if err := p.Check(); err != nil {
+		panic(err.Error())
+	}
 }
 
 // Key returns "Name (Framework)" — the label format used in the paper's

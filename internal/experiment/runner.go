@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
+	"repro/internal/dlmodel"
 	"repro/internal/faults"
 	"repro/internal/flowcon"
 	"repro/internal/metrics"
@@ -229,6 +230,16 @@ func (spec Spec) arrivalStream() workload.ArrivalStream {
 	return workload.SliceStream(subs)
 }
 
+// checkProfile reports why a submitted profile cannot run: it is
+// malformed, or its framework has no image.
+func checkProfile(p dlmodel.Profile) error {
+	if err := p.Check(); err != nil {
+		return err
+	}
+	_, err := cluster.ImageFor(p.Framework)
+	return err
+}
+
 // Run executes the spec to completion (or horizon) and returns the result.
 // It panics on an invalid spec; Sweep and other programmatic callers should
 // prefer RunE, which reports the same conditions as errors.
@@ -242,8 +253,9 @@ func Run(spec Spec) *Result {
 
 // RunE executes the spec to completion (or horizon) and returns the
 // result. Unlike Run it rejects invalid specs — nil policy, empty
-// submissions, out-of-range fault or drain index — with an error instead
-// of a panic.
+// submissions, a malformed job profile, a non-finite or out-of-range node
+// setting, out-of-range fault or drain index — with an error instead of a
+// panic.
 func RunE(spec Spec) (*Result, error) {
 	if spec.NewPolicy == nil {
 		return nil, fmt.Errorf("experiment: spec %q without policy", spec.Name)
@@ -255,15 +267,28 @@ func RunE(spec Spec) (*Result, error) {
 		return nil, fmt.Errorf("experiment: spec %q sets both Submissions and Arrivals", spec.Name)
 	}
 	for _, s := range spec.Submissions {
-		// A framework with no image would otherwise surface as a launch
-		// panic mid-run; custom profiles are user input, so fail upfront
-		// (a lazy stream can only be checked as each arrival fires).
-		if _, err := cluster.ImageFor(s.Profile.Framework); err != nil {
+		// A malformed profile or a framework with no image would otherwise
+		// surface as a panic mid-run; custom profiles are user input, so
+		// fail upfront (a lazy stream can only be checked as each arrival
+		// fires).
+		if err := checkProfile(s.Profile); err != nil {
 			return nil, fmt.Errorf("experiment: spec %q job %q: %v", spec.Name, s.Name, err)
 		}
 	}
 	if spec.Workers < 0 {
 		return nil, fmt.Errorf("experiment: spec %q has negative worker count %d", spec.Name, spec.Workers)
+	}
+	if !(spec.Capacity >= 0) || math.IsInf(spec.Capacity, 0) {
+		return nil, fmt.Errorf("experiment: spec %q capacity %g must be finite and non-negative (0 = default)", spec.Name, spec.Capacity)
+	}
+	if math.IsNaN(spec.ContentionOverhead) || math.IsInf(spec.ContentionOverhead, 0) {
+		return nil, fmt.Errorf("experiment: spec %q contention overhead %g must be finite (0 = default, negative = none)", spec.Name, spec.ContentionOverhead)
+	}
+	if math.IsNaN(spec.MemoryBytesPerWorker) || math.IsInf(spec.MemoryBytesPerWorker, 0) {
+		return nil, fmt.Errorf("experiment: spec %q memory per worker %g must be finite (0 = default, negative = unmodelled)", spec.Name, spec.MemoryBytesPerWorker)
+	}
+	if spec.MaxContainersPerWorker < 0 {
+		return nil, fmt.Errorf("experiment: spec %q has negative container cap %d (0 = unlimited)", spec.Name, spec.MaxContainersPerWorker)
 	}
 	if math.IsNaN(spec.SamplePeriod) || math.IsInf(spec.SamplePeriod, 0) || spec.SamplePeriod < 0 {
 		return nil, fmt.Errorf("experiment: spec %q sample period %g must be finite and non-negative (0 = default)", spec.Name, spec.SamplePeriod)
@@ -466,7 +491,7 @@ func RunE(spec Spec) (*Result, error) {
 	var schedule func(sub workload.Submission)
 	schedule = func(sub workload.Submission) {
 		engine.At(sim.Time(sub.At), sim.PriorityState, "experiment.arrive."+sub.Name, func() {
-			if _, err := cluster.ImageFor(sub.Profile.Framework); err != nil {
+			if err := checkProfile(sub.Profile); err != nil {
 				fail(fmt.Errorf("experiment: spec %q job %q: %v", spec.Name, sub.Name, err))
 				return
 			}

@@ -3,10 +3,12 @@ package experiment
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/dlmodel"
 	"repro/internal/flowcon"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -193,6 +195,14 @@ func TestSweepObserver(t *testing.T) {
 	}
 }
 
+// withProfile returns a copy of subs with the last job's profile mutated,
+// so a lazy stream meets the bad profile mid-run.
+func withProfile(subs []workload.Submission, mutate func(*dlmodel.Profile)) []workload.Submission {
+	out := slices.Clone(subs)
+	mutate(&out[len(out)-1].Profile)
+	return out
+}
+
 func TestRunEValidation(t *testing.T) {
 	subs := workload.FixedSchedule()
 	for name, spec := range map[string]Spec{
@@ -214,6 +224,20 @@ func TestRunEValidation(t *testing.T) {
 		"NaN horizon":            {NewPolicy: NAPolicy(20), Submissions: subs, Horizon: math.NaN()},
 		"infinite horizon":       {NewPolicy: NAPolicy(20), Submissions: subs, Horizon: math.Inf(1)},
 		"negative horizon":       {NewPolicy: NAPolicy(20), Submissions: subs, Horizon: -1},
+		"NaN contention":         {NewPolicy: NAPolicy(20), Submissions: subs, ContentionOverhead: math.NaN()},
+		"infinite contention":    {NewPolicy: NAPolicy(20), Submissions: subs, ContentionOverhead: math.Inf(1)},
+		"NaN memory":             {NewPolicy: NAPolicy(20), Submissions: subs, MemoryBytesPerWorker: math.NaN()},
+		"infinite memory":        {NewPolicy: NAPolicy(20), Submissions: subs, MemoryBytesPerWorker: math.Inf(1)},
+		"NaN capacity":           {NewPolicy: NAPolicy(20), Submissions: subs, Capacity: math.NaN()},
+		"negative capacity":      {NewPolicy: NAPolicy(20), Submissions: subs, Capacity: -1},
+		"infinite capacity":      {NewPolicy: NAPolicy(20), Submissions: subs, Capacity: math.Inf(1)},
+		"negative container cap": {NewPolicy: NAPolicy(20), Submissions: subs, MaxContainersPerWorker: -1},
+		"NaN job memory":         {NewPolicy: NAPolicy(20), Submissions: withProfile(subs, func(p *dlmodel.Profile) { p.MemoryBytes = math.NaN() })},
+		"NaN job work":           {NewPolicy: NAPolicy(20), Submissions: withProfile(subs, func(p *dlmodel.Profile) { p.TotalWork = math.NaN() })},
+		"NaN streamed job memory": {
+			NewPolicy: NAPolicy(20),
+			Arrivals:  workload.SliceStream(withProfile(subs, func(p *dlmodel.Profile) { p.MemoryBytes = math.NaN() })),
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := RunE(spec); err == nil {

@@ -3,6 +3,7 @@ package simdocker
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/resource"
@@ -161,10 +162,11 @@ func (d *Daemon) SetIDPrefix(prefix string) {
 }
 
 // SetContentionOverhead sets the per-extra-container efficiency overhead
-// (see the contention field). Must be called before any container runs.
+// (see the contention field), a finite h ≥ 0. Must be called before any
+// container runs.
 func (d *Daemon) SetContentionOverhead(h float64) {
-	if h < 0 {
-		panic(fmt.Sprintf("simdocker: negative contention overhead %g", h))
+	if !(h >= 0 && h <= math.MaxFloat64) {
+		panic(fmt.Sprintf("simdocker: contention overhead %g must be finite and non-negative", h))
 	}
 	if len(d.containers) > 0 {
 		panic("simdocker: SetContentionOverhead after containers started")
@@ -176,10 +178,11 @@ func (d *Daemon) SetContentionOverhead(h float64) {
 func (d *Daemon) ContentionOverhead() float64 { return d.contention }
 
 // SetMemoryCapacity sets the node's physical memory in bytes (0 disables
-// memory modelling). Must be called before any container runs.
+// memory modelling), a finite value ≥ 0. Must be called before any
+// container runs.
 func (d *Daemon) SetMemoryCapacity(bytes float64) {
-	if bytes < 0 {
-		panic(fmt.Sprintf("simdocker: negative memory capacity %g", bytes))
+	if !(bytes >= 0 && bytes <= math.MaxFloat64) {
+		panic(fmt.Sprintf("simdocker: memory capacity %g must be finite and non-negative", bytes))
 	}
 	if len(d.containers) > 0 {
 		panic("simdocker: SetMemoryCapacity after containers started")

@@ -357,6 +357,26 @@ func TestNewDaemonValidation(t *testing.T) {
 			NewDaemon(sim.NewEngine(), 1).SetCapacity(capacity)
 		}()
 	}
+	// Contention overhead and memory capacity admit any finite value ≥ 0
+	// (0 = no contention / memory unmodelled).
+	for _, v := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, set := range map[string]func(*Daemon, float64){
+			"SetContentionOverhead": (*Daemon).SetContentionOverhead,
+			"SetMemoryCapacity":     (*Daemon).SetMemoryCapacity,
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%v) did not panic", name, v)
+					}
+				}()
+				set(NewDaemon(sim.NewEngine(), 1), v)
+			}()
+		}
+	}
+	d := NewDaemon(sim.NewEngine(), 1)
+	d.SetContentionOverhead(0)
+	d.SetMemoryCapacity(0)
 }
 
 // TestManyContainersDrain is a stress check: 30 staggered containers all
