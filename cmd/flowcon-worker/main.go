@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -55,13 +56,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "flowcon-worker:", err)
 		os.Exit(2)
 	}
-	if *capacity <= 0 {
-		logger.Error("capacity must be positive", "capacity", *capacity)
-		os.Exit(2)
-	}
-	if *maxRunning < 0 || *queueDepth < 0 {
-		logger.Error("admission limits must be non-negative",
-			"max_running", *maxRunning, "queue_depth", *queueDepth)
+	if err := checkFlags(*capacity, *settle, *maxRunning, *queueDepth); err != nil {
+		logger.Error("invalid flags", "err", err)
 		os.Exit(2)
 	}
 	node := livedock.NewNode(*capacity)
@@ -118,6 +114,23 @@ func main() {
 	}
 	<-done
 	logger.Info("flowcon-worker: stopped")
+}
+
+// checkFlags refuses settings the worker cannot run with, before anything
+// starts: the capacity must be positive and finite (a positive range
+// test, so NaN fails it), the settle period positive (a ticker panics on
+// anything else), and the admission limits non-negative.
+func checkFlags(capacity float64, settle time.Duration, maxRunning, queueDepth int) error {
+	if !(capacity > 0 && capacity <= math.MaxFloat64) {
+		return fmt.Errorf("-capacity %g must be positive and finite", capacity)
+	}
+	if settle <= 0 {
+		return fmt.Errorf("-settle %v must be positive", settle)
+	}
+	if maxRunning < 0 || queueDepth < 0 {
+		return fmt.Errorf("-max-running %d and -queue-depth %d must be non-negative", maxRunning, queueDepth)
+	}
+	return nil
 }
 
 // logRequests is a minimal access log at debug level — quiet by default,

@@ -26,9 +26,10 @@ func benchNode(b *testing.B, n int) *Node {
 
 // BenchmarkNodeLaunch measures one container arriving at, and leaving, a
 // node that already runs n: Launch then Checkpoint (exit and removal in
-// one call), so occupancy is n at every launch. Each half settles the
-// pool and re-runs the water-fill — the live submit path's O(running)
-// cost, gated at 4000 by cmd/benchcompare.
+// one call), so occupancy is n at every launch. Each half settles by the
+// virtual clock and moves O(log n) heap entries; the exit's
+// creation-order splice is what still grows with n. Gated at 4000 by
+// cmd/benchcompare.
 func BenchmarkNodeLaunch(b *testing.B) {
 	for _, n := range []int{1, 1000, 4000} {
 		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
@@ -49,8 +50,9 @@ func BenchmarkNodeLaunch(b *testing.B) {
 }
 
 // BenchmarkNodeLookup measures the status poll behind GET /v1/jobs/{name}:
-// on a wall clock every call has time to settle, so it is one accounting
-// pass over the running pool plus a name lookup.
+// on a wall clock every call has time to settle, so it is one advance of
+// the virtual clock, a name lookup and one container materialised. Gated
+// at 4000 by cmd/benchcompare.
 func BenchmarkNodeLookup(b *testing.B) {
 	const n = 4000
 	b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {

@@ -19,26 +19,56 @@
 // The pool is two pointer slices, both in creation order: order holds
 // every container until Remove, running the subset that is Running. A
 // container is appended to both on Launch, spliced out of running the
-// moment it exits and out of order on Remove, so the hot path (settle,
-// reallocate, PS, RunningStats) walks running and never looks an id up.
-// RunningCount is len(running) and MemoryUsed an incrementally kept sum.
-// Container ids are unique by construction (one sequence counter) and
-// that is enforced where an id enters the pool: Launch panics on a
-// duplicate, which is what lets reallocation use the unchecked
-// resource.Allocator. Every launch, exit and limit change moves every
-// share, so those stay O(running) by design — one accounting pass and
-// one water-fill.
+// moment it exits and out of order on Remove. RunningCount is
+// len(running) and MemoryUsed an incrementally kept sum. Container ids are
+// unique by construction (one sequence counter) and that is enforced where
+// an id enters the pool: Launch panics on a duplicate.
+//
+// # Accounting by virtual time
+//
+// Shares are resource.Allocate's proportional-share fill: with each
+// container's cap = min(demand, capacity) and its limit as the weight,
+// there is one water level L at which a container gets min(L·limit, cap).
+// Every running container is in one of three groups:
+//
+//   - fluid: cap/limit > L, share L·limit;
+//   - saturated: cap/limit <= L, share cap;
+//   - idle: cap or limit <= allocEps, share 0.
+//
+// L is (capacity − Σ saturated caps) / Σ fluid limits. The node keeps a
+// virtual clock V that advances by L·dt at each settle — the virtual time
+// of generalized processor sharing (Parekh & Gallager 1993) — so a fluid
+// container has earned limit·(V − x0) since it was last charged at x0.
+// That charge is applied only when the container is materialised: when it
+// is read, moves between groups or leaves. A settle pops only the fluid
+// containers whose virtual finish x0 + Remaining()/limit V has passed.
+// Saturated containers are few and are charged eagerly at every settle.
+//
+// Three indexed heaps hold the groups: fluid by cap/limit (min first),
+// saturated by cap/limit (max first) and fluid by virtual finish. After a
+// join, leave or limit change, heap tops move across the saturation
+// boundary until none crosses, and L is recomputed. So Launch, Lookup,
+// SetCPULimit, Stop and exits touch O(log n) containers plus those whose
+// cap the level crosses. Only the calls that return every container (PS,
+// RunningStats, Snapshot) and the creation-order splice of an exit are
+// O(running).
+//
+// A workload's demand is read once, when it joins: live workloads
+// (dlmodel jobs) keep a constant demand until they finish. Shares equal
+// resource.Allocate's to within float rounding, not bit for bit, because
+// L is one quotient where the allocator carries a progressive remainder.
 package livedock
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/flowcon"
-	"repro/internal/resource"
 	"repro/internal/runtime"
 )
 
@@ -74,13 +104,35 @@ var (
 // satisfies it.
 type Workload = runtime.Workload
 
+// allocEps is resource.Allocate's threshold: a cap or limit at or below it
+// takes no share.
+const allocEps = 1e-12
+
+// finishEps is remaining work small enough to count as finished, as
+// simdocker's completionEps: it absorbs the float residue between a
+// virtual finish and the clock that passes it.
+const finishEps = 1e-9
+
+// group is a running container's accounting group (see the package doc).
+type group uint8
+
+const (
+	// detached: exited, or between groups inside one operation.
+	detached group = iota
+	idle
+	fluid
+	saturated
+)
+
 // Container is one live containerized job.
 type Container struct {
-	ID       string
-	Name     string
-	Model    string
-	State    State
-	Limit    float64
+	ID    string
+	Name  string
+	Model string
+	State State
+	Limit float64
+	// Alloc is the CPU share at the instant of a Snapshot; the pool derives
+	// shares from the accounting group instead of storing them.
 	Alloc    float64
 	CPUSec   float64
 	Started  time.Time
@@ -91,6 +143,17 @@ type Container struct {
 	// seq is the creation sequence number the id was minted from; exit
 	// notifications are delivered in this order.
 	seq int
+
+	group group
+	// cap is min(demand, capacity), read once at launch; ratio is
+	// cap/Limit, the level at which the container saturates.
+	cap, ratio float64
+	// x0 is the virtual time a fluid container was last charged to, and
+	// finish the virtual time its remaining work runs out.
+	x0, finish float64
+	// ratioSlot is the container's index in its group's ratio heap,
+	// finishSlot in the finish heap.
+	ratioSlot, finishSlot int
 }
 
 // Node is a live worker node. All methods are safe for concurrent use.
@@ -109,9 +172,17 @@ type Node struct {
 	memUsed    float64
 	seq        int
 	lastSettle time.Time
-	// alloc and claims are reused across reallocations.
-	alloc   resource.Allocator
-	claims  []resource.Claim
+
+	// The accounting state (see the package doc): vtime is the virtual
+	// clock V, level the water level L, and fluidLimits and satCaps the
+	// two sums L is computed from.
+	vtime, level         float64
+	fluidLimits, satCaps float64
+	fluidByRatio         pqueue
+	satByRatio           pqueue
+	byFinish             pqueue
+	idle                 []*Container
+
 	onStart []func(runtime.Container)
 	onExit  []func(runtime.Container)
 }
@@ -126,13 +197,15 @@ func NewNode(capacity float64) *Node {
 
 // NewNodeWithClock creates a node with an injected clock (tests).
 func NewNodeWithClock(capacity float64, clock func() time.Time) *Node {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("livedock: capacity %g must be positive", capacity))
+	// A positive range test, so NaN and +Inf fail it.
+	if !(capacity > 0 && capacity <= math.MaxFloat64) {
+		panic(fmt.Sprintf("livedock: capacity %g must be positive and finite", capacity))
 	}
 	if clock == nil {
 		panic("livedock: nil clock")
 	}
 	now := clock()
+	ratioSlot := func(c *Container) *int { return &c.ratioSlot }
 	return &Node{
 		capacity:   capacity,
 		clock:      clock,
@@ -140,6 +213,12 @@ func NewNodeWithClock(capacity float64, clock func() time.Time) *Node {
 		containers: make(map[string]*Container),
 		byName:     make(map[string]*Container),
 		lastSettle: now,
+		level:      math.Inf(1), // levelOf with nothing running
+		// Fluid containers saturate in increasing cap/limit order and
+		// saturated ones turn fluid in decreasing order.
+		fluidByRatio: pqueue{key: func(c *Container) float64 { return c.ratio }, slot: ratioSlot},
+		satByRatio:   pqueue{key: func(c *Container) float64 { return -c.ratio }, slot: ratioSlot},
+		byFinish:     pqueue{key: func(c *Container) float64 { return c.finish }, slot: func(c *Container) *int { return &c.finishSlot }},
 	}
 }
 
@@ -186,15 +265,16 @@ func (n *Node) OnExit(fn func(runtime.Container)) {
 	n.onExit = append(n.onExit, fn)
 }
 
-// view snapshots a container into the backend-neutral value form. Times
-// are seconds since the node's epoch.
+// view materialises a container and snapshots it into the backend-neutral
+// value form. Times are seconds since the node's epoch.
 func (n *Node) view(c *Container) runtime.Container {
+	n.materialise(c)
 	v := runtime.Container{
 		ID:          c.ID,
 		Name:        c.Name,
 		Model:       c.Model,
 		CPULimit:    c.Limit,
-		CPUAlloc:    c.Alloc,
+		CPUAlloc:    n.share(c),
 		CPUSeconds:  c.CPUSec,
 		MemoryBytes: c.memBytes,
 		StartedAt:   c.Started.Sub(n.epoch).Seconds(),
@@ -223,6 +303,11 @@ func (n *Node) Launch(spec runtime.LaunchSpec) (runtime.Container, error) {
 	if err != nil {
 		return runtime.Container{}, err
 	}
+	// Demand is read once, here, before the workload is shared.
+	demand := spec.Workload.CPUDemand()
+	if demand < 0 || math.IsNaN(demand) || math.IsInf(demand, 0) {
+		panic(fmt.Sprintf("livedock: workload has invalid demand %g", demand))
+	}
 	n.mu.Lock()
 	exited := n.settleLocked()
 	if spec.Name != "" {
@@ -234,8 +319,7 @@ func (n *Node) Launch(spec runtime.LaunchSpec) (runtime.Container, error) {
 	n.seq++
 	id := fmt.Sprintf("live-c%04d", n.seq)
 	if _, dup := n.containers[id]; dup {
-		// The one point an id enters the pool: reallocation relies on ids
-		// being unique instead of re-checking them on every call.
+		// The one point an id enters the pool; nothing later re-checks.
 		panic(fmt.Sprintf("livedock: duplicate container id %q", id))
 	}
 	name := spec.Name
@@ -245,6 +329,7 @@ func (n *Node) Launch(spec runtime.LaunchSpec) (runtime.Container, error) {
 	c := &Container{
 		ID: id, Name: name, Model: spec.Model, State: Running,
 		Limit: limit, Started: n.clock(), workload: spec.Workload, seq: n.seq,
+		cap: min(demand, n.capacity),
 	}
 	if mb, ok := spec.Workload.(interface{ MemoryBytes() float64 }); ok {
 		c.memBytes = mb.MemoryBytes()
@@ -254,7 +339,8 @@ func (n *Node) Launch(spec runtime.LaunchSpec) (runtime.Container, error) {
 	n.order = append(n.order, c)
 	n.running = append(n.running, c)
 	n.memUsed += c.memBytes
-	n.reallocateLocked()
+	n.attach(c)
+	n.rebalance()
 	v := n.view(c)
 	starts := append([]func(runtime.Container){}, n.onStart...)
 	n.unlockAndNotify(exited)
@@ -311,8 +397,12 @@ func (n *Node) SetCPULimit(id string, limit float64) error {
 		return fmt.Errorf("%w: %s", ErrNotRunning, id)
 	}
 	exited := n.settleLocked()
-	c.Limit = limit
-	n.reallocateLocked()
+	if c.State == Running {
+		n.detach(c)
+		c.Limit = limit
+		n.attach(c)
+		n.rebalance()
+	}
 	n.unlockAndNotify(exited)
 	return nil
 }
@@ -334,7 +424,6 @@ func (n *Node) Stop(id string) error {
 		n.exitLocked(c)
 		exited = append(exited, c)
 	}
-	n.reallocateLocked()
 	n.unlockAndNotify(exited)
 	return nil
 }
@@ -406,6 +495,7 @@ func (n *Node) RunningStats() []flowcon.Stat {
 	exited := n.settleLocked()
 	out := make([]flowcon.Stat, len(n.running))
 	for i, c := range n.running {
+		n.materialise(c)
 		out[i] = flowcon.Stat{
 			ID:          c.ID,
 			Eval:        c.workload.Eval(),
@@ -423,7 +513,9 @@ func (n *Node) Snapshot() []Container {
 	exited := n.settleLocked()
 	out := make([]Container, len(n.order))
 	for i, c := range n.order {
+		n.materialise(c)
 		out[i] = *c
+		out[i].Alloc = n.share(c)
 	}
 	n.unlockAndNotify(exited)
 	return out
@@ -446,6 +538,8 @@ func (n *Node) Checkpoint(id string) (*runtime.Checkpoint, error) {
 		n.unlockAndNotify(exited)
 		return nil, fmt.Errorf("%w: %s", ErrNotRunning, id)
 	}
+	n.exitLocked(c)
+	exited = append(exited, c)
 	cp := &runtime.Checkpoint{
 		ID:          c.ID,
 		Name:        c.Name,
@@ -457,15 +551,10 @@ func (n *Node) Checkpoint(id string) (*runtime.Checkpoint, error) {
 	if wr, ok := c.workload.(interface{ Work() float64 }); ok {
 		cp.Work = wr.Work()
 	}
-	if rw, ok := c.workload.(interface{ Remaining() float64 }); ok {
-		if rem := rw.Remaining(); cp.Work+rem > 0 {
-			cp.ProgressFrac = cp.Work / (cp.Work + rem)
-		}
+	if rem := c.workload.Remaining(); cp.Work+rem > 0 {
+		cp.ProgressFrac = cp.Work / (cp.Work + rem)
 	}
-	n.exitLocked(c)
-	exited = append(exited, c)
 	n.removeLocked(c)
-	n.reallocateLocked()
 	n.unlockAndNotify(exited)
 	return cp, nil
 }
@@ -508,9 +597,11 @@ func (n *Node) RunningCount() int {
 	return len(n.running)
 }
 
-// settleLocked integrates work since the last settle at the current
-// allocations and retires finished workloads, returning them in creation
-// order. Callers must hold the lock and hand the result to
+// settleLocked advances accounting to the current instant at the shares
+// in force since the last settle and retires finished workloads:
+// saturated containers are charged eagerly, the virtual clock carries
+// every fluid one, and only the fluid containers whose virtual finish has
+// passed are touched. Callers must hold the lock and hand the result to
 // unlockAndNotify.
 func (n *Node) settleLocked() []*Container {
 	now := n.clock()
@@ -520,60 +611,188 @@ func (n *Node) settleLocked() []*Container {
 		return nil
 	}
 	var exited []*Container
-	for i, c := range n.running {
-		if c.Alloc != 0 {
-			work := c.Alloc * dt
-			c.workload.Advance(work)
-			c.CPUSec += work
-		}
-		if c.workload.Done() || c.workload.CPUDemand() <= 0 {
-			n.retireLocked(c)
+	for _, c := range n.satByRatio.cs {
+		work := c.cap * dt
+		c.workload.Advance(work)
+		c.CPUSec += work
+		if c.workload.Done() {
 			exited = append(exited, c)
-		} else if len(exited) > 0 {
-			// Compact the survivors in place once something has left.
-			n.running[i-len(exited)] = c
 		}
 	}
-	if len(exited) > 0 {
-		live := len(n.running) - len(exited)
-		clear(n.running[live:])
-		n.running = n.running[:live]
-		n.reallocateLocked()
+	for _, c := range n.idle {
+		if c.cap <= 0 || c.workload.Done() {
+			exited = append(exited, c)
+		}
 	}
+	for _, c := range exited {
+		n.detach(c)
+	}
+	if len(n.fluidByRatio.cs) > 0 {
+		n.vtime += n.level * dt
+		for len(n.byFinish.cs) > 0 {
+			c := n.byFinish.cs[0]
+			if (c.finish-n.vtime)*c.Limit > finishEps {
+				break
+			}
+			n.detach(c)
+			if !c.workload.Done() {
+				// Float residue between the virtual finish and the clock:
+				// deliver it so Done is authoritative, as simdocker does.
+				c.workload.Advance(c.workload.Remaining())
+			}
+			exited = append(exited, c)
+		}
+	}
+	if len(exited) == 0 {
+		return nil
+	}
+	for _, c := range exited {
+		n.retireLocked(c)
+	}
+	n.running = slices.DeleteFunc(n.running, func(c *Container) bool { return c.State != Running })
+	n.rebalance()
 	return exited
 }
 
-// retireLocked marks a running container exited and takes its footprint
+// retireLocked marks a detached container exited and takes its footprint
 // out of the aggregates; the caller splices it out of running.
 func (n *Node) retireLocked(c *Container) {
 	c.State = Exited
-	c.Alloc = 0
 	c.Finished = n.clock()
 	n.memUsed -= c.memBytes
 }
 
-// exitLocked retires one running container and splices it out of running.
+// exitLocked retires one running container, splices it out of running and
+// rebalances the rest.
 func (n *Node) exitLocked(c *Container) {
+	n.detach(c)
 	n.retireLocked(c)
 	n.running = deleteContainer(n.running, c)
+	n.rebalance()
 }
 
-// reallocateLocked recomputes shares with the proportional-share
-// allocator. Every change to the running set or a limit ends here.
-func (n *Node) reallocateLocked() {
+// share is a container's current CPU share.
+func (n *Node) share(c *Container) float64 {
+	switch c.group {
+	case fluid:
+		return n.level * c.Limit
+	case saturated:
+		return c.cap
+	}
+	return 0
+}
+
+// materialise charges a fluid container what the virtual clock says it
+// has earned since it was last charged: limit × (V − x0).
+func (n *Node) materialise(c *Container) {
+	if c.group != fluid {
+		return
+	}
+	if work := c.Limit * (n.vtime - c.x0); work > 0 {
+		c.workload.Advance(work)
+		c.CPUSec += work
+	}
+	c.x0 = n.vtime
+}
+
+// attach places a detached running container in the group the current
+// level implies; rebalance then settles the boundary.
+func (n *Node) attach(c *Container) {
+	if c.cap <= allocEps || c.Limit <= allocEps {
+		c.group = idle
+		n.idle = append(n.idle, c)
+		return
+	}
+	c.ratio = c.cap / c.Limit
+	if c.ratio > n.level {
+		n.joinFluid(c)
+	} else {
+		n.joinSaturated(c)
+	}
+}
+
+// joinFluid starts a container on the virtual clock. Its workload must be
+// charged up to now.
+func (n *Node) joinFluid(c *Container) {
+	c.group = fluid
+	c.x0 = n.vtime
+	c.finish = n.vtime + c.workload.Remaining()/c.Limit
+	n.fluidLimits += c.Limit
+	heap.Push(&n.fluidByRatio, c)
+	heap.Push(&n.byFinish, c)
+}
+
+// joinSaturated runs a container at its cap.
+func (n *Node) joinSaturated(c *Container) {
+	c.group = saturated
+	n.satCaps += c.cap
+	heap.Push(&n.satByRatio, c)
+}
+
+// detach takes a container out of its group, charging a fluid one first.
+// A group that empties restarts its sums (and the virtual clock) at
+// exactly zero, so float cancellation error does not accumulate across
+// generations of containers.
+func (n *Node) detach(c *Container) {
+	switch c.group {
+	case fluid:
+		n.materialise(c)
+		heap.Remove(&n.fluidByRatio, c.ratioSlot)
+		heap.Remove(&n.byFinish, c.finishSlot)
+		n.fluidLimits -= c.Limit
+		if len(n.fluidByRatio.cs) == 0 {
+			n.vtime, n.fluidLimits = 0, 0
+		}
+	case saturated:
+		heap.Remove(&n.satByRatio, c.ratioSlot)
+		n.satCaps -= c.cap
+		if len(n.satByRatio.cs) == 0 {
+			n.satCaps = 0
+		}
+	case idle:
+		n.idle = deleteContainer(n.idle, c)
+	}
+	c.group = detached
+}
+
+// rebalance restores the level after a join, leave or limit change. Any
+// partition's level is a lower bound on the true one, and each move below
+// raises it: first saturated containers whose ratio exceeds the level turn
+// fluid, then fluid containers at or below it saturate. What is left is
+// the unique partition with every saturated ratio <= L < every fluid one.
+func (n *Node) rebalance() {
 	if len(n.running) == 0 {
 		// An empty node holds exactly zero bytes; resetting here keeps
 		// float cancellation error from accumulating across generations
 		// of containers.
 		n.memUsed = 0
 	}
-	n.claims = n.claims[:0]
-	for _, c := range n.running {
-		n.claims = append(n.claims, resource.Claim{ID: c.ID, Limit: c.Limit, Demand: c.workload.CPUDemand()})
+	n.level = n.levelOf()
+	for len(n.satByRatio.cs) > 0 && n.satByRatio.cs[0].ratio > n.level {
+		c := n.satByRatio.cs[0]
+		n.detach(c)
+		n.joinFluid(c)
+		n.level = n.levelOf()
 	}
-	for i, a := range n.alloc.Allocate(n.capacity, n.claims) {
-		n.running[i].Alloc = a.Amount
+	for len(n.fluidByRatio.cs) > 0 && n.fluidByRatio.cs[0].ratio <= n.level {
+		c := n.fluidByRatio.cs[0]
+		n.detach(c)
+		n.joinSaturated(c)
+		n.level = n.levelOf()
 	}
+}
+
+// levelOf is the water level of the current partition. With no fluid
+// container it is +Inf while the saturated caps fit, and -Inf when they
+// do not, so rebalance turns the largest ratio fluid.
+func (n *Node) levelOf() float64 {
+	if len(n.fluidByRatio.cs) == 0 {
+		if n.satCaps <= n.capacity {
+			return math.Inf(1)
+		}
+		return math.Inf(-1)
+	}
+	return (n.capacity - n.satCaps) / n.fluidLimits
 }
 
 // unlockAndNotify releases the lock and then fires the exit callbacks for
@@ -583,8 +802,8 @@ func (n *Node) unlockAndNotify(exited []*Container) {
 		n.mu.Unlock()
 		return
 	}
-	// settleLocked's exits are already ordered; Stop and Checkpoint append
-	// theirs after them.
+	// settleLocked's exits are grouped by how they left; Stop and
+	// Checkpoint append theirs after them.
 	slices.SortFunc(exited, func(a, b *Container) int { return a.seq - b.seq })
 	views := make([]runtime.Container, len(exited))
 	for i, c := range exited {
@@ -597,4 +816,33 @@ func (n *Node) unlockAndNotify(exited []*Container) {
 			fn(v)
 		}
 	}
+}
+
+// pqueue is an indexed binary min-heap of containers for container/heap:
+// key orders it, and slot is where each container records its index, so
+// removing any container is O(log n).
+type pqueue struct {
+	cs   []*Container
+	key  func(*Container) float64
+	slot func(*Container) *int
+}
+
+func (q *pqueue) Len() int           { return len(q.cs) }
+func (q *pqueue) Less(i, j int) bool { return q.key(q.cs[i]) < q.key(q.cs[j]) }
+func (q *pqueue) Swap(i, j int) {
+	q.cs[i], q.cs[j] = q.cs[j], q.cs[i]
+	*q.slot(q.cs[i]) = i
+	*q.slot(q.cs[j]) = j
+}
+func (q *pqueue) Push(x any) {
+	c := x.(*Container)
+	*q.slot(c) = len(q.cs)
+	q.cs = append(q.cs, c)
+}
+func (q *pqueue) Pop() any {
+	last := len(q.cs) - 1
+	c := q.cs[last]
+	q.cs[last] = nil
+	q.cs = q.cs[:last]
+	return c
 }

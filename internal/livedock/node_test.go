@@ -54,8 +54,9 @@ func (j *tinyJob) CPUDemand() float64 {
 	}
 	return 1
 }
-func (j *tinyJob) Done() bool    { return j.work >= j.total }
-func (j *tinyJob) Eval() float64 { return j.total - j.work }
+func (j *tinyJob) Done() bool         { return j.work >= j.total }
+func (j *tinyJob) Eval() float64      { return j.total - j.work }
+func (j *tinyJob) Remaining() float64 { return j.total - j.work }
 
 func TestNodeRunAndComplete(t *testing.T) {
 	clk := newFakeClock()
@@ -281,8 +282,11 @@ func TestNodeConcurrentAccess(t *testing.T) {
 
 func TestNewNodeValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero capacity": func() { NewNode(0) },
-		"nil clock":     func() { NewNodeWithClock(1, nil) },
+		"zero capacity":     func() { NewNode(0) },
+		"negative capacity": func() { NewNode(-1) },
+		"NaN capacity":      func() { NewNode(math.NaN()) },
+		"+Inf capacity":     func() { NewNode(math.Inf(1)) },
+		"nil clock":         func() { NewNodeWithClock(1, nil) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

@@ -55,6 +55,9 @@ type Workload interface {
 	CPUDemand() float64
 	// Done reports whether the workload finished its budget.
 	Done() bool
+	// Remaining returns the CPU work still needed to finish, in
+	// cpu-seconds; runtimes derive completion times from it.
+	Remaining() float64
 	// Eval returns the current evaluation-function value.
 	Eval() float64
 }

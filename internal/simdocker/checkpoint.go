@@ -40,7 +40,7 @@ func (d *Daemon) Checkpoint(id string) (*Checkpoint, error) {
 	if wr, ok := c.workload.(interface{ Work() float64 }); ok {
 		cp.Work = wr.Work()
 	}
-	if rem, known := remainingWork(c.workload); known && cp.Work+rem > 0 {
+	if rem := remainingWork(c.workload); cp.Work+rem > 0 {
 		cp.ProgressFrac = cp.Work / (cp.Work + rem)
 	}
 	d.exit(c)

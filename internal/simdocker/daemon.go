@@ -574,13 +574,11 @@ func (d *Daemon) reallocate() {
 		if c.state != Running {
 			continue
 		}
-		rem, known := remainingWork(c.workload)
-		if known && rem <= 0 && !c.workload.Done() {
-			if wr, ok := c.workload.(WorkRemainer); ok {
-				c.workload.Advance(wr.Remaining())
-			}
+		rem := remainingWork(c.workload)
+		if rem <= 0 && !c.workload.Done() {
+			c.workload.Advance(c.workload.Remaining())
 		}
-		if c.workload.Done() || (known && rem <= 0) || c.workload.CPUDemand() <= 0 {
+		if c.workload.Done() || rem <= 0 || c.workload.CPUDemand() <= 0 {
 			d.exit(c)
 		}
 	}
@@ -602,8 +600,8 @@ func (d *Daemon) reallocate() {
 	for i, c := range d.runningList {
 		c.alloc = alloc[i].Amount
 		eta := sim.Infinity
-		if rem, ok := remainingWork(c.workload); ok && c.alloc > 0 {
-			eta = now + sim.Time(rem/(c.alloc*eff))
+		if c.alloc > 0 {
+			eta = now + sim.Time(remainingWork(c.workload)/(c.alloc*eff))
 		}
 		if eta != c.eta {
 			c.eta = eta
@@ -668,21 +666,12 @@ func (h *etaHeap) Pop() any {
 	return c
 }
 
-// WorkRemainer is optionally implemented by workloads whose remaining CPU
-// work is known analytically (dlmodel jobs have fixed epoch budgets). It
-// lets the daemon compute exact completion times instead of polling.
-type WorkRemainer interface {
-	Remaining() float64
-}
-
-// remainingWork returns the workload's remaining CPU work if knowable.
-func remainingWork(w Workload) (float64, bool) {
-	if wr, ok := w.(WorkRemainer); ok {
-		rem := wr.Remaining()
-		if rem <= completionEps {
-			return 0, true
-		}
-		return rem, true
+// remainingWork returns the workload's remaining CPU work, reading
+// residue at or below completionEps as finished. It is what lets the
+// daemon compute exact completion times instead of polling.
+func remainingWork(w Workload) float64 {
+	if rem := w.Remaining(); rem > completionEps {
+		return rem
 	}
-	return 0, false
+	return 0
 }
