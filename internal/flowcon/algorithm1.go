@@ -46,21 +46,21 @@ type StepResult struct {
 // CL container gets G/ΣG floored at 1/(β·n); WL containers keep their
 // limit; NL containers get G/ΣG.
 func Step(snaps []JobSnapshot, cfg Config) StepResult {
-	return stepInto(snaps, cfg, &stepScratch{})
+	return stepInto(snaps, cfg.withDefaults(), &stepScratch{})
 }
 
-// stepScratch carries Step's reusable buffers. The Controller owns one so
-// its per-tick hot path allocates nothing in steady state; the package-
-// level Step hands out a fresh one per call, keeping its result unaliased.
+// stepScratch carries Step's reusable buffers. A Cycle owns one so its
+// per-run hot path allocates nothing in steady state; the package-level
+// Step hands out a fresh one per call, keeping its result unaliased.
 type stepScratch struct {
 	lists     []List
 	decisions []Decision
 }
 
-// stepInto is Step with caller-provided scratch. The returned Decisions
-// slice aliases the scratch and is valid until its next use.
+// stepInto is Step with a validated cfg and caller-provided scratch. The
+// returned Decisions slice aliases the scratch and is valid until its next
+// use.
 func stepInto(snaps []JobSnapshot, cfg Config, sc *stepScratch) StepResult {
-	cfg = cfg.withDefaults()
 	n := len(snaps)
 	if n == 0 {
 		return StepResult{AllCompleting: false}

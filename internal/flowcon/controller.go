@@ -8,16 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Runtime is the container-platform surface the Executor drives. The
-// simulated daemon implements it via a thin adapter; a real Docker client
-// could too.
-type Runtime interface {
-	// RunningStats returns settled counters for every running container.
-	RunningStats() []Stat
-	// SetCPULimit applies a soft CPU limit (docker update --cpus).
-	SetCPULimit(id string, limit float64) error
-}
-
 // TraceEntry records one Algorithm 1 run for offline analysis; the metrics
 // package stores these to regenerate Figures 13-14 (growth efficiency over
 // time) and the scheduling-overhead ablations.
@@ -43,81 +33,28 @@ type Tracer interface {
 	RecordRun(TraceEntry)
 }
 
-// Controller is the worker-side FlowCon middleware: it owns the container
-// monitor, runs Algorithm 1 on the executor interval, and implements
-// Algorithm 2's listeners through runtime arrival/exit notifications.
+// Controller is the worker-side FlowCon middleware in the simulator. It
+// runs its Cycle on the executor interval as an engine event and
+// implements Algorithm 2's listeners through the runtime's arrival/exit
+// notifications.
 type Controller struct {
-	cfg     Config
-	engine  sim.Scheduler
-	runtime Runtime
-	monitor *Monitor
-	tracer  Tracer
+	*Cycle
+	engine sim.Scheduler
+	tracer Tracer
 
-	lists  map[string]List
-	limits map[string]float64
-
-	itval       float64
-	tick        *sim.Event
-	tickFn      func()
-	pendingRun  bool
-	runs        int
-	limitUpdate int
-
-	// snapScratch, liveScratch and stepScratch are reused across
-	// runAlgorithm1 calls so the per-tick hot path allocates nothing in
-	// steady state.
-	snapScratch []JobSnapshot
-	liveScratch map[string]bool
-	stepScratch stepScratch
+	tick       *sim.Event
+	tickFn     func()
+	pendingRun bool
 }
 
 // NewController wires a controller to an engine and runtime. Call Start to
 // schedule the first executor tick.
 func NewController(cfg Config, engine sim.Scheduler, rt Runtime, tracer Tracer) *Controller {
-	cfg = cfg.withDefaults()
-	if engine == nil || rt == nil {
-		panic("flowcon: nil engine or runtime")
+	cycle := NewCycle(cfg, rt)
+	if engine == nil {
+		panic("flowcon: nil engine")
 	}
-	monitor := NewMonitor()
-	monitor.SetPrimaryResource(cfg.Resource)
-	return &Controller{
-		cfg:         cfg,
-		engine:      engine,
-		runtime:     rt,
-		monitor:     monitor,
-		tracer:      tracer,
-		lists:       make(map[string]List),
-		limits:      make(map[string]float64),
-		itval:       cfg.InitialInterval,
-		liveScratch: make(map[string]bool),
-	}
-}
-
-// Config returns the controller's effective configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
-// Runs returns how many times Algorithm 1 has executed (overhead metric).
-func (c *Controller) Runs() int { return c.runs }
-
-// LimitUpdates returns how many docker-update calls were issued.
-func (c *Controller) LimitUpdates() int { return c.limitUpdate }
-
-// Interval returns the current (possibly backed-off) interval.
-func (c *Controller) Interval() float64 { return c.itval }
-
-// ListOf returns the list a container is currently assigned to.
-func (c *Controller) ListOf(id string) (List, bool) {
-	l, ok := c.lists[id]
-	return l, ok
-}
-
-// Lists returns a stable-order snapshot of container→list assignments.
-func (c *Controller) Lists() map[string]List {
-	out := make(map[string]List, len(c.lists))
-	for id, l := range c.lists {
-		out[id] = l
-	}
-	return out
+	return &Controller{Cycle: cycle, engine: engine, tracer: tracer}
 }
 
 // Start schedules the first executor tick. Containers already running are
@@ -131,21 +68,15 @@ func (c *Controller) Start() {
 // immediately — scheduled at listener priority so it observes the
 // post-arrival pool within the same instant.
 func (c *Controller) OnContainerStart(id string) {
-	c.lists[id] = NewList
-	c.limits[id] = 1
-	c.itval = c.cfg.InitialInterval
+	c.Started(id)
 	c.requestImmediateRun("arrival")
 }
 
 // OnContainerExit is the Finished Cons listener (Algorithm 2 lines 10-15):
-// the container leaves whichever list held it, its resources return to the
-// pool (the runtime does that implicitly on exit), the interval resets,
-// and Algorithm 1 runs immediately.
+// the container leaves whichever list held it, the interval resets, and
+// Algorithm 1 runs immediately.
 func (c *Controller) OnContainerExit(id string) {
-	delete(c.lists, id)
-	delete(c.limits, id)
-	c.monitor.Forget(id)
-	c.itval = c.cfg.InitialInterval
+	c.Exited(id)
 	c.requestImmediateRun("departure")
 }
 
@@ -178,79 +109,13 @@ func (c *Controller) scheduleTick() {
 	c.tick = c.engine.After(c.itval, sim.PriorityExecutor, "flowcon.tick", c.tickFn)
 }
 
-// runAlgorithm1 performs one full executor cycle: measure, classify, plan,
-// apply, and reschedule with back-off or reset interval.
+// runAlgorithm1 runs the cycle at the current instant, reschedules the
+// tick on the interval it left, and traces the run.
 func (c *Controller) runAlgorithm1(trigger string) {
-	c.runs++
-	stats := c.runtime.RunningStats()
-	measurements := c.monitor.Collect(float64(c.engine.Now()), stats)
-
-	c.pruneStale(measurements)
-
-	snaps := c.snapScratch[:0]
-	for _, m := range measurements {
-		list, ok := c.lists[m.ID]
-		if !ok {
-			// Containers that started before the controller (or without
-			// listener wiring) enter as new.
-			list = NewList
-		}
-		snaps = append(snaps, JobSnapshot{ID: m.ID, List: list, G: m.G, GDefined: m.Defined})
-	}
-	c.snapScratch = snaps
-
-	res := stepInto(snaps, c.cfg, &c.stepScratch)
-
-	// Apply list moves and limit updates.
-	for _, d := range res.Decisions {
-		c.lists[d.ID] = d.List
-		if !d.SetLimit {
-			continue
-		}
-		cur, had := c.limits[d.ID]
-		if had && cur == d.Limit {
-			continue
-		}
-		if err := c.runtime.SetCPULimit(d.ID, d.Limit); err != nil {
-			// The container may have exited in the same instant; that is
-			// the only legal failure in the simulation.
-			continue
-		}
-		c.limits[d.ID] = d.Limit
-		c.limitUpdate++
-	}
-
-	c.itval = NextInterval(c.itval, res.AllCompleting, c.cfg)
+	res := c.Run(float64(c.engine.Now()), c.runtime.RunningStats())
 	c.scheduleTick()
-
 	if c.tracer != nil {
-		c.tracer.RecordRun(c.traceEntry(trigger, res, snaps))
-	}
-}
-
-// pruneStale drops tracking state for containers that vanished from the
-// runtime's stats without a Finished Cons notification — e.g. a worker
-// failure path that kills containers without driving the exit listener.
-// Without this, c.lists/c.limits (and the monitor's samples) grow without
-// bound on long-lived workers.
-func (c *Controller) pruneStale(measurements []Measurement) {
-	if len(c.lists) <= len(measurements) && len(c.limits) <= len(measurements) {
-		return
-	}
-	clear(c.liveScratch)
-	for _, m := range measurements {
-		c.liveScratch[m.ID] = true
-	}
-	for id := range c.lists {
-		if !c.liveScratch[id] {
-			delete(c.lists, id)
-			c.monitor.Forget(id)
-		}
-	}
-	for id := range c.limits {
-		if !c.liveScratch[id] {
-			delete(c.limits, id)
-		}
+		c.tracer.RecordRun(c.traceEntry(trigger, res, c.snapScratch))
 	}
 }
 

@@ -10,9 +10,13 @@
 //   - Algorithm 1 (algorithm1.go) classifies containers into the New /
 //     Watching / Completing lists and plans per-container soft limits,
 //     with the all-Completing exponential back-off;
-//   - Algorithm 2's listeners and the Executor (controller.go) react to
-//     container arrivals/departures in real time, reset the interval, and
-//     apply limit updates through the runtime.
+//   - the Executor's cycle (cycle.go) runs the monitor and Algorithm 1,
+//     applies limit updates through the runtime, and backs off the
+//     interval;
+//   - Algorithm 2's listeners (controller.go) react to container
+//     arrivals/departures in simulated time, reset the interval, and run
+//     the cycle immediately. realtime.Driver runs the same cycle from a
+//     wall-clock poll instead.
 //
 // Algorithm 1 and the monitor are pure — they operate on snapshots and
 // return decisions — so they are unit-testable without a simulator and

@@ -2,6 +2,7 @@ package realtime
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -108,6 +109,37 @@ func TestDriverPollListenerDetectsDeparture(t *testing.T) {
 	}
 }
 
+// One container exits and another arrives between two polls: T(i) is
+// unchanged, so no listener fires. The next interval run must still drop
+// the departed container and admit the new one to NL.
+func TestDriverExitAndArrivalInOnePoll(t *testing.T) {
+	rt := newFakeRuntime()
+	rt.set([]flowcon.Stat{
+		{ID: "a", Eval: 100, CPUSeconds: 0},
+		{ID: "b", Eval: 50, CPUSeconds: 0},
+	})
+	d := NewDriver(cfg(), rt)
+	d.Step(1)
+	d.Step(20) // both classified
+
+	rt.set([]flowcon.Stat{
+		{ID: "a", Eval: 98, CPUSeconds: 10},
+		{ID: "c", Eval: 70, CPUSeconds: 0},
+	})
+	if d.Step(21) {
+		t.Fatal("a count-preserving swap triggered a run")
+	}
+	if !d.Step(40) {
+		t.Fatal("the interval run did not happen")
+	}
+	if l, ok := d.ListOf("b"); ok {
+		t.Fatalf("departed container still listed in %v", l)
+	}
+	if l, ok := d.ListOf("c"); !ok || l != flowcon.NewList {
+		t.Fatalf("arrival listed %v (%v), want NL", l, ok)
+	}
+}
+
 func TestDriverBackoffAndReset(t *testing.T) {
 	rt := newFakeRuntime()
 	d := NewDriver(cfg(), rt)
@@ -192,6 +224,78 @@ func TestDriverWallClockLoop(t *testing.T) {
 	}
 	if d.Runs() < 2 {
 		t.Fatalf("wall-clock loop executed Algorithm 1 only %d times", d.Runs())
+	}
+}
+
+// A status reporter reads the driver from another goroutine while Run
+// polls, as flowcon-manager's reportLoop and examples/livemode do. Under
+// -race this must report nothing.
+func TestDriverAccessorsConcurrentWithRun(t *testing.T) {
+	rt := newFakeRuntime()
+	d := NewDriver(flowcon.Config{Alpha: 0.05, InitialInterval: 0.001}, rt)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		d.Run(ctx, time.Millisecond)
+		close(done)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	ids := []string{"a", "b", "c"}
+	deadline := time.Now().Add(2 * time.Second)
+	for i := 0; d.Runs() < 20; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d runs before the deadline", d.Runs())
+		}
+		// Grow and shrink the pool so runs insert and prune list entries.
+		var stats []flowcon.Stat
+		for j, id := range ids[:i%len(ids)+1] {
+			stats = append(stats, flowcon.Stat{ID: id, Eval: float64(100 - i - j), CPUSeconds: float64(i)})
+		}
+		rt.set(stats)
+		for _, id := range ids {
+			d.ListOf(id)
+		}
+		d.Interval()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// reuseRuntime hands back one stats slice with advancing counters and
+// applies limits without allocating, so only Step's own allocations show.
+type reuseRuntime struct{ stats []flowcon.Stat }
+
+func (r *reuseRuntime) RunningStats() []flowcon.Stat {
+	for i := range r.stats {
+		r.stats[i].CPUSeconds += 0.5
+		r.stats[i].Eval *= 0.95
+	}
+	return r.stats
+}
+
+func (r *reuseRuntime) SetCPULimit(string, float64) error { return nil }
+
+// TestDriverStepAllocsZero guards the live cycle: over a steady pool, a
+// Step that runs Algorithm 1 allocates nothing.
+func TestDriverStepAllocsZero(t *testing.T) {
+	rt := &reuseRuntime{}
+	for i := 0; i < 32; i++ {
+		rt.stats = append(rt.stats, flowcon.Stat{ID: fmt.Sprintf("c%02d", i), Eval: 100})
+	}
+	d := NewDriver(flowcon.Config{Alpha: 0.03, InitialInterval: 20}, rt)
+	now := 0.0
+	d.Step(now)
+	avg := testing.AllocsPerRun(200, func() {
+		now += d.Interval()
+		if !d.Step(now) {
+			t.Fatalf("no run at %v", now)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("Driver.Step allocates %.1f objects per cycle, want 0", avg)
 	}
 }
 
