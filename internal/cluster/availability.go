@@ -51,29 +51,27 @@ type Availability struct {
 	// repaired (or until the run ends — Finalize closes open intervals).
 	WorkerDownSec float64
 
+	// workers are walked in declaration order by Finalize; each carries
+	// its own open downtime interval. Nil once finalized.
+	workers []*Worker
 	// totalCapacity is the cluster's aggregate capacity, the denominator
 	// of AvailabilityFrac.
 	totalCapacity float64
-	// downSince maps a failed worker's name to capacity and crash time of
-	// the open downtime interval.
-	downSince map[string]downInterval
-	// lostAt maps a job awaiting re-placement to when it lost its
-	// container (feeds the MTTR sketch on the next placement).
-	lostAt map[string]float64
-	mttr   *stats.QuantileSketch
-	end    float64
+	mttr          *stats.QuantileSketch
+	end           float64
 }
 
+// downInterval is a worker's downtime interval, open from a crash until
+// the repair (or the run's end), weighted by its capacity at the crash.
 type downInterval struct {
-	capacity float64
-	since    float64
+	open            bool
+	capacity, since float64
 }
 
 func newAvailability(workers []*Worker) *Availability {
 	a := &Availability{
-		downSince: make(map[string]downInterval),
-		lostAt:    make(map[string]float64),
-		mttr:      stats.NewQuantileSketch(stats.DefaultSketchAccuracy),
+		workers: workers,
+		mttr:    stats.NewQuantileSketch(stats.DefaultSketchAccuracy),
 	}
 	for _, w := range workers {
 		a.totalCapacity += w.Capacity()
@@ -84,60 +82,60 @@ func newAvailability(workers []*Worker) *Availability {
 // workerDown opens a downtime interval for a crashed worker.
 func (a *Availability) workerDown(w *Worker, now float64) {
 	a.Crashes++
-	a.downSince[w.Name()] = downInterval{capacity: w.Capacity(), since: now}
+	w.down = downInterval{open: true, capacity: w.Capacity(), since: now}
 }
 
 // workerUp closes the worker's downtime interval.
 func (a *Availability) workerUp(w *Worker, now float64) {
-	iv, ok := a.downSince[w.Name()]
-	if !ok {
-		return
+	if w.down.open {
+		a.Repairs++
+		a.closeDown(w, now)
 	}
-	a.Repairs++
-	a.WorkerDownSec += iv.capacity * (now - iv.since)
-	delete(a.downSince, w.Name())
+}
+
+// closeDown adds w's open downtime interval, if any, up to now.
+func (a *Availability) closeDown(w *Worker, now float64) {
+	if w.down.open {
+		a.WorkerDownSec += w.down.capacity * (now - w.down.since)
+		w.down.open = false
+	}
 }
 
 // jobLost records a container loss: restart provenance, wasted work, and
 // the MTTR clock start. workAtLoss is the settled delivered work the
-// dying container held; resumeWork what the restart will carry.
-func (a *Availability) jobLost(job string, now, workAtLoss, resumeWork float64) {
-	if resumeWork > 0 {
+// dying container held; the job's resumeWork what the restart will carry.
+func (a *Availability) jobLost(j *job, now, workAtLoss float64) {
+	if j.resumeWork > 0 {
 		a.RestartsFromCheckpoint++
 	} else {
 		a.RestartsFromScratch++
 	}
-	if lost := workAtLoss - resumeWork; lost > 0 {
+	if lost := workAtLoss - j.resumeWork; lost > 0 {
 		a.WastedWorkSec += lost
 	}
-	a.lostAt[job] = now
+	j.lostAt, j.recovering = now, true
 }
 
 // jobPlaced closes the job's MTTR interval if one is open. Called from
-// every placement path (launch, restore, thaw).
-func (a *Availability) jobPlaced(job string, now float64) {
-	at, ok := a.lostAt[job]
-	if !ok {
+// the launch and restore placement paths.
+func (a *Availability) jobPlaced(j *job, now float64) {
+	if !j.recovering {
 		return
 	}
-	a.mttr.Add(now - at)
-	delete(a.lostAt, job)
+	a.mttr.Add(now - j.lostAt)
+	j.recovering = false
 }
 
-// jobAbandoned closes the job's recovery without a placement.
-func (a *Availability) jobAbandoned(job string) {
-	a.Abandoned++
-	delete(a.lostAt, job)
-}
-
-// Finalize closes every open downtime interval at the run's end time.
+// Finalize closes every open downtime interval at the run's end time,
+// walking workers in declaration order so the sum is order-stable, then
+// drops them so a retained report does not pin the simulated cluster.
 // Call once when the run stops; the report accessors below assume it ran.
 func (a *Availability) Finalize(end float64) {
 	a.end = end
-	for name, iv := range a.downSince {
-		a.WorkerDownSec += iv.capacity * (end - iv.since)
-		delete(a.downSince, name)
+	for _, w := range a.workers {
+		a.closeDown(w, end)
 	}
+	a.workers = nil
 }
 
 // MTTRQuantile returns the q-th quantile of job-level MTTR in virtual

@@ -11,7 +11,8 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/dlmodel"
 	"repro/internal/flowcon"
@@ -71,6 +72,11 @@ type Worker struct {
 	exitSubs   []func(id string)
 	failSubs   []func()
 	repairSubs []func()
+
+	// Recovery state the manager keeps per worker: recent crash times for
+	// flap detection, and the open downtime interval while down.
+	crashLog []float64
+	down     downInterval
 }
 
 var _ runtime.Runtime = (*Worker)(nil)
@@ -262,19 +268,20 @@ func (w *Worker) Cordoned() bool { return w.cordoned }
 // and the job's resident memory fits the node without overcommit. The
 // built-in placements consult it only for a would-be winner, so it must
 // stay a pure read: no side effects, no caching across calls.
-func (w *Worker) CanHost(p dlmodel.Profile) bool {
-	if w.failed || w.cordoned {
+func (w *Worker) CanHost(p dlmodel.Profile) bool { return !w.cordoned && w.fits(p) }
+
+// fits is CanHost minus the cordon check: the worker is alive, below its
+// container cap, and has memory for the job. A frozen resident job
+// returning to its own worker is not a new admission, so it asks this.
+func (w *Worker) fits(p dlmodel.Profile) bool {
+	if w.failed {
 		return false
 	}
 	if w.maxContainers > 0 && w.RunningCount() >= w.maxContainers {
 		return false
 	}
-	if cap := w.rt.MemoryCapacity(); cap > 0 {
-		if w.rt.MemoryUsed()+p.MemoryBytes > cap {
-			return false
-		}
-	}
-	return true
+	cap := w.rt.MemoryCapacity()
+	return !(cap > 0 && w.rt.MemoryUsed()+p.MemoryBytes > cap)
 }
 
 // MemoryFree returns the unreserved node memory in bytes.
@@ -367,15 +374,31 @@ func FirstFit(workers []*Worker, p dlmodel.Profile) *Worker {
 	return nil
 }
 
-// pendingJob is a submission waiting for capacity (or retry after a
-// worker failure, possibly resuming from checkpointed work).
-type pendingJob struct {
+// job is the manager's one record per submitted job, kept from SubmitNow
+// to the end of the run. Every lifecycle step looks it up once in
+// Manager.jobs and works through the pointer, so placement, recovery and
+// migration state cannot disagree.
+type job struct {
 	name    string
 	profile dlmodel.Profile
-	// resumeWork is the checkpointed CPU work a rescheduled job restarts
-	// with (0 = from scratch).
-	resumeWork float64
+	// worker hosts the job's container: nil while queued, frozen in a
+	// migration or snapshot, or waiting out a retry. A finished job keeps
+	// its worker.
+	worker *Worker
+	// resumeWork is the CPU work the next launch restarts from (0 = from
+	// scratch); snapshot is the work of the last priced periodic
+	// checkpoint, the floor a crash restart resumes from.
+	resumeWork, snapshot float64
+	// attempts counts failure-driven restarts (the retry budget).
+	attempts int
+	// lostAt is when the job last lost its container; recovering marks the
+	// MTTR interval open until the next placement.
+	lostAt     float64
+	recovering bool
 }
+
+// byName orders job records by name, for deterministic processing.
+func byName(a, b *job) int { return strings.Compare(a.name, b.name) }
 
 // Manager accepts user submissions and reconciles them onto workers,
 // mirroring the manager role in Figure 2: it owns placement, an admission
@@ -385,19 +408,17 @@ type Manager struct {
 	engine    *sim.Engine
 	workers   []*Worker
 	placement Placement
-	submitted int
-	placed    map[string]*Worker
-	profiles  map[string]dlmodel.Profile
-	queue     []pendingJob
-	requeued  int
+	// jobs holds every submitted job's record; a name stays reserved for
+	// the whole run.
+	jobs      map[string]*job
+	queue     []*job
 	onPlace   []func(jobName string, w *Worker, c runtime.Container)
 	onMigrate []func(jobName string, w *Worker, c runtime.Container)
 
-	// inflight holds checkpoints of jobs mid-migration (frozen off their
-	// source, not yet thawed anywhere). While a job is here its placed
-	// entry is nil, so failure recovery, admission and duplicate checks
-	// all see it as "not on any worker" — which is exactly true.
-	inflight map[string]*runtime.Checkpoint
+	// inflight counts jobs frozen mid-migration or mid-snapshot, not yet
+	// thawed anywhere. Their worker is nil, so failure recovery and
+	// migration see them as "not on any worker" — which is exactly true.
+	inflight int
 	// migrated counts completed migrations (checkpoints thawed back into
 	// a running or queued job).
 	migrated int
@@ -411,18 +432,9 @@ type Manager struct {
 
 	// Recovery state (see selfheal.go). recovery is the zero policy —
 	// every mechanism off — until EnableSelfHealing installs another; the
-	// state below it is maintained under any policy, so the availability
-	// ledger covers every run.
-	recovery RecoveryPolicy
-	// snapshots holds each job's last priced periodic checkpoint (CPU
-	// work), the floor a crash restart resumes from.
-	snapshots map[string]float64
-	// attempts counts failure-driven restarts per job (the retry budget).
-	attempts map[string]int
-	// crashLog holds recent crash times per worker for flap detection.
-	crashLog map[string][]float64
-	// abandoned counts jobs dropped after exhausting their retry budget.
-	abandoned int
+	// per-job and per-worker recovery state is maintained under any
+	// policy, so the availability ledger covers every run.
+	recovery  RecoveryPolicy
 	onRestore []func(jobName string, w *Worker, c runtime.Container)
 	onAbandon []func(jobName string)
 	avail     *Availability
@@ -444,16 +456,10 @@ func NewManager(engine *sim.Engine, workers []*Worker, placement Placement) *Man
 		engine:    engine,
 		workers:   workers,
 		placement: placement,
-		placed:    make(map[string]*Worker),
-		profiles:  make(map[string]dlmodel.Profile),
-		inflight:  make(map[string]*runtime.Checkpoint),
-		snapshots: make(map[string]float64),
-		attempts:  make(map[string]int),
-		crashLog:  make(map[string][]float64),
+		jobs:      make(map[string]*job),
 		avail:     newAvailability(workers),
 	}
 	for _, w := range workers {
-		w := w
 		w.OnContainerExit(func(string) {
 			// Admission happens at listener priority so the pool state the
 			// placement sees reflects the exit.
@@ -528,14 +534,13 @@ func (m *Manager) Submit(at sim.Time, name string, profile dlmodel.Profile) {
 // event and hands the job over the moment it fires, so the manager never
 // holds a schedule.
 func (m *Manager) SubmitNow(name string, profile dlmodel.Profile) {
-	if _, dup := m.placed[name]; dup {
+	if _, dup := m.jobs[name]; dup {
 		panic(fmt.Sprintf("cluster: duplicate job name %q", name))
 	}
-	m.placed[name] = nil // reserve
-	m.profiles[name] = profile
-	m.submitted++
+	j := &job{name: name, profile: profile}
+	m.jobs[name] = j
 	m.trace(telemetry.PhaseSubmit, name, "", "")
-	m.admit(pendingJob{name: name, profile: profile})
+	m.admit(j)
 }
 
 // admit is the fresh-submission entry: when the self-healing policy's
@@ -543,25 +548,25 @@ func (m *Manager) SubmitNow(name string, profile dlmodel.Profile) {
 // straight into the queue — the 429 path — instead of being offered to
 // the placement function. Requeues and recoveries skip this check: they
 // were already admitted once.
-func (m *Manager) admit(job pendingJob) {
+func (m *Manager) admit(j *job) {
 	if m.shouldShed() {
 		m.avail.Shed++
-		m.queue = append(m.queue, job)
-		m.trace(telemetry.PhaseShed, job.name, "", "capacity below shed watermark")
+		m.queue = append(m.queue, j)
+		m.trace(telemetry.PhaseShed, j.name, "", "capacity below shed watermark")
 		return
 	}
-	m.tryPlace(job)
+	m.tryPlace(j)
 }
 
 // tryPlace launches the job now or queues it.
-func (m *Manager) tryPlace(job pendingJob) {
-	w := m.placement(m.workers, job.profile)
+func (m *Manager) tryPlace(j *job) {
+	w := m.placement(m.workers, j.profile)
 	if w == nil {
-		m.queue = append(m.queue, job)
-		m.trace(telemetry.PhaseQueue, job.name, "", "no hostable worker")
+		m.queue = append(m.queue, j)
+		m.trace(telemetry.PhaseQueue, j.name, "", "no hostable worker")
 		return
 	}
-	m.placeOn(w, job)
+	m.placeOn(w, j)
 }
 
 // drainQueue admits queued jobs in submission order, backfilling past any
@@ -570,29 +575,29 @@ func (m *Manager) tryPlace(job pendingJob) {
 func (m *Manager) drainQueue() {
 	pending := m.queue
 	m.queue = nil
-	for _, job := range pending {
-		w := m.placement(m.workers, job.profile)
+	for _, j := range pending {
+		w := m.placement(m.workers, j.profile)
 		if w == nil {
-			m.queue = append(m.queue, job)
+			m.queue = append(m.queue, j)
 			continue
 		}
-		m.placeOn(w, job)
+		m.placeOn(w, j)
 	}
 }
 
 // placeOn launches a job on a specific worker and notifies subscribers.
-func (m *Manager) placeOn(w *Worker, job pendingJob) {
-	m.trace(telemetry.PhaseAdmit, job.name, w.Name(), "")
-	dljob := dlmodel.NewJobFromCheckpoint(job.name, job.profile, job.resumeWork)
-	c, err := w.LaunchJob(job.name, dljob)
+func (m *Manager) placeOn(w *Worker, j *job) {
+	m.trace(telemetry.PhaseAdmit, j.name, w.Name(), "")
+	dljob := dlmodel.NewJobFromCheckpoint(j.name, j.profile, j.resumeWork)
+	c, err := w.LaunchJob(j.name, dljob)
 	if err != nil {
-		panic(fmt.Sprintf("cluster: launch %s: %v", job.name, err))
+		panic(fmt.Sprintf("cluster: launch %s: %v", j.name, err))
 	}
-	m.trace(telemetry.PhasePlace, job.name, w.Name(), c.ID)
-	m.placed[job.name] = w
-	m.avail.jobPlaced(job.name, float64(m.engine.Now()))
+	m.trace(telemetry.PhasePlace, j.name, w.Name(), c.ID)
+	j.worker = w
+	m.avail.jobPlaced(j, float64(m.engine.Now()))
 	for _, fn := range m.onPlace {
-		fn(job.name, w, c)
+		fn(j.name, w, c)
 	}
 }
 
@@ -606,60 +611,67 @@ func (m *Manager) handleFailure(failed *Worker) {
 	now := float64(m.engine.Now())
 	m.avail.workerDown(failed, now)
 	m.trace(telemetry.PhaseCrash, "", failed.Name(), "worker down")
-	var lost []pendingJob
-	for name, w := range m.placed {
-		if w != failed {
+	var lost []*job
+	for _, j := range m.jobs {
+		if j.worker != failed {
 			continue
 		}
 		// Only reschedule jobs whose container did not finish. A failed
-		// lookup means the job has no container at all — it finished long
-		// ago and a previous Repair cleaned its husk (the name reservation
-		// in placed outlives the container). Fail stops every live
-		// container *before* notifying, so a genuinely lost job always
-		// still has its husk here.
-		c, err := failed.Lookup(name)
-		if err != nil || c.Done {
-			continue
+		// lookup means a finished job whose husk a previous Repair cleaned
+		// (a finished job keeps its worker). Fail stops every live container
+		// *before* notifying, so a genuinely lost job still has its husk.
+		if c, err := failed.Lookup(j.name); err == nil && !c.Done {
+			lost = append(lost, j)
 		}
-		job := pendingJob{name: name, profile: m.profiles[name]}
-		// Work is 0 when the workload does not expose it — a from-scratch
-		// restart.
-		workAtLoss := c.Work
-		job.resumeWork = m.snapshots[name]
-		lost = append(lost, job)
-		m.placed[name] = nil
-		m.requeued++
-		m.avail.jobLost(name, now, workAtLoss, job.resumeWork)
 	}
 	// Deterministic retry order.
-	sortPending(lost)
-	for _, job := range lost {
-		m.trace(telemetry.PhaseFail, job.name, failed.Name(), "worker failed; rescheduling")
+	slices.SortFunc(lost, byName)
+	for _, j := range lost {
+		// The husk holds the work that died with it (0 when the workload
+		// does not expose it — a from-scratch restart).
+		c, _ := failed.Lookup(j.name)
+		m.lose(j, now, c.Work)
+		m.trace(telemetry.PhaseFail, j.name, failed.Name(), "worker failed; rescheduling")
 	}
-	m.rescheduleLost(lost)
+	for _, j := range lost {
+		m.rescheduleLost(j)
+	}
 	m.noteFlap(failed, now)
 }
 
-// sortPending orders pending jobs by name for deterministic rescheduling.
-func sortPending(jobs []pendingJob) {
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].name < jobs[j].name })
+// lose takes a job off its worker after its container died holding
+// workAtLoss: the next launch resumes from the last snapshot, and the
+// ledger opens the job's MTTR interval.
+func (m *Manager) lose(j *job, now, workAtLoss float64) {
+	j.worker = nil
+	j.resumeWork = j.snapshot
+	m.avail.jobLost(j, now, workAtLoss)
 }
 
 // Submitted returns how many jobs have been submitted to the manager.
-func (m *Manager) Submitted() int { return m.submitted }
+func (m *Manager) Submitted() int { return len(m.jobs) }
 
 // Queued returns how many jobs are waiting for capacity.
 func (m *Manager) Queued() int { return len(m.queue) }
 
 // Requeued returns how many job placements were lost to worker failures
-// and rescheduled.
-func (m *Manager) Requeued() int { return m.requeued }
+// or container kills and rescheduled (the ledger classifies each loss).
+func (m *Manager) Requeued() int {
+	return m.avail.RestartsFromCheckpoint + m.avail.RestartsFromScratch
+}
 
 // WorkerOf returns the worker a job was placed on (nil before placement).
-func (m *Manager) WorkerOf(name string) *Worker { return m.placed[name] }
+func (m *Manager) WorkerOf(name string) *Worker {
+	if j := m.jobs[name]; j != nil {
+		return j.worker
+	}
+	return nil
+}
 
 // ProfileOf returns the profile a job was submitted with.
 func (m *Manager) ProfileOf(name string) (dlmodel.Profile, bool) {
-	p, ok := m.profiles[name]
-	return p, ok
+	if j := m.jobs[name]; j != nil {
+		return j.profile, true
+	}
+	return dlmodel.Profile{}, false
 }

@@ -41,12 +41,14 @@ func (c MigrationCost) Delay(memoryBytes float64) float64 {
 	return d
 }
 
-// Validate rejects malformed cost models with a named field.
+// Validate rejects malformed cost models with a named field: every
+// component must be a finite non-negative number.
 func (c MigrationCost) Validate() error {
-	if c.FreezeSec < 0 || c.ThawSec < 0 || c.BytesPerSec < 0 {
-		return fmt.Errorf("cluster: migration cost %+v has a negative component", c)
-	}
-	return nil
+	return checkFinite("migration cost", []namedValue{
+		{"FreezeSec", c.FreezeSec},
+		{"ThawSec", c.ThawSec},
+		{"BytesPerSec", c.BytesPerSec},
+	})
 }
 
 // MigrationSpec describes one migration for Manager.Migrate.
@@ -83,32 +85,38 @@ type MigrationSpec struct {
 // currently running on a worker, the destination is the source, or the
 // cost model is malformed.
 func (m *Manager) Migrate(spec MigrationSpec) error {
+	j := m.jobs[spec.Job]
+	if j == nil {
+		return fmt.Errorf("cluster: migrate unknown job %q", spec.Job)
+	}
+	return m.migrate(j, spec)
+}
+
+// migrate is Migrate past the record lookup.
+func (m *Manager) migrate(j *job, spec MigrationSpec) error {
 	if err := spec.Cost.Validate(); err != nil {
 		return err
 	}
-	src := m.placed[spec.Job]
+	src := j.worker
 	if src == nil {
-		if _, known := m.profiles[spec.Job]; !known {
-			return fmt.Errorf("cluster: migrate unknown job %q", spec.Job)
-		}
-		return fmt.Errorf("cluster: job %q is not placed on any worker (queued or in flight)", spec.Job)
+		return fmt.Errorf("cluster: job %q is not placed on any worker (queued or in flight)", j.name)
 	}
 	if spec.Dst == src {
-		return fmt.Errorf("cluster: job %q is already on worker %s", spec.Job, src.Name())
+		return fmt.Errorf("cluster: job %q is already on worker %s", j.name, src.Name())
 	}
 	if spec.Dst != nil && spec.Dst.Failed() {
 		return fmt.Errorf("cluster: migration destination %s has failed", spec.Dst.Name())
 	}
-	c, err := src.Lookup(spec.Job)
+	c, err := src.Lookup(j.name)
 	if err != nil {
-		return fmt.Errorf("cluster: migrate %q: %w", spec.Job, err)
+		return fmt.Errorf("cluster: migrate %q: %w", j.name, err)
 	}
 	if c.State != runtime.Running || c.Done {
-		return fmt.Errorf("cluster: job %q is not running (state %s)", spec.Job, c.State)
+		return fmt.Errorf("cluster: job %q is not running (state %s)", j.name, c.State)
 	}
 	cp, err := src.Checkpoint(c.ID)
 	if err != nil {
-		return fmt.Errorf("cluster: migrate %q: %w", spec.Job, err)
+		return fmt.Errorf("cluster: migrate %q: %w", j.name, err)
 	}
 	cp.GEHistory = append([]float64(nil), spec.GEHistory...)
 
@@ -117,15 +125,15 @@ func (m *Manager) Migrate(spec MigrationSpec) error {
 		if spec.Dst != nil {
 			dstName = spec.Dst.Name()
 		}
-		m.trace(telemetry.PhaseMigrate, spec.Job, src.Name(), "freeze dst="+dstName)
+		m.trace(telemetry.PhaseMigrate, j.name, src.Name(), "freeze dst="+dstName)
 	}
-	m.placed[spec.Job] = nil
-	m.inflight[spec.Job] = cp
+	j.worker = nil
+	m.inflight++
 	dst := spec.Dst
 	m.engine.After(spec.Cost.Delay(cp.MemoryBytes), sim.PriorityState,
-		"manager.thaw."+spec.Job, func() {
-			delete(m.inflight, spec.Job)
-			m.thaw(spec.Job, dst, cp)
+		"manager.thaw."+j.name, func() {
+			m.inflight--
+			m.thaw(j, dst, cp)
 		})
 	return nil
 }
@@ -133,29 +141,29 @@ func (m *Manager) Migrate(spec MigrationSpec) error {
 // thaw lands an in-flight checkpoint: on the requested destination if it
 // can still host the job, otherwise wherever the placement function says,
 // otherwise the admission queue (with progress preserved).
-func (m *Manager) thaw(job string, dst *Worker, cp *runtime.Checkpoint) {
+func (m *Manager) thaw(j *job, dst *Worker, cp *runtime.Checkpoint) {
 	m.migrated++
-	profile := m.profiles[job]
-	if dst == nil || !dst.CanHost(profile) {
-		dst = m.placement(m.workers, profile)
+	if dst == nil || !dst.CanHost(j.profile) {
+		dst = m.placement(m.workers, j.profile)
 	}
 	if dst == nil {
 		// Nowhere to land right now. The live checkpoint degrades to a
 		// work-offset resubmission — lossless for the manager's jobs,
 		// whose whole state is delivered work — and the admission queue
 		// takes over.
-		m.queue = append(m.queue, pendingJob{name: job, profile: profile, resumeWork: cp.Work})
-		m.trace(telemetry.PhaseMigrate, job, "", "thaw queued (no hostable worker)")
+		j.resumeWork = cp.Work
+		m.queue = append(m.queue, j)
+		m.trace(telemetry.PhaseMigrate, j.name, "", "thaw queued (no hostable worker)")
 		return
 	}
 	c, err := dst.Restore(cp)
 	if err != nil {
-		panic(fmt.Sprintf("cluster: thaw %s on %s: %v", job, dst.Name(), err))
+		panic(fmt.Sprintf("cluster: thaw %s on %s: %v", j.name, dst.Name(), err))
 	}
-	m.trace(telemetry.PhaseMigrate, job, dst.Name(), "thaw "+c.ID)
-	m.placed[job] = dst
+	m.trace(telemetry.PhaseMigrate, j.name, dst.Name(), "thaw "+c.ID)
+	j.worker = dst
 	for _, fn := range m.onMigrate {
-		fn(job, dst, c)
+		fn(j.name, dst, c)
 	}
 }
 
@@ -169,10 +177,11 @@ func (m *Manager) Drain(w *Worker, cost MigrationCost) int {
 	w.Cordon()
 	n := 0
 	for _, c := range w.PS(false) {
-		if m.placed[c.Name] != w || c.Done {
+		j := m.jobs[c.Name]
+		if j == nil || j.worker != w || c.Done {
 			continue
 		}
-		if err := m.Migrate(MigrationSpec{Job: c.Name, Cost: cost}); err != nil {
+		if err := m.migrate(j, MigrationSpec{Job: j.name, Cost: cost}); err != nil {
 			panic(fmt.Sprintf("cluster: drain %s: %v", w.Name(), err))
 		}
 		n++
@@ -185,4 +194,4 @@ func (m *Manager) Drain(w *Worker, cost MigrationCost) int {
 func (m *Manager) Migrated() int { return m.migrated }
 
 // InFlight returns how many jobs are currently mid-migration.
-func (m *Manager) InFlight() int { return len(m.inflight) }
+func (m *Manager) InFlight() int { return m.inflight }

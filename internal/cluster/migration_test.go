@@ -44,6 +44,38 @@ func TestMigrationCostDelay(t *testing.T) {
 	}
 }
 
+// Every cost component must be a finite non-negative number: a NaN or
+// infinite delay would schedule the thaw at NaN or never. The recovery
+// policy's CheckpointCost goes through the same check.
+func TestMigrationCostValidate(t *testing.T) {
+	for _, ok := range []MigrationCost{{}, DefaultMigrationCost(), {FreezeSec: 1, ThawSec: 2, BytesPerSec: 3}} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", ok, err)
+		}
+	}
+	cases := []struct {
+		field string
+		cost  MigrationCost
+	}{
+		{"FreezeSec", MigrationCost{FreezeSec: math.NaN()}},
+		{"FreezeSec", MigrationCost{FreezeSec: math.Inf(1)}},
+		{"ThawSec", MigrationCost{ThawSec: math.Inf(-1)}},
+		{"ThawSec", MigrationCost{ThawSec: -0.5}},
+		{"BytesPerSec", MigrationCost{BytesPerSec: math.NaN()}},
+		{"BytesPerSec", MigrationCost{BytesPerSec: math.Inf(1)}},
+	}
+	for _, c := range cases {
+		err := c.cost.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.field) ||
+			!strings.Contains(err.Error(), "must be a finite non-negative number") {
+			t.Errorf("%+v: error %v, want one naming %s", c.cost, err, c.field)
+		}
+		if err := (RecoveryPolicy{CheckpointCost: c.cost}).Validate(); err == nil {
+			t.Errorf("recovery policy with CheckpointCost %+v accepted", c.cost)
+		}
+	}
+}
+
 // A migration moves the job to the destination after the cost delay, the
 // job finishes exactly once, and in-flight time delivers no work.
 func TestMigrateMovesJob(t *testing.T) {
@@ -334,24 +366,36 @@ func TestMigrateBackAfterRepair(t *testing.T) {
 	}
 }
 
+// restoreSpy records the checkpoint a worker is asked to restore.
+type restoreSpy struct {
+	runtime.Runtime
+	got *runtime.Checkpoint
+}
+
+func (s *restoreSpy) Restore(cp *runtime.Checkpoint) (runtime.Container, error) {
+	s.got = cp
+	return s.Runtime.Restore(cp)
+}
+
 // The checkpoint a migration produces carries the GE history it was
 // given — the signal travels with the container.
 func TestMigrationAttachesGEHistory(t *testing.T) {
 	e, m, _, w1 := twoWorkerManager(t)
+	spy := &restoreSpy{Runtime: w1.rt}
+	w1.rt = spy
 	ge := []float64{0.9, 0.4, 0.1}
 	e.At(5, sim.PriorityState, "migrate", func() {
 		if err := m.Migrate(MigrationSpec{Job: "job", Dst: w1,
 			Cost: MigrationCost{FreezeSec: 1}, GEHistory: ge}); err != nil {
 			t.Errorf("Migrate: %v", err)
 		}
-		cp := m.inflight["job"]
-		if cp == nil {
-			t.Error("no in-flight checkpoint")
-			return
-		}
-		if len(cp.GEHistory) != 3 || cp.GEHistory[2] != 0.1 {
-			t.Errorf("GE history = %v", cp.GEHistory)
-		}
 	})
 	e.RunAll()
+	cp := spy.got
+	if cp == nil {
+		t.Fatal("no checkpoint thawed on the destination")
+	}
+	if len(cp.GEHistory) != 3 || cp.GEHistory[2] != 0.1 {
+		t.Errorf("GE history = %v", cp.GEHistory)
+	}
 }

@@ -3,9 +3,8 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
-	"repro/internal/dlmodel"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -63,23 +62,15 @@ type RecoveryPolicy struct {
 
 // Validate rejects out-of-domain recovery policies with a named field.
 func (p RecoveryPolicy) Validate() error {
-	bad := func(field string, v float64) error {
-		return fmt.Errorf("cluster: recovery policy %s %g must be a finite non-negative number", field, v)
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
+	if err := checkFinite("recovery policy", []namedValue{
 		{"CheckpointEverySec", p.CheckpointEverySec},
 		{"MinSnapshotDelta", p.MinSnapshotDelta},
 		{"BackoffBaseSec", p.BackoffBaseSec},
 		{"BackoffCapSec", p.BackoffCapSec},
 		{"FlapWindowSec", p.FlapWindowSec},
 		{"FlapCooldownSec", p.FlapCooldownSec},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
-			return bad(f.name, f.v)
-		}
+	}); err != nil {
+		return err
 	}
 	if err := p.CheckpointCost.Validate(); err != nil {
 		return err
@@ -95,6 +86,23 @@ func (p RecoveryPolicy) Validate() error {
 	}
 	if math.IsNaN(p.ShedBelowFrac) || p.ShedBelowFrac < 0 || p.ShedBelowFrac > 1 {
 		return fmt.Errorf("cluster: recovery policy ShedBelowFrac %g outside [0, 1]", p.ShedBelowFrac)
+	}
+	return nil
+}
+
+// namedValue is one float field checkFinite inspects.
+type namedValue struct {
+	name string
+	v    float64
+}
+
+// checkFinite rejects the first NaN, infinite or negative field of what,
+// naming it.
+func checkFinite(what string, fields []namedValue) error {
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("cluster: %s %s %g must be a finite non-negative number", what, f.name, f.v)
+		}
 	}
 	return nil
 }
@@ -172,7 +180,7 @@ func (m *Manager) OnAbandon(fn func(jobName string)) {
 
 // Abandoned returns how many jobs were given up after exhausting their
 // retry budget.
-func (m *Manager) Abandoned() int { return m.abandoned }
+func (m *Manager) Abandoned() int { return m.avail.Abandoned }
 
 // checkpointScan freezes every job that earned a fresh snapshot and
 // schedules its priced in-place restore, then chains the next scan. It
@@ -180,16 +188,16 @@ func (m *Manager) Abandoned() int { return m.abandoned }
 // order so the event sequence is deterministic.
 func (m *Manager) checkpointScan() {
 	p := m.recovery
-	names := make([]string, 0, len(m.placed))
-	for name, w := range m.placed {
-		if w != nil {
-			names = append(names, name)
+	placed := make([]*job, 0, len(m.jobs))
+	for _, j := range m.jobs {
+		if j.worker != nil {
+			placed = append(placed, j)
 		}
 	}
-	sort.Strings(names)
+	slices.SortFunc(placed, byName)
 	settled := make(map[*Worker]bool)
-	for _, name := range names {
-		w := m.placed[name]
+	for _, j := range placed {
+		w := j.worker
 		if w == nil || w.Failed() {
 			continue
 		}
@@ -199,27 +207,27 @@ func (m *Manager) checkpointScan() {
 			w.RunningStats()
 			settled[w] = true
 		}
-		c, err := w.Lookup(name)
+		c, err := w.Lookup(j.name)
 		if err != nil || c.State != runtime.Running || c.Done {
 			continue
 		}
-		if c.Work-m.snapshots[name] < p.MinSnapshotDelta {
+		if c.Work-j.snapshot < p.MinSnapshotDelta {
 			continue // not enough fresh work to pay for a snapshot
 		}
-		if prof, ok := m.profiles[name]; ok && c.Work >= checkpointSkipFrac*prof.TotalWork {
+		if c.Work >= checkpointSkipFrac*j.profile.TotalWork {
 			continue
 		}
-		m.freezeSnapshot(name, w, c.ID)
+		m.freezeSnapshot(j, w, c.ID)
 	}
 	m.engine.After(p.CheckpointEverySec, sim.PriorityState, "manager.ckpt-scan", m.checkpointScan)
 }
 
 // freezeSnapshot checkpoints one running job and schedules its restore
 // after the policy's cost. While frozen the job is placed nowhere and
-// rides m.inflight, exactly like a migration: a crash of its worker
+// counts as in flight, exactly like a migration: a crash of its worker
 // cannot lose it (its state already left the pool) and the rebalancer
 // cannot double-move it.
-func (m *Manager) freezeSnapshot(name string, w *Worker, containerID string) {
+func (m *Manager) freezeSnapshot(j *job, w *Worker, containerID string) {
 	cp, err := w.Checkpoint(containerID)
 	if err != nil {
 		// The container raced an exit inside this event chain; nothing to
@@ -227,14 +235,14 @@ func (m *Manager) freezeSnapshot(name string, w *Worker, containerID string) {
 		return
 	}
 	m.avail.Checkpoints++
-	m.snapshots[name] = cp.Work
-	m.placed[name] = nil
-	m.inflight[name] = cp
-	m.trace(telemetry.PhaseCheckpoint, name, w.Name(), "freeze")
+	j.snapshot = cp.Work
+	j.worker = nil
+	m.inflight++
+	m.trace(telemetry.PhaseCheckpoint, j.name, w.Name(), "freeze")
 	delay := m.recovery.CheckpointCost.Delay(cp.MemoryBytes)
-	m.engine.After(delay, sim.PriorityState, "manager.ckpt-restore."+name, func() {
-		delete(m.inflight, name)
-		m.restoreSnapshot(name, w, cp)
+	m.engine.After(delay, sim.PriorityState, "manager.ckpt-restore."+j.name, func() {
+		m.inflight--
+		m.restoreSnapshot(j, w, cp)
 	})
 }
 
@@ -243,44 +251,26 @@ func (m *Manager) freezeSnapshot(name string, w *Worker, containerID string) {
 // the placement function says, or the admission queue with progress
 // preserved. A cordon alone does not evict the job: it was already
 // resident, and cordons only close *new* admissions.
-func (m *Manager) restoreSnapshot(name string, w *Worker, cp *runtime.Checkpoint) {
-	profile := m.profiles[name]
-	if !canRestoreInPlace(w, profile) {
-		alt := m.placement(m.workers, profile)
-		if alt == nil {
-			m.queue = append(m.queue, pendingJob{name: name, profile: profile, resumeWork: cp.Work})
-			m.trace(telemetry.PhaseCheckpoint, name, "", "restore queued (no hostable worker)")
-			return
-		}
-		w = alt
+func (m *Manager) restoreSnapshot(j *job, w *Worker, cp *runtime.Checkpoint) {
+	if !w.fits(j.profile) {
+		w = m.placement(m.workers, j.profile)
+	}
+	if w == nil {
+		j.resumeWork = cp.Work
+		m.queue = append(m.queue, j)
+		m.trace(telemetry.PhaseCheckpoint, j.name, "", "restore queued (no hostable worker)")
+		return
 	}
 	c, err := w.Restore(cp)
 	if err != nil {
-		panic(fmt.Sprintf("cluster: restore %s on %s: %v", name, w.Name(), err))
+		panic(fmt.Sprintf("cluster: restore %s on %s: %v", j.name, w.Name(), err))
 	}
-	m.placed[name] = w
-	m.trace(telemetry.PhaseCheckpoint, name, w.Name(), "restore "+c.ID)
-	m.avail.jobPlaced(name, float64(m.engine.Now()))
+	j.worker = w
+	m.trace(telemetry.PhaseCheckpoint, j.name, w.Name(), "restore "+c.ID)
+	m.avail.jobPlaced(j, float64(m.engine.Now()))
 	for _, fn := range m.onRestore {
-		fn(name, w, c)
+		fn(j.name, w, c)
 	}
-}
-
-// canRestoreInPlace is CanHost minus the cordon check: a frozen resident
-// job returning to its own worker is not a new admission.
-func canRestoreInPlace(w *Worker, p dlmodel.Profile) bool {
-	if w.failed {
-		return false
-	}
-	if w.maxContainers > 0 && w.RunningCount() >= w.maxContainers {
-		return false
-	}
-	if cap := w.rt.MemoryCapacity(); cap > 0 {
-		if w.rt.MemoryUsed()+p.MemoryBytes > cap {
-			return false
-		}
-	}
-	return true
 }
 
 // FailContainer kills one job's running container in place — the
@@ -288,76 +278,68 @@ func canRestoreInPlace(w *Worker, p dlmodel.Profile) bool {
 // internal/faults injects. The worker survives; the job re-enters
 // through the same recovery path as a worker crash: snapshot resume,
 // retry budget, backoff.
-func (m *Manager) FailContainer(job string) error {
-	w := m.placed[job]
-	if w == nil {
-		if _, known := m.profiles[job]; !known {
-			return fmt.Errorf("cluster: kill unknown job %q", job)
-		}
-		return fmt.Errorf("cluster: kill %q: job is not placed on any worker", job)
+func (m *Manager) FailContainer(name string) error {
+	j := m.jobs[name]
+	if j == nil {
+		return fmt.Errorf("cluster: kill unknown job %q", name)
 	}
-	c, err := w.Lookup(job)
+	w := j.worker
+	if w == nil {
+		return fmt.Errorf("cluster: kill %q: job is not placed on any worker", name)
+	}
+	c, err := w.Lookup(name)
 	if err != nil {
-		return fmt.Errorf("cluster: kill %q: %w", job, err)
+		return fmt.Errorf("cluster: kill %q: %w", name, err)
 	}
 	if c.State != runtime.Running || c.Done {
-		return fmt.Errorf("cluster: kill %q: container is not running", job)
+		return fmt.Errorf("cluster: kill %q: container is not running", name)
 	}
 	if err := w.Stop(c.ID); err != nil {
-		return fmt.Errorf("cluster: kill %q: %w", job, err)
+		return fmt.Errorf("cluster: kill %q: %w", name, err)
 	}
 	// Stop settled the pool: re-read the husk for the work that died with
 	// it, then free the name so a retry can land back on this very node.
-	c, err = w.Lookup(job)
+	c, err = w.Lookup(name)
 	if err != nil {
-		panic(fmt.Sprintf("cluster: kill %s: husk vanished: %v", job, err))
+		panic(fmt.Sprintf("cluster: kill %s: husk vanished: %v", name, err))
 	}
 	_ = w.Remove(c.ID)
-	m.placed[job] = nil
-	m.requeued++
 	m.avail.Kills++
-	m.trace(telemetry.PhaseKill, job, w.Name(), "container killed")
-	now := float64(m.engine.Now())
-	resume := m.snapshots[job]
-	m.avail.jobLost(job, now, c.Work, resume)
-	m.rescheduleLost([]pendingJob{{name: job, profile: m.profiles[job], resumeWork: resume}})
+	m.trace(telemetry.PhaseKill, name, w.Name(), "container killed")
+	m.lose(j, float64(m.engine.Now()), c.Work)
+	m.rescheduleLost(j)
 	return nil
 }
 
-// rescheduleLost routes lost placements through the recovery policy: each
+// rescheduleLost routes a lost placement through the recovery policy: the
 // job is retried after its own backoff delay (none = the same instant, at
-// listener priority), and a job over its retry budget is abandoned
-// instead.
-func (m *Manager) rescheduleLost(lost []pendingJob) {
+// listener priority), or abandoned once over its retry budget.
+func (m *Manager) rescheduleLost(j *job) {
 	p := m.recovery
-	for _, job := range lost {
-		job := job
-		m.attempts[job.name]++
-		n := m.attempts[job.name]
-		if p.RetryBudget > 0 && n > p.RetryBudget {
-			m.abandon(job.name)
-			continue
-		}
-		delay := p.backoff(n)
-		if delay <= 0 {
-			m.engine.At(m.engine.Now(), sim.PriorityListener,
-				"manager.reschedule."+job.name, func() { m.tryPlace(job) })
-			continue
-		}
-		m.engine.After(delay, sim.PriorityState,
-			"manager.reschedule."+job.name, func() { m.tryPlace(job) })
+	j.attempts++
+	if p.RetryBudget > 0 && j.attempts > p.RetryBudget {
+		m.abandon(j)
+		return
 	}
+	delay := p.backoff(j.attempts)
+	if delay <= 0 {
+		m.engine.At(m.engine.Now(), sim.PriorityListener,
+			"manager.reschedule."+j.name, func() { m.tryPlace(j) })
+		return
+	}
+	m.engine.After(delay, sim.PriorityState,
+		"manager.reschedule."+j.name, func() { m.tryPlace(j) })
 }
 
 // abandon gives up on a job permanently: its name stays reserved, its
-// record stays unfinished, and OnAbandon subscribers (the runner's
-// termination counter) hear about it exactly once.
-func (m *Manager) abandon(job string) {
-	m.trace(telemetry.PhaseGiveUp, job, "", "retry budget exhausted")
-	m.avail.jobAbandoned(job)
-	m.abandoned++
+// record stays unfinished (its MTTR interval never closes), and OnAbandon
+// subscribers (the runner's termination counter) hear about it exactly
+// once.
+func (m *Manager) abandon(j *job) {
+	m.trace(telemetry.PhaseGiveUp, j.name, "", "retry budget exhausted")
+	m.avail.Abandoned++
 	for _, fn := range m.onAbandon {
-		fn(job)
+		fn(j.name)
 	}
 }
 
@@ -369,20 +351,19 @@ func (m *Manager) noteFlap(w *Worker, now float64) {
 	if p.FlapThreshold <= 0 {
 		return
 	}
-	log := append(m.crashLog[w.Name()], now)
+	log := append(w.crashLog, now)
 	cut := 0
 	for cut < len(log) && log[cut] < now-p.FlapWindowSec {
 		cut++
 	}
-	log = log[cut:]
-	m.crashLog[w.Name()] = log
-	if len(log) < p.FlapThreshold || w.Cordoned() {
+	w.crashLog = log[cut:]
+	if len(w.crashLog) < p.FlapThreshold || w.Cordoned() {
 		return
 	}
 	w.Cordon()
 	m.avail.Cordons++
 	m.trace(telemetry.PhaseCordon, "", w.Name(), "flap threshold crossed")
-	m.crashLog[w.Name()] = nil
+	w.crashLog = nil
 	if p.FlapCooldownSec > 0 {
 		m.engine.After(p.FlapCooldownSec, sim.PriorityState,
 			"manager.uncordon."+w.Name(), func() {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -292,6 +293,39 @@ func TestAvailabilityLedger(t *testing.T) {
 	}
 }
 
+// Finalize closes the open downtime intervals in worker declaration
+// order: ledgers rebuilt from the same crashes sum to one bit pattern,
+// the left-to-right sum over the workers.
+func TestFinalizeOrderIndependent(t *testing.T) {
+	caps := []float64{0.1, 0.7, 1.3, 2.9, 0.3, 5.1, 0.9, 3.7}
+	downAt := []float64{1.1, 2.3, 3.7, 4.1, 5.9, 6.7, 7.3, 8.9}
+	const end = 1000.3
+	want := 0.0
+	for i := range caps {
+		want += caps[i] * (end - downAt[i])
+	}
+	for run := 0; run < 50; run++ {
+		e := sim.NewEngine()
+		ws := make([]*Worker, len(caps))
+		for i := range ws {
+			ws[i], _ = NewSimWorker(fmt.Sprintf("w%d", i), e, caps[i])
+			e.At(sim.Time(downAt[i]), sim.PriorityState, "crash", ws[i].Fail)
+		}
+		m := NewManager(e, ws, nil)
+		e.RunAll()
+		a := m.Availability()
+		a.Finalize(end)
+		if math.Float64bits(a.WorkerDownSec) != math.Float64bits(want) {
+			t.Fatalf("run %d: WorkerDownSec = %v, want %v (worker order)", run, a.WorkerDownSec, want)
+		}
+		// A finalized ledger outlives the run inside Result; it must not
+		// pin the simulated cluster.
+		if a.workers != nil {
+			t.Fatalf("run %d: finalized ledger still holds the workers", run)
+		}
+	}
+}
+
 func TestAvailabilityMTTR(t *testing.T) {
 	e := sim.NewEngine()
 	w, _ := NewSimWorker("w0", e, 1.0)
@@ -299,10 +333,11 @@ func TestAvailabilityMTTR(t *testing.T) {
 	if !math.IsNaN(a.MTTRQuantile(0.5)) {
 		t.Fatal("empty MTTR sketch did not report NaN")
 	}
-	a.jobLost("a", 10, 50, 40)
-	a.jobPlaced("a", 14)
-	a.jobLost("b", 20, 30, 0)
-	a.jobPlaced("b", 26)
+	ja, jb := &job{name: "a", resumeWork: 40}, &job{name: "b"}
+	a.jobLost(ja, 10, 50)
+	a.jobPlaced(ja, 14)
+	a.jobLost(jb, 20, 30)
+	a.jobPlaced(jb, 26)
 	if a.MTTRCount() != 2 {
 		t.Fatalf("MTTRCount = %d, want 2", a.MTTRCount())
 	}
@@ -318,7 +353,7 @@ func TestAvailabilityMTTR(t *testing.T) {
 		t.Fatalf("WastedWorkSec = %g, want 40", a.WastedWorkSec)
 	}
 	// A placement with no open loss interval is not an MTTR sample.
-	a.jobPlaced("fresh", 30)
+	a.jobPlaced(&job{name: "fresh"}, 30)
 	if a.MTTRCount() != 2 {
 		t.Fatal("placement without loss fed the MTTR sketch")
 	}

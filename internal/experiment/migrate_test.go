@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -245,5 +246,24 @@ func TestMigrationSpecValidation(t *testing.T) {
 		Drains:         []Drain{{Worker: 3, At: 1}},
 	}); err == nil {
 		t.Fatal("scenario with out-of-range drain accepted")
+	}
+}
+
+// A NaN or infinite drain cost is rejected up front, not discovered
+// mid-run as a thaw scheduled at NaN (a panic) or never (a run that
+// silently fails to complete).
+func TestNonFiniteMigrationCostRejected(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		spec := Spec{
+			Name:          "non-finite-cost",
+			NewPolicy:     NAPolicy(20),
+			Submissions:   workload.FixedSchedule(),
+			Workers:       2,
+			Drains:        []Drain{{Worker: 0, At: 10}},
+			MigrationCost: cluster.MigrationCost{FreezeSec: v},
+		}
+		if _, err := RunE(spec); err == nil {
+			t.Errorf("migration cost FreezeSec %g accepted", v)
+		}
 	}
 }

@@ -384,23 +384,21 @@ func RunE(spec Spec) (*Result, error) {
 		policies[i] = p
 	}
 
-	modelOf := make(map[string]string, len(spec.Submissions))
 	manager := cluster.NewManager(engine, workers, spec.Placement)
 	manager.SetTracer(spec.Tracer)
-	manager.OnPlace(func(name string, w *cluster.Worker, c rt.Container) {
-		collector.TrackJob(name, w.Name(), modelOf[name], c.ID, c.StartedAt)
-		// The run span follows the manager's place span: the container is
-		// up and training (a nil tracer is a no-op).
-		spec.Tracer.Record(c.StartedAt, telemetry.PhaseRun, name, w.Name(), c.ID)
-	})
-	manager.OnMigrate(func(name string, w *cluster.Worker, c rt.Container) {
-		collector.TrackJobMigrated(name, w.Name(), modelOf[name], c.ID, c.StartedAt)
-		spec.Tracer.Record(c.StartedAt, telemetry.PhaseRun, name, w.Name(), c.ID)
-	})
-	manager.OnRestore(func(name string, w *cluster.Worker, c rt.Container) {
-		collector.TrackJobCheckpointed(name, w.Name(), modelOf[name], c.ID, c.StartedAt)
-		spec.Tracer.Record(c.StartedAt, telemetry.PhaseRun, name, w.Name(), c.ID)
-	})
+	// bind tracks a job's new container (launch, migration thaw or
+	// checkpoint restore) under its model key, then opens its run span: the
+	// container is up and training (a nil tracer is a no-op).
+	bind := func(track func(name, worker, model, id string, at float64)) func(string, *cluster.Worker, rt.Container) {
+		return func(name string, w *cluster.Worker, c rt.Container) {
+			p, _ := manager.ProfileOf(name)
+			track(name, w.Name(), p.Key(), c.ID, c.StartedAt)
+			spec.Tracer.Record(c.StartedAt, telemetry.PhaseRun, name, w.Name(), c.ID)
+		}
+	}
+	manager.OnPlace(bind(collector.TrackJob))
+	manager.OnMigrate(bind(collector.TrackJobMigrated))
+	manager.OnRestore(bind(collector.TrackJobCheckpointed))
 	if spec.Recovery != nil {
 		manager.EnableSelfHealing(*spec.Recovery)
 	}
@@ -495,7 +493,6 @@ func RunE(spec Spec) (*Result, error) {
 				fail(fmt.Errorf("experiment: spec %q job %q: %v", spec.Name, sub.Name, err))
 				return
 			}
-			modelOf[sub.Name] = sub.Profile.Key()
 			submitted.Add(1)
 			manager.SubmitNow(sub.Name, sub.Profile)
 			next, ok := arrivals.Next()

@@ -191,6 +191,13 @@ func Sweep(ctx context.Context, specs []Spec, opts SweepOptions) (*SweepResult, 
 					})
 				}
 				mu.Unlock()
+				// A run never blocks, so on a pool as wide as GOMAXPROCS no
+				// P reaches the scheduler until sysmon preempts it after
+				// 10 ms. Below 4 Ps the GC has no dedicated mark worker, so
+				// a mark that starts mid-run stalls that long while the
+				// runs keep allocating, and the heap goal that follows
+				// doubles. Yielding between runs lets the mark worker in.
+				runtime.Gosched()
 			}
 		}()
 	}

@@ -55,6 +55,9 @@ done
 compare -scenario all -seeds 2
 compare -scenario chaos-day,chaos-day-scratch -seeds 2
 compare -scenario megacluster-smoke -seeds 1
+# Heavy, so "-scenario all" skips it: the only target that drives crash
+# recovery, kills and periodic checkpoints across a thousand workers.
+compare -scenario chaos-megacluster -seeds 1
 
 if [ "$status" -ne 0 ]; then
     echo "parity-base: output differs from merge base $base"
