@@ -1,8 +1,16 @@
 package repro
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestPublicAPIQuickstart exercises the facade exactly as the README's
@@ -29,21 +37,13 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
-// TestPublicAPICatalog checks the re-exported model catalog and config.
+// TestPublicAPICatalog checks the re-exported catalog models.
 func TestPublicAPICatalog(t *testing.T) {
-	if len(Catalog()) != 10 || len(Table1()) != 6 {
-		t.Fatal("catalog size wrong through facade")
+	for _, p := range []Profile{VAEPyTorch(), MNISTPyTorch(), MNISTTensorFlow()} {
+		p.Validate()
 	}
-	p := ModelByKey("RNN-GRU (Tensorflow)")
-	if p.Framework != TensorFlow || p.Direction != Decreasing {
+	if p := VAEPyTorch(); p.Framework != PyTorch || p.Direction != Decreasing {
 		t.Fatalf("profile through facade: %+v", p)
-	}
-	cfg := DefaultFlowConConfig()
-	if cfg.Alpha != 0.03 || cfg.InitialInterval != 30 {
-		t.Fatalf("default config: %+v", cfg)
-	}
-	if NewList.String() != "NL" || CompletingList.String() != "CL" {
-		t.Fatal("list aliases wrong")
 	}
 }
 
@@ -70,23 +70,81 @@ func TestPublicAPICustomProfile(t *testing.T) {
 	}
 }
 
-// TestPublicAPIArchive round-trips an archive through the facade.
+// TestPublicAPIArchive runs the dense tier through the facade and
+// round-trips its archive.
 func TestPublicAPIArchive(t *testing.T) {
 	res := Run(Spec{
 		Name:        "api-archive",
 		NewPolicy:   NAPolicy(20),
 		Submissions: FixedSchedule(),
+		TraceLevel:  TierDense,
 	})
 	a := res.Collector.Export()
+	if len(a.Series) == 0 {
+		t.Fatal("dense tier exported no raw series")
+	}
 	var sb strings.Builder
 	if err := a.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadArchive(strings.NewReader(sb.String()))
+	back, err := metrics.ReadArchive(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Makespan != a.Makespan {
 		t.Fatal("archive round trip changed makespan")
+	}
+}
+
+// TestFacadeNamesAreUsed keeps the facade to what something runs: every
+// exported name in api.go must be referenced as repro.<Name> by a program
+// under examples/ or by README.md.
+func TestFacadeNamesAreUsed(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "api.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			names = append(names, d.Name.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					names = append(names, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						names = append(names, n.Name)
+					}
+				}
+			}
+		}
+	}
+	sources, err := filepath.Glob("examples/*/*.go")
+	if err != nil || len(sources) == 0 {
+		t.Fatalf("no example programs found (%v)", err)
+	}
+	var users strings.Builder
+	for _, path := range append(sources, "README.md") {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		users.Write(b)
+	}
+	exported := 0
+	for _, name := range names {
+		if !ast.IsExported(name) {
+			continue
+		}
+		exported++
+		if !regexp.MustCompile(`\brepro\.` + name + `\b`).MatchString(users.String()) {
+			t.Errorf("api.go exports %s, but no example or README.md uses repro.%s", name, name)
+		}
+	}
+	if exported == 0 {
+		t.Fatal("found no exported names in api.go")
 	}
 }

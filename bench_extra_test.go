@@ -9,7 +9,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/flowcon"
 	"repro/internal/resource"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -187,31 +186,4 @@ func BenchmarkAblationCheckpointing(b *testing.B) {
 	}
 	b.ReportMetric(scratch.Makespan, "scratch_restart_makespan_s")
 	b.ReportMetric(resumed.Makespan, "checkpointed_makespan_s")
-}
-
-// BenchmarkAblationClassifyResource drives classification from different
-// resource dimensions (Eq. 2 defines a growth efficiency per kind; the
-// paper's evaluation uses CPU).
-func BenchmarkAblationClassifyResource(b *testing.B) {
-	kinds := []resource.Kind{resource.CPU, resource.BlkIO}
-	makespans := make([]float64, len(kinds))
-	for i := 0; i < b.N; i++ {
-		for j, k := range kinds {
-			k := k
-			spec := tenJobSpec(func(tr flowcon.Tracer) sched.Policy {
-				return &sched.FlowCon{
-					Config: flowcon.Config{
-						Alpha:           0.10,
-						Beta:            2,
-						InitialInterval: 20,
-						Resource:        k,
-					},
-					Tracer: tr,
-				}
-			})
-			makespans[j] = experiment.Run(spec).Makespan
-		}
-	}
-	b.ReportMetric(makespans[0], "makespan_cpu_s")
-	b.ReportMetric(makespans[1], "makespan_blkio_s")
 }

@@ -9,6 +9,7 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/dlmodel"
 	"repro/internal/experiment"
 	"repro/internal/flowcon"
 	"repro/internal/sched"
@@ -37,7 +38,7 @@ func wins(fc, na *experiment.Result) int {
 // BenchmarkTable1 builds and validates the Table 1 model catalog.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := Table1()
+		rows := dlmodel.Table1()
 		if len(rows) != 6 {
 			b.Fatal("catalog broken")
 		}

@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"repro/internal/dlmodel"
-	"repro/internal/flowcon"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/simdocker"
@@ -50,14 +49,15 @@ const DefaultMemoryBytes = 16 << 30
 
 // Worker is one node in the cluster: a container runtime plus
 // arrival/exit fan-out and admission state (failure, cordon, container
-// cap). It implements flowcon.Runtime so a FlowCon controller (or any
-// baseline policy) can drive it directly, and runtime.Runtime by
-// delegation so cluster-level policies treat a worker exactly like the
-// backend it wraps.
+// cap). It embeds the runtime it wraps, so it implements runtime.Runtime
+// (and flowcon.Runtime, which a FlowCon controller or any baseline policy
+// drives) and cluster-level policies treat a worker exactly like its
+// backend.
 type Worker struct {
+	runtime.Runtime
+
 	name   string
 	engine sim.Scheduler
-	rt     runtime.Runtime
 
 	// maxContainers caps concurrent containers for admission control
 	// (0 = unlimited).
@@ -86,7 +86,7 @@ var _ runtime.Runtime = (*Worker)(nil)
 // and its policy schedule stays on its shard. Use NewSimWorker for the
 // usual simulated backend.
 func NewWorker(name string, engine sim.Scheduler, rt runtime.Runtime) *Worker {
-	w := &Worker{name: name, engine: engine, rt: rt}
+	w := &Worker{Runtime: rt, name: name, engine: engine}
 	rt.OnStart(func(c runtime.Container) {
 		for _, fn := range w.startSubs {
 			fn(c.ID)
@@ -121,9 +121,6 @@ func (w *Worker) Name() string { return w.name }
 // serial simulation, the worker's lane in a sharded one).
 func (w *Worker) Engine() sim.Scheduler { return w.engine }
 
-// Runtime exposes the underlying container runtime.
-func (w *Worker) Runtime() runtime.Runtime { return w.rt }
-
 // OnContainerStart subscribes to container-start notifications (the New
 // Cons listener feed).
 func (w *Worker) OnContainerStart(fn func(id string)) {
@@ -134,63 +131,6 @@ func (w *Worker) OnContainerStart(fn func(id string)) {
 // Finished Cons listener feed).
 func (w *Worker) OnContainerExit(fn func(id string)) {
 	w.exitSubs = append(w.exitSubs, fn)
-}
-
-// OnStart implements runtime.Runtime: full-view start notifications from
-// the backing runtime.
-func (w *Worker) OnStart(fn func(runtime.Container)) { w.rt.OnStart(fn) }
-
-// OnExit implements runtime.Runtime: full-view exit notifications from
-// the backing runtime.
-func (w *Worker) OnExit(fn func(runtime.Container)) { w.rt.OnExit(fn) }
-
-// RunningStats implements flowcon.Runtime: settled per-container counters.
-// The returned slice is scratch reused by the next call — callers (the
-// FlowCon controller, SLAQ, the rebalancer's monitors) consume it within
-// the same event and must not retain it.
-func (w *Worker) RunningStats() []flowcon.Stat { return w.rt.RunningStats() }
-
-// SetCPULimit implements flowcon.Runtime via docker update.
-func (w *Worker) SetCPULimit(id string, limit float64) error {
-	return w.rt.SetCPULimit(id, limit)
-}
-
-// Capacity implements runtime.Runtime.
-func (w *Worker) Capacity() float64 { return w.rt.Capacity() }
-
-// MemoryCapacity implements runtime.Runtime.
-func (w *Worker) MemoryCapacity() float64 { return w.rt.MemoryCapacity() }
-
-// MemoryUsed implements runtime.Runtime.
-func (w *Worker) MemoryUsed() float64 { return w.rt.MemoryUsed() }
-
-// RunningCount returns the number of running containers on the worker.
-func (w *Worker) RunningCount() int { return w.rt.RunningCount() }
-
-// Launch implements runtime.Runtime by delegation. Most callers want
-// LaunchJob, which derives the image from the job's framework.
-func (w *Worker) Launch(spec runtime.LaunchSpec) (runtime.Container, error) {
-	return w.rt.Launch(spec)
-}
-
-// Stop implements runtime.Runtime.
-func (w *Worker) Stop(id string) error { return w.rt.Stop(id) }
-
-// Remove implements runtime.Runtime.
-func (w *Worker) Remove(id string) error { return w.rt.Remove(id) }
-
-// Lookup implements runtime.Runtime.
-func (w *Worker) Lookup(name string) (runtime.Container, error) {
-	return w.rt.Lookup(name)
-}
-
-// PS implements runtime.Runtime.
-func (w *Worker) PS(all bool) []runtime.Container { return w.rt.PS(all) }
-
-// Checkpoint implements runtime.Runtime (the freezing half of a live
-// migration).
-func (w *Worker) Checkpoint(id string) (*runtime.Checkpoint, error) {
-	return w.rt.Checkpoint(id)
 }
 
 // SetMaxContainers caps the number of concurrently running containers the
@@ -218,9 +158,9 @@ func (w *Worker) Fail() {
 		return
 	}
 	w.failed = true
-	for _, c := range w.rt.PS(false) {
+	for _, c := range w.PS(false) {
 		// Stop cannot fail for a container PS(false) just returned.
-		_ = w.rt.Stop(c.ID)
+		_ = w.Stop(c.ID)
 	}
 	for _, fn := range w.failSubs {
 		fn()
@@ -240,10 +180,10 @@ func (w *Worker) OnRepair(fn func()) { w.repairSubs = append(w.repairSubs, fn) }
 func (w *Worker) Repair() {
 	wasFailed := w.failed
 	w.failed = false
-	for _, c := range w.rt.PS(true) {
+	for _, c := range w.PS(true) {
 		if c.State == runtime.Exited {
 			// Remove cannot fail for an exited container PS just returned.
-			_ = w.rt.Remove(c.ID)
+			_ = w.Remove(c.ID)
 		}
 	}
 	if wasFailed {
@@ -280,13 +220,13 @@ func (w *Worker) fits(p dlmodel.Profile) bool {
 	if w.maxContainers > 0 && w.RunningCount() >= w.maxContainers {
 		return false
 	}
-	cap := w.rt.MemoryCapacity()
-	return !(cap > 0 && w.rt.MemoryUsed()+p.MemoryBytes > cap)
+	cap := w.MemoryCapacity()
+	return !(cap > 0 && w.MemoryUsed()+p.MemoryBytes > cap)
 }
 
 // MemoryFree returns the unreserved node memory in bytes.
 func (w *Worker) MemoryFree() float64 {
-	return w.rt.MemoryCapacity() - w.rt.MemoryUsed()
+	return w.MemoryCapacity() - w.MemoryUsed()
 }
 
 // LaunchJob runs a DL job in a new container on this worker and returns
@@ -297,18 +237,12 @@ func (w *Worker) LaunchJob(name string, job *dlmodel.Job) (runtime.Container, er
 	if err != nil {
 		return runtime.Container{}, err
 	}
-	return w.rt.Launch(runtime.LaunchSpec{
+	return w.Launch(runtime.LaunchSpec{
 		Image:    img,
 		Name:     name,
 		Model:    job.Profile().Key(),
 		Workload: job,
 	})
-}
-
-// Restore thaws a migration checkpoint into a running container on this
-// worker (the receiving half of Manager.Migrate).
-func (w *Worker) Restore(cp *runtime.Checkpoint) (runtime.Container, error) {
-	return w.rt.Restore(cp)
 }
 
 // Placement selects a worker able to host the given job, or nil to make

@@ -381,8 +381,8 @@ func (s *restoreSpy) Restore(cp *runtime.Checkpoint) (runtime.Container, error) 
 // given — the signal travels with the container.
 func TestMigrationAttachesGEHistory(t *testing.T) {
 	e, m, _, w1 := twoWorkerManager(t)
-	spy := &restoreSpy{Runtime: w1.rt}
-	w1.rt = spy
+	spy := &restoreSpy{Runtime: w1.Runtime}
+	w1.Runtime = spy
 	ge := []float64{0.9, 0.4, 0.1}
 	e.At(5, sim.PriorityState, "migrate", func() {
 		if err := m.Migrate(MigrationSpec{Job: "job", Dst: w1,

@@ -1,9 +1,6 @@
 package dlmodel
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // The catalog reproduces Table 1 of the paper plus the two extra
 // TensorFlow models from Figure 1 (CNN-LSTM and Logistic Regression).
@@ -246,15 +243,4 @@ var catalogByKey = sync.OnceValue(func() map[string]Profile {
 func Find(key string) (Profile, bool) {
 	p, ok := catalogByKey()[key]
 	return p, ok
-}
-
-// ByKey returns the catalog profile whose Key() matches, e.g.
-// "MNIST (Tensorflow)". It panics on an unknown key — experiment
-// definitions are static, so a miss is a programming error.
-func ByKey(key string) Profile {
-	p, ok := Find(key)
-	if !ok {
-		panic(fmt.Sprintf("dlmodel: unknown profile key %q", key))
-	}
-	return p
 }

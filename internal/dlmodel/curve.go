@@ -19,7 +19,6 @@
 package dlmodel
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -53,27 +52,6 @@ func (c ExpCurve) Slope(work float64) float64 {
 	return -c.K * (c.Start - c.Final) * math.Exp(-c.K*work)
 }
 
-// PowerCurve is power-law convergence:
-// E(w) = Final + (Start−Final)/(1+w/W0)^P. It has the heavier tail seen in
-// large-model training (slow late-stage gains), which keeps growth
-// efficiency above threshold for longer than an exponential would.
-type PowerCurve struct {
-	Start float64
-	Final float64
-	W0    float64 // knee of the curve in work units; must be > 0
-	P     float64 // tail exponent; must be > 0
-}
-
-// Eval returns E(w).
-func (c PowerCurve) Eval(work float64) float64 {
-	return c.Final + (c.Start-c.Final)/math.Pow(1+work/c.W0, c.P)
-}
-
-// Slope returns dE/dw.
-func (c PowerCurve) Slope(work float64) float64 {
-	return -(c.Start - c.Final) * c.P / c.W0 / math.Pow(1+work/c.W0, c.P+1)
-}
-
 // LogisticCurve is S-shaped convergence:
 // E(w) = Start + (Final−Start)·σ(S·(w−W0)) rebased so E(0) = Start, where
 // σ is the logistic function. Its |dE/dw| rises to a peak at W0 and then
@@ -104,51 +82,6 @@ func (c LogisticCurve) Slope(work float64) float64 {
 	return (c.Final - c.Start) * c.S * sg * (1 - sg) / (1 - s0)
 }
 
-// StagedCurve chains sub-curves over consecutive work ranges, modelling
-// learning-rate drops or curriculum phases where the loss re-accelerates.
-// Each stage i spans [Bounds[i-1], Bounds[i]) in work (Bounds[len-1] = +inf
-// implicitly); stage curves are evaluated in stage-local work coordinates
-// and offset so the overall trajectory is continuous.
-type StagedCurve struct {
-	Stages []Curve
-	Bounds []float64 // ascending stage end boundaries; len = len(Stages)-1
-}
-
-// Eval returns E(w) with continuity across stage boundaries.
-func (c StagedCurve) Eval(work float64) float64 {
-	offset := 0.0
-	start := 0.0
-	for i, stage := range c.Stages {
-		end := math.Inf(1)
-		if i < len(c.Bounds) {
-			end = c.Bounds[i]
-		}
-		if work < end || i == len(c.Stages)-1 {
-			return stage.Eval(work-start) + offset
-		}
-		// Accumulate the offset so the next stage starts where this ends.
-		offset += stage.Eval(end-start) - c.Stages[i+1].Eval(0)
-		start = end
-	}
-	panic("dlmodel: StagedCurve with no stages")
-}
-
-// Slope returns dE/dw of the active stage.
-func (c StagedCurve) Slope(work float64) float64 {
-	start := 0.0
-	for i, stage := range c.Stages {
-		end := math.Inf(1)
-		if i < len(c.Bounds) {
-			end = c.Bounds[i]
-		}
-		if work < end || i == len(c.Stages)-1 {
-			return stage.Slope(work - start)
-		}
-		start = end
-	}
-	panic("dlmodel: StagedCurve with no stages")
-}
-
 // validateCurve returns an error if the curve's parameters are malformed.
 // The tests are positive range tests, so a NaN parameter fails them.
 func validateCurve(c Curve) error {
@@ -157,30 +90,9 @@ func validateCurve(c Curve) error {
 		if !(cc.K > 0) {
 			return fmt.Errorf("dlmodel: ExpCurve K=%g must be positive", cc.K)
 		}
-	case PowerCurve:
-		if !(cc.W0 > 0 && cc.P > 0) {
-			return fmt.Errorf("dlmodel: PowerCurve W0=%g P=%g must be positive", cc.W0, cc.P)
-		}
 	case LogisticCurve:
 		if !(cc.W0 > 0 && cc.S > 0) {
 			return fmt.Errorf("dlmodel: LogisticCurve W0=%g S=%g must be positive", cc.W0, cc.S)
-		}
-	case StagedCurve:
-		if len(cc.Stages) == 0 {
-			return errors.New("dlmodel: StagedCurve needs at least one stage")
-		}
-		if len(cc.Bounds) != len(cc.Stages)-1 {
-			return errors.New("dlmodel: StagedCurve bounds/stages mismatch")
-		}
-		for i := 1; i < len(cc.Bounds); i++ {
-			if !(cc.Bounds[i] > cc.Bounds[i-1]) {
-				return errors.New("dlmodel: StagedCurve bounds must ascend")
-			}
-		}
-		for _, s := range cc.Stages {
-			if err := validateCurve(s); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -27,20 +27,9 @@ func TestExpCurveSlopeMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
-func TestPowerCurveSlopeMatchesFiniteDifference(t *testing.T) {
-	c := PowerCurve{Start: 50, Final: 2, W0: 10, P: 1.3}
-	for _, w := range []float64{0, 1, 5, 20, 100} {
-		h := 1e-6
-		fd := (c.Eval(w+h) - c.Eval(w-h)) / (2 * h)
-		if math.Abs(fd-c.Slope(w)) > 1e-4 {
-			t.Fatalf("slope mismatch at w=%v: analytic %v, fd %v", w, c.Slope(w), fd)
-		}
-	}
-}
-
 func TestCurveMonotonicityProperty(t *testing.T) {
 	exp := ExpCurve{Start: 100, Final: 5, K: 0.07}
-	pow := PowerCurve{Start: 100, Final: 5, W0: 12, P: 1.1}
+	logi := LogisticCurve{Start: 100, Final: 5, W0: 12, S: 0.2}
 	f := func(a, b float64) bool {
 		wa, wb := math.Abs(a), math.Abs(b)
 		if wa > wb {
@@ -49,50 +38,10 @@ func TestCurveMonotonicityProperty(t *testing.T) {
 		if math.IsNaN(wa) || math.IsInf(wb, 0) {
 			return true
 		}
-		return exp.Eval(wa) >= exp.Eval(wb)-1e-9 && pow.Eval(wa) >= pow.Eval(wb)-1e-9
+		return exp.Eval(wa) >= exp.Eval(wb)-1e-9 && logi.Eval(wa) >= logi.Eval(wb)-1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStagedCurveContinuity(t *testing.T) {
-	c := StagedCurve{
-		Stages: []Curve{
-			ExpCurve{Start: 100, Final: 40, K: 0.2},
-			ExpCurve{Start: 0, Final: -35, K: 0.05}, // relative second phase
-		},
-		Bounds: []float64{20},
-	}
-	if err := validateCurve(c); err != nil {
-		t.Fatal(err)
-	}
-	left := c.Eval(20 - 1e-9)
-	right := c.Eval(20 + 1e-9)
-	if math.Abs(left-right) > 1e-6 {
-		t.Fatalf("discontinuity at stage boundary: %v vs %v", left, right)
-	}
-	// Still monotone decreasing overall.
-	prev := c.Eval(0)
-	for w := 1.0; w < 100; w++ {
-		cur := c.Eval(w)
-		if cur > prev+1e-9 {
-			t.Fatalf("staged curve increased at w=%v: %v -> %v", w, prev, cur)
-		}
-		prev = cur
-	}
-}
-
-func TestStagedCurveValidation(t *testing.T) {
-	bad := []StagedCurve{
-		{},
-		{Stages: []Curve{ExpCurve{Start: 1, Final: 0, K: 1}}, Bounds: []float64{5}},
-		{Stages: []Curve{ExpCurve{Start: 1, Final: 0, K: 1}, ExpCurve{Start: 1, Final: 0, K: 1}, ExpCurve{Start: 1, Final: 0, K: 1}}, Bounds: []float64{5, 5}},
-	}
-	for i, c := range bad {
-		if validateCurve(c) == nil {
-			t.Errorf("case %d: invalid StagedCurve accepted", i)
-		}
 	}
 }
 
@@ -269,17 +218,15 @@ func TestTable1Catalog(t *testing.T) {
 	}
 }
 
+// TestByKey looks catalog profiles up by key through Find.
 func TestByKey(t *testing.T) {
-	p := ByKey("MNIST (Tensorflow)")
-	if p.Name != "MNIST" || p.Framework != TensorFlow {
-		t.Fatalf("ByKey returned %+v", p)
+	p, ok := Find("MNIST (Tensorflow)")
+	if !ok || p.Name != "MNIST" || p.Framework != TensorFlow {
+		t.Fatalf("Find returned %+v, %v", p, ok)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown key did not panic")
-		}
-	}()
-	ByKey("nope")
+	if _, ok := Find("nope"); ok {
+		t.Error("unknown key found")
+	}
 }
 
 // TestGrowthEfficiencyCrossings verifies the calibration story in the

@@ -240,6 +240,60 @@ func checkProfile(p dlmodel.Profile) error {
 	return err
 }
 
+// checkShared validates the fields a Scenario shares with the Spec it
+// expands into (Scenario.base): cluster shape, node settings, drains,
+// migration cost, faults and recovery. RunE and Scenario.validate both
+// call it, so a registered scenario cannot hold a value every run of it
+// would reject. kind and name label the definition in the error.
+func (spec Spec) checkShared(kind, name string) error {
+	if spec.Workers < 0 {
+		return fmt.Errorf("experiment: %s %q has negative worker count %d", kind, name, spec.Workers)
+	}
+	if !(spec.Capacity >= 0) || math.IsInf(spec.Capacity, 0) {
+		return fmt.Errorf("experiment: %s %q capacity %g must be finite and non-negative (0 = default)", kind, name, spec.Capacity)
+	}
+	if math.IsNaN(spec.ContentionOverhead) || math.IsInf(spec.ContentionOverhead, 0) {
+		return fmt.Errorf("experiment: %s %q contention overhead %g must be finite (0 = default, negative = none)", kind, name, spec.ContentionOverhead)
+	}
+	if math.IsNaN(spec.MemoryBytesPerWorker) || math.IsInf(spec.MemoryBytesPerWorker, 0) {
+		return fmt.Errorf("experiment: %s %q memory per worker %g must be finite (0 = default, negative = unmodelled)", kind, name, spec.MemoryBytesPerWorker)
+	}
+	if spec.MaxContainersPerWorker < 0 {
+		return fmt.Errorf("experiment: %s %q has negative container cap %d (0 = unlimited)", kind, name, spec.MaxContainersPerWorker)
+	}
+	if math.IsNaN(spec.SamplePeriod) || math.IsInf(spec.SamplePeriod, 0) || spec.SamplePeriod < 0 {
+		return fmt.Errorf("experiment: %s %q sample period %g must be finite and non-negative (0 = default)", kind, name, spec.SamplePeriod)
+	}
+	if math.IsNaN(spec.Horizon) || math.IsInf(spec.Horizon, 0) || spec.Horizon < 0 {
+		return fmt.Errorf("experiment: %s %q horizon %g must be finite and non-negative (0 = default)", kind, name, spec.Horizon)
+	}
+	for _, d := range spec.Drains {
+		if d.Worker < 0 || d.Worker >= max(spec.Workers, 1) {
+			return fmt.Errorf("experiment: %s %q drain index %d out of range", kind, name, d.Worker)
+		}
+		if d.At < 0 || math.IsNaN(d.At) || math.IsInf(d.At, 0) {
+			return fmt.Errorf("experiment: %s %q drain at %g invalid", kind, name, d.At)
+		}
+		if d.UncordonAt != 0 && (d.UncordonAt <= d.At || math.IsNaN(d.UncordonAt) || math.IsInf(d.UncordonAt, 0)) {
+			return fmt.Errorf("experiment: %s %q uncordon at %g must follow drain at %g", kind, name, d.UncordonAt, d.At)
+		}
+	}
+	if err := spec.MigrationCost.Validate(); err != nil {
+		return fmt.Errorf("experiment: %s %q: %v", kind, name, err)
+	}
+	if spec.Faults != nil {
+		if err := spec.Faults.Validate(max(spec.Workers, 1)); err != nil {
+			return fmt.Errorf("experiment: %s %q: %v", kind, name, err)
+		}
+	}
+	if spec.Recovery != nil {
+		if err := spec.Recovery.Validate(); err != nil {
+			return fmt.Errorf("experiment: %s %q: %v", kind, name, err)
+		}
+	}
+	return nil
+}
+
 // Run executes the spec to completion (or horizon) and returns the result.
 // It panics on an invalid spec; Sweep and other programmatic callers should
 // prefer RunE, which reports the same conditions as errors.
@@ -275,51 +329,8 @@ func RunE(spec Spec) (*Result, error) {
 			return nil, fmt.Errorf("experiment: spec %q job %q: %v", spec.Name, s.Name, err)
 		}
 	}
-	if spec.Workers < 0 {
-		return nil, fmt.Errorf("experiment: spec %q has negative worker count %d", spec.Name, spec.Workers)
-	}
-	if !(spec.Capacity >= 0) || math.IsInf(spec.Capacity, 0) {
-		return nil, fmt.Errorf("experiment: spec %q capacity %g must be finite and non-negative (0 = default)", spec.Name, spec.Capacity)
-	}
-	if math.IsNaN(spec.ContentionOverhead) || math.IsInf(spec.ContentionOverhead, 0) {
-		return nil, fmt.Errorf("experiment: spec %q contention overhead %g must be finite (0 = default, negative = none)", spec.Name, spec.ContentionOverhead)
-	}
-	if math.IsNaN(spec.MemoryBytesPerWorker) || math.IsInf(spec.MemoryBytesPerWorker, 0) {
-		return nil, fmt.Errorf("experiment: spec %q memory per worker %g must be finite (0 = default, negative = unmodelled)", spec.Name, spec.MemoryBytesPerWorker)
-	}
-	if spec.MaxContainersPerWorker < 0 {
-		return nil, fmt.Errorf("experiment: spec %q has negative container cap %d (0 = unlimited)", spec.Name, spec.MaxContainersPerWorker)
-	}
-	if math.IsNaN(spec.SamplePeriod) || math.IsInf(spec.SamplePeriod, 0) || spec.SamplePeriod < 0 {
-		return nil, fmt.Errorf("experiment: spec %q sample period %g must be finite and non-negative (0 = default)", spec.Name, spec.SamplePeriod)
-	}
-	if math.IsNaN(spec.Horizon) || math.IsInf(spec.Horizon, 0) || spec.Horizon < 0 {
-		return nil, fmt.Errorf("experiment: spec %q horizon %g must be finite and non-negative (0 = default)", spec.Name, spec.Horizon)
-	}
-	for _, d := range spec.Drains {
-		if d.Worker < 0 || d.Worker >= max(spec.Workers, 1) {
-			return nil, fmt.Errorf("experiment: spec %q drain index %d out of range", spec.Name, d.Worker)
-		}
-		if d.At < 0 || math.IsNaN(d.At) || math.IsInf(d.At, 0) {
-			return nil, fmt.Errorf("experiment: spec %q drain at %g invalid", spec.Name, d.At)
-		}
-		if d.UncordonAt != 0 && (d.UncordonAt <= d.At || math.IsNaN(d.UncordonAt) || math.IsInf(d.UncordonAt, 0)) {
-			return nil, fmt.Errorf("experiment: spec %q uncordon at %g must follow drain at %g",
-				spec.Name, d.UncordonAt, d.At)
-		}
-	}
-	if err := spec.MigrationCost.Validate(); err != nil {
-		return nil, fmt.Errorf("experiment: spec %q: %v", spec.Name, err)
-	}
-	if spec.Faults != nil {
-		if err := spec.Faults.Validate(max(spec.Workers, 1)); err != nil {
-			return nil, fmt.Errorf("experiment: spec %q: %v", spec.Name, err)
-		}
-	}
-	if spec.Recovery != nil {
-		if err := spec.Recovery.Validate(); err != nil {
-			return nil, fmt.Errorf("experiment: spec %q: %v", spec.Name, err)
-		}
+	if err := spec.checkShared("spec", spec.Name); err != nil {
+		return nil, err
 	}
 	if spec.MigrationCost == (cluster.MigrationCost{}) {
 		spec.MigrationCost = cluster.DefaultMigrationCost()

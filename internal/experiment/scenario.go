@@ -112,29 +112,35 @@ func (s Scenario) Setting() Setting {
 	return Setting{Alpha: alpha, Itval: itval}
 }
 
-// Spec expands the scenario into one runnable Spec for the seed.
-func (s Scenario) Spec(seed int64) Spec {
-	setting := s.Setting()
-	spec := Spec{
-		Name:                   fmt.Sprintf("%s [seed=%d %s]", s.Name, seed, setting.Label()),
-		NewPolicy:              FlowConPolicy(setting.Alpha, setting.Itval),
+// base is the seed-independent part of the scenario's Spec: the fields
+// the two share, which Spec.checkShared validates for both.
+func (s Scenario) base() Spec {
+	return Spec{
 		Workers:                s.Workers,
-		Placement:              s.Placement,
 		MaxContainersPerWorker: s.MaxContainersPerWorker,
 		Horizon:                s.Horizon,
 		Capacity:               s.Capacity,
 		SamplePeriod:           s.SamplePeriod,
 		ContentionOverhead:     s.ContentionOverhead,
-		ClusterPolicy:          s.ClusterPolicy,
 		Drains:                 s.Drains,
 		MigrationCost:          s.MigrationCost,
 		Faults:                 s.Faults,
-		FaultSeed:              seed,
 		Recovery:               s.Recovery,
-		SimShards:              s.SimShards,
-		TraceLevel:             s.TraceLevel,
-		Arrivals:               s.StreamWorkload(seed),
 	}
+}
+
+// Spec expands the scenario into one runnable Spec for the seed.
+func (s Scenario) Spec(seed int64) Spec {
+	setting := s.Setting()
+	spec := s.base()
+	spec.Name = fmt.Sprintf("%s [seed=%d %s]", s.Name, seed, setting.Label())
+	spec.NewPolicy = FlowConPolicy(setting.Alpha, setting.Itval)
+	spec.Placement = s.Placement
+	spec.ClusterPolicy = s.ClusterPolicy
+	spec.FaultSeed = seed
+	spec.SimShards = s.SimShards
+	spec.TraceLevel = s.TraceLevel
+	spec.Arrivals = s.StreamWorkload(seed)
 	if s.NewTracer != nil {
 		spec.Tracer = s.NewTracer()
 	}
@@ -160,47 +166,14 @@ func (s Scenario) validate() error {
 	if s.StreamWorkload == nil {
 		return fmt.Errorf("experiment: scenario %q without workload generator", s.Name)
 	}
-	if s.Workers < 0 {
-		return fmt.Errorf("experiment: scenario %q has negative worker count %d", s.Name, s.Workers)
-	}
 	if math.IsNaN(s.Alpha) || s.Alpha < 0 || s.Alpha >= 1 {
 		return fmt.Errorf("experiment: scenario %q alpha %g outside [0, 1) (0 = default)", s.Name, s.Alpha)
 	}
 	if math.IsNaN(s.Itval) || math.IsInf(s.Itval, 0) || s.Itval < 0 {
 		return fmt.Errorf("experiment: scenario %q itval %g must be a finite non-negative interval (0 = default)", s.Name, s.Itval)
 	}
-	if math.IsNaN(s.Horizon) || math.IsInf(s.Horizon, 0) || s.Horizon < 0 {
-		return fmt.Errorf("experiment: scenario %q horizon %g must be finite and non-negative (0 = default)", s.Name, s.Horizon)
-	}
-	if math.IsNaN(s.Capacity) || math.IsInf(s.Capacity, 0) || s.Capacity < 0 {
-		return fmt.Errorf("experiment: scenario %q capacity %g must be finite and non-negative (0 = default)", s.Name, s.Capacity)
-	}
-	if math.IsNaN(s.SamplePeriod) || math.IsInf(s.SamplePeriod, 0) || s.SamplePeriod < 0 {
-		return fmt.Errorf("experiment: scenario %q sample period %g must be finite and non-negative (0 = default)", s.Name, s.SamplePeriod)
-	}
-	if math.IsNaN(s.ContentionOverhead) || math.IsInf(s.ContentionOverhead, 0) {
-		return fmt.Errorf("experiment: scenario %q contention overhead %g must be finite (0 = default, negative = none)", s.Name, s.ContentionOverhead)
-	}
-	if s.MaxContainersPerWorker < 0 {
-		return fmt.Errorf("experiment: scenario %q has negative container cap %d", s.Name, s.MaxContainersPerWorker)
-	}
-	for _, d := range s.Drains {
-		if d.Worker < 0 || d.Worker >= max(s.Workers, 1) {
-			return fmt.Errorf("experiment: scenario %q drain index %d out of range", s.Name, d.Worker)
-		}
-	}
-	if err := s.MigrationCost.Validate(); err != nil {
-		return fmt.Errorf("experiment: scenario %q: %v", s.Name, err)
-	}
-	if s.Faults != nil {
-		if err := s.Faults.Validate(max(s.Workers, 1)); err != nil {
-			return fmt.Errorf("experiment: scenario %q: %v", s.Name, err)
-		}
-	}
-	if s.Recovery != nil {
-		if err := s.Recovery.Validate(); err != nil {
-			return fmt.Errorf("experiment: scenario %q: %v", s.Name, err)
-		}
+	if err := s.base().checkShared("scenario", s.Name); err != nil {
+		return err
 	}
 	if s.Rebalance != nil {
 		if s.ClusterPolicy != nil {

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -149,6 +150,32 @@ func TestRunScenariosGrouping(t *testing.T) {
 		if len(o.Results()) != len(seeds) || o.Failed() != 0 {
 			t.Fatalf("scenario %q: results=%d failed=%d", o.Scenario.Name, len(o.Results()), o.Failed())
 		}
+	}
+}
+
+// RegisterScenario rejects every drain that RunE would reject for each
+// seed of the scenario: the two share one validator.
+func TestRegisterScenarioRejectsInvalidDrains(t *testing.T) {
+	for name, d := range map[string]Drain{
+		"NaN at":             {Worker: 1, At: math.NaN()},
+		"negative at":        {Worker: 1, At: -5},
+		"uncordon before at": {Worker: 1, At: 50, UncordonAt: 10},
+		"uncordon at at":     {Worker: 1, At: 50, UncordonAt: 50},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := Scenario{
+				Name:           "bad drain: " + name,
+				StreamWorkload: sliceWorkload(workload.RandomFive),
+				Workers:        2,
+				Drains:         []Drain{d},
+			}
+			if _, err := RunE(s.Spec(1)); err == nil {
+				t.Fatalf("RunE accepted drain %+v", d)
+			}
+			if err := RegisterScenario(s); err == nil {
+				t.Fatalf("RegisterScenario accepted drain %+v", d)
+			}
+		})
 	}
 }
 

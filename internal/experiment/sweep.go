@@ -41,21 +41,6 @@ type SweepOptions struct {
 	// Parallelism bounds the worker pool (0 = DefaultParallelism, which
 	// itself defaults to runtime.GOMAXPROCS; 1 = serial).
 	Parallelism int
-	// Observer, if non-nil, receives one event per finished run. Events
-	// are delivered serially (never concurrently) but in completion
-	// order, not spec order.
-	Observer func(SweepEvent)
-}
-
-// SweepEvent is one progress notification: run Index finished (well or
-// badly) as the Done-th of Total.
-type SweepEvent struct {
-	Index   int
-	Name    string
-	Err     error
-	Elapsed time.Duration
-	Done    int
-	Total   int
 }
 
 // RunReport is one run's slot in a SweepResult: either Result or Err is
@@ -156,9 +141,7 @@ func Sweep(ctx context.Context, specs []Spec, opts SweepOptions) (*SweepResult, 
 
 	start := time.Now()
 	var (
-		next int64      = -1 // atomically incremented work-queue cursor
-		mu   sync.Mutex      // guards done count + observer delivery
-		done int
+		next int64 = -1 // atomically incremented work-queue cursor
 		wg   sync.WaitGroup
 	)
 	for w := 0; w < par; w++ {
@@ -178,19 +161,6 @@ func Sweep(ctx context.Context, specs []Spec, opts SweepOptions) (*SweepResult, 
 				t0 := time.Now()
 				rep.Result, rep.Err = runIsolated(specs[i])
 				rep.Elapsed = time.Since(t0)
-				mu.Lock()
-				done++
-				if opts.Observer != nil {
-					opts.Observer(SweepEvent{
-						Index:   i,
-						Name:    rep.Name,
-						Err:     rep.Err,
-						Elapsed: rep.Elapsed,
-						Done:    done,
-						Total:   len(specs),
-					})
-				}
-				mu.Unlock()
 				// A run never blocks, so on a pool as wide as GOMAXPROCS no
 				// P reaches the scheduler until sysmon preempts it after
 				// 10 ms. Below 4 Ps the GC has no dedicated mark worker, so
@@ -219,103 +189,6 @@ func runIsolated(spec Spec) (res *Result, err error) {
 		}
 	}()
 	return RunE(spec)
-}
-
-// Grid expands a cross-product of FlowCon parameters, workload seeds and
-// cluster sizes into Specs for Sweep — the shape of every sensitivity
-// study over the paper's (α, itval) space and beyond.
-type Grid struct {
-	// Name prefixes every generated spec name.
-	Name string
-	// Submissions is a fixed workload shared by all cells. Exactly one
-	// of Submissions and Workload must be set.
-	Submissions []workload.Submission
-	// Workload generates a per-seed workload (e.g. workload.RandomN
-	// curried over the job count). Requires Seeds.
-	Workload func(seed int64) []workload.Submission
-	// Seeds are the workload seeds to cross (ignored with a fixed
-	// Submissions workload).
-	Seeds []int64
-	// Alphas and Itvals are the FlowCon sensitivity axes; their cross
-	// product yields one FlowCon setting per pair.
-	Alphas []float64
-	Itvals []float64
-	// IncludeNA appends the NA baseline to every (seed, workers) cell.
-	IncludeNA bool
-	// Workers are the cluster sizes to cross (empty = {1}).
-	Workers []int
-	// Configure, if non-nil, post-processes each generated Spec (set
-	// horizons, contention, placement, ...).
-	Configure func(*Spec)
-}
-
-// Settings returns the grid's policy settings: the α×itval cross product
-// plus NA if requested, in deterministic order.
-func (g Grid) Settings() []Setting {
-	var out []Setting
-	for _, a := range g.Alphas {
-		for _, it := range g.Itvals {
-			out = append(out, Setting{Alpha: a, Itval: it})
-		}
-	}
-	if g.IncludeNA {
-		out = append(out, Setting{NA: true})
-	}
-	return out
-}
-
-// Specs expands the grid in deterministic order: seeds outermost, then
-// worker counts, then settings — so slicing the result by setting count
-// recovers per-cell groups.
-func (g Grid) Specs() ([]Spec, error) {
-	if (len(g.Submissions) == 0) == (g.Workload == nil) {
-		return nil, fmt.Errorf("experiment: grid %q needs exactly one of Submissions or Workload", g.Name)
-	}
-	if g.Workload != nil && len(g.Seeds) == 0 {
-		return nil, fmt.Errorf("experiment: grid %q has a seeded workload but no seeds", g.Name)
-	}
-	settings := g.Settings()
-	if len(settings) == 0 {
-		return nil, fmt.Errorf("experiment: grid %q has no settings (empty alpha/itval axes and no NA)", g.Name)
-	}
-	seeds := g.Seeds
-	if g.Submissions != nil {
-		seeds = []int64{0}
-	}
-	workers := g.Workers
-	if len(workers) == 0 {
-		workers = []int{1}
-	}
-
-	specs := make([]Spec, 0, len(seeds)*len(workers)*len(settings))
-	for _, seed := range seeds {
-		subs := g.Submissions
-		if g.Workload != nil {
-			subs = g.Workload(seed)
-		}
-		for _, nw := range workers {
-			for _, s := range settings {
-				name := fmt.Sprintf("%s [%s]", g.Name, s.Label())
-				if g.Workload != nil {
-					name = fmt.Sprintf("%s [seed=%d %s]", g.Name, seed, s.Label())
-				}
-				if len(g.Workers) > 0 {
-					name = fmt.Sprintf("%s [w=%d]", name, nw)
-				}
-				spec := Spec{
-					Name:        name,
-					NewPolicy:   s.policy(),
-					Submissions: subs,
-					Workers:     nw,
-				}
-				if g.Configure != nil {
-					g.Configure(&spec)
-				}
-				specs = append(specs, spec)
-			}
-		}
-	}
-	return specs, nil
 }
 
 // SettingSpecs expands one workload across policy settings — the exact

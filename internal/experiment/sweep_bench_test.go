@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -44,18 +45,19 @@ func BenchmarkSweep4WayParallel(b *testing.B) { benchSweep(b, runtime.GOMAXPROCS
 // BenchmarkSweepGrid18 exercises a bigger sensitivity grid (3α × 3itval
 // × 2 seeds = 18 runs) at full width — the multi-figure sweep shape.
 func BenchmarkSweepGrid18(b *testing.B) {
-	specs, err := Grid{
-		Name:     "bench-grid",
-		Workload: func(seed int64) []workload.Submission { return workload.RandomFive(seed) },
-		Seeds:    []int64{1, 2},
-		Alphas:   []float64{0.03, 0.05, 0.10},
-		Itvals:   []float64{20, 30, 60},
-	}.Specs()
-	if err != nil {
-		b.Fatal(err)
+	var settings []Setting
+	for _, a := range []float64{0.03, 0.05, 0.10} {
+		for _, it := range []float64{20, 30, 60} {
+			settings = append(settings, Setting{Alpha: a, Itval: it})
+		}
+	}
+	var specs []Spec
+	for _, seed := range []int64{1, 2} {
+		specs = append(specs, SettingSpecs(fmt.Sprintf("bench-grid seed=%d", seed), workload.RandomFive(seed), settings)...)
 	}
 	var sr *SweepResult
 	for i := 0; i < b.N; i++ {
+		var err error
 		sr, err = Sweep(context.Background(), specs, SweepOptions{})
 		if err != nil || sr.Err() != nil {
 			b.Fatalf("sweep: %v / %v", err, sr.Err())

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/dlmodel"
@@ -141,14 +140,18 @@ func TestSweepCancellation(t *testing.T) {
 	}
 }
 
-// TestSweepMidwayCancellation: cancelling after the first completed run
-// (serial pool, so ordering is known) stops the remaining specs.
+// TestSweepMidwayCancellation: cancelling while the first run executes
+// (serial pool, so ordering is known) lets that run finish and stops the
+// remaining specs.
 func TestSweepMidwayCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	sr, err := Sweep(ctx, fourWaySpecs(), SweepOptions{
-		Parallelism: 1,
-		Observer:    func(SweepEvent) { cancel() },
-	})
+	specs := fourWaySpecs()
+	newPolicy := specs[0].NewPolicy
+	specs[0].NewPolicy = func(tr flowcon.Tracer) sched.Policy {
+		cancel()
+		return newPolicy(tr)
+	}
+	sr, err := Sweep(ctx, specs, SweepOptions{Parallelism: 1})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -159,39 +162,6 @@ func TestSweepMidwayCancellation(t *testing.T) {
 		if sr.Runs[i].Err != context.Canceled {
 			t.Fatalf("run %d err = %v, want context.Canceled", i, sr.Runs[i].Err)
 		}
-	}
-}
-
-// TestSweepObserver: exactly one event per spec, Done counting 1..n.
-func TestSweepObserver(t *testing.T) {
-	specs := fourWaySpecs()
-	var (
-		mu     sync.Mutex
-		events []SweepEvent
-	)
-	_, err := Sweep(context.Background(), specs, SweepOptions{
-		Parallelism: 3,
-		Observer: func(ev SweepEvent) {
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != len(specs) {
-		t.Fatalf("%d events, want %d", len(events), len(specs))
-	}
-	seen := map[int]bool{}
-	for i, ev := range events {
-		if ev.Done != i+1 || ev.Total != len(specs) {
-			t.Fatalf("event %d: Done=%d Total=%d", i, ev.Done, ev.Total)
-		}
-		if seen[ev.Index] {
-			t.Fatalf("index %d reported twice", ev.Index)
-		}
-		seen[ev.Index] = true
 	}
 }
 
@@ -254,81 +224,15 @@ func TestRunEValidation(t *testing.T) {
 	Run(Spec{})
 }
 
-func TestGridSpecs(t *testing.T) {
-	g := Grid{
-		Name:      "grid",
-		Workload:  func(seed int64) []workload.Submission { return workload.RandomFive(seed) },
-		Seeds:     []int64{1, 2},
-		Alphas:    []float64{0.03, 0.05},
-		Itvals:    []float64{20, 30},
-		IncludeNA: true,
-		Workers:   []int{1, 2},
-	}
-	specs, err := g.Specs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 seeds × 2 workers × (2α × 2itval + NA) = 2*2*5.
-	if len(specs) != 20 {
-		t.Fatalf("%d specs, want 20", len(specs))
-	}
-	if want := "grid [seed=1 3%,20] [w=1]"; specs[0].Name != want {
-		t.Fatalf("specs[0].Name = %q, want %q", specs[0].Name, want)
-	}
-	last := specs[len(specs)-1]
-	if want := "grid [seed=2 NA] [w=2]"; last.Name != want {
-		t.Fatalf("last spec name = %q, want %q", last.Name, want)
-	}
-	if last.Workers != 2 {
-		t.Fatalf("last spec workers = %d", last.Workers)
-	}
-}
-
-func TestGridConfigureHook(t *testing.T) {
-	g := Grid{
-		Name:        "fixed",
-		Submissions: workload.FixedSchedule(),
-		Alphas:      []float64{0.05},
-		Itvals:      []float64{20},
-		Configure:   func(s *Spec) { s.Horizon = 123 },
-	}
-	specs, err := g.Specs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 1 || specs[0].Horizon != 123 {
-		t.Fatalf("configure hook not applied: %+v", specs)
-	}
-}
-
-func TestGridValidation(t *testing.T) {
-	cases := map[string]Grid{
-		"no workload":        {Name: "g", Alphas: []float64{0.05}, Itvals: []float64{20}},
-		"both workloads":     {Name: "g", Submissions: workload.FixedSchedule(), Workload: func(int64) []workload.Submission { return nil }, Alphas: []float64{0.05}, Itvals: []float64{20}},
-		"seeded without":     {Name: "g", Workload: func(int64) []workload.Submission { return nil }, Alphas: []float64{0.05}, Itvals: []float64{20}},
-		"no settings at all": {Name: "g", Submissions: workload.FixedSchedule()},
-		"empty submissions":  {Name: "g", Submissions: []workload.Submission{}, Alphas: []float64{0.05}, Itvals: []float64{20}},
-	}
-	for name, g := range cases {
-		if _, err := g.Specs(); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
-	}
-}
-
-// TestGridSweepEndToEnd runs a tiny grid through the pool and checks the
-// report renders.
+// TestGridSweepEndToEnd runs a small (α, itval) grid plus NA through a
+// two-wide pool and checks the wall/work accounting and the rendered
+// report.
 func TestGridSweepEndToEnd(t *testing.T) {
-	specs, err := Grid{
-		Name:        "e2e",
-		Submissions: workload.FixedSchedule(),
-		Alphas:      []float64{0.05},
-		Itvals:      []float64{20, 30},
-		IncludeNA:   true,
-	}.Specs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	specs := SettingSpecs("e2e", workload.FixedSchedule(), []Setting{
+		{Alpha: 0.05, Itval: 20},
+		{Alpha: 0.05, Itval: 30},
+		{NA: true},
+	})
 	sr, err := Sweep(context.Background(), specs, SweepOptions{Parallelism: 2})
 	if err != nil || sr.Err() != nil {
 		t.Fatalf("sweep: %v / %v", err, sr.Err())

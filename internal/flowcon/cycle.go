@@ -41,12 +41,10 @@ func NewCycle(cfg Config, rt Runtime) *Cycle {
 	if rt == nil {
 		panic("flowcon: nil runtime")
 	}
-	monitor := NewMonitor()
-	monitor.SetPrimaryResource(cfg.Resource)
 	return &Cycle{
 		cfg:     cfg,
 		runtime: rt,
-		monitor: monitor,
+		monitor: NewMonitor(),
 		lists:   make(map[string]List),
 		limits:  make(map[string]float64),
 		itval:   cfg.InitialInterval,

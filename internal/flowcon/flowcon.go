@@ -23,11 +23,7 @@
 // could equally drive a real Docker Engine client.
 package flowcon
 
-import (
-	"fmt"
-
-	"repro/internal/resource"
-)
+import "fmt"
 
 // List is the category Algorithm 1 assigns to each container.
 type List int
@@ -77,22 +73,6 @@ type Config struct {
 	// MinLimit is the smallest limit ever applied, a safety clamp below
 	// the CL floor (docker update rejects a zero CPU quota).
 	MinLimit float64
-	// Resource selects which dimension's growth efficiency (Eq. 2
-	// defines one per resource kind) drives classification. The paper's
-	// evaluation uses CPU, the zero value.
-	Resource resource.Kind
-}
-
-// DefaultConfig returns the configuration matching the paper's best
-// observed setting (α=3%, itval=30s) with β=2.
-func DefaultConfig() Config {
-	return Config{
-		Alpha:           0.03,
-		Beta:            2,
-		InitialInterval: 30,
-		MaxInterval:     0,
-		MinLimit:        0.001,
-	}
 }
 
 // withDefaults fills zero fields with safe defaults and validates.
@@ -115,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if !(c.MinLimit > 0 && c.MinLimit <= 1) {
 		panic(fmt.Sprintf("flowcon: min limit %g outside (0,1]", c.MinLimit))
-	}
-	if c.Resource < 0 || c.Resource >= resource.NumKinds {
-		panic(fmt.Sprintf("flowcon: invalid classification resource %d", c.Resource))
 	}
 	return c
 }

@@ -26,11 +26,11 @@ type Stat struct {
 }
 
 // Measurement is the monitor's per-interval derivation for one container:
-// the progress score P (Eq. 1), the average resource usage R, and the
-// growth efficiency G = P/R (Eq. 2) — for the primary resource configured
-// on the monitor, plus the full per-kind breakdown. Defined is false for a
-// container seen for the first time, which has no interval to difference
-// over.
+// the progress score P (Eq. 1), the average CPU usage R, and the growth
+// efficiency G = P/R (Eq. 2) that Algorithm 1 classifies on, as in the
+// paper's evaluation, plus the per-kind breakdown of Eq. 2. Defined is
+// false for a container seen for the first time, which has no interval to
+// difference over.
 type Measurement struct {
 	ID string
 	P  float64
@@ -59,9 +59,6 @@ type Monitor struct {
 	spare map[string]monitorSample
 	// out is the reused measurement buffer returned by Collect.
 	out []Measurement
-	// primary selects which resource dimension drives the G used for
-	// classification; the paper's evaluation uses CPU.
-	primary resource.Kind
 }
 
 type monitorSample struct {
@@ -72,22 +69,12 @@ type monitorSample struct {
 	netioBytes float64
 }
 
-// NewMonitor returns an empty monitor with CPU as the primary resource.
+// NewMonitor returns an empty monitor.
 func NewMonitor() *Monitor {
 	return &Monitor{
-		prev:    make(map[string]monitorSample),
-		spare:   make(map[string]monitorSample),
-		primary: resource.CPU,
+		prev:  make(map[string]monitorSample),
+		spare: make(map[string]monitorSample),
 	}
-}
-
-// SetPrimaryResource selects the dimension whose growth efficiency drives
-// classification (Eq. 2 defines one per resource kind).
-func (m *Monitor) SetPrimaryResource(k resource.Kind) {
-	if k < 0 || k >= resource.NumKinds {
-		panic("flowcon: invalid primary resource kind")
-	}
-	m.primary = k
 }
 
 // Collect computes measurements for the given stats at time now (seconds)
@@ -144,8 +131,8 @@ func (m *Monitor) Collect(now float64, stats []Stat) []Measurement {
 				mm.GKind[k] = p / r
 			}
 		}
-		mm.R = mm.RKind[m.primary]
-		mm.G = mm.GKind[m.primary]
+		mm.R = mm.RKind[resource.CPU]
+		mm.G = mm.GKind[resource.CPU]
 		out = append(out, mm)
 		next[s.ID] = cur
 	}

@@ -37,39 +37,10 @@ func TestMonitorPerResourceGrowth(t *testing.T) {
 			t.Fatalf("G[%s] = %v, want %v", k, mm.GKind[k], 1.0/want)
 		}
 	}
-	// Default primary is CPU.
+	// Classification reads the CPU entries.
 	if mm.G != mm.GKind[resource.CPU] || mm.R != mm.RKind[resource.CPU] {
-		t.Fatalf("primary mismatch: %v vs %v", mm.G, mm.GKind[resource.CPU])
+		t.Fatalf("G = %v, want the CPU entry %v", mm.G, mm.GKind[resource.CPU])
 	}
-}
-
-func TestMonitorPrimaryResourceSelection(t *testing.T) {
-	m := NewMonitor()
-	m.SetPrimaryResource(resource.BlkIO)
-	m.Collect(0, []Stat{{ID: "a", Eval: 100, BlkIOBytes: 0}})
-	got := m.Collect(10, []Stat{{ID: "a", Eval: 90, CPUSeconds: 5, BlkIOBytes: 100}})
-	if got[0].G != got[0].GKind[resource.BlkIO] {
-		t.Fatalf("primary G = %v, want blkio %v", got[0].G, got[0].GKind[resource.BlkIO])
-	}
-}
-
-func TestMonitorInvalidPrimaryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid primary did not panic")
-		}
-	}()
-	NewMonitor().SetPrimaryResource(resource.Kind(99))
-}
-
-func TestConfigResourceValidation(t *testing.T) {
-	c := Config{Alpha: 0.05, InitialInterval: 20, Resource: resource.Kind(42)}
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid config resource did not panic")
-		}
-	}()
-	c.withDefaults()
 }
 
 func TestMonitorZeroIOCountersSafe(t *testing.T) {

@@ -293,40 +293,17 @@ func TestAllocatePropertyLimitMonotone(t *testing.T) {
 	}
 }
 
-func TestVectorOps(t *testing.T) {
-	v := Vector{}.Set(CPU, 0.5).Set(Memory, 100)
-	w := Vector{}.Set(CPU, 0.25).Set(NetIO, 10)
-	sum := v.Add(w)
-	if sum.Get(CPU) != 0.75 || sum.Get(Memory) != 100 || sum.Get(NetIO) != 10 {
-		t.Fatalf("Add = %v", sum)
-	}
-	diff := sum.Sub(w)
-	if diff.Get(CPU) != 0.5 || diff.Get(NetIO) != 0 {
-		t.Fatalf("Sub = %v", diff)
-	}
-	sc := v.Scale(2)
-	if sc.Get(CPU) != 1.0 || sc.Get(Memory) != 200 {
-		t.Fatalf("Scale = %v", sc)
-	}
-	if !v.FitsIn(Vector{}.Set(CPU, 1).Set(Memory, 100)) {
-		t.Fatal("FitsIn false negative")
-	}
-	if v.FitsIn(Vector{}.Set(CPU, 0.4).Set(Memory, 100)) {
-		t.Fatal("FitsIn false positive")
-	}
-}
-
 func TestKindString(t *testing.T) {
-	want := map[Kind]string{CPU: "cpu", Memory: "memory", BlkIO: "blkio", NetIO: "netio"}
-	for k, s := range want {
-		if k.String() != s {
-			t.Fatalf("Kind(%d).String() = %q, want %q", k, k.String(), s)
+	want := []string{CPU: "cpu", Memory: "memory", BlkIO: "blkio", NetIO: "netio"}
+	if len(want) != int(NumKinds) {
+		t.Fatalf("test lists %d kinds, NumKinds = %d", len(want), NumKinds)
+	}
+	for k := Kind(0); k < NumKinds; k++ {
+		if k.String() != want[k] {
+			t.Fatalf("Kind(%d).String() = %q, want %q", k, k.String(), want[k])
 		}
 	}
 	if Kind(99).String() != "Kind(99)" {
 		t.Fatalf("out-of-range kind = %q", Kind(99).String())
-	}
-	if len(Kinds()) != int(NumKinds) {
-		t.Fatalf("Kinds() returned %d entries", len(Kinds()))
 	}
 }

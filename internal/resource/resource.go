@@ -45,61 +45,3 @@ func (k Kind) String() string {
 	}
 	return kindNames[k]
 }
-
-// Kinds lists all resource dimensions in declaration order.
-func Kinds() []Kind { return []Kind{CPU, Memory, BlkIO, NetIO} }
-
-// Vector holds one value per resource kind. The meaning of each entry
-// depends on context (usage, demand, capacity).
-type Vector [NumKinds]float64
-
-// Get returns the value for kind k.
-func (v Vector) Get(k Kind) float64 { return v[k] }
-
-// Set returns a copy of v with kind k set to x.
-func (v Vector) Set(k Kind, x float64) Vector {
-	v[k] = x
-	return v
-}
-
-// Add returns the element-wise sum v + w.
-func (v Vector) Add(w Vector) Vector {
-	for i := range v {
-		v[i] += w[i]
-	}
-	return v
-}
-
-// Sub returns the element-wise difference v - w.
-func (v Vector) Sub(w Vector) Vector {
-	for i := range v {
-		v[i] -= w[i]
-	}
-	return v
-}
-
-// Scale returns v with every element multiplied by s.
-func (v Vector) Scale(s float64) Vector {
-	for i := range v {
-		v[i] *= s
-	}
-	return v
-}
-
-// FitsIn reports whether every element of v is <= the matching element of
-// capacity (within eps to absorb float error).
-func (v Vector) FitsIn(capacity Vector) bool {
-	const eps = 1e-9
-	for i := range v {
-		if v[i] > capacity[i]+eps {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the vector as "cpu=…, memory=…, blkio=…, netio=…".
-func (v Vector) String() string {
-	return fmt.Sprintf("cpu=%.4g memory=%.4g blkio=%.4g netio=%.4g",
-		v[CPU], v[Memory], v[BlkIO], v[NetIO])
-}

@@ -103,8 +103,7 @@ func collectTimes(it TimesIter, maxJobs int, desc string) []float64 {
 	return out
 }
 
-// Every thinning-based process streams; UniformWindow (which must sort
-// its draws) is the one eager-only built-in.
+// Every built-in process streams.
 var (
 	_ Streamer = Poisson{}
 	_ Streamer = OnOff{}
@@ -283,38 +282,4 @@ func (p FlashCrowd) Window() float64 { return p.WindowSec }
 func (p FlashCrowd) Describe() string {
 	return fmt.Sprintf("flash crowd, %.3g jobs/s base + %.3g jobs/s spike at %gs for %gs over %gs",
 		p.BaseRate, p.SpikeRate, p.SpikeAt, p.SpikeSec, p.WindowSec)
-}
-
-// UniformWindow is the paper's original process — N jobs at independent
-// uniform times in the window — recast as an ArrivalProcess so the legacy
-// scenarios compose with the same machinery.
-type UniformWindow struct {
-	// Jobs is the exact number of arrivals.
-	Jobs int
-	// WindowSec bounds arrivals to [0, WindowSec).
-	WindowSec float64
-}
-
-// Times implements ArrivalProcess.
-func (p UniformWindow) Times(rng *rand.Rand) []float64 {
-	if p.Jobs <= 0 || p.Jobs > maxArrivals {
-		panic(fmt.Sprintf("workload: uniform job count %d outside [1, %d]", p.Jobs, maxArrivals))
-	}
-	if !(p.WindowSec > 0) || math.IsInf(p.WindowSec, 0) {
-		panic(fmt.Sprintf("workload: arrival window %g must be positive and finite", p.WindowSec))
-	}
-	out := make([]float64, p.Jobs)
-	for i := range out {
-		out[i] = rng.Float64() * p.WindowSec
-	}
-	sortFloats(out)
-	return out
-}
-
-// Window implements ArrivalProcess.
-func (p UniformWindow) Window() float64 { return p.WindowSec }
-
-// Describe implements ArrivalProcess.
-func (p UniformWindow) Describe() string {
-	return fmt.Sprintf("uniform, exactly %d jobs over %gs", p.Jobs, p.WindowSec)
 }

@@ -19,7 +19,6 @@ func allProcesses() map[string]ArrivalProcess {
 		"onoff":      OnOff{OnRate: 0.4, OnSec: 20, OffSec: 60, WindowSec: 300},
 		"diurnal":    Diurnal{BaseRate: 0.08, Amplitude: 0.9, PeriodSec: 150, WindowSec: 300},
 		"flashcrowd": FlashCrowd{BaseRate: 0.02, SpikeAt: 100, SpikeSec: 20, SpikeRate: 0.5, WindowSec: 300},
-		"uniform":    UniformWindow{Jobs: 12, WindowSec: 200},
 		"productionday": ProductionDay{BaseRate: 0.1, Amplitude: 0.7, WindowSec: 400,
 			Spikes: []Spike{{At: 80, Sec: 30, Rate: 0.4}, {At: 90, Sec: 40, Rate: 0.3}}},
 	}
@@ -135,8 +134,7 @@ func TestProcessValidation(t *testing.T) {
 		"bad period":     Diurnal{BaseRate: 1, Amplitude: 0.5, PeriodSec: 0, WindowSec: 100},
 		"bad spike":      FlashCrowd{BaseRate: 1, SpikeAt: -1, SpikeSec: 10, SpikeRate: 1, WindowSec: 100},
 		"zero spike len": FlashCrowd{BaseRate: 1, SpikeAt: 10, SpikeSec: 0, SpikeRate: 1, WindowSec: 100},
-		"zero jobs":      UniformWindow{Jobs: 0, WindowSec: 100},
-		"inf window":     UniformWindow{Jobs: 5, WindowSec: math.Inf(1)},
+		"inf window":     Poisson{Rate: 1, WindowSec: math.Inf(1)},
 	}
 	for name, p := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -243,6 +241,10 @@ func TestGeneratorValidation(t *testing.T) {
 	Generator{}.Generate(1)
 }
 
+// eagerOnly hides a process's TimesIter, so the generator takes the path
+// for a custom process that does not stream.
+type eagerOnly struct{ ArrivalProcess }
+
 // FuzzGenerate hammers the generator with arbitrary process parameters
 // and seeds: whatever the inputs, the schedule must be deterministic,
 // ascending, bounded by the window, and labelled sequentially.
@@ -252,6 +254,7 @@ func FuzzGenerate(f *testing.F) {
 	f.Add(int64(-7), uint8(2), 0.01, 500.0, uint8(9))
 	f.Add(int64(0), uint8(3), 2.0, 30.0, uint8(1))
 	f.Add(int64(12345), uint8(4), 0.7, 120.0, uint8(3))
+	f.Add(int64(7), uint8(5), 0.2, 100.0, uint8(6))
 	f.Fuzz(func(t *testing.T, seed int64, kind uint8, rate, window float64, minJobs uint8) {
 		// Clamp fuzzed parameters into the valid domain; validation
 		// panics for invalid ones are covered by TestProcessValidation.
@@ -279,7 +282,7 @@ func FuzzGenerate(f *testing.F) {
 				Spikes: []Spike{{At: window / 5, Sec: window / 10, Rate: rate * 2},
 					{At: window / 4, Sec: window / 10, Rate: rate}}}
 		default:
-			proc = UniformWindow{Jobs: int(minJobs)%20 + 1, WindowSec: window}
+			proc = eagerOnly{Poisson{Rate: rate, WindowSec: window, MaxJobs: 200}}
 		}
 		gen := Generator{Process: proc, MinJobs: int(minJobs) % 20}
 		subs := gen.Generate(seed)

@@ -5,7 +5,7 @@
 // Three building blocks compose into a schedule:
 //
 //   - an ArrivalProcess (Poisson, OnOff, Diurnal, FlashCrowd,
-//     UniformWindow — or any custom implementation) draws arrival times
+//     ProductionDay — or any custom implementation) draws arrival times
 //     in a bounded window;
 //   - a Mix draws each arrival's model from the dlmodel catalog with
 //     weighted sampling;
