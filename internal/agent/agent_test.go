@@ -2,6 +2,7 @@ package agent
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/flowcon"
 	"repro/internal/livedock"
 	"repro/internal/realtime"
+	"repro/internal/runtime"
 )
 
 // fakeClock drives the server-side node deterministically.
@@ -172,7 +174,52 @@ func TestRemoteFlowConDriver(t *testing.T) {
 	}
 }
 
+// Removing an exited container over DELETE /v1/containers/{id} frees its
+// name for a new job; a running container cannot be removed, and the
+// runtime sentinels survive the wire for errors.Is.
+func TestRemoveFreesName(t *testing.T) {
+	ctx := context.Background()
+	c, _ := testAgent(t)
+	st, err := c.Submit(ctx, SubmitRequest{Name: "phoenix", Model: "MNIST (Pytorch)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(ctx, SubmitRequest{Name: "phoenix", Model: "MNIST (Pytorch)"}); !errors.Is(err, runtime.ErrNameInUse) {
+		t.Fatalf("duplicate of a running job = %v, want ErrNameInUse", err)
+	}
+	if err := c.SetCPULimit(st.ID, 7); !errors.Is(err, runtime.ErrBadLimit) {
+		t.Fatalf("SetCPULimit(7) = %v, want ErrBadLimit", err)
+	}
+	if err := c.Remove(ctx, st.ID); err == nil || errors.Is(err, runtime.ErrNotFound) {
+		t.Fatalf("Remove of a running container = %v, want a refusal", err)
+	}
+	if err := c.Stop(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Stop(ctx, st.ID); !errors.Is(err, runtime.ErrNotRunning) {
+		t.Fatalf("double stop = %v, want ErrNotRunning", err)
+	}
+	if got, err := c.JobStatus(ctx, "phoenix"); err != nil || got.State != "exited" || got.Done {
+		t.Fatalf("JobStatus after stop = %+v, %v; want exited, not done", got, err)
+	}
+	if err := c.Remove(ctx, st.ID); err != nil {
+		t.Fatalf("Remove: %v", err)
+	}
+	if err := c.Remove(ctx, st.ID); !errors.Is(err, runtime.ErrNotFound) {
+		t.Fatalf("double remove = %v, want ErrNotFound", err)
+	}
+	if _, err := c.JobStatus(ctx, "phoenix"); !errors.Is(err, runtime.ErrNotFound) {
+		t.Fatalf("JobStatus after remove = %v, want ErrNotFound", err)
+	}
+	if st, err := c.Submit(ctx, SubmitRequest{Name: "phoenix", Model: "MNIST (Pytorch)"}); err != nil || st.State != "running" {
+		t.Fatalf("resubmit after remove = %+v, %v", st, err)
+	}
+}
+
 func TestNewClientValidation(t *testing.T) {
+	if c := NewClient("http://worker", nil); c.http.Timeout != DefaultTimeout {
+		t.Errorf("default client timeout = %v, want %v", c.http.Timeout, DefaultTimeout)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("empty base url did not panic")

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -58,14 +59,11 @@ func (e *APIError) Unwrap() error {
 
 // Client talks to a worker agent over HTTP and implements
 // realtime.Runtime, so a FlowCon driver on the manager side can govern the
-// remote worker's containers. Runtime() upgrades it to the full
-// runtime.Runtime lifecycle surface.
+// remote worker's containers. Every call is one round trip: the driver
+// polls each period, so a failed poll is retried by the next one.
 type Client struct {
 	base string
 	http *http.Client
-	// retry is nil until EnableRetry: the default client is single-shot.
-	retry *RetryPolicy
-	brk   breaker
 }
 
 // NewClient creates a client for the agent at base (e.g.
@@ -240,17 +238,26 @@ func (c *Client) StopJob(ctx context.Context, name string) (JobStatus, error) {
 }
 
 // do performs one request with a JSON body and decodes the response.
-// The body is marshalled once up front so the retry path (EnableRetry)
-// can replay it byte-for-byte on each attempt.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	raw, err := marshalBody(path, body)
+	var rd io.Reader
+	if body != nil {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			return fmt.Errorf("agent: encoding %s: %w", path, err)
+		}
+		rd = bytes.NewReader(raw)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return err
+		return fmt.Errorf("agent: %s %s: %w", method, path, err)
 	}
-	if c.retry != nil {
-		return c.doRetry(ctx, method, path, raw, out)
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return fmt.Errorf("agent: %s %s: %w", method, path, err)
 	}
-	return c.doOnce(ctx, method, path, raw, out)
+	defer resp.Body.Close()
+	return decode(path, resp, out)
 }
 
 // get performs a GET and decodes the JSON response into out.

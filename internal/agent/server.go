@@ -1,9 +1,8 @@
 // Package agent provides the network split of Figure 2: a worker-side
 // HTTP agent exposing a live container runtime, and a manager-side client
-// that implements realtime.Runtime — and, through Client.Runtime, the
-// full runtime.Runtime lifecycle contract — over the wire. A FlowCon
-// driver on the manager machine can govern containers on a remote worker
-// the way Docker Swarm managers talk to worker daemons.
+// that implements realtime.Runtime over the wire. A FlowCon driver on the
+// manager machine can govern containers on a remote worker the way Docker
+// Swarm managers talk to worker daemons.
 //
 // The wire protocol is deliberately small and JSON over HTTP/1.1,
 // versioned under /v1. Every error response carries the JSON envelope

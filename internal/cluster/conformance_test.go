@@ -31,7 +31,6 @@ func TestRuntimeConformance(t *testing.T) {
 				e.Run(now)
 				d.Sync()
 			},
-			Checkpointing: true,
 		}
 	})
 }

@@ -48,7 +48,6 @@ func TestRuntimeConformance(t *testing.T) {
 				clk.Advance(time.Duration(seconds * float64(time.Second)))
 				n.Settle()
 			},
-			Checkpointing: true,
 		}
 	})
 }

@@ -22,7 +22,10 @@
 // moment it exits and out of order on Remove. RunningCount is
 // len(running) and MemoryUsed an incrementally kept sum. Container ids are
 // unique by construction (one sequence counter) and that is enforced where
-// an id enters the pool: Launch panics on a duplicate.
+// an id enters the pool: Launch panics on a duplicate. Each id also
+// carries the node's boot instant, so a restarted node never reissues an
+// id its predecessor used: a manager still holding the old container's
+// counters under that id would read them going backwards.
 //
 // # Accounting by virtual time
 //
@@ -163,6 +166,7 @@ type Node struct {
 	memCapacity float64
 	clock       func() time.Time
 	epoch       time.Time
+	idPrefix    string // "live-<epoch in hex ns>-c", built once at boot
 	containers  map[string]*Container
 	byName      map[string]*Container
 	// order and running are the pool in creation order (see the package
@@ -210,6 +214,7 @@ func NewNodeWithClock(capacity float64, clock func() time.Time) *Node {
 		capacity:   capacity,
 		clock:      clock,
 		epoch:      now,
+		idPrefix:   fmt.Sprintf("live-%x-c", now.UnixNano()),
 		containers: make(map[string]*Container),
 		byName:     make(map[string]*Container),
 		lastSettle: now,
@@ -317,7 +322,7 @@ func (n *Node) Launch(spec runtime.LaunchSpec) (runtime.Container, error) {
 		}
 	}
 	n.seq++
-	id := fmt.Sprintf("live-c%04d", n.seq)
+	id := fmt.Sprintf("%s%04d", n.idPrefix, n.seq)
 	if _, dup := n.containers[id]; dup {
 		// The one point an id enters the pool; nothing later re-checks.
 		panic(fmt.Sprintf("livedock: duplicate container id %q", id))

@@ -315,9 +315,10 @@ func TestNodeMatchesReferenceAllocator(t *testing.T) {
 	}
 }
 
-// idSeq recovers the creation sequence number from a container id.
+// idSeq recovers the creation sequence number from a container id: the
+// digits after the last "-c".
 func idSeq(id string) int {
-	seq, err := strconv.Atoi(strings.TrimPrefix(id, "live-c"))
+	seq, err := strconv.Atoi(id[strings.LastIndex(id, "-c")+2:])
 	if err != nil {
 		panic(err)
 	}
@@ -325,7 +326,7 @@ func idSeq(id string) int {
 }
 
 // Exit notifications follow creation order, not id string order: past
-// 9999 launches "live-c10000" sorts before "live-c9999" as a string. The
+// 9999 launches "…-c10000" sorts before "…-c9999" as a string. The
 // stopped container is also the oldest here, so it must be delivered
 // ahead of the younger ones the same call retires.
 func TestExitOrderAcrossIDRollover(t *testing.T) {
@@ -345,9 +346,24 @@ func TestExitOrderAcrossIDRollover(t *testing.T) {
 	if err := n.Stop(long); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"live-c9998", "live-c9999", "live-c10000", "live-c10001"}
+	want := []string{n.idPrefix + "9998", n.idPrefix + "9999", n.idPrefix + "10000", n.idPrefix + "10001"}
 	if !slices.Equal(exits, want) {
 		t.Fatalf("exit order %v, want %v", exits, want)
+	}
+}
+
+// A node booted later on the same clock, as a restarted worker is, never
+// reissues its predecessor's ids, though both count from one: a manager
+// may still hold counters under the old ids.
+func TestRestartedNodeMintsFreshIDs(t *testing.T) {
+	clk := newFakeClock()
+	first := NewNodeWithClock(1.0, clk.Now)
+	clk.Advance(time.Second)
+	second := NewNodeWithClock(1.0, clk.Now)
+	a, _ := first.Run("job", &tinyJob{total: 10})
+	b, _ := second.Run("job", &tinyJob{total: 10})
+	if a == b || idSeq(a) != 1 || idSeq(b) != 1 {
+		t.Fatalf("ids %q and %q, want distinct ids that are both first in creation order", a, b)
 	}
 }
 

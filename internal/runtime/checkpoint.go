@@ -11,9 +11,9 @@ package runtime
 // The workload itself rides along as a live reference in Payload: in
 // this in-process reproduction "serialization" is a change of ownership,
 // and carrying the object preserves the job's noise trajectory and
-// delivered work exactly. That is also why remote backends return
-// ErrUnsupported — a live Payload cannot cross the wire. A checkpoint
-// must be restored at most once (MarkRestored enforces it).
+// delivered work exactly. It is also why no remote backend implements
+// Runtime: a live Payload cannot cross the wire. A checkpoint must be
+// restored at most once (MarkRestored enforces it).
 type Checkpoint struct {
 	// ID is the container id the checkpoint was taken from (the restored
 	// container gets a fresh id on the destination runtime).

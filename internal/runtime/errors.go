@@ -20,10 +20,6 @@ var (
 	ErrNoImage = errors.New("no such image")
 	// ErrBadLimit: CPU limits must lie in (0,1].
 	ErrBadLimit = errors.New("cpu limit must be in (0,1]")
-	// ErrUnsupported: the backend's semantics forbid the operation
-	// (e.g. checkpointing across the agent wire). The call must leave
-	// the runtime's state unchanged.
-	ErrUnsupported = errors.New("operation not supported by this runtime")
 	// ErrQueueFull: the admission queue rejected the launch
 	// (backpressure — the agent service maps it to HTTP 429).
 	ErrQueueFull = errors.New("admission queue is full")

@@ -4,20 +4,23 @@
 // consumes, capacity and memory aggregates, checkpoint/restore, and
 // start/exit hooks.
 //
-// Four implementations conform to it today — the deterministic simulator
-// (simdocker.RT), the wall-clock in-process node (livedock.Node), the
-// remote HTTP pair (agent.RemoteRuntime against agent.Server), and
-// cluster.Worker wrapping any of them — all verified by the shared
-// conformance suite in runtimetest. A new backend (cgroups-backed,
-// oversubscribed, fault-injected) costs one conformance-suite run, not a
-// cross-layer rewrite. See docs/RUNTIME.md for the contract.
+// Three implementations conform to it today — the deterministic
+// simulator (simdocker.RT), the wall-clock in-process node
+// (livedock.Node), and cluster.Worker wrapping either — all verified by
+// the shared conformance suite in runtimetest. A new backend
+// (cgroups-backed, oversubscribed, fault-injected) costs one
+// conformance-suite run, not a cross-layer rewrite. The agent service
+// serves a livedock.Node over HTTP; its client implements only the
+// two-method flowcon.Runtime the live driver needs. See docs/RUNTIME.md
+// for the contract.
 package runtime
 
 import "repro/internal/flowcon"
 
 // State is the coarse lifecycle phase of a container as reported by a
-// Runtime. Queued exists only for backends with an admission queue (the
-// agent service); in-process backends report Running or Exited.
+// Runtime. Every backend reports Running or Exited; Queued is the zero
+// value and no backend reports it (the agent service's admission queue
+// has its own "queued" slug on the wire).
 type State int
 
 // Lifecycle states.
@@ -45,8 +48,6 @@ func (s State) String() string {
 // Workload is the in-process training process a container hosts: the
 // runtime delivers CPU work to it and reads demand, completion and the
 // evaluation metric back. dlmodel.Job is the canonical implementation.
-// Remote backends cannot transport a Workload — they launch by Model
-// name instead (see LaunchSpec).
 type Workload interface {
 	// Advance delivers cpuSeconds of CPU work.
 	Advance(cpuSeconds float64)
@@ -62,12 +63,11 @@ type Workload interface {
 	Eval() float64
 }
 
-// LaunchSpec describes one container to launch. In-process backends
-// (simdocker, livedock) require Workload and ignore Model; the remote
-// backend (agent client) requires Model — a dlmodel catalog key like
-// "MNIST (Tensorflow)" — because a live Workload cannot cross the wire.
-// Image is consumed by backends that model an image store (simdocker);
-// others ignore it. A zero CPULimit means the backend default (1.0).
+// LaunchSpec describes one container to launch. Every backend requires
+// Workload; Model, a dlmodel catalog key like "MNIST (Tensorflow)", is
+// recorded for observability (the agent service sets it). Image is
+// consumed by backends that model an image store (simdocker); others
+// ignore it. A zero CPULimit means the backend default (1.0).
 type LaunchSpec struct {
 	Name     string
 	Image    string
@@ -78,13 +78,13 @@ type LaunchSpec struct {
 
 // Container is an immutable point-in-time view of one container. Times
 // are seconds on the backend's own clock (simulation time for simdocker,
-// seconds since node start for livedock, server-reported for the agent).
+// seconds since node start for livedock).
 type Container struct {
 	ID    string
 	Name  string
 	Image string
 	// Model is the catalog key the container was launched from, when the
-	// backend knows it (the agent service); empty otherwise.
+	// launch recorded one (the agent service does); empty otherwise.
 	Model string
 	State State
 	// CPULimit is the configured soft limit, CPUAlloc the currently
@@ -108,7 +108,7 @@ type Container struct {
 // Runtime is the pluggable container-runtime contract. Implementations
 // need not be safe for concurrent use unless they document it: the
 // deterministic simulator serializes all calls on the event loop, while
-// livedock.Node and the agent pair are internally locked.
+// livedock.Node is internally locked.
 type Runtime interface {
 	// Capacity returns the node's CPU capacity in cores.
 	Capacity() float64
@@ -145,14 +145,12 @@ type Runtime interface {
 
 	// Checkpoint freezes a running container into a restorable snapshot,
 	// removing it from the node. Restore resumes one (exactly once).
-	// Backends whose semantics forbid it return ErrUnsupported.
 	Checkpoint(id string) (*Checkpoint, error)
 	Restore(cp *Checkpoint) (Container, error)
 
 	// OnStart and OnExit register lifecycle hooks, fired with the
 	// container's view at the transition instant. Hooks registered on
-	// the same runtime fire in registration order. Remote backends may
-	// deliver hooks asynchronously (on a poll).
+	// the same runtime fire in registration order.
 	OnStart(fn func(Container))
 	OnExit(fn func(Container))
 }

@@ -1,14 +1,13 @@
 // Package runtimetest is the reusable conformance suite for
 // runtime.Runtime implementations. Each backend package runs it against
 // a fresh instance of itself (simdocker under the simulation clock,
-// livedock and the agent client/server pair under a fake wall clock,
-// cluster.Worker wrapping simdocker), so the contract in docs/RUNTIME.md
-// is enforced by tests rather than prose: adding a backend costs one
-// Harness, not a cross-layer rewrite.
+// livedock under a fake wall clock, cluster.Worker wrapping simdocker),
+// so the contract in docs/RUNTIME.md is enforced by tests rather than
+// prose: adding a backend costs one Harness, not a cross-layer rewrite.
 //
 // The suite only touches the backend through the interface plus the
-// small control surface in Env (how to build a launchable spec, how to
-// advance this backend's clock, how to flush asynchronous hooks).
+// small control surface in Env (how to build a launchable spec and how
+// to advance this backend's clock).
 package runtimetest
 
 import (
@@ -24,34 +23,19 @@ type Env struct {
 	// RT is the runtime under test, freshly constructed and empty.
 	RT runtime.Runtime
 
-	// Spec builds a launchable spec for the given container name — each
-	// backend knows whether that means an in-process Workload (simdocker,
-	// livedock), a catalog Model key (agent), or both plus an Image
-	// (cluster). The workload must run for well over 10 clock seconds.
+	// Spec builds a launchable spec for the given container name — an
+	// in-process Workload, plus an Image on backends that model an image
+	// store (simdocker, cluster). The workload must run for well over 10
+	// clock seconds.
 	Spec func(name string) runtime.LaunchSpec
 
 	// Advance moves this backend's clock forward by the given seconds and
 	// settles accounting, so CPUSeconds and exits become observable.
 	Advance func(seconds float64)
-
-	// Sync flushes asynchronous hook delivery (poll-driven backends like
-	// the agent client). Nil means hooks fire synchronously.
-	Sync func()
-
-	// Checkpointing reports whether Checkpoint/Restore are supported; a
-	// false value makes the suite assert ErrUnsupported instead.
-	Checkpointing bool
 }
 
 // Harness builds a fresh Env per subtest.
 type Harness func(t *testing.T) *Env
-
-// sync flushes hook delivery if the backend needs it.
-func (e *Env) sync() {
-	if e.Sync != nil {
-		e.Sync()
-	}
-}
 
 // Run exercises the full runtime.Runtime contract against the harness.
 func Run(t *testing.T, h Harness) {
@@ -245,14 +229,12 @@ func testHooks(t *testing.T, e *Env) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	e.sync()
 	if len(order) != 2 || order[0] != "start1:hooked" || order[1] != "start2:hooked" {
 		t.Fatalf("after launch hooks = %v, want start1 then start2 (registration order)", order)
 	}
 	if err := e.RT.Stop(c.ID); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
-	e.sync()
 	if len(order) != 4 || order[2] != "exit1:hooked" || order[3] != "exit2:hooked" {
 		t.Fatalf("after stop hooks = %v, want exit1 then exit2 appended", order)
 	}
@@ -299,20 +281,6 @@ func testCheckpointRestore(t *testing.T, e *Env) {
 		t.Fatalf("Launch: %v", err)
 	}
 	e.Advance(6)
-
-	if !e.Checkpointing {
-		if _, err := e.RT.Checkpoint(c.ID); !errors.Is(err, runtime.ErrUnsupported) {
-			t.Fatalf("Checkpoint on non-checkpointing backend = %v, want ErrUnsupported", err)
-		}
-		if _, err := e.RT.Restore(&runtime.Checkpoint{Name: "mover"}); !errors.Is(err, runtime.ErrUnsupported) {
-			t.Fatalf("Restore on non-checkpointing backend = %v, want ErrUnsupported", err)
-		}
-		// The failed calls must leave the runtime untouched.
-		if e.RT.RunningCount() != 1 {
-			t.Fatalf("ErrUnsupported mutated state: RunningCount = %d", e.RT.RunningCount())
-		}
-		return
-	}
 
 	if _, err := e.RT.Checkpoint("ghost"); err == nil {
 		t.Fatal("Checkpoint(ghost) succeeded")

@@ -25,8 +25,8 @@ func (c *selfClock) Now() time.Time {
 
 // TestSuiteAgainstReferenceBackend smoke-tests the conformance suite
 // itself against a known-good backend, so a regression in the suite's
-// own plumbing (spec handling, sync, checkpoint branch) is caught here
-// rather than appearing as four simultaneous backend failures.
+// own plumbing (spec handling, clock advance) is caught here rather
+// than appearing as three simultaneous backend failures.
 func TestSuiteAgainstReferenceBackend(t *testing.T) {
 	runtimetest.Run(t, func(t *testing.T) *runtimetest.Env {
 		clk := &selfClock{now: time.Unix(0, 0)}
@@ -45,9 +45,6 @@ func TestSuiteAgainstReferenceBackend(t *testing.T) {
 				clk.mu.Unlock()
 				n.Settle()
 			},
-			// Exercise the suite's optional-Sync path too.
-			Sync:          func() {},
-			Checkpointing: true,
 		}
 	})
 }

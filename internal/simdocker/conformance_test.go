@@ -33,7 +33,6 @@ func TestRuntimeConformance(t *testing.T) {
 				e.Run(now)
 				d.Sync()
 			},
-			Checkpointing: true,
 		}
 	})
 }
