@@ -100,6 +100,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzGenerate$$' -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run='^$$' -fuzz='^FuzzReplay$$' -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run='^$$' -fuzz='^FuzzSketchStore$$' -fuzztime=$(FUZZTIME) ./internal/stats
+	$(GO) test -run='^$$' -fuzz='^FuzzSeries$$' -fuzztime=$(FUZZTIME) ./internal/metrics
 
 # Docs hygiene: every relative markdown link in README/ROADMAP/docs/
 # must resolve (no network — external links are skipped), and the Go

@@ -71,23 +71,59 @@ var kindNames = [numKinds]string{"cpu", "eval", "limit", "growth", "list"}
 type job struct {
 	JobRecord
 
-	// sums are maintained in both tiers.
+	// sums are observed as samples arrive in TierSummary; in TierDense
+	// they are folded from the raw traces on read (see summary).
 	sums [numKinds]SeriesSummary
 	// dense holds the raw traces; nil in TierSummary.
-	dense *[numKinds]Series
+	dense *denseTraces
 	// growthC is the bounded growth trajectory behind GrowthAt; nil in
-	// TierDense, which answers from dense[kindGrowth].
+	// TierDense, which answers from the raw growth trace.
 	growthC *CompactSeries
 }
 
-// observe records one sample of kind k in the active tier's stores.
+// denseTraces is a dense-tier job's raw traces, the only store written
+// while the job is sampled. folded[k] counts the points of series[k]
+// already folded into the job's summary of kind k.
+type denseTraces struct {
+	series [numKinds]Series
+	folded [numKinds]int
+}
+
+// observe records one sample of kind k in the active tier's store.
 // Allocation-free at steady state: sketch buckets exist after a job's
-// first few samples.
+// first few samples, and a dense chunk holds many points.
 func (j *job) observe(k seriesKind, t, v float64) {
 	if j.dense != nil {
-		j.dense[k].Append(t, v)
+		j.dense.series[k].Append(t, v)
+		return
 	}
 	j.sums[k].Observe(t, v)
+}
+
+// summary returns the job's summary of kind k. In TierDense it first
+// folds in the points appended since the last read. They go in in
+// order, so the summary is bit-identical to one observed as the samples
+// arrived, and folded[k] makes each point go in once. The fold walks the
+// chunks: compacting them would allocate every point a second time.
+func (j *job) summary(k seriesKind) *SeriesSummary {
+	sum := &j.sums[k]
+	d := j.dense
+	if d == nil {
+		return sum
+	}
+	skip := d.folded[k]
+	for _, c := range d.series[k].chunks {
+		if skip >= len(c) {
+			skip -= len(c)
+			continue
+		}
+		for _, p := range c[skip:] {
+			sum.Observe(p.T, p.V)
+		}
+		skip = 0
+	}
+	d.folded[k] = d.series[k].Len()
+	return sum
 }
 
 // Collector accumulates everything an experiment reports. It subscribes to
@@ -95,13 +131,18 @@ func (j *job) observe(k seriesKind, t, v float64) {
 // period, and implements flowcon.Tracer to capture growth-efficiency and
 // limit traces.
 //
-// Memory behavior is governed by the collector's Tier. In both tiers it
-// keeps O(1) online summaries (SeriesSummary) per job/kind. TierSummary
-// stops there — total memory is O(jobs), independent of makespan — plus
-// one bounded CompactSeries per job so GrowthAt can answer the
-// GE@fraction report columns. TierDense additionally retains every raw
-// sample in full Series, O(jobs × makespan); the raw-series accessors
-// (CPUSeries etc.) return nil outside that tier.
+// Memory behavior is governed by the collector's Tier. TierSummary keeps
+// O(1) online summaries (SeriesSummary) per job/kind — total memory is
+// O(jobs), independent of makespan — plus one bounded CompactSeries per
+// job so GrowthAt can answer the GE@fraction report columns. TierDense
+// retains every raw sample in full Series, O(jobs × makespan), and stores
+// nothing else while the run samples: its summaries are folded from the
+// raw series on first read. The raw-series accessors (CPUSeries etc.)
+// return nil outside that tier.
+//
+// A Collector is not safe for concurrent use. Reads mutate it too: in
+// TierDense a summary read folds pending points in, and Points compacts a
+// chunked series.
 type Collector struct {
 	engine *sim.Engine
 	period float64
@@ -172,7 +213,7 @@ func (c *Collector) TrackJob(name, worker, model, containerID string, startedAt 
 		j.sums[k].init()
 	}
 	if c.tier == TierDense {
-		j.dense = new([numKinds]Series)
+		j.dense = new(denseTraces)
 	} else {
 		j.growthC = NewCompactSeries(0)
 	}
@@ -426,16 +467,16 @@ func (c *Collector) Job(name string) (JobRecord, bool) {
 // outside TierDense.
 func (c *Collector) series(name string, k seriesKind) *Series {
 	if j := c.jobs[name]; j != nil && j.dense != nil {
-		return &j.dense[k]
+		return &j.dense.series[k]
 	}
 	return nil
 }
 
 // summary returns one of a job's constant-memory summaries (available in
-// both tiers), or nil for an untracked job.
+// both tiers; folded on read in TierDense), or nil for an untracked job.
 func (c *Collector) summary(name string, k seriesKind) *SeriesSummary {
 	if j := c.jobs[name]; j != nil {
-		return &j.sums[k]
+		return j.summary(k)
 	}
 	return nil
 }
@@ -462,7 +503,8 @@ func (c *Collector) GrowthSeries(name string) *Series { return c.series(name, ki
 func (c *Collector) ListSeries(name string) *Series { return c.series(name, kindList) }
 
 // CPUSummary returns the constant-memory CPU-usage summary for a job
-// (available in both tiers), or nil for an untracked job.
+// (available in both tiers; in TierDense this read folds in the samples
+// appended since the last one), or nil for an untracked job.
 func (c *Collector) CPUSummary(name string) *SeriesSummary { return c.summary(name, kindCPU) }
 
 // EvalSummary returns the evaluation-function summary for a job.
@@ -489,8 +531,8 @@ func (c *Collector) GrowthAt(name string, t float64) (float64, bool) {
 		return 0, false
 	}
 	if j.dense != nil {
-		g := &j.dense[kindGrowth]
-		if g.Len() == 0 || g.Points()[0].T > t {
+		g := &j.dense.series[kindGrowth]
+		if len(g.chunks) == 0 || g.chunks[0][0].T > t {
 			return 0, false
 		}
 		return g.At(t), true
@@ -501,7 +543,9 @@ func (c *Collector) GrowthAt(name string, t float64) (float64, bool) {
 // MemoryBytes returns the collector's retained observability memory: per
 // job, the record itself (lifecycle fields and the summaries it embeds)
 // plus everything it points at — sketch bucket slices, raw series or the
-// compact trajectory — and an estimate for its two index entries. It is
+// compact trajectory — and an estimate for its two index entries. It
+// reads no summary: in TierDense a summary's sketch buckets exist, and
+// count, only once the summary has been read. It is
 // the figure ./bench reports as metrics.collector_mb, and the one
 // TestSummaryTierMemoryClusterScale uses to verify the summary tier is
 // O(jobs) rather than O(jobs × makespan).
@@ -518,9 +562,10 @@ func (c *Collector) MemoryBytes() int {
 		for k := range j.sums {
 			total += j.sums[k].MemoryBytes()
 		}
-		if j.dense != nil {
-			for k := range j.dense {
-				total += j.dense[k].MemoryBytes()
+		if d := j.dense; d != nil {
+			total += int(unsafe.Sizeof(d.folded))
+			for k := range d.series {
+				total += d.series[k].MemoryBytes()
 			}
 		} else {
 			total += j.growthC.MemoryBytes()

@@ -86,7 +86,7 @@ func (c *Collector) Export() Archive {
 	for k, kind := range kindNames {
 		out := make(map[string]ArchiveSummary, len(c.jobs))
 		for name, j := range c.jobs {
-			if s := &j.sums[k]; s.Count() > 0 {
+			if s := j.summary(seriesKind(k)); s.Count() > 0 {
 				out[name] = summarize(s)
 			}
 		}
@@ -99,8 +99,10 @@ func (c *Collector) Export() Archive {
 	for k, kind := range kindNames {
 		out := make(map[string][]Point, len(c.jobs))
 		for name, j := range c.jobs {
-			if s := &j.dense[k]; s.Len() > 0 {
-				out[name] = append([]Point(nil), s.Points()...)
+			if s := &j.dense.series[k]; s.Len() > 0 {
+				// Not Points: compacting first would allocate every
+				// point a second time.
+				out[name] = s.copyPoints()
 			}
 		}
 		a.Series[kind] = out

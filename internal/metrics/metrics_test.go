@@ -46,60 +46,6 @@ func TestSeriesRejectsBackwardTime(t *testing.T) {
 	s.Append(5, 2)
 }
 
-func TestSeriesMaxMean(t *testing.T) {
-	var s Series
-	if s.Max() != 0 || s.Mean() != 0 {
-		t.Fatal("empty series stats nonzero")
-	}
-	s.Append(0, 1)
-	s.Append(10, 3) // value 1 held over [0,10)
-	s.Append(20, 0) // value 3 held over [10,20)
-	if s.Max() != 3 {
-		t.Fatalf("Max = %v", s.Max())
-	}
-	if got := s.Mean(); math.Abs(got-2.0) > 1e-12 {
-		t.Fatalf("Mean = %v, want 2.0", got)
-	}
-}
-
-func TestSeriesIntegrate(t *testing.T) {
-	var s Series
-	s.Append(0, 2)
-	s.Append(10, 4)
-	// [0,10): 2, [10,∞): 4
-	if got := s.Integrate(0, 10); math.Abs(got-20) > 1e-12 {
-		t.Fatalf("Integrate(0,10) = %v", got)
-	}
-	if got := s.Integrate(5, 15); math.Abs(got-(10+20)) > 1e-12 {
-		t.Fatalf("Integrate(5,15) = %v", got)
-	}
-	if got := s.Integrate(10, 5); got != 0 {
-		t.Fatalf("reversed bounds = %v", got)
-	}
-}
-
-func TestSeriesResample(t *testing.T) {
-	var s Series
-	s.Append(0, 1)
-	s.Append(10, 2)
-	pts := s.Resample(0, 20, 5)
-	if len(pts) != 5 {
-		t.Fatalf("Resample = %d points", len(pts))
-	}
-	want := []float64{1, 1, 2, 2, 2}
-	for i, p := range pts {
-		if p.V != want[i] {
-			t.Fatalf("resampled = %+v, want %v", pts, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("zero period did not panic")
-		}
-	}()
-	s.Resample(0, 10, 0)
-}
-
 // Property: At is right-continuous step interpolation — for any query the
 // returned value equals the value of the last point at or before it.
 func TestSeriesAtProperty(t *testing.T) {
@@ -118,8 +64,9 @@ func TestSeriesAtProperty(t *testing.T) {
 		}
 		got := s.At(math.Abs(q))
 		want := 0.0
+		pts := s.Points()
 		for i := range raw {
-			if s.points[i].T <= math.Abs(q) {
+			if pts[i].T <= math.Abs(q) {
 				want = float64(i)
 			}
 		}

@@ -7,16 +7,18 @@
 // constant-memory online summaries per job/kind — Welford moments plus a
 // streaming quantile sketch (SeriesSummary) and a bounded growth
 // trajectory (CompactSeries) — so collector memory is O(jobs) regardless
-// of makespan. The dense tier additionally keeps every raw sample as a
-// Series, O(jobs × makespan), and is required for figure regeneration and
-// limit-event traces. Archives exported from either tier carry a schema
-// version (ArchiveSchemaVersion) so stale goldens fail loudly.
+// of makespan. The dense tier keeps every raw sample as a Series,
+// O(jobs × makespan), and nothing else while a run samples: its summaries
+// are folded from the raw series on first read. It is required for figure
+// regeneration and limit-event traces. Archives exported from either tier
+// carry a schema version (ArchiveSchemaVersion) so stale goldens fail
+// loudly.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
+	"unsafe"
 )
 
 // Point is one (time, value) observation.
@@ -25,101 +27,102 @@ type Point struct {
 	V float64
 }
 
+// Series chunk sizes: the first chunk holds firstChunk points, and each
+// next one doubles up to maxChunk (16 KiB of points, below the runtime's
+// 32 KiB large-object size).
+const (
+	firstChunk = 16
+	maxChunk   = 1024
+)
+
 // Series is an append-only time series with non-decreasing timestamps.
 //
-// Memory behavior: O(samples) — one Point (16 bytes) per Append. Dense
-// collection tier only; the summary tier replaces it with SeriesSummary
-// and CompactSeries.
+// Memory behavior: O(samples). Points are kept in chunks (firstChunk
+// doubling to maxChunk) that are never copied on growth, so a series
+// retains at most one partly filled chunk of slack. Dense collection tier only; the summary tier replaces it with
+// SeriesSummary and CompactSeries.
 type Series struct {
-	points []Point
+	// chunks are full except the last; none is empty.
+	chunks [][]Point
 }
 
 // Append adds an observation; timestamps must be non-decreasing.
 func (s *Series) Append(t, v float64) {
-	if n := len(s.points); n > 0 && t < s.points[n-1].T {
-		panic(fmt.Sprintf("metrics: series timestamp %g before %g", t, s.points[n-1].T))
+	n := len(s.chunks)
+	size := firstChunk
+	if n > 0 {
+		last := s.chunks[n-1]
+		if prev := last[len(last)-1].T; t < prev {
+			panic(fmt.Sprintf("metrics: series timestamp %g before %g", t, prev))
+		}
+		if len(last) < cap(last) {
+			s.chunks[n-1] = append(last, Point{T: t, V: v})
+			return
+		}
+		size = min(2*cap(last), maxChunk)
 	}
-	s.points = append(s.points, Point{T: t, V: v})
+	c := make([]Point, 1, size)
+	c[0] = Point{T: t, V: v}
+	s.chunks = append(s.chunks, c)
 }
 
 // Len returns the number of observations.
-func (s *Series) Len() int { return len(s.points) }
+func (s *Series) Len() int {
+	n := 0
+	for _, c := range s.chunks {
+		n += len(c)
+	}
+	return n
+}
 
-// MemoryBytes estimates the series' retained memory: the points backing
-// array (by capacity, since it is held either way) plus the header.
-func (s *Series) MemoryBytes() int { return 24 + cap(s.points)*16 }
+// MemoryBytes estimates the series' retained memory: the header plus every
+// chunk by capacity, since a chunk is held whole either way.
+func (s *Series) MemoryBytes() int {
+	total := int(unsafe.Sizeof(*s))
+	for _, c := range s.chunks {
+		total += cap(c) * int(unsafe.Sizeof(Point{}))
+	}
+	return total
+}
 
-// Points returns the underlying observations (not a copy; callers must not
-// mutate).
-func (s *Series) Points() []Point { return s.points }
+// Points returns the observations as one slice (not a copy; callers must
+// not mutate). A series held in several chunks is compacted into one
+// slice first, which then replaces the chunks. Later appends never write
+// into a slice Points returned.
+func (s *Series) Points() []Point {
+	switch len(s.chunks) {
+	case 0:
+		return nil
+	case 1:
+	default:
+		all := s.copyPoints()
+		clear(s.chunks[1:])
+		s.chunks = s.chunks[:1]
+		s.chunks[0] = all
+	}
+	c := s.chunks[0]
+	return c[:len(c):len(c)]
+}
+
+// copyPoints returns the observations in one new slice of exactly Len
+// points, leaving the chunks as they are.
+func (s *Series) copyPoints() []Point {
+	out := make([]Point, 0, s.Len())
+	for _, c := range s.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
 
 // At returns the value in effect at time t under step ("sample and hold")
 // interpolation, or 0 before the first observation.
 func (s *Series) At(t float64) float64 {
-	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].T > t })
+	// The answer lies in the last chunk that starts at or before t.
+	i := sort.Search(len(s.chunks), func(i int) bool { return s.chunks[i][0].T > t })
 	if i == 0 {
 		return 0
 	}
-	return s.points[i-1].V
-}
-
-// Max returns the largest value (0 for an empty series).
-func (s *Series) Max() float64 {
-	m := 0.0
-	for i, p := range s.points {
-		if i == 0 || p.V > m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// Mean returns the time-weighted mean value over the observed span using
-// step interpolation (0 for fewer than 2 points).
-func (s *Series) Mean() float64 {
-	if len(s.points) < 2 {
-		return 0
-	}
-	area := 0.0
-	for i := 1; i < len(s.points); i++ {
-		area += s.points[i-1].V * (s.points[i].T - s.points[i-1].T)
-	}
-	span := s.points[len(s.points)-1].T - s.points[0].T
-	if span <= 0 {
-		return 0
-	}
-	return area / span
-}
-
-// Integrate returns the step-interpolated integral over [t0, t1].
-func (s *Series) Integrate(t0, t1 float64) float64 {
-	if t1 <= t0 || len(s.points) == 0 {
-		return 0
-	}
-	area := 0.0
-	for i, p := range s.points {
-		segStart := math.Max(p.T, t0)
-		segEnd := t1
-		if i+1 < len(s.points) {
-			segEnd = math.Min(s.points[i+1].T, t1)
-		}
-		if segEnd > segStart {
-			area += p.V * (segEnd - segStart)
-		}
-	}
-	return area
-}
-
-// Resample returns the series sampled at a fixed period over [t0, t1]
-// (inclusive of both ends), using step interpolation — convenient for
-// plotting and CSV export.
-func (s *Series) Resample(t0, t1, period float64) []Point {
-	if period <= 0 {
-		panic("metrics: non-positive resample period")
-	}
-	var out []Point
-	for t := t0; t <= t1+1e-9; t += period {
-		out = append(out, Point{T: t, V: s.At(t)})
-	}
-	return out
+	c := s.chunks[i-1]
+	j := sort.Search(len(c), func(j int) bool { return c[j].T > t })
+	return c[j-1].V
 }

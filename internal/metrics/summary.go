@@ -15,9 +15,11 @@ const SketchAccuracy = stats.DefaultSketchAccuracy
 
 // SeriesSummary is the constant-memory replacement for a dense Series:
 // Welford moments plus a streaming quantile sketch, and the first/last
-// observed points for span bookkeeping. Collectors maintain one per
-// job/kind in BOTH tiers — it is cheap, gives reports a uniform accessor,
-// and lets a single dense run measure sketch-vs-exact accuracy.
+// observed points for span bookkeeping. Collectors answer one per
+// job/kind in both tiers, which gives reports a uniform accessor and lets
+// a single dense run measure sketch-vs-exact accuracy. The summary tier
+// observes each sample as it arrives; the dense tier folds the raw series
+// in on first read, feeding the same points in the same order.
 //
 // Memory behavior: O(sketch buckets) ≈ O(distinct magnitude scales),
 // independent of sample count. Observe is allocation-free at steady

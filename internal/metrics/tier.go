@@ -15,10 +15,12 @@ const (
 	// Collector memory is O(jobs), independent of makespan. Raw series
 	// accessors (CPUSeries etc.) return nil in this tier.
 	TierSummary Tier = iota
-	// TierDense additionally retains every raw sample as full
-	// metrics.Series — O(jobs × makespan) memory. Required for figure
-	// regeneration, CPU-trace export, and event traces that include
-	// per-container limit updates (the §5.3 golden).
+	// TierDense retains every raw sample as full metrics.Series —
+	// O(jobs × makespan) memory — and keeps no second store while the run
+	// samples: the per-job summaries are folded from the raw series on
+	// first read, bit-identical to observing each sample as it arrived.
+	// Required for figure regeneration, CPU-trace export, and event
+	// traces that include per-container limit updates (the §5.3 golden).
 	TierDense
 )
 
