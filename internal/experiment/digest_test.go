@@ -10,63 +10,65 @@ import (
 
 // archiveDigests pins the first 8 bytes of sha256(Export().WriteJSON) for
 // every sweep-sized scenario × tier × seed, keyed "scenario/tier/seed".
-// They were generated at the commit before the collector and sketch were
-// restructured (PR 12, go1.24.0 linux/amd64) and must only change with a
-// PR that says which simulated statistic moved and why: `make parity`
-// sees stdout, which prints no per-job quantile; this sees every one.
+// They were last re-pinned for archive schema 3 (run-level quantiles
+// replace per-job p50/p95/p99; go1.24.0 linux/amd64), with per-job
+// moments, job records and dense series decoding identically from the
+// schema 2 archives. They must only change with a change that says which
+// simulated statistic moved and why: `make parity` sees stdout, which
+// prints no archived moment or quantile; this sees every one.
 var archiveDigests = map[string]string{
-	"bursty/summary/1":            "0c1e32d7d95d218a",
-	"bursty/summary/2":            "7717e7e8ffab2f6b",
-	"bursty/dense/1":              "3645f914138c664b",
-	"bursty/dense/2":              "08494695d65b9726",
-	"chaos-day/summary/1":         "30823c06d1dc5f28",
-	"chaos-day/summary/2":         "b41ff6467d0029a3",
-	"chaos-day/dense/1":           "85cbb1846cd5ccdb",
-	"chaos-day/dense/2":           "c96d366734ae1915",
-	"chaos-day-scratch/summary/1": "1659e4489d1875c9",
-	"chaos-day-scratch/summary/2": "efee348be722777d",
-	"chaos-day-scratch/dense/1":   "7f35c26bb69f362f",
-	"chaos-day-scratch/dense/2":   "6808f1b196b9510c",
-	"cluster-scale/summary/1":     "7724e1e5d64d049a",
-	"cluster-scale/summary/2":     "4d1c8918a5b50054",
-	"cluster-scale/dense/1":       "1e0243ea5669b5d1",
-	"cluster-scale/dense/2":       "5f9437589ef962eb",
-	"diurnal/summary/1":           "319034877100f3c6",
-	"diurnal/summary/2":           "6e3bf1198bc0aad0",
-	"diurnal/dense/1":             "5af6e18ad130c1bd",
-	"diurnal/dense/2":             "776c3c694ec5da09",
-	"fixed/summary/1":             "043cbd257e8cdfe6",
-	"fixed/summary/2":             "043cbd257e8cdfe6",
-	"fixed/dense/1":               "bbe879920ab71194",
-	"fixed/dense/2":               "bbe879920ab71194",
-	"flashcrowd/summary/1":        "65fe606e7246b258",
-	"flashcrowd/summary/2":        "fbde02b1da3ff66a",
-	"flashcrowd/dense/1":          "119d2e1527b7da46",
-	"flashcrowd/dense/2":          "70a0c25aaca56e2f",
-	"hotspot/summary/1":           "fa882d880c90a498",
-	"hotspot/summary/2":           "1b62b3c4a3a506ea",
-	"hotspot/dense/1":             "d0755f5eb2f5a0ce",
-	"hotspot/dense/2":             "5a947640ad2f3121",
-	"hotspot-rebalance/summary/1": "d9efeb909e40229a",
-	"hotspot-rebalance/summary/2": "a072a98085df6f5d",
-	"hotspot-rebalance/dense/1":   "b9c9002d45ab95ce",
-	"hotspot-rebalance/dense/2":   "dcc400b5c148cfc5",
-	"poisson/summary/1":           "26bcec30e4fbc23b",
-	"poisson/summary/2":           "7fa1762496e21e63",
-	"poisson/dense/1":             "52788ceebc55d355",
-	"poisson/dense/2":             "a72210165efa5abb",
-	"production-day/summary/1":    "6ac432e38e9c7927",
-	"production-day/summary/2":    "10ba04f4aa28f01e",
-	"production-day/dense/1":      "7b9290fb88c6eada",
-	"production-day/dense/2":      "e5ddef14ebfacef7",
-	"rolling-drain/summary/1":     "746d8ba5ce1f9a1d",
-	"rolling-drain/summary/2":     "261380bb132868cc",
-	"rolling-drain/dense/1":       "01b54a27c496ca74",
-	"rolling-drain/dense/2":       "f63ebebb2bd93252",
-	"uniform5/summary/1":          "3cb3bd7f1e9b32da",
-	"uniform5/summary/2":          "836955151795c169",
-	"uniform5/dense/1":            "13eb3cf0146a2428",
-	"uniform5/dense/2":            "cf3ccafa5743e59a",
+	"bursty/summary/1":            "68faf9dd55063cb3",
+	"bursty/summary/2":            "ca03be6483f6ce71",
+	"bursty/dense/1":              "669fb0c2a7c0abab",
+	"bursty/dense/2":              "45e6e8a624ec7749",
+	"chaos-day/summary/1":         "8ceebbaea6fef3b4",
+	"chaos-day/summary/2":         "6034b7629fbcad2e",
+	"chaos-day/dense/1":           "b23fb5d7277ab5fb",
+	"chaos-day/dense/2":           "28386e57c7c4515b",
+	"chaos-day-scratch/summary/1": "1a8fbc3099bbbead",
+	"chaos-day-scratch/summary/2": "b6c6d1a56baad614",
+	"chaos-day-scratch/dense/1":   "3232802f3d326ab3",
+	"chaos-day-scratch/dense/2":   "dbc207ef37fccb0b",
+	"cluster-scale/summary/1":     "c1b88cbbeb10010d",
+	"cluster-scale/summary/2":     "c2926dc12bff522d",
+	"cluster-scale/dense/1":       "45c3931cf22ac4e4",
+	"cluster-scale/dense/2":       "920a20263866d291",
+	"diurnal/summary/1":           "e5a8b03740de4b27",
+	"diurnal/summary/2":           "6364d2a72c4be1af",
+	"diurnal/dense/1":             "00341d77a4202747",
+	"diurnal/dense/2":             "84be562901cfc10a",
+	"fixed/summary/1":             "7490385cd43ef6cb",
+	"fixed/summary/2":             "7490385cd43ef6cb",
+	"fixed/dense/1":               "98368eba7303ce1d",
+	"fixed/dense/2":               "98368eba7303ce1d",
+	"flashcrowd/summary/1":        "4afbe22a81c88b8c",
+	"flashcrowd/summary/2":        "cc5c05b31f96e93d",
+	"flashcrowd/dense/1":          "a2c15fc0dfeff1e7",
+	"flashcrowd/dense/2":          "4b1043b15a824e17",
+	"hotspot/summary/1":           "61fec5a4c25d40a4",
+	"hotspot/summary/2":           "1b85d59e070e1984",
+	"hotspot/dense/1":             "7f451ad2090b51a6",
+	"hotspot/dense/2":             "44453d3efe9ed9be",
+	"hotspot-rebalance/summary/1": "e2e55a19d87d3a74",
+	"hotspot-rebalance/summary/2": "de1d022565b3a321",
+	"hotspot-rebalance/dense/1":   "fc85f514845d731f",
+	"hotspot-rebalance/dense/2":   "4d9803e4c3bd1ac6",
+	"poisson/summary/1":           "11227ebb9a37dc09",
+	"poisson/summary/2":           "99fad17c1ab0d140",
+	"poisson/dense/1":             "11dc51e332243f78",
+	"poisson/dense/2":             "5e00bcdab5e79dcf",
+	"production-day/summary/1":    "7a033b0beb63be87",
+	"production-day/summary/2":    "c99afa0c10720b09",
+	"production-day/dense/1":      "4b1aaabbc564a6fa",
+	"production-day/dense/2":      "41501a45b5bd902d",
+	"rolling-drain/summary/1":     "ff4d3f15fa030580",
+	"rolling-drain/summary/2":     "c4d1876cd7c59f2b",
+	"rolling-drain/dense/1":       "9b0f703905cba761",
+	"rolling-drain/dense/2":       "b3b206d1da3005d6",
+	"uniform5/summary/1":          "a933e76a3461a6e5",
+	"uniform5/summary/2":          "52b2aa4e88d3632a",
+	"uniform5/dense/1":            "ea8255c88bb703c6",
+	"uniform5/dense/2":            "50dd1816007e8960",
 }
 
 func TestArchiveDigestsPinned(t *testing.T) {

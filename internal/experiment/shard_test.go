@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -127,5 +128,39 @@ func TestShardedAutoResolvesToGOMAXPROCS(t *testing.T) {
 	assertShardEquivalent(t, serial, auto)
 	if auto.SimShards < 1 {
 		t.Errorf("auto shards resolved to %d", auto.SimShards)
+	}
+}
+
+// TestShardedArchiveMatchesSerial: in the summary tier controllers on
+// different worker lanes feed the collector's shared run sketches, under
+// its mutex, in an order that varies from run to run. The archive must
+// not show it: sharded and serial Export JSON are byte-identical (run
+// this under -race to check the lock as well).
+func TestShardedArchiveMatchesSerial(t *testing.T) {
+	export := func(name string, shards int) []byte {
+		s, ok := ScenarioByName(name)
+		if !ok {
+			t.Fatalf("scenario %q not registered", name)
+		}
+		spec := s.Spec(1)
+		spec.SimShards = shards
+		spec.TraceLevel = metrics.TierSummary
+		res, err := RunE(spec)
+		if err != nil {
+			t.Fatalf("%s (shards=%d): %v", name, shards, err)
+		}
+		if shards > 1 && res.SimBatches == 0 {
+			t.Fatalf("%s: sharded run executed no parallel batches", name)
+		}
+		var buf bytes.Buffer
+		if err := res.Collector.Export().WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, name := range []string{"hotspot-rebalance", "cluster-scale"} {
+		if serial, sharded := export(name, 1), export(name, 4); !bytes.Equal(serial, sharded) {
+			t.Errorf("%s: sharded archive differs from serial (%d vs %d bytes)", name, len(sharded), len(serial))
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -46,6 +47,31 @@ func TestReportScenarioTierParity(t *testing.T) {
 	}
 }
 
+// TestRunQuantilesTierIndependent: both tiers feed the run sketches the
+// same samples — the summary tier as they arrive, the dense tier when a
+// read folds them — so every non-heavy scenario's archive carries equal
+// run quantiles in either tier.
+func TestRunQuantilesTierIndependent(t *testing.T) {
+	for _, sc := range Scenarios() {
+		quantiles := func(tier metrics.Tier) map[string]metrics.ArchiveQuantiles {
+			spec := sc.Spec(1)
+			spec.TraceLevel = tier
+			res, err := RunE(spec)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", sc.Name, tier, err)
+			}
+			return res.Collector.Export().Quantiles
+		}
+		summary, dense := quantiles(metrics.TierSummary), quantiles(metrics.TierDense)
+		if len(summary) == 0 {
+			t.Errorf("%s: summary archive carries no run quantiles", sc.Name)
+		}
+		if !reflect.DeepEqual(summary, dense) {
+			t.Errorf("%s: run quantiles differ between tiers\nsummary: %+v\ndense:   %+v", sc.Name, summary, dense)
+		}
+	}
+}
+
 // TestSummaryTierResultShape pins the summary tier's observable surface:
 // no raw series, populated summaries, and a recorded trace level.
 func TestSummaryTierResultShape(t *testing.T) {
@@ -69,13 +95,17 @@ func TestSummaryTierResultShape(t *testing.T) {
 // TestSummaryTierMemoryClusterScale is the acceptance criterion for the
 // memory model: on the 256-worker cluster-scale scenario the summary
 // tier's collector must retain at least 5× less memory than the dense
-// tier — O(jobs), not O(jobs × makespan) — and the sketches it keeps
-// instead of raw series must stay within metrics.SketchAccuracy of the
-// exact quantiles.
+// tier — O(jobs), not O(jobs × makespan) — and at most
+// maxSummaryBytesPerJob per job, and the run sketches it keeps instead of
+// raw series must stay within metrics.SketchAccuracy of the exact
+// quantiles.
 func TestSummaryTierMemoryClusterScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster-scale memory comparison is expensive; run without -short")
 	}
+	// A job reads ≈1.4 KiB; a sketch per job and kind would make it
+	// ≈5.3 KiB.
+	const maxSummaryBytesPerJob = 2048
 	s, ok := ScenarioByName("cluster-scale")
 	if !ok {
 		t.Fatal("cluster-scale scenario missing")
@@ -99,38 +129,47 @@ func TestSummaryTierMemoryClusterScale(t *testing.T) {
 		t.Errorf("summary tier saves %.1f× on cluster-scale (dense %d B, summary %d B), want ≥5×",
 			float64(db)/float64(sb), db, sb)
 	}
+	if perJob := sb / len(summary.Jobs); perJob > maxSummaryBytesPerJob {
+		t.Errorf("summary tier retains %d B per job on cluster-scale, want ≤ %d", perJob, maxSummaryBytesPerJob)
+	}
 	if dense.Makespan != summary.Makespan {
 		t.Errorf("tier changed simulation output: makespan %g vs %g", dense.Makespan, summary.Makespan)
 	}
 
-	// The dense collector keeps both the raw CPU series and the streaming
-	// sketches of the same samples, so it can check the summary tier's
-	// accuracy claim against ground truth: for every job with a
-	// meaningfully long series, the sketch's p50/p95/p99 must sit within
-	// SketchAccuracy relative error of the exact sorted-sample quantile.
+	// The dense collector keeps the raw series the run sketches are built
+	// from, so it can check the accuracy claim against ground truth: for
+	// every kind, the run's p50/p95/p99 must sit within SketchAccuracy
+	// relative error of the exact order statistic over all of that
+	// kind's samples, every job's together.
 	col := dense.Collector
-	checked := 0
-	for _, job := range col.Jobs() {
-		series, sum := col.CPUSeries(job.Name), col.CPUSummary(job.Name)
-		if series == nil || sum == nil || series.Len() < 20 {
+	a := col.Export()
+	for kind, byJob := range a.Series {
+		var vals []float64
+		for _, pts := range byJob {
+			for _, p := range pts {
+				vals = append(vals, p.V)
+			}
+		}
+		if len(vals) == 0 {
 			continue
 		}
-		checked++
-		vals := make([]float64, 0, series.Len())
-		for _, p := range series.Points() {
-			vals = append(vals, p.V)
-		}
 		sort.Float64s(vals)
-		for _, q := range []float64{0.5, 0.95, 0.99} {
-			exact := vals[int(q*float64(len(vals)-1))]
-			est := sum.Quantile(q)
-			if rel := math.Abs(est-exact) / math.Max(math.Abs(exact), 1e-9); rel > metrics.SketchAccuracy {
-				t.Errorf("job %s p%g: sketch %g vs exact %g, relative error %g > %g",
-					job.Name, q*100, est, exact, rel, metrics.SketchAccuracy)
+		q := a.Quantiles[kind]
+		if q.Count != int64(len(vals)) {
+			t.Errorf("%s: run sketch holds %d samples, dense series %d", kind, q.Count, len(vals))
+		}
+		for _, c := range []struct {
+			q   float64
+			est float64
+		}{{0.5, q.P50}, {0.95, q.P95}, {0.99, q.P99}} {
+			exact := vals[int(c.q*float64(len(vals)-1))]
+			if rel := math.Abs(c.est-exact) / math.Max(math.Abs(exact), 1e-9); rel > metrics.SketchAccuracy {
+				t.Errorf("%s p%g: sketch %g vs exact %g, relative error %g > %g",
+					kind, c.q*100, c.est, exact, rel, metrics.SketchAccuracy)
 			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no job had a dense CPU series long enough to check the sketch")
+	if len(a.Quantiles) != len(a.Series) {
+		t.Errorf("run quantiles for %d kinds, dense series for %d", len(a.Quantiles), len(a.Series))
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/flowcon"
 	"repro/internal/sim"
 	"repro/internal/simdocker"
+	"repro/internal/stats"
 )
 
 // PostExitSamples is the documented post-exit sampler horizon: an exited
@@ -64,15 +66,15 @@ const (
 var kindNames = [numKinds]string{"cpu", "eval", "limit", "growth", "list"}
 
 // job is the collector's one record per tracked job: the lifecycle
-// summary, the constant-memory summaries (held by value, so the record is
-// one allocation) and the tier's trajectory store. Both indexes — jobs by
-// name, byCID by container — lead here, so the sampling and tracing paths
-// do one lookup and then follow pointers.
+// summary, the constant-memory summaries (held by value and pointing at
+// nothing, so the record is one allocation) and the tier's trajectory
+// store. Both indexes — jobs by name, byCID by container — lead here, so
+// the sampling and tracing paths do one lookup and then follow pointers.
 type job struct {
 	JobRecord
 
 	// sums are observed as samples arrive in TierSummary; in TierDense
-	// they are folded from the raw traces on read (see summary).
+	// they are folded from the raw traces on read (see fold).
 	sums [numKinds]SeriesSummary
 	// dense holds the raw traces; nil in TierSummary.
 	dense *denseTraces
@@ -83,42 +85,48 @@ type job struct {
 
 // denseTraces is a dense-tier job's raw traces, the only store written
 // while the job is sampled. folded[k] counts the points of series[k]
-// already folded into the job's summary of kind k.
+// already folded into the job's summary and the run sketch of kind k.
 type denseTraces struct {
 	series [numKinds]Series
 	folded [numKinds]int
 }
 
-// observe records one sample of kind k in the active tier's store.
-// Allocation-free at steady state: sketch buckets exist after a job's
-// first few samples, and a dense chunk holds many points.
-func (j *job) observe(k seriesKind, t, v float64) {
+// observe records one sample of kind k for job j in the active tier's
+// store: the raw trace in TierDense, else the job's moments and the run
+// sketch. Allocation-free at steady state: the run sketch has a bucket
+// for every magnitude the run has seen, and a dense chunk holds many
+// points.
+func (c *Collector) observe(j *job, k seriesKind, t, v float64) {
 	if j.dense != nil {
 		j.dense.series[k].Append(t, v)
 		return
 	}
 	j.sums[k].Observe(t, v)
+	c.sketches[k].Add(v)
 }
 
-// summary returns the job's summary of kind k. In TierDense it first
-// folds in the points appended since the last read. They go in in
-// order, so the summary is bit-identical to one observed as the samples
-// arrived, and folded[k] makes each point go in once. The fold walks the
-// chunks: compacting them would allocate every point a second time.
-func (j *job) summary(k seriesKind) *SeriesSummary {
+// fold returns job j's summary of kind k. In TierDense it first folds the
+// points appended since the last read into the summary and the run
+// sketch. They go in in order, so the summary is bit-identical to one
+// observed as the samples arrived, and folded[k] makes each point go in
+// once. The fold walks the chunks: compacting them would allocate every
+// point a second time.
+func (c *Collector) fold(j *job, k seriesKind) *SeriesSummary {
 	sum := &j.sums[k]
 	d := j.dense
 	if d == nil {
 		return sum
 	}
+	sk := &c.sketches[k]
 	skip := d.folded[k]
-	for _, c := range d.series[k].chunks {
-		if skip >= len(c) {
-			skip -= len(c)
+	for _, ch := range d.series[k].chunks {
+		if skip >= len(ch) {
+			skip -= len(ch)
 			continue
 		}
-		for _, p := range c[skip:] {
+		for _, p := range ch[skip:] {
 			sum.Observe(p.T, p.V)
+			sk.Add(p.V)
 		}
 		skip = 0
 	}
@@ -132,17 +140,23 @@ func (j *job) summary(k seriesKind) *SeriesSummary {
 // limit traces.
 //
 // Memory behavior is governed by the collector's Tier. TierSummary keeps
-// O(1) online summaries (SeriesSummary) per job/kind — total memory is
+// O(1) online moments (SeriesSummary) per job/kind — total memory is
 // O(jobs), independent of makespan — plus one bounded CompactSeries per
 // job so GrowthAt can answer the GE@fraction report columns. TierDense
 // retains every raw sample in full Series, O(jobs × makespan), and stores
 // nothing else while the run samples: its summaries are folded from the
 // raw series on first read. The raw-series accessors (CPUSeries etc.)
-// return nil outside that tier.
+// return nil outside that tier. In both tiers quantiles are run-level:
+// one QuantileSketch per kind over every job's samples, five per run. A
+// DDSketch merges by adding bucket counts, so the run sketch carries the
+// same relative-error guarantee over the run's samples as per-job
+// sketches merged after the fact.
 //
-// A Collector is not safe for concurrent use. Reads mutate it too: in
-// TierDense a summary read folds pending points in, and Points compacts a
-// chunked series.
+// A Collector is not safe for concurrent use, with one exception:
+// RecordRun, which controllers on different sharded worker lanes call
+// concurrently, takes the collector's mutex around the shared sketches.
+// Reads mutate the collector too: in TierDense a summary read folds
+// pending points in, and Points compacts a chunked series.
 type Collector struct {
 	engine *sim.Engine
 	period float64
@@ -161,6 +175,14 @@ type Collector struct {
 	// worker lanes record runs concurrently. The total is deterministic
 	// even though the increment order is not.
 	algoRuns atomic.Int64
+
+	// sketches are the run's quantile sketches, one per kind. mu guards
+	// them in RecordRun; the sampler runs on lane 0 outside parallel
+	// batches and takes no lock. Below the sketch's bucket cap, which no
+	// metric stream approaches, bucket counts do not depend on the order
+	// values arrive in, so the quantiles are deterministic across lanes.
+	mu       sync.Mutex
+	sketches [numKinds]stats.QuantileSketch
 }
 
 // NewCollector creates a summary-tier collector sampling CPU usage every
@@ -180,13 +202,17 @@ func NewCollectorTier(engine *sim.Engine, period float64, tier Tier) *Collector 
 	if tier != TierSummary && tier != TierDense {
 		panic(fmt.Sprintf("metrics: unknown tier %d", int(tier)))
 	}
-	return &Collector{
+	c := &Collector{
 		engine: engine,
 		period: period,
 		tier:   tier,
 		jobs:   make(map[string]*job),
 		byCID:  make(map[string]*job),
 	}
+	for k := range c.sketches {
+		c.sketches[k].Init(SketchAccuracy)
+	}
+	return c
 }
 
 // Tier returns the collector's retention tier.
@@ -209,9 +235,6 @@ func (c *Collector) TrackJob(name, worker, model, containerID string, startedAt 
 		Model:       model,
 		StartedAt:   startedAt,
 	}}
-	for k := range j.sums {
-		j.sums[k].init()
-	}
 	if c.tier == TierDense {
 		j.dense = new(denseTraces)
 	} else {
@@ -395,17 +418,17 @@ func (s *sampler) sample(sl *samplerSlot, now, dt float64) bool {
 		// Exited containers have frozen counters and a closed record:
 		// read them without settling. The values are identical.
 		if dt > 0 {
-			j.observe(kindCPU, now, (cont.CPUSeconds()-sl.lastCPU)/dt)
+			s.c.observe(j, kindCPU, now, (cont.CPUSeconds()-sl.lastCPU)/dt)
 		}
 		sl.lastCPU = cont.CPUSeconds()
 	} else {
 		cpu, eval := s.daemon.Usage(cont)
 		if dt > 0 {
-			j.observe(kindCPU, now, (cpu-sl.lastCPU)/dt)
+			s.c.observe(j, kindCPU, now, (cpu-sl.lastCPU)/dt)
 		}
 		sl.lastCPU = cpu
 		if !j.Finished {
-			j.observe(kindEval, now, eval)
+			s.c.observe(j, kindEval, now, eval)
 		}
 	}
 	if exited {
@@ -416,9 +439,13 @@ func (s *sampler) sample(sl *samplerSlot, now, dt float64) bool {
 }
 
 // RecordRun implements flowcon.Tracer: it stores growth efficiency, limit
-// and list membership per algorithm run.
+// and list membership per algorithm run. It holds the collector's mutex
+// for the whole call: controllers on different sharded worker lanes share
+// the run sketches.
 func (c *Collector) RecordRun(e flowcon.TraceEntry) {
 	c.algoRuns.Add(1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	now := float64(e.At)
 	for _, tc := range e.Containers {
 		j, ok := c.byCID[tc.ID]
@@ -429,10 +456,10 @@ func (c *Collector) RecordRun(e flowcon.TraceEntry) {
 			if j.growthC != nil {
 				j.growthC.Append(now, tc.G)
 			}
-			j.observe(kindGrowth, now, tc.G)
+			c.observe(j, kindGrowth, now, tc.G)
 		}
-		j.observe(kindLimit, now, tc.Limit)
-		j.observe(kindList, now, float64(tc.List))
+		c.observe(j, kindLimit, now, tc.Limit)
+		c.observe(j, kindList, now, float64(tc.List))
 	}
 }
 
@@ -476,7 +503,7 @@ func (c *Collector) series(name string, k seriesKind) *Series {
 // both tiers; folded on read in TierDense), or nil for an untracked job.
 func (c *Collector) summary(name string, k seriesKind) *SeriesSummary {
 	if j := c.jobs[name]; j != nil {
-		return j.summary(k)
+		return c.fold(j, k)
 	}
 	return nil
 }
@@ -540,28 +567,28 @@ func (c *Collector) GrowthAt(name string, t float64) (float64, bool) {
 	return j.growthC.At(t)
 }
 
-// MemoryBytes returns the collector's retained observability memory: per
-// job, the record itself (lifecycle fields and the summaries it embeds)
-// plus everything it points at — sketch bucket slices, raw series or the
-// compact trajectory — and an estimate for its two index entries. It
-// reads no summary: in TierDense a summary's sketch buckets exist, and
-// count, only once the summary has been read. It is
-// the figure ./bench reports as metrics.collector_mb, and the one
-// TestSummaryTierMemoryClusterScale uses to verify the summary tier is
-// O(jobs) rather than O(jobs × makespan).
+// MemoryBytes returns the collector's retained observability memory: the
+// five run sketches, and per job the record itself (lifecycle fields and
+// the summaries it embeds) plus everything it points at — raw series or
+// the compact trajectory — and an estimate for its two index entries. It
+// reads no summary: in TierDense the run sketches hold only the points
+// folded by reads so far. It is the figure ./bench reports as
+// metrics.collector_mb, and the one TestSummaryTierMemoryClusterScale
+// uses to verify the summary tier is O(jobs) rather than
+// O(jobs × makespan).
 func (c *Collector) MemoryBytes() int {
 	// The name and container-id index entries: a string header and a
 	// pointer each, at the runtime map's ~7/8 load factor. Key bytes
 	// belong to the caller's strings and are not counted.
 	const indexEntries = 2 * 28
-	// The record minus its summaries, which report their own size below.
-	fixed := int(unsafe.Sizeof(job{})-unsafe.Sizeof(job{}.sums)) + indexEntries
+	// The record, summaries included: they point at nothing.
+	fixed := int(unsafe.Sizeof(job{})) + indexEntries
 	total := 0
+	for k := range c.sketches {
+		total += c.sketches[k].MemoryBytes()
+	}
 	for _, j := range c.jobs {
 		total += fixed
-		for k := range j.sums {
-			total += j.sums[k].MemoryBytes()
-		}
 		if d := j.dense; d != nil {
 			total += int(unsafe.Sizeof(d.folded))
 			for k := range d.series {

@@ -4,38 +4,48 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 )
 
 // ArchiveSchemaVersion is the current archive format version. Schema 2
 // introduced the explicit schema/tier fields and the constant-memory
-// summaries block; pre-v2 archives (no schema field) are rejected by
-// ReadArchive so stale goldens fail loudly instead of silently decoding
+// summaries block. Schema 3 moved p50/p95/p99 out of the per-job
+// summaries into the run-level quantiles block. ReadArchive rejects every
+// other version so stale goldens fail loudly instead of silently decoding
 // into mismatched shapes. Bump this only together with a migration note
 // in README "Observability".
-const ArchiveSchemaVersion = 2
+const ArchiveSchemaVersion = 3
 
 // ArchiveSummary is the serialized form of one SeriesSummary: exact
-// moments plus sketch quantiles (within SketchAccuracy relative error)
-// and the observed time span.
+// moments and the observed time span.
 type ArchiveSummary struct {
 	Count  int64   `json:"count"`
 	Mean   float64 `json:"mean"`
 	Std    float64 `json:"std"`
 	Min    float64 `json:"min"`
 	Max    float64 `json:"max"`
-	P50    float64 `json:"p50"`
-	P95    float64 `json:"p95"`
-	P99    float64 `json:"p99"`
 	FirstT float64 `json:"first_t"`
 	LastT  float64 `json:"last_t"`
+}
+
+// ArchiveQuantiles is the serialized form of one run-level sketch: how
+// many samples of the kind the run saw across all jobs, and its
+// quantiles, each within SketchAccuracy relative error of the exact
+// order statistic over those samples.
+type ArchiveQuantiles struct {
+	Count int64   `json:"count"`
+	P50   float64 `json:"p50"`
+	P95   float64 `json:"p95"`
+	P99   float64 `json:"p99"`
 }
 
 // Archive is the serializable form of a collector's contents: job records
 // plus recorded observability data, keyed by job name. It lets experiment
 // outputs be persisted, diffed across runs, and re-plotted without
-// re-simulating. Summaries are present in both collection tiers; raw
-// Series only when the collector ran in TierDense.
+// re-simulating. Summaries and quantiles are present in both collection
+// tiers; raw Series only when the collector ran in TierDense.
 type Archive struct {
 	// Schema is the format version; ReadArchive rejects anything other
 	// than ArchiveSchemaVersion.
@@ -53,6 +63,10 @@ type Archive struct {
 	// Summaries maps series kind to job name to its constant-memory
 	// summary. Present in both tiers.
 	Summaries map[string]map[string]ArchiveSummary `json:"summaries"`
+	// Quantiles maps series kind to the run sketch's quantiles over every
+	// job's samples of that kind; a kind with no samples is absent.
+	// Present in both tiers, and equal between them.
+	Quantiles map[string]ArchiveQuantiles `json:"quantiles"`
 }
 
 // summarize serializes one SeriesSummary.
@@ -66,15 +80,14 @@ func summarize(s *SeriesSummary) ArchiveSummary {
 		Std:    m.Std(),
 		Min:    m.Min(),
 		Max:    m.Max(),
-		P50:    s.Quantile(0.50),
-		P95:    s.Quantile(0.95),
-		P99:    s.Quantile(0.99),
 		FirstT: first.T,
 		LastT:  last.T,
 	}
 }
 
-// Export assembles an Archive from the collector's current state.
+// Export assembles an Archive from the collector's current state. In
+// TierDense it first folds every job's pending points, so the run
+// quantiles cover every sample.
 func (c *Collector) Export() Archive {
 	a := Archive{
 		Schema:    ArchiveSchemaVersion,
@@ -82,15 +95,24 @@ func (c *Collector) Export() Archive {
 		Jobs:      c.Jobs(),
 		Makespan:  c.Makespan(),
 		Summaries: make(map[string]map[string]ArchiveSummary, len(kindNames)),
+		Quantiles: make(map[string]ArchiveQuantiles, len(kindNames)),
 	}
 	for k, kind := range kindNames {
 		out := make(map[string]ArchiveSummary, len(c.jobs))
 		for name, j := range c.jobs {
-			if s := j.summary(seriesKind(k)); s.Count() > 0 {
+			if s := c.fold(j, seriesKind(k)); s.Count() > 0 {
 				out[name] = summarize(s)
 			}
 		}
 		a.Summaries[kind] = out
+		if sk := &c.sketches[k]; sk.Count() > 0 {
+			a.Quantiles[kind] = ArchiveQuantiles{
+				Count: sk.Count(),
+				P50:   sk.Quantile(0.50),
+				P95:   sk.Quantile(0.95),
+				P99:   sk.Quantile(0.99),
+			}
+		}
 	}
 	if c.tier != TierDense {
 		return a
@@ -120,8 +142,11 @@ func (a Archive) WriteJSON(w io.Writer) error {
 // ReadArchive parses an archive written by WriteJSON and validates it:
 // the schema version must match ArchiveSchemaVersion exactly (pre-v2
 // archives carry no schema field and decode as 0 — the loud failure the
-// versioning exists for), the tier must parse, series timestamps must be
-// non-decreasing, and every series/summary needs a job record.
+// versioning exists for), the tier must parse, every series, summary and
+// quantiles key must name a known kind, series timestamps must be
+// non-decreasing, every series/summary needs a job record, and each
+// quantiles entry needs a positive count and finite, ordered quantiles.
+// An empty series block reads as none, the way WriteJSON writes it.
 func ReadArchive(r io.Reader) (Archive, error) {
 	var a Archive
 	if err := json.NewDecoder(r).Decode(&a); err != nil {
@@ -129,7 +154,7 @@ func ReadArchive(r io.Reader) (Archive, error) {
 	}
 	if a.Schema != ArchiveSchemaVersion {
 		return Archive{}, fmt.Errorf(
-			"metrics: archive schema %d, want %d — pre-v2 archives must be regenerated by re-running the experiment (see README \"Observability\")",
+			"metrics: archive schema %d, want %d — schema 3 moved p50/p95/p99 from per-job summaries to the run-level quantiles block; regenerate older archives by re-running the experiment (see README \"Observability\")",
 			a.Schema, ArchiveSchemaVersion)
 	}
 	if _, err := ParseTier(a.Tier); err != nil {
@@ -140,6 +165,9 @@ func ReadArchive(r io.Reader) (Archive, error) {
 		names[j.Name] = true
 	}
 	for kind, m := range a.Series {
+		if !slices.Contains(kindNames[:], kind) {
+			return Archive{}, fmt.Errorf("metrics: series kind %q unknown", kind)
+		}
 		for name, pts := range m {
 			if !names[name] {
 				return Archive{}, fmt.Errorf("metrics: series %s/%s has no job record", kind, name)
@@ -151,11 +179,33 @@ func ReadArchive(r io.Reader) (Archive, error) {
 			}
 		}
 	}
+	if len(a.Series) == 0 {
+		a.Series = nil
+	}
 	for kind, m := range a.Summaries {
+		if !slices.Contains(kindNames[:], kind) {
+			return Archive{}, fmt.Errorf("metrics: summary kind %q unknown", kind)
+		}
 		for name := range m {
 			if !names[name] {
 				return Archive{}, fmt.Errorf("metrics: summary %s/%s has no job record", kind, name)
 			}
+		}
+	}
+	for kind, q := range a.Quantiles {
+		if !slices.Contains(kindNames[:], kind) {
+			return Archive{}, fmt.Errorf("metrics: quantiles kind %q unknown", kind)
+		}
+		if q.Count <= 0 {
+			return Archive{}, fmt.Errorf("metrics: quantiles %s: count %d not positive", kind, q.Count)
+		}
+		for _, v := range []float64{q.P50, q.P95, q.P99} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return Archive{}, fmt.Errorf("metrics: quantiles %s: %g not finite", kind, v)
+			}
+		}
+		if q.P50 > q.P95 || q.P95 > q.P99 {
+			return Archive{}, fmt.Errorf("metrics: quantiles %s: p50 %g, p95 %g, p99 %g out of order", kind, q.P50, q.P95, q.P99)
 		}
 	}
 	return a, nil

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func buildCollector(t *testing.T) *Collector {
 }
 
 // buildCollectorTier is buildCollector with an explicit retention tier.
-func buildCollectorTier(t *testing.T, tier Tier) *Collector {
+func buildCollectorTier(t testing.TB, tier Tier) *Collector {
 	t.Helper()
 	e := sim.NewEngine()
 	d := simdocker.NewDaemon(e, 1.0)
@@ -59,6 +60,9 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if s := a.Summaries["cpu"]["A"]; s.Count == 0 || s.Mean <= 0 {
 		t.Fatalf("cpu summary missing from dense archive: %+v", s)
 	}
+	if q := a.Quantiles["cpu"]; q.Count != int64(len(a.Series["cpu"]["A"])+len(a.Series["cpu"]["B"])) {
+		t.Fatalf("cpu run quantiles count %d, want every job's samples", q.Count)
+	}
 
 	var buf bytes.Buffer
 	if err := a.WriteJSON(&buf); err != nil {
@@ -68,7 +72,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Makespan != a.Makespan || len(back.Jobs) != len(a.Jobs) {
+	if back.Makespan != a.Makespan || len(back.Jobs) != len(a.Jobs) || !reflect.DeepEqual(back.Quantiles, a.Quantiles) {
 		t.Fatalf("round trip changed archive: %+v vs %+v", back, a)
 	}
 	// Series rebuild preserves values.
@@ -90,13 +94,19 @@ func TestArchiveRoundTrip(t *testing.T) {
 
 func TestReadArchiveRejectsCorrupt(t *testing.T) {
 	cases := map[string]string{
-		"not json":       "{",
-		"legacy schema":  `{"jobs":[],"series":{}}`,
-		"wrong schema":   `{"schema":1,"tier":"dense","jobs":[]}`,
-		"bad tier":       `{"schema":2,"tier":"verbose","jobs":[]}`,
-		"orphan series":  `{"schema":2,"tier":"dense","jobs":[],"series":{"cpu":{"ghost":[{"T":0,"V":1}]}}}`,
-		"orphan summary": `{"schema":2,"tier":"summary","jobs":[],"summaries":{"cpu":{"ghost":{"count":1}}}}`,
-		"backward times": `{"schema":2,"tier":"dense","jobs":[{"Name":"A"}],"series":{"cpu":{"A":[{"T":5,"V":1},{"T":1,"V":2}]}}}`,
+		"not json":              "{",
+		"legacy schema":         `{"jobs":[],"series":{}}`,
+		"wrong schema":          `{"schema":1,"tier":"dense","jobs":[]}`,
+		"schema 2":              `{"schema":2,"tier":"summary","jobs":[],"summaries":{}}`,
+		"bad tier":              `{"schema":3,"tier":"verbose","jobs":[]}`,
+		"orphan series":         `{"schema":3,"tier":"dense","jobs":[],"series":{"cpu":{"ghost":[{"T":0,"V":1}]}}}`,
+		"orphan summary":        `{"schema":3,"tier":"summary","jobs":[],"summaries":{"cpu":{"ghost":{"count":1}}}}`,
+		"backward times":        `{"schema":3,"tier":"dense","jobs":[{"Name":"A"}],"series":{"cpu":{"A":[{"T":5,"V":1},{"T":1,"V":2}]}}}`,
+		"unknown series kind":   `{"schema":3,"tier":"dense","jobs":[{"Name":"A"}],"series":{"cpus":{"A":[{"T":0,"V":1}]}}}`,
+		"unknown summary kind":  `{"schema":3,"tier":"summary","jobs":[{"Name":"A"}],"summaries":{"growht":{"A":{"count":1}}}}`,
+		"unknown quantile kind": `{"schema":3,"tier":"summary","jobs":[],"quantiles":{"mem":{"count":1,"p50":1,"p95":1,"p99":1}}}`,
+		"empty quantiles":       `{"schema":3,"tier":"summary","jobs":[],"quantiles":{"cpu":{"count":0,"p50":0,"p95":0,"p99":0}}}`,
+		"unordered quantiles":   `{"schema":3,"tier":"summary","jobs":[],"quantiles":{"cpu":{"count":5,"p50":2,"p95":1,"p99":3}}}`,
 	}
 	for name, raw := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -107,9 +117,53 @@ func TestReadArchiveRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestReadArchiveSchemaError: a version mismatch names the version found,
+// the version wanted and what schema 3 changed.
+func TestReadArchiveSchemaError(t *testing.T) {
+	_, err := ReadArchive(strings.NewReader(`{"schema":2,"tier":"summary","jobs":[]}`))
+	if err == nil {
+		t.Fatal("schema 2 archive accepted")
+	}
+	for _, want := range []string{"schema 2", "want 3", "quantiles"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// FuzzReadArchive: ReadArchive never panics, and an archive it accepts
+// re-encodes and re-reads equal.
+func FuzzReadArchive(f *testing.F) {
+	var buf bytes.Buffer
+	if err := buildCollectorTier(f, TierSummary).Export().WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"schema":3,"tier":"dense","jobs":[{"Name":"A"}],"series":{"cpu":{"A":[{"T":0,"V":1},{"T":1,"V":0.5}]}},"summaries":{"cpu":{"A":{"count":2,"mean":0.75}}},"quantiles":{"cpu":{"count":2,"p50":0.5,"p95":1,"p99":1}}}`))
+	f.Add([]byte(`{"schema":3,"tier":"summary","jobs":[],"series":{},"summaries":null}`))
+	f.Add([]byte(`{"schema":2,"tier":"summary"}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		a, err := ReadArchive(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := a.WriteJSON(&out); err != nil {
+			t.Fatalf("accepted archive does not re-encode: %v", err)
+		}
+		back, err := ReadArchive(&out)
+		if err != nil {
+			t.Fatalf("re-encoded archive rejected: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(back, a) {
+			t.Fatalf("re-read archive differs:\n%+v\n%+v", back, a)
+		}
+	})
+}
+
 // TestSummaryArchiveRoundTrip pins the summary tier's export shape: no
-// raw series, summaries within sketch error of the dense run's exact
-// statistics, and a clean round trip through WriteJSON/ReadArchive.
+// raw series, per-job moments, ordered run quantiles over every job's
+// samples, and a clean round trip through WriteJSON/ReadArchive.
 func TestSummaryArchiveRoundTrip(t *testing.T) {
 	col := buildCollectorTier(t, TierSummary)
 	if col.CPUSeries("A") != nil {
@@ -123,8 +177,13 @@ func TestSummaryArchiveRoundTrip(t *testing.T) {
 	if !ok || s.Count == 0 {
 		t.Fatalf("cpu summary missing: %+v", s)
 	}
-	if s.P95 < s.P50 || s.Max < s.P95*(1-SketchAccuracy) {
-		t.Fatalf("summary quantiles inconsistent: %+v", s)
+	q := a.Quantiles["cpu"]
+	if q.Count != s.Count+a.Summaries["cpu"]["B"].Count {
+		t.Fatalf("cpu run quantiles count %d, want every job's samples", q.Count)
+	}
+	top := max(s.Max, a.Summaries["cpu"]["B"].Max)
+	if q.P50 > q.P95 || q.P95 > q.P99 || top < q.P99*(1-SketchAccuracy) {
+		t.Fatalf("run quantiles inconsistent: %+v, max %g", q, top)
 	}
 	var buf bytes.Buffer
 	if err := a.WriteJSON(&buf); err != nil {
@@ -134,7 +193,7 @@ func TestSummaryArchiveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Makespan != a.Makespan || back.Summaries["cpu"]["A"] != s {
+	if !reflect.DeepEqual(back, a) {
 		t.Fatalf("summary round trip changed archive")
 	}
 	// The rebuildable-series accessor degrades to empty, not to a panic.

@@ -4,15 +4,16 @@
 // and 14).
 //
 // Collection is tiered (see Tier). The default summary tier retains only
-// constant-memory online summaries per job/kind — Welford moments plus a
-// streaming quantile sketch (SeriesSummary) and a bounded growth
-// trajectory (CompactSeries) — so collector memory is O(jobs) regardless
-// of makespan. The dense tier keeps every raw sample as a Series,
-// O(jobs × makespan), and nothing else while a run samples: its summaries
-// are folded from the raw series on first read. It is required for figure
-// regeneration and limit-event traces. Archives exported from either tier
-// carry a schema version (ArchiveSchemaVersion) so stale goldens fail
-// loudly.
+// constant-memory online summaries per job/kind — Welford moments
+// (SeriesSummary) and a bounded growth trajectory (CompactSeries) — so
+// collector memory is O(jobs) regardless of makespan. Quantiles are
+// run-level in both tiers: the Collector keeps one streaming quantile
+// sketch per kind over every job's samples. The dense tier keeps every
+// raw sample as a Series, O(jobs × makespan), and nothing else while a
+// run samples: its summaries and run sketches are folded from the raw
+// series on read. It is required for figure regeneration and limit-event
+// traces. Archives exported from either tier carry a schema version
+// (ArchiveSchemaVersion) so stale goldens fail loudly.
 package metrics
 
 import (

@@ -8,39 +8,30 @@ import (
 	"repro/internal/stats"
 )
 
-// SketchAccuracy is the relative-error bound of every quantile the
-// summary tier reports: a sketch quantile is within ±1% of the exact
-// sample value at that rank (see stats.QuantileSketch for the guarantee).
+// SketchAccuracy is the relative-error bound of every quantile a
+// collector reports: a run-level sketch quantile is within ±1% of the
+// exact sample value at that rank (see stats.QuantileSketch for the
+// guarantee).
 const SketchAccuracy = stats.DefaultSketchAccuracy
 
 // SeriesSummary is the constant-memory replacement for a dense Series:
-// Welford moments plus a streaming quantile sketch, and the first/last
-// observed points for span bookkeeping. Collectors answer one per
-// job/kind in both tiers, which gives reports a uniform accessor and lets
-// a single dense run measure sketch-vs-exact accuracy. The summary tier
-// observes each sample as it arrives; the dense tier folds the raw series
-// in on first read, feeding the same points in the same order.
+// exact Welford moments plus the first/last observed points for span
+// bookkeeping. Collectors answer one per job/kind in both tiers, which
+// gives reports a uniform accessor. The summary tier observes each sample
+// as it arrives; the dense tier folds the raw series in on first read,
+// feeding the same points in the same order. Quantiles are not kept per
+// job: the Collector holds one quantile sketch per kind for the whole
+// run.
 //
-// Memory behavior: O(sketch buckets) ≈ O(distinct magnitude scales),
-// independent of sample count. Observe is allocation-free at steady
-// state (allocation only when a sketch's bucket slice grows). The sketch
-// is held by value so a collector's per-job record is one allocation.
+// Memory behavior: O(1) — a fixed-size struct whatever the sample count.
+// Observe never allocates.
 type SeriesSummary struct {
 	moments     stats.Welford
-	sketch      stats.QuantileSketch
 	first, last Point
 }
 
-// NewSeriesSummary returns an empty summary with the package-level
-// SketchAccuracy.
-func NewSeriesSummary() *SeriesSummary {
-	s := new(SeriesSummary)
-	s.init()
-	return s
-}
-
-// init makes a zero SeriesSummary ready to Observe.
-func (s *SeriesSummary) init() { s.sketch.Init(SketchAccuracy) }
+// NewSeriesSummary returns an empty summary.
+func NewSeriesSummary() *SeriesSummary { return new(SeriesSummary) }
 
 // Observe folds one timestamped sample in. Timestamps must be
 // non-decreasing, matching Series.Append's contract.
@@ -52,7 +43,6 @@ func (s *SeriesSummary) Observe(t, v float64) {
 	}
 	s.last = Point{T: t, V: v}
 	s.moments.Add(v)
-	s.sketch.Add(v)
 }
 
 // Count returns how many samples were observed.
@@ -61,22 +51,15 @@ func (s *SeriesSummary) Count() int64 { return s.moments.Count() }
 // Moments returns a copy of the online moment accumulator.
 func (s *SeriesSummary) Moments() stats.Welford { return s.moments }
 
-// Quantile returns the q-quantile estimate, within SketchAccuracy
-// relative error of the exact sample quantile. Panics when empty.
-func (s *SeriesSummary) Quantile(q float64) float64 { return s.sketch.Quantile(q) }
-
 // First returns the earliest observed point; ok is false when empty.
 func (s *SeriesSummary) First() (Point, bool) { return s.first, s.moments.Count() > 0 }
 
 // Last returns the latest observed point; ok is false when empty.
 func (s *SeriesSummary) Last() (Point, bool) { return s.last, s.moments.Count() > 0 }
 
-// MemoryBytes returns retained memory: the struct (moments, first/last,
-// the embedded sketch) plus the sketch's bucket slices, exact in the
-// sense of stats.QuantileSketch.MemoryBytes.
-func (s *SeriesSummary) MemoryBytes() int {
-	return int(unsafe.Sizeof(*s)-unsafe.Sizeof(s.sketch)) + s.sketch.MemoryBytes()
-}
+// MemoryBytes returns retained memory: the struct itself, which points
+// at nothing.
+func (s *SeriesSummary) MemoryBytes() int { return int(unsafe.Sizeof(*s)) }
 
 // DefaultCompactPoints is the retention bound of a CompactSeries. All
 // built-in scenarios produce far fewer growth samples than this per job

@@ -10,15 +10,17 @@ type Tier int
 
 const (
 	// TierSummary is the default: per job/kind the collector keeps only
-	// O(1) online summaries (Welford moments plus a streaming quantile
-	// sketch) and, for growth efficiency, a bounded compacted trajectory.
-	// Collector memory is O(jobs), independent of makespan. Raw series
-	// accessors (CPUSeries etc.) return nil in this tier.
+	// O(1) online summaries (Welford moments) and, for growth efficiency,
+	// a bounded compacted trajectory; each sample also goes into the
+	// run's quantile sketch of its kind as it arrives. Collector memory
+	// is O(jobs), independent of makespan. Raw series accessors
+	// (CPUSeries etc.) return nil in this tier.
 	TierSummary Tier = iota
 	// TierDense retains every raw sample as full metrics.Series —
 	// O(jobs × makespan) memory — and keeps no second store while the run
-	// samples: the per-job summaries are folded from the raw series on
-	// first read, bit-identical to observing each sample as it arrived.
+	// samples: the per-job summaries and the run sketches are folded from
+	// the raw series on first read, bit-identical to observing each sample
+	// as it arrived.
 	// Required for figure regeneration, CPU-trace export, and event
 	// traces that include per-container limit updates (the §5.3 golden).
 	TierDense

@@ -71,9 +71,11 @@ type sketchBucket struct {
 // accuracy at the collapsed (low-magnitude) end for bounded memory.
 //
 // A dense window indexed by key − minKey would make add O(1), but metric
-// series here hold a few live buckets spread over a span of 80–850 keys
-// (growth efficiency swings over decades), and ~250k such stores are
-// alive in a megacluster run: the window doubled that run's peak RSS.
+// streams hold their live buckets spread over a span of 80–850 keys
+// (growth efficiency swings over decades). With a store per job and kind
+// the window doubled a megacluster run's peak RSS; the metrics collector
+// now keeps five sketches per run, so that cost no longer scales with
+// jobs, and whether a window pays is a question for a measured change.
 type sketchStore struct {
 	buckets  []sketchBucket
 	last     int
