@@ -20,9 +20,10 @@
 // schedules) from the named registry; -record writes each generated
 // schedule as a replayable JSONL trace and -replay runs such a trace
 // (generated or hand-written). Every scenario admits its arrivals from a
-// stream, one in flight at a time; the megacluster family relies on that
-// (a million-job schedule is never materialized) and is excluded from
-// "-scenario all"; run those by name (see README "Workloads").
+// stream, one in flight at a time: a generated stream holds 8 B per
+// arrival and builds each submission on pull, which is what keeps the
+// million-job megacluster family cheap to feed. That family is excluded
+// from "-scenario all"; run those by name (see README "Workloads").
 // -shard-sim N runs each simulation on per-worker event lanes that
 // execute in parallel inside conservative epochs (0 = auto/GOMAXPROCS);
 // output stays byte-identical to the serial engine at any shard count.

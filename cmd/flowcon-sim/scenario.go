@@ -54,9 +54,7 @@ func resolveScenarios(arg string) []experiment.Scenario {
 // selected scenario copies: the cost model (when set) reprices each
 // scenario's drains and its declarative rebalancer (including built-ins
 // like hotspot-rebalance), and -rebalance attaches the GE-aware
-// rebalancer to every scenario that does not already define a cluster
-// policy. Only an opaque custom Scenario.ClusterPolicy is beyond the
-// flags' reach.
+// rebalancer to every scenario that does not already define one.
 func applyMigrationFlags(scens []experiment.Scenario, rebalance bool, costSec float64) {
 	cost := cluster.MigrationCost{}
 	if costSec > 0 {
@@ -74,9 +72,8 @@ func applyMigrationFlags(scens []experiment.Scenario, rebalance bool, costSec fl
 				scens[i].Rebalance = &cfg
 			}
 		}
-		if rebalance && scens[i].ClusterPolicy == nil && scens[i].Rebalance == nil {
+		if rebalance && scens[i].Rebalance == nil {
 			scens[i].Rebalance = &migrate.Config{Cost: cost}
-			scens[i].ClusterPolicyName = "GE-Rebalancer"
 		}
 	}
 }
@@ -209,9 +206,9 @@ func laneImbalance(lanes []int64) string {
 // runScenarios executes the selected scenarios across the sweep pool and
 // renders the summary table. With -record dir it also writes each
 // (scenario, seed) schedule as a replayable JSONL trace, drained from a
-// throwaway stream so the schedule is never materialized; the run pulls a
-// fresh stream, which generates the identical sequence for the seed, so a
-// trace always reproduces the run it sits next to.
+// throwaway stream; the run pulls a fresh stream, which generates the
+// identical sequence for the seed, so a trace always reproduces the run
+// it sits next to.
 // With -trace-out every run records lifecycle spans, exported as one
 // JSONL file after the sweep; -observe appends the phase-profile table.
 func runScenarios(scens []experiment.Scenario, seeds []int64, recordDir string, observe bool, traceOut string) {
@@ -249,8 +246,8 @@ func runScenarios(scens []experiment.Scenario, seeds []int64, recordDir string, 
 }
 
 // recordStreamTrace drains an arrival stream straight into a JSONL trace
-// file, holding O(1) schedule state. A stream that fails mid-way leaves
-// no partial trace behind.
+// file, one submission at a time. A stream that fails mid-way leaves no
+// partial trace behind.
 func recordStreamTrace(path string, s workload.ArrivalStream) error {
 	f, err := os.Create(path)
 	if err != nil {

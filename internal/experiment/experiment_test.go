@@ -1,7 +1,10 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/flowcon"
@@ -324,22 +327,74 @@ func TestSweepResultFor(t *testing.T) {
 }
 
 // TestGoldenHeadlineNumbers locks the deterministic headline results of
-// the reproduction (the values published in EXPERIMENTS.md). Any change
-// to calibration, allocator semantics, or algorithm behaviour that moves
-// these numbers must update EXPERIMENTS.md alongside this test.
+// the reproduction to the pinned rows of EXPERIMENTS.md's table, so the
+// published numbers and the gate cannot diverge. Any change to
+// calibration, allocator semantics, or algorithm behaviour that moves
+// these numbers must update EXPERIMENTS.md alongside it.
 func TestGoldenHeadlineNumbers(t *testing.T) {
-	approx := func(got, want, tol float64, what string) {
-		t.Helper()
-		if math.Abs(got-want) > tol {
-			t.Errorf("%s = %.1f, want %.1f (±%.1f) — update EXPERIMENTS.md if intentional", what, got, want, tol)
+	fc, na := FixedPair()
+	fc10, na10 := TenJobPair()
+	measured := []struct {
+		regenerator string
+		got         float64
+	}{
+		{"`FixedPair` FlowCon makespan", fc.Makespan},
+		{"`FixedPair` NA makespan", na.Makespan},
+		{"`FixedPair` FlowCon MNIST-TF completion", fc.CompletionTimes()["MNIST (Tensorflow)"]},
+		{"`TenJobPair` FlowCon makespan", fc10.Makespan},
+		{"`TenJobPair` NA makespan", na10.Makespan},
+	}
+	pins := readPins(t, "../../EXPERIMENTS.md")
+	for _, m := range measured {
+		p, ok := pins[m.regenerator]
+		if !ok {
+			t.Errorf("EXPERIMENTS.md has no pinned row for %s", m.regenerator)
+			continue
+		}
+		delete(pins, m.regenerator)
+		if math.Abs(m.got-p.want) > p.tol {
+			t.Errorf("%s = %.1f, EXPERIMENTS.md pins %.1f (±%.1f)", m.regenerator, m.got, p.want, p.tol)
 		}
 	}
-	fc, na := FixedPair()
-	approx(fc.Makespan, 406.9, 0.2, "fixed FlowCon makespan")
-	approx(na.Makespan, 412.3, 0.2, "fixed NA makespan")
-	approx(fc.CompletionTimes()["MNIST (Tensorflow)"], 59.9, 0.2, "fixed MNIST-TF completion")
+	for regenerator := range pins {
+		t.Errorf("EXPERIMENTS.md pins %s, which this test does not measure", regenerator)
+	}
+}
 
-	fc10, na10 := TenJobPair()
-	approx(fc10.Makespan, 1784.8, 0.5, "ten-job FlowCon makespan")
-	approx(na10.Makespan, 1838.8, 0.5, "ten-job NA makespan")
+type pin struct{ want, tol float64 }
+
+// readPins parses the pinned rows of a markdown reproduction table: rows
+// of four cells (claim, regenerator, reproduced value, tolerance) whose
+// tolerance starts with "±". It maps each regenerator cell to the leading
+// numbers of its value and tolerance cells.
+func readPins(t *testing.T, path string) map[string]pin {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := map[string]pin{}
+	for _, line := range strings.Split(string(data), "\n") {
+		cells := strings.Split(strings.Trim(strings.TrimSpace(line), "|"), "|")
+		if len(cells) != 4 {
+			continue
+		}
+		tol, ok := strings.CutPrefix(strings.TrimSpace(cells[3]), "±")
+		if !ok {
+			continue
+		}
+		regenerator := strings.TrimSpace(cells[1])
+		var p pin
+		if _, err := fmt.Sscan(cells[2], &p.want); err != nil {
+			t.Fatalf("%s: %s: value %q: %v", path, regenerator, cells[2], err)
+		}
+		if _, err := fmt.Sscan(tol, &p.tol); err != nil {
+			t.Fatalf("%s: %s: tolerance %q: %v", path, regenerator, cells[3], err)
+		}
+		if _, dup := pins[regenerator]; dup {
+			t.Fatalf("%s pins %s twice", path, regenerator)
+		}
+		pins[regenerator] = p
+	}
+	return pins
 }

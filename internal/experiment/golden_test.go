@@ -83,7 +83,7 @@ func TestEventTraceDeterministic(t *testing.T) {
 }
 
 // The workload-level trace of the fixed schedule also round-trips through
-// Record/Replay and re-runs to the same event trace — the end-to-end
+// RecordStream/Replay and re-runs to the same event trace — the end-to-end
 // guarantee that a recorded scenario replays into an identical simulation.
 func TestReplayedScheduleReproducesEventTrace(t *testing.T) {
 	s, ok := ScenarioByName("fixed")
@@ -96,7 +96,7 @@ func TestReplayedScheduleReproducesEventTrace(t *testing.T) {
 	}
 
 	var trace bytes.Buffer
-	if err := workload.Record(&trace, subs); err != nil {
+	if _, err := workload.RecordStream(&trace, workload.SliceStream(subs)); err != nil {
 		t.Fatal(err)
 	}
 	replayed, err := workload.Replay(bytes.NewReader(trace.Bytes()))

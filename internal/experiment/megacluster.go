@@ -10,9 +10,9 @@ import (
 // rate with a morning surge and a retry storm, drawn from the
 // short-skewed production tenant mix. One light member rides the
 // default sweep; the megacluster members scale the same shape to the
-// ROADMAP's thousand-worker, million-job north star; their schedules
-// are generated lazily and never materialized, so workload memory stays
-// O(1) in job count.
+// ROADMAP's thousand-worker, million-job north star. Their schedules
+// stream: the generator holds 8 B per arrival and builds each submission
+// on pull.
 
 // productionDay builds the family's arrival process and generator at a
 // given scale. Spike placement is phase-locked to the diurnal cycle

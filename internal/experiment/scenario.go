@@ -32,9 +32,9 @@ type Scenario struct {
 	// stream per call. Required, and must be a pure function of the seed:
 	// trace recording and the run each pull their own stream and rely on
 	// both yielding the same sequence. A generator-backed scenario
-	// (workload.Generator.Stream) holds O(1) workload state however many
-	// jobs the schedule contains; a materialized schedule wraps its slice
-	// in workload.SliceStream.
+	// (workload.Generator.Stream) holds 8 B per arrival and builds each
+	// submission on pull; a materialized schedule wraps its slice in
+	// workload.SliceStream.
 	StreamWorkload func(seed int64) workload.ArrivalStream
 	// Heavy marks cluster-scale stress scenarios (the megacluster
 	// family) that are far too expensive for registry-wide sweeps: they
@@ -66,13 +66,8 @@ type Scenario struct {
 	// Rebalance attaches the GE-aware migration rebalancer with this
 	// configuration (a fresh instance per run). It is the declarative
 	// route the CLI's -rebalance/-migration-cost flags can inspect and
-	// reprice; mutually exclusive with ClusterPolicy.
+	// reprice.
 	Rebalance *migrate.Config
-	// ClusterPolicy optionally attaches an arbitrary cluster-level
-	// policy; must return a fresh instance per call. ClusterPolicyName
-	// labels it in listings.
-	ClusterPolicy     func() sched.ClusterPolicy
-	ClusterPolicyName string
 	// Drains schedules rolling maintenance (see Spec.Drains), priced by
 	// MigrationCost (zero value = cluster.DefaultMigrationCost()).
 	Drains        []Drain
@@ -136,7 +131,6 @@ func (s Scenario) Spec(seed int64) Spec {
 	spec.Name = fmt.Sprintf("%s [seed=%d %s]", s.Name, seed, setting.Label())
 	spec.NewPolicy = FlowConPolicy(setting.Alpha, setting.Itval)
 	spec.Placement = s.Placement
-	spec.ClusterPolicy = s.ClusterPolicy
 	spec.FaultSeed = seed
 	spec.SimShards = s.SimShards
 	spec.TraceLevel = s.TraceLevel
@@ -176,9 +170,6 @@ func (s Scenario) validate() error {
 		return err
 	}
 	if s.Rebalance != nil {
-		if s.ClusterPolicy != nil {
-			return fmt.Errorf("experiment: scenario %q sets both Rebalance and ClusterPolicy", s.Name)
-		}
 		if err := s.Rebalance.Validate(); err != nil {
 			return fmt.Errorf("experiment: scenario %q: %v", s.Name, err)
 		}
@@ -363,7 +354,6 @@ func init() {
 		PlacementName:          "first-fit",
 		MaxContainersPerWorker: 8,
 		Rebalance:              &migrate.Config{Interval: 20, MaxMovesPerScan: 2},
-		ClusterPolicyName:      "GE-Rebalancer",
 	})
 	// rolling-drain exercises the maintenance path: each worker is
 	// cordoned and live-drained in turn, with checkpointed jobs paying

@@ -20,97 +20,32 @@ type ArrivalProcess interface {
 	Describe() string
 }
 
-// TimesIter is a pull iterator over arrival offsets: each call yields the
-// next ascending time in [0, Window()), with ok=false once the process is
-// exhausted. It is the Go iter.Pull shape without the stop function —
-// arrival processes have no resources to release.
-type TimesIter func() (t float64, ok bool)
-
-// Streamer is an ArrivalProcess that can also emit its times lazily, one
-// pull at a time. TimesIter must consume the rng exactly as Times does
-// and yield the identical ascending sequence — Generator.Stream relies on
-// that to stay byte-identical to Generator.Generate — but it is free of
-// the eager maxArrivals safety cap: a streaming consumer holds O(1)
-// state, so only the intentional MaxJobs cap (when set) truncates it.
-type Streamer interface {
-	ArrivalProcess
-	TimesIter(rng *rand.Rand) TimesIter
-}
-
-// maxArrivals is the safety cap on *materialized* arrivals from a single
-// process: an eager Times call that reaches it panics (see collectTimes),
-// so a runaway rate parameter fails loudly instead of swamping the
-// process's caller with an unbounded schedule. The streaming path
-// (Streamer.TimesIter / Generator.Stream) is exempt — it holds O(1)
-// state, and megacluster schedules intentionally run past this cap.
-const maxArrivals = 100000
-
-// thinningIter draws an inhomogeneous Poisson process on [0, window) by
-// Lewis–Shedler thinning, one accepted arrival per pull: candidate
-// arrivals come from a homogeneous process at the peak rate, and each is
-// accepted with probability rate(t)/peak. With a constant rate this
-// degenerates to the classic exponential-gap construction (every
-// candidate accepted). A positive maxJobs truncates the stream after that
-// many arrivals — the intentional, documented cap.
-func thinningIter(rng *rand.Rand, window, peak float64, rate func(t float64) float64, maxJobs int) TimesIter {
+// thinning draws an inhomogeneous Poisson process on [0, window) by
+// Lewis–Shedler thinning: candidate arrivals come from a homogeneous
+// process at the peak rate, and each is accepted with probability
+// rate(t)/peak. With a constant rate this degenerates to the classic
+// exponential-gap construction (every candidate accepted). A positive
+// maxJobs stops the draw at that many arrivals, before another candidate
+// is drawn.
+func thinning(rng *rand.Rand, window, peak float64, rate func(t float64) float64, maxJobs int) []float64 {
 	if !(window > 0) || math.IsInf(window, 0) {
 		panic(fmt.Sprintf("workload: arrival window %g must be positive and finite", window))
 	}
 	if !(peak > 0) || math.IsInf(peak, 0) {
 		panic(fmt.Sprintf("workload: peak arrival rate %g must be positive and finite", peak))
 	}
-	emitted := 0
-	t := 0.0
-	done := false
-	return func() (float64, bool) {
-		if done || (maxJobs > 0 && emitted >= maxJobs) {
-			done = true
-			return 0, false
-		}
-		for {
-			t += rng.ExpFloat64() / peak
-			if t >= window {
-				done = true
-				return 0, false
-			}
-			if r := rate(t); r > 0 && rng.Float64()*peak <= r {
-				emitted++
-				return t, true
-			}
-		}
-	}
-}
-
-// collectTimes materializes a pull iterator for the eager Times path,
-// enforcing the maxArrivals safety net loudly: an uncapped process that
-// reaches the cap panics with its description (rate and window included)
-// instead of silently truncating, and a MaxJobs above the cap is refused
-// outright — both are asking for a schedule too large to materialize, and
-// the fix is the same: cap with MaxJobs, or stream it.
-func collectTimes(it TimesIter, maxJobs int, desc string) []float64 {
-	if maxJobs > maxArrivals {
-		panic(fmt.Sprintf("workload: MaxJobs %d above the %d-arrival materialization cap (%s) — stream the process instead (Generator.Stream / Streamer.TimesIter)",
-			maxJobs, maxArrivals, desc))
-	}
 	var out []float64
-	for t, ok := it(); ok; t, ok = it() {
-		if maxJobs <= 0 && len(out) >= maxArrivals {
-			panic(fmt.Sprintf("workload: %s exceeded the %d-arrival safety cap with no MaxJobs set — runaway rate? cap it with MaxJobs or stream it (Generator.Stream / Streamer.TimesIter)",
-				desc, maxArrivals))
+	for t := 0.0; maxJobs <= 0 || len(out) < maxJobs; {
+		t += rng.ExpFloat64() / peak
+		if t >= window {
+			break
 		}
-		out = append(out, t)
+		if r := rate(t); r > 0 && rng.Float64()*peak <= r {
+			out = append(out, t)
+		}
 	}
 	return out
 }
-
-// Every built-in process streams.
-var (
-	_ Streamer = Poisson{}
-	_ Streamer = OnOff{}
-	_ Streamer = Diurnal{}
-	_ Streamer = FlashCrowd{}
-	_ Streamer = ProductionDay{}
-)
 
 // Poisson is a memoryless arrival stream: independent exponential gaps at
 // a constant rate — the baseline "steady production traffic" process.
@@ -125,12 +60,7 @@ type Poisson struct {
 
 // Times implements ArrivalProcess.
 func (p Poisson) Times(rng *rand.Rand) []float64 {
-	return collectTimes(p.TimesIter(rng), p.MaxJobs, p.Describe())
-}
-
-// TimesIter implements Streamer.
-func (p Poisson) TimesIter(rng *rand.Rand) TimesIter {
-	return thinningIter(rng, p.WindowSec, p.Rate, func(float64) float64 { return p.Rate }, p.MaxJobs)
+	return thinning(rng, p.WindowSec, p.Rate, func(float64) float64 { return p.Rate }, p.MaxJobs)
 }
 
 // Window implements ArrivalProcess.
@@ -157,11 +87,6 @@ type OnOff struct {
 
 // Times implements ArrivalProcess.
 func (p OnOff) Times(rng *rand.Rand) []float64 {
-	return collectTimes(p.TimesIter(rng), p.MaxJobs, p.Describe())
-}
-
-// TimesIter implements Streamer.
-func (p OnOff) TimesIter(rng *rand.Rand) TimesIter {
 	if !(p.OnSec > 0) || p.OffSec < 0 {
 		panic(fmt.Sprintf("workload: on/off phases %g/%g invalid", p.OnSec, p.OffSec))
 	}
@@ -172,7 +97,7 @@ func (p OnOff) TimesIter(rng *rand.Rand) TimesIter {
 		}
 		return 0
 	}
-	return thinningIter(rng, p.WindowSec, p.OnRate, rate, p.MaxJobs)
+	return thinning(rng, p.WindowSec, p.OnRate, rate, p.MaxJobs)
 }
 
 // Window implements ArrivalProcess.
@@ -203,11 +128,6 @@ type Diurnal struct {
 
 // Times implements ArrivalProcess.
 func (p Diurnal) Times(rng *rand.Rand) []float64 {
-	return collectTimes(p.TimesIter(rng), p.MaxJobs, p.Describe())
-}
-
-// TimesIter implements Streamer.
-func (p Diurnal) TimesIter(rng *rand.Rand) TimesIter {
 	if p.Amplitude < 0 || p.Amplitude > 1 {
 		panic(fmt.Sprintf("workload: diurnal amplitude %g outside [0,1]", p.Amplitude))
 	}
@@ -218,7 +138,7 @@ func (p Diurnal) TimesIter(rng *rand.Rand) TimesIter {
 	rate := func(t float64) float64 {
 		return p.BaseRate * (1 + p.Amplitude*math.Sin(2*math.Pi*t/p.PeriodSec))
 	}
-	return thinningIter(rng, p.WindowSec, peak, rate, p.MaxJobs)
+	return thinning(rng, p.WindowSec, peak, rate, p.MaxJobs)
 }
 
 // Window implements ArrivalProcess.
@@ -250,11 +170,6 @@ type FlashCrowd struct {
 
 // Times implements ArrivalProcess.
 func (p FlashCrowd) Times(rng *rand.Rand) []float64 {
-	return collectTimes(p.TimesIter(rng), p.MaxJobs, p.Describe())
-}
-
-// TimesIter implements Streamer.
-func (p FlashCrowd) TimesIter(rng *rand.Rand) TimesIter {
 	if p.SpikeAt < 0 || !(p.SpikeSec > 0) || !(p.SpikeRate > 0) {
 		panic(fmt.Sprintf("workload: flash crowd spike (at=%g dur=%g rate=%g) invalid",
 			p.SpikeAt, p.SpikeSec, p.SpikeRate))
@@ -272,7 +187,7 @@ func (p FlashCrowd) TimesIter(rng *rand.Rand) TimesIter {
 		}
 		return p.BaseRate
 	}
-	return thinningIter(rng, p.WindowSec, peak, rate, p.MaxJobs)
+	return thinning(rng, p.WindowSec, peak, rate, p.MaxJobs)
 }
 
 // Window implements ArrivalProcess.

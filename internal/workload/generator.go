@@ -7,11 +7,11 @@ import (
 )
 
 // Generator composes an arrival process with a job mix into a seeded
-// workload: one Generate call draws arrival times from the process and a
-// model for each arrival from the mix, then labels jobs Job-1..Job-n in
-// arrival order exactly like the paper's workloads.
+// workload: Stream draws arrival times from the process and a model for
+// each arrival from the mix, and labels jobs Job-1..Job-n in arrival
+// order exactly like the paper's workloads.
 //
-// Generate is a pure function of the seed — the same seed always yields
+// Stream is a pure function of the seed — the same seed always yields
 // the same schedule — so scenario results stay reproducible under the
 // parallel sweep pool.
 type Generator struct {
@@ -25,8 +25,12 @@ type Generator struct {
 	MinJobs int
 }
 
-// Generate draws one workload realization for the seed.
-func (g Generator) Generate(seed int64) []Submission {
+// Stream draws one workload realization for the seed from a single rng:
+// the process's arrival times, then uniform padding up to MinJobs, then
+// — one per pull, in sorted-time order — each job's model. The stream
+// holds the sorted times (8 B per arrival) and builds each submission
+// only when it is pulled.
+func (g Generator) Stream(seed int64) ArrivalStream {
 	if g.Process == nil {
 		panic("workload: generator without arrival process")
 	}
@@ -35,32 +39,35 @@ func (g Generator) Generate(seed int64) []Submission {
 		mix = CatalogMix()
 	}
 	mix.validate()
-	minJobs := g.MinJobs
-	if minJobs <= 0 {
-		minJobs = 1
-	}
-	if minJobs > maxArrivals {
-		panic(fmt.Sprintf("workload: MinJobs %d above cap %d", minJobs, maxArrivals))
-	}
 
 	rng := rand.New(rand.NewSource(seed))
 	times := g.Process.Times(rng)
-	for len(times) < minJobs {
+	for len(times) < max(g.MinJobs, 1) {
 		times = append(times, rng.Float64()*g.Process.Window())
 	}
-	sortFloats(times)
-
-	total := mix.totalWeight()
-	subs := make([]Submission, len(times))
-	for i, t := range times {
-		subs[i] = Submission{
-			Name:    fmt.Sprintf("Job-%d", i+1),
-			Profile: mix.sample(rng, total),
-			At:      t,
-		}
-	}
-	return subs
+	sort.Float64s(times)
+	return &genStream{mix: mix, total: mix.totalWeight(), rng: rng, times: times}
 }
 
-// sortFloats sorts arrival offsets ascending.
-func sortFloats(s []float64) { sort.Float64s(s) }
+type genStream struct {
+	mix   Mix
+	total float64
+	rng   *rand.Rand // positioned after the last time draw
+	times []float64
+	i     int
+}
+
+func (s *genStream) Next() (Submission, bool) {
+	if s.i >= len(s.times) {
+		return Submission{}, false
+	}
+	t := s.times[s.i]
+	s.i++
+	return Submission{
+		Name:    fmt.Sprintf("Job-%d", s.i),
+		Profile: s.mix.sample(s.rng, s.total),
+		At:      t,
+	}, true
+}
+
+func (s *genStream) Err() error { return nil }

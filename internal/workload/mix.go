@@ -51,12 +51,6 @@ func (m Mix) validate() {
 // maxWeight bounds a single entry's weight so the total cannot overflow.
 const maxWeight = 1e12
 
-// Sample draws one profile with probability proportional to its weight.
-func (m Mix) Sample(rng *rand.Rand) dlmodel.Profile {
-	m.validate()
-	return m.sample(rng, m.totalWeight())
-}
-
 // totalWeight sums the weights of a validated mix.
 func (m Mix) totalWeight() float64 {
 	total := 0.0
@@ -66,8 +60,9 @@ func (m Mix) totalWeight() float64 {
 	return total
 }
 
-// sample draws against a precomputed total, letting Generate validate and
-// sum once per schedule instead of once per arrival.
+// sample draws one profile with probability proportional to its weight,
+// against a precomputed total, so Stream validates and sums once per
+// schedule instead of once per arrival.
 func (m Mix) sample(rng *rand.Rand, total float64) dlmodel.Profile {
 	x := rng.Float64() * total
 	for _, e := range m {

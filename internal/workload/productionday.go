@@ -23,9 +23,7 @@ type Spike struct {
 // ProductionDay composes the production traffic shapes into one arrival
 // process: a diurnal sinusoid base with flash-crowd spikes superimposed —
 // the traffic a megacluster front door sees over one compressed day. It
-// is the workload behind the production-day / megacluster scenario family
-// and, like every thinning process, streams (see Streamer) so schedules
-// can run far past the eager materialization cap.
+// is the workload behind the production-day / megacluster scenario family.
 type ProductionDay struct {
 	// BaseRate is the mean base arrival rate in jobs per second; the
 	// diurnal swing modulates it by ±Amplitude.
@@ -91,11 +89,6 @@ func (p ProductionDay) rate(t float64) float64 {
 
 // Times implements ArrivalProcess.
 func (p ProductionDay) Times(rng *rand.Rand) []float64 {
-	return collectTimes(p.TimesIter(rng), p.MaxJobs, p.Describe())
-}
-
-// TimesIter implements Streamer.
-func (p ProductionDay) TimesIter(rng *rand.Rand) TimesIter {
 	if p.Amplitude < 0 || p.Amplitude > 1 {
 		panic(fmt.Sprintf("workload: production-day amplitude %g outside [0,1]", p.Amplitude))
 	}
@@ -112,7 +105,7 @@ func (p ProductionDay) TimesIter(rng *rand.Rand) TimesIter {
 				s.At, p.WindowSec))
 		}
 	}
-	return thinningIter(rng, p.WindowSec, p.peak(), p.rate, p.MaxJobs)
+	return thinning(rng, p.WindowSec, p.peak(), p.rate, p.MaxJobs)
 }
 
 // Window implements ArrivalProcess.

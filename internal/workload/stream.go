@@ -1,10 +1,5 @@
 package workload
 
-import (
-	"fmt"
-	"math/rand"
-)
-
 // ArrivalStream is a pull iterator over a submission schedule in arrival
 // order — the lazy counterpart of []Submission, in the shape of Go's
 // iter.Pull. Next yields submissions with non-decreasing At until the
@@ -39,9 +34,8 @@ func (s *sliceStream) Next() (Submission, bool) {
 
 func (s *sliceStream) Err() error { return nil }
 
-// Collect drains a stream into a materialized schedule — the bridge back
-// to the eager APIs and the harness the stream/eager equivalence tests
-// compare through. On a stream error the partial schedule is discarded.
+// Collect drains a stream into a materialized schedule. On a stream
+// error the partial schedule is discarded.
 func Collect(s ArrivalStream) ([]Submission, error) {
 	var subs []Submission
 	for sub, ok := s.Next(); ok; sub, ok = s.Next() {
@@ -52,107 +46,3 @@ func Collect(s ArrivalStream) ([]Submission, error) {
 	}
 	return subs, nil
 }
-
-// Stream is the lazy counterpart of Generate: it yields the identical
-// Job-1..Job-n schedule for the seed, one submission per pull, holding
-// O(MinJobs) state instead of the whole schedule.
-//
-// Generate consumes its rng in two phases — every arrival-time draw
-// (process times, then uniform padding up to MinJobs), then one mix draw
-// per job in sorted-time order. Stream reproduces that with two
-// identically seeded rngs: the first races through the time phase once
-// (counting arrivals and retaining only the padding), leaving it
-// positioned exactly where Generate starts sampling the mix; the second
-// replays the process times one pull at a time, merged with the sorted
-// padding. The sequences are therefore byte-identical, which the
-// property tests pin for every built-in process.
-//
-// Processes that do not implement Streamer fall back to materializing
-// through Generate (bounded by the eager safety cap). For Streamer
-// processes the cap does not apply: MaxJobs above maxArrivals — or no
-// cap at all — streams fine, with memory O(1) in job count.
-func (g Generator) Stream(seed int64) ArrivalStream {
-	if g.Process == nil {
-		panic("workload: generator without arrival process")
-	}
-	mix := g.Mix
-	if mix == nil {
-		mix = CatalogMix()
-	}
-	mix.validate()
-	minJobs := g.MinJobs
-	if minJobs <= 0 {
-		minJobs = 1
-	}
-	if minJobs > maxArrivals {
-		panic(fmt.Sprintf("workload: MinJobs %d above cap %d", minJobs, maxArrivals))
-	}
-
-	sp, streaming := g.Process.(Streamer)
-	if !streaming {
-		return SliceStream(g.Generate(seed))
-	}
-
-	// Phase 1: drain a throwaway time iterator to count arrivals and draw
-	// the padding. After this, rngA is in the exact state Generate's rng
-	// holds when it starts sampling the mix.
-	rngA := rand.New(rand.NewSource(seed))
-	n := 0
-	for it := sp.TimesIter(rngA); ; n++ {
-		if _, ok := it(); !ok {
-			break
-		}
-	}
-	var pad []float64
-	for i := n; i < minJobs; i++ {
-		pad = append(pad, rngA.Float64()*g.Process.Window())
-	}
-	sortFloats(pad)
-
-	// Phase 2: replay the times lazily from a second rng at the same seed
-	// and merge them with the sorted padding. The merge yields the same
-	// ascending value sequence Generate's concat-then-sort produces.
-	rngB := rand.New(rand.NewSource(seed))
-	st := &genStream{
-		mix:   mix,
-		total: mix.totalWeight(),
-		rng:   rngA,
-		times: sp.TimesIter(rngB),
-		pad:   pad,
-	}
-	st.next, st.more = st.times()
-	return st
-}
-
-type genStream struct {
-	mix   Mix
-	total float64
-	rng   *rand.Rand // positioned at Generate's mix-sampling state
-	times TimesIter
-	pad   []float64
-	next  float64 // lookahead on times
-	more  bool
-	i     int
-}
-
-func (s *genStream) Next() (Submission, bool) {
-	var t float64
-	switch {
-	case s.more && (len(s.pad) == 0 || s.next <= s.pad[0]):
-		t = s.next
-		s.next, s.more = s.times()
-	case len(s.pad) > 0:
-		t = s.pad[0]
-		s.pad = s.pad[1:]
-	default:
-		return Submission{}, false
-	}
-	s.i++
-	return Submission{
-		Name:    fmt.Sprintf("Job-%d", s.i),
-		Profile: s.mix.sample(s.rng, s.total),
-		At:      t,
-	}, true
-}
-
-func (s *genStream) Err() error { return nil }

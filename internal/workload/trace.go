@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,36 +18,23 @@ import (
 //
 //	{"job":"Job-1","model":"VAE (Pytorch)","at":12.375}
 //
-// Record(Replay(trace)) reproduces a recorded trace byte for byte, so
-// traces can be checked in as golden files, diffed, and replayed into the
-// simulator without drift. Hand-written traces are accepted anywhere
-// Record output is; they become canonical after one Record round trip.
+// RecordStream(ReplayStream(trace)) reproduces a recorded trace byte for
+// byte, so traces can be checked in as golden files, diffed, and replayed
+// into the simulator without drift. Hand-written traces are accepted
+// anywhere recorded ones are; they become canonical after one round trip.
 type traceLine struct {
 	Job   string  `json:"job"`
 	Model string  `json:"model"`
 	At    float64 `json:"at"`
 }
 
-// Record writes the schedule as a JSONL trace. The whole trace is
-// validated and encoded before the first byte reaches w, so a rejected
-// schedule never leaves a truncated-but-replayable prefix behind.
-// Schedules must be in arrival order (non-decreasing At) — the invariant
-// every consumer of a trace relies on.
-func Record(w io.Writer, subs []Submission) error {
-	var buf bytes.Buffer
-	if _, err := RecordStream(&buf, SliceStream(subs)); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-// RecordStream writes a stream as a JSONL trace without materializing it,
-// applying the same validation as Record one submission at a time, and
-// returns how many submissions it wrote. Unlike Record, output reaches w
-// incrementally: a mid-stream rejection (or stream error) leaves a
-// truncated prefix behind, so callers recording to a file should remove
-// it on error — the CLI does.
+// RecordStream writes a stream as a JSONL trace, one submission at a
+// time, and returns how many submissions it wrote. Schedules must be in
+// arrival order (non-decreasing At), with unique job names and catalog
+// models — the invariants every consumer of a trace relies on. Output
+// reaches w incrementally: a mid-stream rejection (or stream error)
+// leaves a truncated prefix behind, so callers recording to a file should
+// remove it on error — the CLI does.
 func RecordStream(w io.Writer, s ArrivalStream) (int, error) {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)

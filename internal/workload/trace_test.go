@@ -9,46 +9,52 @@ import (
 	"repro/internal/dlmodel"
 )
 
-// Record→Replay→Record is byte-identical for generated schedules — the
+// record encodes a materialized schedule as a JSONL trace.
+func record(subs []Submission) ([]byte, error) {
+	var buf bytes.Buffer
+	_, err := RecordStream(&buf, SliceStream(subs))
+	return buf.Bytes(), err
+}
+
+// record→Replay→record is byte-identical for generated schedules — the
 // core guarantee that makes traces usable as golden files.
 func TestTraceRoundTripByteIdentical(t *testing.T) {
 	gen := Generator{Process: Poisson{Rate: 0.08, WindowSec: 200}, MinJobs: 3}
 	for seed := int64(1); seed <= 10; seed++ {
-		subs := gen.Generate(seed)
-		var first bytes.Buffer
-		if err := Record(&first, subs); err != nil {
+		subs := schedule(t, gen, seed)
+		first, err := record(subs)
+		if err != nil {
 			t.Fatalf("seed %d: record: %v", seed, err)
 		}
-		replayed, err := Replay(bytes.NewReader(first.Bytes()))
+		replayed, err := Replay(bytes.NewReader(first))
 		if err != nil {
 			t.Fatalf("seed %d: replay: %v", seed, err)
 		}
 		if !reflect.DeepEqual(subs, replayed) {
 			t.Fatalf("seed %d: replay diverged from the original schedule", seed)
 		}
-		var second bytes.Buffer
-		if err := Record(&second, replayed); err != nil {
+		second, err := record(replayed)
+		if err != nil {
 			t.Fatalf("seed %d: re-record: %v", seed, err)
 		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("seed %d: round trip not byte-identical:\n%s\nvs\n%s",
-				seed, first.String(), second.String())
+		if !bytes.Equal(first, second) {
+			t.Fatalf("seed %d: round trip not byte-identical:\n%s\nvs\n%s", seed, first, second)
 		}
 	}
 }
 
 // The fixed paper schedule round-trips too (hand-writable times).
 func TestTraceRoundTripFixedSchedule(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Record(&buf, FixedSchedule()); err != nil {
+	trace, err := record(FixedSchedule())
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := `{"job":"VAE (Pytorch)","model":"VAE (Pytorch)","at":0}
 {"job":"MNIST (Pytorch)","model":"MNIST (Pytorch)","at":40}
 {"job":"MNIST (Tensorflow)","model":"MNIST (Tensorflow)","at":80}
 `
-	if buf.String() != want {
-		t.Fatalf("fixed-schedule trace:\n%q\nwant\n%q", buf.String(), want)
+	if string(trace) != want {
+		t.Fatalf("fixed-schedule trace:\n%q\nwant\n%q", trace, want)
 	}
 	subs, err := Replay(strings.NewReader(want))
 	if err != nil {
@@ -98,24 +104,20 @@ func TestReplayRejectsOutOfOrderTrace(t *testing.T) {
 	}
 }
 
-// Record refuses to write a schedule that is not in arrival order — it
-// would produce a trace Replay must reject.
+// RecordStream refuses to write a schedule that is not in arrival order —
+// it would produce a trace Replay must reject.
 func TestRecordRejectsOutOfOrderSchedule(t *testing.T) {
 	gru := dlmodel.GRU()
 	subs := []Submission{
 		{Name: "a", Profile: gru, At: 10},
 		{Name: "b", Profile: gru, At: 5},
 	}
-	var buf bytes.Buffer
-	err := Record(&buf, subs)
+	_, err := record(subs)
 	if err == nil {
 		t.Fatal("out-of-order schedule accepted")
 	}
 	if !strings.Contains(err.Error(), "arrival order") {
 		t.Fatalf("error %q does not explain the ordering rule", err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("rejected schedule still wrote %d bytes", buf.Len())
 	}
 }
 
@@ -125,12 +127,16 @@ func TestRecordRejectsOutOfOrderSchedule(t *testing.T) {
 func TestStreamTraceRoundTrip(t *testing.T) {
 	gen := Generator{Process: Poisson{Rate: 0.08, WindowSec: 200}, MinJobs: 3}
 	for seed := int64(1); seed <= 5; seed++ {
-		subs := gen.Generate(seed)
-		var eager bytes.Buffer
-		if err := Record(&eager, subs); err != nil {
+		var trace bytes.Buffer
+		n, err := RecordStream(&trace, gen.Stream(seed))
+		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := Collect(ReplayStream(bytes.NewReader(eager.Bytes())))
+		subs := schedule(t, gen, seed)
+		if n != len(subs) {
+			t.Fatalf("seed %d: RecordStream wrote %d submissions, want %d", seed, n, len(subs))
+		}
+		streamed, err := Collect(ReplayStream(bytes.NewReader(trace.Bytes())))
 		if err != nil {
 			t.Fatalf("seed %d: replay stream: %v", seed, err)
 		}
@@ -138,29 +144,12 @@ func TestStreamTraceRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: streamed replay diverged", seed)
 		}
 		var again bytes.Buffer
-		n, err := RecordStream(&again, ReplayStream(bytes.NewReader(eager.Bytes())))
-		if err != nil {
+		if _, err := RecordStream(&again, ReplayStream(bytes.NewReader(trace.Bytes()))); err != nil {
 			t.Fatalf("seed %d: record stream: %v", seed, err)
 		}
-		if n != len(subs) {
-			t.Fatalf("seed %d: RecordStream wrote %d submissions, want %d", seed, n, len(subs))
-		}
-		if !bytes.Equal(eager.Bytes(), again.Bytes()) {
+		if !bytes.Equal(trace.Bytes(), again.Bytes()) {
 			t.Fatalf("seed %d: stream round trip not byte-identical", seed)
 		}
-	}
-	// And straight from the generator: recording a Stream equals
-	// recording the materialized Generate output.
-	var fromStream bytes.Buffer
-	if _, err := RecordStream(&fromStream, gen.Stream(3)); err != nil {
-		t.Fatal(err)
-	}
-	var fromSlice bytes.Buffer
-	if err := Record(&fromSlice, gen.Generate(3)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fromStream.Bytes(), fromSlice.Bytes()) {
-		t.Fatal("recording a generator stream diverged from recording its eager schedule")
 	}
 }
 
@@ -201,7 +190,7 @@ func TestReplayErrors(t *testing.T) {
 	}
 }
 
-// Record rejects schedules the simulator would reject later.
+// RecordStream rejects schedules the simulator would reject later.
 func TestRecordErrors(t *testing.T) {
 	gru := dlmodel.GRU()
 	renamed := gru
@@ -217,7 +206,7 @@ func TestRecordErrors(t *testing.T) {
 	}
 	for name, subs := range cases {
 		t.Run(name, func(t *testing.T) {
-			if err := Record(&bytes.Buffer{}, subs); err == nil {
+			if _, err := record(subs); err == nil {
 				t.Fatalf("%s accepted", name)
 			}
 		})
@@ -239,23 +228,23 @@ func FuzzReplay(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var canon bytes.Buffer
-		if err := Record(&canon, subs); err != nil {
+		canon, err := record(subs)
+		if err != nil {
 			t.Fatalf("accepted trace failed to record: %v", err)
 		}
-		again, err := Replay(bytes.NewReader(canon.Bytes()))
+		again, err := Replay(bytes.NewReader(canon))
 		if err != nil {
-			t.Fatalf("canonical form rejected: %v\n%s", err, canon.String())
+			t.Fatalf("canonical form rejected: %v\n%s", err, canon)
 		}
 		if !reflect.DeepEqual(subs, again) {
 			t.Fatal("canonical replay diverged")
 		}
-		var second bytes.Buffer
-		if err := Record(&second, again); err != nil {
+		second, err := record(again)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(canon.Bytes(), second.Bytes()) {
-			t.Fatalf("canonical form unstable:\n%q\nvs\n%q", canon.String(), second.String())
+		if !bytes.Equal(canon, second) {
+			t.Fatalf("canonical form unstable:\n%q\nvs\n%q", canon, second)
 		}
 	})
 }

@@ -13,10 +13,15 @@
 //     arrival order. Generation is a pure function of the seed, so
 //     results reproduce exactly under the parallel sweep pool.
 //
-// Record and Replay serialize schedules as JSONL traces (one submission
-// per line: {"job":...,"model":...,"at":...}) that round-trip
-// byte-identically, so generated or hand-written schedules can be
-// checked in as golden files and replayed into the simulator.
+// Schedules reach the simulator as an ArrivalStream. A generator's
+// stream draws every arrival time once, holds them sorted (8 B per
+// arrival), and builds each submission only when it is pulled.
+//
+// RecordStream and Replay/ReplayStream serialize schedules as JSONL
+// traces (one submission per line: {"job":...,"model":...,"at":...})
+// that round-trip byte-identically, so generated or hand-written
+// schedules can be checked in as golden files and replayed into the
+// simulator.
 //
 // The paper's own workloads remain as direct constructors: the fixed
 // three-job schedule of Section 5.3 (FixedSchedule), the five-model

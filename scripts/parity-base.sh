@@ -4,7 +4,8 @@
 # Simulations are deterministic, so a change that claims "same behaviour,
 # less code" can be held to it byte for byte: this script builds
 # cmd/flowcon-sim at the merge base and from the working tree, runs every
-# target below through both binaries, and compares stdout+stderr with cmp.
+# target below through both binaries, and compares stdout+stderr with cmp
+# (and, for the -record targets, the recorded trace directories).
 # It prints identical/DIFF per target (with the diff) and exits non-zero
 # on any DIFF. It is not part of `make ci`: a PR that declares an output
 # change must still be able to land — it pastes this script's output
@@ -31,19 +32,44 @@ echo "parity-base: building merge base $base and the working tree..."
 go build -o "$dir/sim-head" ./cmd/flowcon-sim
 
 status=0
+# run <bin> <flowcon-sim args...>: one run into $dir/<bin>.out, exit code
+# in rc. With RECORD set, the run also writes -record traces into
+# $dir/rec, moved to $dir/rec-<bin> after the run: both binaries record
+# into the same path, so the stdout line naming it matches.
+run() {
+    bin=$1
+    shift
+    rc=0
+    if [ -n "${RECORD:-}" ]; then
+        rm -rf "$dir/rec" "$dir/rec-$bin"
+        "$dir/sim-$bin" -record "$dir/rec" "$@" >"$dir/$bin.out" 2>&1 || rc=$?
+        mkdir -p "$dir/rec"
+        mv "$dir/rec" "$dir/rec-$bin"
+    else
+        "$dir/sim-$bin" "$@" >"$dir/$bin.out" 2>&1 || rc=$?
+    fi
+}
+
 # compare <flowcon-sim args...>: one target, labelled by its arguments.
+# With RECORD set, the recorded trace directories must match too, so a
+# schedule change that moves no summary still shows.
 compare() {
-    base_rc=0
-    head_rc=0
-    "$dir/sim-base" "$@" >"$dir/base.out" 2>&1 || base_rc=$?
-    "$dir/sim-head" "$@" >"$dir/head.out" 2>&1 || head_rc=$?
-    if [ "$base_rc" -eq 0 ] && [ "$head_rc" -eq 0 ] && cmp -s "$dir/base.out" "$dir/head.out"; then
-        echo "identical  $*"
+    run base "$@"
+    base_rc=$rc
+    run head "$@"
+    head_rc=$rc
+    label="${RECORD:+-record }$*"
+    if [ "$base_rc" -eq 0 ] && [ "$head_rc" -eq 0 ] && cmp -s "$dir/base.out" "$dir/head.out" &&
+        { [ -z "${RECORD:-}" ] || diff -r "$dir/rec-base" "$dir/rec-head" >/dev/null; }; then
+        echo "identical  $label"
         return
     fi
     status=1
-    echo "DIFF       $* (exit: base $base_rc, head $head_rc)"
+    echo "DIFF       $label (exit: base $base_rc, head $head_rc)"
     diff "$dir/base.out" "$dir/head.out" | sed 's/^/    /' || true
+    if [ -n "${RECORD:-}" ]; then
+        diff -r "$dir/rec-base" "$dir/rec-head" | head -n 40 | sed 's/^/    /' || true
+    fi
 }
 
 # Every experiment name `flowcon-sim all` expands to (app.experiments in
@@ -58,6 +84,10 @@ compare -scenario megacluster-smoke -seeds 1
 # Heavy, so "-scenario all" skips it: the only target that drives crash
 # recovery, kills and periodic checkpoints across a thousand workers.
 compare -scenario chaos-megacluster -seeds 1
+# The schedules themselves, not only what they summarize to.
+RECORD=1
+compare -scenario all -seeds 2
+compare -scenario megacluster-smoke -seeds 1
 
 if [ "$status" -ne 0 ]; then
     echo "parity-base: output differs from merge base $base"
