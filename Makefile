@@ -120,7 +120,8 @@ lint-imports:
 
 # Boot a real flowcon-worker and drive /v1 with concurrent submitters:
 # zero errors, bounded p99 submit latency, clean SIGTERM shutdown. The
-# latency fields land additively on BENCH_sim.json's newest entry.
+# latency fields are recorded into a throwaway copy of BENCH_sim.json;
+# the tracked file is left untouched.
 loadtest-smoke:
 	./scripts/loadtest-smoke.sh
 

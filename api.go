@@ -125,7 +125,8 @@ type (
 	Scenario = experiment.Scenario
 	// Drain schedules rolling maintenance on one worker in a Spec.
 	Drain = experiment.Drain
-	// RebalancerConfig tunes the GE-aware migration rebalancer.
+	// RebalancerConfig tunes the GE-aware migration rebalancer
+	// (Spec.Rebalance).
 	RebalancerConfig = migrate.Config
 )
 
@@ -162,9 +163,6 @@ var (
 	NAPolicy          = experiment.NAPolicy
 	StaticEqualPolicy = experiment.StaticEqualPolicy
 	SLAQPolicy        = experiment.SLAQPolicy
-	// RebalancerPolicy adapts a RebalancerConfig into the factory
-	// Spec.ClusterPolicy expects.
-	RebalancerPolicy = experiment.RebalancerPolicy
 )
 
 // FirstFit concentrates load on the lowest-index workers — the

@@ -35,6 +35,10 @@
 // degrades, per-lane event counts, barrier/merge wall-time) per run, and
 // -trace-out writes every run's job-lifecycle spans as JSONL; both are
 // pure observers (see docs/OBSERVABILITY.md).
+// The run-shaping flags (-rebalance, -migration-cost, -shard-sim,
+// -trace-level, -trace-out) are one edit of every expanded Spec, and
+// -replay runs its trace as a one-off scenario through the same path as
+// -scenario.
 // -cpuprofile/-memprofile capture pprof profiles in every mode (see the
 // README's Profiling subsection).
 // The cluster-scale scenario (256 workers, thousands of jobs) is the
@@ -45,6 +49,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -68,7 +73,7 @@ func main() {
 	replay := flag.String("replay", "", "run a recorded JSONL trace as a one-off scenario")
 	replayWorkers := flag.Int("workers", 1, "with -replay: cluster size for the replayed trace")
 	rebalance := flag.Bool("rebalance", false,
-		"with -scenario: attach the GE-aware migration rebalancer to scenarios that do not already define a cluster policy")
+		"with -scenario: attach the GE-aware migration rebalancer to scenarios that do not already define one")
 	migrationCost := flag.Float64("migration-cost", 0,
 		"with -scenario: fixed freeze+thaw seconds charged per live migration (0 = calibrated default; transfer time from memory size is added on top)")
 	shardSim := flag.Int("shard-sim", 1,
@@ -152,8 +157,18 @@ func main() {
 		runScenarioList()
 		return
 	}
+	rf := runFlags{
+		rebalance:     *rebalance,
+		migrationCost: *migrationCost,
+		shardSim:      *shardSim,
+		tier:          tier,
+		traceOut:      *traceOut,
+		record:        *record,
+		observe:       *observe,
+	}
 	if *replay != "" {
-		runReplay(*replay, *replayWorkers, *shardSim, tier, *observe, *traceOut)
+		scen, note := replayScenario(*replay, *replayWorkers)
+		rf.run([]experiment.Scenario{scen}, []int64{1}, note)
 		return
 	}
 	if *scenario != "" {
@@ -165,11 +180,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "flowcon-sim: -migration-cost must be non-negative")
 			os.Exit(2)
 		}
-		scens := resolveScenarios(*scenario)
-		applyMigrationFlags(scens, *rebalance, *migrationCost)
-		applyShardSim(scens, *shardSim)
-		applyTraceLevel(scens, tier)
-		runScenarios(scens, experiment.ScenarioSeeds(*seeds), *record, *observe, *traceOut)
+		if math.IsNaN(*migrationCost) || math.IsInf(*migrationCost, 0) {
+			fmt.Fprintln(os.Stderr, "flowcon-sim: -migration-cost must be finite")
+			os.Exit(2)
+		}
+		rf.run(resolveScenarios(*scenario), experiment.ScenarioSeeds(*seeds), "")
 		return
 	}
 	args := flag.Args()

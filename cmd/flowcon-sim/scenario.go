@@ -50,66 +50,51 @@ func resolveScenarios(arg string) []experiment.Scenario {
 	return scens
 }
 
-// applyMigrationFlags folds -rebalance and -migration-cost into the
-// selected scenario copies: the cost model (when set) reprices each
-// scenario's drains and its declarative rebalancer (including built-ins
-// like hotspot-rebalance), and -rebalance attaches the GE-aware
-// rebalancer to every scenario that does not already define one.
-func applyMigrationFlags(scens []experiment.Scenario, rebalance bool, costSec float64) {
+// runFlags holds the flag values of the -scenario and -replay modes.
+// The run-shaping ones (-rebalance, -migration-cost, -shard-sim,
+// -trace-level, -trace-out) reach a run only through edit; the rest pick
+// what run prints and records.
+type runFlags struct {
+	rebalance     bool
+	migrationCost float64 // seconds; 0 = calibrated default
+	shardSim      int     // 0 = auto
+	tier          metrics.Tier
+	traceOut      string
+	record        string
+	observe       bool
+}
+
+// edit applies the run-shaping flags to one expanded Spec. It is a pure
+// function of the flag values and the Spec. -migration-cost reprices the
+// drains and any rebalancer; -rebalance attaches the GE-aware rebalancer
+// where the scenario defines none; -trace-out gives the run its own
+// tracer (specs run concurrently in sweeps, so rings must not be
+// shared; tracing is a pure observer).
+func (f runFlags) edit(spec *experiment.Spec) {
 	cost := cluster.MigrationCost{}
-	if costSec > 0 {
+	if f.migrationCost > 0 {
 		cost = cluster.DefaultMigrationCost()
-		cost.FreezeSec = costSec / 2
-		cost.ThawSec = costSec / 2
-	}
-	for i := range scens {
-		if costSec > 0 {
-			scens[i].MigrationCost = cost
-			if scens[i].Rebalance != nil {
-				// Copy before repricing — the registry owns the original.
-				cfg := *scens[i].Rebalance
-				cfg.Cost = cost
-				scens[i].Rebalance = &cfg
-			}
-		}
-		if rebalance && scens[i].Rebalance == nil {
-			scens[i].Rebalance = &migrate.Config{Cost: cost}
+		cost.FreezeSec = f.migrationCost / 2
+		cost.ThawSec = f.migrationCost / 2
+		spec.MigrationCost = cost
+		if spec.Rebalance != nil {
+			// Copy before repricing: expanded Specs share the
+			// registry's pointer.
+			cfg := *spec.Rebalance
+			cfg.Cost = cost
+			spec.Rebalance = &cfg
 		}
 	}
-}
-
-// applyShardSim folds -shard-sim into the selected scenario copies
-// (0 = auto, resolved by the runner to GOMAXPROCS).
-func applyShardSim(scens []experiment.Scenario, shards int) {
-	if shards == 1 {
-		return // serial engine, the default
+	if f.rebalance && spec.Rebalance == nil {
+		spec.Rebalance = &migrate.Config{Cost: cost}
 	}
-	if shards == 0 {
-		shards = -1 // Spec.SimShards auto
+	spec.SimShards = f.shardSim
+	if f.shardSim == 0 {
+		spec.SimShards = -1 // auto: GOMAXPROCS
 	}
-	for i := range scens {
-		scens[i].SimShards = shards
-	}
-}
-
-// applyTraceLevel folds -trace-level into the selected scenario copies.
-// The summary default is the zero value, so only dense needs writing.
-func applyTraceLevel(scens []experiment.Scenario, tier metrics.Tier) {
-	if tier == metrics.TierSummary {
-		return
-	}
-	for i := range scens {
-		scens[i].TraceLevel = tier
-	}
-}
-
-// applyTracer gives every selected scenario copy a fresh lifecycle
-// tracer per run (specs execute concurrently in sweeps — rings must not
-// be shared). Tracing is a pure observer; the summary table is
-// byte-identical with or without it.
-func applyTracer(scens []experiment.Scenario) {
-	for i := range scens {
-		scens[i].NewTracer = func() *telemetry.Tracer { return telemetry.NewTracer(0) }
+	spec.TraceLevel = f.tier
+	if f.traceOut != "" {
+		spec.Tracer = telemetry.NewTracer(0)
 	}
 }
 
@@ -203,44 +188,45 @@ func laneImbalance(lanes []int64) string {
 	return fmt.Sprintf("%.2f", float64(max)/mean)
 }
 
-// runScenarios executes the selected scenarios across the sweep pool and
-// renders the summary table. With -record dir it also writes each
-// (scenario, seed) schedule as a replayable JSONL trace, drained from a
-// throwaway stream; the run pulls a fresh stream, which generates the
-// identical sequence for the seed, so a trace always reproduces the run
-// it sits next to.
+// run executes the scenarios across the sweep pool, every expanded Spec
+// edited by the flags, and renders the summary table. -scenario and
+// -replay both run here; note, when set, is printed just before the
+// table. With -record dir it first writes each (scenario, seed) schedule
+// as a replayable JSONL trace, drained from a throwaway stream; the run
+// pulls a fresh stream, which generates the identical sequence for the
+// seed, so a trace always reproduces the run it sits next to.
 // With -trace-out every run records lifecycle spans, exported as one
 // JSONL file after the sweep; -observe appends the phase-profile table.
-func runScenarios(scens []experiment.Scenario, seeds []int64, recordDir string, observe bool, traceOut string) {
-	if recordDir != "" {
-		if err := os.MkdirAll(recordDir, 0o755); err != nil {
+func (f runFlags) run(scens []experiment.Scenario, seeds []int64, note string) {
+	if f.record != "" {
+		if err := os.MkdirAll(f.record, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "flowcon-sim:", err)
 			os.Exit(1)
 		}
 		for _, s := range scens {
 			for _, seed := range seeds {
-				path := filepath.Join(recordDir, fmt.Sprintf("%s-seed%d.jsonl", s.Name, seed))
+				path := filepath.Join(f.record, fmt.Sprintf("%s-seed%d.jsonl", s.Name, seed))
 				if err := recordStreamTrace(path, s.StreamWorkload(seed)); err != nil {
 					fmt.Fprintln(os.Stderr, "flowcon-sim:", err)
 					os.Exit(1)
 				}
 			}
 		}
-		fmt.Printf("recorded %d trace(s) into %s\n", len(scens)*len(seeds), recordDir)
+		fmt.Printf("recorded %d trace(s) into %s\n", len(scens)*len(seeds), f.record)
 	}
-	if traceOut != "" {
-		applyTracer(scens)
-	}
-	outs, err := experiment.RunScenarios(context.Background(), scens, seeds, experiment.SweepOptions{})
+	outs, err := experiment.RunScenarios(context.Background(), scens, seeds, experiment.SweepOptions{}, f.edit)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flowcon-sim:", err)
 		os.Exit(1)
 	}
-	experiment.ReportScenario(os.Stdout, outs)
-	if traceOut != "" {
-		writeTraceOut(traceOut, outs)
+	if note != "" {
+		fmt.Println(note)
 	}
-	if observe {
+	experiment.ReportScenario(os.Stdout, outs)
+	if f.traceOut != "" {
+		writeTraceOut(f.traceOut, outs)
+	}
+	if f.observe {
 		reportProfiles(os.Stdout, outs)
 	}
 }
@@ -261,9 +247,10 @@ func recordStreamTrace(path string, s workload.ArrivalStream) error {
 	return f.Close()
 }
 
-// runReplay loads a recorded (or hand-written) JSONL trace and runs it as
-// a one-off scenario under the default FlowCon setting.
-func runReplay(path string, workers, shardSim int, tier metrics.Tier, observe bool, traceOut string) {
+// replayScenario loads a recorded (or hand-written) JSONL trace as a
+// one-off scenario under the default FlowCon setting, plus the note run
+// prints before its table.
+func replayScenario(path string, workers int) (experiment.Scenario, string) {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flowcon-sim:", err)
@@ -275,31 +262,10 @@ func runReplay(path string, workers, shardSim int, tier metrics.Tier, observe bo
 		fmt.Fprintln(os.Stderr, "flowcon-sim:", err)
 		os.Exit(1)
 	}
-	name := filepath.Base(path)
-	scen := experiment.Scenario{
-		Name:           "replay:" + name,
+	return experiment.Scenario{
+		Name:           "replay:" + filepath.Base(path),
 		Description:    "replayed trace " + path,
 		StreamWorkload: func(int64) workload.ArrivalStream { return workload.SliceStream(subs) },
 		Workers:        workers,
-	}
-	scens := []experiment.Scenario{scen}
-	applyShardSim(scens, shardSim)
-	applyTraceLevel(scens, tier)
-	if traceOut != "" {
-		applyTracer(scens)
-	}
-	outs, err := experiment.RunScenarios(context.Background(), scens,
-		[]int64{1}, experiment.SweepOptions{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flowcon-sim:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("replayed %s: %d jobs\n", path, len(subs))
-	experiment.ReportScenario(os.Stdout, outs)
-	if traceOut != "" {
-		writeTraceOut(traceOut, outs)
-	}
-	if observe {
-		reportProfiles(os.Stdout, outs)
-	}
+	}, fmt.Sprintf("replayed %s: %d jobs", path, len(subs))
 }

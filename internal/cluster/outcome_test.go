@@ -55,10 +55,10 @@ func checkOneOutcome(t *testing.T, seed int64) {
 		})
 	}
 
-	// Worker 0 is the drain target; the churn spares it so the drain
-	// always finds a live node.
+	// Worker 0 is the drain target. Churn hits every worker, so the drain
+	// checks that it meets a live node: draining a dead one moves nothing.
 	plan := faults.Plan{
-		Churn:    &faults.Churn{MTBFSec: 300, MTTRSec: 25, Workers: []int{1, 2, 3, 4, 5, 6, 7}},
+		Churn:    &faults.Churn{MTBFSec: 300, MTTRSec: 25},
 		Kills:    &faults.Kills{MeanIntervalSec: 20},
 		UntilSec: 900,
 	}
@@ -70,6 +70,9 @@ func checkOneOutcome(t *testing.T, seed int64) {
 		m.Submit(sim.Time(i*15), fmt.Sprintf("job-%02d", i), catalog[i%len(catalog)])
 	}
 	e.At(200, sim.PriorityState, "drain", func() {
+		if ws[0].Failed() {
+			t.Fatal("drain target is down at the drain")
+		}
 		m.Drain(ws[0], cluster.MigrationCost{FreezeSec: 0.5, ThawSec: 0.5, BytesPerSec: 1 << 30})
 	})
 	e.At(320, sim.PriorityState, "uncordon", func() {

@@ -19,8 +19,9 @@ import (
 // paper's behaviour: a lost job restarts from scratch at once.
 type RecoveryPolicy struct {
 	// CheckpointEverySec, when positive, snapshots every long-running job
-	// periodically: each scan freezes jobs that accumulated enough fresh
-	// work, charges CheckpointCost on the sim clock (the job makes no
+	// periodically: each scan freezes jobs that accumulated a quarter of
+	// the period's worth of fresh cpu-work since their last snapshot,
+	// charges CheckpointCost on the sim clock (the job makes no
 	// progress while frozen), and restores them in place. A later crash
 	// resumes from the last snapshot instead of zero.
 	CheckpointEverySec float64
@@ -28,11 +29,6 @@ type RecoveryPolicy struct {
 	// The zero value means DefaultMigrationCost — snapshots are charged
 	// like migrations unless the policy says local storage is cheaper.
 	CheckpointCost MigrationCost
-	// MinSnapshotDelta is the least fresh CPU work (cpu-seconds beyond
-	// the last snapshot) that justifies paying for another one. Zero
-	// defaults to CheckpointEverySec/4, so an idle or starved job is not
-	// re-frozen for nothing.
-	MinSnapshotDelta float64
 	// RetryBudget caps failure-driven restarts per job; the budget
 	// exhausted, the job is abandoned (PhaseGiveUp, OnAbandon). 0 retries
 	// forever.
@@ -64,7 +60,6 @@ type RecoveryPolicy struct {
 func (p RecoveryPolicy) Validate() error {
 	if err := checkFinite("recovery policy", []namedValue{
 		{"CheckpointEverySec", p.CheckpointEverySec},
-		{"MinSnapshotDelta", p.MinSnapshotDelta},
 		{"BackoffBaseSec", p.BackoffBaseSec},
 		{"BackoffCapSec", p.BackoffCapSec},
 		{"FlapWindowSec", p.FlapWindowSec},
@@ -111,9 +106,6 @@ func checkFinite(what string, fields []namedValue) error {
 func (p RecoveryPolicy) withDefaults() RecoveryPolicy {
 	if p.CheckpointCost == (MigrationCost{}) {
 		p.CheckpointCost = DefaultMigrationCost()
-	}
-	if p.MinSnapshotDelta == 0 && p.CheckpointEverySec > 0 {
-		p.MinSnapshotDelta = p.CheckpointEverySec / 4
 	}
 	return p
 }
@@ -211,8 +203,11 @@ func (m *Manager) checkpointScan() {
 		if err != nil || c.State != runtime.Running || c.Done {
 			continue
 		}
-		if c.Work-j.snapshot < p.MinSnapshotDelta {
-			continue // not enough fresh work to pay for a snapshot
+		if c.Work-j.snapshot < p.CheckpointEverySec/4 {
+			// Not enough fresh CPU work (a quarter of the period's worth)
+			// to pay for a snapshot: an idle or starved job is not
+			// re-frozen for nothing.
+			continue
 		}
 		if c.Work >= checkpointSkipFrac*j.profile.TotalWork {
 			continue

@@ -24,7 +24,7 @@ func chaosPlan(mtbf, mttr, killEvery, degradeEvery, degradeFor, until float64) *
 	return &faults.Plan{
 		Churn:    &faults.Churn{MTBFSec: mtbf, MTTRSec: mttr},
 		Kills:    &faults.Kills{MeanIntervalSec: killEvery},
-		Degrade:  &faults.Degrade{MeanIntervalSec: degradeEvery, MeanDurationSec: degradeFor, Factor: 0.5},
+		Degrade:  &faults.Degrade{MeanIntervalSec: degradeEvery, MeanDurationSec: degradeFor},
 		UntilSec: until,
 	}
 }

@@ -112,8 +112,8 @@ func TestChaosAvailabilityLedgerCoherent(t *testing.T) {
 func TestChaosScenarioDeterministic(t *testing.T) {
 	base := []Scenario{chaosScenario(t, "chaos-day"), chaosScenario(t, "chaos-day-scratch")}
 	seeds := ScenarioSeeds(2)
-	render := func(scens []Scenario, par int) string {
-		outs, err := RunScenarios(context.Background(), scens, seeds, SweepOptions{Parallelism: par})
+	render := func(par int, edit func(*Spec)) string {
+		outs, err := RunScenarios(context.Background(), base, seeds, SweepOptions{Parallelism: par}, edit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,16 +121,11 @@ func TestChaosScenarioDeterministic(t *testing.T) {
 		ReportScenario(&buf, outs)
 		return buf.String()
 	}
-	serial := render(base, 1)
-	if parallel := render(base, 8); parallel != serial {
+	serial := render(1, nil)
+	if parallel := render(8, nil); parallel != serial {
 		t.Fatalf("report differs between -parallel 1 and 8:\n%s\nvs\n%s", serial, parallel)
 	}
-	sharded := make([]Scenario, len(base))
-	for i, s := range base {
-		s.SimShards = 8
-		sharded[i] = s
-	}
-	if got := render(sharded, 1); got != serial {
+	if got := render(1, func(s *Spec) { s.SimShards = 8 }); got != serial {
 		t.Fatalf("report differs between -shard-sim 1 and 8:\n%s\nvs\n%s", serial, got)
 	}
 }

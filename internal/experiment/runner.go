@@ -17,6 +17,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/flowcon"
 	"repro/internal/metrics"
+	"repro/internal/migrate"
 	rt "repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -25,7 +26,12 @@ import (
 	"repro/internal/workload"
 )
 
-// Spec describes one simulation run.
+// Spec describes one simulation run: everything that shapes it is plain
+// data here, down to the faults, recovery, drains and rebalancer layered
+// on the paper's per-worker controller. A registered Scenario expands
+// into one Spec per seed (Scenario.Spec), and RunScenarios applies a
+// caller's edit to each expanded Spec — how flowcon-sim's run-shaping
+// flags reach a run.
 type Spec struct {
 	// Name labels the run in reports.
 	Name string
@@ -84,12 +90,11 @@ type Spec struct {
 	// Nil is the zero policy, every mechanism off — the paper's behaviour:
 	// a lost job restarts from scratch at once, as often as it takes.
 	Recovery *cluster.RecoveryPolicy
-	// ClusterPolicy constructs an optional cluster-level policy (e.g. the
-	// GE-aware rebalancer in internal/migrate) attached to the manager
-	// alongside the per-worker policies. Must return a fresh instance per
-	// call — policies hold per-run state and runs execute concurrently in
-	// sweeps.
-	ClusterPolicy func() sched.ClusterPolicy
+	// Rebalance attaches the GE-aware migration rebalancer
+	// (internal/migrate) with this configuration, alongside the
+	// per-worker policies. Each run builds its own instance, since a
+	// rebalancer holds per-run GE history. Nil attaches none.
+	Rebalance *migrate.Config
 	// Drains schedules rolling maintenance: at each entry's time the
 	// worker is cordoned and its jobs live-migrate elsewhere.
 	Drains []Drain
@@ -168,10 +173,8 @@ type Result struct {
 	// reports stay unchanged.
 	Availability *cluster.Availability
 	// Migrated counts completed live migrations (rebalancer moves and
-	// drains; zero when no cluster policy or drain ran).
+	// drains; zero when no rebalancer or drain ran).
 	Migrated int
-	// ClusterPolicy names the attached cluster-level policy ("" if none).
-	ClusterPolicy string
 	// SimShards and SimBatches record how the run executed: the resolved
 	// shard count (1 = serial engine) and how many parallel lane batches
 	// ran (0 when the run stayed serial throughout). Diagnostics only —
@@ -242,9 +245,10 @@ func checkProfile(p dlmodel.Profile) error {
 
 // checkShared validates the fields a Scenario shares with the Spec it
 // expands into (Scenario.base): cluster shape, node settings, drains,
-// migration cost, faults and recovery. RunE and Scenario.validate both
-// call it, so a registered scenario cannot hold a value every run of it
-// would reject. kind and name label the definition in the error.
+// migration cost, faults, recovery and the rebalancer. RunE and
+// Scenario.validate both call it, so a registered scenario cannot hold a
+// value every run of it would reject. kind and name label the definition
+// in the error.
 func (spec Spec) checkShared(kind, name string) error {
 	if spec.Workers < 0 {
 		return fmt.Errorf("experiment: %s %q has negative worker count %d", kind, name, spec.Workers)
@@ -291,6 +295,11 @@ func (spec Spec) checkShared(kind, name string) error {
 			return fmt.Errorf("experiment: %s %q: %v", kind, name, err)
 		}
 	}
+	if spec.Rebalance != nil {
+		if err := spec.Rebalance.Validate(); err != nil {
+			return fmt.Errorf("experiment: %s %q: %v", kind, name, err)
+		}
+	}
 	return nil
 }
 
@@ -308,8 +317,8 @@ func Run(spec Spec) *Result {
 // RunE executes the spec to completion (or horizon) and returns the
 // result. Unlike Run it rejects invalid specs — nil policy, empty
 // submissions, a malformed job profile, a non-finite or out-of-range node
-// setting, out-of-range fault or drain index — with an error instead of a
-// panic.
+// setting, out-of-range fault or drain index, an invalid rebalancer
+// config — with an error instead of a panic.
 func RunE(spec Spec) (*Result, error) {
 	if spec.NewPolicy == nil {
 		return nil, fmt.Errorf("experiment: spec %q without policy", spec.Name)
@@ -359,7 +368,7 @@ func RunE(spec Spec) (*Result, error) {
 
 	// With SimShards, each worker's events ride a private lane of the
 	// sharded executor; cluster-level machinery (manager, faults, drains,
-	// cluster policies) stays on the engine itself (lane 0).
+	// the rebalancer) stays on the engine itself (lane 0).
 	shards := spec.SimShards
 	if shards < 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -424,10 +433,8 @@ func RunE(spec Spec) (*Result, error) {
 			return nil, fmt.Errorf("experiment: spec %q: %v", spec.Name, err)
 		}
 	}
-	var clusterPolicy sched.ClusterPolicy
-	if spec.ClusterPolicy != nil {
-		clusterPolicy = spec.ClusterPolicy()
-		clusterPolicy.AttachCluster(engine, manager)
+	if spec.Rebalance != nil {
+		migrate.New(*spec.Rebalance).AttachCluster(engine, manager)
 	}
 	for _, d := range spec.Drains {
 		w := workers[d.Worker]
@@ -584,9 +591,6 @@ func RunE(spec Spec) (*Result, error) {
 	avail.Finalize(float64(engine.Now()))
 	if avail.Faulted() {
 		res.Availability = avail
-	}
-	if clusterPolicy != nil {
-		res.ClusterPolicy = clusterPolicy.Name()
 	}
 	if sharded != nil {
 		res.SimShards = shards

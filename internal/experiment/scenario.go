@@ -9,11 +9,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/migrate"
-	"repro/internal/sched"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -22,7 +19,9 @@ import (
 // turn the repo from a figure regenerator into a stress harness — the
 // built-ins cover the arrival patterns a production cluster would see
 // (steady Poisson, ON/OFF bursts, diurnal cycles, flash crowds) beyond
-// the paper's three evaluation workloads.
+// the paper's three evaluation workloads. A Scenario holds only what
+// defines the workload family; how one execution runs (engine sharding,
+// metric tier, tracing) is an edit of the expanded Spec (RunScenarios).
 type Scenario struct {
 	// Name is the registry key (flowcon-sim -scenario <name>).
 	Name string
@@ -63,10 +62,9 @@ type Scenario struct {
 	Capacity           float64
 	SamplePeriod       float64
 	ContentionOverhead float64
-	// Rebalance attaches the GE-aware migration rebalancer with this
-	// configuration (a fresh instance per run). It is the declarative
-	// route the CLI's -rebalance/-migration-cost flags can inspect and
-	// reprice.
+	// Rebalance attaches the GE-aware migration rebalancer (see
+	// Spec.Rebalance). Expanded Specs share this pointer, so an edit that
+	// reprices it must copy it first.
 	Rebalance *migrate.Config
 	// Drains schedules rolling maintenance (see Spec.Drains), priced by
 	// MigrationCost (zero value = cluster.DefaultMigrationCost()).
@@ -79,20 +77,6 @@ type Scenario struct {
 	// Recovery installs the manager's self-healing layer (see
 	// Spec.Recovery).
 	Recovery *cluster.RecoveryPolicy
-	// SimShards is the intra-run event-lane parallelism (see
-	// Spec.SimShards): 0/1 serial, N>1 that many shard goroutines,
-	// negative auto (GOMAXPROCS). Output is byte-identical at any value.
-	SimShards int
-	// TraceLevel selects metric retention (see Spec.TraceLevel): the
-	// zero value is the constant-memory summary tier; metrics.TierDense
-	// retains raw series for figure/trace export.
-	TraceLevel metrics.Tier
-	// NewTracer, when set, builds a fresh lifecycle tracer per expanded
-	// Spec (specs run concurrently in sweeps, so they must not share a
-	// ring). The tracer rides Spec.Tracer into the run and comes back on
-	// Result.Tracer; flowcon-sim's -trace-out installs this to export
-	// every run's span log.
-	NewTracer func() *telemetry.Tracer
 }
 
 // Setting returns the scenario's effective FlowCon setting.
@@ -121,6 +105,7 @@ func (s Scenario) base() Spec {
 		MigrationCost:          s.MigrationCost,
 		Faults:                 s.Faults,
 		Recovery:               s.Recovery,
+		Rebalance:              s.Rebalance,
 	}
 }
 
@@ -132,15 +117,7 @@ func (s Scenario) Spec(seed int64) Spec {
 	spec.NewPolicy = FlowConPolicy(setting.Alpha, setting.Itval)
 	spec.Placement = s.Placement
 	spec.FaultSeed = seed
-	spec.SimShards = s.SimShards
-	spec.TraceLevel = s.TraceLevel
 	spec.Arrivals = s.StreamWorkload(seed)
-	if s.NewTracer != nil {
-		spec.Tracer = s.NewTracer()
-	}
-	if s.Rebalance != nil {
-		spec.ClusterPolicy = RebalancerPolicy(*s.Rebalance)
-	}
 	return spec
 }
 
@@ -166,15 +143,7 @@ func (s Scenario) validate() error {
 	if math.IsNaN(s.Itval) || math.IsInf(s.Itval, 0) || s.Itval < 0 {
 		return fmt.Errorf("experiment: scenario %q itval %g must be a finite non-negative interval (0 = default)", s.Name, s.Itval)
 	}
-	if err := s.base().checkShared("scenario", s.Name); err != nil {
-		return err
-	}
-	if s.Rebalance != nil {
-		if err := s.Rebalance.Validate(); err != nil {
-			return fmt.Errorf("experiment: scenario %q: %v", s.Name, err)
-		}
-	}
-	return nil
+	return s.base().checkShared("scenario", s.Name)
 }
 
 // The scenario registry. Built-ins register at init; callers add custom
@@ -373,13 +342,6 @@ func init() {
 	})
 }
 
-// RebalancerPolicy adapts a migrate.Config into the fresh-instance
-// factory Spec.ClusterPolicy expects (one rebalancer per run — it holds
-// per-run GE history).
-func RebalancerPolicy(cfg migrate.Config) func() sched.ClusterPolicy {
-	return func() sched.ClusterPolicy { return migrate.New(cfg) }
-}
-
 // ScenarioOutcome is one scenario's slice of a scenario sweep: the per-
 // seed run reports in seed order.
 type ScenarioOutcome struct {
@@ -413,8 +375,12 @@ func (o ScenarioOutcome) Failed() int {
 // RunScenarios executes every (scenario, seed) pair across the shared
 // sweep pool and regroups the spec-ordered reports per scenario. Results
 // are deterministic at any pool width: workload generation is a pure
-// function of the seed and each run has its own engine.
-func RunScenarios(ctx context.Context, scens []Scenario, seeds []int64, opts SweepOptions) ([]ScenarioOutcome, error) {
+// function of the seed and each run has its own engine. A non-nil edit
+// is applied to each expanded Spec before it runs (flowcon-sim's
+// run-shaping flags); it sees the registry's shared pointers (Rebalance,
+// Faults, Recovery), so it must copy what it changes behind one. RunE
+// validates the edited Spec.
+func RunScenarios(ctx context.Context, scens []Scenario, seeds []int64, opts SweepOptions, edit func(*Spec)) ([]ScenarioOutcome, error) {
 	if len(scens) == 0 {
 		return nil, fmt.Errorf("experiment: no scenarios to run")
 	}
@@ -429,7 +395,11 @@ func RunScenarios(ctx context.Context, scens []Scenario, seeds []int64, opts Swe
 	specs := make([]Spec, 0, len(scens)*len(seeds))
 	for _, s := range scens {
 		for _, seed := range seeds {
-			specs = append(specs, s.Spec(seed))
+			spec := s.Spec(seed)
+			if edit != nil {
+				edit(&spec)
+			}
+			specs = append(specs, spec)
 		}
 	}
 	sr, err := Sweep(ctx, specs, opts)

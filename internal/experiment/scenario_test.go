@@ -100,7 +100,7 @@ func TestScenarioReportDeterministicAcrossParallelism(t *testing.T) {
 	scens := testScenarios(t)
 	seeds := ScenarioSeeds(3)
 	render := func(par int) string {
-		outs, err := RunScenarios(context.Background(), scens, seeds, SweepOptions{Parallelism: par})
+		outs, err := RunScenarios(context.Background(), scens, seeds, SweepOptions{Parallelism: par}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestScenarioReportDeterministicAcrossParallelism(t *testing.T) {
 func TestRunScenariosGrouping(t *testing.T) {
 	scens := testScenarios(t)
 	seeds := []int64{5, 9}
-	outs, err := RunScenarios(context.Background(), scens, seeds, SweepOptions{})
+	outs, err := RunScenarios(context.Background(), scens, seeds, SweepOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +202,14 @@ func TestMultiWorkerScenarioUsesCluster(t *testing.T) {
 // RunScenarios validates its inputs.
 func TestRunScenariosValidation(t *testing.T) {
 	scens := testScenarios(t)
-	if _, err := RunScenarios(context.Background(), nil, ScenarioSeeds(1), SweepOptions{}); err == nil {
+	if _, err := RunScenarios(context.Background(), nil, ScenarioSeeds(1), SweepOptions{}, nil); err == nil {
 		t.Fatal("no scenarios accepted")
 	}
-	if _, err := RunScenarios(context.Background(), scens, nil, SweepOptions{}); err == nil {
+	if _, err := RunScenarios(context.Background(), scens, nil, SweepOptions{}, nil); err == nil {
 		t.Fatal("no seeds accepted")
 	}
 	bad := []Scenario{{Name: "broken"}}
-	if _, err := RunScenarios(context.Background(), bad, ScenarioSeeds(1), SweepOptions{}); err == nil {
+	if _, err := RunScenarios(context.Background(), bad, ScenarioSeeds(1), SweepOptions{}, nil); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
 	for name, s := range map[string]Scenario{
@@ -229,7 +229,7 @@ func TestRunScenariosValidation(t *testing.T) {
 func TestRunScenariosCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunScenarios(ctx, testScenarios(t), ScenarioSeeds(2), SweepOptions{Parallelism: 2})
+	_, err := RunScenarios(ctx, testScenarios(t), ScenarioSeeds(2), SweepOptions{Parallelism: 2}, nil)
 	if err == nil {
 		t.Fatal("cancelled scenario sweep reported success")
 	}
@@ -252,7 +252,7 @@ func TestReportScenarioCountsQueuedJobs(t *testing.T) {
 		Horizon:                50, // far too short for 8 serialized jobs
 	}
 	outs, err := RunScenarios(context.Background(), []Scenario{overloaded},
-		[]int64{1}, SweepOptions{Parallelism: 1})
+		[]int64{1}, SweepOptions{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

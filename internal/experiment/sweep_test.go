@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dlmodel"
 	"repro/internal/flowcon"
+	"repro/internal/migrate"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -188,22 +190,29 @@ func TestRunEValidation(t *testing.T) {
 			Submissions: subs,
 			Faults:      crashAt(3, 100),
 		},
-		"NaN sample period":      {NewPolicy: NAPolicy(20), Submissions: subs, SamplePeriod: math.NaN()},
-		"infinite sample period": {NewPolicy: NAPolicy(20), Submissions: subs, SamplePeriod: math.Inf(1)},
-		"negative sample period": {NewPolicy: NAPolicy(20), Submissions: subs, SamplePeriod: -1},
-		"NaN horizon":            {NewPolicy: NAPolicy(20), Submissions: subs, Horizon: math.NaN()},
-		"infinite horizon":       {NewPolicy: NAPolicy(20), Submissions: subs, Horizon: math.Inf(1)},
-		"negative horizon":       {NewPolicy: NAPolicy(20), Submissions: subs, Horizon: -1},
-		"NaN contention":         {NewPolicy: NAPolicy(20), Submissions: subs, ContentionOverhead: math.NaN()},
-		"infinite contention":    {NewPolicy: NAPolicy(20), Submissions: subs, ContentionOverhead: math.Inf(1)},
-		"NaN memory":             {NewPolicy: NAPolicy(20), Submissions: subs, MemoryBytesPerWorker: math.NaN()},
-		"infinite memory":        {NewPolicy: NAPolicy(20), Submissions: subs, MemoryBytesPerWorker: math.Inf(1)},
-		"NaN capacity":           {NewPolicy: NAPolicy(20), Submissions: subs, Capacity: math.NaN()},
-		"negative capacity":      {NewPolicy: NAPolicy(20), Submissions: subs, Capacity: -1},
-		"infinite capacity":      {NewPolicy: NAPolicy(20), Submissions: subs, Capacity: math.Inf(1)},
-		"negative container cap": {NewPolicy: NAPolicy(20), Submissions: subs, MaxContainersPerWorker: -1},
-		"NaN job memory":         {NewPolicy: NAPolicy(20), Submissions: withProfile(subs, func(p *dlmodel.Profile) { p.MemoryBytes = math.NaN() })},
-		"NaN job work":           {NewPolicy: NAPolicy(20), Submissions: withProfile(subs, func(p *dlmodel.Profile) { p.TotalWork = math.NaN() })},
+		"NaN sample period":           {NewPolicy: NAPolicy(20), Submissions: subs, SamplePeriod: math.NaN()},
+		"infinite sample period":      {NewPolicy: NAPolicy(20), Submissions: subs, SamplePeriod: math.Inf(1)},
+		"negative sample period":      {NewPolicy: NAPolicy(20), Submissions: subs, SamplePeriod: -1},
+		"NaN horizon":                 {NewPolicy: NAPolicy(20), Submissions: subs, Horizon: math.NaN()},
+		"infinite horizon":            {NewPolicy: NAPolicy(20), Submissions: subs, Horizon: math.Inf(1)},
+		"negative horizon":            {NewPolicy: NAPolicy(20), Submissions: subs, Horizon: -1},
+		"NaN contention":              {NewPolicy: NAPolicy(20), Submissions: subs, ContentionOverhead: math.NaN()},
+		"infinite contention":         {NewPolicy: NAPolicy(20), Submissions: subs, ContentionOverhead: math.Inf(1)},
+		"NaN memory":                  {NewPolicy: NAPolicy(20), Submissions: subs, MemoryBytesPerWorker: math.NaN()},
+		"infinite memory":             {NewPolicy: NAPolicy(20), Submissions: subs, MemoryBytesPerWorker: math.Inf(1)},
+		"NaN capacity":                {NewPolicy: NAPolicy(20), Submissions: subs, Capacity: math.NaN()},
+		"negative capacity":           {NewPolicy: NAPolicy(20), Submissions: subs, Capacity: -1},
+		"infinite capacity":           {NewPolicy: NAPolicy(20), Submissions: subs, Capacity: math.Inf(1)},
+		"negative container cap":      {NewPolicy: NAPolicy(20), Submissions: subs, MaxContainersPerWorker: -1},
+		"NaN job memory":              {NewPolicy: NAPolicy(20), Submissions: withProfile(subs, func(p *dlmodel.Profile) { p.MemoryBytes = math.NaN() })},
+		"NaN job work":                {NewPolicy: NAPolicy(20), Submissions: withProfile(subs, func(p *dlmodel.Profile) { p.TotalWork = math.NaN() })},
+		"negative rebalance interval": {NewPolicy: NAPolicy(20), Submissions: subs, Rebalance: &migrate.Config{Interval: -1}},
+		"negative rebalance move cap": {NewPolicy: NAPolicy(20), Submissions: subs, Rebalance: &migrate.Config{MaxMovesPerScan: -1}},
+		"NaN rebalance freeze": {
+			NewPolicy:   NAPolicy(20),
+			Submissions: subs,
+			Rebalance:   &migrate.Config{Cost: cluster.MigrationCost{FreezeSec: math.NaN()}},
+		},
 		"NaN streamed job memory": {
 			NewPolicy: NAPolicy(20),
 			Arrivals:  workload.SliceStream(withProfile(subs, func(p *dlmodel.Profile) { p.MemoryBytes = math.NaN() })),

@@ -19,8 +19,8 @@ func runScenarioTier(t *testing.T, name string, seeds []int64, tier metrics.Tier
 	if !ok {
 		t.Fatalf("scenario %q not registered", name)
 	}
-	s.TraceLevel = tier
-	outs, err := RunScenarios(context.Background(), []Scenario{s}, seeds, SweepOptions{})
+	outs, err := RunScenarios(context.Background(), []Scenario{s}, seeds, SweepOptions{},
+		func(spec *Spec) { spec.TraceLevel = tier })
 	if err != nil {
 		t.Fatal(err)
 	}

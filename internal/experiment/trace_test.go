@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -156,22 +157,28 @@ func TestTracerIsPureObserver(t *testing.T) {
 	}
 }
 
-// TestScenarioNewTracer pins the sweep plumbing: a scenario's NewTracer
-// builds one fresh ring per expanded spec.
-func TestScenarioNewTracer(t *testing.T) {
+// TestRunScenariosEditsEachSpec pins the sweep plumbing: the edit runs
+// once per expanded spec, so a tracer it installs is one fresh ring per
+// run (sweeps run specs concurrently and must not share a ring).
+func TestRunScenariosEditsEachSpec(t *testing.T) {
 	s := Scenario{
 		Name:           "traced-scn",
 		StreamWorkload: sliceWorkload(workload.RandomFive),
 		Workers:        2,
-		NewTracer: func() *telemetry.Tracer {
-			return telemetry.NewTracer(128)
-		},
 	}
-	a, b := s.Spec(1), s.Spec(2)
-	if a.Tracer == nil || b.Tracer == nil {
-		t.Fatal("NewTracer not invoked per spec")
+	outs, err := RunScenarios(context.Background(), []Scenario{s}, ScenarioSeeds(2), SweepOptions{},
+		func(spec *Spec) { spec.Tracer = telemetry.NewTracer(128) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := outs[0].Reports[0].Result, outs[0].Reports[1].Result
+	if a == nil || b == nil || a.Tracer == nil || b.Tracer == nil {
+		t.Fatal("edit did not reach every spec")
 	}
 	if a.Tracer == b.Tracer {
 		t.Fatal("specs share one tracer ring — sweeps run specs concurrently")
+	}
+	if a.Tracer.Len() == 0 {
+		t.Fatal("installed tracer recorded nothing")
 	}
 }

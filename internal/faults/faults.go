@@ -17,17 +17,15 @@ import (
 	"math"
 )
 
-// Churn is a per-worker crash/repair renewal process: each affected
-// worker draws exponential up-times (mean MTBFSec) and repair times
-// (mean MTTRSec) from its own sub-seeded stream, crashing and
-// auto-repairing in a chain for the whole run (or until Plan.UntilSec).
+// Churn is a per-worker crash/repair renewal process: every worker
+// draws exponential up-times (mean MTBFSec) and repair times (mean
+// MTTRSec) from its own sub-seeded stream, crashing and auto-repairing in
+// a chain for the whole run (or until Plan.UntilSec).
 type Churn struct {
 	// MTBFSec is the mean up-time between crashes of one worker.
 	MTBFSec float64
 	// MTTRSec is the mean time a crashed worker stays down.
 	MTTRSec float64
-	// Workers selects the affected worker indices (nil = every worker).
-	Workers []int
 }
 
 // Kills is a cluster-wide transient-container-failure process: at
@@ -42,7 +40,7 @@ type Kills struct {
 }
 
 // Degrade is the degraded-node process: at exponential intervals one
-// worker from the set drops to Factor of its nominal capacity for an
+// worker, drawn uniformly, drops to half its nominal capacity for an
 // exponential episode, then recovers. Containers on a degraded node run
 // slower, so growth efficiency sags — stress the paper's controller
 // never saw. A worker already degraded (or down) when picked is skipped.
@@ -51,11 +49,11 @@ type Degrade struct {
 	MeanIntervalSec float64
 	// MeanDurationSec is the mean episode length.
 	MeanDurationSec float64
-	// Factor is the capacity multiplier while degraded, in (0, 1).
-	Factor float64
-	// Workers selects the degradable worker indices (nil = every worker).
-	Workers []int
 }
+
+// degradeFactor is the capacity multiplier of a Degrade episode: the
+// node runs at half its nominal capacity.
+const degradeFactor = 0.5
 
 // Kind names one scripted fault action.
 type Kind string
@@ -107,14 +105,6 @@ func (p Plan) Validate(workers int) error {
 	if workers <= 0 {
 		return fmt.Errorf("faults: plan needs a positive worker count, got %d", workers)
 	}
-	checkIdx := func(field string, idxs []int) error {
-		for _, i := range idxs {
-			if i < 0 || i >= workers {
-				return fmt.Errorf("faults: %s worker index %d out of range [0, %d)", field, i, workers)
-			}
-		}
-		return nil
-	}
 	pos := func(field string, v float64) error {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 			return fmt.Errorf("faults: %s %g must be a positive finite number", field, v)
@@ -128,9 +118,6 @@ func (p Plan) Validate(workers int) error {
 		if err := pos("churn MTTRSec", c.MTTRSec); err != nil {
 			return err
 		}
-		if err := checkIdx("churn", c.Workers); err != nil {
-			return err
-		}
 	}
 	if k := p.Kills; k != nil {
 		if err := pos("kills MeanIntervalSec", k.MeanIntervalSec); err != nil {
@@ -142,12 +129,6 @@ func (p Plan) Validate(workers int) error {
 			return err
 		}
 		if err := pos("degrade MeanDurationSec", d.MeanDurationSec); err != nil {
-			return err
-		}
-		if math.IsNaN(d.Factor) || d.Factor <= 0 || d.Factor >= 1 {
-			return fmt.Errorf("faults: degrade Factor %g outside (0, 1)", d.Factor)
-		}
-		if err := checkIdx("degrade", d.Workers); err != nil {
 			return err
 		}
 	}

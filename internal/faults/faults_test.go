@@ -8,9 +8,9 @@ import (
 
 func TestPlanValidate(t *testing.T) {
 	good := Plan{
-		Churn:   &Churn{MTBFSec: 100, MTTRSec: 10, Workers: []int{0, 1}},
+		Churn:   &Churn{MTBFSec: 100, MTTRSec: 10},
 		Kills:   &Kills{MeanIntervalSec: 30},
-		Degrade: &Degrade{MeanIntervalSec: 60, MeanDurationSec: 20, Factor: 0.5},
+		Degrade: &Degrade{MeanIntervalSec: 60, MeanDurationSec: 20},
 		Script: []ScriptedFault{
 			{At: 10, Kind: KindCrash, Worker: 1},
 			{At: 20, Kind: KindRepair, Worker: 1},
@@ -29,11 +29,7 @@ func TestPlanValidate(t *testing.T) {
 	}{
 		{"zero MTBF", func(p *Plan) { p.Churn = &Churn{MTBFSec: 0, MTTRSec: 10} }, "MTBFSec"},
 		{"NaN MTTR", func(p *Plan) { p.Churn = &Churn{MTBFSec: 10, MTTRSec: math.NaN()} }, "MTTRSec"},
-		{"churn index", func(p *Plan) { p.Churn = &Churn{MTBFSec: 10, MTTRSec: 1, Workers: []int{2}} }, "out of range"},
 		{"kill interval", func(p *Plan) { p.Kills = &Kills{MeanIntervalSec: -1} }, "MeanIntervalSec"},
-		{"degrade factor", func(p *Plan) {
-			p.Degrade = &Degrade{MeanIntervalSec: 1, MeanDurationSec: 1, Factor: 1.2}
-		}, "Factor"},
 		{"script time", func(p *Plan) { p.Script = []ScriptedFault{{At: -1, Kind: KindCrash}} }, "script[0]"},
 		{"script worker", func(p *Plan) { p.Script = []ScriptedFault{{At: 1, Kind: KindCrash, Worker: 9}} }, "out of range"},
 		{"script kill without job", func(p *Plan) { p.Script = []ScriptedFault{{At: 1, Kind: KindKill}} }, "job name"},
@@ -64,7 +60,7 @@ func TestPlanEmpty(t *testing.T) {
 	for _, p := range []Plan{
 		{Churn: &Churn{MTBFSec: 1, MTTRSec: 1}},
 		{Kills: &Kills{MeanIntervalSec: 1}},
-		{Degrade: &Degrade{MeanIntervalSec: 1, MeanDurationSec: 1, Factor: 0.5}},
+		{Degrade: &Degrade{MeanIntervalSec: 1, MeanDurationSec: 1}},
 		{Script: []ScriptedFault{{Kind: KindCrash}}},
 	} {
 		if p.Empty() {

@@ -56,12 +56,8 @@ func Attach(engine *sim.Engine, m *cluster.Manager, plan Plan, seed int64,
 		setCapacity: setCapacity,
 		degraded:    make(map[int]bool),
 	}
-	if c := plan.Churn; c != nil {
-		idxs := c.Workers
-		if idxs == nil {
-			idxs = allIndexes(len(workers))
-		}
-		for _, i := range idxs {
+	if plan.Churn != nil {
+		for i := range workers {
 			in.scheduleCrash(i, subRNG(seed, "churn", i))
 		}
 	}
@@ -77,15 +73,6 @@ func Attach(engine *sim.Engine, m *cluster.Manager, plan Plan, seed int64,
 			fmt.Sprintf("faults.script.%d.%s", i, s.Kind), func() { in.runScripted(s) })
 	}
 	return in, nil
-}
-
-// allIndexes returns [0, n).
-func allIndexes(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // subRNG derives one stream's generator from the base seed, workload
@@ -189,24 +176,19 @@ func (in *Injector) scheduleDegrade(rng *rand.Rand) {
 	in.engine.After(gap, sim.PriorityState, "faults.degrade", func() { in.degrade(rng) })
 }
 
-// degrade drops one eligible worker to the plan's capacity factor for an
+// degrade drops one worker to degradeFactor of its capacity for an
 // exponential episode. Already-degraded and failed workers are skipped
 // (the draw is still consumed, keeping the stream aligned).
 func (in *Injector) degrade(rng *rand.Rand) {
-	d := in.plan.Degrade
-	idxs := d.Workers
-	if idxs == nil {
-		idxs = allIndexes(len(in.m.Workers()))
-	}
-	pick := idxs[rng.Intn(len(idxs))]
+	pick := rng.Intn(len(in.m.Workers()))
 	w := in.m.Workers()[pick]
 	if !in.degraded[pick] && !w.Failed() {
 		in.degraded[pick] = true
-		in.setCapacity(pick, d.Factor)
+		in.setCapacity(pick, degradeFactor)
 		in.m.Availability().Degradations++
 		in.trace(telemetry.PhaseDegrade, "", w.Name(),
-			"factor "+strconv.FormatFloat(d.Factor, 'g', -1, 64))
-		dur := rng.ExpFloat64() * d.MeanDurationSec
+			"factor "+strconv.FormatFloat(degradeFactor, 'g', -1, 64))
+		dur := rng.ExpFloat64() * in.plan.Degrade.MeanDurationSec
 		in.engine.After(dur, sim.PriorityState, "faults.restore."+w.Name(), func() {
 			in.degraded[pick] = false
 			in.setCapacity(pick, 1)

@@ -26,7 +26,7 @@ func TestAttachRejectsInvalidPlans(t *testing.T) {
 	}
 	// A degrading plan without the capacity knob has nowhere to apply the
 	// factor — that must fail loudly at assembly, not no-op silently.
-	degrading := Plan{Degrade: &Degrade{MeanIntervalSec: 10, MeanDurationSec: 5, Factor: 0.5}}
+	degrading := Plan{Degrade: &Degrade{MeanIntervalSec: 10, MeanDurationSec: 5}}
 	if _, err := Attach(e, m, degrading, 1, nil); err == nil {
 		t.Fatal("degrading plan without setCapacity attached")
 	}
@@ -148,7 +148,7 @@ func TestDegradeEpisodes(t *testing.T) {
 	factors := map[int]float64{0: 1, 1: 1}
 	set := func(worker int, factor float64) { factors[worker] = factor }
 	plan := Plan{
-		Degrade:  &Degrade{MeanIntervalSec: 20, MeanDurationSec: 10, Factor: 0.5},
+		Degrade:  &Degrade{MeanIntervalSec: 20, MeanDurationSec: 10},
 		UntilSec: 300,
 	}
 	if _, err := Attach(e, m, plan, 5, set); err != nil {

@@ -14,9 +14,8 @@
 //     than the coldest node that could host one of them. Spreading the
 //     pool directly attacks the co-location contention the paper
 //     measures ("reducing the overlap between jobs").
-//   - straggler: a node's mean growth efficiency fell below
-//     StragglerFactor of the cluster mean while a less crowded node has
-//     room. The node is burning CPU on containers that no longer convert
+//   - straggler: a node's mean growth efficiency fell below half the
+//     cluster mean while a less crowded node has room. The node is burning CPU on containers that no longer convert
 //     it into progress; evicting the worst of them is the SLAQ-style
 //     quality-driven prioritization applied cluster-wide.
 //
@@ -48,22 +47,25 @@ type Config struct {
 	// coldest node before a pressure-gap move triggers (default 2 — a gap
 	// of 1 would oscillate).
 	MinGap int
-	// StragglerFactor triggers a straggler move when a node's mean GE
-	// falls below this fraction of the cluster mean (default 0.5).
-	StragglerFactor float64
 	// MaxMovesPerScan caps migrations per scan (default 1); the next scan
 	// re-evaluates against the post-move state instead of committing to a
 	// stale plan.
 	MaxMovesPerScan int
-	// GEWindow is how many recent GE measurements are kept per container
-	// and attached to its checkpoint on migration (default 3).
-	GEWindow int
 	// Cost is the freeze/transfer/thaw model charged per migration. The
 	// zero value is replaced by cluster.DefaultMigrationCost() — unlike
 	// cluster.MigrationSpec.Cost, a literally free move is not
 	// expressible here (use a tiny FreezeSec if an experiment needs one).
 	Cost cluster.MigrationCost
 }
+
+const (
+	// stragglerFactor triggers a straggler move when a node's mean GE
+	// falls below this fraction of the cluster mean.
+	stragglerFactor = 0.5
+	// geWindow is how many recent GE measurements are kept per container
+	// and attached to its checkpoint on migration.
+	geWindow = 3
+)
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
@@ -73,14 +75,8 @@ func (c Config) withDefaults() Config {
 	if c.MinGap == 0 {
 		c.MinGap = 2
 	}
-	if c.StragglerFactor == 0 {
-		c.StragglerFactor = 0.5
-	}
 	if c.MaxMovesPerScan == 0 {
 		c.MaxMovesPerScan = 1
-	}
-	if c.GEWindow == 0 {
-		c.GEWindow = 3
 	}
 	if c.Cost == (cluster.MigrationCost{}) {
 		c.Cost = cluster.DefaultMigrationCost()
@@ -96,16 +92,10 @@ func (c Config) Validate() error {
 	if c.MinGap < 0 {
 		return fmt.Errorf("migrate: negative min gap %d", c.MinGap)
 	}
-	if c.StragglerFactor < 0 || c.StragglerFactor >= 1 {
-		return fmt.Errorf("migrate: straggler factor %g outside [0, 1)", c.StragglerFactor)
-	}
 	if c.MaxMovesPerScan < 0 {
 		return fmt.Errorf("migrate: negative move cap %d", c.MaxMovesPerScan)
 	}
-	if c.GEWindow < 0 {
-		return fmt.Errorf("migrate: negative GE window %d", c.GEWindow)
-	}
-	return nil
+	return c.Cost.Validate()
 }
 
 // Plan is one decided migration: which job moves where, and why.
@@ -122,9 +112,9 @@ type Plan struct {
 	Reason string
 }
 
-// Rebalancer is the cluster-level policy. It implements
-// sched.ClusterPolicy; create with New, wire with AttachCluster (or let
-// experiment.Spec.ClusterPolicy do it).
+// Rebalancer is the cluster-level policy: create with New, wire with
+// AttachCluster (or set experiment.Spec.Rebalance, which does both per
+// run).
 type Rebalancer struct {
 	cfg     Config
 	engine  *sim.Engine
@@ -163,9 +153,6 @@ func New(cfg Config) *Rebalancer {
 	}
 }
 
-// Name implements sched.ClusterPolicy.
-func (r *Rebalancer) Name() string { return "GE-Rebalancer" }
-
 // Config returns the effective (defaulted) configuration.
 func (r *Rebalancer) Config() Config { return r.cfg }
 
@@ -178,8 +165,8 @@ func (r *Rebalancer) Plans() int { return r.plans }
 // Executed returns how many decided migrations the manager accepted.
 func (r *Rebalancer) Executed() int { return r.executed }
 
-// AttachCluster implements sched.ClusterPolicy: it binds the rebalancer
-// to the manager and starts the periodic scan.
+// AttachCluster binds the rebalancer to the manager and starts the
+// periodic scan. Call it once, before the simulation starts.
 func (r *Rebalancer) AttachCluster(engine *sim.Engine, m *cluster.Manager) {
 	if r.manager != nil {
 		panic("migrate: rebalancer attached twice")
@@ -280,8 +267,8 @@ func (r *Rebalancer) Scan() []Plan {
 				continue
 			}
 			hist := append(r.ge[mm.ID], mm.G)
-			if len(hist) > r.cfg.GEWindow {
-				hist = hist[len(hist)-r.cfg.GEWindow:]
+			if len(hist) > geWindow {
+				hist = hist[len(hist)-geWindow:]
 			}
 			r.ge[mm.ID] = hist
 			r.res[mm.ID] = mm.RKind
@@ -399,7 +386,7 @@ func (r *Rebalancer) pickSource(states []workerState, clusterSum float64, cluste
 			continue
 		}
 		mean, ok := ws.meanGE()
-		if !ok || mean >= r.cfg.StragglerFactor*clusterMean {
+		if !ok || mean >= stragglerFactor*clusterMean {
 			continue
 		}
 		// Straggling node: only worth unloading if somewhere is strictly

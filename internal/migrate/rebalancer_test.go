@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -36,12 +37,13 @@ func buildCluster(n int) (*sim.Engine, *cluster.Manager, []*cluster.Worker) {
 
 func TestConfigValidation(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"negative interval":  {Interval: -1},
-		"negative gap":       {MinGap: -1},
-		"straggler too big":  {StragglerFactor: 1},
-		"negative straggler": {StragglerFactor: -0.1},
-		"negative move cap":  {MaxMovesPerScan: -1},
-		"negative window":    {GEWindow: -2},
+		"negative interval": {Interval: -1},
+		"negative gap":      {MinGap: -1},
+		"negative move cap": {MaxMovesPerScan: -1},
+		// A cost Manager.Migrate would refuse must fail here, not turn
+		// every planned move into a silent no-op.
+		"NaN cost":      {Cost: cluster.MigrationCost{FreezeSec: math.NaN()}},
+		"negative cost": {Cost: cluster.MigrationCost{ThawSec: -1}},
 	} {
 		func() {
 			defer func() {
@@ -54,8 +56,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	r := New(Config{})
 	cfg := r.Config()
-	if cfg.Interval != 20 || cfg.MinGap != 2 || cfg.StragglerFactor != 0.5 ||
-		cfg.MaxMovesPerScan != 1 || cfg.GEWindow != 3 {
+	if cfg.Interval != 20 || cfg.MinGap != 2 || cfg.MaxMovesPerScan != 1 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	if cfg.Cost != cluster.DefaultMigrationCost() {
@@ -126,7 +127,7 @@ func TestStragglerHeuristic(t *testing.T) {
 	// heuristic can move anything. The huge interval keeps the periodic
 	// tick out of the window so the test drives Scan by hand and can
 	// inspect the plan before anything executes.
-	r := New(Config{Interval: 100000, MinGap: 10, StragglerFactor: 0.5})
+	r := New(Config{Interval: 100000, MinGap: 10})
 	r.AttachCluster(e, m)
 
 	var plans []Plan

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/flowcon"
 	"repro/internal/sim"
 )
@@ -35,20 +34,6 @@ type Policy interface {
 	// sharded simulation, so everything the policy schedules stays on the
 	// worker's shard.
 	Attach(engine sim.Scheduler, node Node)
-}
-
-// ClusterPolicy is a cluster-level scheduling strategy: where per-node
-// Policies manage one worker's container pool, a ClusterPolicy sees the
-// whole topology through the manager and may revisit placements the
-// paper's manager never reconsiders (the GE-aware rebalancer in
-// internal/migrate is the canonical implementation). At most one attaches
-// per experiment, alongside whatever per-node policy runs on each worker.
-type ClusterPolicy interface {
-	// Name identifies the policy in reports ("GE-Rebalancer", ...).
-	Name() string
-	// AttachCluster wires the policy to the manager. Called once before
-	// the simulation starts.
-	AttachCluster(engine *sim.Engine, m *cluster.Manager)
 }
 
 // NA is the paper's baseline: no configuration at all. Containers compete

@@ -6,8 +6,9 @@
 # agent-side submit counters are non-zero and consistent with the
 # client's view. When a BENCH_sim.json is present the latency fields
 # (with the connect/submit/status-poll phase split) are recorded
-# additively on its newest entry (schema stays 2; see
-# docs/BENCH_SCHEMA.md). A flowcon-manager then governs the same worker
+# additively on the newest entry of a copy of it in the temp directory
+# (schema stays 2; see docs/BENCH_SCHEMA.md): the recording path runs,
+# and the tracked file is left untouched. A flowcon-manager then governs the same worker
 # for a few seconds in -demo mode and must exit 0 having run Algorithm 1
 # at least once.
 #
@@ -39,7 +40,8 @@ worker_pid=$!
 
 bench_flag=""
 if [ -f BENCH_sim.json ]; then
-    bench_flag="-bench-out BENCH_sim.json"
+    cp BENCH_sim.json "$dir/BENCH_sim.json"
+    bench_flag="-bench-out $dir/BENCH_sim.json"
 fi
 
 if ! "$dir/loadtest" -worker "http://$ADDR" \
