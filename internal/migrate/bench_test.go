@@ -85,7 +85,7 @@ func BenchmarkMigrate(b *testing.B) {
 
 // BenchmarkRebalanceScan measures one rebalancer scan over a 4-worker
 // cluster with n containers on the hottest node: per-worker stats
-// collection, GE derivation, and the heuristics — without executing the
+// collection, GE derivation, and the heuristic — without executing the
 // plan, so every iteration sees the same skewed state.
 func BenchmarkRebalanceScan(b *testing.B) {
 	for _, n := range poolSizes {

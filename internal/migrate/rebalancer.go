@@ -8,16 +8,10 @@
 // efficient movable container from the hottest node to the coldest one
 // through the manager's checkpoint/restore path.
 //
-// Two heuristics trigger a move:
-//
-//   - pressure gap: the hottest node runs at least MinGap more containers
-//     than the coldest node that could host one of them. Spreading the
-//     pool directly attacks the co-location contention the paper
-//     measures ("reducing the overlap between jobs").
-//   - straggler: a node's mean growth efficiency fell below half the
-//     cluster mean while a less crowded node has room. The node is burning CPU on containers that no longer convert
-//     it into progress; evicting the worst of them is the SLAQ-style
-//     quality-driven prioritization applied cluster-wide.
+// A pressure gap triggers a move: the hottest node runs at least minGap
+// (2) more containers than the coldest node that could host one of them.
+// Spreading the pool directly attacks the co-location contention the
+// paper measures ("reducing the overlap between jobs").
 //
 // Victim selection is GE-aware: among the source's movable containers
 // (running, not finishing, with at least one measured GE interval) the
@@ -43,10 +37,6 @@ type Config struct {
 	// Interval is the scan period in seconds (default 20). Like the
 	// paper's executor interval, it bounds the policy's reaction time.
 	Interval float64
-	// MinGap is the minimum running-container gap between the hottest and
-	// coldest node before a pressure-gap move triggers (default 2 — a gap
-	// of 1 would oscillate).
-	MinGap int
 	// MaxMovesPerScan caps migrations per scan (default 1); the next scan
 	// re-evaluates against the post-move state instead of committing to a
 	// stale plan.
@@ -59,9 +49,10 @@ type Config struct {
 }
 
 const (
-	// stragglerFactor triggers a straggler move when a node's mean GE
-	// falls below this fraction of the cluster mean.
-	stragglerFactor = 0.5
+	// minGap is the minimum running-container gap between the hottest and
+	// coldest node before a pressure-gap move triggers; a gap of 1 would
+	// oscillate.
+	minGap = 2
 	// geWindow is how many recent GE measurements are kept per container
 	// and attached to its checkpoint on migration.
 	geWindow = 3
@@ -71,9 +62,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.Interval == 0 {
 		c.Interval = 20
-	}
-	if c.MinGap == 0 {
-		c.MinGap = 2
 	}
 	if c.MaxMovesPerScan == 0 {
 		c.MaxMovesPerScan = 1
@@ -88,9 +76,6 @@ func (c Config) withDefaults() Config {
 func (c Config) Validate() error {
 	if c.Interval < 0 {
 		return fmt.Errorf("migrate: negative interval %g", c.Interval)
-	}
-	if c.MinGap < 0 {
-		return fmt.Errorf("migrate: negative min gap %d", c.MinGap)
 	}
 	if c.MaxMovesPerScan < 0 {
 		return fmt.Errorf("migrate: negative move cap %d", c.MaxMovesPerScan)
@@ -108,8 +93,6 @@ type Plan struct {
 	G float64
 	// GEHistory is the victim's recent GE trail (oldest first).
 	GEHistory []float64
-	// Reason is "pressure-gap" or "straggler".
-	Reason string
 }
 
 // Rebalancer is the cluster-level policy: create with New, wire with
@@ -159,7 +142,7 @@ func (r *Rebalancer) Config() Config { return r.cfg }
 // Scans returns how many periodic scans have run.
 func (r *Rebalancer) Scans() int { return r.scans }
 
-// Plans returns how many migrations the heuristics decided.
+// Plans returns how many migrations the heuristic decided.
 func (r *Rebalancer) Plans() int { return r.plans }
 
 // Executed returns how many decided migrations the manager accepted.
@@ -190,7 +173,7 @@ func (r *Rebalancer) AttachCluster(engine *sim.Engine, m *cluster.Manager) {
 				// formatted only when a tracer is listening.
 				if tr := m.Tracer(); tr != nil {
 					tr.Record(float64(engine.Now()), telemetry.PhaseMigrate, p.Job, p.Src,
-						fmt.Sprintf("rebalance reason=%s dst=%s ge=%.4f", p.Reason, p.Dst, p.G))
+						fmt.Sprintf("rebalance reason=pressure-gap dst=%s ge=%.4f", p.Dst, p.G))
 				}
 			}
 		}
@@ -204,9 +187,6 @@ type workerState struct {
 	worker *cluster.Worker
 	// running is the container count (the pressure signal).
 	running int
-	// geSum/geN aggregate the measured GEs of the worker's containers.
-	geSum float64
-	geN   int
 	// load is the summed per-kind resource-usage rate of the worker's
 	// measured containers (Eq. 2's R, aggregated per node): CPU cores,
 	// blkio/netio bytes per second, resident memory bytes.
@@ -215,8 +195,6 @@ type workerState struct {
 	memUsed float64
 	// movable are candidate victims sorted by ascending recent GE.
 	movable []victim
-	// stragglerHit marks a source chosen by the straggler heuristic.
-	stragglerHit bool
 }
 
 type victim struct {
@@ -227,17 +205,8 @@ type victim struct {
 	vec [resource.NumKinds]float64
 }
 
-// meanGE returns the worker's mean measured growth efficiency and whether
-// any container was measurable.
-func (ws *workerState) meanGE() (float64, bool) {
-	if ws.geN == 0 {
-		return 0, false
-	}
-	return ws.geSum / float64(ws.geN), true
-}
-
 // Scan samples every worker, updates the GE histories, and returns the
-// migrations the heuristics decide against the current state (capped by
+// migrations the heuristic decides against the current state (capped by
 // MaxMovesPerScan). It does not execute them; AttachCluster's tick does.
 // Everything iterates in worker/creation order, so scans are
 // deterministic.
@@ -272,8 +241,6 @@ func (r *Rebalancer) Scan() []Plan {
 			}
 			r.ge[mm.ID] = hist
 			r.res[mm.ID] = mm.RKind
-			ws.geSum += mm.G
-			ws.geN++
 			for k := range mm.RKind {
 				ws.load[k] += mm.RKind[k]
 			}
@@ -310,16 +277,11 @@ func (r *Rebalancer) Scan() []Plan {
 	return r.decide(states)
 }
 
-// decide applies the pressure-gap and straggler heuristics to a snapshot.
+// decide applies the pressure-gap heuristic to a snapshot.
 func (r *Rebalancer) decide(states []workerState) []Plan {
 	var plans []Plan
-	clusterSum, clusterN := 0.0, 0
-	for i := range states {
-		clusterSum += states[i].geSum
-		clusterN += states[i].geN
-	}
 	for len(plans) < r.cfg.MaxMovesPerScan {
-		src := r.pickSource(states, clusterSum, clusterN, len(plans) == 0)
+		src := r.pickSource(states)
 		if src == nil {
 			break
 		}
@@ -353,9 +315,8 @@ func (r *Rebalancer) decide(states []workerState) []Plan {
 }
 
 // pickSource returns the worker to unload, or nil if the cluster is
-// balanced. Pressure gap dominates; the straggler check (only meaningful
-// with GE data) runs once per scan.
-func (r *Rebalancer) pickSource(states []workerState, clusterSum float64, clusterN int, allowStraggler bool) *workerState {
+// balanced.
+func (r *Rebalancer) pickSource(states []workerState) *workerState {
 	var hottest, coldest *workerState
 	for i := range states {
 		ws := &states[i]
@@ -373,28 +334,8 @@ func (r *Rebalancer) pickSource(states []workerState, clusterSum float64, cluste
 	if hottest == nil || coldest == nil {
 		return nil
 	}
-	if hottest.running-coldest.running >= r.cfg.MinGap {
+	if hottest.running-coldest.running >= minGap {
 		return hottest
-	}
-	if !allowStraggler || clusterN == 0 {
-		return nil
-	}
-	clusterMean := clusterSum / float64(clusterN)
-	for i := range states {
-		ws := &states[i]
-		if ws.worker.Failed() || len(ws.movable) == 0 || ws.running < 2 {
-			continue
-		}
-		mean, ok := ws.meanGE()
-		if !ok || mean >= stragglerFactor*clusterMean {
-			continue
-		}
-		// Straggling node: only worth unloading if somewhere is strictly
-		// less crowded.
-		if coldest.running < ws.running {
-			ws.stragglerHit = true
-			return ws
-		}
 	}
 	return nil
 }
@@ -481,17 +422,12 @@ func (r *Rebalancer) planMove(states []workerState, src *workerState) (Plan, boo
 	if dst == nil {
 		return Plan{}, false
 	}
-	reason := "pressure-gap"
-	if src.stragglerHit {
-		reason = "straggler"
-	}
 	return Plan{
 		Job:       v.job,
 		Src:       src.worker.Name(),
 		Dst:       dst.worker.Name(),
 		G:         v.g,
 		GEHistory: append([]float64(nil), r.ge[c.ID]...),
-		Reason:    reason,
 	}, true
 }
 

@@ -38,7 +38,6 @@ func buildCluster(n int) (*sim.Engine, *cluster.Manager, []*cluster.Worker) {
 func TestConfigValidation(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"negative interval": {Interval: -1},
-		"negative gap":      {MinGap: -1},
 		"negative move cap": {MaxMovesPerScan: -1},
 		// A cost Manager.Migrate would refuse must fail here, not turn
 		// every planned move into a silent no-op.
@@ -56,7 +55,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	r := New(Config{})
 	cfg := r.Config()
-	if cfg.Interval != 20 || cfg.MinGap != 2 || cfg.MaxMovesPerScan != 1 {
+	if cfg.Interval != 20 || cfg.MaxMovesPerScan != 1 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	if cfg.Cost != cluster.DefaultMigrationCost() {
@@ -81,8 +80,9 @@ func TestPressureGapRebalances(t *testing.T) {
 	if r.Executed() == 0 || m.Migrated() == 0 {
 		t.Fatalf("no migrations executed (scans=%d plans=%d)", r.Scans(), r.Plans())
 	}
-	// Once balanced the rebalancer stops: with MinGap 2 a 2/2 split (or a
-	// transient 3/1) plans nothing further, so plans stay bounded.
+	// Once balanced the rebalancer stops: with a minimum gap of 2 a 2/2
+	// split (or a transient 3/1) plans nothing further, so plans stay
+	// bounded.
 	if r.Plans() > 2 {
 		t.Fatalf("rebalancer kept planning after balance: %d plans", r.Plans())
 	}
@@ -109,25 +109,22 @@ func TestBalancedClusterPlansNothing(t *testing.T) {
 	}
 }
 
-// The straggler heuristic moves a low-GE container off a node whose mean
-// growth efficiency collapsed, even with no container-count pressure gap.
-func TestStragglerHeuristic(t *testing.T) {
-	e, m, workers := buildCluster(3)
-	// Cap w0/w1 at 2 so the late jobs land on w1 and w2 stays empty.
-	workers[0].SetMaxContainers(2)
-	workers[1].SetMaxContainers(2)
-	// Old jobs on w0: by t=300 their exponential loss has flattened, so
-	// their GE is a tiny fraction of the fresh jobs'.
+// The victim is the source's lowest-GE movable container: with two old
+// jobs and a fresh one on the hot node, an old job moves, and the plan
+// carries its GE trail.
+func TestPressureGapMovesLowestGEVictim(t *testing.T) {
+	e, m, _ := buildCluster(2)
+	// FirstFit stacks all three on w0. By t=300 the old jobs' exponential
+	// loss has flattened, so their GE is a tiny fraction of the fresh
+	// job's.
 	m.Submit(0, "old-a", longJob("LJ"))
 	m.Submit(0, "old-b", longJob("LJ"))
 	m.Submit(300, "new-a", longJob("LJ"))
-	m.Submit(300, "new-b", longJob("LJ"))
 
-	// MinGap 10 disables the pressure-gap path; only the straggler
-	// heuristic can move anything. The huge interval keeps the periodic
-	// tick out of the window so the test drives Scan by hand and can
-	// inspect the plan before anything executes.
-	r := New(Config{Interval: 100000, MinGap: 10})
+	// The huge interval keeps the periodic tick out of the window so the
+	// test drives Scan by hand and can inspect the plan before anything
+	// executes.
+	r := New(Config{Interval: 100000})
 	r.AttachCluster(e, m)
 
 	var plans []Plan
@@ -137,17 +134,14 @@ func TestStragglerHeuristic(t *testing.T) {
 	})
 	e.Run(330)
 	if len(plans) != 1 {
-		t.Fatalf("straggler scan planned %d moves, want 1", len(plans))
+		t.Fatalf("scan planned %d moves, want 1", len(plans))
 	}
 	p := plans[0]
-	if p.Reason != "straggler" {
-		t.Fatalf("reason = %q, want straggler", p.Reason)
-	}
-	if p.Src != "w0" || p.Dst != "w2" {
-		t.Fatalf("move %s -> %s, want w0 -> w2", p.Src, p.Dst)
+	if p.Src != "w0" || p.Dst != "w1" {
+		t.Fatalf("move %s -> %s, want w0 -> w1", p.Src, p.Dst)
 	}
 	if p.Job != "old-a" && p.Job != "old-b" {
-		t.Fatalf("victim %q is not one of the stragglers", p.Job)
+		t.Fatalf("victim %q is not one of the old, low-GE jobs", p.Job)
 	}
 	if len(p.GEHistory) == 0 || p.GEHistory[len(p.GEHistory)-1] != p.G {
 		t.Fatalf("GE history %v does not end at plan G %g", p.GEHistory, p.G)

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"slices"
 	"unsafe"
 )
 
@@ -32,14 +31,16 @@ const minSketchMagnitude = 1e-9
 // bucket. Zero is counted exactly and negative values go to a mirrored
 // store, so the guarantee holds for any real-valued stream.
 //
-// Memory behavior: O(buckets), where the bucket count grows with the
-// number of distinct magnitude scales in the stream — not with the
-// number of samples — and is hard-capped at maxSketchBuckets per sign
-// (lowest-magnitude buckets collapse first, so upper quantiles keep
-// their guarantee even in the capped regime): 16 bytes per live bucket,
-// see MemoryBytes. Add allocates only when a value lands in a previously
-// unseen bucket and the bucket slice is full; steady-state sampling is
-// allocation-free, and Quantile neither sorts nor allocates.
+// Memory behavior: each sign keeps a window of counts, one 8-byte slot
+// per bucket index between the lowest and highest magnitude seen (~115
+// per decade), whatever the number of samples. The window only grows, and
+// never past the indexes of minSketchMagnitude and MaxFloat64, so a store
+// is at most ~36.5 k slots (292 KB) at the default accuracy; see
+// MemoryBytes. At most maxSketchBuckets of the slots are live per sign
+// (lowest-magnitude buckets collapse first, so upper quantiles keep their
+// guarantee even in the capped regime). Add allocates only when a value
+// lands outside the window; steady-state sampling is allocation-free, and
+// Quantile neither sorts nor allocates.
 //
 // The guarantee: for a sample of n values, Quantile(q) returns a value v
 // such that |v − x| ≤ α·|x| where x is the exact order statistic of rank
@@ -54,74 +55,91 @@ type QuantileSketch struct {
 	n          int64
 }
 
-// sketchBucket is one live bucket: its index k and how many values fell
-// into (γ^(k−1), γ^k].
-type sketchBucket struct {
-	key   int32
-	count int64
-}
+// sketchWindow is the first window a store allocates, centred on its
+// first key: about half a decade either side at the default accuracy, so
+// a metric stream spanning 80–850 keys grows it at most three times.
+const sketchWindow = 128
 
-// sketchStore is one sign's buckets: only the live ones, sorted by key —
-// the contiguous ordered store the DDSketch paper recommends over a hash
-// map. A metric stream lands in a handful of neighbouring buckets and
-// mostly in the one it hit last, so add checks the last-hit index first,
-// binary-searches on a miss and shifts the tail up on first contact with
-// a key; Quantile walks the slice in order. After a collapse, clampKey
-// marks the lowest live key: anything below it merges into it, trading
-// accuracy at the collapsed (low-magnitude) end for bounded memory.
+// sketchStore is one sign's buckets in DDSketch's dense layout: counts[i]
+// holds key offset+i, so add is a bounds check and an increment. A run
+// sketch sees every job's samples interleaved, over 80–850 neighbouring
+// keys (growth efficiency swings over decades), so consecutive adds rarely
+// share a bucket; the window makes each one O(1) whatever the order.
 //
-// A dense window indexed by key − minKey would make add O(1), but metric
-// streams hold their live buckets spread over a span of 80–850 keys
-// (growth efficiency swings over decades). With a store per job and kind
-// the window doubled a megacluster run's peak RSS; the metrics collector
-// now keeps five sketches per run, so that cost no longer scales with
-// jobs, and whether a window pays is a question for a measured change.
+// A key outside the window grows it toward the key, at least doubling so
+// a stream walking outward pays O(log span) copies, and never past
+// [minKey, maxKey] — the keys of minSketchMagnitude and MaxFloat64 — so a
+// store holds at most maxKey−minKey+1 slots (36 525 at α = 0.01, 292 KB)
+// whatever the stream. The window never shrinks.
+//
+// live counts the non-zero slots. When a new one takes it past
+// maxSketchBuckets, the lowest live bucket merges into the next lowest and
+// clampKey marks the new lowest: anything below it merges into it,
+// trading accuracy at the collapsed (low-magnitude) end for a bounded
+// bucket count.
 type sketchStore struct {
-	buckets  []sketchBucket
-	last     int
-	clampKey int32
-	clamped  bool
+	counts         []int64
+	offset         int32
+	live           int
+	clampKey       int32
+	clamped        bool
+	minKey, maxKey int32
 }
 
 func (s *sketchStore) add(key int32) {
 	if s.clamped && key < s.clampKey {
 		key = s.clampKey
 	}
-	if s.last < len(s.buckets) && s.buckets[s.last].key == key {
-		s.buckets[s.last].count++
-		return
+	i := int(key) - int(s.offset)
+	if uint(i) >= uint(len(s.counts)) {
+		i = s.grow(key)
 	}
-	// Hand-rolled: through slices.BinarySearchFunc's comparator this,
-	// the miss path of every sample, measured 22 → 36 ns per Add
-	// (BenchmarkSketchAdd).
-	lo, hi := 0, len(s.buckets)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.buckets[mid].key < key {
-			lo = mid + 1
-		} else {
-			hi = mid
+	s.counts[i]++
+	if s.counts[i] == 1 {
+		s.live++
+		if s.live > maxSketchBuckets {
+			s.collapse()
 		}
-	}
-	s.last = lo
-	if lo < len(s.buckets) && s.buckets[lo].key == key {
-		s.buckets[lo].count++
-		return
-	}
-	s.buckets = slices.Insert(s.buckets, lo, sketchBucket{key: key, count: 1})
-	if len(s.buckets) > maxSketchBuckets {
-		s.collapse()
 	}
 }
 
-// collapse merges the lowest-keyed (smallest-magnitude) bucket into the
-// next lowest, keeping the store at the cap.
+// grow widens the window to hold key and returns key's index in it.
+func (s *sketchStore) grow(key int32) int {
+	n := int32(len(s.counts))
+	lo, hi := key-sketchWindow/2, key+sketchWindow/2-1
+	if n > 0 && key < s.offset {
+		lo, hi = min(key, s.offset-n), s.offset+n-1
+	} else if n > 0 {
+		lo, hi = s.offset, max(key, s.offset+2*n-1)
+	}
+	lo, hi = max(lo, s.minKey), min(hi, s.maxKey)
+	counts := make([]int64, hi-lo+1)
+	if n > 0 {
+		copy(counts[s.offset-lo:], s.counts)
+	}
+	s.counts, s.offset = counts, lo
+	return int(key - lo)
+}
+
+// collapse merges the lowest live bucket into the next lowest, keeping the
+// store at the cap.
 func (s *sketchStore) collapse() {
-	s.buckets[1].count += s.buckets[0].count
-	s.buckets = slices.Delete(s.buckets, 0, 1)
-	s.clampKey = s.buckets[0].key
+	lo := 0
+	if s.clamped {
+		lo = int(s.clampKey - s.offset)
+	}
+	for s.counts[lo] == 0 {
+		lo++
+	}
+	next := lo + 1
+	for s.counts[next] == 0 {
+		next++
+	}
+	s.counts[next] += s.counts[lo]
+	s.counts[lo] = 0
+	s.live--
+	s.clampKey = s.offset + int32(next)
 	s.clamped = true
-	s.last = max(s.last-1, 0)
 }
 
 // NewQuantileSketch returns an empty sketch with relative accuracy
@@ -146,6 +164,9 @@ func (s *QuantileSketch) Init(alpha float64) {
 		gamma:      gamma,
 		invLnGamma: 1 / math.Log(gamma),
 	}
+	minKey, maxKey := s.key(minSketchMagnitude), s.key(math.MaxFloat64)
+	s.pos = sketchStore{minKey: minKey, maxKey: maxKey}
+	s.neg = s.pos
 }
 
 // key maps a magnitude (≥ minSketchMagnitude) to its bucket index
@@ -163,8 +184,8 @@ func (s *QuantileSketch) rep(k int32) float64 {
 // Add folds one value into the sketch. NaN and ±Inf panic — the metric
 // pipeline never produces them, so one is a collection bug, and no bucket
 // index can hold an infinity (its key overflows int32 and would file +Inf
-// as the smallest value). Allocation happens only on first contact with a
-// bucket; repeated values are free.
+// as the smallest value). Allocation happens only when a value lands
+// outside its store's window; values inside it are free.
 func (s *QuantileSketch) Add(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		panic(fmt.Sprintf("stats: %g added to sketch", v))
@@ -198,22 +219,23 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 	}
 	rank := int64(q * float64(s.n-1))
 	// Walk values in ascending order: negatives from largest magnitude
-	// down, then the zero bucket, then positives from smallest up.
+	// down, then the zero bucket, then positives from smallest up. An
+	// empty slot adds nothing to cum, so it can never satisfy rank < cum.
 	cum := int64(0)
-	for i := len(s.neg.buckets) - 1; i >= 0; i-- {
-		cum += s.neg.buckets[i].count
+	for i := len(s.neg.counts) - 1; i >= 0; i-- {
+		cum += s.neg.counts[i]
 		if rank < cum {
-			return -s.rep(s.neg.buckets[i].key)
+			return -s.rep(s.neg.offset + int32(i))
 		}
 	}
 	cum += s.zeros
 	if rank < cum {
 		return 0
 	}
-	for _, b := range s.pos.buckets {
-		cum += b.count
+	for i, c := range s.pos.counts {
+		cum += c
 		if rank < cum {
-			return s.rep(b.key)
+			return s.rep(s.pos.offset + int32(i))
 		}
 	}
 	// Unreachable unless counts are inconsistent.
@@ -221,9 +243,9 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 }
 
 // MemoryBytes returns the sketch's retained memory: the struct itself
-// plus 16 bytes (key + count) per slot of the two bucket slices, by
-// capacity since the backing arrays are held either way. It is exact for
-// the heap the sketch owns; allocator size-class rounding is not counted.
+// plus 8 bytes per slot of the two count windows, by capacity since the
+// backing arrays are held either way. It is exact for the heap the sketch
+// owns; allocator size-class rounding is not counted.
 func (s *QuantileSketch) MemoryBytes() int {
-	return int(unsafe.Sizeof(*s)) + (cap(s.pos.buckets)+cap(s.neg.buckets))*int(unsafe.Sizeof(sketchBucket{}))
+	return int(unsafe.Sizeof(*s)) + (cap(s.pos.counts)+cap(s.neg.counts))*int(unsafe.Sizeof(int64(0)))
 }

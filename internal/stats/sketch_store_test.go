@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
-// mapStore is the hash-map bucket store the sketch used before the sorted
-// slice, kept as the reference the fuzz target holds sketchStore to:
-// same counts per key, same collapse order, therefore same quantiles.
+// mapStore is the hash-map bucket store the sketch used before its
+// sorted slice and dense window, kept as the reference the fuzz target
+// holds sketchStore to: same counts per key, same collapse order,
+// therefore same quantiles.
 type mapStore struct {
 	buckets  map[int32]int64
 	clampKey int32
@@ -98,21 +100,27 @@ func (r *refSketch) Quantile(q float64) float64 {
 	panic("reference sketch rank walk overran total count")
 }
 
-// FuzzSketchStore drives the sorted-slice store and the map reference
-// with the same stream and demands identical Count and quantiles. The
-// stream is drawn from a seeded generator shaped by the fuzzed arguments:
-// n values whose magnitudes spread over `spread` bucket indexes (beyond
-// maxSketchBuckets the stores collapse), negPct% negative, zeroPct% zero,
-// and a `sticky` chance of repeating the previous value (the last-hit
-// fast path).
+// FuzzSketchStore drives the dense store and the map reference with the
+// same stream and demands identical Count and quantiles, and checks the
+// store's own invariants. The stream is drawn from a seeded generator
+// shaped by the fuzzed arguments: n values whose magnitudes spread over
+// `spread` bucket indexes (beyond maxSketchBuckets the stores collapse),
+// negPct% negative, zeroPct% zero, extremePct% at an end of the indexable
+// range (minSketchMagnitude or 1e300, so the window grows both ways), and
+// a `sticky` chance of repeating the previous value.
 func FuzzSketchStore(f *testing.F) {
-	f.Add(int64(1), uint16(100), uint16(6), uint8(0), uint8(0), uint8(200))
-	f.Add(int64(2), uint16(5000), uint16(850), uint8(50), uint8(10), uint8(0))
-	f.Add(int64(3), uint16(20000), uint16(3*maxSketchBuckets), uint8(0), uint8(0), uint8(30))
-	f.Add(int64(4), uint16(20000), uint16(3*maxSketchBuckets), uint8(100), uint8(0), uint8(0))
-	f.Add(int64(5), uint16(30000), uint16(65535), uint8(40), uint8(5), uint8(100))
-	f.Add(int64(6), uint16(1), uint16(0), uint8(0), uint8(100), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, n, spread uint16, negPct, zeroPct, sticky uint8) {
+	f.Add(int64(1), uint16(100), uint16(6), uint8(0), uint8(0), uint8(200), uint8(0))
+	f.Add(int64(2), uint16(5000), uint16(850), uint8(50), uint8(10), uint8(0), uint8(0))
+	f.Add(int64(3), uint16(20000), uint16(3*maxSketchBuckets), uint8(0), uint8(0), uint8(30), uint8(0))
+	f.Add(int64(4), uint16(20000), uint16(3*maxSketchBuckets), uint8(100), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(5), uint16(30000), uint16(65535), uint8(40), uint8(5), uint8(100), uint8(0))
+	f.Add(int64(6), uint16(1), uint16(0), uint8(0), uint8(100), uint8(0), uint8(0))
+	// The run-sketch pattern: every job's samples interleaved, in random
+	// order over ~850 neighbouring keys.
+	f.Add(int64(7), uint16(40000), uint16(850), uint8(0), uint8(0), uint8(0), uint8(0))
+	// Both ends of the indexable range, either sign, among mid values.
+	f.Add(int64(8), uint16(5000), uint16(200), uint8(50), uint8(0), uint8(0), uint8(20))
+	f.Fuzz(func(t *testing.T, seed int64, n, spread uint16, negPct, zeroPct, sticky, extremePct uint8) {
 		if n == 0 {
 			return
 		}
@@ -130,13 +138,18 @@ func FuzzSketchStore(f *testing.F) {
 				}
 			}
 			for _, st := range []*sketchStore{&sk.pos, &sk.neg} {
-				if len(st.buckets) > maxSketchBuckets {
-					t.Fatalf("store holds %d buckets, cap %d", len(st.buckets), maxSketchBuckets)
-				}
-				for i := 1; i < len(st.buckets); i++ {
-					if st.buckets[i-1].key >= st.buckets[i].key {
-						t.Fatalf("store keys out of order at %d: %d then %d", i, st.buckets[i-1].key, st.buckets[i].key)
+				live := 0
+				for i, c := range st.counts {
+					if c == 0 {
+						continue
 					}
+					live++
+					if key := st.offset + int32(i); st.clamped && key < st.clampKey {
+						t.Fatalf("after %d adds: count %d at key %d, below clamp key %d", at, c, key, st.clampKey)
+					}
+				}
+				if live != st.live || live > maxSketchBuckets {
+					t.Fatalf("after %d adds: %d non-zero slots, live count %d, cap %d", at, live, st.live, maxSketchBuckets)
 				}
 			}
 		}
@@ -147,9 +160,16 @@ func FuzzSketchStore(f *testing.F) {
 				case p < int(zeroPct):
 					v = 0
 				default:
-					// γ^k for k spread around 0: one bucket index per k.
-					k := rng.Intn(int(spread)+1) - int(spread)/2
-					v = math.Pow(sk.gamma, float64(k))
+					if p < int(zeroPct)+int(extremePct) {
+						v = minSketchMagnitude
+						if rng.Intn(2) == 0 {
+							v = 1e300
+						}
+					} else {
+						// γ^k for k spread around 0: one bucket index per k.
+						k := rng.Intn(int(spread)+1) - int(spread)/2
+						v = math.Pow(sk.gamma, float64(k))
+					}
 					if rng.Intn(100) < int(negPct) {
 						v = -v
 					}
@@ -163,4 +183,40 @@ func FuzzSketchStore(f *testing.F) {
 		}
 		check(int(n))
 	})
+}
+
+// TestSketchStoreSpanBound pins the dense store's worst case. A stream
+// reaching both ends of the indexable range, of either sign, grows each
+// window to at most the key domain — ⌈log_γ MaxFloat64⌉ − ⌈log_γ 1e-9⌉ + 1
+// = 36 525 slots at α = 0.01 — however the doubling falls, and
+// MemoryBytes is exactly the struct plus 8 B per slot of both windows.
+func TestSketchStoreSpanBound(t *testing.T) {
+	const maxSlots = 37_000 // per store, at DefaultSketchAccuracy
+	sk := NewQuantileSketch(DefaultSketchAccuracy)
+	base := int(unsafe.Sizeof(*sk))
+	// Walk up from the bottom of the range a few decades at a time, so
+	// each grow doubles past the last key, then jump to the top.
+	vals := []float64{minSketchMagnitude}
+	for v := 1e-6; v < 1e300; v *= 1e25 {
+		vals = append(vals, v)
+	}
+	vals = append(vals, math.MaxFloat64/2)
+	for _, v := range vals {
+		sk.Add(v)
+		sk.Add(-v)
+		mem := sk.MemoryBytes()
+		if want := base + 8*(cap(sk.pos.counts)+cap(sk.neg.counts)); mem != want {
+			t.Fatalf("after %g: MemoryBytes %d, want struct %d + 8 B × (%d + %d) slots = %d",
+				v, mem, base, cap(sk.pos.counts), cap(sk.neg.counts), want)
+		}
+		if bound := base + 2*8*maxSlots; mem > bound {
+			t.Fatalf("after %g: MemoryBytes %d over the %d-slot bound %d", v, mem, maxSlots, bound)
+		}
+	}
+	for _, st := range []*sketchStore{&sk.pos, &sk.neg} {
+		if st.offset != st.minKey || int(st.offset)+len(st.counts)-1 != int(st.maxKey) {
+			t.Fatalf("window [%d, %d], want the key domain [%d, %d]",
+				st.offset, int(st.offset)+len(st.counts)-1, st.minKey, st.maxKey)
+		}
+	}
 }

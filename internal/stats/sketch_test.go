@@ -103,7 +103,7 @@ func TestSketchBucketCapCollapses(t *testing.T) {
 	for i := 0; i < 3*maxSketchBuckets; i++ {
 		sk.Add(math.Pow(1.021, float64(i)) * 1e-9)
 	}
-	if got := len(sk.pos.buckets); got > maxSketchBuckets {
+	if got := sk.pos.live; got > maxSketchBuckets {
 		t.Fatalf("bucket cap violated: %d buckets", got)
 	}
 	if !sk.pos.clamped {
