@@ -102,6 +102,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSketchStore$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzSeries$$' -fuzztime=$(FUZZTIME) ./internal/metrics
 	$(GO) test -run='^$$' -fuzz='^FuzzReadArchive$$' -fuzztime=$(FUZZTIME) ./internal/metrics
+	$(GO) test -run='^$$' -fuzz='^FuzzAgentRequests$$' -fuzztime=$(FUZZTIME) ./internal/agent
 
 # Docs hygiene: every relative markdown link in README/ROADMAP/docs/
 # must resolve (no network — external links are skipped), and the Go

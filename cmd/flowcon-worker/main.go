@@ -9,9 +9,10 @@
 //	               [-max-running 0] [-queue-depth 16]
 //	               [-log-level info] [-log-format text]
 //
-// -max-running bounds concurrently running jobs admitted through
-// /v1/jobs (0 = unlimited); overflow queues up to -queue-depth deep, and
-// beyond that submissions get 429.
+// -max-running bounds concurrently running containers (0 = unlimited);
+// POST /v1/jobs is the only route that starts one, so the cap holds on
+// every route. Overflow queues up to -queue-depth deep, and beyond that
+// submissions get 429.
 //
 // The worker serves live telemetry on /v1/metrics (Prometheus text) and
 // /v1/healthz (readiness + backpressure); see docs/OBSERVABILITY.md.
@@ -46,7 +47,7 @@ func main() {
 	addr := flag.String("addr", ":7070", "listen address")
 	capacity := flag.Float64("capacity", 1.0, "normalized CPU capacity of this node")
 	settle := flag.Duration("settle", 250*time.Millisecond, "background accounting period")
-	maxRunning := flag.Int("max-running", 0, "max concurrently running jobs via /v1/jobs (0 = unlimited)")
+	maxRunning := flag.Int("max-running", 0, "max concurrently running containers, on every route (0 = unlimited)")
 	queueDepth := flag.Int("queue-depth", 16, "admission queue depth before /v1/jobs returns 429")
 	logLevel, logFormat := telemetry.LogFlags(flag.CommandLine)
 	flag.Parse()

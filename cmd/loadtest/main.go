@@ -2,20 +2,21 @@
 // concurrent submitters and reports the per-phase latency breakdown
 // (connect / submit / status-poll) — the CI loadtest-smoke gate
 // (scripts/loadtest-smoke.sh boots a worker, runs this against it, and
-// fails on any error or a p99 submit latency over budget).
+// fails on any error or a p99 submit latency over budget). Every job it
+// submits goes through the worker's admission queue, the one way a
+// container starts there.
 //
 // Usage:
 //
 //	loadtest -worker http://localhost:7070 [-submitters 8] [-jobs 25]
 //	         [-model "MNIST (Pytorch)"] [-p99-budget 500ms]
-//	         [-bench-out BENCH_sim.json] [-assert-metrics] [-cleanup]
-//	         [-log-level info] [-log-format text]
+//	         [-assert-metrics] [-cleanup] [-log-level info] [-log-format text]
 //
-// With -bench-out the latency fields (including the phase split) are
-// recorded additively on the newest BENCH_sim.json entry (schema stays
-// 2; see docs/BENCH_SCHEMA.md). With -assert-metrics the run scrapes the
-// worker's /v1/metrics afterwards and fails unless the agent-side submit
-// counters are consistent with what this client observed.
+// The report goes to stdout only; the benchmark's live-submit workload
+// owns the recorded end-to-end latency. With -assert-metrics the run
+// scrapes the worker's /v1/metrics afterwards and fails unless the
+// agent-side submit counters are consistent with what this client
+// observed.
 package main
 
 import (
@@ -28,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/agent"
-	"repro/internal/benchfile"
 	"repro/internal/telemetry"
 )
 
@@ -38,7 +38,6 @@ func main() {
 	jobs := flag.Int("jobs", 25, "submissions per submitter")
 	model := flag.String("model", "MNIST (Pytorch)", "catalog model key to submit")
 	budget := flag.Duration("p99-budget", 0, "fail when p99 submit latency exceeds this (0 = no gate)")
-	benchOut := flag.String("bench-out", "", "record the result on the newest entry of this BENCH_sim.json (skipped when empty)")
 	assertMetrics := flag.Bool("assert-metrics", false,
 		"scrape /v1/metrics after the run and fail unless the worker's submit counters match this client's view")
 	cleanup := flag.Bool("cleanup", true, "cancel submitted jobs afterwards")
@@ -71,14 +70,6 @@ func main() {
 	fmt.Printf("  connect:     %s\n", rep.Phases.Connect)
 	fmt.Printf("  submit:      %s\n", rep.Phases.Submit)
 	fmt.Printf("  status-poll: %s\n", rep.Phases.StatusPoll)
-
-	if *benchOut != "" {
-		if err := record(*benchOut, *submitters, rep); err != nil {
-			logger.Warn("recording failed", "path", *benchOut, "err", err)
-		} else {
-			logger.Info("recorded on newest entry", "path", *benchOut)
-		}
-	}
 
 	if rep.Errors > 0 {
 		logger.Error("submissions failed", "errors", rep.Errors, "first", rep.FirstError)
@@ -146,42 +137,4 @@ func sampleValue(text, sample string) (float64, error) {
 		}
 	}
 	return 0, fmt.Errorf("sample %s missing from scrape", sample)
-}
-
-// record attaches the latency fields, phase split included, to the
-// newest BENCH_sim.json entry.
-func record(path string, submitters int, rep agent.LoadReport) error {
-	doc, err := benchfile.Load(path)
-	if err != nil {
-		return err
-	}
-	if len(doc.Entries) == 0 {
-		return fmt.Errorf("no entries to attach to")
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	phase := func(p agent.PhaseStats) benchfile.LoadtestPhase {
-		return benchfile.LoadtestPhase{
-			Count: p.Count,
-			P50Ms: ms(p.P50),
-			P95Ms: ms(p.P95),
-			P99Ms: ms(p.P99),
-			MaxMs: ms(p.Max),
-		}
-	}
-	doc.Entries[len(doc.Entries)-1].Loadtest = &benchfile.LoadtestResult{
-		Submitters: submitters,
-		Jobs:       rep.Submitted + rep.Errors,
-		Errors:     rep.Errors,
-		P50Ms:      ms(rep.P50),
-		P95Ms:      ms(rep.P95),
-		P99Ms:      ms(rep.P99),
-		MaxMs:      ms(rep.Max),
-		WallSec:    rep.Elapsed.Seconds(),
-		Phases: &benchfile.LoadtestPhases{
-			Connect:    phase(rep.Phases.Connect),
-			Submit:     phase(rep.Phases.Submit),
-			StatusPoll: phase(rep.Phases.StatusPoll),
-		},
-	}
-	return doc.Write(path)
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/dlmodel"
 	"repro/internal/livedock"
 	"repro/internal/realtime"
+	"repro/internal/runtime"
 )
 
 // scaled returns the profile with its epoch budget compressed by factor,
@@ -53,7 +54,7 @@ func main() {
 
 	launch := func(name string, p repro.Profile) {
 		job := dlmodel.NewJob(name, scaled(p, speedup))
-		if _, err := node.Run(name, job); err != nil {
+		if _, err := node.Launch(runtime.LaunchSpec{Name: name, Workload: job}); err != nil {
 			fmt.Println("launch:", err)
 		}
 		fmt.Printf("%6.1fs  launched %s\n", time.Since(start).Seconds(), name)
@@ -76,7 +77,7 @@ func main() {
 			return
 		case <-ticker.C:
 			node.Settle()
-			snap := node.Snapshot()
+			snap := node.PS(true)
 			running := 0
 			fmt.Printf("%6.1fs  ", time.Since(start).Seconds())
 			for _, c := range snap {
@@ -84,8 +85,8 @@ func main() {
 				if l, ok := driver.ListOf(c.ID); ok {
 					list = l.String()
 				}
-				fmt.Printf("[%s %s %s lim=%.2f cpu=%.1fs] ", c.Name, c.State, list, c.Limit, c.CPUSec)
-				if c.State == livedock.Running {
+				fmt.Printf("[%s %s %s lim=%.2f cpu=%.1fs] ", c.Name, c.State, list, c.CPULimit, c.CPUSeconds)
+				if c.State == runtime.Running {
 					running++
 				}
 			}

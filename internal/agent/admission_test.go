@@ -87,3 +87,54 @@ func TestAdmissionCapHoldsUnderConcurrency(t *testing.T) {
 		}
 	}
 }
+
+// serve runs one request through h in-process.
+func serve(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return rec
+}
+
+// No POST route starts a container past the admission queue: not while
+// the one running slot is taken, and not once the agent drains. The
+// patterns include the raw launch and the two stop routes the agent used
+// to serve, so a route that comes back without admission shows here.
+func TestNoRouteStartsAContainerPastAdmission(t *testing.T) {
+	node := livedock.NewNodeWithClock(1.0, newFakeClock().Now)
+	s := NewServer(node, 1.0)
+	s.SetAdmissionLimits(1, 4)
+	h := s.Handler()
+	started := 0
+	node.OnStart(func(runtime.Container) { started++ })
+	if rec := serve(h, http.MethodPost, "/v1/jobs", `{"name":"a","model":"MNIST (Pytorch)"}`); rec.Code != http.StatusCreated {
+		t.Fatalf("submit a: status %d: %s", rec.Code, rec.Body)
+	}
+	postAll := func(phase, name string) {
+		body := fmt.Sprintf(`{"name":%q,"model":"MNIST (Pytorch)","cpu_limit":0.5}`, name)
+		for _, pattern := range []string{
+			"/v1/containers",
+			"/v1/containers/{id}/update",
+			"/v1/containers/{id}/stop",
+			"/v1/jobs",
+			"/v1/jobs/{name}/cancel",
+			"/v1/jobs/{name}/stop",
+		} {
+			path := strings.NewReplacer("{id}", name, "{name}", name).Replace(pattern)
+			rec := serve(h, http.MethodPost, path, body)
+			if got := node.RunningCount(); got != 1 {
+				t.Errorf("%s: POST %s answered %d and left %d running, want 1", phase, path, rec.Code, got)
+			}
+		}
+	}
+	postAll("slot taken", "b")
+	before := started
+	s.Drain()
+	postAll("draining", "c")
+	if started != before {
+		t.Errorf("%d containers started while draining", started-before)
+	}
+	text := serve(h, http.MethodGet, "/v1/metrics", "").Body.String()
+	if submits := metricValue(t, text, "flowcon_agent_submits_total"); submits < float64(started) {
+		t.Errorf("submits_total %g, but %d containers started", submits, started)
+	}
+}

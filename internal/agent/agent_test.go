@@ -58,10 +58,11 @@ func TestPing(t *testing.T) {
 
 func TestLaunchStatsStop(t *testing.T) {
 	c, clk := testAgent(t)
-	id, err := c.Launch(context.Background(), "job-a", "MNIST (Tensorflow)")
+	st, err := c.Submit(context.Background(), SubmitRequest{Name: "job-a", Model: "MNIST (Tensorflow)"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := st.ID
 	if id == "" {
 		t.Fatal("empty container id")
 	}
@@ -86,7 +87,7 @@ func TestLaunchStatsStop(t *testing.T) {
 		t.Fatalf("containers = %+v", list)
 	}
 
-	if err := c.Stop(context.Background(), id); err != nil {
+	if _, err := c.CancelJob(context.Background(), "job-a"); err != nil {
 		t.Fatal(err)
 	}
 	list, _ = c.Containers(context.Background())
@@ -96,28 +97,29 @@ func TestLaunchStatsStop(t *testing.T) {
 }
 
 func TestErrorMapping(t *testing.T) {
+	ctx := context.Background()
 	c, _ := testAgent(t)
-	if _, err := c.Launch(context.Background(), "", "MNIST (Tensorflow)"); err == nil || !strings.Contains(err.Error(), "required") {
+	if _, err := c.Submit(ctx, SubmitRequest{Model: "MNIST (Tensorflow)"}); err == nil || !strings.Contains(err.Error(), "required") {
 		t.Fatalf("empty name err = %v", err)
 	}
-	if _, err := c.Launch(context.Background(), "x", "NoSuchNet"); err == nil || !strings.Contains(err.Error(), "unknown model") {
+	if _, err := c.Submit(ctx, SubmitRequest{Name: "x", Model: "NoSuchNet"}); err == nil || !strings.Contains(err.Error(), "unknown model") {
 		t.Fatalf("unknown model err = %v", err)
 	}
 	if err := c.SetCPULimit("ghost", 0.5); err == nil || !strings.Contains(err.Error(), "no such container") {
 		t.Fatalf("missing container err = %v", err)
 	}
-	id, _ := c.Launch(context.Background(), "y", "RNN-GRU (Tensorflow)")
-	if err := c.SetCPULimit(id, 7); err == nil || !strings.Contains(err.Error(), "limit") {
+	st, _ := c.Submit(ctx, SubmitRequest{Name: "y", Model: "RNN-GRU (Tensorflow)"})
+	if err := c.SetCPULimit(st.ID, 7); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("bad limit err = %v", err)
 	}
-	if err := c.Stop(context.Background(), "ghost"); err == nil {
-		t.Fatal("stop ghost succeeded")
+	if _, err := c.CancelJob(ctx, "ghost"); !errors.Is(err, runtime.ErrNotFound) {
+		t.Fatalf("cancel ghost err = %v, want ErrNotFound", err)
 	}
-	if err := c.Stop(context.Background(), id); err != nil {
+	if _, err := c.CancelJob(ctx, "y"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Stop(context.Background(), id); err == nil {
-		t.Fatal("double stop succeeded")
+	if _, err := c.CancelJob(ctx, "y"); !errors.Is(err, runtime.ErrNotRunning) {
+		t.Fatalf("cancel of an exited job err = %v, want ErrNotRunning", err)
 	}
 }
 
@@ -139,20 +141,22 @@ func TestClientDegradedOnDeadAgent(t *testing.T) {
 func TestRemoteFlowConDriver(t *testing.T) {
 	c, clk := testAgent(t)
 
-	vaeID, err := c.Launch(context.Background(), "vae", "VAE (Pytorch)")
+	vae, err := c.Submit(context.Background(), SubmitRequest{Name: "vae", Model: "VAE (Pytorch)"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	vaeID := vae.ID
 	d := realtime.NewDriver(flowcon.Config{Alpha: 0.05, Beta: 2, InitialInterval: 20}, c)
 
 	var mnistID string
 	for step := 1; step <= 120; step++ {
 		clk.Advance(time.Second)
 		if step == 80 {
-			mnistID, err = c.Launch(context.Background(), "mnist", "MNIST (Tensorflow)")
+			mnist, err := c.Submit(context.Background(), SubmitRequest{Name: "mnist", Model: "MNIST (Tensorflow)"})
 			if err != nil {
 				t.Fatal(err)
 			}
+			mnistID = mnist.ID
 		}
 		d.Step(float64(step))
 	}
@@ -193,14 +197,14 @@ func TestRemoveFreesName(t *testing.T) {
 	if err := c.Remove(ctx, st.ID); err == nil || errors.Is(err, runtime.ErrNotFound) {
 		t.Fatalf("Remove of a running container = %v, want a refusal", err)
 	}
-	if err := c.Stop(ctx, st.ID); err != nil {
+	if _, err := c.CancelJob(ctx, "phoenix"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Stop(ctx, st.ID); !errors.Is(err, runtime.ErrNotRunning) {
-		t.Fatalf("double stop = %v, want ErrNotRunning", err)
+	if _, err := c.CancelJob(ctx, "phoenix"); !errors.Is(err, runtime.ErrNotRunning) {
+		t.Fatalf("double cancel = %v, want ErrNotRunning", err)
 	}
 	if got, err := c.JobStatus(ctx, "phoenix"); err != nil || got.State != "exited" || got.Done {
-		t.Fatalf("JobStatus after stop = %+v, %v; want exited, not done", got, err)
+		t.Fatalf("JobStatus after cancel = %+v, %v; want exited, not done", got, err)
 	}
 	if err := c.Remove(ctx, st.ID); err != nil {
 		t.Fatalf("Remove: %v", err)

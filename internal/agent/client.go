@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"repro/internal/flowcon"
@@ -131,25 +132,12 @@ func (c *Client) RunningStats() []flowcon.Stat {
 // endpoint, bounded by the HTTP client's timeout.
 func (c *Client) SetCPULimit(id string, limit float64) error {
 	return c.post(context.Background(),
-		fmt.Sprintf("/v1/containers/%s/update", id), UpdateRequest{CPULimit: limit}, nil)
-}
-
-// Launch starts a catalog model on the remote worker (the raw containers
-// surface — no admission control; Submit is the managed one).
-func (c *Client) Launch(ctx context.Context, name, model string) (string, error) {
-	var out LaunchResponse
-	err := c.post(ctx, "/v1/containers", LaunchRequest{Name: name, Model: model}, &out)
-	return out.ID, err
-}
-
-// Stop terminates a remote container by id.
-func (c *Client) Stop(ctx context.Context, id string) error {
-	return c.post(ctx, fmt.Sprintf("/v1/containers/%s/stop", id), struct{}{}, nil)
+		"/v1/containers/"+url.PathEscape(id)+"/update", UpdateRequest{CPULimit: limit}, nil)
 }
 
 // Remove deletes an exited remote container by id.
 func (c *Client) Remove(ctx context.Context, id string) error {
-	return c.del(ctx, fmt.Sprintf("/v1/containers/%s", id))
+	return c.del(ctx, "/v1/containers/"+url.PathEscape(id))
 }
 
 // Containers lists all remote containers.
@@ -219,21 +207,14 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest) (JobStatus, erro
 // JobStatus fetches one job's status by name.
 func (c *Client) JobStatus(ctx context.Context, name string) (JobStatus, error) {
 	var out JobStatus
-	err := c.get(ctx, "/v1/jobs/"+name, &out)
+	err := c.get(ctx, "/v1/jobs/"+url.PathEscape(name), &out)
 	return out, err
 }
 
 // CancelJob dequeues a queued job or stops its running container.
 func (c *Client) CancelJob(ctx context.Context, name string) (JobStatus, error) {
 	var out JobStatus
-	err := c.post(ctx, "/v1/jobs/"+name+"/cancel", struct{}{}, &out)
-	return out, err
-}
-
-// StopJob stops a job's running container by name.
-func (c *Client) StopJob(ctx context.Context, name string) (JobStatus, error) {
-	var out JobStatus
-	err := c.post(ctx, "/v1/jobs/"+name+"/stop", struct{}{}, &out)
+	err := c.post(ctx, "/v1/jobs/"+url.PathEscape(name)+"/cancel", struct{}{}, &out)
 	return out, err
 }
 

@@ -67,14 +67,42 @@ func TestJobsAdmissionFlow(t *testing.T) {
 		t.Fatalf("pong = %+v, %v (want 1 running, 1 queued)", pong, err)
 	}
 
-	// Stopping the running job frees the slot; the queued job is admitted
-	// automatically off the exit hook.
-	if st, err = c.StopJob(ctx, "j1"); err != nil || st.State != "exited" {
-		t.Fatalf("StopJob(j1) = %+v, %v", st, err)
+	// Cancelling the running job stops it and frees the slot; the queued
+	// job is admitted automatically off the exit hook.
+	if st, err = c.CancelJob(ctx, "j1"); err != nil || st.State != "exited" {
+		t.Fatalf("CancelJob(j1) = %+v, %v", st, err)
 	}
 	st, err = c.JobStatus(ctx, "j3")
 	if err != nil || st.State != "running" || st.ID == "" {
 		t.Fatalf("queued job after slot freed = %+v, %v (want auto-admitted)", st, err)
+	}
+}
+
+// A job name is one path segment however it is spelt: status and cancel
+// reach the named job, not one whose name is a prefix of it, and not a
+// 404 or 405 from a path the name split.
+func TestJobNamesAreEscapedInPaths(t *testing.T) {
+	ctx := context.Background()
+	c, _, _ := limitedAgent(t, 0, 0)
+	ids := map[string]string{}
+	names := []string{"a", "a?b", "x/y", "p%q", "s t"}
+	for _, name := range names {
+		st, err := c.Submit(ctx, SubmitRequest{Name: name, Model: "MNIST (Pytorch)"})
+		if err != nil || st.State != "running" {
+			t.Fatalf("submit %q = %+v, %v", name, st, err)
+		}
+		ids[name] = st.ID
+	}
+	for _, name := range names[1:] {
+		if st, err := c.JobStatus(ctx, name); err != nil || st.Name != name || st.ID != ids[name] {
+			t.Errorf("JobStatus(%q) = %+v, %v; want the job with id %s", name, st, err, ids[name])
+		}
+		if st, err := c.CancelJob(ctx, name); err != nil || st.Name != name || st.ID != ids[name] || st.State != "exited" {
+			t.Errorf("CancelJob(%q) = %+v, %v; want the job with id %s exited", name, st, err, ids[name])
+		}
+	}
+	if st, err := c.JobStatus(ctx, "a"); err != nil || st.State != "running" {
+		t.Errorf("job a after the others' cancels = %+v, %v; want running", st, err)
 	}
 }
 

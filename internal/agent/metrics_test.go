@@ -138,7 +138,7 @@ flowcon_agent_submit_latency_seconds_count 2
 	}
 }
 
-// Counters must track a launch/stop/error sequence exactly: exits via
+// Counters must track a submit/cancel/error sequence exactly: exits via
 // the OnExit hook, errors by code, and the submit counters staying
 // monotone through queue promotion.
 func TestMetricsCounterCorrectness(t *testing.T) {
@@ -151,9 +151,9 @@ func TestMetricsCounterCorrectness(t *testing.T) {
 	if _, err := c.Submit(ctx, SubmitRequest{Name: "b", Model: "MNIST (Pytorch)"}); err != nil {
 		t.Fatal(err)
 	}
-	// Stopping a promotes b from the queue; neither motion re-counts a
-	// submission.
-	if _, err := c.StopJob(ctx, "a"); err != nil {
+	// Cancelling a stops it and promotes b from the queue; neither motion
+	// re-counts a submission.
+	if _, err := c.CancelJob(ctx, "a"); err != nil {
 		t.Fatal(err)
 	}
 	text, err := c.Metrics(ctx)
@@ -186,8 +186,8 @@ func TestMetricsCounterCorrectness(t *testing.T) {
 	if _, err := c.JobStatus(ctx, "ghost"); !errors.Is(err, runtime.ErrNotFound) {
 		t.Fatalf("ghost = %v", err)
 	}
-	if _, err := c.StopJob(ctx, "a"); err == nil {
-		t.Fatal("double stop succeeded")
+	if _, err := c.CancelJob(ctx, "a"); err == nil {
+		t.Fatal("double cancel succeeded")
 	}
 	text, err = c.Metrics(ctx)
 	if err != nil {

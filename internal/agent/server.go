@@ -12,10 +12,8 @@
 //	GET    /v1/ping                      liveness + capacity/memory + admission state
 //	GET    /v1/stats                     settled counters of running containers
 //	GET    /v1/containers                snapshot of all containers
-//	POST   /v1/containers                launch a catalog model {name, model, cpu_limit}
-//	DELETE /v1/containers/{id}           remove an exited container
 //	POST   /v1/containers/{id}/update    set soft CPU limit {cpu_limit}
-//	POST   /v1/containers/{id}/stop      stop a running container
+//	DELETE /v1/containers/{id}           remove an exited container, freeing its name
 //	POST   /v1/jobs                      submit a job {name, model, cpu_limit}:
 //	                                     201 running, 202 queued, 429 queue full,
 //	                                     503 draining; a cpu_limit outside (0,1]
@@ -24,11 +22,12 @@
 //	GET    /v1/jobs/{name}               job status (queued/running/exited/failed)
 //	POST   /v1/jobs/{name}/cancel        cancel: dequeue a queued job or stop a
 //	                                     running one
-//	POST   /v1/jobs/{name}/stop          stop the job's running container
 //
-// The containers routes are the raw runtime surface (id-addressed, no
-// admission control); the jobs routes are the managed surface the
-// flowcon-manager drives, with name addressing and 429 backpressure.
+// The containers routes are the FlowCon driver's surface: id-addressed
+// reads and limit updates on containers that already exist, plus removal
+// of an exited one. The jobs routes are the only lifecycle: every
+// container starts as a submission through the admission queue (so the
+// running cap and Drain hold), and one stops early only by a cancel.
 package agent
 
 import (
@@ -56,22 +55,6 @@ const (
 	CodeBadRequest = "bad_request"
 	CodeInternal   = "internal"
 )
-
-// LaunchRequest asks the agent to start a catalog model in a container.
-type LaunchRequest struct {
-	// Name labels the container (and seeds the job's noise).
-	Name string `json:"name"`
-	// Model is a catalog key, e.g. "MNIST (Tensorflow)".
-	Model string `json:"model"`
-	// CPULimit is the initial soft limit in (0,1]; 0 means the backend
-	// default (1.0).
-	CPULimit float64 `json:"cpu_limit,omitempty"`
-}
-
-// LaunchResponse returns the new container's id.
-type LaunchResponse struct {
-	ID string `json:"id"`
-}
 
 // UpdateRequest sets a container's soft CPU limit.
 type UpdateRequest struct {
@@ -158,8 +141,9 @@ type Server struct {
 	mux      *http.ServeMux
 
 	mu sync.Mutex
-	// maxRunning caps concurrently running jobs admitted through /v1/jobs
-	// (0 = unlimited, every submission launches immediately).
+	// maxRunning caps concurrently running containers; /v1/jobs is the
+	// only way one starts (0 = unlimited, every submission launches
+	// immediately).
 	maxRunning int
 	// queueDepth bounds the admission queue; a submission past it gets
 	// 429 and the client backs off.
@@ -199,14 +183,11 @@ func NewServer(node *livedock.Node, capacity float64) *Server {
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/containers", s.handleList)
-	s.mux.HandleFunc("POST /v1/containers", s.handleLaunch)
 	s.mux.HandleFunc("DELETE /v1/containers/{id}", s.handleRemove)
 	s.mux.HandleFunc("POST /v1/containers/{id}/update", s.handleUpdate)
-	s.mux.HandleFunc("POST /v1/containers/{id}/stop", s.handleStop)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{name}", s.handleJobStatus)
 	s.mux.HandleFunc("POST /v1/jobs/{name}/cancel", s.handleJobCancel)
-	s.mux.HandleFunc("POST /v1/jobs/{name}/stop", s.handleJobStop)
 	// Exits free capacity: admit queued jobs the moment a slot opens.
 	node.OnExit(func(runtime.Container) {
 		s.met.countExit()
@@ -303,29 +284,6 @@ func (s *Server) launch(name, model string, profile dlmodel.Profile, limit float
 	})
 }
 
-func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
-	var req LaunchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if req.Name == "" || req.Model == "" {
-		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, errors.New("name and model are required"))
-		return
-	}
-	profile, ok := dlmodel.Find(req.Model)
-	if !ok {
-		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("unknown model %q", req.Model))
-		return
-	}
-	v, err := s.launch(req.Name, req.Model, profile, req.CPULimit)
-	if err != nil {
-		s.writeRuntimeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, LaunchResponse{ID: v.ID})
-}
-
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	if err := s.node.Remove(r.PathValue("id")); err != nil {
 		s.writeRuntimeErr(w, err)
@@ -341,14 +299,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.node.SetCPULimit(r.PathValue("id"), req.CPULimit); err != nil {
-		s.writeRuntimeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
-}
-
-func (s *Server) handleStop(w http.ResponseWriter, r *http.Request) {
-	if err := s.node.Stop(r.PathValue("id")); err != nil {
 		s.writeRuntimeErr(w, err)
 		return
 	}
@@ -523,15 +473,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	s.stopJob(w, name)
-}
-
-func (s *Server) handleJobStop(w http.ResponseWriter, r *http.Request) {
-	s.stopJob(w, r.PathValue("name"))
-}
-
-// stopJob stops the named job's running container.
-func (s *Server) stopJob(w http.ResponseWriter, name string) {
 	c, err := s.node.Lookup(name)
 	if err != nil {
 		s.writeRuntimeErr(w, err)
@@ -541,8 +482,7 @@ func (s *Server) stopJob(w http.ResponseWriter, name string) {
 		s.writeRuntimeErr(w, err)
 		return
 	}
-	c, err = s.node.Lookup(name)
-	if err != nil {
+	if c, err = s.node.Lookup(name); err != nil {
 		s.writeRuntimeErr(w, err)
 		return
 	}

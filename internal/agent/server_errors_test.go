@@ -53,25 +53,22 @@ func post(t *testing.T, hc *http.Client, url, body string) (int, string) {
 }
 
 // Malformed JSON bodies are rejected with 400 and a JSON error envelope,
-// never a panic or a silent 200.
+// never a panic or a silent 200. The launch rows post to /v1/jobs, the one
+// route that launches.
 func TestMalformedJSONBodies(t *testing.T) {
 	url, hc, _ := rawAgent(t)
-	launch := func(id string) string {
-		c := NewClient(url, hc)
-		cid, err := c.Launch(context.Background(), "seed-"+id, "RNN-GRU (Tensorflow)")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cid
+	seed, err := NewClient(url, hc).Submit(context.Background(), SubmitRequest{Name: "seed-a", Model: "RNN-GRU (Tensorflow)"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	id := launch("a")
+	id := seed.ID
 	cases := []struct {
 		name, path, body string
 	}{
-		{"launch truncated", "/v1/containers", `{"name":"x","model":`},
-		{"launch not json", "/v1/containers", `not json at all`},
-		{"launch wrong types", "/v1/containers", `{"name":7,"model":true}`},
-		{"launch empty body", "/v1/containers", ``},
+		{"launch truncated", "/v1/jobs", `{"name":"x","model":`},
+		{"launch not json", "/v1/jobs", `not json at all`},
+		{"launch wrong types", "/v1/jobs", `{"name":7,"model":true}`},
+		{"launch empty body", "/v1/jobs", ``},
 		{"update truncated", "/v1/containers/" + id + "/update", `{"cpu_limit":`},
 		{"update wrong type", "/v1/containers/" + id + "/update", `{"cpu_limit":"half"}`},
 		{"update empty body", "/v1/containers/" + id + "/update", ``},
@@ -89,7 +86,7 @@ func TestMalformedJSONBodies(t *testing.T) {
 	}
 }
 
-// Unknown container IDs map to 404 on update and stop, and the path
+// Unknown container IDs map to 404 on update and remove, and the path
 // variable is taken verbatim (no normalization surprises).
 func TestUnknownContainerIDs(t *testing.T) {
 	url, hc, _ := rawAgent(t)
@@ -98,9 +95,17 @@ func TestUnknownContainerIDs(t *testing.T) {
 		if status != http.StatusNotFound {
 			t.Fatalf("update %q: status %d (%s), want 404", id, status, msg)
 		}
-		status, msg = post(t, hc, url+"/v1/containers/"+id+"/stop", `{}`)
-		if status != http.StatusNotFound {
-			t.Fatalf("stop %q: status %d (%s), want 404", id, status, msg)
+		req, err := http.NewRequest(http.MethodDelete, url+"/v1/containers/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("remove %q: status %d, want 404", id, resp.StatusCode)
 		}
 	}
 }
@@ -110,6 +115,7 @@ func TestMethodNotAllowed(t *testing.T) {
 	url, hc, _ := rawAgent(t)
 	for _, tc := range []struct{ method, path string }{
 		{http.MethodDelete, "/v1/containers"},
+		{http.MethodPost, "/v1/containers"},
 		{http.MethodPost, "/v1/ping"},
 		{http.MethodGet, "/v1/containers/x/update"},
 	} {
@@ -132,7 +138,7 @@ func TestMethodNotAllowed(t *testing.T) {
 // decode the envelope.
 func TestErrorResponsesAreJSON(t *testing.T) {
 	url, hc, _ := rawAgent(t)
-	resp, err := hc.Post(url+"/v1/containers", "application/json", strings.NewReader("{"))
+	resp, err := hc.Post(url+"/v1/jobs", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +154,11 @@ func TestErrorResponsesAreJSON(t *testing.T) {
 func TestConcurrentUpdatesSameContainer(t *testing.T) {
 	url, hc, clk := rawAgent(t)
 	c := NewClient(url, hc)
-	id, err := c.Launch(context.Background(), "racy", "MNIST (Tensorflow)")
+	st, err := c.Submit(context.Background(), SubmitRequest{Name: "racy", Model: "MNIST (Tensorflow)"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := st.ID
 	const writers = 8
 	const updates = 25
 	var wg sync.WaitGroup
@@ -189,24 +196,23 @@ func TestConcurrentUpdatesSameContainer(t *testing.T) {
 	}
 }
 
-// Launches, updates, stats, and stops race across many containers; the
+// Submits, updates, stats, and cancels race across many containers; the
 // node must stay consistent (every launch visible exactly once).
 func TestConcurrentMixedTraffic(t *testing.T) {
 	url, hc, clk := rawAgent(t)
 	const n = 12
 	var wg sync.WaitGroup
-	ids := make([]string, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			c := NewClient(url, hc)
-			id, err := c.Launch(context.Background(), fmt.Sprintf("job-%d", i), "RNN-GRU (Tensorflow)")
+			st, err := c.Submit(context.Background(), SubmitRequest{Name: fmt.Sprintf("job-%d", i), Model: "RNN-GRU (Tensorflow)"})
 			if err != nil {
-				t.Errorf("launch %d: %v", i, err)
+				t.Errorf("submit %d: %v", i, err)
 				return
 			}
-			ids[i] = id
+			id := st.ID
 			if err := c.SetCPULimit(id, 0.25); err != nil {
 				t.Errorf("update %d: %v", i, err)
 			}
@@ -236,16 +242,16 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 			t.Fatalf("container %s limit %g, want 0.25", info.ID, info.CPULimit)
 		}
 	}
-	// Concurrent stops: every stop must succeed exactly once.
+	// Concurrent cancels: every cancel must stop its job exactly once.
 	var stopWG sync.WaitGroup
-	for _, id := range ids {
+	for i := 0; i < n; i++ {
 		stopWG.Add(1)
-		go func(id string) {
+		go func(name string) {
 			defer stopWG.Done()
-			if err := c.Stop(context.Background(), id); err != nil {
-				t.Errorf("stop %s: %v", id, err)
+			if _, err := c.CancelJob(context.Background(), name); err != nil {
+				t.Errorf("cancel %s: %v", name, err)
 			}
-		}(id)
+		}(fmt.Sprintf("job-%d", i))
 	}
 	stopWG.Wait()
 	if pong, err := c.Ping(context.Background()); err != nil || pong.Running != 0 {

@@ -52,9 +52,8 @@
 // join, leave or limit change, heap tops move across the saturation
 // boundary until none crosses, and L is recomputed. So Launch, Lookup,
 // SetCPULimit, Stop and exits touch O(log n) containers plus those whose
-// cap the level crosses. Only the calls that return every container (PS,
-// RunningStats, Snapshot) and the creation-order splice of an exit are
-// O(running).
+// cap the level crosses. Only PS and RunningStats, which return every
+// container, and the creation-order splice of an exit are O(running).
 //
 // A workload's demand is read once, when it joins: live workloads
 // (dlmodel jobs) keep a constant demand until they finish. Shares equal
@@ -129,14 +128,11 @@ const (
 
 // Container is one live containerized job.
 type Container struct {
-	ID    string
-	Name  string
-	Model string
-	State State
-	Limit float64
-	// Alloc is the CPU share at the instant of a Snapshot; the pool derives
-	// shares from the accounting group instead of storing them.
-	Alloc    float64
+	ID       string
+	Name     string
+	Model    string
+	State    State
+	Limit    float64
 	CPUSec   float64
 	Started  time.Time
 	Finished time.Time
@@ -355,16 +351,6 @@ func (n *Node) Launch(spec runtime.LaunchSpec) (runtime.Container, error) {
 	return v, nil
 }
 
-// Run starts a container for the workload and returns its id — the
-// historical launch form; Launch is the backend-neutral one.
-func (n *Node) Run(name string, w Workload) (string, error) {
-	v, err := n.Launch(runtime.LaunchSpec{Name: name, Workload: w})
-	if err != nil {
-		return "", err
-	}
-	return v.ID, nil
-}
-
 // checkLimit is the one statement of the soft-limit range, (0,1], written
 // as a positive range test so NaN fails it.
 func checkLimit(limit float64) error {
@@ -507,20 +493,6 @@ func (n *Node) RunningStats() []flowcon.Stat {
 			CPUSeconds:  c.CPUSec,
 			MemoryBytes: c.memBytes,
 		}
-	}
-	n.unlockAndNotify(exited)
-	return out
-}
-
-// Snapshot returns copies of all containers, running and exited.
-func (n *Node) Snapshot() []Container {
-	n.mu.Lock()
-	exited := n.settleLocked()
-	out := make([]Container, len(n.order))
-	for i, c := range n.order {
-		n.materialise(c)
-		out[i] = *c
-		out[i].Alloc = n.share(c)
 	}
 	n.unlockAndNotify(exited)
 	return out

@@ -58,13 +58,19 @@ func (j *tinyJob) Done() bool         { return j.work >= j.total }
 func (j *tinyJob) Eval() float64      { return j.total - j.work }
 func (j *tinyJob) Remaining() float64 { return j.total - j.work }
 
+// run launches w under name and returns the container id.
+func run(n *Node, name string, w Workload) (string, error) {
+	v, err := n.Launch(runtime.LaunchSpec{Name: name, Workload: w})
+	return v.ID, err
+}
+
 func TestNodeRunAndComplete(t *testing.T) {
 	clk := newFakeClock()
 	n := NewNodeWithClock(1.0, clk.Now)
 	var exits []string
 	n.OnExit(func(c runtime.Container) { exits = append(exits, c.ID) })
 
-	id, err := n.Run("j", &tinyJob{total: 10})
+	id, err := run(n, "j", &tinyJob{total: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +87,17 @@ func TestNodeRunAndComplete(t *testing.T) {
 	if len(exits) != 1 || exits[0] != id {
 		t.Fatalf("exits = %v", exits)
 	}
-	snap := n.Snapshot()
-	if len(snap) != 1 || snap[0].State != Exited {
-		t.Fatalf("snapshot = %+v", snap)
+	all := n.PS(true)
+	if len(all) != 1 || all[0].State != runtime.Exited {
+		t.Fatalf("PS(true) = %+v", all)
 	}
 }
 
 func TestNodeSharesCapacity(t *testing.T) {
 	clk := newFakeClock()
 	n := NewNodeWithClock(1.0, clk.Now)
-	a, _ := n.Run("a", &tinyJob{total: 100})
-	b, _ := n.Run("b", &tinyJob{total: 100})
+	a, _ := run(n, "a", &tinyJob{total: 100})
+	b, _ := run(n, "b", &tinyJob{total: 100})
 	clk.Advance(10 * time.Second)
 	stats := n.RunningStats()
 	for _, s := range stats {
@@ -119,7 +125,7 @@ func TestNodeSharesCapacity(t *testing.T) {
 func TestNodeStopAndErrors(t *testing.T) {
 	clk := newFakeClock()
 	n := NewNodeWithClock(1.0, clk.Now)
-	id, _ := n.Run("x", &tinyJob{total: 1000})
+	id, _ := run(n, "x", &tinyJob{total: 1000})
 	if err := n.Stop(id); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +149,7 @@ func TestNodeStopAndErrors(t *testing.T) {
 // running container's limit and share untouched.
 func TestBadLimitsRejectedAtTheEdge(t *testing.T) {
 	n := NewNodeWithClock(1.0, newFakeClock().Now)
-	id, err := n.Run("x", &tinyJob{total: 1000})
+	id, err := run(n, "x", &tinyJob{total: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +179,7 @@ func TestNodeWithDLModelJob(t *testing.T) {
 	clk := newFakeClock()
 	n := NewNodeWithClock(1.0, clk.Now)
 	job := dlmodel.NewJob("live-mnist", dlmodel.MNISTTensorFlow())
-	if _, err := n.Run("mnist", job); err != nil {
+	if _, err := run(n, "mnist", job); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(30 * time.Second) // W=28 at full rate
@@ -193,14 +199,14 @@ func TestRealtimeDriverOverLiveNode(t *testing.T) {
 	// Converged long-runner from t=0, fresh fast job at t=80 — the fixed
 	// schedule's core interaction.
 	vae := dlmodel.NewJob("vae", dlmodel.VAEPyTorch())
-	vaeID, _ := n.Run("vae", vae)
+	vaeID, _ := run(n, "vae", vae)
 	var mnistID string
 
 	for step := 0; step < 120; step++ {
 		clk.Advance(time.Second)
 		if step == 80 {
 			mnist := dlmodel.NewJob("mnist", dlmodel.MNISTTensorFlow())
-			mnistID, _ = n.Run("mnist", mnist)
+			mnistID, _ = run(n, "mnist", mnist)
 		}
 		d.Step(float64(step + 1))
 	}
@@ -211,12 +217,12 @@ func TestRealtimeDriverOverLiveNode(t *testing.T) {
 		t.Fatalf("MNIST in %v, want NL", l)
 	}
 	var vaeAlloc, mnistAlloc float64
-	for _, c := range n.Snapshot() {
+	for _, c := range n.PS(true) {
 		switch c.ID {
 		case vaeID:
-			vaeAlloc = c.Alloc
+			vaeAlloc = c.CPUAlloc
 		case mnistID:
-			mnistAlloc = c.Alloc
+			mnistAlloc = c.CPUAlloc
 		}
 	}
 	if vaeAlloc >= mnistAlloc {
@@ -228,7 +234,7 @@ func TestRealtimeDriverOverLiveNode(t *testing.T) {
 func TestNodeWallClockSmoke(t *testing.T) {
 	n := NewNode(1.0)
 	job := &tinyJob{total: 0.02} // 20ms of CPU work
-	if _, err := n.Run("smoke", job); err != nil {
+	if _, err := run(n, "smoke", job); err != nil {
 		t.Fatal(err)
 	}
 	d := realtime.NewDriver(flowcon.Config{Alpha: 0.05, InitialInterval: 0.01}, n)
@@ -259,7 +265,7 @@ func TestNodeConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			id, err := n.Run("", &tinyJob{total: 0.001})
+			id, err := run(n, "", &tinyJob{total: 0.001})
 			if err != nil {
 				t.Error(err)
 				return

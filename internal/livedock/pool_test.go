@@ -336,9 +336,9 @@ func TestExitOrderAcrossIDRollover(t *testing.T) {
 	var exits []string
 	n.OnExit(func(c runtime.Container) { exits = append(exits, c.ID) })
 
-	long, _ := n.Run("long", &tinyJob{total: 1000})
+	long, _ := run(n, "long", &tinyJob{total: 1000})
 	for i := 0; i < 3; i++ {
-		if _, err := n.Run("", &tinyJob{total: 1}); err != nil {
+		if _, err := run(n, "", &tinyJob{total: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -360,8 +360,8 @@ func TestRestartedNodeMintsFreshIDs(t *testing.T) {
 	first := NewNodeWithClock(1.0, clk.Now)
 	clk.Advance(time.Second)
 	second := NewNodeWithClock(1.0, clk.Now)
-	a, _ := first.Run("job", &tinyJob{total: 10})
-	b, _ := second.Run("job", &tinyJob{total: 10})
+	a, _ := run(first, "job", &tinyJob{total: 10})
+	b, _ := run(second, "job", &tinyJob{total: 10})
 	if a == b || idSeq(a) != 1 || idSeq(b) != 1 {
 		t.Fatalf("ids %q and %q, want distinct ids that are both first in creation order", a, b)
 	}
@@ -372,7 +372,7 @@ func TestRestartedNodeMintsFreshIDs(t *testing.T) {
 // corrupting the pool.
 func TestDuplicateContainerIDPanics(t *testing.T) {
 	n := NewNodeWithClock(1.0, newFakeClock().Now)
-	if _, err := n.Run("a", &tinyJob{total: 10}); err != nil {
+	if _, err := run(n, "a", &tinyJob{total: 10}); err != nil {
 		t.Fatal(err)
 	}
 	n.seq--
@@ -381,7 +381,7 @@ func TestDuplicateContainerIDPanics(t *testing.T) {
 			t.Fatalf("recovered %v, want a duplicate-id panic", r)
 		}
 	}()
-	_, _ = n.Run("b", &tinyJob{total: 10})
+	_, _ = run(n, "b", &tinyJob{total: 10})
 }
 
 // A negative, NaN or infinite demand panics at launch, as
@@ -396,10 +396,10 @@ func TestInvalidDemandPanics(t *testing.T) {
 					t.Fatalf("demand %v did not panic", demand)
 				}
 			}()
-			_, _ = n.Run("bad", &poolJob{total: 10, demand: demand})
+			_, _ = run(n, "bad", &poolJob{total: 10, demand: demand})
 		})
 	}
-	if _, err := n.Run("good", &poolJob{total: 10, demand: 1}); err != nil || n.RunningCount() != 1 {
+	if _, err := run(n, "good", &poolJob{total: 10, demand: 1}); err != nil || n.RunningCount() != 1 {
 		t.Fatalf("launch after refused demands: %v, %d running", err, n.RunningCount())
 	}
 }
@@ -410,7 +410,7 @@ func TestHotPathAllocations(t *testing.T) {
 	clk := newFakeClock()
 	n := NewNodeWithClock(1.0, clk.Now)
 	launch := func() string {
-		id, err := n.Run("", &tinyJob{total: 1e12})
+		id, err := run(n, "", &tinyJob{total: 1e12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -495,7 +495,7 @@ func TestOperationsTouchOnlyTheirContainers(t *testing.T) {
 	var counts callCounts
 	for i := 0; i < standing; i++ {
 		job := &countJob{poolJob: poolJob{total: 1e9, demand: 1}, c: &counts}
-		if _, err := n.Run(fmt.Sprintf("s%d", i), job); err != nil {
+		if _, err := run(n, fmt.Sprintf("s%d", i), job); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -511,7 +511,7 @@ func TestOperationsTouchOnlyTheirContainers(t *testing.T) {
 
 	clk.Advance(time.Second)
 	counts = callCounts{}
-	if _, err := n.Run("arrival", &tinyJob{total: 1e9}); err != nil {
+	if _, err := run(n, "arrival", &tinyJob{total: 1e9}); err != nil {
 		t.Fatal(err)
 	}
 	if counts.calls != 0 {

@@ -176,9 +176,15 @@ func (s *QuantileSketch) key(mag float64) int32 {
 }
 
 // rep returns the representative value of bucket k, the midpoint
-// 2γ^k/(γ+1), which is within relative error α of the whole bucket.
+// 2γ^k/(γ+1), which is within relative error α of the whole bucket. In
+// the top buckets 2γ^k overflows though the midpoint need not, so there
+// it is γ^(k−1)·2γ/(γ+1), clamped to MaxFloat64; a bucket whose first
+// form is finite keeps its bits.
 func (s *QuantileSketch) rep(k int32) float64 {
-	return 2 * math.Pow(s.gamma, float64(k)) / (s.gamma + 1)
+	if r := 2 * math.Pow(s.gamma, float64(k)) / (s.gamma + 1); !math.IsInf(r, 0) {
+		return r
+	}
+	return min(math.Pow(s.gamma, float64(k-1))*(2*s.gamma/(s.gamma+1)), math.MaxFloat64)
 }
 
 // Add folds one value into the sketch. NaN and ±Inf panic — the metric

@@ -61,6 +61,22 @@ func TestSketchAccuracyProperty(t *testing.T) {
 	}
 }
 
+// A sketch of values near the float64 limit reports finite quantiles
+// within α of them: the bucket midpoint 2γ^k/(γ+1) overflows in its
+// numerator there, and used to come back as ±Inf.
+func TestSketchExtremeValuesStayFinite(t *testing.T) {
+	for _, v := range []float64{math.MaxFloat64 / 2, math.MaxFloat64, -math.MaxFloat64 / 2, -math.MaxFloat64} {
+		s := NewQuantileSketch(DefaultSketchAccuracy)
+		s.Add(v)
+		for _, q := range []float64{0, 0.5, 1} {
+			got := s.Quantile(q)
+			if math.IsInf(got, 0) || math.Abs(got-v) > DefaultSketchAccuracy*math.Abs(v) {
+				t.Errorf("sketch of %g: Quantile(%g) = %g, want finite and within α", v, q, got)
+			}
+		}
+	}
+}
+
 func TestSketchMatchesWelfordCount(t *testing.T) {
 	sk := NewQuantileSketch(0.02)
 	var w Welford

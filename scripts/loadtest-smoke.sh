@@ -4,13 +4,9 @@
 # bounded p99 submit latency. The run also scrapes the worker's live
 # /v1/metrics endpoint (loadtest -assert-metrics) and fails unless the
 # agent-side submit counters are non-zero and consistent with the
-# client's view. When a BENCH_sim.json is present the latency fields
-# (with the connect/submit/status-poll phase split) are recorded
-# additively on the newest entry of a copy of it in the temp directory
-# (schema stays 2; see docs/BENCH_SCHEMA.md): the recording path runs,
-# and the tracked file is left untouched. A flowcon-manager then governs the same worker
-# for a few seconds in -demo mode and must exit 0 having run Algorithm 1
-# at least once.
+# client's view. A flowcon-manager then governs the same worker for a few
+# seconds in -demo mode and must exit 0 having run Algorithm 1 at least
+# once.
 #
 # Env knobs: ADDR (:7177), SUBMITTERS (8), JOBS (25), P99_BUDGET (500ms).
 set -eu
@@ -38,15 +34,9 @@ go build -o "$dir/flowcon-manager" ./cmd/flowcon-manager
 "$dir/flowcon-worker" -addr "$ADDR" >"$dir/worker.log" 2>&1 &
 worker_pid=$!
 
-bench_flag=""
-if [ -f BENCH_sim.json ]; then
-    cp BENCH_sim.json "$dir/BENCH_sim.json"
-    bench_flag="-bench-out $dir/BENCH_sim.json"
-fi
-
 if ! "$dir/loadtest" -worker "http://$ADDR" \
     -submitters "$SUBMITTERS" -jobs "$JOBS" \
-    -p99-budget "$P99_BUDGET" -assert-metrics $bench_flag; then
+    -p99-budget "$P99_BUDGET" -assert-metrics; then
     echo "--- worker log ---"
     cat "$dir/worker.log"
     exit 1
