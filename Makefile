@@ -8,7 +8,7 @@ FUZZTIME ?= 20s
 # Per-benchmark budget for bench-json (CI smoke passes 1x).
 BENCHTIME ?= 1s
 
-.PHONY: all build test race bench bench-json bench-compare-base fmt vet cover fuzz determinism parity docs lint-imports loadtest-smoke ci
+.PHONY: all build test race bench bench-json bench-compare-base fmt vet cover cover-binaries fuzz determinism parity docs lint-imports loadtest-smoke ci
 
 all: build test
 
@@ -51,6 +51,13 @@ cover:
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk "BEGIN {exit !($$total >= $(COVER_FLOOR))}" || \
 		{ echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
+
+# Integration coverage of the program as its binaries run it: every
+# binary and example built with -cover, the CI legs run under one
+# GOCOVERDIR, then the reached share and every function no binary
+# entered. A report, not a gate — it fails only when a leg fails.
+cover-binaries:
+	./scripts/cover-binaries.sh
 
 # The whole sweep registry (including the migration and streaming
 # production-day scenarios; the heavy megacluster family is covered by

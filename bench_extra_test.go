@@ -114,7 +114,7 @@ func BenchmarkAllocator(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resource.Allocate(1.0, claims)
+		new(resource.Allocator).Allocate(1.0, claims)
 	}
 }
 

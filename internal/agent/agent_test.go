@@ -3,6 +3,7 @@ package agent
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -194,8 +195,10 @@ func TestRemoveFreesName(t *testing.T) {
 	if err := c.SetCPULimit(st.ID, 7); !errors.Is(err, runtime.ErrBadLimit) {
 		t.Fatalf("SetCPULimit(7) = %v, want ErrBadLimit", err)
 	}
-	if err := c.Remove(ctx, st.ID); err == nil || errors.Is(err, runtime.ErrNotFound) {
-		t.Fatalf("Remove of a running container = %v, want a refusal", err)
+	var apiErr *APIError
+	if err := c.Remove(ctx, st.ID); !errors.As(err, &apiErr) || apiErr.Status != http.StatusConflict ||
+		apiErr.Code != CodeRunning || !errors.Is(err, runtime.ErrRunning) {
+		t.Fatalf("Remove of a running container = %v, want 409 %s wrapping ErrRunning", err, CodeRunning)
 	}
 	if _, err := c.CancelJob(ctx, "phoenix"); err != nil {
 		t.Fatal(err)

@@ -45,6 +45,8 @@ func (e *APIError) Unwrap() error {
 		return runtime.ErrNotFound
 	case CodeNotRunning:
 		return runtime.ErrNotRunning
+	case CodeRunning:
+		return runtime.ErrRunning
 	case CodeNameInUse:
 		return runtime.ErrNameInUse
 	case CodeBadLimit:

@@ -25,7 +25,7 @@ var fuzzRoutes = []string{
 var fuzzMethods = []string{http.MethodGet, http.MethodPost, http.MethodDelete, http.MethodPut}
 
 var knownCodes = map[string]bool{
-	CodeNotFound: true, CodeNotRunning: true, CodeNameInUse: true, CodeBadLimit: true,
+	CodeNotFound: true, CodeNotRunning: true, CodeRunning: true, CodeNameInUse: true, CodeBadLimit: true,
 	CodeQueueFull: true, CodeDraining: true, CodeBadRequest: true, CodeInternal: true,
 }
 
@@ -34,8 +34,9 @@ var knownCodes = map[string]bool{
 // is four bytes: method, route (one past the list drains the agent),
 // path target, and body plus clock step. After every request nothing has
 // panicked, every handler error is the JSON envelope with a known code
-// (the mux's own 404 and 405 excepted), the cap holds, and every
-// container the node ever started was a counted submission.
+// (the mux's own 404 and 405 excepted), the cap holds, every container
+// the node ever started was a counted submission, and every accepted
+// submission's name addresses its job by path.
 func FuzzAgentRequests(f *testing.F) {
 	bodies := strings.Join([]string{
 		`{"name":"a","model":"MNIST (Pytorch)"}`,
@@ -50,6 +51,8 @@ func FuzzAgentRequests(f *testing.F) {
 	f.Add([]byte{1, 8, 0, 0, 1, 8, 1, 1, 1, 8, 2, 0, 1, 12, 0, 0, 1, 8, 0, 0, 0, 1, 0, 0}, "a\nb\nc", bodies)
 	f.Add([]byte{1, 8, 0, 3, 1, 8, 0, 4, 1, 8, 0, 5, 1, 8, 0, 6, 1, 8, 0, 7, 1, 8, 0, 8}, "", bodies)
 	f.Add([]byte{1, 8, 0, 0, 0, 9, 0, 200, 2, 5, 0, 0, 1, 8, 0, 0}, "a", bodies)
+	f.Add([]byte{1, 8, 0, 0, 1, 8, 0, 1}, "a",
+		`{"name":"..","model":"MNIST (Pytorch)"}`+"\n"+`{"name":".","model":"MNIST (Pytorch)"}`)
 	f.Fuzz(func(t *testing.T, ops []byte, targets, bodies string) {
 		if len(ops) > 4*64 {
 			ops = ops[:4*64]
@@ -81,6 +84,15 @@ func FuzzAgentRequests(f *testing.F) {
 
 			rec := serve(h, method, path, body)
 			checkErrorEnvelope(t, method, path, rec)
+			if method == http.MethodPost && path == "/v1/jobs" &&
+				(rec.Code == http.StatusCreated || rec.Code == http.StatusAccepted) {
+				var req SubmitRequest
+				_ = json.NewDecoder(strings.NewReader(body)).Decode(&req)
+				status := "/v1/jobs/" + url.PathEscape(req.Name)
+				if got := serve(h, http.MethodGet, status, ""); got.Code != http.StatusOK {
+					t.Fatalf("submit of %q answered %d, then GET %s answered %d", req.Name, rec.Code, status, got.Code)
+				}
+			}
 			if n := node.RunningCount(); n > 2 {
 				t.Fatalf("%s %s: %d running past the cap of 2", method, path, n)
 			}

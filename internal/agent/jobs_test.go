@@ -3,6 +3,7 @@ package agent
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -125,9 +126,6 @@ func TestJobsBackpressureAndDrain(t *testing.T) {
 	}
 
 	s.Drain()
-	if !s.Draining() {
-		t.Fatal("Draining() false after Drain")
-	}
 	if _, err := c.Submit(ctx, SubmitRequest{Name: "e", Model: "MNIST (Pytorch)"}); !errors.Is(err, runtime.ErrDraining) {
 		t.Fatalf("draining submit = %v, want ErrDraining", err)
 	}
@@ -139,19 +137,32 @@ func TestJobsBackpressureAndDrain(t *testing.T) {
 // errorAs drops the value from a (value, error) pair.
 func errorAs(_ JobStatus, err error) error { return err }
 
-// Submit validation: unknown models and missing names are rejected
-// without mutating state.
+// Submit validation: unknown models, missing names and the names "." and
+// ".." are rejected without mutating state, whether the job would start
+// or queue. The mux cleans "." and ".." out of every path, so no status
+// or cancel request could reach such a job afterwards.
 func TestJobsSubmitValidation(t *testing.T) {
 	ctx := context.Background()
-	c, _, _ := limitedAgent(t, 0, 0)
-	if _, err := c.Submit(ctx, SubmitRequest{Name: "x", Model: "NoSuchNet"}); err == nil {
-		t.Fatal("unknown model accepted")
+	c, _, _ := limitedAgent(t, 1, 4)
+	rejected := func(req SubmitRequest) {
+		t.Helper()
+		var apiErr *APIError
+		if _, err := c.Submit(ctx, req); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != CodeBadRequest {
+			t.Fatalf("submit %+v = %v, want 400 %s", req, err, CodeBadRequest)
+		}
 	}
-	if _, err := c.Submit(ctx, SubmitRequest{Model: "MNIST (Pytorch)"}); err == nil {
-		t.Fatal("empty name accepted")
-	}
+	rejected(SubmitRequest{Name: "x", Model: "NoSuchNet"})
+	rejected(SubmitRequest{Model: "MNIST (Pytorch)"})
+	rejected(SubmitRequest{Name: ".", Model: "MNIST (Pytorch)"}) // a free slot: would start
 	if pong, _ := c.Ping(ctx); pong.Running != 0 {
 		t.Fatalf("failed submits left %d running", pong.Running)
+	}
+	if _, err := c.Submit(ctx, SubmitRequest{Name: "a", Model: "MNIST (Pytorch)"}); err != nil {
+		t.Fatal(err)
+	}
+	rejected(SubmitRequest{Name: "..", Model: "MNIST (Pytorch)"}) // the slot is taken: would queue
+	if pong, _ := c.Ping(ctx); pong.Running != 1 || pong.Queued != 0 {
+		t.Fatalf("running %d, queued %d; want only job a running", pong.Running, pong.Queued)
 	}
 }
 

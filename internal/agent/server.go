@@ -48,6 +48,7 @@ import (
 const (
 	CodeNotFound   = "not_found"
 	CodeNotRunning = "not_running"
+	CodeRunning    = "running"
 	CodeNameInUse  = "name_in_use"
 	CodeBadLimit   = "bad_limit"
 	CodeQueueFull  = "queue_full"
@@ -218,13 +219,6 @@ func (s *Server) Drain() {
 	s.draining = true
 }
 
-// Draining reports whether the agent has stopped accepting submissions.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // Handler returns the agent's http.Handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
@@ -319,6 +313,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Name == "" || req.Model == "" {
 		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, errors.New("name and model are required"))
+		return
+	}
+	// The mux cleans "." and ".." out of a path, so no status or cancel
+	// request could address a job named either.
+	if req.Name == "." || req.Name == ".." {
+		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("job name %q cannot be addressed by a path", req.Name))
 		return
 	}
 	profile, ok := dlmodel.Find(req.Model)
@@ -510,6 +510,8 @@ func (s *Server) writeRuntimeErr(w http.ResponseWriter, err error) {
 		s.writeErr(w, http.StatusNotFound, CodeNotFound, err)
 	case errors.Is(err, runtime.ErrNotRunning):
 		s.writeErr(w, http.StatusConflict, CodeNotRunning, err)
+	case errors.Is(err, runtime.ErrRunning):
+		s.writeErr(w, http.StatusConflict, CodeRunning, err)
 	case errors.Is(err, runtime.ErrNameInUse):
 		s.writeErr(w, http.StatusConflict, CodeNameInUse, err)
 	case errors.Is(err, runtime.ErrBadLimit):

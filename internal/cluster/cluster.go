@@ -56,8 +56,7 @@ const DefaultMemoryBytes = 16 << 30
 type Worker struct {
 	runtime.Runtime
 
-	name   string
-	engine sim.Scheduler
+	name string
 
 	// maxContainers caps concurrent containers for admission control
 	// (0 = unlimited).
@@ -81,12 +80,10 @@ type Worker struct {
 
 var _ runtime.Runtime = (*Worker)(nil)
 
-// NewWorker wraps a container runtime as a cluster worker. In a sharded
-// simulation the engine is the worker's lane, so everything the worker
-// and its policy schedule stays on its shard. Use NewSimWorker for the
-// usual simulated backend.
-func NewWorker(name string, engine sim.Scheduler, rt runtime.Runtime) *Worker {
-	w := &Worker{Runtime: rt, name: name, engine: engine}
+// NewWorker wraps a container runtime as a cluster worker. Use
+// NewSimWorker for the usual simulated backend.
+func NewWorker(name string, rt runtime.Runtime) *Worker {
+	w := &Worker{Runtime: rt, name: name}
 	rt.OnStart(func(c runtime.Container) {
 		for _, fn := range w.startSubs {
 			fn(c.ID)
@@ -111,15 +108,11 @@ func NewSimWorker(name string, engine sim.Scheduler, capacity float64) (*Worker,
 	d.SetMemoryCapacity(DefaultMemoryBytes)
 	d.Pull(simdocker.Image{Ref: ImagePyTorch, SizeBytes: 750 << 20})
 	d.Pull(simdocker.Image{Ref: ImageTensorFlow, SizeBytes: 680 << 20})
-	return NewWorker(name, engine, simdocker.NewRuntime(d)), d
+	return NewWorker(name, simdocker.NewRuntime(d)), d
 }
 
 // Name returns the worker's name.
 func (w *Worker) Name() string { return w.name }
-
-// Engine returns the scheduler the worker runs on (the engine itself in a
-// serial simulation, the worker's lane in a sharded one).
-func (w *Worker) Engine() sim.Scheduler { return w.engine }
 
 // OnContainerStart subscribes to container-start notifications (the New
 // Cons listener feed).
@@ -459,7 +452,7 @@ func (m *Manager) Kick() {
 // Submit schedules SubmitNow at virtual time `at` — the convenience form
 // for callers that know their whole schedule upfront.
 func (m *Manager) Submit(at sim.Time, name string, profile dlmodel.Profile) {
-	m.engine.At(at, sim.PriorityState, "manager.place."+name, func() { m.SubmitNow(name, profile) })
+	m.engine.At(at, sim.PriorityState, "manager.place", func() { m.SubmitNow(name, profile) })
 }
 
 // SubmitNow admits a job at the current virtual time: it places the job,

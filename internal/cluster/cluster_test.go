@@ -181,8 +181,10 @@ func TestManagerCustomPlacement(t *testing.T) {
 
 func TestWorkerPrePullsImages(t *testing.T) {
 	e := sim.NewEngine()
-	_, d := NewSimWorker("w0", e, 1.0)
-	if got := len(d.Images()); got != 2 {
-		t.Fatalf("worker has %d images, want 2", got)
+	w, _ := NewSimWorker("w0", e, 1.0)
+	for _, img := range []string{ImagePyTorch, ImageTensorFlow} {
+		if _, err := w.Launch(runtime.LaunchSpec{Image: img, Name: img, Workload: dlmodel.NewJob(img, dlmodel.GRU())}); err != nil {
+			t.Fatalf("launch of pre-pulled %s: %v", img, err)
+		}
 	}
 }

@@ -77,7 +77,7 @@ func randomWorkers(t *testing.T, rng *rand.Rand, n int) []*Worker {
 		w, d := NewSimWorker(name, e, 1.0)
 		d.SetMemoryCapacity([]float64{0, 2 << 30, 3 << 30, DefaultMemoryBytes}[rng.Intn(4)])
 		if rng.Intn(8) == 0 {
-			w = NewWorker(name, e, nanMemory{w.Runtime})
+			w = NewWorker(name, nanMemory{w.Runtime})
 		}
 		running := rng.Intn(5)
 		job := endlessProfile([]float64{512 << 20, 1 << 30}[rng.Intn(2)])

@@ -146,10 +146,6 @@ func (m *Manager) EnableSelfHealing(p RecoveryPolicy) {
 	}
 }
 
-// Recovery returns the installed policy (the zero policy until
-// EnableSelfHealing).
-func (m *Manager) Recovery() RecoveryPolicy { return m.recovery }
-
 // Availability returns the manager's fault/recovery ledger. Always
 // non-nil; Finalize it at the end of the run before reading the report
 // accessors.
@@ -235,7 +231,7 @@ func (m *Manager) freezeSnapshot(j *job, w *Worker, containerID string) {
 	m.inflight++
 	m.trace(telemetry.PhaseCheckpoint, j.name, w.Name(), "freeze")
 	delay := m.recovery.CheckpointCost.Delay(cp.MemoryBytes)
-	m.engine.After(delay, sim.PriorityState, "manager.ckpt-restore."+j.name, func() {
+	m.engine.After(delay, sim.PriorityState, "manager.ckpt-restore", func() {
 		m.inflight--
 		m.restoreSnapshot(j, w, cp)
 	})

@@ -71,7 +71,7 @@ func TestEnableSelfHealingGuards(t *testing.T) {
 		m.EnableSelfHealing(RecoveryPolicy{RetryBudget: -1})
 	}()
 	m.EnableSelfHealing(RecoveryPolicy{RetryBudget: 3})
-	if m.Recovery().RetryBudget != 3 {
+	if m.recovery.RetryBudget != 3 {
 		t.Fatal("policy not installed")
 	}
 	defer func() {

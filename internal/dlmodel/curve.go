@@ -28,8 +28,6 @@ import (
 type Curve interface {
 	// Eval returns E(w).
 	Eval(work float64) float64
-	// Slope returns dE/dw at w (signed; negative for loss curves).
-	Slope(work float64) float64
 }
 
 // ExpCurve is exponential convergence: E(w) = Final + (Start-Final)·e^(−K·w).
@@ -45,11 +43,6 @@ type ExpCurve struct {
 // Eval returns E(w).
 func (c ExpCurve) Eval(work float64) float64 {
 	return c.Final + (c.Start-c.Final)*math.Exp(-c.K*work)
-}
-
-// Slope returns dE/dw.
-func (c ExpCurve) Slope(work float64) float64 {
-	return -c.K * (c.Start - c.Final) * math.Exp(-c.K*work)
 }
 
 // LogisticCurve is S-shaped convergence:
@@ -73,13 +66,6 @@ func (c LogisticCurve) Eval(work float64) float64 {
 	s0 := sigma(-c.S * c.W0)
 	frac := (sigma(c.S*(work-c.W0)) - s0) / (1 - s0)
 	return c.Start + (c.Final-c.Start)*frac
-}
-
-// Slope returns dE/dw.
-func (c LogisticCurve) Slope(work float64) float64 {
-	s0 := sigma(-c.S * c.W0)
-	sg := sigma(c.S * (work - c.W0))
-	return (c.Final - c.Start) * c.S * sg * (1 - sg) / (1 - s0)
 }
 
 // validateCurve returns an error if the curve's parameters are malformed.

@@ -27,14 +27,6 @@ const (
 	Increasing
 )
 
-// String implements fmt.Stringer.
-func (d Direction) String() string {
-	if d == Increasing {
-		return "increasing"
-	}
-	return "decreasing"
-}
-
 // Profile is the static description of one trainable model: how much CPU
 // work its fixed epoch budget costs, how its evaluation function converges,
 // and its resource footprint. Profiles are immutable; Jobs are instances.
@@ -141,9 +133,6 @@ func NewJobFromCheckpoint(id string, p Profile, work float64) *Job {
 	return &Job{id: id, profile: p, seed: stringSeed(id), work: work}
 }
 
-// ID returns the job's unique identifier.
-func (j *Job) ID() string { return j.id }
-
 // Profile returns the job's immutable model profile.
 func (j *Job) Profile() Profile { return j.profile }
 
@@ -193,34 +182,6 @@ func (j *Job) EvalAt(work float64) float64 {
 		e += j.profile.NoiseAmp * valueNoise(j.seed, work)
 	}
 	return e
-}
-
-// NormalizedProgress maps the current noiseless eval value to [0, 1], where
-// 1 means fully converged. Figure 1 plots exactly this quantity (normalized
-// accuracy) against cumulative time.
-func (j *Job) NormalizedProgress() float64 {
-	return j.NormalizedProgressAt(j.work)
-}
-
-// NormalizedProgressAt is NormalizedProgress at an arbitrary work value.
-func (j *Job) NormalizedProgressAt(work float64) float64 {
-	if work > j.profile.TotalWork {
-		work = j.profile.TotalWork
-	}
-	start := j.profile.Curve.Eval(0)
-	final := j.profile.Curve.Eval(j.profile.TotalWork)
-	cur := j.profile.Curve.Eval(work)
-	if math.Abs(start-final) < 1e-12 {
-		return 1
-	}
-	p := (start - cur) / (start - final)
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
 }
 
 // CPUDemand returns the job's instantaneous CPU demand: the profile's

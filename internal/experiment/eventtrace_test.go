@@ -11,6 +11,9 @@ import (
 	"repro/internal/workload"
 )
 
+// The event-trace writer in this file produces the golden §5.3 trace that
+// golden_test.go pins; no binary writes an event trace.
+
 // round6 snaps a value to the 1e-6 grain used by the event trace.
 func round6(v float64) float64 {
 	return math.Round(v*1e6) / 1e6

@@ -439,7 +439,7 @@ func RunE(spec Spec) (*Result, error) {
 	for _, d := range spec.Drains {
 		w := workers[d.Worker]
 		cost := spec.MigrationCost
-		engine.At(sim.Time(d.At), sim.PriorityState, "experiment.drain."+w.Name(), func() {
+		engine.At(sim.Time(d.At), sim.PriorityState, "experiment.drain", func() {
 			manager.Drain(w, cost)
 		})
 		if d.UncordonAt > 0 {
@@ -506,7 +506,7 @@ func RunE(spec Spec) (*Result, error) {
 	}
 	var schedule func(sub workload.Submission)
 	schedule = func(sub workload.Submission) {
-		engine.At(sim.Time(sub.At), sim.PriorityState, "experiment.arrive."+sub.Name, func() {
+		engine.At(sim.Time(sub.At), sim.PriorityState, "experiment.arrive", func() {
 			if err := checkProfile(sub.Profile); err != nil {
 				fail(fmt.Errorf("experiment: spec %q job %q: %v", spec.Name, sub.Name, err))
 				return

@@ -111,6 +111,18 @@ func TestSweepPanicIsolation(t *testing.T) {
 	if sr.Err() == nil || !strings.Contains(sr.Err().Error(), "run 1") {
 		t.Fatalf("Err() = %v, want first failure", sr.Err())
 	}
+	// The report lists the failure on one line: the panic's stack stays
+	// out of the table.
+	var sb strings.Builder
+	ReportSweepResult(&sb, sr)
+	out := sb.String()
+	if !strings.Contains(out, "FAILED") || !strings.Contains(out, "1 run(s) failed:") ||
+		!strings.Contains(out, "policy constructor exploded") {
+		t.Fatalf("report misses the failure:\n%s", out)
+	}
+	if strings.Contains(out, "goroutine ") {
+		t.Fatalf("report carries the panic's stack:\n%s", out)
+	}
 }
 
 // TestSweepInvalidSpec: spec validation arrives as an error (via RunE),

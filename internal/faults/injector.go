@@ -102,8 +102,7 @@ func (in *Injector) scheduleCrash(i int, rng *rand.Rand) {
 	if in.beyond(gap) {
 		return
 	}
-	w := in.m.Workers()[i]
-	in.engine.After(gap, sim.PriorityState, "faults.crash."+w.Name(), func() {
+	in.engine.After(gap, sim.PriorityState, "faults.crash", func() {
 		in.crash(i, rng)
 	})
 }
@@ -116,7 +115,7 @@ func (in *Injector) crash(i int, rng *rand.Rand) {
 		w.Fail()
 	}
 	ttr := rng.ExpFloat64() * in.plan.Churn.MTTRSec
-	in.engine.After(ttr, sim.PriorityState, "faults.repair."+w.Name(), func() {
+	in.engine.After(ttr, sim.PriorityState, "faults.repair", func() {
 		if w.Failed() {
 			w.Repair()
 		}
@@ -189,7 +188,7 @@ func (in *Injector) degrade(rng *rand.Rand) {
 		in.trace(telemetry.PhaseDegrade, "", w.Name(),
 			"factor "+strconv.FormatFloat(degradeFactor, 'g', -1, 64))
 		dur := rng.ExpFloat64() * in.plan.Degrade.MeanDurationSec
-		in.engine.After(dur, sim.PriorityState, "faults.restore."+w.Name(), func() {
+		in.engine.After(dur, sim.PriorityState, "faults.restore", func() {
 			in.degraded[pick] = false
 			in.setCapacity(pick, 1)
 			in.trace(telemetry.PhaseDegrade, "", w.Name(), "restored")

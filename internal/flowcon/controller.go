@@ -1,7 +1,6 @@
 package flowcon
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 
@@ -87,7 +86,7 @@ func (c *Controller) requestImmediateRun(trigger string) {
 		return
 	}
 	c.pendingRun = true
-	c.engine.At(c.engine.Now(), sim.PriorityListener, "flowcon.listener."+trigger, func() {
+	c.engine.At(c.engine.Now(), sim.PriorityListener, "flowcon.listener", func() {
 		c.pendingRun = false
 		c.runAlgorithm1(trigger)
 	})
@@ -146,10 +145,4 @@ func (c *Controller) traceEntry(trigger string, res StepResult, snaps []JobSnaps
 		return strings.Compare(a.ID, b.ID)
 	})
 	return entry
-}
-
-// String summarises controller state for debugging.
-func (c *Controller) String() string {
-	return fmt.Sprintf("flowcon.Controller{alpha=%.2g itval=%.3g runs=%d tracked=%d}",
-		c.cfg.Alpha, c.itval, c.runs, len(c.lists))
 }

@@ -289,7 +289,7 @@ func TestControllerPrunesStaleEntries(t *testing.T) {
 	if _, ok := c.ListOf("a"); !ok {
 		t.Fatal("live container was pruned")
 	}
-	if n := c.monitor.Tracked(); n != 1 {
+	if n := len(c.monitor.prev); n != 1 {
 		t.Fatalf("monitor tracks %d containers, want 1", n)
 	}
 }

@@ -51,9 +51,6 @@ func NewCycle(cfg Config, rt Runtime) *Cycle {
 	}
 }
 
-// Config returns the effective configuration.
-func (c *Cycle) Config() Config { return c.cfg }
-
 // Runs returns how many times Algorithm 1 has executed (overhead metric).
 func (c *Cycle) Runs() int { return c.runs }
 

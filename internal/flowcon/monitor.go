@@ -148,9 +148,6 @@ func (m *Monitor) Forget(id string) {
 	delete(m.prev, id)
 }
 
-// Tracked returns how many containers the monitor currently tracks.
-func (m *Monitor) Tracked() int { return len(m.prev) }
-
 // tracks reports whether id was in the stats of the last Collect.
 func (m *Monitor) tracks(id string) bool {
 	_, ok := m.prev[id]

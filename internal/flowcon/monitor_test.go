@@ -11,8 +11,8 @@ func TestMonitorFirstSampleUndefined(t *testing.T) {
 	if len(got) != 1 || got[0].Defined {
 		t.Fatalf("first sample = %+v, want undefined", got)
 	}
-	if m.Tracked() != 1 {
-		t.Fatalf("Tracked = %d, want 1", m.Tracked())
+	if len(m.prev) != 1 {
+		t.Fatalf("monitor tracks %d, want 1", len(m.prev))
 	}
 }
 
@@ -75,8 +75,8 @@ func TestMonitorDropsExited(t *testing.T) {
 	m := NewMonitor()
 	m.Collect(0, []Stat{{ID: "a", Eval: 1, CPUSeconds: 0}, {ID: "b", Eval: 1, CPUSeconds: 0}})
 	m.Collect(10, []Stat{{ID: "a", Eval: 1, CPUSeconds: 5}})
-	if m.Tracked() != 1 {
-		t.Fatalf("Tracked = %d after b exited, want 1", m.Tracked())
+	if len(m.prev) != 1 {
+		t.Fatalf("monitor tracks %d after b exited, want 1", len(m.prev))
 	}
 }
 

@@ -29,7 +29,7 @@
 //
 // # Accounting by virtual time
 //
-// Shares are resource.Allocate's proportional-share fill: with each
+// Shares are resource.Allocator's proportional-share fill: with each
 // container's cap = min(demand, capacity) and its limit as the weight,
 // there is one water level L at which a container gets min(L·limit, cap).
 // Every running container is in one of three groups:
@@ -57,7 +57,7 @@
 //
 // A workload's demand is read once, when it joins: live workloads
 // (dlmodel jobs) keep a constant demand until they finish. Shares equal
-// resource.Allocate's to within float rounding, not bit for bit, because
+// resource.Allocator's to within float rounding, not bit for bit, because
 // L is one quotient where the allocator carries a progressive remainder.
 package livedock
 
@@ -74,24 +74,6 @@ import (
 	"repro/internal/runtime"
 )
 
-// State is a container lifecycle state.
-type State int
-
-const (
-	// Running containers consume resources.
-	Running State = iota
-	// Exited containers finished or were stopped.
-	Exited
-)
-
-// String implements fmt.Stringer.
-func (s State) String() string {
-	if s == Running {
-		return "running"
-	}
-	return "exited"
-}
-
 // Errors returned by node operations. Each wraps the backend-neutral
 // sentinel in internal/runtime, so errors.Is matches against either
 // livedock.ErrNotFound or runtime.ErrNotFound.
@@ -106,7 +88,7 @@ var (
 // satisfies it.
 type Workload = runtime.Workload
 
-// allocEps is resource.Allocate's threshold: a cap or limit at or below it
+// allocEps is resource.Allocator's threshold: a cap or limit at or below it
 // takes no share.
 const allocEps = 1e-12
 
@@ -131,7 +113,7 @@ type Container struct {
 	ID       string
 	Name     string
 	Model    string
-	State    State
+	State    runtime.State
 	Limit    float64
 	CPUSec   float64
 	Started  time.Time
@@ -157,14 +139,13 @@ type Container struct {
 
 // Node is a live worker node. All methods are safe for concurrent use.
 type Node struct {
-	mu          sync.Mutex
-	capacity    float64
-	memCapacity float64
-	clock       func() time.Time
-	epoch       time.Time
-	idPrefix    string // "live-<epoch in hex ns>-c", built once at boot
-	containers  map[string]*Container
-	byName      map[string]*Container
+	mu         sync.Mutex
+	capacity   float64
+	clock      func() time.Time
+	epoch      time.Time
+	idPrefix   string // "live-<epoch in hex ns>-c", built once at boot
+	containers map[string]*Container
+	byName     map[string]*Container
 	// order and running are the pool in creation order (see the package
 	// doc); memUsed is the resident sum over running.
 	order      []*Container
@@ -226,21 +207,10 @@ func NewNodeWithClock(capacity float64, clock func() time.Time) *Node {
 // Capacity implements runtime.Runtime.
 func (n *Node) Capacity() float64 { return n.capacity }
 
-// SetMemoryCapacity enables memory modelling: workloads exposing a
-// MemoryBytes footprint (dlmodel jobs do) then count toward MemoryUsed.
-// Zero (the default) leaves memory unmodelled.
-func (n *Node) SetMemoryCapacity(bytes float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.memCapacity = bytes
-}
-
-// MemoryCapacity implements runtime.Runtime (0 when unmodelled).
-func (n *Node) MemoryCapacity() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.memCapacity
-}
+// MemoryCapacity implements runtime.Runtime. The live node does not
+// model a memory ceiling, so it is always 0 (unmodelled); MemoryUsed
+// still sums the footprints of running workloads that expose one.
+func (n *Node) MemoryCapacity() float64 { return 0 }
 
 // MemoryUsed implements runtime.Runtime: the resident sum over running
 // containers whose workloads expose a footprint.
@@ -279,12 +249,10 @@ func (n *Node) view(c *Container) runtime.Container {
 		CPUSeconds:  c.CPUSec,
 		MemoryBytes: c.memBytes,
 		StartedAt:   c.Started.Sub(n.epoch).Seconds(),
+		State:       c.State,
 		Done:        c.workload.Done(),
 	}
-	if c.State == Running {
-		v.State = runtime.Running
-	} else {
-		v.State = runtime.Exited
+	if c.State == runtime.Exited {
 		v.FinishedAt = c.Finished.Sub(n.epoch).Seconds()
 	}
 	if wr, ok := c.workload.(interface{ Work() float64 }); ok {
@@ -328,7 +296,7 @@ func (n *Node) Launch(spec runtime.LaunchSpec) (runtime.Container, error) {
 		name = id
 	}
 	c := &Container{
-		ID: id, Name: name, Model: spec.Model, State: Running,
+		ID: id, Name: name, Model: spec.Model, State: runtime.Running,
 		Limit: limit, Started: n.clock(), workload: spec.Workload, seq: n.seq,
 		cap: min(demand, n.capacity),
 	}
@@ -383,12 +351,12 @@ func (n *Node) SetCPULimit(id string, limit float64) error {
 		n.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if c.State != Running {
+	if c.State != runtime.Running {
 		n.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotRunning, id)
 	}
 	exited := n.settleLocked()
-	if c.State == Running {
+	if c.State == runtime.Running {
 		n.detach(c)
 		c.Limit = limit
 		n.attach(c)
@@ -406,12 +374,12 @@ func (n *Node) Stop(id string) error {
 		n.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if c.State != Running {
+	if c.State != runtime.Running {
 		n.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotRunning, id)
 	}
 	exited := n.settleLocked()
-	if c.State == Running {
+	if c.State == runtime.Running {
 		n.exitLocked(c)
 		exited = append(exited, c)
 	}
@@ -427,8 +395,8 @@ func (n *Node) Remove(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if c.State == Running {
-		return fmt.Errorf("livedock: container %s is running (stop it first)", id)
+	if c.State == runtime.Running {
+		return fmt.Errorf("livedock: remove %s: %w (stop it first)", id, runtime.ErrRunning)
 	}
 	n.removeLocked(c)
 	return nil
@@ -511,7 +479,7 @@ func (n *Node) Checkpoint(id string) (*runtime.Checkpoint, error) {
 		n.unlockAndNotify(exited)
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if c.State != Running {
+	if c.State != runtime.Running {
 		n.unlockAndNotify(exited)
 		return nil, fmt.Errorf("%w: %s", ErrNotRunning, id)
 	}
@@ -626,7 +594,7 @@ func (n *Node) settleLocked() []*Container {
 	for _, c := range exited {
 		n.retireLocked(c)
 	}
-	n.running = slices.DeleteFunc(n.running, func(c *Container) bool { return c.State != Running })
+	n.running = slices.DeleteFunc(n.running, func(c *Container) bool { return c.State != runtime.Running })
 	n.rebalance()
 	return exited
 }
@@ -634,7 +602,7 @@ func (n *Node) settleLocked() []*Container {
 // retireLocked marks a detached container exited and takes its footprint
 // out of the aggregates; the caller splices it out of running.
 func (n *Node) retireLocked(c *Container) {
-	c.State = Exited
+	c.State = runtime.Exited
 	c.Finished = n.clock()
 	n.memUsed -= c.memBytes
 }

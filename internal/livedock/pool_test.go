@@ -33,9 +33,9 @@ func (j *poolJob) MemoryBytes() float64 { return j.mem }
 func (j *poolJob) Work() float64        { return j.work }
 func (j *poolJob) Remaining() float64   { return j.total - j.work }
 
-// refChecker holds a node against the checked reference. After every
+// refChecker holds a node against the reference allocator. After every
 // step each running container's share is within refTol·capacity of
-// resource.Allocate (which still detects duplicate ids) over the claims
+// resource.Allocator over the claims
 // PS(false) implies, the shares sum to at most capacity·(1+refTol), the
 // O(1) aggregates equal a recount, and CPU-seconds charged equal
 // allocation times elapsed time.
@@ -55,7 +55,7 @@ type refChecker struct {
 type reading struct{ cpu, alloc float64 }
 
 // refTol is how far a share may sit from the reference, relative to
-// capacity: the node's level is one quotient where resource.Allocate
+// capacity: the node's level is one quotient where resource.Allocator
 // carries a progressive remainder, so they agree to rounding, not bits.
 const refTol = 1e-12
 
@@ -69,7 +69,6 @@ func newRefChecker(t *testing.T, capacity float64) *refChecker {
 		prev:     map[string]reading{},
 	}
 	r.n = NewNodeWithClock(capacity, r.clk.Now)
-	r.n.SetMemoryCapacity(1 << 40)
 	r.n.OnExit(func(c runtime.Container) {
 		r.finalCPU[c.ID] = c.CPUSeconds
 		r.lastExits = append(r.lastExits, c.ID)
@@ -106,7 +105,7 @@ func (r *refChecker) check(step string) []string {
 		recount += c.MemoryBytes
 		total += c.CPUAlloc
 	}
-	for i, want := range resource.Allocate(r.capacity, claims) {
+	for i, want := range new(resource.Allocator).Allocate(r.capacity, claims) {
 		if math.Abs(ps[i].CPUAlloc-want.Amount) > refTol*r.capacity {
 			t.Fatalf("%s: %s alloc %v, reference %v", step, ps[i].ID, ps[i].CPUAlloc, want.Amount)
 		}
@@ -385,7 +384,7 @@ func TestDuplicateContainerIDPanics(t *testing.T) {
 }
 
 // A negative, NaN or infinite demand panics at launch, as
-// resource.Allocate does, and before the node lock is taken, so the node
+// resource.Allocator does, and before the node lock is taken, so the node
 // stays usable.
 func TestInvalidDemandPanics(t *testing.T) {
 	n := NewNodeWithClock(1.0, newFakeClock().Now)

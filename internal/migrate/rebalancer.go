@@ -117,6 +117,8 @@ type Rebalancer struct {
 	// instead of container count alone.
 	res map[string][resource.NumKinds]float64
 
+	// scans, plans and executed count periodic scans, decided migrations
+	// and the ones the manager accepted (the package's tests read them).
 	scans    int
 	plans    int
 	executed int
@@ -135,18 +137,6 @@ func New(cfg Config) *Rebalancer {
 		res: make(map[string][resource.NumKinds]float64),
 	}
 }
-
-// Config returns the effective (defaulted) configuration.
-func (r *Rebalancer) Config() Config { return r.cfg }
-
-// Scans returns how many periodic scans have run.
-func (r *Rebalancer) Scans() int { return r.scans }
-
-// Plans returns how many migrations the heuristic decided.
-func (r *Rebalancer) Plans() int { return r.plans }
-
-// Executed returns how many decided migrations the manager accepted.
-func (r *Rebalancer) Executed() int { return r.executed }
 
 // AttachCluster binds the rebalancer to the manager and starts the
 // periodic scan. Call it once, before the simulation starts.

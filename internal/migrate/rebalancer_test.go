@@ -54,7 +54,7 @@ func TestConfigValidation(t *testing.T) {
 		}()
 	}
 	r := New(Config{})
-	cfg := r.Config()
+	cfg := r.cfg
 	if cfg.Interval != 20 || cfg.MaxMovesPerScan != 1 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
@@ -77,14 +77,14 @@ func TestPressureGapRebalances(t *testing.T) {
 		t.Fatalf("pool still skewed: w0=%d w1=%d",
 			workers[0].RunningCount(), workers[1].RunningCount())
 	}
-	if r.Executed() == 0 || m.Migrated() == 0 {
-		t.Fatalf("no migrations executed (scans=%d plans=%d)", r.Scans(), r.Plans())
+	if r.executed == 0 || m.Migrated() == 0 {
+		t.Fatalf("no migrations executed (scans=%d plans=%d)", r.scans, r.plans)
 	}
 	// Once balanced the rebalancer stops: with a minimum gap of 2 a 2/2
 	// split (or a transient 3/1) plans nothing further, so plans stay
 	// bounded.
-	if r.Plans() > 2 {
-		t.Fatalf("rebalancer kept planning after balance: %d plans", r.Plans())
+	if r.plans > 2 {
+		t.Fatalf("rebalancer kept planning after balance: %d plans", r.plans)
 	}
 }
 
@@ -101,10 +101,10 @@ func TestBalancedClusterPlansNothing(t *testing.T) {
 	m.Submit(0, "a", longJob("LJ"))
 	m.Submit(0, "b", longJob("LJ"))
 	e.Run(100)
-	if r.Plans() != 0 {
-		t.Fatalf("balanced cluster produced %d plans", r.Plans())
+	if r.plans != 0 {
+		t.Fatalf("balanced cluster produced %d plans", r.plans)
 	}
-	if r.Scans() == 0 {
+	if r.scans == 0 {
 		t.Fatal("rebalancer never scanned")
 	}
 }

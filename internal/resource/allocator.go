@@ -21,7 +21,7 @@ type Claim struct {
 	Demand float64
 }
 
-// Allocation is the outcome of Allocate for one claim.
+// Allocation is the outcome of Allocator.Allocate for one claim.
 type Allocation struct {
 	ID     string
 	Amount float64
@@ -30,7 +30,7 @@ type Allocation struct {
 // epsilon below which shares are considered zero during progressive filling.
 const allocEps = 1e-12
 
-// Allocate divides capacity among the claims with proportional-share
+// Allocator divides capacity among the claims with proportional-share
 // (docker `--cpu-shares` / cgroup cpu.weight) semantics and returns one
 // allocation per claim (in the input order).
 //
@@ -54,33 +54,17 @@ const allocEps = 1e-12
 // The allocation is work-conserving: capacity goes idle only when every
 // claim's Demand is satisfied.
 //
-// Allocate panics on malformed input (negative or NaN capacity, a limit
-// outside (0,1] or NaN, a negative, NaN or infinite demand, duplicate
-// IDs): those are programming errors in a deterministic simulation, not
-// runtime conditions.
-func Allocate(capacity float64, claims []Claim) []Allocation {
-	seen := make(map[string]bool, len(claims))
-	for _, c := range claims {
-		if seen[c.ID] {
-			panic(fmt.Sprintf("resource: duplicate claim id %q", c.ID))
-		}
-		seen[c.ID] = true
-	}
-	var a Allocator
-	return a.Allocate(capacity, claims)
-}
-
-// Allocator computes the same allocation as the package-level Allocate but
-// reuses its scratch buffers across calls, so a simulation hot path (the
-// daemon reallocates on every start/exit/update) allocates nothing in
-// steady state. The returned slice is owned by the Allocator and is valid
-// only until the next Allocate call.
+// An Allocator reuses its scratch buffers across calls, so a simulation
+// hot path (the daemon reallocates on every start/exit/update) allocates
+// nothing in steady state. The returned slice is owned by the Allocator
+// and is valid only until the next Allocate call. The zero value is ready
+// to use.
 //
-// Unlike the package-level Allocate, an Allocator does not check for
-// duplicate claim IDs — callers that reuse one are expected to construct
-// claims from a pool whose IDs are unique by construction. All other input
-// validation (capacity, limits, demands) is identical. The zero value is
-// ready to use.
+// Allocate panics on malformed input (negative or NaN capacity, a limit
+// outside (0,1] or NaN, a negative, NaN or infinite demand): those are
+// programming errors in a deterministic simulation, not runtime
+// conditions. Claim IDs are not checked for duplicates; callers build
+// claims from a pool whose IDs are unique by construction.
 type Allocator struct {
 	out     []Allocation
 	caps    []float64
@@ -90,7 +74,7 @@ type Allocator struct {
 }
 
 // Allocate divides capacity among the claims with the semantics documented
-// on the package-level Allocate, reusing the Allocator's scratch buffers.
+// on Allocator, reusing its scratch buffers.
 func (a *Allocator) Allocate(capacity float64, claims []Claim) []Allocation {
 	// Positive range tests, so a NaN capacity or limit fails them.
 	if !(capacity >= 0) {

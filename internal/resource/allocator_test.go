@@ -10,20 +10,20 @@ import (
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-// allocateMap is Allocate keyed by claim id, for lookups in assertions.
+// allocateMap is Allocator.Allocate keyed by claim id, for lookups in assertions.
 func allocateMap(capacity float64, claims []Claim) map[string]float64 {
 	m := make(map[string]float64, len(claims))
-	for _, a := range Allocate(capacity, claims) {
+	for _, a := range new(Allocator).Allocate(capacity, claims) {
 		m[a.ID] = a.Amount
 	}
 	return m
 }
 
 func TestAllocateEmptyAndZero(t *testing.T) {
-	if got := Allocate(1.0, nil); len(got) != 0 {
-		t.Fatalf("Allocate(1, nil) = %v, want empty", got)
+	if got := new(Allocator).Allocate(1.0, nil); len(got) != 0 {
+		t.Fatalf("new(Allocator).Allocate(1, nil) = %v, want empty", got)
 	}
-	got := Allocate(0, []Claim{{ID: "a", Limit: 1, Demand: 1}})
+	got := new(Allocator).Allocate(0, []Claim{{ID: "a", Limit: 1, Demand: 1}})
 	if got[0].Amount != 0 {
 		t.Fatalf("zero capacity allocated %v", got[0].Amount)
 	}
@@ -163,7 +163,6 @@ func TestAllocatePanicsOnBadInput(t *testing.T) {
 		{"negative demand", 1, []Claim{{ID: "a", Limit: 1, Demand: -1}}},
 		{"NaN demand", 1, []Claim{{ID: "a", Limit: 1, Demand: math.NaN()}}},
 		{"infinite demand", 1, []Claim{{ID: "a", Limit: 1, Demand: math.Inf(1)}}},
-		{"duplicate id", 1, []Claim{{ID: "a", Limit: 1, Demand: 1}, {ID: "a", Limit: 1, Demand: 1}}},
 	}
 	mustPanic := func(t *testing.T, what string, fn func()) {
 		t.Helper()
@@ -176,10 +175,6 @@ func TestAllocatePanicsOnBadInput(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mustPanic(t, "Allocate", func() { Allocate(tc.capacity, tc.claims) })
-			if tc.name == "duplicate id" {
-				return // the pooled Allocator leaves id uniqueness to its caller
-			}
 			var a Allocator
 			mustPanic(t, "Allocator.Allocate", func() { a.Allocate(tc.capacity, tc.claims) })
 		})
@@ -207,13 +202,13 @@ func TestAllocatePropertyFeasible(t *testing.T) {
 		n := int(nn%10) + 1
 		claims := randomClaims(seed, n)
 		total := 0.0
-		for _, a := range Allocate(1.0, claims) {
+		for _, a := range new(Allocator).Allocate(1.0, claims) {
 			if a.Amount < -1e-12 {
 				return false
 			}
 			total += a.Amount
 		}
-		for i, a := range Allocate(1.0, claims) {
+		for i, a := range new(Allocator).Allocate(1.0, claims) {
 			if a.Amount > claims[i].Demand+1e-9 {
 				return false
 			}
@@ -231,7 +226,7 @@ func TestAllocatePropertyWorkConserving(t *testing.T) {
 	f := func(seed int64, nn uint8) bool {
 		n := int(nn%10) + 1
 		claims := randomClaims(seed, n)
-		alloc := Allocate(1.0, claims)
+		alloc := new(Allocator).Allocate(1.0, claims)
 		total, demandSum := 0.0, 0.0
 		for i, a := range alloc {
 			if a.Amount > claims[i].Demand+1e-9 {
@@ -261,8 +256,8 @@ func TestAllocatePropertyDeterministic(t *testing.T) {
 	f := func(seed int64, nn uint8) bool {
 		n := int(nn%10) + 1
 		claims := randomClaims(seed, n)
-		a := Allocate(1.0, claims)
-		b := Allocate(1.0, claims)
+		a := new(Allocator).Allocate(1.0, claims)
+		b := new(Allocator).Allocate(1.0, claims)
 		for i := range a {
 			if a[i] != b[i] {
 				return false
@@ -281,11 +276,11 @@ func TestAllocatePropertyLimitMonotone(t *testing.T) {
 	f := func(seed int64, nn uint8) bool {
 		n := int(nn%8) + 2
 		claims := randomClaims(seed, n)
-		before := Allocate(1.0, claims)
+		before := new(Allocator).Allocate(1.0, claims)
 		bumped := make([]Claim, n)
 		copy(bumped, claims)
 		bumped[0].Limit = math.Min(1.0, bumped[0].Limit*1.5)
-		after := Allocate(1.0, bumped)
+		after := new(Allocator).Allocate(1.0, bumped)
 		return after[0].Amount >= before[0].Amount-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -10,7 +10,7 @@
 //  2. limits are *soft*: "even if the container cannot maximize its own
 //     resource, the unused option will be utilized by others".
 //
-// Allocate implements exactly those semantics for a single contended
+// Allocator implements exactly those semantics for a single contended
 // resource via progressive filling, and is the substrate on which both the
 // NA baseline (no limits: plain fair sharing clipped by demand) and FlowCon
 // (per-container soft limits from Algorithm 1) run.

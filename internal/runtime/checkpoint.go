@@ -50,10 +50,6 @@ type Checkpoint struct {
 	restored bool
 }
 
-// Workload exposes the frozen workload (tests inspect progress through
-// it); identical to reading Payload.
-func (cp *Checkpoint) Workload() Workload { return cp.Payload }
-
 // Restored reports whether the checkpoint has already been thawed.
 func (cp *Checkpoint) Restored() bool { return cp.restored }
 

@@ -14,6 +14,8 @@ var (
 	ErrNotFound = errors.New("no such container")
 	// ErrNotRunning: the operation needs a running container.
 	ErrNotRunning = errors.New("container is not running")
+	// ErrRunning: the operation needs a stopped container (Remove).
+	ErrRunning = errors.New("container is running")
 	// ErrNameInUse: a container with that name already exists.
 	ErrNameInUse = errors.New("container name already in use")
 	// ErrNoImage: the requested image is not present on the node.

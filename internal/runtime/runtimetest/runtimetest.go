@@ -173,8 +173,8 @@ func testRemoveFreesName(t *testing.T, e *Env) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	if err := e.RT.Remove(c.ID); err == nil {
-		t.Fatal("Remove accepted a running container")
+	if err := e.RT.Remove(c.ID); !errors.Is(err, runtime.ErrRunning) {
+		t.Fatalf("Remove of a running container = %v, want ErrRunning", err)
 	}
 	if err := e.RT.Stop(c.ID); err != nil {
 		t.Fatalf("Stop: %v", err)

@@ -1,8 +1,9 @@
 // Package sched defines the resource-management policies compared in the
-// evaluation: FlowCon itself, the paper's NA baseline (default Docker free
-// competition), a static equal-share configuration, and a SLAQ-like
-// quality-driven baseline from the related work (Zhang et al., SoCC'17)
-// used in the ablation benches.
+// evaluation: FlowCon itself, a static equal-share configuration, and a
+// SLAQ-like quality-driven baseline from the related work (Zhang et al.,
+// SoCC'17) used in the ablation benches. The paper's NA baseline (default
+// Docker free competition) is internal/experiment's passive observer,
+// which installs no limit.
 //
 // A Policy attaches to a worker at experiment setup; everything it needs —
 // settled stats, limit updates, arrival/exit notifications — comes through
@@ -35,17 +36,6 @@ type Policy interface {
 	// worker's shard.
 	Attach(engine sim.Scheduler, node Node)
 }
-
-// NA is the paper's baseline: no configuration at all. Containers compete
-// freely and the kernel (here, the allocator with all limits at 1)
-// maintains fairness.
-type NA struct{}
-
-// Name implements Policy.
-func (NA) Name() string { return "NA" }
-
-// Attach implements Policy; the baseline installs nothing.
-func (NA) Attach(sim.Scheduler, Node) {}
 
 // FlowCon runs the paper's controller on the worker.
 type FlowCon struct {

@@ -20,30 +20,6 @@ func launch(t *testing.T, e *sim.Engine, w *cluster.Worker, at sim.Time, name st
 	})
 }
 
-func TestNAPolicyInstallsNothing(t *testing.T) {
-	e := sim.NewEngine()
-	w, d := cluster.NewSimWorker("w", e, 1.0)
-	NA{}.Attach(e, w)
-	launch(t, e, w, 0, "a", dlmodel.GRU())
-	launch(t, e, w, 0, "b", dlmodel.GRU())
-	e.RunAll()
-	// With no policy, both identical jobs share equally and finish
-	// together at 2*W.
-	conts := d.PS(true)
-	if len(conts) != 2 {
-		t.Fatalf("%d containers", len(conts))
-	}
-	if conts[0].FinishedAt() != conts[1].FinishedAt() {
-		t.Fatalf("equal jobs finished apart: %v vs %v", conts[0].FinishedAt(), conts[1].FinishedAt())
-	}
-	if conts[0].CPULimit() != 1.0 {
-		t.Fatalf("NA set a limit: %v", conts[0].CPULimit())
-	}
-	if NA.Name(NA{}) != "NA" {
-		t.Fatal("NA name")
-	}
-}
-
 func TestFlowConPolicyThrottlesConvergedJob(t *testing.T) {
 	e := sim.NewEngine()
 	w, d := cluster.NewSimWorker("w", e, 1.0)

@@ -25,8 +25,6 @@ type TimeSlice struct {
 
 	order  []string
 	cursor int
-	// rotations counts quanta served, for tests and overhead reports.
-	rotations int
 }
 
 // Name implements Policy.
@@ -75,12 +73,8 @@ func (ts *TimeSlice) Attach(engine sim.Scheduler, node Node) {
 	engine.After(ts.Quantum, sim.PriorityExecutor, "timeslice.rotate", rotate)
 }
 
-// Rotations returns how many quanta have been served.
-func (ts *TimeSlice) Rotations() int { return ts.rotations }
-
 // advance moves the round-robin cursor by Slots.
 func (ts *TimeSlice) advance() {
-	ts.rotations++
 	if len(ts.order) == 0 {
 		ts.cursor = 0
 		return

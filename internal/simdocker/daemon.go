@@ -4,9 +4,10 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 
+	"repro/internal/flowcon"
 	"repro/internal/resource"
+	"repro/internal/runtime"
 	"repro/internal/sim"
 )
 
@@ -174,9 +175,6 @@ func (d *Daemon) SetContentionOverhead(h float64) {
 	d.contention = h
 }
 
-// ContentionOverhead returns the configured overhead factor.
-func (d *Daemon) ContentionOverhead() float64 { return d.contention }
-
 // SetMemoryCapacity sets the node's physical memory in bytes (0 disables
 // memory modelling), a finite value ≥ 0. Must be called before any
 // container runs.
@@ -222,16 +220,6 @@ func (d *Daemon) Pull(img Image) {
 	d.images[img.Ref] = img
 }
 
-// Images lists pulled images sorted by reference.
-func (d *Daemon) Images() []Image {
-	out := make([]Image, 0, len(d.images))
-	for _, img := range d.images {
-		out = append(out, img)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ref < out[j].Ref })
-	return out
-}
-
 // OnStart registers a callback invoked whenever a container starts. This
 // feeds the paper's "New Cons" listener.
 func (d *Daemon) OnStart(fn func(*Container)) { d.onStart = append(d.onStart, fn) }
@@ -274,7 +262,6 @@ func (d *Daemon) Run(spec RunSpec) (*Container, error) {
 		name:      name,
 		image:     spec.Image,
 		state:     Running,
-		createdAt: d.engine.Now(),
 		startedAt: d.engine.Now(),
 		workload:  spec.Workload,
 		cpuLimit:  limit,
@@ -301,7 +288,7 @@ func (d *Daemon) Run(spec RunSpec) (*Container, error) {
 // Update re-sets a running container's soft CPU limit — the simulated
 // `docker update --cpus`. The limit takes effect at the current instant:
 // already-accrued work is settled at the old rate, the new limit is
-// written at once (CPULimit and Stats report it), and the water-fill runs
+// written at once (CPULimit and RunningStats report it), and the water-fill runs
 // in a single reallocation event the daemon queues at (now,
 // PriorityState). CPUAlloc reflects the new limit once that event has
 // run, which happens before any Listener-or-later event at this instant
@@ -382,7 +369,7 @@ func (d *Daemon) Remove(id string) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	if c.state == Running {
-		return fmt.Errorf("simdocker: remove %s: container is running", id)
+		return fmt.Errorf("simdocker: remove %s: %w", id, runtime.ErrRunning)
 	}
 	delete(d.containers, id)
 	delete(d.byName, c.name)
@@ -434,17 +421,7 @@ func (d *Daemon) PS(all bool) []*Container {
 // start/exit, so reading it is O(1).
 func (d *Daemon) RunningCount() int { return d.running }
 
-// Stats returns a settled snapshot of one container's consumption.
-func (d *Daemon) Stats(id string) (Stats, error) {
-	c, ok := d.containers[id]
-	if !ok {
-		return Stats{}, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	d.settle()
-	return d.statsOf(c), nil
-}
-
-// Usage is the handle-taking form of Stats for observers that already
+// Usage is the handle-taking form of AppendRunningStats for observers that already
 // hold the container and need only what a usage sampler reads: settled
 // cumulative CPU seconds and the workload's current evaluation value. No
 // id lookup, no snapshot struct.
@@ -453,33 +430,25 @@ func (d *Daemon) Usage(c *Container) (cpuSeconds, eval float64) {
 	return c.cpuSeconds, c.workload.Eval()
 }
 
-// statsOf builds one container's snapshot. Callers must settle first.
-func (d *Daemon) statsOf(c *Container) Stats {
-	s := Stats{
-		ID:         c.id,
-		Name:       c.name,
-		State:      c.state,
-		CPUAlloc:   c.alloc,
-		CPULimit:   c.cpuLimit,
-		CPUSeconds: c.cpuSeconds,
-		BlkIOBytes: c.blkioBytes,
-		NetIOBytes: c.netioBytes,
-		Eval:       c.workload.Eval(),
-	}
-	if rp, ok := c.workload.(ResourceProfiler); ok && c.state == Running {
-		s.MemoryBytes = rp.MemoryBytes()
-	}
-	return s
-}
-
 // AppendRunningStats settles the pool once and appends a snapshot of every
-// running container to buf in creation order, returning the extended
-// slice. It is the allocation-free bulk form of Stats that the per-tick
-// hot path (policy RunningStats) uses instead of PS + per-id lookups.
-func (d *Daemon) AppendRunningStats(buf []Stats) []Stats {
+// running container to buf in creation order — the simulated `docker
+// stats` — returning the extended slice. It is the allocation-free bulk
+// read the per-tick hot path (policy RunningStats) makes instead of PS +
+// per-id lookups.
+func (d *Daemon) AppendRunningStats(buf []flowcon.Stat) []flowcon.Stat {
 	d.settle()
 	for _, c := range d.runningList {
-		buf = append(buf, d.statsOf(c))
+		s := flowcon.Stat{
+			ID:         c.id,
+			Eval:       c.workload.Eval(),
+			CPUSeconds: c.cpuSeconds,
+			BlkIOBytes: c.blkioBytes,
+			NetIOBytes: c.netioBytes,
+		}
+		if rp, ok := c.workload.(ResourceProfiler); ok {
+			s.MemoryBytes = rp.MemoryBytes()
+		}
+		buf = append(buf, s)
 	}
 	return buf
 }

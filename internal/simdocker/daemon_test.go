@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dlmodel"
+	"repro/internal/flowcon"
 	"repro/internal/sim"
 )
 
@@ -258,23 +259,20 @@ func TestStartExitCallbacks(t *testing.T) {
 func TestStatsSettlesAccounting(t *testing.T) {
 	e, d := newTestDaemon(t)
 	c := mustRun(t, d, "a", &fakeJob{total: 100, demand: 1})
-	var got Stats
-	e.At(30, sim.PriorityMetric, "stats", func() {
-		s, err := d.Stats(c.ID())
-		if err != nil {
-			t.Errorf("Stats: %v", err)
-		}
-		got = s
-	})
+	var got []flowcon.Stat
+	e.At(30, sim.PriorityMetric, "stats", func() { got = d.AppendRunningStats(nil) })
 	e.Run(30)
-	if math.Abs(got.CPUSeconds-30) > 1e-9 {
-		t.Fatalf("CPUSeconds = %v, want 30", got.CPUSeconds)
+	if len(got) != 1 || got[0].ID != c.ID() {
+		t.Fatalf("stats = %+v, want one row for %s", got, c.ID())
 	}
-	if got.CPUAlloc != 1.0 || got.CPULimit != 1.0 {
-		t.Fatalf("alloc/limit = %v/%v, want 1/1", got.CPUAlloc, got.CPULimit)
+	if math.Abs(got[0].CPUSeconds-30) > 1e-9 {
+		t.Fatalf("CPUSeconds = %v, want 30", got[0].CPUSeconds)
 	}
-	if math.Abs(got.Eval-70) > 1e-9 {
-		t.Fatalf("Eval = %v, want 70", got.Eval)
+	if c.CPUAlloc() != 1.0 || c.CPULimit() != 1.0 {
+		t.Fatalf("alloc/limit = %v/%v, want 1/1", c.CPUAlloc(), c.CPULimit())
+	}
+	if math.Abs(got[0].Eval-70) > 1e-9 {
+		t.Fatalf("Eval = %v, want 70", got[0].Eval)
 	}
 }
 
@@ -304,28 +302,25 @@ func TestDLModelJobInContainer(t *testing.T) {
 	if math.Abs(float64(c.FinishedAt())-28) > 1e-9 {
 		t.Fatalf("finished at %v, want 28", c.FinishedAt())
 	}
-	s, err := d.Stats(c.ID())
-	if err != nil {
-		t.Fatal(err)
+	if c.blkioBytes <= 0 || c.netioBytes <= 0 {
+		t.Fatalf("I/O accounting empty: blkio=%v netio=%v", c.blkioBytes, c.netioBytes)
 	}
-	if s.BlkIOBytes <= 0 || s.NetIOBytes <= 0 {
-		t.Fatalf("I/O accounting empty: blkio=%v netio=%v", s.BlkIOBytes, s.NetIOBytes)
-	}
-	if s.MemoryBytes != 0 {
-		t.Fatalf("exited container reports memory %v, want 0", s.MemoryBytes)
+	if got := d.AppendRunningStats(nil); len(got) != 0 {
+		t.Fatalf("exited container still reported: %+v", got)
 	}
 }
 
+// The local image store holds every pulled image by reference, and a run
+// of an image that was never pulled fails with ErrNoImage.
 func TestImagesListing(t *testing.T) {
 	_, d := newTestDaemon(t)
 	d.Pull(Image{Ref: "b/img:2"})
-	d.Pull(Image{Ref: "a/img:1"})
-	imgs := d.Images()
-	if len(imgs) != 3 {
-		t.Fatalf("Images = %d, want 3", len(imgs))
+	d.Pull(Image{Ref: "a/img:1", SizeBytes: 7})
+	if len(d.images) != 3 || d.images["a/img:1"].SizeBytes != 7 {
+		t.Fatalf("image store = %v, want 3 images with a/img:1 at 7 bytes", d.images)
 	}
-	if imgs[0].Ref != "a/img:1" {
-		t.Fatalf("images not sorted: %v", imgs)
+	if _, err := d.Run(RunSpec{Image: "c/img:3", Workload: &fakeJob{total: 1, demand: 1}}); !errors.Is(err, ErrNoImage) {
+		t.Fatalf("run of an unpulled image = %v, want ErrNoImage", err)
 	}
 }
 

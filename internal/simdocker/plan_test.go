@@ -16,7 +16,7 @@ import (
 // and what a later event at the plan's instant observes.
 
 // checkShares asserts every running container's share is bit-identical to
-// the checked reference allocator over claims built from PS(false).
+// the reference allocator over claims built from PS(false).
 func checkShares(t *testing.T, step int, d *Daemon) {
 	t.Helper()
 	running := d.PS(false)
@@ -24,7 +24,7 @@ func checkShares(t *testing.T, step int, d *Daemon) {
 	for i, c := range running {
 		claims[i] = resource.Claim{ID: c.ID(), Limit: c.CPULimit(), Demand: c.workload.CPUDemand()}
 	}
-	for i, a := range resource.Allocate(d.Capacity(), claims) {
+	for i, a := range new(resource.Allocator).Allocate(d.Capacity(), claims) {
 		if got := running[i].CPUAlloc(); got != a.Amount {
 			t.Fatalf("step %d: %s alloc %v, reference %v", step, a.ID, got, a.Amount)
 		}

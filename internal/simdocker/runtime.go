@@ -10,7 +10,7 @@ import (
 // the daemon itself it is not thread-safe: all calls belong on the
 // simulation goroutine.
 //
-// RT owns the scratch buffers behind RunningStats, so the Algorithm 1
+// RT owns the scratch buffer behind RunningStats, so the Algorithm 1
 // hot path stays allocation-free at steady state, and it fans daemon
 // start/exit notifications out to runtime-level hooks as Container
 // views. It subscribes to the daemon exactly once, at construction —
@@ -20,8 +20,7 @@ import (
 type RT struct {
 	d *Daemon
 
-	dstatScratch []Stats
-	statScratch  []flowcon.Stat
+	statScratch []flowcon.Stat
 
 	startSubs []func(runtime.Container)
 	exitSubs  []func(runtime.Container)
@@ -69,11 +68,6 @@ func view(c *Container) runtime.Container {
 	}
 	return v
 }
-
-// Daemon returns the wrapped daemon for simulation assembly (pulling
-// images, tuning the contention model, subscribing typed *Container
-// hooks). Policy layers should stay on the Runtime surface.
-func (rt *RT) Daemon() *Daemon { return rt.d }
 
 // Capacity implements runtime.Runtime.
 func (rt *RT) Capacity() float64 { return rt.d.Capacity() }
@@ -136,20 +130,8 @@ func (rt *RT) PS(all bool) []runtime.Container {
 // RunningStats implements runtime.Runtime. The returned slice aliases
 // the adapter's scratch buffer and is only valid until the next call.
 func (rt *RT) RunningStats() []flowcon.Stat {
-	rt.dstatScratch = rt.d.AppendRunningStats(rt.dstatScratch[:0])
-	out := rt.statScratch[:0]
-	for _, s := range rt.dstatScratch {
-		out = append(out, flowcon.Stat{
-			ID:          s.ID,
-			Eval:        s.Eval,
-			CPUSeconds:  s.CPUSeconds,
-			BlkIOBytes:  s.BlkIOBytes,
-			NetIOBytes:  s.NetIOBytes,
-			MemoryBytes: s.MemoryBytes,
-		})
-	}
-	rt.statScratch = out
-	return out
+	rt.statScratch = rt.d.AppendRunningStats(rt.statScratch[:0])
+	return rt.statScratch
 }
 
 // Checkpoint implements runtime.Runtime.

@@ -47,7 +47,6 @@ const minSketchMagnitude = 1e-9
 // ⌊q·(n−1)⌋, except for values inside the zero bucket (|x| below
 // minSketchMagnitude), which are reported as exactly 0.
 type QuantileSketch struct {
-	alpha      float64
 	gamma      float64
 	invLnGamma float64
 	pos, neg   sketchStore
@@ -160,7 +159,6 @@ func (s *QuantileSketch) Init(alpha float64) {
 	}
 	gamma := (1 + alpha) / (1 - alpha)
 	*s = QuantileSketch{
-		alpha:      alpha,
 		gamma:      gamma,
 		invLnGamma: 1 / math.Log(gamma),
 	}
@@ -209,9 +207,6 @@ func (s *QuantileSketch) Add(v float64) {
 
 // Count returns how many values were added.
 func (s *QuantileSketch) Count() int64 { return s.n }
-
-// RelativeAccuracy returns the α the sketch was built with.
-func (s *QuantileSketch) RelativeAccuracy() float64 { return s.alpha }
 
 // Quantile returns the estimated q-quantile (0 ≤ q ≤ 1) at the order
 // statistic of rank ⌊q·(n−1)⌋, within the sketch's relative-error

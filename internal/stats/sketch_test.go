@@ -88,9 +88,6 @@ func TestSketchMatchesWelfordCount(t *testing.T) {
 	if sk.Count() != w.Count() || sk.Count() != 100 {
 		t.Fatalf("counts diverged: sketch %d welford %d", sk.Count(), w.Count())
 	}
-	if sk.RelativeAccuracy() != 0.02 {
-		t.Fatalf("accuracy = %g", sk.RelativeAccuracy())
-	}
 }
 
 func TestSketchZeroAndNegative(t *testing.T) {
