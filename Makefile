@@ -108,7 +108,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReplay$$' -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run='^$$' -fuzz='^FuzzSketchStore$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzSeries$$' -fuzztime=$(FUZZTIME) ./internal/metrics
-	$(GO) test -run='^$$' -fuzz='^FuzzReadArchive$$' -fuzztime=$(FUZZTIME) ./internal/metrics
 	$(GO) test -run='^$$' -fuzz='^FuzzAgentRequests$$' -fuzztime=$(FUZZTIME) ./internal/agent
 
 # Docs hygiene: every relative markdown link in README/ROADMAP/docs/

@@ -28,9 +28,10 @@
 // execute in parallel inside conservative epochs (0 = auto/GOMAXPROCS);
 // output stays byte-identical to the serial engine at any shard count.
 // -trace-level selects metric retention (see README "Observability"):
-// the summary default keeps O(jobs) online summaries; dense retains full
-// per-job series for trace and figure export. Experiment (figure) mode
-// always collects dense — figures re-plot raw samples by definition.
+// the summary default keeps O(jobs) job records and growth trajectories;
+// dense retains full per-job series for trace and figure export.
+// Experiment (figure) mode always collects dense — figures re-plot raw
+// samples by definition.
 // -observe prints the sharded-engine phase profile (epochs, serial
 // degrades, per-lane event counts, barrier/merge wall-time) per run, and
 // -trace-out writes every run's job-lifecycle spans as JSONL; both are
@@ -79,7 +80,7 @@ func main() {
 	shardSim := flag.Int("shard-sim", 1,
 		"per-run event-lane parallelism: worker lanes execute in parallel inside one simulation (0 = auto/GOMAXPROCS, 1 = serial engine); output is byte-identical at any value")
 	traceLevel := flag.String("trace-level", "summary",
-		"metric retention per run: summary (constant-memory online summaries, the default) or dense (full per-job series, O(jobs × makespan) memory); reports are identical either way")
+		"metric retention per run: summary (job records and growth trajectories, the default) or dense (full per-job series, O(jobs × makespan) memory); reports are identical either way")
 	observe := flag.Bool("observe", false,
 		"with -scenario/-replay: print the sharded-engine phase profile per run after the summary table (event counters are deterministic; wall-clock columns vary run to run)")
 	traceOut := flag.String("trace-out", "",
@@ -241,8 +242,8 @@ func usage() {
 -parallel N  sweeps runs across a worker pool; -shard-sim N parallelizes
 inside each run (per-worker event lanes, 0 = auto/GOMAXPROCS, 1 = serial
 engine). Output is byte-identical at any width of either. -trace-level
-picks metric retention: summary (default) keeps constant-memory online
-summaries per job; dense keeps full series for trace export (experiment
+picks metric retention: summary (default) keeps job records and growth
+trajectories; dense keeps full series for trace export (experiment
 mode always runs dense — figures re-plot raw samples). -observe prints
 the sharded-engine phase profile per run; -trace-out exports every run's
 job-lifecycle spans as JSONL (see docs/OBSERVABILITY.md). -cpuprofile

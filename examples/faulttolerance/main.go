@@ -30,6 +30,8 @@ func main() {
 		Workers:     2,
 		// worker-0 dies at t=150s
 		Faults: &faults.Plan{Script: []faults.ScriptedFault{{At: 150, Kind: faults.KindCrash, Worker: 0}}},
+		// Keep the raw series, so the archive below holds the traces.
+		TraceLevel: repro.TierDense,
 	})
 
 	fmt.Println("Two FlowCon workers, five jobs; worker-0 crashes at t=150s.")

@@ -19,7 +19,7 @@ func main() {
 		NewPolicy:   repro.FlowConPolicy(0.05, 20), // α=5%, itval=20s
 		Submissions: subs,
 		// The CPU-trace chart below re-plots raw samples, which only the
-		// dense tier retains (the default keeps summaries only).
+		// dense tier samples and retains.
 		TraceLevel: repro.TierDense,
 	})
 	na := repro.Run(repro.Spec{

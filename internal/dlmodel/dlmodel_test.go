@@ -1,6 +1,7 @@
 package dlmodel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -195,6 +196,24 @@ func TestByKey(t *testing.T) {
 	}
 	if _, ok := Find("nope"); ok {
 		t.Error("unknown key found")
+	}
+}
+
+// TestKeyAllocs: Key is built by concatenation, into one allocation (the
+// runner calls it on every placement, migration thaw and checkpoint
+// restore), and reads exactly as the "%s (%s)" label always has.
+func TestKeyAllocs(t *testing.T) {
+	for _, p := range Catalog() {
+		if got, want := p.Key(), fmt.Sprintf("%s (%s)", p.Name, p.Framework); got != want {
+			t.Fatalf("Key() = %q, want %q", got, want)
+		}
+	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	p := VAEPyTorch()
+	if allocs := testing.AllocsPerRun(100, func() { _ = p.Key() }); allocs > 1 {
+		t.Fatalf("Key allocates %.0f times, want at most 1", allocs)
 	}
 }
 

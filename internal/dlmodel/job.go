@@ -97,7 +97,7 @@ func (p Profile) Validate() {
 // Key returns "Name (Framework)" — the label format used in the paper's
 // figures, e.g. "MNIST (Tensorflow)".
 func (p Profile) Key() string {
-	return fmt.Sprintf("%s (%s)", p.Name, p.Framework)
+	return p.Name + " (" + string(p.Framework) + ")"
 }
 
 // Job is a running (or finished) training task instantiated from a Profile.

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -103,17 +105,16 @@ func TestResultArchiveRoundTrip(t *testing.T) {
 	if err := a.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
-	back, err := metrics.ReadArchive(strings.NewReader(sb.String()))
-	if err != nil {
+	var back metrics.Archive
+	if err := json.Unmarshal([]byte(sb.String()), &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.JobNames()) != 3 {
-		t.Fatalf("round-trip jobs = %v", back.JobNames())
+	if !reflect.DeepEqual(back.Jobs, a.Jobs) {
+		t.Fatalf("round-trip jobs = %+v", back.Jobs)
 	}
 	// The archived growth series matches the live one.
-	live := fc.Collector.GrowthSeries("VAE (Pytorch)")
-	archived := back.SeriesOf("growth", "VAE (Pytorch)")
-	if archived.Len() != live.Len() {
-		t.Fatalf("growth series %d vs %d points", archived.Len(), live.Len())
+	live := fc.Collector.GrowthSeries("VAE (Pytorch)").Points()
+	if archived := back.Series["growth"]["VAE (Pytorch)"]; !reflect.DeepEqual(archived, live) {
+		t.Fatalf("growth series %d vs %d points", len(archived), len(live))
 	}
 }

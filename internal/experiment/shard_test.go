@@ -132,10 +132,11 @@ func TestShardedAutoResolvesToGOMAXPROCS(t *testing.T) {
 }
 
 // TestShardedArchiveMatchesSerial: in the summary tier controllers on
-// different worker lanes feed the collector's shared run sketches, under
-// its mutex, in an order that varies from run to run. The archive must
-// not show it: sharded and serial Export JSON are byte-identical (run
-// this under -race to check the lock as well).
+// different worker lanes call the collector's RecordRun concurrently,
+// without a lock, each appending to the growth trajectories of its own
+// lane's jobs. The archive must not show it: sharded and serial Export
+// JSON are byte-identical (run this under -race to check that no two
+// lanes write the same state).
 func TestShardedArchiveMatchesSerial(t *testing.T) {
 	export := func(name string, shards int) []byte {
 		s, ok := ScenarioByName(name)

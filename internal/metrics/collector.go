@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/flowcon"
 	"repro/internal/sim"
 	"repro/internal/simdocker"
-	"repro/internal/stats"
 )
 
 // PostExitSamples is the documented post-exit sampler horizon: an exited
@@ -19,7 +17,7 @@ import (
 // partial window covering the exit instant and the first all-zero window
 // — before the sampler seals it, drops it from iteration and frees its
 // differencing state. Every later sample would be identically zero, so
-// the cap loses no information while keeping both collection tiers from
+// the cap loses no information while keeping the dense tier from
 // accumulating an O(makespan) zero tail per finished job (the PR 5
 // "sharded sampler tail" finding).
 const PostExitSamples = 2
@@ -50,7 +48,7 @@ func (r JobRecord) CompletionTime() float64 {
 	return r.FinishedAt - r.StartedAt
 }
 
-// seriesKind indexes the five series the collector keeps per job.
+// seriesKind indexes the five raw series a dense-tier job keeps.
 type seriesKind int
 
 const (
@@ -66,97 +64,39 @@ const (
 var kindNames = [numKinds]string{"cpu", "eval", "limit", "growth", "list"}
 
 // job is the collector's one record per tracked job: the lifecycle
-// summary, the constant-memory summaries (held by value and pointing at
-// nothing, so the record is one allocation) and the tier's trajectory
-// store. Both indexes — jobs by name, byCID by container — lead here, so
-// the sampling and tracing paths do one lookup and then follow pointers.
+// summary and the tier's trajectory store. Both indexes — jobs by name,
+// byCID by container — lead here, so the sampling and tracing paths do
+// one lookup and then follow pointers.
 type job struct {
 	JobRecord
 
-	// sums are observed as samples arrive in TierSummary; in TierDense
-	// they are folded from the raw traces on read (see fold).
-	sums [numKinds]SeriesSummary
-	// dense holds the raw traces; nil in TierSummary.
-	dense *denseTraces
+	// dense holds the raw series; nil in TierSummary.
+	dense *[numKinds]Series
 	// growthC is the bounded growth trajectory behind GrowthAt; nil in
 	// TierDense, which answers from the raw growth trace.
 	growthC *CompactSeries
 }
 
-// denseTraces is a dense-tier job's raw traces, the only store written
-// while the job is sampled. folded[k] counts the points of series[k]
-// already folded into the job's summary and the run sketch of kind k.
-type denseTraces struct {
-	series [numKinds]Series
-	folded [numKinds]int
-}
-
-// observe records one sample of kind k for job j in the active tier's
-// store: the raw trace in TierDense, else the job's moments and the run
-// sketch. Allocation-free at steady state: the run sketch has a bucket
-// for every magnitude the run has seen, and a dense chunk holds many
-// points.
-func (c *Collector) observe(j *job, k seriesKind, t, v float64) {
-	if j.dense != nil {
-		j.dense.series[k].Append(t, v)
-		return
-	}
-	j.sums[k].Observe(t, v)
-	c.sketches[k].Add(v)
-}
-
-// fold returns job j's summary of kind k. In TierDense it first folds the
-// points appended since the last read into the summary and the run
-// sketch. They go in in order, so the summary is bit-identical to one
-// observed as the samples arrived, and folded[k] makes each point go in
-// once. The fold walks the chunks: compacting them would allocate every
-// point a second time.
-func (c *Collector) fold(j *job, k seriesKind) *SeriesSummary {
-	sum := &j.sums[k]
-	d := j.dense
-	if d == nil {
-		return sum
-	}
-	sk := &c.sketches[k]
-	skip := d.folded[k]
-	for _, ch := range d.series[k].chunks {
-		if skip >= len(ch) {
-			skip -= len(ch)
-			continue
-		}
-		for _, p := range ch[skip:] {
-			sum.Observe(p.T, p.V)
-			sk.Add(p.V)
-		}
-		skip = 0
-	}
-	d.folded[k] = d.series[k].Len()
-	return sum
-}
-
 // Collector accumulates everything an experiment reports. It subscribes to
-// worker daemons for job lifecycle and samples CPU usage at a fixed
-// period, and implements flowcon.Tracer to capture growth-efficiency and
-// limit traces.
+// worker daemons for job lifecycle, settles them at a fixed period, and
+// implements flowcon.Tracer to capture growth-efficiency traces.
 //
-// Memory behavior is governed by the collector's Tier. TierSummary keeps
-// O(1) online moments (SeriesSummary) per job/kind — total memory is
-// O(jobs), independent of makespan — plus one bounded CompactSeries per
-// job so GrowthAt can answer the GE@fraction report columns. TierDense
-// retains every raw sample in full Series, O(jobs × makespan), and stores
-// nothing else while the run samples: its summaries are folded from the
-// raw series on first read. The raw-series accessors (CPUSeries etc.)
-// return nil outside that tier. In both tiers quantiles are run-level:
-// one QuantileSketch per kind over every job's samples, five per run. A
-// DDSketch merges by adding bucket counts, so the run sketch carries the
-// same relative-error guarantee over the run's samples as per-job
-// sketches merged after the fact.
+// What it keeps is governed by the collector's Tier. TierSummary keeps the
+// job records and one bounded CompactSeries of growth per job, so GrowthAt
+// can answer the GE@fraction report columns: total memory is O(jobs),
+// independent of makespan. Its periodic tick only settles the attached
+// nodes and samples nothing. TierDense samples CPU usage and evaluation
+// values every period and retains every raw sample, and every Algorithm 1
+// run's growth, limit and list, in full Series: O(jobs × makespan). The
+// raw-series accessors (CPUSeries etc.) and CPUSummary return nil outside
+// that tier.
 //
 // A Collector is not safe for concurrent use, with one exception:
 // RecordRun, which controllers on different sharded worker lanes call
-// concurrently, takes the collector's mutex around the shared sketches.
-// Reads mutate the collector too: in TierDense a summary read folds
-// pending points in, and Points compacts a chunked series.
+// concurrently. It writes only the records of jobs bound to the calling
+// lane's containers and reads the container index, which changes only on
+// the cluster lane outside parallel batches. Points mutates the collector
+// too: it compacts a chunked series.
 type Collector struct {
 	engine *sim.Engine
 	period float64
@@ -165,9 +105,11 @@ type Collector struct {
 	jobs  map[string]*job // by job name
 	byCID map[string]*job // by the container the job is bound to
 
-	// samplers holds one sampler per attached worker, in attach order;
-	// tickFn is the bound tick method, built once so rescheduling the
-	// metrics.sample event allocates only the event.
+	// daemons are the attached workers in attach order, settled by every
+	// tick. samplers holds one sampler per daemon in TierDense and none in
+	// TierSummary. tickFn is the bound tick method, built once so
+	// rescheduling the metrics.sample event allocates only the event.
+	daemons  []*simdocker.Daemon
 	samplers []*sampler
 	tickFn   func()
 
@@ -175,26 +117,20 @@ type Collector struct {
 	// worker lanes record runs concurrently. The total is deterministic
 	// even though the increment order is not.
 	algoRuns atomic.Int64
-
-	// sketches are the run's quantile sketches, one per kind. mu guards
-	// them in RecordRun; the sampler runs on lane 0 outside parallel
-	// batches and takes no lock. Below the sketch's bucket cap, which no
-	// metric stream approaches, bucket counts do not depend on the order
-	// values arrive in, so the quantiles are deterministic across lanes.
-	mu       sync.Mutex
-	sketches [numKinds]stats.QuantileSketch
 }
 
-// NewCollector creates a summary-tier collector sampling CPU usage every
+// NewCollector creates a summary-tier collector settling its workers every
 // period seconds. Use NewCollectorTier to opt into dense retention.
 func NewCollector(engine *sim.Engine, period float64) *Collector {
 	return NewCollectorTier(engine, period, TierSummary)
 }
 
 // NewCollectorTier creates a collector with an explicit retention tier.
-// The tier only changes what is retained, never what the simulation does:
-// samplers fire at the same instants either way. The period must be finite
-// and positive.
+// The tier changes what is retained, never what the simulation does: both
+// tiers run the same metrics.sample tick at the same instants, and in
+// both it starts with daemon.Sync() on every attached worker — the settle
+// that fixes where each node's progress integration splits, and so the
+// low bits of every outcome. The period must be finite and positive.
 func NewCollectorTier(engine *sim.Engine, period float64, tier Tier) *Collector {
 	if !(period > 0) || math.IsInf(period, 1) {
 		panic(fmt.Sprintf("metrics: sampling period %g is not finite and positive", period))
@@ -202,21 +138,14 @@ func NewCollectorTier(engine *sim.Engine, period float64, tier Tier) *Collector 
 	if tier != TierSummary && tier != TierDense {
 		panic(fmt.Sprintf("metrics: unknown tier %d", int(tier)))
 	}
-	c := &Collector{
+	return &Collector{
 		engine: engine,
 		period: period,
 		tier:   tier,
 		jobs:   make(map[string]*job),
 		byCID:  make(map[string]*job),
 	}
-	for k := range c.sketches {
-		c.sketches[k].Init(SketchAccuracy)
-	}
-	return c
 }
-
-// Tier returns the collector's retention tier.
-func (c *Collector) Tier() Tier { return c.tier }
 
 // TrackJob registers a placed job. Call from the manager's OnPlace hook.
 // Re-tracking an existing job name re-binds it to a new container — the
@@ -236,7 +165,7 @@ func (c *Collector) TrackJob(name, worker, model, containerID string, startedAt 
 		StartedAt:   startedAt,
 	}}
 	if c.tier == TierDense {
-		j.dense = new(denseTraces)
+		j.dense = new([numKinds]Series)
 	} else {
 		j.growthC = NewCompactSeries(0)
 	}
@@ -303,9 +232,9 @@ func (c *Collector) JobExited(cont *simdocker.Container) {
 	j.Finished = true
 }
 
-// sampler is one worker's CPU sampler. All its bookkeeping (usage
-// differencing, post-exit tail counts) lives here; the collector's tick
-// decides when its passes run.
+// sampler is one dense-tier worker's CPU and evaluation sampler. All its
+// bookkeeping (usage differencing, post-exit tail counts) lives here; the
+// collector's tick decides when its passes run.
 type sampler struct {
 	c      *Collector
 	daemon *simdocker.Daemon
@@ -334,30 +263,48 @@ type samplerSlot struct {
 }
 
 // AttachWorker subscribes the collector to a worker daemon's lifecycle and
-// adds a CPU sampler for it to the collector's periodic tick. The first
-// attach schedules the tick: one metrics.sample event per period on the
-// collector's engine, which runs every attached worker's sampler in attach
-// order and reschedules itself once — O(1) events per period however many
-// workers there are. In a sharded simulation the tick rides the cluster
-// lane (lane 0), so it runs on the coordinator outside parallel batches,
-// where reading any worker's daemon is safe. A worker attached between
-// ticks joins the collector's phase; its first sample covers the time
-// from attach to the next tick. Containers already in the daemon's pool
-// are picked up, so attaching after launching works.
+// adds the worker to the collector's periodic tick; in TierDense it also
+// gets a sampler. The first attach schedules the tick: one metrics.sample
+// event per period on the collector's engine, which handles every attached
+// worker in attach order and reschedules itself once — O(1) events per
+// period however many workers there are. In a sharded simulation the tick
+// rides the cluster lane (lane 0), so it runs on the coordinator outside
+// parallel batches, where reading any worker's daemon is safe. A worker
+// attached between ticks joins the collector's phase; its first sample
+// covers the time from attach to the next tick. Containers already in the
+// daemon's pool are picked up, so attaching after launching works.
 func (c *Collector) AttachWorker(name string, daemon *simdocker.Daemon) {
 	daemon.OnExit(c.JobExited)
-	c.samplers = append(c.samplers, c.newSampler(daemon))
-	if len(c.samplers) == 1 {
+	c.daemons = append(c.daemons, daemon)
+	if c.tier == TierDense {
+		c.samplers = append(c.samplers, c.newSampler(daemon))
+	}
+	if len(c.daemons) == 1 {
 		c.tickFn = c.tick
 		c.engine.After(c.period, sim.PriorityMetric, "metrics.sample", c.tickFn)
 	}
 }
 
 // tick is the collector's metrics.sample event: one pass of every
-// attached sampler, then the next period's event.
+// sampler in TierDense, a settle of every worker in TierSummary, then the
+// next period's event.
 func (c *Collector) tick() {
-	for _, s := range c.samplers {
-		s.pass()
+	if c.tier == TierDense {
+		for _, s := range c.samplers {
+			s.pass()
+		}
+	} else {
+		for _, d := range c.daemons {
+			// Nothing reads a sample in this tier, but the settle carries
+			// weight: Daemon.settle integrates progress piecewise, so where
+			// it splits the float additions sets the low bits of every job
+			// record. Settling here at the dense sampler's instants keeps
+			// the outcome tier-independent (TestTiersAgreeOnOutcome);
+			// without it cluster-scale makes 77 667 limit updates instead
+			// of 77 665. It can go once settling no longer depends on its
+			// cadence (ROADMAP item 27).
+			d.Sync()
+		}
 	}
 	c.engine.After(c.period, sim.PriorityMetric, "metrics.sample", c.tickFn)
 }
@@ -414,21 +361,22 @@ func (s *sampler) sample(sl *samplerSlot, now, dt float64) bool {
 			return !exited
 		}
 	}
+	d := j.dense
 	if j.Finished && exited {
 		// Exited containers have frozen counters and a closed record:
 		// read them without settling. The values are identical.
 		if dt > 0 {
-			s.c.observe(j, kindCPU, now, (cont.CPUSeconds()-sl.lastCPU)/dt)
+			d[kindCPU].Append(now, (cont.CPUSeconds()-sl.lastCPU)/dt)
 		}
 		sl.lastCPU = cont.CPUSeconds()
 	} else {
 		cpu, eval := s.daemon.Usage(cont)
 		if dt > 0 {
-			s.c.observe(j, kindCPU, now, (cpu-sl.lastCPU)/dt)
+			d[kindCPU].Append(now, (cpu-sl.lastCPU)/dt)
 		}
 		sl.lastCPU = cpu
 		if !j.Finished {
-			s.c.observe(j, kindEval, now, eval)
+			d[kindEval].Append(now, eval)
 		}
 	}
 	if exited {
@@ -438,28 +386,31 @@ func (s *sampler) sample(sl *samplerSlot, now, dt float64) bool {
 	return true
 }
 
-// RecordRun implements flowcon.Tracer: it stores growth efficiency, limit
-// and list membership per algorithm run. It holds the collector's mutex
-// for the whole call: controllers on different sharded worker lanes share
-// the run sketches.
+// RecordRun implements flowcon.Tracer: per algorithm run it appends each
+// tracked container's growth efficiency to its job's trajectory, and in
+// TierDense also its limit and list membership. It takes no lock: each
+// job is written only by the lane its container runs on.
 func (c *Collector) RecordRun(e flowcon.TraceEntry) {
 	c.algoRuns.Add(1)
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	now := float64(e.At)
 	for _, tc := range e.Containers {
+		if !tc.GDefined && c.tier == TierSummary {
+			continue // the summary tier keeps growth only
+		}
 		j, ok := c.byCID[tc.ID]
 		if !ok {
 			continue
 		}
-		if tc.GDefined {
-			if j.growthC != nil {
-				j.growthC.Append(now, tc.G)
-			}
-			c.observe(j, kindGrowth, now, tc.G)
+		d := j.dense
+		if d == nil {
+			j.growthC.Append(now, tc.G)
+			continue
 		}
-		c.observe(j, kindLimit, now, tc.Limit)
-		c.observe(j, kindList, now, float64(tc.List))
+		if tc.GDefined {
+			d[kindGrowth].Append(now, tc.G)
+		}
+		d[kindLimit].Append(now, tc.Limit)
+		d[kindList].Append(now, float64(tc.List))
 	}
 }
 
@@ -481,70 +432,51 @@ func (c *Collector) Jobs() []JobRecord {
 	return out
 }
 
-// Job returns one tracked job record by name.
-func (c *Collector) Job(name string) (JobRecord, bool) {
-	j, ok := c.jobs[name]
-	if !ok {
-		return JobRecord{}, false
-	}
-	return j.JobRecord, true
-}
-
 // series returns one of a job's raw traces: nil for an untracked job and
 // outside TierDense.
 func (c *Collector) series(name string, k seriesKind) *Series {
 	if j := c.jobs[name]; j != nil && j.dense != nil {
-		return &j.dense.series[k]
-	}
-	return nil
-}
-
-// summary returns one of a job's constant-memory summaries (available in
-// both tiers; folded on read in TierDense), or nil for an untracked job.
-func (c *Collector) summary(name string, k seriesKind) *SeriesSummary {
-	if j := c.jobs[name]; j != nil {
-		return c.fold(j, k)
+		return &j.dense[k]
 	}
 	return nil
 }
 
 // CPUSeries returns the sampled CPU-usage trace for a job. Dense tier
-// only: nil in TierSummary — use CPUSummary there.
+// only: nil in TierSummary, which samples nothing.
 func (c *Collector) CPUSeries(name string) *Series { return c.series(name, kindCPU) }
 
 // EvalSeries returns the sampled evaluation-function trace for a job.
-// Dense tier only: nil in TierSummary — use EvalSummary there.
+// Dense tier only: nil in TierSummary.
 func (c *Collector) EvalSeries(name string) *Series { return c.series(name, kindEval) }
 
 // LimitSeries returns the configured-limit trace for a job. Dense tier
-// only: nil in TierSummary — use LimitSummary there. Event traces that
-// include limit updates (the §5.3 golden) therefore require TierDense.
+// only: nil in TierSummary. Event traces that include limit updates (the
+// §5.3 golden) therefore require TierDense.
 func (c *Collector) LimitSeries(name string) *Series { return c.series(name, kindLimit) }
 
 // GrowthSeries returns the growth-efficiency trace for a job. Dense tier
-// only: nil in TierSummary — use GrowthAt or GrowthSummary there.
+// only: nil in TierSummary — use GrowthAt there.
 func (c *Collector) GrowthSeries(name string) *Series { return c.series(name, kindGrowth) }
 
-// ListSeries returns the list-membership trace for a job. Dense tier
-// only: nil in TierSummary — use ListSummary there.
-func (c *Collector) ListSeries(name string) *Series { return c.series(name, kindList) }
-
-// CPUSummary returns the constant-memory CPU-usage summary for a job
-// (available in both tiers; in TierDense this read folds in the samples
-// appended since the last one), or nil for an untracked job.
-func (c *Collector) CPUSummary(name string) *SeriesSummary { return c.summary(name, kindCPU) }
-
-// EvalSummary returns the evaluation-function summary for a job.
-func (c *Collector) EvalSummary(name string) *SeriesSummary { return c.summary(name, kindEval) }
-
-// LimitSummary returns the configured-limit summary for a job.
-func (c *Collector) LimitSummary(name string) *SeriesSummary { return c.summary(name, kindLimit) }
-
-// GrowthSummary returns the growth-efficiency summary for a job.
-func (c *Collector) GrowthSummary(name string) *SeriesSummary { return c.summary(name, kindGrowth) }
-
-// ListSummary returns the list-membership summary for a job.
-func (c *Collector) ListSummary(name string) *SeriesSummary { return c.summary(name, kindList) }
+// CPUSummary returns the moments of a job's CPU-usage trace, folded into
+// a fresh SeriesSummary from CPUSeries on every call. Dense tier only, like
+// CPUSeries: nil in TierSummary and for an untracked job. For the
+// benchmark this means metrics.samples counts dense-tier samples only (it
+// reads 0 on summary-tier workloads), and metrics.sample_ns, which times a
+// summary-tier collector, times a settle-only tick.
+func (c *Collector) CPUSummary(name string) *SeriesSummary {
+	s := c.CPUSeries(name)
+	if s == nil {
+		return nil
+	}
+	sum := NewSeriesSummary()
+	for _, ch := range s.chunks {
+		for _, p := range ch {
+			sum.Observe(p.T, p.V)
+		}
+	}
+	return sum
+}
 
 // GrowthAt returns the growth efficiency in effect for a job at time t,
 // the tier-agnostic query behind the GE@fraction report columns. ok is
@@ -558,7 +490,7 @@ func (c *Collector) GrowthAt(name string, t float64) (float64, bool) {
 		return 0, false
 	}
 	if j.dense != nil {
-		g := &j.dense.series[kindGrowth]
+		g := &j.dense[kindGrowth]
 		if len(g.chunks) == 0 || g.chunks[0][0].T > t {
 			return 0, false
 		}
@@ -567,32 +499,24 @@ func (c *Collector) GrowthAt(name string, t float64) (float64, bool) {
 	return j.growthC.At(t)
 }
 
-// MemoryBytes returns the collector's retained observability memory: the
-// five run sketches, and per job the record itself (lifecycle fields and
-// the summaries it embeds) plus everything it points at — raw series or
-// the compact trajectory — and an estimate for its two index entries. It
-// reads no summary: in TierDense the run sketches hold only the points
-// folded by reads so far. It is the figure ./bench reports as
-// metrics.collector_mb, and the one TestSummaryTierMemoryClusterScale
-// uses to verify the summary tier is O(jobs) rather than
-// O(jobs × makespan).
+// MemoryBytes returns the collector's retained observability memory: per
+// job the record itself plus everything it points at — raw series or the
+// compact trajectory — and an estimate for its two index entries. It is
+// the figure ./bench reports as metrics.collector_mb, and the one
+// TestSummaryTierMemoryClusterScale uses to verify the summary tier is
+// O(jobs) rather than O(jobs × makespan).
 func (c *Collector) MemoryBytes() int {
 	// The name and container-id index entries: a string header and a
 	// pointer each, at the runtime map's ~7/8 load factor. Key bytes
 	// belong to the caller's strings and are not counted.
 	const indexEntries = 2 * 28
-	// The record, summaries included: they point at nothing.
 	fixed := int(unsafe.Sizeof(job{})) + indexEntries
 	total := 0
-	for k := range c.sketches {
-		total += c.sketches[k].MemoryBytes()
-	}
 	for _, j := range c.jobs {
 		total += fixed
 		if d := j.dense; d != nil {
-			total += int(unsafe.Sizeof(d.folded))
-			for k := range d.series {
-				total += d.series[k].MemoryBytes()
+			for k := range d {
+				total += d[k].MemoryBytes()
 			}
 		} else {
 			total += j.growthC.MemoryBytes()

@@ -117,7 +117,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 	if len(jobs) != 2 || jobs[0].Name != "A" || jobs[1].Name != "B" {
 		t.Fatalf("Jobs = %+v", jobs)
 	}
-	a, _ := col.Job("A")
+	a := col.jobs["A"].JobRecord
 	if !a.Finished || a.CompletionTime() <= 0 {
 		t.Fatalf("job A record %+v", a)
 	}
@@ -158,21 +158,21 @@ func TestCollectorRetrackRebinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	col.JobExited(c1) // workload not done -> record stays open
-	r, _ := col.Job("x")
+	r := col.jobs["x"].JobRecord
 	if r.Finished {
 		t.Fatal("killed container counted as completion")
 	}
 	j2 := dlmodel.NewJob("x", dlmodel.GRU())
 	c2, _ := d.Run(simdocker.RunSpec{Image: "img:1", Name: "x2", Workload: j2})
 	col.TrackJob("x", "w2", "m", c2.ID(), float64(c2.StartedAt()))
-	r, _ = col.Job("x")
+	r = col.jobs["x"].JobRecord
 	if r.ContainerID != c2.ID() || r.Restarts != 1 || r.Worker != "w2" {
 		t.Fatalf("rebind failed: %+v", r)
 	}
 	// Completion of the replacement closes the record.
 	e.RunAll()
 	col.JobExited(c2)
-	r, _ = col.Job("x")
+	r = col.jobs["x"].JobRecord
 	if !r.Finished {
 		t.Fatal("replacement completion not recorded")
 	}
@@ -197,7 +197,7 @@ func TestCollectorTracksMigrationsSeparately(t *testing.T) {
 		t.Fatal(err)
 	}
 	col.TrackJobMigrated("x", "w2", "m", c2.ID(), float64(c2.StartedAt()))
-	r, _ := col.Job("x")
+	r := col.jobs["x"].JobRecord
 	if r.ContainerID != c2.ID() || r.Worker != "w2" {
 		t.Fatalf("migration rebind failed: %+v", r)
 	}
@@ -208,8 +208,8 @@ func TestCollectorTracksMigrationsSeparately(t *testing.T) {
 	j2 := dlmodel.NewJob("y", dlmodel.GRU())
 	c3, _ := d.Run(simdocker.RunSpec{Image: "img:1", Name: "y1", Workload: j2})
 	col.TrackJobMigrated("y", "w", "m", c3.ID(), float64(c3.StartedAt()))
-	if r, ok := col.Job("y"); !ok || r.Migrations != 0 {
-		t.Fatalf("fallback tracking failed: %+v ok=%v", r, ok)
+	if j := col.jobs["y"]; j == nil || j.Migrations != 0 {
+		t.Fatalf("fallback tracking failed: %+v", j)
 	}
 }
 
@@ -238,7 +238,7 @@ func TestCollectorRecordRun(t *testing.T) {
 	if col.LimitSeries("x").At(5) != 0.9 {
 		t.Fatal("limit not recorded")
 	}
-	if col.ListSeries("x").At(5) != float64(flowcon.NewList) {
+	if col.jobs["x"].dense[kindList].At(5) != float64(flowcon.NewList) {
 		t.Fatal("list not recorded")
 	}
 }

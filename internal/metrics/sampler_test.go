@@ -42,26 +42,32 @@ func attachWorkers(tb testing.TB, col *Collector, e *sim.Engine, w, n int) {
 	}
 }
 
-// TestOneSampleEventPerPeriod pins the collector's event cost: however
-// many workers are attached, a period executes exactly one metrics.sample
-// event, and that event samples every container of every worker.
+// TestOneSampleEventPerPeriod pins the collector's event cost: in either
+// tier, however many workers are attached, a period executes exactly one
+// metrics.sample event. In TierSummary that event only settles the
+// workers; in TierDense it samples every container of every worker.
 func TestOneSampleEventPerPeriod(t *testing.T) {
 	const n, periods = 4, 10
 	for _, w := range []int{1, 16} {
 		t.Run(fmt.Sprint(w), func(t *testing.T) {
-			e := sim.NewEngine()
-			col := NewCollector(e, 1.0)
-			attachWorkers(t, col, e, w, n)
-			before := e.Executed()
-			e.Run(periods)
-			if got := e.Executed() - before; got != periods {
-				t.Fatalf("%d workers: %d events in %d periods, want one per period", w, got, periods)
-			}
-			for i := 0; i < w; i++ {
-				for j := 0; j < n; j++ {
-					name := fmt.Sprintf("w%d.J%d", i, j)
-					if got := col.CPUSummary(name).Count(); got != periods {
-						t.Fatalf("%s: %d cpu samples after %d periods", name, got, periods)
+			for _, tier := range []Tier{TierSummary, TierDense} {
+				e := sim.NewEngine()
+				col := NewCollectorTier(e, 1.0, tier)
+				attachWorkers(t, col, e, w, n)
+				before := e.Executed()
+				e.Run(periods)
+				if got := e.Executed() - before; got != periods {
+					t.Fatalf("%s, %d workers: %d events in %d periods, want one per period", tier, w, got, periods)
+				}
+				if tier == TierSummary {
+					continue
+				}
+				for i := 0; i < w; i++ {
+					for j := 0; j < n; j++ {
+						name := fmt.Sprintf("w%d.J%d", i, j)
+						if got := col.CPUSeries(name).Len(); got != periods {
+							t.Fatalf("%s: %d cpu samples after %d periods", name, got, periods)
+						}
 					}
 				}
 			}
@@ -98,24 +104,23 @@ func TestLateAttachJoinsCollectorPhase(t *testing.T) {
 	}
 }
 
-// TestSampleTickAllocs pins one whole collector tick — every attached
-// worker's pass plus rescheduling — at one allocation: the next period's
-// event.
+// TestSampleTickAllocs pins one whole summary-tier collector tick — a
+// settle of every attached worker plus rescheduling — at one allocation:
+// the next period's event.
 func TestSampleTickAllocs(t *testing.T) {
 	e := sim.NewEngine()
 	col := NewCollector(e, 1.0)
 	attachWorkers(t, col, e, 8, 8)
 	tick := func() { e.Run(e.Now() + 1) }
-	// Warm the sketch buckets each job keeps landing in (see
-	// TestSamplerPassAllocs).
 	for i := 0; i < 200; i++ {
 		tick()
 	}
+	before := e.Executed()
 	if allocs := testing.AllocsPerRun(100, tick); allocs > 1 {
 		t.Fatalf("steady-state collector tick allocates %.1f per run, want at most 1", allocs)
 	}
-	if got := col.CPUSummary("w7.J7").Count(); got < 300 {
-		t.Fatalf("ticks recorded %d samples: the guard measured nothing", got)
+	if got := e.Executed() - before; got < 100 {
+		t.Fatalf("%d ticks ran: the guard measured nothing", got)
 	}
 }
 
@@ -125,7 +130,7 @@ func TestSampleTickAllocs(t *testing.T) {
 func TestAttachWorkerSamplesRunningContainers(t *testing.T) {
 	const n, passes = 3, 10
 	e := sim.NewEngine()
-	col := NewCollector(e, 1.0)
+	col := NewCollectorTier(e, 1.0, TierDense)
 	d := endlessPool(t, col, e, "", n)
 	col.AttachWorker("w0", d)
 	e.Run(passes)
@@ -134,7 +139,7 @@ func TestAttachWorkerSamplesRunningContainers(t *testing.T) {
 		if s.Count() != passes {
 			t.Fatalf("J%d: %d cpu samples after %d passes", i, s.Count(), passes)
 		}
-		if m := s.Moments(); math.Abs(m.Mean()-1.0/n) > 1e-9 {
+		if m := s.moments; math.Abs(m.Mean()-1.0/n) > 1e-9 {
 			t.Fatalf("J%d: mean usage %g, want %g", i, m.Mean(), 1.0/n)
 		}
 	}
@@ -150,7 +155,7 @@ func TestSamplerStateBoundedAcrossCheckpoints(t *testing.T) {
 	e := sim.NewEngine()
 	d := simdocker.NewDaemon(e, 1.0)
 	d.Pull(simdocker.Image{Ref: "img:1"})
-	col := NewCollector(e, 1.0)
+	col := NewCollectorTier(e, 1.0, TierDense)
 	s := col.newSampler(d)
 	p := dlmodel.MNISTTensorFlow()
 	p.TotalWork = 1e15
@@ -176,7 +181,7 @@ func TestSamplerStateBoundedAcrossCheckpoints(t *testing.T) {
 			t.Fatalf("cycle %d: sampler holds %d slots for 1 running container", i, len(s.live))
 		}
 	}
-	rec, _ := col.Job("A")
+	rec := col.jobs["A"].JobRecord
 	if rec.Checkpoints != cycles {
 		t.Fatalf("checkpoints = %d, want %d", rec.Checkpoints, cycles)
 	}
@@ -188,32 +193,32 @@ func TestSamplerStateBoundedAcrossCheckpoints(t *testing.T) {
 	if cpu.Count() != cycles {
 		t.Fatalf("cpu samples = %d, want one per pass (%d)", cpu.Count(), cycles)
 	}
-	if m := cpu.Moments(); math.Abs(m.Mean()-0.5) > 1e-9 {
+	if m := cpu.moments; math.Abs(m.Mean()-0.5) > 1e-9 {
 		t.Fatalf("mean usage %g, want 0.5 (post-restore half windows only)", m.Mean())
 	}
 }
 
-// TestSamplerPassAllocs pins one whole steady-state sampler pass — settle,
-// slot walk, usage read, both observations per container — at zero
-// allocations in the summary tier.
+// TestSamplerPassAllocs pins one whole steady-state dense-tier sampler
+// pass — settle, slot walk, usage read, both appends per container — at
+// zero allocations. A series allocates only when it opens a chunk: after
+// 250 warm passes the measured ones stay inside each series' fifth chunk
+// (points 241–496).
 func TestSamplerPassAllocs(t *testing.T) {
 	e := sim.NewEngine()
-	col := NewCollector(e, 1.0)
+	col := NewCollectorTier(e, 1.0, TierDense)
 	d := endlessPool(t, col, e, "", 8)
 	s := col.newSampler(d)
 	step := func() {
 		e.Run(e.Now() + 1)
 		s.pass()
 	}
-	// Warm: evaluation values drift, so let each job touch the sketch
-	// buckets it will keep landing in.
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 250; i++ {
 		step()
 	}
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 		t.Fatalf("steady-state sampler pass allocates %.1f per run, want 0", allocs)
 	}
-	if got := col.CPUSummary("J0").Count(); got < 300 {
+	if got := col.CPUSeries("J0").Len(); got < 300 {
 		t.Fatalf("passes recorded %d samples: the guard measured nothing", got)
 	}
 }

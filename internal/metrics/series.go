@@ -1,19 +1,14 @@
-// Package metrics collects and summarizes experiment observables: per-job
-// completion times, overall makespan, per-container CPU-usage traces
-// (Figures 7, 8, 10, 11, 15, 16), and growth-efficiency traces (Figures 13
-// and 14).
+// Package metrics collects experiment observables: per-job completion
+// times, overall makespan, per-container CPU-usage traces (Figures 7, 8,
+// 10, 11, 15, 16), and growth-efficiency traces (Figures 13 and 14).
 //
-// Collection is tiered (see Tier). The default summary tier retains only
-// constant-memory online summaries per job/kind — Welford moments
-// (SeriesSummary) and a bounded growth trajectory (CompactSeries) — so
-// collector memory is O(jobs) regardless of makespan. Quantiles are
-// run-level in both tiers: the Collector keeps one streaming quantile
-// sketch per kind over every job's samples. The dense tier keeps every
-// raw sample as a Series, O(jobs × makespan), and nothing else while a
-// run samples: its summaries and run sketches are folded from the raw
-// series on read. It is required for figure regeneration and limit-event
-// traces. Archives exported from either tier carry a schema version
-// (ArchiveSchemaVersion) so stale goldens fail loudly.
+// Collection is tiered (see Tier). The default summary tier keeps only
+// the job records and a bounded growth trajectory per job
+// (CompactSeries), so collector memory is O(jobs) regardless of makespan;
+// its periodic tick settles the nodes and samples nothing. The dense tier
+// keeps every raw sample as a Series, O(jobs × makespan); it is required
+// for figure regeneration and limit-event traces. Archives exported from
+// either tier carry a schema version (ArchiveSchemaVersion).
 package metrics
 
 import (
@@ -40,8 +35,8 @@ const (
 //
 // Memory behavior: O(samples). Points are kept in chunks (firstChunk
 // doubling to maxChunk) that are never copied on growth, so a series
-// retains at most one partly filled chunk of slack. Dense collection tier only; the summary tier replaces it with
-// SeriesSummary and CompactSeries.
+// retains at most one partly filled chunk of slack. Dense collection
+// tier only; the summary tier keeps a CompactSeries of growth instead.
 type Series struct {
 	// chunks are full except the last; none is empty.
 	chunks [][]Point

@@ -3,31 +3,23 @@ package metrics
 import (
 	"fmt"
 	"sort"
-	"unsafe"
 
 	"repro/internal/stats"
 )
 
-// SketchAccuracy is the relative-error bound of every quantile a
-// collector reports: a run-level sketch quantile is within ±1% of the
-// exact sample value at that rank (see stats.QuantileSketch for the
-// guarantee).
+// SketchAccuracy is the relative-error bound of a quantile sketch built
+// for metric values (see stats.QuantileSketch for the guarantee). No
+// collector keeps a sketch; ./bench times one at this accuracy.
 const SketchAccuracy = stats.DefaultSketchAccuracy
 
-// SeriesSummary is the constant-memory replacement for a dense Series:
-// exact Welford moments plus the first/last observed points for span
-// bookkeeping. Collectors answer one per job/kind in both tiers, which
-// gives reports a uniform accessor. The summary tier observes each sample
-// as it arrives; the dense tier folds the raw series in on first read,
-// feeding the same points in the same order. Quantiles are not kept per
-// job: the Collector holds one quantile sketch per kind for the whole
-// run.
+// SeriesSummary is the constant-memory digest of a series: exact Welford
+// moments. CPUSummary folds a dense-tier CPU series into one on each call.
 //
 // Memory behavior: O(1) — a fixed-size struct whatever the sample count.
 // Observe never allocates.
 type SeriesSummary struct {
-	moments     stats.Welford
-	first, last Point
+	moments stats.Welford
+	lastT   float64
 }
 
 // NewSeriesSummary returns an empty summary.
@@ -36,30 +28,15 @@ func NewSeriesSummary() *SeriesSummary { return new(SeriesSummary) }
 // Observe folds one timestamped sample in. Timestamps must be
 // non-decreasing, matching Series.Append's contract.
 func (s *SeriesSummary) Observe(t, v float64) {
-	if s.moments.Count() == 0 {
-		s.first = Point{T: t, V: v}
-	} else if t < s.last.T {
-		panic(fmt.Sprintf("metrics: summary time went backwards: %g < %g", t, s.last.T))
+	if s.moments.Count() > 0 && t < s.lastT {
+		panic(fmt.Sprintf("metrics: summary time went backwards: %g < %g", t, s.lastT))
 	}
-	s.last = Point{T: t, V: v}
+	s.lastT = t
 	s.moments.Add(v)
 }
 
 // Count returns how many samples were observed.
 func (s *SeriesSummary) Count() int64 { return s.moments.Count() }
-
-// Moments returns a copy of the online moment accumulator.
-func (s *SeriesSummary) Moments() stats.Welford { return s.moments }
-
-// First returns the earliest observed point; ok is false when empty.
-func (s *SeriesSummary) First() (Point, bool) { return s.first, s.moments.Count() > 0 }
-
-// Last returns the latest observed point; ok is false when empty.
-func (s *SeriesSummary) Last() (Point, bool) { return s.last, s.moments.Count() > 0 }
-
-// MemoryBytes returns retained memory: the struct itself, which points
-// at nothing.
-func (s *SeriesSummary) MemoryBytes() int { return int(unsafe.Sizeof(*s)) }
 
 // DefaultCompactPoints is the retention bound of a CompactSeries. All
 // built-in scenarios produce far fewer growth samples than this per job
@@ -151,16 +128,6 @@ func (s *CompactSeries) At(t float64) (float64, bool) {
 	}
 	return s.pts[i-1].V, true
 }
-
-// Len returns the number of retained points (≤ the budget).
-func (s *CompactSeries) Len() int { return len(s.pts) }
-
-// Total returns how many samples were appended, retained or not.
-func (s *CompactSeries) Total() int64 { return s.n }
-
-// Last returns the most recent sample (always exact); ok is false when
-// the series is empty.
-func (s *CompactSeries) Last() (Point, bool) { return s.last, s.n > 0 }
 
 // MemoryBytes estimates retained memory: the point budget's backing
 // array plus fixed fields.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/flowcon"
 	"repro/internal/sim"
 )
 
@@ -26,8 +27,8 @@ func TestParseTier(t *testing.T) {
 
 func TestSeriesSummaryObserve(t *testing.T) {
 	s := NewSeriesSummary()
-	if _, ok := s.First(); ok {
-		t.Fatal("empty summary has a first point")
+	if s.Count() != 0 {
+		t.Fatal("empty summary has samples")
 	}
 	for i := 0; i < 100; i++ {
 		s.Observe(float64(i), float64(i%10))
@@ -35,17 +36,12 @@ func TestSeriesSummaryObserve(t *testing.T) {
 	if s.Count() != 100 {
 		t.Fatalf("count = %d", s.Count())
 	}
-	m := s.Moments()
+	m := s.moments
 	if math.Abs(m.Mean()-4.5) > 1e-12 || m.Min() != 0 || m.Max() != 9 {
 		t.Fatalf("moments mean=%g min=%g max=%g", m.Mean(), m.Min(), m.Max())
 	}
-	first, _ := s.First()
-	last, _ := s.Last()
-	if first.T != 0 || last.T != 99 {
-		t.Fatalf("span = [%g, %g]", first.T, last.T)
-	}
-	if s.MemoryBytes() <= 0 {
-		t.Fatal("memory estimate not positive")
+	if s.lastT != 99 {
+		t.Fatalf("last time = %g", s.lastT)
 	}
 }
 
@@ -74,8 +70,8 @@ func TestCompactSeriesMatchesDenseBelowBudget(t *testing.T) {
 		dense.Append(tNow, v)
 		cs.Append(tNow, v)
 	}
-	if cs.Len() != int(cs.Total()) {
-		t.Fatalf("compaction triggered below budget: %d retained of %d", cs.Len(), cs.Total())
+	if len(cs.pts) != int(cs.n) {
+		t.Fatalf("compaction triggered below budget: %d retained of %d", len(cs.pts), cs.n)
 	}
 	for q := 0.0; q < tNow+100; q += 7.3 {
 		want := dense.At(q)
@@ -97,14 +93,13 @@ func TestCompactSeriesBoundedAndCoarse(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		cs.Append(float64(i), float64(i))
 	}
-	if cs.Len() > 16 {
-		t.Fatalf("budget violated: %d points", cs.Len())
+	if len(cs.pts) > 16 {
+		t.Fatalf("budget violated: %d points", len(cs.pts))
 	}
-	if cs.Total() != 10000 {
-		t.Fatalf("total = %d", cs.Total())
+	if cs.n != 10000 {
+		t.Fatalf("total = %d", cs.n)
 	}
-	last, _ := cs.Last()
-	if last.T != 9999 || last.V != 9999 {
+	if last := cs.last; last.T != 9999 || last.V != 9999 {
 		t.Fatalf("last point drifted: %+v", last)
 	}
 	// At answers are stale by at most the final stride.
@@ -125,9 +120,6 @@ func TestCompactSeriesEdges(t *testing.T) {
 	cs := NewCompactSeries(0)
 	if _, ok := cs.At(5); ok {
 		t.Fatal("empty series answered a query")
-	}
-	if _, ok := cs.Last(); ok {
-		t.Fatal("empty series has a last point")
 	}
 	cs.Append(10, 1)
 	if _, ok := cs.At(5); ok {
@@ -177,38 +169,45 @@ func TestSummaryTierSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestCollectorObserveAllocs drives the collector's own observe path
-// (the code the sampler calls every period) and pins it allocation-free
-// at steady state in the summary tier.
+// TestCollectorObserveAllocs drives what the summary tier still observes,
+// an Algorithm 1 run's growth efficiency through RecordRun into the job's
+// compact trajectory, and pins it allocation-free once the trajectory's
+// backing array has reached its budget.
 func TestCollectorObserveAllocs(t *testing.T) {
 	col := buildCollectorTier(t, TierSummary)
-	tNow := col.Makespan() + 1
-	j := col.jobs["A"]
-	col.observe(j, kindCPU, tNow, 0.5)
-	col.observe(j, kindEval, tNow, 1.25)
+	cid := col.jobs["A"].ContainerID
+	tNow := col.Makespan()
+	for i := 0; i < DefaultCompactPoints+8; i++ {
+		tNow++
+		col.RecordRun(traceEntryAt(cid, tNow, 0.5))
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		tNow++
-		col.observe(j, kindCPU, tNow, 0.5)
-		col.observe(j, kindEval, tNow, 1.25)
+		col.RecordRun(traceEntryAt(cid, tNow, 0.5))
 	})
 	if allocs != 0 {
-		t.Fatalf("collector observe allocates %.1f per run, want 0", allocs)
+		t.Fatalf("summary-tier RecordRun allocates %.1f per run, want 0", allocs)
+	}
+	if n := col.jobs["A"].growthC.n; n < 1000 {
+		t.Fatalf("trajectory saw %d runs: the guard measured nothing", n)
 	}
 }
 
-// TestJobAllocsIndependentOfMagnitudes pins what the run-level sketch
-// buys: a summary-tier job's allocations do not depend on how many
-// magnitudes its samples span. Once the run sketch has seen a value
-// range, tracking a job and observing 1000 samples per kind spread over
-// six decades allocates exactly as much as tracking a job and observing
-// one sample — the job record, its compact series and the index entries.
-// With a sketch per job, every new magnitude opened a bucket in that
-// job's own slices.
+// TestJobAllocsIndependentOfMagnitudes: a summary-tier job's allocations
+// do not depend on the values it records. Tracking a job and recording
+// 1000 Algorithm 1 runs whose growth, limit and list values span six
+// decades allocates exactly as much as recording 1000 runs of one value:
+// the job record, its compact trajectory and the index entries. No store
+// in this tier opens space per magnitude, as a per-job sketch did.
 func TestJobAllocsIndependentOfMagnitudes(t *testing.T) {
 	col := NewCollectorTier(sim.NewEngine(), 1, TierSummary)
 	spread := make([]float64, 1000)
 	for i := range spread {
 		spread[i] = math.Pow(10, -3+6*float64(i)/float64(len(spread)-1))
+	}
+	flat := make([]float64, len(spread))
+	for i := range flat {
+		flat[i] = spread[0]
 	}
 	const runs = 100
 	names := make([]string, 2*runs+3)
@@ -216,21 +215,21 @@ func TestJobAllocsIndependentOfMagnitudes(t *testing.T) {
 		names[i] = fmt.Sprintf("job-%d", i)
 	}
 	next := 0
+	entry := flowcon.TraceEntry{Containers: make([]flowcon.TraceContainer, 1)}
 	track := func(vals []float64) {
 		name := names[next]
 		next++
 		col.TrackJob(name, "w0", "m", name, 0)
-		j := col.jobs[name]
-		for k := range numKinds {
-			for i, v := range vals {
-				col.observe(j, k, float64(i), v)
-			}
+		for i, v := range vals {
+			entry.At = sim.Time(i)
+			entry.Containers[0] = flowcon.TraceContainer{ID: name, G: v, GDefined: true, Limit: v, List: flowcon.WatchingList}
+			col.RecordRun(entry)
 		}
 	}
-	track(spread) // the run sketch sees the range once
+	track(spread)
 	wide := testing.AllocsPerRun(runs, func() { track(spread) })
-	single := testing.AllocsPerRun(runs, func() { track(spread[:1]) })
+	single := testing.AllocsPerRun(runs, func() { track(flat) })
 	if wide != single {
-		t.Fatalf("a job observing 1000 samples over 6 decades allocates %.0f, one sample %.0f: per-job allocations grow with magnitudes", wide, single)
+		t.Fatalf("a job recording 1000 runs over 6 decades allocates %.0f, over one value %.0f: per-job allocations grow with magnitudes", wide, single)
 	}
 }

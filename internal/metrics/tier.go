@@ -2,25 +2,24 @@ package metrics
 
 import "fmt"
 
-// Tier selects how much raw observability data a Collector retains.
-// The tier never changes what the simulation does — samplers fire at the
-// same instants in both tiers, so makespans, job records and event
-// ordering are tier-independent; only the retention policy differs.
+// Tier selects how much observability data a Collector computes and
+// retains. The tier never changes what the simulation does: both tiers
+// settle every attached node at the same sampling instants (see
+// NewCollectorTier), so makespans, job records and event ordering are
+// tier-independent; only what is kept differs.
 type Tier int
 
 const (
-	// TierSummary is the default: per job/kind the collector keeps only
-	// O(1) online summaries (Welford moments) and, for growth efficiency,
-	// a bounded compacted trajectory; each sample also goes into the
-	// run's quantile sketch of its kind as it arrives. Collector memory
-	// is O(jobs), independent of makespan. Raw series accessors
-	// (CPUSeries etc.) return nil in this tier.
+	// TierSummary is the default: per job the collector keeps the
+	// lifecycle record and, for growth efficiency, a bounded compacted
+	// trajectory that RecordRun appends to. Its sampling tick only
+	// settles the nodes; nothing is sampled. Collector memory is O(jobs),
+	// independent of makespan. Raw series accessors (CPUSeries etc.) and
+	// CPUSummary return nil in this tier.
 	TierSummary Tier = iota
-	// TierDense retains every raw sample as full metrics.Series —
-	// O(jobs × makespan) memory — and keeps no second store while the run
-	// samples: the per-job summaries and the run sketches are folded from
-	// the raw series on first read, bit-identical to observing each sample
-	// as it arrived.
+	// TierDense samples CPU usage and evaluation values every period and
+	// retains every sample, and every Algorithm 1 run's growth, limit and
+	// list, as full metrics.Series — O(jobs × makespan) memory.
 	// Required for figure regeneration, CPU-trace export, and event
 	// traces that include per-container limit updates (the §5.3 golden).
 	TierDense
