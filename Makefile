@@ -132,4 +132,4 @@ lint-imports:
 loadtest-smoke:
 	./scripts/loadtest-smoke.sh
 
-ci: fmt vet lint-imports build race bench cover fuzz determinism docs loadtest-smoke
+ci: fmt vet lint-imports build test race bench cover fuzz determinism docs loadtest-smoke

@@ -28,8 +28,10 @@
 // execute in parallel inside conservative epochs (0 = auto/GOMAXPROCS);
 // output stays byte-identical to the serial engine at any shard count.
 // -trace-level selects metric retention (see README "Observability"):
-// the summary default keeps O(jobs) job records and growth trajectories;
-// dense retains full per-job series for trace and figure export.
+// the summary default keeps O(jobs) job records and growth trajectories
+// and schedules no sampling event; dense samples every period and
+// retains full per-job series for trace and figure export. Sampling only
+// reads the nodes, so the outcome is the same at either level.
 // Experiment (figure) mode always collects dense — figures re-plot raw
 // samples by definition.
 // -observe prints the sharded-engine phase profile (epochs, serial
@@ -80,7 +82,7 @@ func main() {
 	shardSim := flag.Int("shard-sim", 1,
 		"per-run event-lane parallelism: worker lanes execute in parallel inside one simulation (0 = auto/GOMAXPROCS, 1 = serial engine); output is byte-identical at any value")
 	traceLevel := flag.String("trace-level", "summary",
-		"metric retention per run: summary (job records and growth trajectories, the default) or dense (full per-job series, O(jobs × makespan) memory); reports are identical either way")
+		"metric retention per run: summary (job records and growth trajectories, no sampling event; the default) or dense (CPU and eval sampled every period into full per-job series, O(jobs × makespan) memory); sampling only reads the nodes, so the simulation and its reports are identical either way")
 	observe := flag.Bool("observe", false,
 		"with -scenario/-replay: print the sharded-engine phase profile per run after the summary table (event counters are deterministic; wall-clock columns vary run to run)")
 	traceOut := flag.String("trace-out", "",

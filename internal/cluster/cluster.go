@@ -554,8 +554,7 @@ func (m *Manager) handleFailure(failed *Worker) {
 	// Deterministic retry order.
 	slices.SortFunc(lost, byName)
 	for _, j := range lost {
-		// The husk holds the work that died with it (0 when the workload
-		// does not expose it — a from-scratch restart).
+		// The husk holds the work that died with it.
 		c, _ := failed.Lookup(j.name)
 		m.lose(j, now, c.Work)
 		m.trace(telemetry.PhaseFail, j.name, failed.Name(), "worker failed; rescheduling")

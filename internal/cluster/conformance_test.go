@@ -15,7 +15,7 @@ import (
 func TestRuntimeConformance(t *testing.T) {
 	runtimetest.Run(t, func(t *testing.T) *runtimetest.Env {
 		e := sim.NewEngine()
-		w, d := NewSimWorker("conf-w", e, 1.0)
+		w, _ := NewSimWorker("conf-w", e, 1.0)
 		now := sim.Time(0)
 		return &runtimetest.Env{
 			RT: w,
@@ -29,7 +29,6 @@ func TestRuntimeConformance(t *testing.T) {
 			Advance: func(seconds float64) {
 				now += sim.Time(seconds)
 				e.Run(now)
-				d.Sync()
 			},
 		}
 	})

@@ -183,17 +183,10 @@ func (m *Manager) checkpointScan() {
 		}
 	}
 	slices.SortFunc(placed, byName)
-	settled := make(map[*Worker]bool)
 	for _, j := range placed {
 		w := j.worker
 		if w == nil || w.Failed() {
 			continue
-		}
-		if !settled[w] {
-			// Lookup views carry lazily settled work; one stats pass per
-			// worker settles the pool so the guards below read fresh values.
-			w.RunningStats()
-			settled[w] = true
 		}
 		c, err := w.Lookup(j.name)
 		if err != nil || c.State != runtime.Running || c.Done {

@@ -9,68 +9,69 @@ import (
 )
 
 // archiveDigests pins the first 8 bytes of sha256(Export().WriteJSON) for
-// every sweep-sized scenario × tier × seed, keyed "scenario/tier/seed".
-// They were last re-pinned for archive schema 4 (go1.24.0 linux/amd64),
-// which dropped the per-job summaries and run quantiles: an archive is
-// the full-precision job records, the makespan and, in the dense tier,
-// the raw series. The values were computed at the schema-3 parent commit
-// by encoding that shape from each run's collector, so they also show
-// that no record or series moved. They must only change with a change
-// that says which simulated outcome moved and why: `make parity` sees
-// stdout, which prints no full-precision record; this sees every one.
+// every sweep-sized scenario × tier × seed, keyed "scenario/tier/seed"
+// (go1.24.0 linux/amd64). An archive is archive schema 4: the
+// full-precision job records, the makespan and, in the dense tier, the
+// raw series. They were last re-pinned when the simulated daemon stopped
+// folding work at its reads and folded only where a rate changes: every
+// float sum splits at fewer instants, so the low bits of every record
+// and series moved once (no printed scenario table did). They must only
+// change with a change that says which simulated outcome moved and why:
+// `make parity` sees stdout, which prints no full-precision record; this
+// sees every one.
 var archiveDigests = map[string]string{
-	"bursty/summary/1":            "b1918519d9d27034",
-	"bursty/summary/2":            "1d32db89c6ce3a6f",
-	"bursty/dense/1":              "9532affaea6236b2",
-	"bursty/dense/2":              "b6312027e1e42710",
-	"chaos-day/summary/1":         "4a23721f6d9ee238",
-	"chaos-day/summary/2":         "678c8be6861109e8",
-	"chaos-day/dense/1":           "a5abeed6c54e44c6",
-	"chaos-day/dense/2":           "2d85c5ada07f87a6",
-	"chaos-day-scratch/summary/1": "3bdd80b50e985d81",
-	"chaos-day-scratch/summary/2": "4c934bf617f34433",
-	"chaos-day-scratch/dense/1":   "66579ab7542a4d3c",
-	"chaos-day-scratch/dense/2":   "cfaab1ec21f12190",
-	"cluster-scale/summary/1":     "1fd5369e1aeddb3c",
-	"cluster-scale/summary/2":     "7fbd76abb3749db5",
-	"cluster-scale/dense/1":       "3ad2fdcb8b4e2674",
-	"cluster-scale/dense/2":       "35ab0dd2f6f7b731",
-	"diurnal/summary/1":           "81181f235a60373a",
-	"diurnal/summary/2":           "552c13b28aca2f60",
-	"diurnal/dense/1":             "a36c66cd89f7f381",
-	"diurnal/dense/2":             "6a73394e7a912a93",
-	"fixed/summary/1":             "32e797bbfe05bbe0",
-	"fixed/summary/2":             "32e797bbfe05bbe0",
-	"fixed/dense/1":               "789d7e64bf6b9100",
-	"fixed/dense/2":               "789d7e64bf6b9100",
-	"flashcrowd/summary/1":        "dc70c020cee4a47a",
-	"flashcrowd/summary/2":        "df5ed36e0ccd574a",
-	"flashcrowd/dense/1":          "8b24260a01bf3b1b",
-	"flashcrowd/dense/2":          "5c9c879eb92a2dda",
-	"hotspot/summary/1":           "3f3bbf348ac895d6",
-	"hotspot/summary/2":           "085df743fc14c4ac",
-	"hotspot/dense/1":             "736ccc3545bfdbd9",
-	"hotspot/dense/2":             "f401fd062f16ee14",
-	"hotspot-rebalance/summary/1": "b9464123e0d7db39",
-	"hotspot-rebalance/summary/2": "682b6eee5bea4560",
-	"hotspot-rebalance/dense/1":   "77882194c445035a",
-	"hotspot-rebalance/dense/2":   "c51c30c84bef5990",
-	"poisson/summary/1":           "ec8b74cb56da4e68",
-	"poisson/summary/2":           "814bfc02238f9b9b",
-	"poisson/dense/1":             "6652b40122913d68",
-	"poisson/dense/2":             "49da254bf1f85c53",
-	"production-day/summary/1":    "392628b9acbc0f25",
-	"production-day/summary/2":    "a68be23dddcce1d7",
-	"production-day/dense/1":      "ddb44fa7aa0ca42b",
-	"production-day/dense/2":      "20d3060c426deafa",
-	"rolling-drain/summary/1":     "d5780fc46d25077b",
-	"rolling-drain/summary/2":     "4e1623cc41578c7e",
-	"rolling-drain/dense/1":       "fbd545b18b1408e9",
-	"rolling-drain/dense/2":       "242505da4a85f53e",
-	"uniform5/summary/1":          "a8baf8baa8d14062",
-	"uniform5/summary/2":          "6806f3abf325f94f",
-	"uniform5/dense/1":            "7569ba29ca830389",
-	"uniform5/dense/2":            "979b20e48c7703ff",
+	"bursty/summary/1":            "2ad1b1082a3c279b",
+	"bursty/summary/2":            "15ddd57552bbc18f",
+	"bursty/dense/1":              "8631d7cdea8a53de",
+	"bursty/dense/2":              "51905da374377177",
+	"chaos-day/summary/1":         "fd83e540cbc205ee",
+	"chaos-day/summary/2":         "20f6025395b62ff5",
+	"chaos-day/dense/1":           "87679100de37caad",
+	"chaos-day/dense/2":           "81636dce0eb2eb2a",
+	"chaos-day-scratch/summary/1": "c65c466f43e9dec6",
+	"chaos-day-scratch/summary/2": "f4dc72ced3f53ee9",
+	"chaos-day-scratch/dense/1":   "cf95d5e9625ed745",
+	"chaos-day-scratch/dense/2":   "c7373b5e0da36ebd",
+	"cluster-scale/summary/1":     "1f0445affa2d4009",
+	"cluster-scale/summary/2":     "da82be2f5f14ae62",
+	"cluster-scale/dense/1":       "5e8b379360ada037",
+	"cluster-scale/dense/2":       "e481c35d2ddf4fab",
+	"diurnal/summary/1":           "b45d1d182f07d57e",
+	"diurnal/summary/2":           "c74ec97bac92c0c7",
+	"diurnal/dense/1":             "f164c04bf1e9535f",
+	"diurnal/dense/2":             "9c7f09eb5e7c8d25",
+	"fixed/summary/1":             "deba3c5e3334ff7b",
+	"fixed/summary/2":             "deba3c5e3334ff7b",
+	"fixed/dense/1":               "b4bb5f7767f98726",
+	"fixed/dense/2":               "b4bb5f7767f98726",
+	"flashcrowd/summary/1":        "01aff49055bfd0d6",
+	"flashcrowd/summary/2":        "dfa94c64f2e31fc8",
+	"flashcrowd/dense/1":          "a85b3595dcf4fb08",
+	"flashcrowd/dense/2":          "083580b3a05c7403",
+	"hotspot/summary/1":           "6035745d608afe57",
+	"hotspot/summary/2":           "340269612569f9c7",
+	"hotspot/dense/1":             "037b9f6feb06542c",
+	"hotspot/dense/2":             "f885dd3f777e4ddd",
+	"hotspot-rebalance/summary/1": "37c9eb95be2df48d",
+	"hotspot-rebalance/summary/2": "d766d714492286a8",
+	"hotspot-rebalance/dense/1":   "8d765ae2ee06735a",
+	"hotspot-rebalance/dense/2":   "8f3954dc65470ef9",
+	"poisson/summary/1":           "4f37930995720623",
+	"poisson/summary/2":           "ac4a3605e7a267c9",
+	"poisson/dense/1":             "eee4c8d1ec8fdeb4",
+	"poisson/dense/2":             "25d78337f56c558a",
+	"production-day/summary/1":    "6e573ca6c286959d",
+	"production-day/summary/2":    "252b5412fe85d09b",
+	"production-day/dense/1":      "a3f2cc694e3897b0",
+	"production-day/dense/2":      "b7a21e4f98aa0042",
+	"rolling-drain/summary/1":     "23598ef1b8bae04f",
+	"rolling-drain/summary/2":     "0b72882c3ae9bb5a",
+	"rolling-drain/dense/1":       "24405a01d7b5755c",
+	"rolling-drain/dense/2":       "5382be9c82a95d18",
+	"uniform5/summary/1":          "f06241b28b3bf427",
+	"uniform5/summary/2":          "1cfa840305429180",
+	"uniform5/dense/1":            "599cb5995e004822",
+	"uniform5/dense/2":            "e9e051d861b31f4e",
 }
 
 func TestArchiveDigestsPinned(t *testing.T) {

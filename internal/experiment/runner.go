@@ -161,6 +161,12 @@ type Result struct {
 	// FlowCon policies (zero otherwise).
 	AlgorithmRuns int
 	LimitUpdates  int
+	// Events is how many events the engine executed (sharded lanes
+	// included). Folds is how many times a worker's daemon folded accrued
+	// work into its containers — the instants at which some rate changed
+	// — summed over workers. Both are deterministic cost counters.
+	Events int
+	Folds  int
 	// Requeued counts job placements lost to injected worker failures
 	// and rescheduled.
 	Requeued int
@@ -586,6 +592,10 @@ func RunE(spec Spec) (*Result, error) {
 		Requeued:  manager.Requeued(),
 		Abandoned: manager.Abandoned(),
 		Migrated:  manager.Migrated(),
+		Events:    int(engine.Executed()),
+	}
+	for _, d := range daemons {
+		res.Folds += d.Folds()
 	}
 	avail := manager.Availability()
 	avail.Finalize(float64(engine.Now()))

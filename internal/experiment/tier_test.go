@@ -6,7 +6,12 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/flowcon"
 	"repro/internal/metrics"
+	"repro/internal/runtime"
+	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // runScenarioTier runs one registered scenario across seeds at the given
@@ -45,17 +50,45 @@ func TestReportScenarioTierParity(t *testing.T) {
 	}
 }
 
-// TestTiersAgreeOnOutcome: the tier changes what the collector keeps,
-// never what the simulation does. Every non-heavy scenario gives the same
-// full-precision job records, makespan, limit-update and Algorithm 1 run
-// counts in both tiers. It holds only because the summary tier's tick
-// still settles every node at the dense sampler's instants: settling
-// splits float additions, so dropping that settle moves the low bits of
-// the records.
-func TestTiersAgreeOnOutcome(t *testing.T) {
-	seeds := []int64{1, 2}
+// statsPoller wraps a run's policy and also reads every node the way an
+// outside monitor would: docker stats and `docker ps -a` every period.
+type statsPoller struct {
+	sched.Policy
+	period float64
+}
+
+func (p statsPoller) Attach(engine sim.Scheduler, node sched.Node) {
+	p.Policy.Attach(engine, node)
+	var poll func()
+	poll = func() {
+		node.RunningStats()
+		node.(runtime.Runtime).PS(true)
+		engine.After(p.period, sim.PriorityMetric, "test.poll", poll)
+	}
+	engine.After(p.period, sim.PriorityMetric, "test.poll", poll)
+}
+
+// TestOutcomeIndependentOfObservation: watching a run never changes what
+// it does. Every non-heavy scenario at seeds 1 and 2 (two scenarios at
+// seed 1 under -short or -race) gives bit-identical job records,
+// makespan, limit-update and Algorithm 1 run counts whether the collector
+// keeps the summary tier (which schedules no collector tick at all) or
+// samples densely every 1, 2 or 15 s, whether lifecycle spans are
+// recorded, and whether an outside monitor polls every node's stats and
+// container list. It holds because a daemon's reads are closed-form and
+// change no state: put a fold back into a read and the job records move
+// in the low bits.
+func TestOutcomeIndependentOfObservation(t *testing.T) {
+	scenarios, seeds := Scenarios(), []int64{1, 2}
 	if testing.Short() || raceEnabled {
-		seeds = seeds[:1]
+		scenarios, seeds = nil, seeds[:1]
+		for _, name := range []string{"chaos-day", "hotspot-rebalance"} {
+			sc, ok := ScenarioByName(name)
+			if !ok {
+				t.Fatalf("scenario %q not registered", name)
+			}
+			scenarios = append(scenarios, sc)
+		}
 	}
 	type outcome struct {
 		Jobs          []metrics.JobRecord
@@ -63,22 +96,63 @@ func TestTiersAgreeOnOutcome(t *testing.T) {
 		LimitUpdates  int
 		AlgorithmRuns int
 	}
-	for _, sc := range Scenarios() {
+	type watch struct {
+		name   string
+		tier   metrics.Tier
+		period float64
+		spans  bool
+		poll   float64 // statsPoller period; 0 = no poller
+	}
+	watches := []watch{
+		{"summary, no collector tick", metrics.TierSummary, 2, false, 0},
+		{"summary polled every 1.5 s", metrics.TierSummary, 2, false, 1.5},
+		{"dense every 1 s", metrics.TierDense, 1, false, 0},
+		{"dense every 15 s", metrics.TierDense, 15, false, 0},
+		{"dense every 2 s with lifecycle spans", metrics.TierDense, 2, true, 0},
+	}
+	for _, sc := range scenarios {
 		for _, seed := range seeds {
-			run := func(tier metrics.Tier) outcome {
+			var ref outcome
+			for i, w := range watches {
 				spec := sc.Spec(seed)
-				spec.TraceLevel = tier
+				spec.TraceLevel = w.tier
+				spec.SamplePeriod = w.period
+				if w.spans {
+					spec.Tracer = telemetry.NewTracer(0)
+				}
+				// The poller hides the policy from RunE's counts, so
+				// count its FlowCon controllers here.
+				var fcs []*sched.FlowCon
+				if w.poll > 0 {
+					inner := spec.NewPolicy
+					spec.NewPolicy = func(tr flowcon.Tracer) sched.Policy {
+						p := inner(tr)
+						if fc, ok := p.(*sched.FlowCon); ok {
+							fcs = append(fcs, fc)
+						}
+						return statsPoller{p, w.poll}
+					}
+				}
 				res, err := RunE(spec)
 				if err != nil {
-					t.Fatalf("%s/%s/%d: %v", sc.Name, tier, seed, err)
+					t.Fatalf("%s seed %d, %s: %v", sc.Name, seed, w.name, err)
 				}
-				return outcome{res.Jobs, res.Makespan, res.LimitUpdates, res.AlgorithmRuns}
-			}
-			summary, dense := run(metrics.TierSummary), run(metrics.TierDense)
-			if !reflect.DeepEqual(summary, dense) {
-				t.Errorf("%s seed %d: outcome differs between tiers: makespan %v/%v, limit updates %d/%d, algorithm runs %d/%d (or job records)",
-					sc.Name, seed, summary.Makespan, dense.Makespan, summary.LimitUpdates, dense.LimitUpdates,
-					summary.AlgorithmRuns, dense.AlgorithmRuns)
+				for _, fc := range fcs {
+					if c := fc.Controller(); c != nil {
+						res.AlgorithmRuns += c.Runs()
+						res.LimitUpdates += c.LimitUpdates()
+					}
+				}
+				got := outcome{res.Jobs, res.Makespan, res.LimitUpdates, res.AlgorithmRuns}
+				if i == 0 {
+					ref = got
+					continue
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("%s seed %d: %s changed the outcome against %s: makespan %v/%v, limit updates %d/%d, algorithm runs %d/%d (or job records)",
+						sc.Name, seed, w.name, watches[0].name, got.Makespan, ref.Makespan,
+						got.LimitUpdates, ref.LimitUpdates, got.AlgorithmRuns, ref.AlgorithmRuns)
+				}
 			}
 		}
 	}

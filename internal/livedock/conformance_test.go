@@ -46,7 +46,6 @@ func TestRuntimeConformance(t *testing.T) {
 			},
 			Advance: func(seconds float64) {
 				clk.Advance(time.Duration(seconds * float64(time.Second)))
-				n.Settle()
 			},
 		}
 	})

@@ -251,12 +251,10 @@ func (n *Node) view(c *Container) runtime.Container {
 		StartedAt:   c.Started.Sub(n.epoch).Seconds(),
 		State:       c.State,
 		Done:        c.workload.Done(),
+		Work:        c.workload.Work(),
 	}
 	if c.State == runtime.Exited {
 		v.FinishedAt = c.Finished.Sub(n.epoch).Seconds()
-	}
-	if wr, ok := c.workload.(interface{ Work() float64 }); ok {
-		v.Work = wr.Work()
 	}
 	return v
 }
@@ -457,7 +455,7 @@ func (n *Node) RunningStats() []flowcon.Stat {
 		n.materialise(c)
 		out[i] = flowcon.Stat{
 			ID:          c.ID,
-			Eval:        c.workload.Eval(),
+			Eval:        c.workload.EvalAt(c.workload.Work()),
 			CPUSeconds:  c.CPUSec,
 			MemoryBytes: c.memBytes,
 		}
@@ -492,9 +490,7 @@ func (n *Node) Checkpoint(id string) (*runtime.Checkpoint, error) {
 		MemoryBytes: c.memBytes,
 		FrozenAt:    n.clock().Sub(n.epoch).Seconds(),
 		Payload:     c.workload,
-	}
-	if wr, ok := c.workload.(interface{ Work() float64 }); ok {
-		cp.Work = wr.Work()
+		Work:        c.workload.Work(),
 	}
 	if rem := c.workload.Remaining(); cp.Work+rem > 0 {
 		cp.ProgressFrac = cp.Work / (cp.Work + rem)

@@ -54,9 +54,10 @@ func (j *tinyJob) CPUDemand() float64 {
 	}
 	return 1
 }
-func (j *tinyJob) Done() bool         { return j.work >= j.total }
-func (j *tinyJob) Eval() float64      { return j.total - j.work }
-func (j *tinyJob) Remaining() float64 { return j.total - j.work }
+func (j *tinyJob) Done() bool               { return j.work >= j.total }
+func (j *tinyJob) Work() float64            { return j.work }
+func (j *tinyJob) EvalAt(w float64) float64 { return j.total - w }
+func (j *tinyJob) Remaining() float64       { return j.total - j.work }
 
 // run launches w under name and returns the container id.
 func run(n *Node, name string, w Workload) (string, error) {

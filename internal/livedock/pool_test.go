@@ -27,11 +27,11 @@ func (j *poolJob) CPUDemand() float64 {
 	}
 	return j.demand
 }
-func (j *poolJob) Done() bool           { return j.work >= j.total }
-func (j *poolJob) Eval() float64        { return j.total - j.work }
-func (j *poolJob) MemoryBytes() float64 { return j.mem }
-func (j *poolJob) Work() float64        { return j.work }
-func (j *poolJob) Remaining() float64   { return j.total - j.work }
+func (j *poolJob) Done() bool               { return j.work >= j.total }
+func (j *poolJob) EvalAt(w float64) float64 { return j.total - w }
+func (j *poolJob) MemoryBytes() float64     { return j.mem }
+func (j *poolJob) Work() float64            { return j.work }
+func (j *poolJob) Remaining() float64       { return j.total - j.work }
 
 // refChecker holds a node against the reference allocator. After every
 // step each running container's share is within refTol·capacity of
@@ -477,12 +477,12 @@ func (j *countJob) Advance(cpu float64) {
 	j.c.advances++
 	j.poolJob.Advance(cpu)
 }
-func (j *countJob) CPUDemand() float64   { j.c.calls++; return j.poolJob.CPUDemand() }
-func (j *countJob) Done() bool           { j.c.calls++; return j.poolJob.Done() }
-func (j *countJob) Eval() float64        { j.c.calls++; return j.poolJob.Eval() }
-func (j *countJob) Remaining() float64   { j.c.calls++; return j.poolJob.Remaining() }
-func (j *countJob) MemoryBytes() float64 { j.c.calls++; return j.poolJob.MemoryBytes() }
-func (j *countJob) Work() float64        { j.c.calls++; return j.poolJob.Work() }
+func (j *countJob) CPUDemand() float64       { j.c.calls++; return j.poolJob.CPUDemand() }
+func (j *countJob) Done() bool               { j.c.calls++; return j.poolJob.Done() }
+func (j *countJob) EvalAt(w float64) float64 { j.c.calls++; return j.poolJob.EvalAt(w) }
+func (j *countJob) Remaining() float64       { j.c.calls++; return j.poolJob.Remaining() }
+func (j *countJob) MemoryBytes() float64     { j.c.calls++; return j.poolJob.MemoryBytes() }
+func (j *countJob) Work() float64            { j.c.calls++; return j.poolJob.Work() }
 
 // Counts, not clocks: with 4000 containers running, a status poll
 // advances at most the one workload it reads, and a launch calls no

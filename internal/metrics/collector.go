@@ -78,18 +78,17 @@ type job struct {
 }
 
 // Collector accumulates everything an experiment reports. It subscribes to
-// worker daemons for job lifecycle, settles them at a fixed period, and
-// implements flowcon.Tracer to capture growth-efficiency traces.
+// worker daemons for job lifecycle and implements flowcon.Tracer to
+// capture growth-efficiency traces.
 //
 // What it keeps is governed by the collector's Tier. TierSummary keeps the
 // job records and one bounded CompactSeries of growth per job, so GrowthAt
 // can answer the GE@fraction report columns: total memory is O(jobs),
-// independent of makespan. Its periodic tick only settles the attached
-// nodes and samples nothing. TierDense samples CPU usage and evaluation
-// values every period and retains every raw sample, and every Algorithm 1
-// run's growth, limit and list, in full Series: O(jobs × makespan). The
-// raw-series accessors (CPUSeries etc.) and CPUSummary return nil outside
-// that tier.
+// independent of makespan. It has no periodic tick. TierDense samples CPU
+// usage and evaluation values every period — pure reads of the daemons —
+// and retains every raw sample, and every Algorithm 1 run's growth, limit
+// and list, in full Series: O(jobs × makespan). The raw-series accessors
+// (CPUSeries etc.) and CPUSummary return nil outside that tier.
 //
 // A Collector is not safe for concurrent use, with one exception:
 // RecordRun, which controllers on different sharded worker lanes call
@@ -105,11 +104,10 @@ type Collector struct {
 	jobs  map[string]*job // by job name
 	byCID map[string]*job // by the container the job is bound to
 
-	// daemons are the attached workers in attach order, settled by every
-	// tick. samplers holds one sampler per daemon in TierDense and none in
-	// TierSummary. tickFn is the bound tick method, built once so
-	// rescheduling the metrics.sample event allocates only the event.
-	daemons  []*simdocker.Daemon
+	// samplers holds one sampler per attached worker, in attach order, in
+	// TierDense and none in TierSummary. tickFn is the bound tick method,
+	// built once so rescheduling the metrics.sample event allocates only
+	// the event.
 	samplers []*sampler
 	tickFn   func()
 
@@ -119,18 +117,17 @@ type Collector struct {
 	algoRuns atomic.Int64
 }
 
-// NewCollector creates a summary-tier collector settling its workers every
-// period seconds. Use NewCollectorTier to opt into dense retention.
+// NewCollector creates a summary-tier collector. The period is validated
+// but unused in that tier. Use NewCollectorTier to opt into dense
+// retention, sampled every period seconds.
 func NewCollector(engine *sim.Engine, period float64) *Collector {
 	return NewCollectorTier(engine, period, TierSummary)
 }
 
 // NewCollectorTier creates a collector with an explicit retention tier.
-// The tier changes what is retained, never what the simulation does: both
-// tiers run the same metrics.sample tick at the same instants, and in
-// both it starts with daemon.Sync() on every attached worker — the settle
-// that fixes where each node's progress integration splits, and so the
-// low bits of every outcome. The period must be finite and positive.
+// The tier changes what is retained, never what the simulation does: the
+// dense sampler only reads the daemons, and a read changes no state. The
+// period must be finite and positive.
 func NewCollectorTier(engine *sim.Engine, period float64, tier Tier) *Collector {
 	if !(period > 0) || math.IsInf(period, 1) {
 		panic(fmt.Sprintf("metrics: sampling period %g is not finite and positive", period))
@@ -262,49 +259,34 @@ type samplerSlot struct {
 	tail int
 }
 
-// AttachWorker subscribes the collector to a worker daemon's lifecycle and
-// adds the worker to the collector's periodic tick; in TierDense it also
-// gets a sampler. The first attach schedules the tick: one metrics.sample
-// event per period on the collector's engine, which handles every attached
-// worker in attach order and reschedules itself once — O(1) events per
-// period however many workers there are. In a sharded simulation the tick
-// rides the cluster lane (lane 0), so it runs on the coordinator outside
-// parallel batches, where reading any worker's daemon is safe. A worker
-// attached between ticks joins the collector's phase; its first sample
-// covers the time from attach to the next tick. Containers already in the
-// daemon's pool are picked up, so attaching after launching works.
+// AttachWorker subscribes the collector to a worker daemon's lifecycle. In
+// TierDense the worker also gets a sampler, and the first attach schedules
+// the tick: one metrics.sample event per period on the collector's engine,
+// which passes every sampler in attach order and reschedules itself once —
+// O(1) events per period however many workers there are. In a sharded
+// simulation the tick rides the cluster lane (lane 0), so it runs on the
+// coordinator outside parallel batches, where reading any worker's daemon
+// is safe. A worker attached between ticks joins the collector's phase;
+// its first sample covers the time from attach to the next tick.
+// Containers already in the daemon's pool are picked up, so attaching
+// after launching works. TierSummary schedules nothing.
 func (c *Collector) AttachWorker(name string, daemon *simdocker.Daemon) {
 	daemon.OnExit(c.JobExited)
-	c.daemons = append(c.daemons, daemon)
-	if c.tier == TierDense {
-		c.samplers = append(c.samplers, c.newSampler(daemon))
+	if c.tier != TierDense {
+		return
 	}
-	if len(c.daemons) == 1 {
+	c.samplers = append(c.samplers, c.newSampler(daemon))
+	if len(c.samplers) == 1 {
 		c.tickFn = c.tick
 		c.engine.After(c.period, sim.PriorityMetric, "metrics.sample", c.tickFn)
 	}
 }
 
-// tick is the collector's metrics.sample event: one pass of every
-// sampler in TierDense, a settle of every worker in TierSummary, then the
-// next period's event.
+// tick is the dense collector's metrics.sample event: one pass of every
+// sampler, then the next period's event.
 func (c *Collector) tick() {
-	if c.tier == TierDense {
-		for _, s := range c.samplers {
-			s.pass()
-		}
-	} else {
-		for _, d := range c.daemons {
-			// Nothing reads a sample in this tier, but the settle carries
-			// weight: Daemon.settle integrates progress piecewise, so where
-			// it splits the float additions sets the low bits of every job
-			// record. Settling here at the dense sampler's instants keeps
-			// the outcome tier-independent (TestTiersAgreeOnOutcome);
-			// without it cluster-scale makes 77 667 limit updates instead
-			// of 77 665. It can go once settling no longer depends on its
-			// cadence (ROADMAP item 27).
-			d.Sync()
-		}
+	for _, s := range c.samplers {
+		s.pass()
 	}
 	c.engine.After(c.period, sim.PriorityMetric, "metrics.sample", c.tickFn)
 }
@@ -326,7 +308,6 @@ func (c *Collector) newSampler(daemon *simdocker.Daemon) *sampler {
 // can produce no further sample. Allocation-free at steady state.
 func (s *sampler) pass() {
 	now := float64(s.c.engine.Now())
-	s.daemon.Sync()
 	dt := now - s.lastAt
 	kept := s.live[:0]
 	for i := range s.live {
@@ -363,8 +344,8 @@ func (s *sampler) sample(sl *samplerSlot, now, dt float64) bool {
 	}
 	d := j.dense
 	if j.Finished && exited {
-		// Exited containers have frozen counters and a closed record:
-		// read them without settling. The values are identical.
+		// Exited containers have final counters and a closed record: read
+		// the CPU time alone, without the evaluation.
 		if dt > 0 {
 			d[kindCPU].Append(now, (cont.CPUSeconds()-sl.lastCPU)/dt)
 		}
@@ -463,7 +444,7 @@ func (c *Collector) GrowthSeries(name string) *Series { return c.series(name, ki
 // CPUSeries: nil in TierSummary and for an untracked job. For the
 // benchmark this means metrics.samples counts dense-tier samples only (it
 // reads 0 on summary-tier workloads), and metrics.sample_ns, which times a
-// summary-tier collector, times a settle-only tick.
+// summary-tier collector, times no tick against a no-op Sync.
 func (c *Collector) CPUSummary(name string) *SeriesSummary {
 	s := c.CPUSeries(name)
 	if s == nil {

@@ -42,36 +42,42 @@ func attachWorkers(tb testing.TB, col *Collector, e *sim.Engine, w, n int) {
 	}
 }
 
-// TestOneSampleEventPerPeriod pins the collector's event cost: in either
-// tier, however many workers are attached, a period executes exactly one
-// metrics.sample event. In TierSummary that event only settles the
-// workers; in TierDense it samples every container of every worker.
+// TestOneSampleEventPerPeriod pins the dense collector's event cost:
+// however many workers are attached, a period executes exactly one
+// metrics.sample event, and it samples every container of every worker.
 func TestOneSampleEventPerPeriod(t *testing.T) {
 	const n, periods = 4, 10
 	for _, w := range []int{1, 16} {
 		t.Run(fmt.Sprint(w), func(t *testing.T) {
-			for _, tier := range []Tier{TierSummary, TierDense} {
-				e := sim.NewEngine()
-				col := NewCollectorTier(e, 1.0, tier)
-				attachWorkers(t, col, e, w, n)
-				before := e.Executed()
-				e.Run(periods)
-				if got := e.Executed() - before; got != periods {
-					t.Fatalf("%s, %d workers: %d events in %d periods, want one per period", tier, w, got, periods)
-				}
-				if tier == TierSummary {
-					continue
-				}
-				for i := 0; i < w; i++ {
-					for j := 0; j < n; j++ {
-						name := fmt.Sprintf("w%d.J%d", i, j)
-						if got := col.CPUSeries(name).Len(); got != periods {
-							t.Fatalf("%s: %d cpu samples after %d periods", name, got, periods)
-						}
+			e := sim.NewEngine()
+			col := NewCollectorTier(e, 1.0, TierDense)
+			attachWorkers(t, col, e, w, n)
+			before := e.Executed()
+			e.Run(periods)
+			if got := e.Executed() - before; got != periods {
+				t.Fatalf("%d workers: %d events in %d periods, want one per period", w, got, periods)
+			}
+			for i := 0; i < w; i++ {
+				for j := 0; j < n; j++ {
+					name := fmt.Sprintf("w%d.J%d", i, j)
+					if got := col.CPUSeries(name).Len(); got != periods {
+						t.Fatalf("%s: %d cpu samples after %d periods", name, got, periods)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestSummaryTierSchedulesNothing: the summary collector has no tick.
+// Attaching workers whose containers run for the whole horizon queues no
+// event, so the engine executes none.
+func TestSummaryTierSchedulesNothing(t *testing.T) {
+	e := sim.NewEngine()
+	col := NewCollector(e, 1.0)
+	attachWorkers(t, col, e, 16, 4)
+	if got := e.Run(10); got != 0 {
+		t.Fatalf("summary collector ran %d events in 10 periods, want none", got)
 	}
 }
 
@@ -101,26 +107,6 @@ func TestLateAttachJoinsCollectorPhase(t *testing.T) {
 		if math.Abs(p.V-1.0/n) > 1e-9 {
 			t.Fatalf("late sample %d = %g, want %g", i, p.V, 1.0/n)
 		}
-	}
-}
-
-// TestSampleTickAllocs pins one whole summary-tier collector tick — a
-// settle of every attached worker plus rescheduling — at one allocation:
-// the next period's event.
-func TestSampleTickAllocs(t *testing.T) {
-	e := sim.NewEngine()
-	col := NewCollector(e, 1.0)
-	attachWorkers(t, col, e, 8, 8)
-	tick := func() { e.Run(e.Now() + 1) }
-	for i := 0; i < 200; i++ {
-		tick()
-	}
-	before := e.Executed()
-	if allocs := testing.AllocsPerRun(100, tick); allocs > 1 {
-		t.Fatalf("steady-state collector tick allocates %.1f per run, want at most 1", allocs)
-	}
-	if got := e.Executed() - before; got < 100 {
-		t.Fatalf("%d ticks ran: the guard measured nothing", got)
 	}
 }
 
@@ -199,7 +185,7 @@ func TestSamplerStateBoundedAcrossCheckpoints(t *testing.T) {
 }
 
 // TestSamplerPassAllocs pins one whole steady-state dense-tier sampler
-// pass — settle, slot walk, usage read, both appends per container — at
+// pass — slot walk, usage read, both appends per container — at
 // zero allocations. A series allocates only when it opens a chunk: after
 // 250 warm passes the measured ones stay inside each series' fifth chunk
 // (points 241–496).

@@ -5,7 +5,7 @@
 // Collection is tiered (see Tier). The default summary tier keeps only
 // the job records and a bounded growth trajectory per job
 // (CompactSeries), so collector memory is O(jobs) regardless of makespan;
-// its periodic tick settles the nodes and samples nothing. The dense tier
+// it schedules no sampling event. The dense tier
 // keeps every raw sample as a Series, O(jobs × makespan); it is required
 // for figure regeneration and limit-event traces. Archives exported from
 // either tier carry a schema version (ArchiveSchemaVersion).

@@ -20,7 +20,7 @@ func traceEntryAt(cid string, at, g float64) flowcon.TraceEntry {
 }
 
 // runTailScenario runs one short job, then keeps the engine (and the
-// collector's tick) running long past the job's exit, returning the
+// dense collector's tick) running long past the job's exit, returning the
 // collector. Without the cap the dense sampler would append a zero sample
 // per period until the horizon.
 func runTailScenario(t *testing.T, tier Tier, horizon float64) *Collector {
@@ -70,10 +70,9 @@ func TestPostExitTailCapDense(t *testing.T) {
 	}
 }
 
-// TestPostExitTailCapSummary: the summary tier has no tail to cap. Its
-// tick keeps no per-container state and samples nothing, so the collector
-// retains no more at a horizon far past the job's exit than it did at the
-// exit.
+// TestPostExitTailCapSummary: the summary tier has no tail to cap. It has
+// no tick and samples nothing, so the collector retains no more at a
+// horizon far past the job's exit than it did at the exit.
 func TestPostExitTailCapSummary(t *testing.T) {
 	col := runTailScenario(t, TierSummary, 100)
 	r := col.jobs["A"].JobRecord

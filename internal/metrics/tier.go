@@ -3,17 +3,17 @@ package metrics
 import "fmt"
 
 // Tier selects how much observability data a Collector computes and
-// retains. The tier never changes what the simulation does: both tiers
-// settle every attached node at the same sampling instants (see
-// NewCollectorTier), so makespans, job records and event ordering are
-// tier-independent; only what is kept differs.
+// retains. The tier never changes what the simulation does: a daemon's
+// reads change no state (see simdocker.Daemon), so sampling the nodes or
+// not leaves makespans, job records and decisions bit-identical; only
+// what is kept, and the collector's own events, differ.
 type Tier int
 
 const (
 	// TierSummary is the default: per job the collector keeps the
 	// lifecycle record and, for growth efficiency, a bounded compacted
-	// trajectory that RecordRun appends to. Its sampling tick only
-	// settles the nodes; nothing is sampled. Collector memory is O(jobs),
+	// trajectory that RecordRun appends to. It schedules no sampling
+	// event and samples nothing. Collector memory is O(jobs),
 	// independent of makespan. Raw series accessors (CPUSeries etc.) and
 	// CPUSummary return nil in this tier.
 	TierSummary Tier = iota

@@ -59,8 +59,13 @@ type Workload interface {
 	// Remaining returns the CPU work still needed to finish, in
 	// cpu-seconds; runtimes derive completion times from it.
 	Remaining() float64
-	// Eval returns the current evaluation-function value.
-	Eval() float64
+	// Work returns the cumulative CPU work delivered so far.
+	Work() float64
+	// EvalAt returns the evaluation-function value the workload reports
+	// at the given cumulative work, without delivering any. A runtime
+	// that accrues work lazily reads the current value as
+	// EvalAt(Work() + the work accrued since its last Advance).
+	EvalAt(work float64) float64
 }
 
 // LaunchSpec describes one container to launch. Every backend requires
@@ -100,8 +105,7 @@ type Container struct {
 	// Done reports whether the workload finished its budget — distinct
 	// from State: a stopped or failed container exits with Done false.
 	Done bool
-	// Work is the cumulative delivered CPU work when the workload
-	// exposes it (dlmodel jobs do), else 0.
+	// Work is the workload's cumulative delivered CPU work.
 	Work float64
 }
 

@@ -12,6 +12,8 @@ package runtimetest
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/runtime"
@@ -29,8 +31,10 @@ type Env struct {
 	// clock seconds.
 	Spec func(name string) runtime.LaunchSpec
 
-	// Advance moves this backend's clock forward by the given seconds and
-	// settles accounting, so CPUSeconds and exits become observable.
+	// Advance moves this backend's clock forward by the given seconds,
+	// running whatever the backend has scheduled up to then (completions,
+	// say). It does nothing else: every read must already report the
+	// values as of the clock.
 	Advance func(seconds float64)
 }
 
@@ -46,6 +50,7 @@ func Run(t *testing.T, h Harness) {
 	t.Run("StopSemantics", func(t *testing.T) { testStopSemantics(t, h(t)) })
 	t.Run("RemoveFreesName", func(t *testing.T) { testRemoveFreesName(t, h(t)) })
 	t.Run("WorkAccrues", func(t *testing.T) { testWorkAccrues(t, h(t)) })
+	t.Run("ReadsAreCurrent", func(t *testing.T) { testReadsAreCurrent(t, h(t)) })
 	t.Run("Hooks", func(t *testing.T) { testHooks(t, h(t)) })
 	t.Run("RunningStats", func(t *testing.T) { testRunningStats(t, h(t)) })
 	t.Run("CheckpointRestore", func(t *testing.T) { testCheckpointRestore(t, h(t)) })
@@ -215,6 +220,42 @@ func testWorkAccrues(t *testing.T, e *Env) {
 	}
 	if got.StartedAt > c.StartedAt+1e-9 && got.ID == c.ID {
 		t.Fatalf("StartedAt drifted: %g -> %g", c.StartedAt, got.StartedAt)
+	}
+}
+
+// testReadsAreCurrent: with no event between them, a read after
+// Advance(k) reports the CPU time accrued at the container's share over
+// those k seconds, and reading changes nothing — two reads at one instant
+// are equal.
+func testReadsAreCurrent(t *testing.T, e *Env) {
+	if _, err := e.RT.Launch(e.Spec("reader")); err != nil {
+		t.Fatalf("Launch: %v", err)
+	}
+	before, err := e.RT.Lookup("reader")
+	if err != nil {
+		t.Fatalf("Lookup: %v", err)
+	}
+	const k = 3
+	e.Advance(k)
+	got, err := e.RT.Lookup("reader")
+	if err != nil {
+		t.Fatalf("Lookup: %v", err)
+	}
+	if want := before.CPUSeconds + before.CPUAlloc*k; math.Abs(got.CPUSeconds-want) > 1e-9 {
+		t.Fatalf("CPUSeconds %g after %gs at share %g, want %g", got.CPUSeconds, float64(k), before.CPUAlloc, want)
+	}
+	if got.Work <= before.Work {
+		t.Fatalf("Work %g after %gs, was %g: the read is stale", got.Work, float64(k), before.Work)
+	}
+	again, err := e.RT.Lookup("reader")
+	if err != nil {
+		t.Fatalf("Lookup: %v", err)
+	}
+	if !reflect.DeepEqual(got, again) {
+		t.Fatalf("two Lookups at one instant differ:\n%+v\n%+v", got, again)
+	}
+	if ps := e.RT.PS(true); len(ps) != 1 || !reflect.DeepEqual(ps[0], got) {
+		t.Fatalf("PS(true) = %+v, want [%+v]", ps, got)
 	}
 }
 

@@ -7,17 +7,8 @@ import (
 	"repro/internal/sim"
 )
 
-// steadyWork is a long-running workload with analytically known remaining
-// work, far from completion for the whole measurement window.
-type steadyWork struct{ rem float64 }
-
-func (w *steadyWork) Advance(c float64)  { w.rem -= c }
-func (w *steadyWork) CPUDemand() float64 { return 1 }
-func (w *steadyWork) Done() bool         { return w.rem <= 0 }
-func (w *steadyWork) Eval() float64      { return w.rem }
-func (w *steadyWork) Remaining() float64 { return w.rem }
-
-// steadyDaemon builds a daemon running n steadyWork containers.
+// steadyDaemon builds a daemon running n containers far from completion
+// for the whole measurement window.
 func steadyDaemon(t *testing.T, n int) (*sim.Engine, *Daemon, []string) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -25,7 +16,7 @@ func steadyDaemon(t *testing.T, n int) (*sim.Engine, *Daemon, []string) {
 	d.Pull(Image{Ref: "img", SizeBytes: 1})
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		c, err := d.Run(RunSpec{Image: "img", Workload: &steadyWork{rem: 1e9}})
+		c, err := d.Run(RunSpec{Image: "img", Workload: &fakeJob{total: 1e9, demand: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +61,7 @@ func TestSettleReallocateAllocsZero(t *testing.T) {
 
 // TestPlanAllocsAtMostOne guards the docker-update path as a plan: k
 // updates at one instant, then the instant drains. Update itself only
-// validates, settles and writes; the one reallocation event it queues per
+// validates and writes; the one reallocation event it queues per
 // instant is the plan's only allocation, whatever k is. The plan re-sets
 // the same limits every round — the steady state, in which the earliest
 // finish does not move and the completion event is kept.
@@ -108,7 +99,7 @@ func TestAppendRunningStatsAllocsZero(t *testing.T) {
 	d := NewDaemon(eng, 1.0)
 	d.Pull(Image{Ref: "img", SizeBytes: 1})
 	for i := 0; i < 64; i++ {
-		if _, err := d.Run(RunSpec{Image: "img", Workload: &steadyWork{rem: 1e9}}); err != nil {
+		if _, err := d.Run(RunSpec{Image: "img", Workload: &fakeJob{total: 1e9, demand: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}

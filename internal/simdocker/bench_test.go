@@ -38,16 +38,16 @@ func benchDaemon(b *testing.B, n int) (*sim.Engine, *Daemon, []string) {
 	return e, d, ids
 }
 
-// BenchmarkSettle measures one accounting settlement across the pool: an
-// event fires, virtual time advances, and every running container's work
-// is integrated. RunningCount/MemoryUsed reads inside are O(1) cached.
+// BenchmarkSettle measures one accounting fold across the pool: an event
+// fires, virtual time advances, and every running container's work is
+// folded in. RunningCount/MemoryUsed reads inside are O(1) cached.
 func BenchmarkSettle(b *testing.B) {
 	for _, n := range poolSizes {
 		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
 			e, d, _ := benchDaemon(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.At(e.Now()+0.001, sim.PriorityMetric, "sync", d.Sync)
+				e.At(e.Now()+0.001, sim.PriorityMetric, "settle", d.settle)
 				e.Run(e.Now() + 0.001)
 			}
 		})

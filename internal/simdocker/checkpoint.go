@@ -36,9 +36,7 @@ func (d *Daemon) Checkpoint(id string) (*Checkpoint, error) {
 		MemoryBytes: c.memBytes,
 		FrozenAt:    float64(d.engine.Now()),
 		Payload:     c.workload,
-	}
-	if wr, ok := c.workload.(interface{ Work() float64 }); ok {
-		cp.Work = wr.Work()
+		Work:        c.workload.Work(),
 	}
 	if rem := remainingWork(c.workload); cp.Work+rem > 0 {
 		cp.ProgressFrac = cp.Work / (cp.Work + rem)

@@ -31,7 +31,6 @@ func TestRuntimeConformance(t *testing.T) {
 			Advance: func(seconds float64) {
 				now += sim.Time(seconds)
 				e.Run(now)
-				d.Sync()
 			},
 		}
 	})

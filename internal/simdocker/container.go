@@ -92,6 +92,9 @@ type ResourceProfiler interface {
 // managed by the daemon; read access is provided through methods so the
 // accounting invariants cannot be broken from outside.
 type Container struct {
+	// d is the daemon whose pool holds the container; nil once Remove
+	// (or a Checkpoint freeze) has dropped it.
+	d     *Daemon
 	id    string
 	name  string
 	image string
@@ -106,9 +109,11 @@ type Container struct {
 	cpuLimit float64
 	// alloc is the CPU share currently granted by the allocator.
 	alloc float64
-	// cpuSeconds is cumulative CPU time consumed.
+	// cpuSeconds is cumulative CPU time consumed up to the daemon's last
+	// fold; reads add what accrued since (see Daemon).
 	cpuSeconds float64
-	// blkioBytes / netioBytes are cumulative I/O, derived from work.
+	// blkioBytes / netioBytes are cumulative I/O, derived from work, on
+	// the same terms.
 	blkioBytes float64
 	netioBytes float64
 
@@ -121,9 +126,6 @@ type Container struct {
 	// the daemon's completion min-heap, -1 when not enqueued.
 	eta      sim.Time
 	etaIndex int
-	// removed is set when Remove (or a Checkpoint freeze) drops the
-	// container from the pool, so whoever still holds the handle can tell.
-	removed bool
 }
 
 // ID returns the container id (cid in the paper's notation).
@@ -138,7 +140,7 @@ func (c *Container) State() State { return c.state }
 // Removed reports whether the container has left its daemon's pool
 // (`docker rm`, or a checkpoint freeze). Observers that hold container
 // handles across events — the metrics sampler — drop them on this.
-func (c *Container) Removed() bool { return c.removed }
+func (c *Container) Removed() bool { return c.d == nil }
 
 // StartedAt returns when the container started running.
 func (c *Container) StartedAt() sim.Time { return c.startedAt }
@@ -149,10 +151,15 @@ func (c *Container) FinishedAt() sim.Time { return c.finishedAt }
 // CPULimit returns the current soft CPU limit in (0,1].
 func (c *Container) CPULimit() float64 { return c.cpuLimit }
 
-// CPUSeconds returns cumulative CPU time as of the daemon's last settle.
-// For an exited container the value is final and needs no settling — the
-// metrics sampler relies on that to read dead containers cheaply.
-func (c *Container) CPUSeconds() float64 { return c.cpuSeconds }
+// CPUSeconds returns cumulative CPU time as of now: the value at the
+// daemon's last fold plus alloc·(now − last fold). It changes no state.
+// An exited container has no allocation, so its value is final.
+func (c *Container) CPUSeconds() float64 {
+	if c.alloc == 0 {
+		return c.cpuSeconds
+	}
+	return c.cpuSeconds + c.alloc*c.d.elapsed()
+}
 
 // CPUAlloc returns the CPU share currently granted by the allocator.
 func (c *Container) CPUAlloc() float64 { return c.alloc }

@@ -37,6 +37,17 @@ const completionEps = 1e-9
 // All methods must be called from the simulation goroutine (event
 // callbacks or before Run); the daemon is deliberately not thread-safe
 // because determinism is the point.
+//
+// Accounting is folded where a rate changes, never where it is read.
+// Between two reallocations every running container's allocation and
+// the node's efficiency are constant, so its CPU seconds, work and I/O
+// grow linearly in time (a GPS fluid node). settle folds alloc·dt into
+// the counters, node-wide, only on the paths that go on to reallocate:
+// Run, Stop, Checkpoint, SetCapacity, the completion event and an
+// instant's reallocation event. Every read — AppendRunningStats, Usage,
+// the runtime views, Container.CPUSeconds — returns the value at the
+// last fold plus alloc·(now − lastAdvance) and changes nothing, so how
+// often anything observes the node never changes what its jobs do.
 type Daemon struct {
 	engine   sim.Scheduler
 	capacity float64
@@ -71,8 +82,11 @@ type Daemon struct {
 	onStart []func(*Container)
 	onExit  []func(*Container)
 
-	// lastAdvance is the time up to which container accounting is settled.
+	// lastAdvance is the time of the last fold: container counters hold
+	// their values at this instant. folds counts the settles that moved
+	// it (dt > 0).
 	lastAdvance sim.Time
+	folds       int
 	// completion is the pending earliest-completion event, if any;
 	// completeFn is its callback, built once.
 	completion *sim.Event
@@ -258,6 +272,7 @@ func (d *Daemon) Run(spec RunSpec) (*Container, error) {
 
 	d.settle()
 	c := &Container{
+		d:         d,
 		id:        id,
 		name:      name,
 		image:     spec.Image,
@@ -287,13 +302,13 @@ func (d *Daemon) Run(spec RunSpec) (*Container, error) {
 
 // Update re-sets a running container's soft CPU limit — the simulated
 // `docker update --cpus`. The limit takes effect at the current instant:
-// already-accrued work is settled at the old rate, the new limit is
-// written at once (CPULimit and RunningStats report it), and the water-fill runs
-// in a single reallocation event the daemon queues at (now,
-// PriorityState). CPUAlloc reflects the new limit once that event has
-// run, which happens before any Listener-or-later event at this instant
-// and before the clock advances. A whole Algorithm 1 plan — k updates at
-// one instant — therefore costs one fill, not k.
+// it is written at once (CPULimit reports it), and the fold and the
+// water-fill run in a single reallocation event the daemon queues at
+// (now, PriorityState), so work up to now accrues at the old rate.
+// CPUAlloc reflects the new limit once that event has run, which happens
+// before any Listener-or-later event at this instant and before the clock
+// advances. A whole Algorithm 1 plan — k updates at one instant —
+// therefore costs one fill, not k.
 func (d *Daemon) Update(id string, cpuLimit float64) error {
 	c, ok := d.containers[id]
 	if !ok {
@@ -305,7 +320,6 @@ func (d *Daemon) Update(id string, cpuLimit float64) error {
 	if err := checkLimit(cpuLimit); err != nil {
 		return err
 	}
-	d.settle()
 	c.cpuLimit = cpuLimit
 	d.stale = true
 	if !d.reallocQueued {
@@ -373,7 +387,7 @@ func (d *Daemon) Remove(id string) error {
 	}
 	delete(d.containers, id)
 	delete(d.byName, c.name)
-	c.removed = true
+	c.d = nil
 	for i, oid := range d.order {
 		if oid == id {
 			d.order = append(d.order[:i], d.order[i+1:]...)
@@ -421,32 +435,35 @@ func (d *Daemon) PS(all bool) []*Container {
 // start/exit, so reading it is O(1).
 func (d *Daemon) RunningCount() int { return d.running }
 
-// Usage is the handle-taking form of AppendRunningStats for observers that already
-// hold the container and need only what a usage sampler reads: settled
-// cumulative CPU seconds and the workload's current evaluation value. No
-// id lookup, no snapshot struct.
+// Usage is the handle-taking form of AppendRunningStats for observers that
+// already hold the container and need only what a usage sampler reads:
+// cumulative CPU seconds and the workload's evaluation value, both now.
+// No id lookup, no snapshot struct, no state change.
 func (d *Daemon) Usage(c *Container) (cpuSeconds, eval float64) {
-	d.settle()
-	return c.cpuSeconds, c.workload.Eval()
+	cpu, work := accrued(c, d.elapsed(), d.efficiency(d.running))
+	return c.cpuSeconds + cpu, c.workload.EvalAt(c.workload.Work() + work)
 }
 
-// AppendRunningStats settles the pool once and appends a snapshot of every
-// running container to buf in creation order — the simulated `docker
-// stats` — returning the extended slice. It is the allocation-free bulk
-// read the per-tick hot path (policy RunningStats) makes instead of PS +
-// per-id lookups.
+// AppendRunningStats appends a snapshot of every running container, as of
+// now, to buf in creation order — the simulated `docker stats` — and
+// returns the extended slice. It is the allocation-free bulk read the
+// per-tick hot path (policy RunningStats) makes instead of PS + per-id
+// lookups, and like every read it changes no state.
 func (d *Daemon) AppendRunningStats(buf []flowcon.Stat) []flowcon.Stat {
-	d.settle()
+	dt, eff := d.elapsed(), d.efficiency(d.running)
 	for _, c := range d.runningList {
+		cpu, work := accrued(c, dt, eff)
 		s := flowcon.Stat{
 			ID:         c.id,
-			Eval:       c.workload.Eval(),
-			CPUSeconds: c.cpuSeconds,
+			Eval:       c.workload.EvalAt(c.workload.Work() + work),
+			CPUSeconds: c.cpuSeconds + cpu,
 			BlkIOBytes: c.blkioBytes,
 			NetIOBytes: c.netioBytes,
 		}
 		if rp, ok := c.workload.(ResourceProfiler); ok {
 			s.MemoryBytes = rp.MemoryBytes()
+			s.BlkIOBytes += work * rp.BlkIOPerWork()
+			s.NetIOBytes += work * rp.NetIOPerWork()
 		}
 		buf = append(buf, s)
 	}
@@ -462,12 +479,32 @@ func (d *Daemon) EachContainer(fn func(*Container)) {
 	}
 }
 
-// Sync settles all container accounting up to the engine's current time.
-// Monitors call it before reading cumulative counters.
-func (d *Daemon) Sync() { d.settle() }
+// Sync does nothing: every read is already current (see Daemon). It is
+// kept only because the benchmark harness's drives still call it; ROADMAP
+// item 10's re-cut of bench/ deletes it.
+func (d *Daemon) Sync() {}
 
-// settle integrates work at the current allocation from lastAdvance to
-// now. It must be called before any state mutation or counter read.
+// Folds returns how many settles folded a positive span into the
+// counters: the number of distinct instants at which a rate changed.
+func (d *Daemon) Folds() int { return d.folds }
+
+// elapsed is the span since the last fold, which every closed-form read
+// extrapolates over.
+func (d *Daemon) elapsed() float64 { return float64(d.engine.Now() - d.lastAdvance) }
+
+// accrued returns what c has consumed over dt since the last fold at node
+// efficiency eff: CPU time at its allocated rate, of which only the
+// efficiency-scaled fraction advances the training job. settle folds
+// exactly these values, so a read and a fold at one instant agree to the
+// bit.
+func accrued(c *Container, dt, eff float64) (cpu, work float64) {
+	cpu = c.alloc * dt
+	return cpu, cpu * eff
+}
+
+// settle folds the work accrued at the current allocation from
+// lastAdvance to now into every running container. Only paths that go
+// on to reallocate call it: a fold is where a rate may change.
 func (d *Daemon) settle() {
 	now := d.engine.Now()
 	dt := float64(now - d.lastAdvance)
@@ -475,18 +512,15 @@ func (d *Daemon) settle() {
 		panic("simdocker: time went backwards")
 	}
 	if dt == 0 {
-		d.lastAdvance = now
 		return
 	}
+	d.folds++
 	eff := d.efficiency(d.running)
 	for _, c := range d.runningList {
 		if c.alloc == 0 {
 			continue
 		}
-		// CPU time is consumed at the allocated rate, but only the
-		// efficiency-scaled fraction advances the training job.
-		cpu := c.alloc * dt
-		work := cpu * eff
+		cpu, work := accrued(c, dt, eff)
 		c.workload.Advance(work)
 		c.cpuSeconds += cpu
 		if rp, ok := c.workload.(ResourceProfiler); ok {

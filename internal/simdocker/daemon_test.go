@@ -30,9 +30,10 @@ func (f *fakeJob) CPUDemand() float64 {
 	}
 	return f.demand
 }
-func (f *fakeJob) Done() bool         { return f.work >= f.total }
-func (f *fakeJob) Eval() float64      { return f.total - f.work }
-func (f *fakeJob) Remaining() float64 { return f.total - f.work }
+func (f *fakeJob) Done() bool               { return f.work >= f.total }
+func (f *fakeJob) Work() float64            { return f.work }
+func (f *fakeJob) EvalAt(w float64) float64 { return f.total - w }
+func (f *fakeJob) Remaining() float64       { return f.total - f.work }
 
 func newTestDaemon(t *testing.T) (*sim.Engine, *Daemon) {
 	t.Helper()

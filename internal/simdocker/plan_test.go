@@ -35,7 +35,7 @@ func checkShares(t *testing.T, step int, d *Daemon) {
 // instant — mostly limit updates, with Run and Stop interleaved — and
 // checks after each instant drains that every share equals the reference
 // allocation, that the incremental aggregates agree with a recount, and
-// that the CPU-seconds charged over the gap to the next instant are
+// that the CPU-seconds a read reports over the gap to the next instant are
 // exactly Σ alloc·dt at the drained allocation.
 func TestPlanExactness(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
@@ -49,7 +49,7 @@ func TestPlanExactness(t *testing.T) {
 
 			// Totals far beyond the horizon: containers leave only by a
 			// plan's Stop, so nothing reallocates between instants and the
-			// charge over a gap is a single settle at the drained shares.
+			// charge over a gap is alloc·dt at the drained shares.
 			run := func() {
 				w := &memJob{
 					fakeJob: fakeJob{total: 1e12, demand: 0.2 + 0.8*rng.Float64()},
@@ -69,7 +69,7 @@ func TestPlanExactness(t *testing.T) {
 				clear(cpu)
 				clear(alloc)
 				for _, c := range d.runningList {
-					cpu[c], alloc[c] = c.cpuSeconds, c.alloc
+					cpu[c], alloc[c] = c.CPUSeconds(), c.alloc
 				}
 			}
 			snapshot()
@@ -81,14 +81,13 @@ func TestPlanExactness(t *testing.T) {
 				at += sim.Time(dt)
 				k := 1 + rng.Intn(40)
 				e.At(at, sim.PriorityExecutor, "plan", func() {
-					d.Sync()
 					gap := float64(at - prev)
 					var charged, want float64
 					for c, before := range cpu {
-						if exp := before + alloc[c]*gap; c.cpuSeconds != exp {
-							t.Fatalf("step %d: %s at %v CPU-seconds, want %v + alloc·dt = %v", step, c.id, c.cpuSeconds, before, exp)
+						if exp := before + alloc[c]*gap; c.CPUSeconds() != exp {
+							t.Fatalf("step %d: %s at %v CPU-seconds, want %v + alloc·dt = %v", step, c.id, c.CPUSeconds(), before, exp)
 						}
-						charged += c.cpuSeconds - before
+						charged += c.CPUSeconds() - before
 						want += alloc[c] * gap
 					}
 					if math.Abs(charged-want) > 1e-12*math.Max(1, want) {
@@ -129,7 +128,7 @@ func TestOneReallocationEventPerInstant(t *testing.T) {
 	d.Pull(Image{Ref: "img"})
 	var ids []string
 	for i := 0; i < 32; i++ {
-		c, err := d.Run(RunSpec{Image: "img", Workload: &steadyWork{rem: 1e9}})
+		c, err := d.Run(RunSpec{Image: "img", Workload: &fakeJob{total: 1e9, demand: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +155,7 @@ func TestOneReallocationEventPerInstant(t *testing.T) {
 	// An instant without updates schedules no reallocation.
 	at++
 	before := e.Executed()
-	e.At(at, sim.PriorityExecutor, "idle", d.Sync)
+	e.At(at, sim.PriorityExecutor, "idle", func() {})
 	e.Run(at)
 	if got := e.Executed() - before; got != 1 {
 		t.Fatalf("instant without updates: %d events executed, want 1", got)

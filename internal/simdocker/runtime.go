@@ -44,7 +44,9 @@ func NewRuntime(d *Daemon) *RT {
 	return rt
 }
 
-// view snapshots a live container into the backend-neutral value form.
+// view snapshots a container into the backend-neutral value form, as of
+// now: CPU seconds and work include what accrued since the daemon's last
+// fold, and the read changes no state.
 func view(c *Container) runtime.Container {
 	v := runtime.Container{
 		ID:          c.id,
@@ -57,14 +59,15 @@ func view(c *Container) runtime.Container {
 		StartedAt:   float64(c.startedAt),
 		FinishedAt:  float64(c.finishedAt),
 		Done:        c.workload.Done(),
+		Work:        c.workload.Work(),
+		State:       runtime.Exited,
 	}
 	if c.state == Running {
 		v.State = runtime.Running
-	} else {
-		v.State = runtime.Exited
-	}
-	if wr, ok := c.workload.(interface{ Work() float64 }); ok {
-		v.Work = wr.Work()
+		d := c.d
+		cpu, work := accrued(c, d.elapsed(), d.efficiency(d.running))
+		v.CPUSeconds += cpu
+		v.Work += min(work, c.workload.Remaining())
 	}
 	return v
 }

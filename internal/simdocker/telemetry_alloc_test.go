@@ -43,7 +43,7 @@ func TestExitHookRecordAllocsZero(t *testing.T) {
 	}
 	d.OnExit(hook)
 	d.Pull(Image{Ref: "img", SizeBytes: 1})
-	if _, err := d.Run(RunSpec{Image: "img", Workload: &steadyWork{rem: 1e9}}); err != nil {
+	if _, err := d.Run(RunSpec{Image: "img", Workload: &fakeJob{total: 1e9, demand: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(1)
