@@ -62,12 +62,12 @@ cover-binaries:
 # The whole sweep registry (including the migration and streaming
 # production-day scenarios; the heavy megacluster family is covered by
 # its smoke member below) must render byte-identically at sweep pool
-# widths 1 and 8 AND between the serial engine and the sharded intra-run
-# executor — the determinism guarantees CI enforces on every PR. The
-# megacluster-smoke leg drives ~50k streamed arrivals through the lazy
-# admission loop on 1000 workers and holds it to the same shard
-# equivalence. The chaos leg pins the fault-injected pair explicitly:
-# a seeded chaos run's fault trace is part of the byte-identity contract.
+# widths 1 and 8, and with lifecycle tracing on — the determinism
+# guarantees CI enforces on every PR. The megacluster-smoke leg drives
+# ~50k streamed arrivals through the lazy admission loop on 1000 workers
+# and must render the same on a second run. The chaos leg pins the
+# fault-injected pair explicitly: a seeded chaos run's fault trace is
+# part of the byte-identity contract.
 determinism:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o $$dir/flowcon-sim ./cmd/flowcon-sim && \
@@ -75,23 +75,18 @@ determinism:
 	$$dir/flowcon-sim -scenario all -seeds 2 -parallel 8 > $$dir/parallel.out && \
 	cmp $$dir/serial.out $$dir/parallel.out && \
 	echo "scenario output is byte-identical at -parallel 1 and 8" && \
-	$$dir/flowcon-sim -scenario all -seeds 2 -parallel 1 -shard-sim 8 > $$dir/sharded.out && \
-	cmp $$dir/serial.out $$dir/sharded.out && \
-	echo "scenario output is byte-identical at -shard-sim 1 and 8" && \
 	$$dir/flowcon-sim -scenario all -seeds 2 -parallel 1 -trace-out $$dir/spans.jsonl > $$dir/traced.out && \
 	cmp $$dir/serial.out $$dir/traced.out && \
 	test -s $$dir/spans.jsonl && \
 	echo "scenario output is byte-identical with lifecycle tracing on (spans exported)" && \
-	$$dir/flowcon-sim -scenario megacluster-smoke -seeds 1 > $$dir/mega-serial.out && \
-	$$dir/flowcon-sim -scenario megacluster-smoke -seeds 1 -shard-sim 8 > $$dir/mega-sharded.out && \
-	cmp $$dir/mega-serial.out $$dir/mega-sharded.out && \
-	echo "megacluster-smoke streaming output is byte-identical at -shard-sim 1 and 8" && \
+	$$dir/flowcon-sim -scenario megacluster-smoke -seeds 1 > $$dir/mega-a.out && \
+	$$dir/flowcon-sim -scenario megacluster-smoke -seeds 1 > $$dir/mega-b.out && \
+	cmp $$dir/mega-a.out $$dir/mega-b.out && \
+	echo "megacluster-smoke streaming output is byte-identical across runs" && \
 	$$dir/flowcon-sim -scenario chaos-day,chaos-day-scratch -seeds 2 -parallel 1 > $$dir/chaos-serial.out && \
 	$$dir/flowcon-sim -scenario chaos-day,chaos-day-scratch -seeds 2 -parallel 8 > $$dir/chaos-parallel.out && \
 	cmp $$dir/chaos-serial.out $$dir/chaos-parallel.out && \
-	$$dir/flowcon-sim -scenario chaos-day,chaos-day-scratch -seeds 2 -parallel 1 -shard-sim 8 > $$dir/chaos-sharded.out && \
-	cmp $$dir/chaos-serial.out $$dir/chaos-sharded.out && \
-	echo "chaos-day fault traces are byte-identical at -parallel 1/8 and -shard-sim 1/8"
+	echo "chaos-day fault traces are byte-identical at -parallel 1 and 8"
 
 # Byte-for-byte output parity with the merge base: every figure/table
 # regenerator, the scenario registry, the chaos pair and megacluster-smoke

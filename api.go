@@ -46,10 +46,9 @@
 // ctx cancellation. The flowcon-sim command exposes the pool width as
 // -parallel N.
 //
-// Spec.SimShards parallelizes inside one run instead, and Spec.TraceLevel
-// selects metric retention (TierDense keeps full series for figures); see
-// the README's "Sharded intra-run simulation" and "Observability"
-// sections.
+// Each run executes on one serial event engine. Spec.TraceLevel selects
+// metric retention (TierDense keeps full series for figures); see the
+// README's "Observability" section.
 //
 // See the runnable programs under examples/ for complete scenarios.
 package repro

@@ -1,7 +1,7 @@
 // Command benchjson records the repo's microbenchmark trajectory: it runs
 // the simulation hot-path microbenchmarks (event cancellation, daemon
 // settle/reallocate and plan apply, Algorithm 1, the migration ladder,
-// sharded lanes, sketch insert and the metrics sampler pass) across the
+// sketch insert and the metrics sampler pass) across the
 // 16/64/256 containers-per-node ladder, the placement scan over 256 and
 // 1000 workers, and the live node's launch/lookup pair at 1/1000/4000
 // running, and appends the results as one per-commit entry to

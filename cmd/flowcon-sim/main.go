@@ -6,8 +6,8 @@
 //
 //	flowcon-sim [-csv dir] [-parallel N] <experiment> [...]
 //	flowcon-sim -scenario-list
-//	flowcon-sim [-parallel N] [-shard-sim N] [-seeds N] [-record dir] -scenario <name[,name...]|all>
-//	flowcon-sim [-workers N] [-shard-sim N] -replay trace.jsonl
+//	flowcon-sim [-parallel N] [-seeds N] [-record dir] -scenario <name[,name...]|all>
+//	flowcon-sim [-workers N] -replay trace.jsonl
 //
 // where <experiment> is one of: fig1, fig3, fig4, fig5, fig6, fig7, fig8,
 // fig9, fig10, fig11, fig12, fig13, fig14, fig15, fig16, fig17, table1,
@@ -24,22 +24,14 @@
 // arrival and builds each submission on pull, which is what keeps the
 // million-job megacluster family cheap to feed. That family is excluded
 // from "-scenario all"; run those by name (see README "Workloads").
-// -shard-sim N runs each simulation on per-worker event lanes that
-// execute in parallel inside conservative epochs (0 = auto/GOMAXPROCS);
-// output stays byte-identical to the serial engine at any shard count.
-// -trace-level selects metric retention (see README "Observability"):
-// the summary default keeps O(jobs) job records and growth trajectories
-// and schedules no sampling event; dense samples every period and
-// retains full per-job series for trace and figure export. Sampling only
-// reads the nodes, so the outcome is the same at either level.
-// Experiment (figure) mode always collects dense — figures re-plot raw
-// samples by definition.
-// -observe prints the sharded-engine phase profile (epochs, serial
-// degrades, per-lane event counts, barrier/merge wall-time) per run, and
-// -trace-out writes every run's job-lifecycle spans as JSONL; both are
-// pure observers (see docs/OBSERVABILITY.md).
-// The run-shaping flags (-rebalance, -migration-cost, -shard-sim,
-// -trace-level, -trace-out) are one edit of every expanded Spec, and
+// Scenario runs keep the summary metric tier (O(jobs) job records and
+// growth trajectories, no sampling event); experiment (figure) mode
+// collects dense — figures re-plot raw samples by definition (see README
+// "Observability").
+// -trace-out writes every run's job-lifecycle spans as JSONL; it is a
+// pure observer (see docs/OBSERVABILITY.md).
+// The run-shaping flags (-rebalance, -migration-cost, -trace-out) are
+// one edit of every expanded Spec, and
 // -replay runs its trace as a one-off scenario through the same path as
 // -scenario.
 // -cpuprofile/-memprofile capture pprof profiles in every mode (see the
@@ -79,27 +71,12 @@ func main() {
 		"with -scenario: attach the GE-aware migration rebalancer to scenarios that do not already define one")
 	migrationCost := flag.Float64("migration-cost", 0,
 		"with -scenario: fixed freeze+thaw seconds charged per live migration (0 = calibrated default; transfer time from memory size is added on top)")
-	shardSim := flag.Int("shard-sim", 1,
-		"per-run event-lane parallelism: worker lanes execute in parallel inside one simulation (0 = auto/GOMAXPROCS, 1 = serial engine); output is byte-identical at any value")
-	traceLevel := flag.String("trace-level", "summary",
-		"metric retention per run: summary (job records and growth trajectories, no sampling event; the default) or dense (CPU and eval sampled every period into full per-job series, O(jobs × makespan) memory); sampling only reads the nodes, so the simulation and its reports are identical either way")
-	observe := flag.Bool("observe", false,
-		"with -scenario/-replay: print the sharded-engine phase profile per run after the summary table (event counters are deterministic; wall-clock columns vary run to run)")
 	traceOut := flag.String("trace-out", "",
 		"with -scenario/-replay: write every run's job-lifecycle spans (submit → admit → place → run → migrate* → exit/fail) as JSONL into this file; tracing is a pure observer — simulation output is unchanged")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Usage = usage
 	flag.Parse()
-	if *shardSim < 0 {
-		fmt.Fprintln(os.Stderr, "flowcon-sim: -shard-sim must be >= 0")
-		os.Exit(2)
-	}
-	tier, err := metrics.ParseTier(*traceLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flowcon-sim: -trace-level must be summary or dense")
-		os.Exit(2)
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -137,11 +114,10 @@ func main() {
 		mode, allowed = "-scenario-list", map[string]bool{"scenario-list": true}
 	case *replay != "":
 		mode, allowed = "-replay", map[string]bool{"replay": true, "workers": true, "parallel": true,
-			"shard-sim": true, "trace-level": true, "observe": true, "trace-out": true}
+			"trace-out": true}
 	case *scenario != "":
 		mode, allowed = "-scenario", map[string]bool{"scenario": true, "seeds": true, "record": true,
-			"parallel": true, "rebalance": true, "migration-cost": true, "shard-sim": true,
-			"trace-level": true, "observe": true, "trace-out": true}
+			"parallel": true, "rebalance": true, "migration-cost": true, "trace-out": true}
 	}
 	// The profiling flags apply to every mode.
 	allowed["cpuprofile"] = true
@@ -163,11 +139,8 @@ func main() {
 	rf := runFlags{
 		rebalance:     *rebalance,
 		migrationCost: *migrationCost,
-		shardSim:      *shardSim,
-		tier:          tier,
 		traceOut:      *traceOut,
 		record:        *record,
-		observe:       *observe,
 	}
 	if *replay != "" {
 		scen, note := replayScenario(*replay, *replayWorkers)
@@ -233,23 +206,15 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage: flowcon-sim [-csv dir] [-parallel N] <experiment> [...]
        flowcon-sim -scenario-list
-       flowcon-sim [-parallel N] [-shard-sim N] [-seeds N] [-record dir]
-                   [-rebalance] [-migration-cost sec] [-trace-level summary|dense]
-                   [-observe] [-trace-out spans.jsonl]
+       flowcon-sim [-parallel N] [-seeds N] [-record dir]
+                   [-rebalance] [-migration-cost sec] [-trace-out spans.jsonl]
                    -scenario <name[,...]|all>
-       flowcon-sim [-workers N] [-shard-sim N] [-trace-level summary|dense]
-                   [-observe] [-trace-out spans.jsonl]
-                   -replay trace.jsonl
+       flowcon-sim [-workers N] [-trace-out spans.jsonl] -replay trace.jsonl
 
--parallel N  sweeps runs across a worker pool; -shard-sim N parallelizes
-inside each run (per-worker event lanes, 0 = auto/GOMAXPROCS, 1 = serial
-engine). Output is byte-identical at any width of either. -trace-level
-picks metric retention: summary (default) keeps job records and growth
-trajectories; dense keeps full series for trace export (experiment
-mode always runs dense — figures re-plot raw samples). -observe prints
-the sharded-engine phase profile per run; -trace-out exports every run's
-job-lifecycle spans as JSONL (see docs/OBSERVABILITY.md). -cpuprofile
-and -memprofile write pprof profiles in every mode.
+-parallel N  sweeps runs across a worker pool; output is byte-identical
+at any width. -trace-out exports every run's job-lifecycle spans as
+JSONL (see docs/OBSERVABILITY.md). -cpuprofile and -memprofile write
+pprof profiles in every mode.
 
 experiments:
   fig1      training progress of five models (motivation)

@@ -3,16 +3,13 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/experiment"
-	"repro/internal/metrics"
 	"repro/internal/migrate"
-	"repro/internal/plot"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -51,17 +48,13 @@ func resolveScenarios(arg string) []experiment.Scenario {
 }
 
 // runFlags holds the flag values of the -scenario and -replay modes.
-// The run-shaping ones (-rebalance, -migration-cost, -shard-sim,
-// -trace-level, -trace-out) reach a run only through edit; the rest pick
-// what run prints and records.
+// The run-shaping ones (-rebalance, -migration-cost, -trace-out) reach a
+// run only through edit; -record picks what run records.
 type runFlags struct {
 	rebalance     bool
 	migrationCost float64 // seconds; 0 = calibrated default
-	shardSim      int     // 0 = auto
-	tier          metrics.Tier
 	traceOut      string
 	record        string
-	observe       bool
 }
 
 // edit applies the run-shaping flags to one expanded Spec. It is a pure
@@ -88,11 +81,6 @@ func (f runFlags) edit(spec *experiment.Spec) {
 	if f.rebalance && spec.Rebalance == nil {
 		spec.Rebalance = &migrate.Config{Cost: cost}
 	}
-	spec.SimShards = f.shardSim
-	if f.shardSim == 0 {
-		spec.SimShards = -1 // auto: GOMAXPROCS
-	}
-	spec.TraceLevel = f.tier
 	if f.traceOut != "" {
 		spec.Tracer = telemetry.NewTracer(0)
 	}
@@ -132,62 +120,6 @@ func writeTraceOut(path string, outs []experiment.ScenarioOutcome) {
 	fmt.Fprintf(os.Stderr, "wrote %d lifecycle span(s) to %s\n", spans, path)
 }
 
-// reportProfiles renders the sharded-engine phase profile per run: where
-// the executor spent its epochs (batched vs serial-degraded events) and
-// its coordinator wall-clock (barrier wait, merge). Event counters are
-// deterministic for a given scenario/seed/shard count; the wall-clock
-// columns are measurements and vary run to run — -observe therefore
-// never participates in determinism comparisons. Serial-engine runs have
-// no profile and render as dashes.
-func reportProfiles(w io.Writer, outs []experiment.ScenarioOutcome) {
-	fmt.Fprintln(w, "Sharded-engine phase profile")
-	header := []string{"scenario", "seed", "shards", "epochs", "batch-ev", "serial-ev", "episodes", "barrier-ms", "merge-ms", "lane-imb"}
-	var rows [][]string
-	for _, o := range outs {
-		for i, r := range o.Reports {
-			if r.Result == nil {
-				continue
-			}
-			res := r.Result
-			row := []string{o.Scenario.Name, fmt.Sprintf("%d", o.Seeds[i]), fmt.Sprintf("%d", res.SimShards)}
-			p := res.ShardProfile
-			if p == nil {
-				row = append(row, "-", "-", "-", "-", "-", "-", "-")
-			} else {
-				row = append(row,
-					fmt.Sprintf("%d", p.Epochs),
-					fmt.Sprintf("%d", p.BatchEvents),
-					fmt.Sprintf("%d", p.SerialEvents),
-					fmt.Sprintf("%d", p.SerialEpisodes),
-					fmt.Sprintf("%.2f", p.BarrierWaitSec*1e3),
-					fmt.Sprintf("%.2f", p.MergeSec*1e3),
-					laneImbalance(p.LaneEvents),
-				)
-			}
-			rows = append(rows, row)
-		}
-	}
-	plot.Table(w, header, rows)
-}
-
-// laneImbalance is max/mean over per-lane batch event counts — 1.00 is a
-// perfectly balanced batch workload; high values mean the barrier waits
-// on one hot lane.
-func laneImbalance(lanes []int64) string {
-	var total, max int64
-	for _, n := range lanes {
-		total += n
-		if n > max {
-			max = n
-		}
-	}
-	if total == 0 || len(lanes) == 0 {
-		return "-"
-	}
-	mean := float64(total) / float64(len(lanes))
-	return fmt.Sprintf("%.2f", float64(max)/mean)
-}
-
 // run executes the scenarios across the sweep pool, every expanded Spec
 // edited by the flags, and renders the summary table. -scenario and
 // -replay both run here; note, when set, is printed just before the
@@ -196,7 +128,7 @@ func laneImbalance(lanes []int64) string {
 // pulls a fresh stream, which generates the identical sequence for the
 // seed, so a trace always reproduces the run it sits next to.
 // With -trace-out every run records lifecycle spans, exported as one
-// JSONL file after the sweep; -observe appends the phase-profile table.
+// JSONL file after the sweep.
 func (f runFlags) run(scens []experiment.Scenario, seeds []int64, note string) {
 	if f.record != "" {
 		if err := os.MkdirAll(f.record, 0o755); err != nil {
@@ -225,9 +157,6 @@ func (f runFlags) run(scens []experiment.Scenario, seeds []int64, note string) {
 	experiment.ReportScenario(os.Stdout, outs)
 	if f.traceOut != "" {
 		writeTraceOut(f.traceOut, outs)
-	}
-	if f.observe {
-		reportProfiles(os.Stdout, outs)
 	}
 }
 

@@ -102,7 +102,7 @@ func NewWorker(name string, rt runtime.Runtime) *Worker {
 // and the framework images pre-pulled. The daemon is returned alongside
 // for simulation assembly (contention model, metrics attachment, typed
 // container hooks); policy layers should stay on the Worker surface.
-func NewSimWorker(name string, engine sim.Scheduler, capacity float64) (*Worker, *simdocker.Daemon) {
+func NewSimWorker(name string, engine *sim.Engine, capacity float64) (*Worker, *simdocker.Daemon) {
 	d := simdocker.NewDaemon(engine, capacity)
 	d.SetIDPrefix(name)
 	d.SetMemoryCapacity(DefaultMemoryBytes)
@@ -353,7 +353,7 @@ type Manager struct {
 	// tracer, when set, receives one lifecycle span per admission step
 	// (submit/queue/admit/place, plus migrate and fail). It is a pure
 	// observer — never read back — and a nil tracer costs one branch.
-	// Manager events always execute on the simulation's serial lane, so
+	// Manager events run on the simulation's one engine, so
 	// m.engine.Now() is the correct sim stamp at every hook site.
 	tracer *telemetry.Tracer
 

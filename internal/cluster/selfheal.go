@@ -171,9 +171,8 @@ func (m *Manager) OnAbandon(fn func(jobName string)) {
 func (m *Manager) Abandoned() int { return m.avail.Abandoned }
 
 // checkpointScan freezes every job that earned a fresh snapshot and
-// schedules its priced in-place restore, then chains the next scan. It
-// always runs on the cluster's serial lane; jobs are visited in name
-// order so the event sequence is deterministic.
+// schedules its priced in-place restore, then chains the next scan. Jobs
+// are visited in name order so the event sequence is deterministic.
 func (m *Manager) checkpointScan() {
 	p := m.recovery
 	placed := make([]*job, 0, len(m.jobs))

@@ -99,9 +99,9 @@ func TestJobNegativeAdvancePanics(t *testing.T) {
 func TestJobEvalTrendsTowardFinal(t *testing.T) {
 	for _, p := range Catalog() {
 		j := NewJob("trend-"+p.Key(), p)
-		e0 := j.Eval()
+		e0 := j.EvalAt(j.Work())
 		j.Advance(p.TotalWork)
-		e1 := j.Eval()
+		e1 := j.EvalAt(j.Work())
 		switch p.Direction {
 		case Decreasing:
 			if e1 >= e0 {

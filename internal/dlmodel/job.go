@@ -163,15 +163,9 @@ func (j *Job) Advance(cpuSeconds float64) {
 	}
 }
 
-// Eval returns the current value of the job's evaluation function,
-// including deterministic measurement noise — this is what the paper's
-// container monitor scrapes from the training log.
-func (j *Job) Eval() float64 {
-	return j.EvalAt(j.work)
-}
-
 // EvalAt returns the (noisy) evaluation value the job would report at a
-// given cumulative work, without mutating the job. The simulation engine
+// given cumulative work, without mutating the job — what the paper's
+// container monitor scrapes from the training log. The simulation engine
 // uses it to sample E between state changes analytically.
 func (j *Job) EvalAt(work float64) float64 {
 	if work > j.profile.TotalWork {

@@ -14,7 +14,7 @@ import (
 // checkpointing member strictly wins on makespan and wasted work).
 // chaos-megacluster scales the same storm to the streaming thousand-
 // worker path. All members are byte-identical across -parallel widths
-// and -shard-sim counts like every other scenario; the two light
+// like every other scenario; the two light
 // members ride "-scenario all" and the make determinism gate.
 
 // chaosPlan is the shared storm: continuous worker churn, transient

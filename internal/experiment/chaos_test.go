@@ -108,12 +108,12 @@ func TestChaosAvailabilityLedgerCoherent(t *testing.T) {
 
 // The chaos invariant: one seed fixes the whole run — schedule and fault
 // trace — so the rendered report is byte-identical across sweep-pool
-// widths and shard counts.
+// widths.
 func TestChaosScenarioDeterministic(t *testing.T) {
 	base := []Scenario{chaosScenario(t, "chaos-day"), chaosScenario(t, "chaos-day-scratch")}
 	seeds := ScenarioSeeds(2)
-	render := func(par int, edit func(*Spec)) string {
-		outs, err := RunScenarios(context.Background(), base, seeds, SweepOptions{Parallelism: par}, edit)
+	render := func(par int) string {
+		outs, err := RunScenarios(context.Background(), base, seeds, SweepOptions{Parallelism: par}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,12 +121,9 @@ func TestChaosScenarioDeterministic(t *testing.T) {
 		ReportScenario(&buf, outs)
 		return buf.String()
 	}
-	serial := render(1, nil)
-	if parallel := render(8, nil); parallel != serial {
+	serial := render(1)
+	if parallel := render(8); parallel != serial {
 		t.Fatalf("report differs between -parallel 1 and 8:\n%s\nvs\n%s", serial, parallel)
-	}
-	if got := render(1, func(s *Spec) { s.SimShards = 8 }); got != serial {
-		t.Fatalf("report differs between -shard-sim 1 and 8:\n%s\nvs\n%s", serial, got)
 	}
 }
 

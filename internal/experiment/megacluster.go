@@ -63,7 +63,7 @@ func megaclusterScenario(name string, workers int, baseRate, windowSec, horizon 
 func init() {
 	// The light member: same shape, sweep-sized. It keeps the family
 	// honest in "-scenario all" and make determinism, where the
-	// shard-equivalence property is cheap to check on every run.
+	// pool-width equivalence is cheap to check on every run.
 	proc, gen := productionDay(0.2, 500, 8, 150)
 	mustRegisterScenario(Scenario{
 		Name:                   "production-day",

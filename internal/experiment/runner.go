@@ -8,9 +8,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/dlmodel"
@@ -101,13 +99,9 @@ type Spec struct {
 	// MigrationCost is the freeze/transfer/thaw model charged for drain
 	// migrations (zero value = cluster.DefaultMigrationCost()).
 	MigrationCost cluster.MigrationCost
-	// SimShards controls intra-run parallelism: each worker gets its own
-	// event lane and lanes execute concurrently inside conservative epochs
-	// bounded by the next cluster-level event, merging deterministically so
-	// output is byte-identical to the serial engine at any shard count.
-	// 0 or 1 runs the classic serial engine; N>1 uses up to N goroutines;
-	// negative means auto (GOMAXPROCS). Sharding needs at least 2 workers
-	// to have anything to parallelize.
+	// SimShards is ignored: every run uses the one serial engine. It is
+	// kept, and never rejected, only because bench/'s traced pass still
+	// sets it.
 	SimShards int
 	// TraceLevel selects metric retention (see metrics.Tier). The zero
 	// value is the summary tier: O(jobs) collector memory, everything
@@ -124,6 +118,9 @@ type Spec struct {
 	// for export.
 	Tracer *telemetry.Tracer
 }
+
+// ShardProfile is the type of the always-nil Result.ShardProfile.
+type ShardProfile struct{ Epochs, BatchEvents int64 }
 
 // Drain schedules rolling maintenance on one worker: cordon + migrate
 // everything off at At, and (optionally) reopen for placements at
@@ -161,10 +158,10 @@ type Result struct {
 	// FlowCon policies (zero otherwise).
 	AlgorithmRuns int
 	LimitUpdates  int
-	// Events is how many events the engine executed (sharded lanes
-	// included). Folds is how many times a worker's daemon folded accrued
-	// work into its containers — the instants at which some rate changed
-	// — summed over workers. Both are deterministic cost counters.
+	// Events is how many events the engine executed. Folds is how many
+	// times a worker's daemon folded accrued work into its containers —
+	// the instants at which some rate changed — summed over workers. Both
+	// are deterministic cost counters.
 	Events int
 	Folds  int
 	// Requeued counts job placements lost to injected worker failures
@@ -181,18 +178,9 @@ type Result struct {
 	// Migrated counts completed live migrations (rebalancer moves and
 	// drains; zero when no rebalancer or drain ran).
 	Migrated int
-	// SimShards and SimBatches record how the run executed: the resolved
-	// shard count (1 = serial engine) and how many parallel lane batches
-	// ran (0 when the run stayed serial throughout). Diagnostics only —
-	// simulation output is byte-identical regardless.
-	SimShards  int
-	SimBatches int
-	// ShardProfile is the sharded executor's phase profile (epochs,
-	// serial-degrade events/episodes, per-lane event counts, barrier-wait
-	// and merge wall-time). Nil when the run used the serial engine. The
-	// event counters are deterministic; the wall-time fields are host
-	// measurements.
-	ShardProfile *sim.ShardProfile
+	// ShardProfile is always nil. It is kept only because bench/ still
+	// reads it.
+	ShardProfile *ShardProfile
 	// TraceLevel records the metric-retention tier the run used.
 	TraceLevel metrics.Tier
 	// Tracer is the lifecycle tracer the run recorded into (Spec.Tracer,
@@ -372,26 +360,11 @@ func RunE(spec Spec) (*Result, error) {
 	engine := sim.NewEngine()
 	collector := metrics.NewCollectorTier(engine, spec.SamplePeriod, spec.TraceLevel)
 
-	// With SimShards, each worker's events ride a private lane of the
-	// sharded executor; cluster-level machinery (manager, faults, drains,
-	// the rebalancer) stays on the engine itself (lane 0).
-	shards := spec.SimShards
-	if shards < 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	var sharded *sim.Sharded
-	laneOf := func(i int) sim.Scheduler { return engine }
-	if shards > 1 && spec.Workers > 1 {
-		sharded = sim.NewSharded(engine, spec.Workers)
-		sharded.Procs = shards
-		laneOf = func(i int) sim.Scheduler { return sharded.Lane(i) }
-	}
-
 	workers := make([]*cluster.Worker, spec.Workers)
 	daemons := make([]*simdocker.Daemon, spec.Workers)
 	policies := make([]sched.Policy, spec.Workers)
 	for i := range workers {
-		w, d := cluster.NewSimWorker(fmt.Sprintf("worker-%d", i), laneOf(i), spec.Capacity)
+		w, d := cluster.NewSimWorker(fmt.Sprintf("worker-%d", i), engine, spec.Capacity)
 		d.SetContentionOverhead(spec.ContentionOverhead)
 		switch {
 		case spec.MemoryBytesPerWorker > 0:
@@ -406,7 +379,7 @@ func RunE(spec Spec) (*Result, error) {
 		daemons[i] = d
 		collector.AttachWorker(w.Name(), d)
 		p := spec.NewPolicy(collector)
-		p.Attach(laneOf(i), w)
+		p.Attach(engine, w)
 		policies[i] = p
 	}
 
@@ -430,8 +403,7 @@ func RunE(spec Spec) (*Result, error) {
 	}
 	if spec.Faults != nil && !spec.Faults.Empty() {
 		// Degraded-node mode scales a daemon's capacity under the runtime
-		// interface; the callback runs inside lane-0 injector events, where
-		// worker state is safe to touch (exactly like Worker.Fail).
+		// interface, from inside the injector's events.
 		setCapacity := func(worker int, factor float64) {
 			daemons[worker].SetCapacity(spec.Capacity * factor)
 		}
@@ -463,26 +435,18 @@ func RunE(spec Spec) (*Result, error) {
 	// Stop the engine the moment the last job completes; otherwise the
 	// periodic samplers and executor ticks self-schedule forever. Exits
 	// whose workload did not finish (failure kills) do not count. The
-	// counters are atomic because in sharded mode exits land on concurrent
-	// worker lanes. The schedule length is unknown until the arrival stream
-	// drains, so termination is stream-exhausted + every admitted job
-	// finished.
-	var submitted atomic.Int64
-	var exhausted atomic.Bool
-	var finished atomic.Int64
+	// schedule length is unknown until the arrival stream drains, so
+	// termination is stream-exhausted + every admitted job finished.
+	var submitted, finished int
+	var exhausted bool
 	for i, d := range daemons {
 		workerName := workers[i].Name()
 		d.OnExit(func(c *simdocker.Container) {
 			if !c.Workload().Done() {
 				return
 			}
-			// The exit span is stamped with the container's own finish time:
-			// exits retired synchronously by an executor tick inside a
-			// sharded batch must not read the (stale there) engine clock.
-			// Record is mutex-guarded and allocation-free, so concurrent
-			// lanes can share the ring.
 			spec.Tracer.Record(float64(c.FinishedAt()), telemetry.PhaseExit, c.Name(), workerName, c.ID())
-			if finished.Add(1) == submitted.Load() && exhausted.Load() {
+			if finished++; finished == submitted && exhausted {
 				engine.Stop()
 			}
 		})
@@ -492,7 +456,7 @@ func RunE(spec Spec) (*Result, error) {
 	// last container already exited un-Done, so the two paths never both
 	// count one job.
 	manager.OnAbandon(func(string) {
-		if finished.Add(1) == submitted.Load() && exhausted.Load() {
+		if finished++; finished == submitted && exhausted {
 			engine.Stop()
 		}
 	})
@@ -517,7 +481,7 @@ func RunE(spec Spec) (*Result, error) {
 				fail(fmt.Errorf("experiment: spec %q job %q: %v", spec.Name, sub.Name, err))
 				return
 			}
-			submitted.Add(1)
+			submitted++
 			manager.SubmitNow(sub.Name, sub.Profile)
 			next, ok := arrivals.Next()
 			switch {
@@ -535,7 +499,7 @@ func RunE(spec Spec) (*Result, error) {
 					fail(fmt.Errorf("experiment: spec %q arrival stream: %w", spec.Name, err))
 					return
 				}
-				exhausted.Store(true)
+				exhausted = true
 			}
 		})
 	}
@@ -551,26 +515,7 @@ func RunE(spec Spec) (*Result, error) {
 	}
 	schedule(first)
 
-	if sharded != nil {
-		// Exits interact with the cluster exactly when the manager's
-		// admission queue is non-empty (an exit schedules a same-instant
-		// drain that may place a job on any worker); near termination the
-		// executor also stays serial so the final exit stops the run at
-		// the same event the serial engine would. While the arrival stream
-		// is live the run cannot be near termination no matter how few
-		// admitted jobs remain, so Remaining reports a count safely above
-		// any SerialTail.
-		sharded.ExitsReactive = func() bool { return manager.Queued() > 0 }
-		sharded.Remaining = func() int {
-			if !exhausted.Load() {
-				return 1 << 30
-			}
-			return int(submitted.Load() - finished.Load())
-		}
-		sharded.Run(sim.Time(spec.Horizon))
-	} else {
-		engine.Run(sim.Time(spec.Horizon))
-	}
+	engine.Run(sim.Time(spec.Horizon))
 	if streamErr != nil {
 		return nil, streamErr
 	}
@@ -578,7 +523,6 @@ func RunE(spec Spec) (*Result, error) {
 	res := &Result{
 		Name:       spec.Name,
 		Policy:     policies[0].Name(),
-		SimShards:  1,
 		TraceLevel: spec.TraceLevel,
 		Jobs:       collector.Jobs(),
 		Makespan:   collector.Makespan(),
@@ -587,7 +531,7 @@ func RunE(spec Spec) (*Result, error) {
 		// schedule cut off by the horizon leaves exhausted false) and every
 		// submitted job was placed and ran to completion.
 		Completed: collector.AllFinished() && manager.Queued() == 0 &&
-			manager.Submitted() == len(collector.Jobs()) && exhausted.Load(),
+			manager.Submitted() == len(collector.Jobs()) && exhausted,
 		Collector: collector,
 		Requeued:  manager.Requeued(),
 		Abandoned: manager.Abandoned(),
@@ -601,12 +545,6 @@ func RunE(spec Spec) (*Result, error) {
 	avail.Finalize(float64(engine.Now()))
 	if avail.Faulted() {
 		res.Availability = avail
-	}
-	if sharded != nil {
-		res.SimShards = shards
-		res.SimBatches = sharded.Batches()
-		prof := sharded.Profile()
-		res.ShardProfile = &prof
 	}
 	res.Tracer = spec.Tracer
 	for _, p := range policies {

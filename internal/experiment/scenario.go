@@ -20,8 +20,8 @@ import (
 // built-ins cover the arrival patterns a production cluster would see
 // (steady Poisson, ON/OFF bursts, diurnal cycles, flash crowds) beyond
 // the paper's three evaluation workloads. A Scenario holds only what
-// defines the workload family; how one execution runs (engine sharding,
-// metric tier, tracing) is an edit of the expanded Spec (RunScenarios).
+// defines the workload family; how one execution runs (metric tier,
+// tracing) is an edit of the expanded Spec (RunScenarios).
 type Scenario struct {
 	// Name is the registry key (flowcon-sim -scenario <name>).
 	Name string

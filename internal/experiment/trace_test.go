@@ -182,3 +182,35 @@ func TestRunScenariosEditsEachSpec(t *testing.T) {
 		t.Fatal("installed tracer recorded nothing")
 	}
 }
+
+// Every span is recorded from inside the one event loop, so a run's span
+// log is in non-decreasing simulated time across jobs, not only within
+// each job.
+func TestSpansInSimTimeOrder(t *testing.T) {
+	for _, name := range []string{"poisson", "chaos-day"} {
+		sc, ok := ScenarioByName(name)
+		if !ok {
+			t.Fatalf("scenario %q not registered", name)
+		}
+		spec := sc.Spec(1)
+		spec.Tracer = telemetry.NewTracer(0)
+		res, err := RunE(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Tracer.Dropped() != 0 {
+			t.Fatalf("%s: ring dropped %d spans", name, spec.Tracer.Dropped())
+		}
+		spans := spec.Tracer.Spans(res.Name)
+		if len(spans) == 0 {
+			t.Fatalf("%s: no spans recorded", name)
+		}
+		for i := 1; i < len(spans); i++ {
+			if spans[i].SimSec < spans[i-1].SimSec {
+				t.Fatalf("%s: span %d (%s %s at %g) precedes span %d (%s %s at %g)", name,
+					i, spans[i].Job, spans[i].Phase, spans[i].SimSec,
+					i-1, spans[i-1].Job, spans[i-1].Phase, spans[i-1].SimSec)
+			}
+		}
+	}
+}

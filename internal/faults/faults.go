@@ -2,13 +2,11 @@
 // worker churn, transient single-container kills, and degraded-node
 // episodes, injected into a cluster.Manager over the simulation clock.
 //
-// Determinism is the design constraint. Every injected event is a
-// cluster-level (lane 0) event, so in a sharded simulation it bounds the
-// conservative epochs exactly like manager events do; every stochastic
-// stream draws from its own sub-seeded *rand.Rand consumed in serial
-// event order, following the workload generator's discipline (a plan plus
-// a seed is a pure function — the same fault trace at any -parallel width
-// or -shard-sim count). Victim selection for kills walks workers in
+// Determinism is the design constraint. Every stochastic stream draws
+// from its own sub-seeded *rand.Rand consumed in event order, following
+// the workload generator's discipline (a plan plus a seed is a pure
+// function — the same fault trace at any -parallel width). Victim
+// selection for kills walks workers in
 // declaration order and containers in creation order, both deterministic.
 package faults
 

@@ -12,9 +12,7 @@ import (
 )
 
 // Injector drives a Plan against a live cluster. Every event it schedules
-// rides the cluster's serial lane (the engine passed to Attach), so
-// sharded runs stay byte-identical: a fault is an epoch boundary exactly
-// like a manager event.
+// rides the engine passed to Attach.
 type Injector struct {
 	engine *sim.Engine
 	m      *cluster.Manager

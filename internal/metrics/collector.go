@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/flowcon"
@@ -18,8 +17,7 @@ import (
 // — before the sampler seals it, drops it from iteration and frees its
 // differencing state. Every later sample would be identically zero, so
 // the cap loses no information while keeping the dense tier from
-// accumulating an O(makespan) zero tail per finished job (the PR 5
-// "sharded sampler tail" finding).
+// accumulating an O(makespan) zero tail per finished job.
 const PostExitSamples = 2
 
 // JobRecord is the lifecycle summary of one job.
@@ -90,12 +88,8 @@ type job struct {
 // and list, in full Series: O(jobs × makespan). The raw-series accessors
 // (CPUSeries etc.) and CPUSummary return nil outside that tier.
 //
-// A Collector is not safe for concurrent use, with one exception:
-// RecordRun, which controllers on different sharded worker lanes call
-// concurrently. It writes only the records of jobs bound to the calling
-// lane's containers and reads the container index, which changes only on
-// the cluster lane outside parallel batches. Points mutates the collector
-// too: it compacts a chunked series.
+// A Collector is not safe for concurrent use. Points mutates the
+// collector too: it compacts a chunked series.
 type Collector struct {
 	engine *sim.Engine
 	period float64
@@ -111,10 +105,7 @@ type Collector struct {
 	samplers []*sampler
 	tickFn   func()
 
-	// algoRuns is atomic: in a sharded simulation controllers on different
-	// worker lanes record runs concurrently. The total is deterministic
-	// even though the increment order is not.
-	algoRuns atomic.Int64
+	algoRuns int
 }
 
 // NewCollector creates a summary-tier collector. The period is validated
@@ -263,10 +254,7 @@ type samplerSlot struct {
 // TierDense the worker also gets a sampler, and the first attach schedules
 // the tick: one metrics.sample event per period on the collector's engine,
 // which passes every sampler in attach order and reschedules itself once —
-// O(1) events per period however many workers there are. In a sharded
-// simulation the tick rides the cluster lane (lane 0), so it runs on the
-// coordinator outside parallel batches, where reading any worker's daemon
-// is safe. A worker attached between ticks joins the collector's phase;
+// O(1) events per period however many workers there are. A worker attached between ticks joins the collector's phase;
 // its first sample covers the time from attach to the next tick.
 // Containers already in the daemon's pool are picked up, so attaching
 // after launching works. TierSummary schedules nothing.
@@ -369,10 +357,9 @@ func (s *sampler) sample(sl *samplerSlot, now, dt float64) bool {
 
 // RecordRun implements flowcon.Tracer: per algorithm run it appends each
 // tracked container's growth efficiency to its job's trajectory, and in
-// TierDense also its limit and list membership. It takes no lock: each
-// job is written only by the lane its container runs on.
+// TierDense also its limit and list membership.
 func (c *Collector) RecordRun(e flowcon.TraceEntry) {
-	c.algoRuns.Add(1)
+	c.algoRuns++
 	now := float64(e.At)
 	for _, tc := range e.Containers {
 		if !tc.GDefined && c.tier == TierSummary {
@@ -396,7 +383,7 @@ func (c *Collector) RecordRun(e flowcon.TraceEntry) {
 }
 
 // AlgorithmRuns returns how many Algorithm 1 trace entries were recorded.
-func (c *Collector) AlgorithmRuns() int { return int(c.algoRuns.Load()) }
+func (c *Collector) AlgorithmRuns() int { return c.algoRuns }
 
 // Jobs returns all tracked job records sorted by start time then name.
 func (c *Collector) Jobs() []JobRecord {

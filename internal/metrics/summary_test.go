@@ -10,16 +10,8 @@ import (
 	"repro/internal/sim"
 )
 
-func TestParseTier(t *testing.T) {
-	for in, want := range map[string]Tier{"": TierSummary, "summary": TierSummary, "dense": TierDense} {
-		got, err := ParseTier(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseTier(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseTier("verbose"); err == nil {
-		t.Fatal("unknown tier accepted")
-	}
+// The archive's tier field is Tier.String.
+func TestTierString(t *testing.T) {
 	if TierSummary.String() != "summary" || TierDense.String() != "dense" {
 		t.Fatalf("tier strings: %v %v", TierSummary, TierDense)
 	}

@@ -25,7 +25,7 @@ const (
 	TierDense
 )
 
-// String renders the tier as its CLI spelling.
+// String renders the tier as the run archive's tier field spells it.
 func (t Tier) String() string {
 	switch t {
 	case TierSummary:
@@ -34,18 +34,5 @@ func (t Tier) String() string {
 		return "dense"
 	default:
 		return fmt.Sprintf("Tier(%d)", int(t))
-	}
-}
-
-// ParseTier parses a -trace-level flag value. The empty string means the
-// default summary tier.
-func ParseTier(s string) (Tier, error) {
-	switch s {
-	case "", "summary":
-		return TierSummary, nil
-	case "dense":
-		return TierDense, nil
-	default:
-		return 0, fmt.Errorf("metrics: unknown trace level %q (want summary or dense)", s)
 	}
 }

@@ -53,8 +53,8 @@ func ASCII(w io.Writer, title string, lines []Line, width, height int) {
 	for li, l := range lines {
 		g := glyphs[li%len(glyphs)]
 		for _, p := range l.Points {
-			x := int((p.T - minX) / (maxX - minX) * float64(width-1))
-			y := int((p.V - minY) / (maxY - minY) * float64(height-1))
+			x := cell((p.T-minX)/(maxX-minX), width)
+			y := cell((p.V-minY)/(maxY-minY), height)
 			row := height - 1 - y
 			grid[row][x] = g
 		}
@@ -71,6 +71,14 @@ func ASCII(w io.Writer, title string, lines []Line, width, height int) {
 	for li, l := range lines {
 		fmt.Fprintf(w, "  %c %s\n", glyphs[li%len(glyphs)], l.Name)
 	}
+}
+
+// cell bins a fraction of the axis span into one of n cells. The 1e-9
+// nudge keeps a value sitting on a cell boundary (a CPU share of 0.2 or
+// 0.5) in one cell when its low bits move, as they do when two correct
+// computations add the same terms in a different order.
+func cell(frac float64, n int) int {
+	return min(max(int(math.Floor(frac*float64(n-1)+1e-9)), 0), n-1)
 }
 
 // CSV writes the lines as a long-format CSV: series,t,v.

@@ -30,6 +30,21 @@ func TestASCIIBasic(t *testing.T) {
 	}
 }
 
+// A point on a cell boundary stays in its cell when its low bits move:
+// 0.2 and 0.2−1e-12 render the same chart, on both axes.
+func TestASCIIBoundaryIsStable(t *testing.T) {
+	render := func(at float64) string {
+		var b strings.Builder
+		ASCII(&b, "t", []Line{{Name: "a", Points: []metrics.Point{
+			{T: 0, V: 0}, {T: 1, V: 1}, {T: at, V: at},
+		}}}, 21, 6)
+		return b.String()
+	}
+	if a, b := render(0.2), render(0.2-1e-12); a != b {
+		t.Fatalf("0.2 and 0.2-1e-12 land in different cells:\n%s\nvs\n%s", a, b)
+	}
+}
+
 func TestASCIIEmpty(t *testing.T) {
 	var b strings.Builder
 	ASCII(&b, "empty", nil, 40, 8)

@@ -31,9 +31,7 @@ type Policy interface {
 	// Name identifies the policy in reports ("FlowCon", "NA", ...).
 	Name() string
 	// Attach wires the policy to a node. Called once per worker before
-	// the simulation starts. The scheduler is the worker's lane in a
-	// sharded simulation, so everything the policy schedules stays on the
-	// worker's shard.
+	// the simulation starts. The scheduler is the policy's clock.
 	Attach(engine sim.Scheduler, node Node)
 }
 

@@ -20,22 +20,3 @@ func TestScheduleCancelAllocsOne(t *testing.T) {
 		t.Fatalf("schedule+cancel allocates %.1f objects per op, want <= 1 (the Event)", avg)
 	}
 }
-
-// TestLaneScheduleCancelAllocs pins the same bound for a sharded lane
-// outside a batch window — the common case, since most scheduling happens
-// during serial segments and event execution.
-func TestLaneScheduleCancelAllocs(t *testing.T) {
-	e := NewEngine()
-	s := NewSharded(e, 2)
-	ln := s.Lane(0)
-	fn := func() {}
-	for i := 0; i < 256; i++ {
-		ln.At(1000, PriorityState, "fill", fn)
-	}
-	avg := testing.AllocsPerRun(1000, func() {
-		ln.At(10, PriorityState, "x", fn).Cancel()
-	})
-	if avg > 1 {
-		t.Fatalf("lane schedule+cancel allocates %.1f objects per op, want <= 1 (the Event)", avg)
-	}
-}

@@ -33,42 +33,6 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedLanes measures the sharded executor against the serial
-// engine on a synthetic pure-lane workload: n lanes, each with a periodic
-// event chain, no cluster events. Serial/16 vs Sharded/16 etc. expose the
-// coordination overhead of batching (pop, dispatch, merge); on a
-// multi-core box the sharded rows should win, on one core they bound the
-// overhead the epoch machinery adds.
-func BenchmarkShardedLanes(b *testing.B) {
-	workload := func(lane func(i int) Scheduler, lanes int) {
-		for i := 0; i < lanes; i++ {
-			sched := lane(i)
-			var tick func()
-			tick = func() { sched.After(1, PriorityExecutor, "tick", tick) }
-			sched.After(1, PriorityExecutor, "tick", tick)
-		}
-	}
-	for _, n := range poolSizes {
-		b.Run(fmt.Sprintf("Serial/%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := NewEngine()
-				workload(func(int) Scheduler { return e }, n)
-				e.Run(100)
-			}
-		})
-		b.Run(fmt.Sprintf("Sharded/%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := NewEngine()
-				s := NewSharded(e, n)
-				s.ExitsReactive = func() bool { return false }
-				s.Remaining = func() int { return 1 << 20 }
-				workload(func(i int) Scheduler { return s.Lane(i) }, n)
-				s.Run(100)
-			}
-		})
-	}
-}
-
 // BenchmarkPeek measures the head read; after eager cancellation it is a
 // constant-time slice access regardless of queue size.
 func BenchmarkPeek(b *testing.B) {

@@ -17,7 +17,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Time is a point in virtual time, in seconds since the start of the
@@ -49,11 +48,9 @@ const (
 	PriorityMetric
 )
 
-// Scheduler is the narrow scheduling surface components hold: the current
-// virtual time plus At/After/Cancel-able event creation. *Engine implements
-// it directly; *Lane implements it for components bound to one shard of a
-// sharded simulation (see shard.go). Code written against Scheduler runs
-// unchanged — and byte-identically — in both modes.
+// Scheduler is the seam through which a policy gets its clock: the current
+// virtual time plus At/After event creation. *Engine implements it, and
+// bench/ wraps it to time the closures a policy schedules.
 type Scheduler interface {
 	// Now returns the current virtual time as seen by this scheduler.
 	Now() Time
@@ -74,50 +71,21 @@ type Event struct {
 	engine   *Engine
 	index    int // heap index; -1 when not queued
 	canceled bool
-	// lane is the shard the event belongs to: 0 for cluster-level events
-	// (the default for events scheduled directly on the Engine), 1..N for
-	// events scheduled through a Lane. The serial engine ignores it.
-	lane int
-	// local marks an event scheduled inside a parallel batch window; it
-	// orders after same-instant events that were already queued when the
-	// window opened, exactly as its serial seq would have.
-	local bool
-	// exit marks an event whose callback may retire containers (the
-	// daemon's completion events). The sharded executor runs such events
-	// serially on the coordinator so a run-terminating Stop skips exactly
-	// the events the serial engine would have skipped.
-	exit bool
 }
 
 // At returns the virtual time at which the event is scheduled.
 func (e *Event) At() Time { return e.at }
 
-// MarkExit tags the event as potentially retiring containers (ending
-// workloads, firing exit listeners, possibly stopping the run). The sharded
-// executor keeps exit-tagged events out of parallel batches and runs them
-// serially; the serial engine ignores the tag. The simulated daemon tags
-// its completion events.
-func (e *Event) MarkExit() { e.exit = true }
-
 // Cancel prevents the event's callback from running and eagerly removes the
 // event from the engine's queue via its maintained heap index — O(log n),
 // with no tombstone left behind to silt up the heap. Canceling an event
 // that already fired or was already canceled is a no-op.
-//
-// Inside a sharded parallel batch the global queue is shared across lanes,
-// so the heap removal is deferred to the batch's merge phase; the canceled
-// flag takes effect immediately (only the owning lane can cancel its own
-// events, so the flag write is single-threaded).
 func (e *Event) Cancel() {
 	if e.canceled {
 		return
 	}
 	e.canceled = true
 	if e.index >= 0 && e.engine != nil {
-		if s := e.engine.shard; s != nil && s.inBatch {
-			s.deferRemoval(e)
-			return
-		}
 		heap.Remove(&e.engine.queue, e.index)
 	}
 }
@@ -166,13 +134,9 @@ type Engine struct {
 	queue   eventQueue
 	seq     uint64
 	running bool
-	// stopped is atomic because in sharded mode Stop may be called from a
-	// lane goroutine (the last job's exit) while the coordinator polls it.
-	stopped atomic.Bool
+	stopped bool
 	// executed counts events whose callbacks ran, for diagnostics.
 	executed uint64
-	// shard is non-nil when the engine is driven by a Sharded executor.
-	shard *Sharded
 }
 
 // NewEngine returns an engine with the clock at time zero and an empty
@@ -219,21 +183,8 @@ func (e *Engine) After(d Duration, prio Priority, name string, fn func()) *Event
 }
 
 // Stop makes Run return after the currently executing event (if any)
-// finishes. Pending events remain queued. Stop is safe to call from lane
-// goroutines in sharded mode.
-func (e *Engine) Stop() { e.stopped.Store(true) }
-
-// step pops and executes the head event — the shared unit of work between
-// the serial Run loop and the sharded executor's serial segments.
-func (e *Engine) step() {
-	next := heap.Pop(&e.queue).(*Event)
-	if next.at < e.now {
-		panic(fmt.Sprintf("sim: time went backwards: event %q at %.6f, now %.6f", next.name, float64(next.at), float64(e.now)))
-	}
-	e.now = next.at
-	next.fn()
-	e.executed++
-}
+// finishes. Pending events remain queued.
+func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes events in order until the queue is empty, the horizon is
 // passed, or Stop is called. Events scheduled exactly at the horizon still
@@ -243,20 +194,26 @@ func (e *Engine) Run(horizon Time) int {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
-	e.stopped.Store(false)
+	e.stopped = false
 	defer func() { e.running = false }()
 
 	n := 0
-	for len(e.queue) > 0 && !e.stopped.Load() {
+	for len(e.queue) > 0 && !e.stopped {
 		if e.queue[0].at > horizon {
 			break
 		}
-		e.step()
+		next := heap.Pop(&e.queue).(*Event)
+		if next.at < e.now {
+			panic(fmt.Sprintf("sim: time went backwards: event %q at %.6f, now %.6f", next.name, float64(next.at), float64(e.now)))
+		}
+		e.now = next.at
+		next.fn()
+		e.executed++
 		n++
 	}
 	// If we stopped because of the horizon, advance the clock to it so a
 	// subsequent Run continues from there.
-	if !e.stopped.Load() && horizon != Infinity && e.now < horizon {
+	if !e.stopped && horizon != Infinity && e.now < horizon {
 		e.now = horizon
 	}
 	return n

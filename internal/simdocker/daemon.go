@@ -49,7 +49,7 @@ const completionEps = 1e-9
 // last fold plus alloc·(now − lastAdvance) and changes nothing, so how
 // often anything observes the node never changes what its jobs do.
 type Daemon struct {
-	engine   sim.Scheduler
+	engine   *sim.Engine
 	capacity float64
 
 	images     map[string]Image
@@ -129,7 +129,7 @@ const thrashFactor = 4.0
 
 // NewDaemon creates a daemon managing `capacity` normalized CPUs on the
 // given engine. The paper's plots normalize the testbed node to 1.0.
-func NewDaemon(engine sim.Scheduler, capacity float64) *Daemon {
+func NewDaemon(engine *sim.Engine, capacity float64) *Daemon {
 	if engine == nil {
 		panic("simdocker: nil engine")
 	}
@@ -154,8 +154,6 @@ func (d *Daemon) Capacity() float64 { return d.capacity }
 // cycles, a noisy co-tenant). Consumption is settled at the old capacity
 // first, then every running container is reallocated under the new one,
 // so the change takes effect exactly at the current virtual instant.
-// Like Stop and Checkpoint it must be called from the daemon's own lane
-// or a cluster-level event (the fault injector's discipline).
 func (d *Daemon) SetCapacity(capacity float64) {
 	checkCapacity(capacity)
 	if capacity == d.capacity {
@@ -327,8 +325,7 @@ func (d *Daemon) Update(id string, cpuLimit float64) error {
 		// A separate event, never a replacement for the pending completion
 		// event: re-creating that one would give it a newer sequence number
 		// and reorder it behind same-instant events queued meanwhile.
-		// Exit-tagged because the fill may retire float-residue finishers.
-		d.engine.At(d.engine.Now(), sim.PriorityState, "simdocker.reallocate", d.reallocFn).MarkExit()
+		d.engine.At(d.engine.Now(), sim.PriorityState, "simdocker.reallocate", d.reallocFn)
 	}
 	return nil
 }
@@ -638,9 +635,6 @@ func (d *Daemon) scheduleCompletion() {
 		return
 	}
 	d.completion = d.engine.At(earliest, sim.PriorityState, "simdocker.completion", d.completeFn)
-	// Completions retire containers: in sharded mode each one must close
-	// its parallel batch so exit effects are never overtaken.
-	d.completion.MarkExit()
 }
 
 // complete is the completion event's callback.

@@ -113,12 +113,10 @@ const DefaultTraceCapacity = 1 << 16
 // is allocation-free (the ring is preallocated and strings are stored by
 // header); when the ring wraps, the oldest spans are dropped and counted.
 //
-// Spans are appended in observation order. Manager-side steps (submit,
-// admit, place, migrate) always execute on the simulation's serial lane,
-// so they appear in global sim-time order; exit spans may be recorded
-// from concurrent worker lanes inside a sharded batch, so spans of
-// *different* jobs can interleave slightly. Each single job's spans are
-// always in lifecycle order.
+// Spans are appended in observation order. Every step is recorded from
+// inside the simulation's single event loop, so a run's spans are in
+// non-decreasing sim-time order, and each job's spans are in lifecycle
+// order.
 type Tracer struct {
 	mu    sync.Mutex
 	ring  []span

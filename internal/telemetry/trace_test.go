@@ -117,8 +117,8 @@ func TestRecordAllocsZero(t *testing.T) {
 	}
 }
 
-// Concurrent recorders model sharded-batch exit hooks firing from worker
-// lanes while the coordinator records manager spans (run under -race).
+// Tracer is documented concurrency-safe: concurrent recorders lose no
+// span (run under -race).
 func TestTracerConcurrentRecord(t *testing.T) {
 	tr := NewTracer(256)
 	var wg sync.WaitGroup

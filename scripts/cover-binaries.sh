@@ -42,8 +42,7 @@ leg() {
 leg sim-all "$bin/flowcon-sim" all
 leg sim-csv "$bin/flowcon-sim" -csv csv all
 leg sim-scenarios "$bin/flowcon-sim" -scenario all -seeds 2 -trace-out spans.jsonl -record rec
-leg sim-shaped "$bin/flowcon-sim" -scenario all -seeds 1 -rebalance -migration-cost 3 \
-    -observe -trace-level dense -shard-sim 2
+leg sim-shaped "$bin/flowcon-sim" -scenario all -seeds 1 -rebalance -migration-cost 3
 leg sim-mega "$bin/flowcon-sim" -scenario megacluster-smoke,chaos-megacluster -seeds 1
 trace=$(ls rec/*.jsonl | head -n 1)
 leg sim-replay "$bin/flowcon-sim" -replay "$trace" -workers 4

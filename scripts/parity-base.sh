@@ -95,7 +95,7 @@ compare -scenario megacluster-smoke -seeds 1
 compare -scenario chaos-megacluster -seeds 1
 # The run-shaping flags, each of which edits every expanded Spec.
 compare -scenario hotspot,hotspot-rebalance,rolling-drain -seeds 2 -rebalance -migration-cost 4
-compare -scenario bursty,hotspot-rebalance -seeds 2 -trace-level dense -shard-sim 4
+compare -scenario bursty,hotspot-rebalance -seeds 2
 SPANS=1
 compare -scenario poisson,chaos-day -seeds 1
 SPANS=
