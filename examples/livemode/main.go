@@ -1,11 +1,11 @@
-// Livemode runs FlowCon as live middleware inside one process: a
-// wall-clock container runtime hosts time-scaled training jobs while the
-// realtime driver polls, classifies, and re-balances them — the paper's
-// deployment shape without the simulator (and without needing two
-// terminals like cmd/flowcon-worker + cmd/flowcon-manager).
+// Livemode runs FlowCon as live middleware inside one process, wired as
+// cmd/flowcon-worker wires it: the simulator's flowcon.Controller, on an
+// engine realtime.Pacer advances with the wall clock, governs a
+// wall-clock runtime hosting time-scaled training jobs.
 //
 // The demo compresses the fixed schedule 20x (VAE at t=0, MNIST-PT at 2s,
-// MNIST-TF at 4s; itval=1s) so it finishes in ~25 seconds of wall time.
+// MNIST-TF at 4s; itval=1s) so it finishes in ~25 seconds of wall time,
+// printing every Algorithm 1 run and, every two seconds, the pool.
 //
 //	go run ./examples/livemode
 package main
@@ -17,9 +17,11 @@ import (
 
 	"repro"
 	"repro/internal/dlmodel"
+	"repro/internal/flowcon"
 	"repro/internal/livedock"
 	"repro/internal/realtime"
 	"repro/internal/runtime"
+	"repro/internal/sim"
 )
 
 // scaled returns the profile with its epoch budget compressed by factor,
@@ -39,18 +41,40 @@ func scaled(p repro.Profile, factor float64) repro.Profile {
 	return p
 }
 
+// tracerFunc adapts a function to flowcon.Tracer.
+type tracerFunc func(flowcon.TraceEntry)
+
+func (f tracerFunc) RecordRun(e flowcon.TraceEntry) { f(e) }
+
 func main() {
 	const speedup = 20.0
 	node := livedock.NewNode(1.0)
-	driver := realtime.NewDriver(repro.FlowConConfig{
+	engine := sim.NewEngine()
+	pacer := realtime.NewPacer(engine)
+	// Each Algorithm 1 run prints on the pacer's goroutine; the node,
+	// which is safe for concurrent use, names the containers.
+	printRun := tracerFunc(func(e flowcon.TraceEntry) {
+		names := map[string]string{}
+		for _, c := range node.PS(true) {
+			names[c.ID] = c.Name
+		}
+		fmt.Printf("%6.1fs  algorithm 1 (%s):", float64(e.At), e.Trigger)
+		for _, c := range e.Containers {
+			fmt.Printf(" [%s %s lim=%.2f]", names[c.ID], c.List, c.Limit)
+		}
+		fmt.Println()
+	})
+	ctrl := flowcon.NewController(repro.FlowConConfig{
 		Alpha:           0.05,
 		Beta:            2,
 		InitialInterval: 20 / speedup, // 1s of wall time
-	}, node)
+	}, engine, node, printRun)
+	realtime.Listen(node, ctrl, pacer.Post)
+	ctrl.Start()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	go driver.Run(ctx, 100*time.Millisecond)
+	go pacer.Run(ctx)
 
 	launch := func(name string, p repro.Profile) {
 		job := dlmodel.NewJob(name, scaled(p, speedup))
@@ -81,11 +105,7 @@ func main() {
 			running := 0
 			fmt.Printf("%6.1fs  ", time.Since(start).Seconds())
 			for _, c := range snap {
-				list := "--"
-				if l, ok := driver.ListOf(c.ID); ok {
-					list = l.String()
-				}
-				fmt.Printf("[%s %s %s lim=%.2f cpu=%.1fs] ", c.Name, c.State, list, c.CPULimit, c.CPUSeconds)
+				fmt.Printf("[%s %s lim=%.2f alloc=%.2f cpu=%.1fs] ", c.Name, c.State, c.CPULimit, c.CPUAlloc, c.CPUSeconds)
 				if c.State == runtime.Running {
 					running++
 				}

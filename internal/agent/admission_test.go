@@ -97,8 +97,9 @@ func serve(h http.Handler, method, path, body string) *httptest.ResponseRecorder
 
 // No POST route starts a container past the admission queue: not while
 // the one running slot is taken, and not once the agent drains. The
-// patterns include the raw launch and the two stop routes the agent used
-// to serve, so a route that comes back without admission shows here.
+// patterns include the raw launch, the two stop routes and the limit
+// update the agent used to serve, so a route that comes back without
+// admission shows here.
 func TestNoRouteStartsAContainerPastAdmission(t *testing.T) {
 	node := livedock.NewNodeWithClock(1.0, newFakeClock().Now)
 	s := NewServer(node, 1.0)

@@ -10,9 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/flowcon"
 	"repro/internal/livedock"
-	"repro/internal/realtime"
 	"repro/internal/runtime"
 )
 
@@ -59,7 +57,7 @@ func TestPing(t *testing.T) {
 
 func TestLaunchStatsStop(t *testing.T) {
 	c, clk := testAgent(t)
-	st, err := c.Submit(context.Background(), SubmitRequest{Name: "job-a", Model: "MNIST (Tensorflow)"})
+	st, err := c.Submit(context.Background(), SubmitRequest{Name: "job-a", Model: "MNIST (Tensorflow)", CPULimit: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,32 +67,33 @@ func TestLaunchStatsStop(t *testing.T) {
 	}
 
 	clk.Advance(10 * time.Second)
-	stats := c.RunningStats()
-	if len(stats) != 1 || stats[0].ID != id {
-		t.Fatalf("stats = %+v", stats)
+	got, err := c.JobStatus(context.Background(), "job-a")
+	if err != nil || got.ID != id {
+		t.Fatalf("status = %+v, %v", got, err)
 	}
-	if stats[0].CPUSeconds <= 9.9 || stats[0].CPUSeconds >= 10.1 {
-		t.Fatalf("cpu seconds = %v, want ~10", stats[0].CPUSeconds)
+	if got.CPUSeconds <= 9.9 || got.CPUSeconds >= 10.1 {
+		t.Fatalf("cpu seconds = %v, want ~10", got.CPUSeconds)
 	}
-
-	if err := c.SetCPULimit(id, 0.25); err != nil {
-		t.Fatal(err)
-	}
-	list, err := c.Containers(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 1 || list[0].CPULimit != 0.25 || list[0].State != "running" {
+	if list := containers(t, c); len(list) != 1 || list[0].ID != id || list[0].CPULimit != 0.25 || list[0].State != "running" {
 		t.Fatalf("containers = %+v", list)
 	}
 
 	if _, err := c.CancelJob(context.Background(), "job-a"); err != nil {
 		t.Fatal(err)
 	}
-	list, _ = c.Containers(context.Background())
-	if list[0].State != "exited" {
+	if list := containers(t, c); list[0].State != "exited" {
 		t.Fatalf("state after stop = %s", list[0].State)
 	}
+}
+
+// containers reads GET /v1/containers, which no client method wraps.
+func containers(t *testing.T, c *Client) []ContainerInfo {
+	t.Helper()
+	var out []ContainerInfo
+	if err := c.get(context.Background(), "/v1/containers", &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestErrorMapping(t *testing.T) {
@@ -106,12 +105,14 @@ func TestErrorMapping(t *testing.T) {
 	if _, err := c.Submit(ctx, SubmitRequest{Name: "x", Model: "NoSuchNet"}); err == nil || !strings.Contains(err.Error(), "unknown model") {
 		t.Fatalf("unknown model err = %v", err)
 	}
-	if err := c.SetCPULimit("ghost", 0.5); err == nil || !strings.Contains(err.Error(), "no such container") {
+	if err := c.Remove(ctx, "ghost"); err == nil || !strings.Contains(err.Error(), "no such container") {
 		t.Fatalf("missing container err = %v", err)
 	}
-	st, _ := c.Submit(ctx, SubmitRequest{Name: "y", Model: "RNN-GRU (Tensorflow)"})
-	if err := c.SetCPULimit(st.ID, 7); err == nil || !strings.Contains(err.Error(), "limit") {
+	if _, err := c.Submit(ctx, SubmitRequest{Name: "y", Model: "RNN-GRU (Tensorflow)", CPULimit: 7}); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("bad limit err = %v", err)
+	}
+	if _, err := c.Submit(ctx, SubmitRequest{Name: "y", Model: "RNN-GRU (Tensorflow)"}); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := c.CancelJob(ctx, "ghost"); !errors.Is(err, runtime.ErrNotFound) {
 		t.Fatalf("cancel ghost err = %v, want ErrNotFound", err)
@@ -128,54 +129,12 @@ func TestClientDegradedOnDeadAgent(t *testing.T) {
 	srv := httptest.NewServer(NewServer(livedock.NewNode(1.0), 1.0).Handler())
 	c := NewClient(srv.URL, srv.Client())
 	srv.Close()
-	if stats := c.RunningStats(); stats != nil {
-		t.Fatalf("stats from dead agent = %v", stats)
+	if _, err := c.Ping(context.Background()); err == nil {
+		t.Fatal("ping of a dead agent succeeded")
 	}
-	if err := c.SetCPULimit("x", 0.5); err == nil {
-		t.Fatal("update against dead agent succeeded")
-	}
-}
-
-// End-to-end over the wire: a manager-side FlowCon driver governs a remote
-// worker through the HTTP agent — the Figure 2 topology with a real
-// network boundary (loopback).
-func TestRemoteFlowConDriver(t *testing.T) {
-	c, clk := testAgent(t)
-
-	vae, err := c.Submit(context.Background(), SubmitRequest{Name: "vae", Model: "VAE (Pytorch)"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vaeID := vae.ID
-	d := realtime.NewDriver(flowcon.Config{Alpha: 0.05, Beta: 2, InitialInterval: 20}, c)
-
-	var mnistID string
-	for step := 1; step <= 120; step++ {
-		clk.Advance(time.Second)
-		if step == 80 {
-			mnist, err := c.Submit(context.Background(), SubmitRequest{Name: "mnist", Model: "MNIST (Tensorflow)"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mnistID = mnist.ID
-		}
-		d.Step(float64(step))
-	}
-	if l, ok := d.ListOf(vaeID); !ok || l != flowcon.CompletingList {
-		t.Fatalf("remote VAE in %v, want CL", l)
-	}
-	if l, ok := d.ListOf(mnistID); !ok || l != flowcon.NewList {
-		t.Fatalf("remote MNIST in %v, want NL", l)
-	}
-	// The converged remote VAE carries a throttled limit set over HTTP.
-	containers, err := c.Containers(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ci := range containers {
-		if ci.ID == vaeID && ci.CPULimit >= 0.5 {
-			t.Fatalf("remote VAE limit = %v, want throttled", ci.CPULimit)
-		}
+	var apiErr *APIError
+	if _, err := c.Submit(context.Background(), SubmitRequest{Name: "x", Model: "MNIST (Pytorch)"}); err == nil || errors.As(err, &apiErr) {
+		t.Fatalf("submit to a dead agent = %v, want a transport error", err)
 	}
 }
 
@@ -192,8 +151,8 @@ func TestRemoveFreesName(t *testing.T) {
 	if _, err := c.Submit(ctx, SubmitRequest{Name: "phoenix", Model: "MNIST (Pytorch)"}); !errors.Is(err, runtime.ErrNameInUse) {
 		t.Fatalf("duplicate of a running job = %v, want ErrNameInUse", err)
 	}
-	if err := c.SetCPULimit(st.ID, 7); !errors.Is(err, runtime.ErrBadLimit) {
-		t.Fatalf("SetCPULimit(7) = %v, want ErrBadLimit", err)
+	if _, err := c.Submit(ctx, SubmitRequest{Name: "phoenix-2", Model: "MNIST (Pytorch)", CPULimit: 7}); !errors.Is(err, runtime.ErrBadLimit) {
+		t.Fatalf("submit at cpu_limit 7 = %v, want ErrBadLimit", err)
 	}
 	var apiErr *APIError
 	if err := c.Remove(ctx, st.ID); !errors.As(err, &apiErr) || apiErr.Status != http.StatusConflict ||

@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"time"
 
-	"repro/internal/flowcon"
 	"repro/internal/runtime"
 )
 
@@ -60,10 +59,10 @@ func (e *APIError) Unwrap() error {
 	}
 }
 
-// Client talks to a worker agent over HTTP and implements
-// realtime.Runtime, so a FlowCon driver on the manager side can govern the
-// remote worker's containers. Every call is one round trip: the driver
-// polls each period, so a failed poll is retried by the next one.
+// Client talks to a worker agent over HTTP: it submits, watches and
+// cancels jobs, removes exited containers and scrapes the metrics. Every
+// call is one round trip with no retry; PingRetry alone waits for a
+// worker that is still booting.
 type Client struct {
 	base string
 	http *http.Client
@@ -118,35 +117,9 @@ func (c *Client) PingRetry(ctx context.Context, attempts int) (PingResponse, err
 	return PingResponse{}, fmt.Errorf("agent: ping failed after %d attempts: %w", attempts, lastErr)
 }
 
-// RunningStats implements realtime.Runtime. A transport error yields an
-// empty pool — the driver then simply has nothing to manage this cycle,
-// which is the safe degraded behaviour for a monitoring loop. The
-// request is bounded by the HTTP client's timeout.
-func (c *Client) RunningStats() []flowcon.Stat {
-	var out []flowcon.Stat
-	if err := c.get(context.Background(), "/v1/stats", &out); err != nil {
-		return nil
-	}
-	return out
-}
-
-// SetCPULimit implements realtime.Runtime via the agent's update
-// endpoint, bounded by the HTTP client's timeout.
-func (c *Client) SetCPULimit(id string, limit float64) error {
-	return c.post(context.Background(),
-		"/v1/containers/"+url.PathEscape(id)+"/update", UpdateRequest{CPULimit: limit}, nil)
-}
-
 // Remove deletes an exited remote container by id.
 func (c *Client) Remove(ctx context.Context, id string) error {
 	return c.del(ctx, "/v1/containers/"+url.PathEscape(id))
-}
-
-// Containers lists all remote containers.
-func (c *Client) Containers(ctx context.Context) ([]ContainerInfo, error) {
-	var out []ContainerInfo
-	err := c.get(ctx, "/v1/containers", &out)
-	return out, err
 }
 
 // Metrics fetches the agent's Prometheus text exposition verbatim — the
@@ -170,30 +143,6 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 		return "", fmt.Errorf("agent: reading /v1/metrics: %w", err)
 	}
 	return string(raw), nil
-}
-
-// Healthz fetches the agent's readiness report. A draining agent answers
-// 503 but still sends the full HealthResponse — that is data, not a
-// transport failure, so the body is decoded and returned without error;
-// only transport problems and unexpected statuses fail.
-func (c *Client) Healthz(ctx context.Context) (HealthResponse, error) {
-	var out HealthResponse
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/healthz", nil)
-	if err != nil {
-		return out, fmt.Errorf("agent: GET /v1/healthz: %w", err)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return out, fmt.Errorf("agent: GET /v1/healthz: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return out, &APIError{Status: resp.StatusCode, Message: resp.Status, Path: "/v1/healthz"}
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, fmt.Errorf("agent: decoding /v1/healthz response: %w", err)
-	}
-	return out, nil
 }
 
 // Submit admits a job through the managed surface. A free slot launches

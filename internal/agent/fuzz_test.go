@@ -13,9 +13,9 @@ import (
 	"repro/internal/runtime"
 )
 
-// fuzzRoutes are the agent's registered routes plus the raw launch and
-// stop routes it no longer serves; {} stands for a job name or container
-// id drawn from the input or the node's pool.
+// fuzzRoutes are the agent's registered routes plus the routes it no
+// longer serves (raw launch, stop, stats and limit update); {} stands for
+// a job name or container id drawn from the input or the node's pool.
 var fuzzRoutes = []string{
 	"/v1/ping", "/v1/metrics", "/v1/healthz", "/v1/stats",
 	"/v1/containers", "/v1/containers/{}", "/v1/containers/{}/update", "/v1/containers/{}/stop",
@@ -42,7 +42,8 @@ func FuzzAgentRequests(f *testing.F) {
 		`{"name":"a","model":"MNIST (Pytorch)"}`,
 		`{"name":"b","model":"RNN-GRU (Tensorflow)","cpu_limit":0.5}`,
 		`{"cpu_limit":0.25}`,
-		// TestMalformedJSONBodies's bodies.
+		// TestMalformedJSONBodies's bodies, and two for the retired
+		// limit-update route.
 		`{"name":"x","model":`, `not json at all`, `{"name":7,"model":true}`, ``,
 		`{"cpu_limit":`, `{"cpu_limit":"half"}`,
 	}, "\n")

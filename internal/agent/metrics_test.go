@@ -2,6 +2,7 @@ package agent
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -209,9 +210,9 @@ func TestHealthzReadinessAndBackpressure(t *testing.T) {
 	c, s, clk := metricsAgent(t, 1, 1)
 	clk.Advance(5 * time.Second)
 
-	h, err := c.Healthz(ctx)
-	if err != nil {
-		t.Fatal(err)
+	h, status, err := healthz(c)
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("idle healthz: status %d, %v", status, err)
 	}
 	if !h.OK || !h.Ready || h.Draining || h.Backpressure {
 		t.Fatalf("idle healthz = %+v", h)
@@ -230,37 +231,40 @@ func TestHealthzReadinessAndBackpressure(t *testing.T) {
 	if _, err := c.Submit(ctx, SubmitRequest{Name: "b", Model: "MNIST (Pytorch)"}); err != nil {
 		t.Fatal(err)
 	}
-	h, err = c.Healthz(ctx)
-	if err != nil {
-		t.Fatal(err)
+	h, status, err = healthz(c)
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("full healthz: status %d, %v", status, err)
 	}
 	if !h.Backpressure || h.Running != 1 || h.Queued != 1 {
 		t.Fatalf("full healthz = %+v", h)
 	}
 
-	// Draining flips readiness and the status code, but the body still
-	// decodes.
+	// Draining flips readiness and the status code to 503, but the body
+	// still decodes.
 	s.Drain()
-	h, err = c.Healthz(ctx)
+	h, status, err = healthz(c)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if status != http.StatusServiceUnavailable {
+		t.Fatalf("draining healthz status = %d, want 503", status)
 	}
 	if h.Ready || !h.Draining {
 		t.Fatalf("draining healthz = %+v", h)
 	}
+}
 
-	// The raw status code is 503.
-	resp, err := http.Get(c.base + "/v1/healthz")
+// healthz reads GET /v1/healthz, which no client method wraps, decoding
+// the body whatever the status: a draining agent answers 503 with the
+// full report.
+func healthz(c *Client) (HealthResponse, int, error) {
+	var h HealthResponse
+	resp, err := c.http.Get(c.base + "/v1/healthz")
 	if err != nil {
-		t.Fatal(err)
+		return h, 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining healthz status = %d, want 503", resp.StatusCode)
-	}
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		t.Fatal(err)
-	}
+	return h, resp.StatusCode, json.NewDecoder(resp.Body).Decode(&h)
 }
 
 // Scrapes race submissions: run with -race to pin that the metrics
@@ -290,7 +294,7 @@ func TestMetricsConcurrentScrapes(t *testing.T) {
 					t.Errorf("scrape: %v", err)
 					return
 				}
-				if _, err := c.Healthz(ctx); err != nil {
+				if _, _, err := healthz(c); err != nil {
 					t.Errorf("healthz: %v", err)
 					return
 				}

@@ -1,8 +1,8 @@
-// Package agent provides the network split of Figure 2: a worker-side
-// HTTP agent exposing a live container runtime, and a manager-side client
-// that implements realtime.Runtime over the wire. A FlowCon driver on the
-// manager machine can govern containers on a remote worker the way Docker
-// Swarm managers talk to worker daemons.
+// Package agent provides the network edge of a FlowCon worker (the
+// worker node of Figure 2): an HTTP agent exposing a live container
+// runtime, and the client that submitters and load tests use. FlowCon
+// itself is not behind this surface: cmd/flowcon-worker runs it in the
+// worker process, on the node directly.
 //
 // The wire protocol is deliberately small and JSON over HTTP/1.1,
 // versioned under /v1. Every error response carries the JSON envelope
@@ -10,9 +10,7 @@
 // slug the client maps back to the runtime package's sentinel errors.
 //
 //	GET    /v1/ping                      liveness + capacity/memory + admission state
-//	GET    /v1/stats                     settled counters of running containers
 //	GET    /v1/containers                snapshot of all containers
-//	POST   /v1/containers/{id}/update    set soft CPU limit {cpu_limit}
 //	DELETE /v1/containers/{id}           remove an exited container, freeing its name
 //	POST   /v1/jobs                      submit a job {name, model, cpu_limit}:
 //	                                     201 running, 202 queued, 429 queue full,
@@ -23,11 +21,10 @@
 //	POST   /v1/jobs/{name}/cancel        cancel: dequeue a queued job or stop a
 //	                                     running one
 //
-// The containers routes are the FlowCon driver's surface: id-addressed
-// reads and limit updates on containers that already exist, plus removal
-// of an exited one. The jobs routes are the only lifecycle: every
-// container starts as a submission through the admission queue (so the
-// running cap and Drain hold), and one stops early only by a cancel.
+// The jobs routes are the only lifecycle: every container starts as a
+// submission through the admission queue (so the running cap and Drain
+// hold), and one stops early only by a cancel. The containers routes
+// read the pool and remove exited containers by id.
 package agent
 
 import (
@@ -56,11 +53,6 @@ const (
 	CodeBadRequest = "bad_request"
 	CodeInternal   = "internal"
 )
-
-// UpdateRequest sets a container's soft CPU limit.
-type UpdateRequest struct {
-	CPULimit float64 `json:"cpu_limit"`
-}
 
 // ContainerInfo is the wire form of a container snapshot.
 type ContainerInfo struct {
@@ -182,10 +174,8 @@ func NewServer(node *livedock.Node, capacity float64) *Server {
 	s.mux.HandleFunc("GET /v1/ping", s.handlePing)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/containers", s.handleList)
 	s.mux.HandleFunc("DELETE /v1/containers/{id}", s.handleRemove)
-	s.mux.HandleFunc("POST /v1/containers/{id}/update", s.handleUpdate)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{name}", s.handleJobStatus)
 	s.mux.HandleFunc("POST /v1/jobs/{name}/cancel", s.handleJobCancel)
@@ -237,10 +227,6 @@ func (s *Server) handlePing(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.node.RunningStats())
-}
-
 // infoOf converts a runtime view to its wire form.
 func infoOf(c runtime.Container) ContainerInfo {
 	return ContainerInfo{
@@ -280,19 +266,6 @@ func (s *Server) launch(name, model string, profile dlmodel.Profile, limit float
 
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	if err := s.node.Remove(r.PathValue("id")); err != nil {
-		s.writeRuntimeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
-}
-
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	var req UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if err := s.node.SetCPULimit(r.PathValue("id"), req.CPULimit); err != nil {
 		s.writeRuntimeErr(w, err)
 		return
 	}

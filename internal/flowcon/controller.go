@@ -32,10 +32,11 @@ type Tracer interface {
 	RecordRun(TraceEntry)
 }
 
-// Controller is the worker-side FlowCon middleware in the simulator. It
-// runs its Cycle on the executor interval as an engine event and
-// implements Algorithm 2's listeners through the runtime's arrival/exit
-// notifications.
+// Controller is the worker-side FlowCon middleware, in the simulator and
+// in the live worker alike. It runs its Cycle on the executor interval as
+// an engine event and implements Algorithm 2's listeners through the
+// runtime's arrival/exit notifications. Everything it does happens on the
+// goroutine that runs its engine.
 type Controller struct {
 	*Cycle
 	engine sim.Scheduler

@@ -12,10 +12,9 @@ type Runtime interface {
 
 // Cycle is Algorithm 1's executor and the state it carries between runs:
 // the container monitor, each container's list and applied limit, and the
-// interval with its back-off. It does not decide when it runs. The
-// simulator's Controller runs it on engine events and start/exit
-// notifications; realtime.Driver runs it from a wall-clock poll of the
-// container count. Both therefore execute one algorithm.
+// interval with its back-off. It does not decide when it runs: Controller
+// runs it on engine events and start/exit notifications, in the simulator
+// and, on an engine paced by the wall clock, in the live worker.
 type Cycle struct {
 	cfg     Config
 	runtime Runtime
@@ -136,10 +135,9 @@ func (c *Cycle) Run(now float64, stats []Stat) StepResult {
 }
 
 // prune drops the list and limit of every container that left the stats
-// without an exit hook: a worker failure that kills containers behind the
-// listener's back, or a departure a count poll missed because an arrival
-// in the same poll cancelled it out. Collect has already dropped them
-// from the monitor.
+// before its exit hook was heard: a worker failure that kills containers
+// behind the listener's back, or a live exit whose posted listener call
+// has not run yet. Collect has already dropped them from the monitor.
 func (c *Cycle) prune() {
 	for id := range c.lists {
 		if !c.monitor.tracks(id) {

@@ -14,9 +14,10 @@
 //     applies limit updates through the runtime, and backs off the
 //     interval;
 //   - Algorithm 2's listeners (controller.go) react to container
-//     arrivals/departures in simulated time, reset the interval, and run
-//     the cycle immediately. realtime.Driver runs the same cycle from a
-//     wall-clock poll instead.
+//     arrivals/departures, reset the interval, and run the cycle
+//     immediately. The Controller runs on a sim.Engine: the simulator's,
+//     or in the live worker one that realtime.Pacer advances with the
+//     wall clock, so both modes run the same controller.
 //
 // Algorithm 1 and the monitor are pure — they operate on snapshots and
 // return decisions — so they are unit-testable without a simulator and

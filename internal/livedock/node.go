@@ -4,12 +4,13 @@
 //
 // Where simdocker exists to make experiments exact and reproducible,
 // livedock exists to run FlowCon the way the paper deploys it — as live
-// middleware polling a daemon. It implements both realtime.Runtime (so
-// realtime.Driver can manage it directly) and the full runtime.Runtime
-// lifecycle contract (so the cluster layers and the agent service drive
-// it through the same surface as the simulator), and the
-// cmd/flowcon-worker agent serves it over HTTP for a Swarm-style
-// manager/worker split.
+// middleware beside the containers. It implements the full
+// runtime.Runtime lifecycle contract, flowcon.Runtime's two methods
+// included, so the simulator's flowcon.Controller governs it through its
+// start and exit hooks exactly as it governs simdocker (on an engine
+// realtime.Pacer advances with the wall clock), and the agent service
+// drives it through the same surface. cmd/flowcon-worker runs both in
+// one process and serves the node over HTTP.
 //
 // The clock is injectable: tests drive a fake clock deterministically,
 // production uses time.Now.
@@ -24,7 +25,7 @@
 // unique by construction (one sequence counter) and that is enforced where
 // an id enters the pool: Launch panics on a duplicate. Each id also
 // carries the node's boot instant, so a restarted node never reissues an
-// id its predecessor used: a manager still holding the old container's
+// id its predecessor used: anything still holding the old container's
 // counters under that id would read them going backwards.
 //
 // # Accounting by virtual time
@@ -338,7 +339,7 @@ func LaunchLimit(limit float64) (float64, error) {
 	return limit, checkLimit(limit)
 }
 
-// SetCPULimit applies a soft limit — realtime.Runtime's update call.
+// SetCPULimit applies a soft limit — flowcon.Runtime's update call.
 func (n *Node) SetCPULimit(id string, limit float64) error {
 	if err := checkLimit(limit); err != nil {
 		return err
@@ -445,7 +446,7 @@ func (n *Node) PS(all bool) []runtime.Container {
 	return out
 }
 
-// RunningStats implements realtime.Runtime: it settles accounting to the
+// RunningStats implements flowcon.Runtime: it settles accounting to the
 // current instant and returns per-container counters.
 func (n *Node) RunningStats() []flowcon.Stat {
 	n.mu.Lock()

@@ -13,6 +13,7 @@ import (
 	"repro/internal/flowcon"
 	"repro/internal/realtime"
 	"repro/internal/runtime"
+	"repro/internal/sim"
 )
 
 // fakeClock is a manually-advanced clock.
@@ -190,12 +191,18 @@ func TestNodeWithDLModelJob(t *testing.T) {
 	}
 }
 
-// End-to-end: the realtime FlowCon driver manages a live node with a fake
-// clock — the paper's deployment shape, fully deterministic.
-func TestRealtimeDriverOverLiveNode(t *testing.T) {
+// End-to-end: the simulator's flowcon.Controller governs a live node
+// under a fake clock, wired as cmd/flowcon-worker wires it (the node's
+// hooks post the listener calls to whoever owns the engine) but with the
+// test, not a pacer, advancing the engine once a second.
+func TestControllerOverLiveNode(t *testing.T) {
 	clk := newFakeClock()
 	n := NewNodeWithClock(1.0, clk.Now)
-	d := realtime.NewDriver(flowcon.Config{Alpha: 0.05, Beta: 2, InitialInterval: 20}, n)
+	eng := sim.NewEngine()
+	ctrl := flowcon.NewController(flowcon.Config{Alpha: 0.05, Beta: 2, InitialInterval: 20}, eng, n, nil)
+	var inbox []func()
+	realtime.Listen(n, ctrl, func(fn func()) { inbox = append(inbox, fn) })
+	ctrl.Start()
 
 	// Converged long-runner from t=0, fresh fast job at t=80 — the fixed
 	// schedule's core interaction.
@@ -203,18 +210,23 @@ func TestRealtimeDriverOverLiveNode(t *testing.T) {
 	vaeID, _ := run(n, "vae", vae)
 	var mnistID string
 
-	for step := 0; step < 120; step++ {
+	for sec := 1; sec <= 120; sec++ {
 		clk.Advance(time.Second)
-		if step == 80 {
+		if sec == 80 {
 			mnist := dlmodel.NewJob("mnist", dlmodel.MNISTTensorFlow())
 			mnistID, _ = run(n, "mnist", mnist)
 		}
-		d.Step(float64(step + 1))
+		now := sim.Time(sec)
+		for _, fn := range inbox {
+			eng.At(now, sim.PriorityState, "hook", fn)
+		}
+		inbox = inbox[:0]
+		eng.Run(now)
 	}
-	if l, ok := d.ListOf(vaeID); !ok || l != flowcon.CompletingList {
+	if l, ok := ctrl.ListOf(vaeID); !ok || l != flowcon.CompletingList {
 		t.Fatalf("VAE in %v, want CL", l)
 	}
-	if l, ok := d.ListOf(mnistID); !ok || l != flowcon.NewList {
+	if l, ok := ctrl.ListOf(mnistID); !ok || l != flowcon.NewList {
 		t.Fatalf("MNIST in %v, want NL", l)
 	}
 	var vaeAlloc, mnistAlloc float64
@@ -231,31 +243,51 @@ func TestRealtimeDriverOverLiveNode(t *testing.T) {
 	}
 }
 
-// Wall-clock smoke test: real time, miniature scale.
+// Wall-clock smoke test: real time, miniature scale, the controller on a
+// paced engine as in the worker. The job's start and exit each reach the
+// controller through the pacer's inbox.
 func TestNodeWallClockSmoke(t *testing.T) {
 	n := NewNode(1.0)
+	eng := sim.NewEngine()
+	pacer := realtime.NewPacer(eng)
+	ctrl := flowcon.NewController(flowcon.Config{Alpha: 0.05, InitialInterval: 0.01}, eng, n, nil)
+	realtime.Listen(n, ctrl, pacer.Post)
+	ctrl.Start()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	paced := make(chan struct{})
+	go func() {
+		defer close(paced)
+		pacer.Run(ctx)
+	}()
+
 	job := &tinyJob{total: 0.02} // 20ms of CPU work
-	if _, err := run(n, "smoke", job); err != nil {
+	id, err := run(n, "smoke", job)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d := realtime.NewDriver(flowcon.Config{Alpha: 0.05, InitialInterval: 0.01}, n)
-	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
-	defer cancel()
-	go d.Run(ctx, 2*time.Millisecond)
-
 	// Workload state is only touched under the node's lock, so observe
 	// completion through the node rather than the job.
-	deadline := time.After(2 * time.Second)
-	for {
-		n.Settle()
-		if n.RunningCount() == 0 {
-			break
-		}
+	for n.RunningCount() > 0 {
 		select {
-		case <-deadline:
+		case <-ctx.Done():
 			t.Fatal("live job did not finish in wall time")
 		case <-time.After(5 * time.Millisecond):
 		}
+		n.Settle()
+	}
+	// Posted after the exit's listener call, this runs in the wake that
+	// runs the call or a later one, and Run returns only between wakes.
+	flushed := make(chan struct{})
+	pacer.Post(func() { close(flushed) })
+	<-flushed
+	cancel()
+	<-paced
+	if ctrl.Runs() < 2 {
+		t.Fatalf("Algorithm 1 ran %d times, want at least the arrival and the departure", ctrl.Runs())
+	}
+	if l, ok := ctrl.ListOf(id); ok {
+		t.Fatalf("finished container still in %v", l)
 	}
 }
 

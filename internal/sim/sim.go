@@ -154,6 +154,15 @@ func (e *Engine) Now() Time { return e.now }
 // events leave the queue immediately and are not counted.
 func (e *Engine) Len() int { return len(e.queue) }
 
+// NextAt returns the time of the earliest scheduled event, or Infinity
+// when none is queued: the instant a wall-clock pacer must next wake.
+func (e *Engine) NextAt() Time {
+	if len(e.queue) == 0 {
+		return Infinity
+	}
+	return e.queue[0].at
+}
+
 // Executed returns how many event callbacks have run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 

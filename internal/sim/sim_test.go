@@ -225,6 +225,28 @@ func TestCancelRemovesFromQueue(t *testing.T) {
 	}
 }
 
+// NextAt reads the earliest pending event without running it: Infinity
+// on an empty queue, and a canceled head no longer counts.
+func TestNextAt(t *testing.T) {
+	e := NewEngine()
+	if got := e.NextAt(); got != Infinity {
+		t.Fatalf("NextAt on an empty engine = %v, want Infinity", got)
+	}
+	e.At(3, PriorityExecutor, "late", func() {})
+	early := e.At(2, PriorityState, "early", func() {})
+	if got := e.NextAt(); got != 2 {
+		t.Fatalf("NextAt = %v, want 2", got)
+	}
+	early.Cancel()
+	if got := e.NextAt(); got != 3 {
+		t.Fatalf("NextAt after canceling the head = %v, want 3", got)
+	}
+	e.Run(2.5)
+	if got := e.NextAt(); got != 3 || e.Now() != 2.5 {
+		t.Fatalf("after Run(2.5): NextAt %v at %v, want 3 at 2.5", got, e.Now())
+	}
+}
+
 func TestCancelManyKeepsHeapOrder(t *testing.T) {
 	// Eagerly removing events from the middle of the heap must not disturb
 	// the execution order of the survivors.

@@ -8,8 +8,9 @@
 # It is a report, not a gate: it fails only when a leg fails, never on
 # the share. cmd/benchjson and cmd/benchcompare are not run (they drive
 # `go test -bench`, not the program), so their packages are absent. The
-# live worker, loadtest and manager legs are scripts/loadtest-smoke.sh,
-# run with GOFLAGS set so that it builds them instrumented.
+# live worker and loadtest legs are scripts/loadtest-smoke.sh, run with
+# GOFLAGS set so that it builds them instrumented; its worker runs FlowCon
+# on the paced engine at debug level, so the run log is reached too.
 set -eu
 
 root=$(pwd)

@@ -4,9 +4,11 @@
 # bounded p99 submit latency. The run also scrapes the worker's live
 # /v1/metrics endpoint (loadtest -assert-metrics) and fails unless the
 # agent-side submit counters are non-zero and consistent with the
-# client's view. A flowcon-manager then governs the same worker for a few
-# seconds in -demo mode and must exit 0 having run Algorithm 1 at least
-# once.
+# client's view. The worker runs FlowCon itself, at -itval 100ms here and
+# for two more seconds after the load, so the paced executor ticks as well
+# as the start and exit listeners firing; after the SIGTERM its stopped
+# line must report algorithm1_runs >= 1, and the script prints that line
+# with the paced loop's worst lateness.
 #
 # Env knobs: ADDR (:7177), SUBMITTERS (8), JOBS (25), P99_BUDGET (500ms).
 set -eu
@@ -29,9 +31,8 @@ trap cleanup EXIT INT TERM
 
 go build -o "$dir/flowcon-worker" ./cmd/flowcon-worker
 go build -o "$dir/loadtest" ./cmd/loadtest
-go build -o "$dir/flowcon-manager" ./cmd/flowcon-manager
 
-"$dir/flowcon-worker" -addr "$ADDR" >"$dir/worker.log" 2>&1 &
+"$dir/flowcon-worker" -addr "$ADDR" -itval 100ms -log-level debug >"$dir/worker.log" 2>&1 &
 worker_pid=$!
 
 if ! "$dir/loadtest" -worker "http://$ADDR" \
@@ -42,22 +43,20 @@ if ! "$dir/loadtest" -worker "http://$ADDR" \
     exit 1
 fi
 
-# Manager leg: the binary that governs a worker over /v1 must connect,
-# submit the demo schedule and run Algorithm 1 before its deadline.
-if ! "$dir/flowcon-manager" -worker "http://$ADDR" -demo -duration 6s \
-    -poll 200ms -itval 2s >"$dir/manager.log" 2>&1; then
-    echo "flowcon-manager failed"; cat "$dir/manager.log"; exit 1
-fi
-runs=$(sed -n 's/.*algorithm1_runs=\([0-9][0-9]*\).*/\1/p' "$dir/manager.log" | tail -n 1)
-if [ "${runs:-0}" -lt 1 ]; then
-    echo "flowcon-manager ran Algorithm 1 ${runs:-0} times, want >= 1"
-    cat "$dir/manager.log"; exit 1
-fi
-
-# Graceful-shutdown leg: SIGTERM must stop the worker cleanly.
+# Graceful-shutdown leg: SIGTERM must stop the worker cleanly, after
+# enough executor ticks to measure how late the paced loop runs them.
+sleep 2
 kill -TERM "$worker_pid"
 wait "$worker_pid" || { echo "worker did not exit cleanly"; cat "$dir/worker.log"; exit 1; }
 worker_pid=""
-grep -q "flowcon-worker: stopped" "$dir/worker.log" || {
+stopped=$(grep "flowcon-worker: stopped" "$dir/worker.log") || {
     echo "graceful shutdown message missing"; cat "$dir/worker.log"; exit 1; }
-echo "loadtest-smoke passed ($SUBMITTERS submitters x $JOBS jobs, p99 budget $P99_BUDGET, manager ran Algorithm 1 $runs times, clean shutdown)"
+echo "$stopped"
+
+# FlowCon leg: the worker's controller heard the submissions.
+runs=$(echo "$stopped" | sed -n 's/.*algorithm1_runs=\([0-9][0-9]*\).*/\1/p')
+if [ "${runs:-0}" -lt 1 ]; then
+    echo "the worker ran Algorithm 1 ${runs:-0} times, want >= 1"
+    cat "$dir/worker.log"; exit 1
+fi
+echo "loadtest-smoke passed ($SUBMITTERS submitters x $JOBS jobs, p99 budget $P99_BUDGET, Algorithm 1 ran $runs times, clean shutdown)"
