@@ -1,11 +1,8 @@
 package experiment
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"testing"
-
-	"repro/internal/metrics"
 )
 
 // archiveDigests pins the first 8 bytes of sha256(Export().WriteJSON) for
@@ -18,7 +15,7 @@ import (
 // and series moved once (no printed scenario table did). They must only
 // change with a change that says which simulated outcome moved and why:
 // `make parity` sees stdout, which prints no full-precision record; this
-// sees every one.
+// sees every one. A mismatch logs the regenerated entries.
 var archiveDigests = map[string]string{
 	"bursty/summary/1":            "2ad1b1082a3c279b",
 	"bursty/summary/2":            "15ddd57552bbc18f",
@@ -74,40 +71,13 @@ var archiveDigests = map[string]string{
 	"uniform5/dense/2":            "e9e051d861b31f4e",
 }
 
+// TestArchiveDigestsPinned reads the matrix's summary cells (tier
+// "summary") and its dense-every-2-s-with-spans cells (tier "dense").
 func TestArchiveDigestsPinned(t *testing.T) {
-	seeds := []int64{1, 2}
-	trimmed := testing.Short() || raceEnabled
-	if trimmed {
-		seeds = seeds[:1]
-	}
-	checked := 0
-	for _, sc := range Scenarios() {
-		for _, tier := range []metrics.Tier{metrics.TierSummary, metrics.TierDense} {
-			for _, seed := range seeds {
-				key := fmt.Sprintf("%s/%s/%d", sc.Name, tier, seed)
-				want, ok := archiveDigests[key]
-				if !ok {
-					t.Errorf("%s: no pinned digest (new scenario? add it)", key)
-					continue
-				}
-				spec := sc.Spec(seed)
-				spec.TraceLevel = tier
-				res, err := RunE(spec)
-				if err != nil {
-					t.Fatalf("%s: %v", key, err)
-				}
-				h := sha256.New()
-				if err := res.Collector.Export().WriteJSON(h); err != nil {
-					t.Fatalf("%s: %v", key, err)
-				}
-				if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != want {
-					t.Errorf("%s: archive digest %s, want %s", key, got, want)
-				}
-				checked++
-			}
+	readPinTable(t, "archiveDigests", archiveDigests, func(t *testing.T, sc string, seed int64) map[string]string {
+		return map[string]string{
+			fmt.Sprintf("%s/summary/%d", sc, seed): matrixCell(t, sc, seed, summaryWatch).digest,
+			fmt.Sprintf("%s/dense/%d", sc, seed):   matrixCell(t, sc, seed, spansWatch).digest,
 		}
-	}
-	if !trimmed && checked != len(archiveDigests) {
-		t.Errorf("checked %d archives, %d digests pinned (stale entries?)", checked, len(archiveDigests))
-	}
+	})
 }

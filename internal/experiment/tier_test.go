@@ -6,12 +6,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/flowcon"
 	"repro/internal/metrics"
-	"repro/internal/runtime"
-	"repro/internal/sched"
-	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // runScenarioTier runs one registered scenario across seeds at the given
@@ -50,112 +45,33 @@ func TestReportScenarioTierParity(t *testing.T) {
 	}
 }
 
-// statsPoller wraps a run's policy and also reads every node the way an
-// outside monitor would: docker stats and `docker ps -a` every period.
-type statsPoller struct {
-	sched.Policy
-	period float64
-}
-
-func (p statsPoller) Attach(engine sim.Scheduler, node sched.Node) {
-	p.Policy.Attach(engine, node)
-	var poll func()
-	poll = func() {
-		node.RunningStats()
-		node.(runtime.Runtime).PS(true)
-		engine.After(p.period, sim.PriorityMetric, "test.poll", poll)
-	}
-	engine.After(p.period, sim.PriorityMetric, "test.poll", poll)
-}
-
 // TestOutcomeIndependentOfObservation: watching a run never changes what
-// it does. Every non-heavy scenario at seeds 1 and 2 (two scenarios at
-// seed 1 under -short or -race) gives bit-identical job records,
-// makespan, limit-update and Algorithm 1 run counts whether the collector
-// keeps the summary tier (which schedules no collector tick at all) or
-// samples densely every 1, 2 or 15 s, whether lifecycle spans are
-// recorded, and whether an outside monitor polls every node's stats and
-// container list. It holds because a daemon's reads are closed-form and
-// change no state: put a fold back into a read and the job records move
-// in the low bits.
+// it does. Every pinned run (chaos-day and hotspot-rebalance only under
+// -short or -race) has a bit-identical Result — job records, makespan,
+// folds, limit updates, Algorithm 1 runs — under every watch of the run
+// matrix; only Events may differ, as dense samples are events. It holds
+// because a daemon's reads are closed-form and change no state: put a
+// fold back into a read and the fold count moves.
 func TestOutcomeIndependentOfObservation(t *testing.T) {
-	scenarios, seeds := Scenarios(), []int64{1, 2}
-	if testing.Short() || raceEnabled {
-		scenarios, seeds = nil, seeds[:1]
-		for _, name := range []string{"chaos-day", "hotspot-rebalance"} {
-			sc, ok := ScenarioByName(name)
-			if !ok {
-				t.Fatalf("scenario %q not registered", name)
-			}
-			scenarios = append(scenarios, sc)
+	scenarios, seeds, trimmed := pinnedRuns()
+	if trimmed {
+		scenarios = []string{"chaos-day", "hotspot-rebalance"}
+	}
+	eachRun(t, scenarios, seeds, func(t *testing.T, sc string, seed int64) {
+		outcome := func(w int) Result {
+			r := *matrixCell(t, sc, seed, w).Result
+			r.Events, r.TraceLevel = 0, 0
+			return r
 		}
-	}
-	type outcome struct {
-		Jobs          []metrics.JobRecord
-		Makespan      float64
-		LimitUpdates  int
-		AlgorithmRuns int
-	}
-	type watch struct {
-		name   string
-		tier   metrics.Tier
-		period float64
-		spans  bool
-		poll   float64 // statsPoller period; 0 = no poller
-	}
-	watches := []watch{
-		{"summary, no collector tick", metrics.TierSummary, 2, false, 0},
-		{"summary polled every 1.5 s", metrics.TierSummary, 2, false, 1.5},
-		{"dense every 1 s", metrics.TierDense, 1, false, 0},
-		{"dense every 15 s", metrics.TierDense, 15, false, 0},
-		{"dense every 2 s with lifecycle spans", metrics.TierDense, 2, true, 0},
-	}
-	for _, sc := range scenarios {
-		for _, seed := range seeds {
-			var ref outcome
-			for i, w := range watches {
-				spec := sc.Spec(seed)
-				spec.TraceLevel = w.tier
-				spec.SamplePeriod = w.period
-				if w.spans {
-					spec.Tracer = telemetry.NewTracer(0)
-				}
-				// The poller hides the policy from RunE's counts, so
-				// count its FlowCon controllers here.
-				var fcs []*sched.FlowCon
-				if w.poll > 0 {
-					inner := spec.NewPolicy
-					spec.NewPolicy = func(tr flowcon.Tracer) sched.Policy {
-						p := inner(tr)
-						if fc, ok := p.(*sched.FlowCon); ok {
-							fcs = append(fcs, fc)
-						}
-						return statsPoller{p, w.poll}
-					}
-				}
-				res, err := RunE(spec)
-				if err != nil {
-					t.Fatalf("%s seed %d, %s: %v", sc.Name, seed, w.name, err)
-				}
-				for _, fc := range fcs {
-					if c := fc.Controller(); c != nil {
-						res.AlgorithmRuns += c.Runs()
-						res.LimitUpdates += c.LimitUpdates()
-					}
-				}
-				got := outcome{res.Jobs, res.Makespan, res.LimitUpdates, res.AlgorithmRuns}
-				if i == 0 {
-					ref = got
-					continue
-				}
-				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s seed %d: %s changed the outcome against %s: makespan %v/%v, limit updates %d/%d, algorithm runs %d/%d (or job records)",
-						sc.Name, seed, w.name, watches[0].name, got.Makespan, ref.Makespan,
-						got.LimitUpdates, ref.LimitUpdates, got.AlgorithmRuns, ref.AlgorithmRuns)
-				}
+		ref := outcome(summaryWatch)
+		for w := range watches {
+			if got := outcome(w); !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s changed the outcome against %s: makespan %v/%v, folds %d/%d, limit updates %d/%d, algorithm runs %d/%d (or job records, or other counts)",
+					watches[w].name, watches[summaryWatch].name, got.Makespan, ref.Makespan, got.Folds, ref.Folds,
+					got.LimitUpdates, ref.LimitUpdates, got.AlgorithmRuns, ref.AlgorithmRuns)
 			}
 		}
-	}
+	})
 }
 
 // TestSummaryTierResultShape pins the summary tier's observable surface:
@@ -183,9 +99,9 @@ func TestSummaryTierResultShape(t *testing.T) {
 }
 
 // TestSummaryTierMemoryClusterScale is the acceptance criterion for the
-// memory model: on the 256-worker cluster-scale scenario the summary
-// tier's collector must retain at least 5× less memory than the dense
-// tier — O(jobs), not O(jobs × makespan) — and at most
+// memory model: on the 256-worker cluster-scale scenario (seed 1) the
+// summary cell's collector must retain at least 5× less memory than the
+// dense-every-2-s one — O(jobs), not O(jobs × makespan) — and at most
 // maxSummaryBytesPerJob per job.
 func TestSummaryTierMemoryClusterScale(t *testing.T) {
 	if testing.Short() {
@@ -196,22 +112,9 @@ func TestSummaryTierMemoryClusterScale(t *testing.T) {
 	// of capacity, ~49 points on average). With five 72-B summaries in
 	// the record it read ≈1.4 KiB.
 	const maxSummaryBytesPerJob = 1152
-	s, ok := ScenarioByName("cluster-scale")
-	if !ok {
-		t.Fatal("cluster-scale scenario missing")
-	}
-	run := func(tier metrics.Tier) *Result {
-		spec := s.Spec(1)
-		spec.TraceLevel = tier
-		res, err := RunE(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	dense := run(metrics.TierDense)
-	summary := run(metrics.TierSummary)
-	db, sb := dense.Collector.MemoryBytes(), summary.Collector.MemoryBytes()
+	summary := matrixCell(t, "cluster-scale", 1, summaryWatch)
+	dense := matrixCell(t, "cluster-scale", 1, spansWatch)
+	db, sb := dense.memory, summary.memory
 	if db == 0 || sb == 0 {
 		t.Fatalf("memory estimates: dense %d, summary %d", db, sb)
 	}
