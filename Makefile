@@ -111,14 +111,18 @@ fuzz:
 docs: fmt vet
 	./scripts/check-docs.sh
 
-# Layering lint: policy packages must stay on the backend-neutral
-# runtime.Runtime surface — the rebalancer in particular must never
-# reach for the concrete simdocker backend again (see docs/RUNTIME.md).
+# Layering lint (see docs/RUNTIME.md): the rebalancer must never reach
+# for the concrete simdocker backend again, and the live path (the node,
+# the agent, the pacer, the worker binary) must stay free of the
+# simulated cluster, its migration and its backend.
 lint-imports:
 	@if grep -rn '"repro/internal/simdocker"' internal/migrate/*.go; then \
-		echo "internal/migrate must not import simdocker: use runtime.Runtime"; exit 1; \
+		echo "internal/migrate must not import simdocker: drive workers through cluster.Worker and Manager.Migrate"; exit 1; \
 	fi
-	@echo "import layering ok (internal/migrate is simdocker-free)"
+	@if grep -rnE '"repro/internal/(cluster|migrate|simdocker)"' internal/livedock internal/agent internal/realtime cmd/flowcon-worker; then \
+		echo "the live path must not import cluster, migrate or simdocker: it runs livedock.Node under runtime.Runtime"; exit 1; \
+	fi
+	@echo "import layering ok (internal/migrate is simdocker-free; the live path is free of cluster, migrate and simdocker)"
 
 # Boot a real flowcon-worker and drive /v1 with concurrent submitters:
 # zero errors, bounded p99 submit latency, clean SIGTERM shutdown. The

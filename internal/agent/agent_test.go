@@ -74,26 +74,16 @@ func TestLaunchStatsStop(t *testing.T) {
 	if got.CPUSeconds <= 9.9 || got.CPUSeconds >= 10.1 {
 		t.Fatalf("cpu seconds = %v, want ~10", got.CPUSeconds)
 	}
-	if list := containers(t, c); len(list) != 1 || list[0].ID != id || list[0].CPULimit != 0.25 || list[0].State != "running" {
-		t.Fatalf("containers = %+v", list)
+	if got.CPULimit != 0.25 || got.State != "running" {
+		t.Fatalf("status = %+v, want running at limit 0.25", got)
 	}
 
 	if _, err := c.CancelJob(context.Background(), "job-a"); err != nil {
 		t.Fatal(err)
 	}
-	if list := containers(t, c); list[0].State != "exited" {
-		t.Fatalf("state after stop = %s", list[0].State)
+	if got, err := c.JobStatus(context.Background(), "job-a"); err != nil || got.ID != id || got.State != "exited" {
+		t.Fatalf("status after stop = %+v, %v", got, err)
 	}
-}
-
-// containers reads GET /v1/containers, which no client method wraps.
-func containers(t *testing.T, c *Client) []ContainerInfo {
-	t.Helper()
-	var out []ContainerInfo
-	if err := c.get(context.Background(), "/v1/containers", &out); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 func TestErrorMapping(t *testing.T) {

@@ -14,8 +14,9 @@ import (
 )
 
 // fuzzRoutes are the agent's registered routes plus the routes it no
-// longer serves (raw launch, stop, stats and limit update); {} stands for
-// a job name or container id drawn from the input or the node's pool.
+// longer serves (raw launch, stop, stats, limit update and the container
+// listing); {} stands for a job name or container id drawn from the input
+// or the node's pool.
 var fuzzRoutes = []string{
 	"/v1/ping", "/v1/metrics", "/v1/healthz", "/v1/stats",
 	"/v1/containers", "/v1/containers/{}", "/v1/containers/{}/update", "/v1/containers/{}/stop",

@@ -10,7 +10,9 @@
 // slug the client maps back to the runtime package's sentinel errors.
 //
 //	GET    /v1/ping                      liveness + capacity/memory + admission state
-//	GET    /v1/containers                snapshot of all containers
+//	GET    /v1/metrics                   Prometheus text exposition
+//	GET    /v1/healthz                   readiness probe: 200 ready, 503 draining;
+//	                                     reports queue backpressure
 //	DELETE /v1/containers/{id}           remove an exited container, freeing its name
 //	POST   /v1/jobs                      submit a job {name, model, cpu_limit}:
 //	                                     201 running, 202 queued, 429 queue full,
@@ -23,8 +25,9 @@
 //
 // The jobs routes are the only lifecycle: every container starts as a
 // submission through the admission queue (so the running cap and Drain
-// hold), and one stops early only by a cancel. The containers routes
-// read the pool and remove exited containers by id.
+// hold), and one stops early only by a cancel. An exited container keeps
+// its name and memory until DELETE /v1/containers/{id} removes it (the
+// id is in its job status).
 package agent
 
 import (
@@ -53,21 +56,6 @@ const (
 	CodeBadRequest = "bad_request"
 	CodeInternal   = "internal"
 )
-
-// ContainerInfo is the wire form of a container snapshot.
-type ContainerInfo struct {
-	ID          string  `json:"id"`
-	Name        string  `json:"name"`
-	Model       string  `json:"model,omitempty"`
-	State       string  `json:"state"`
-	CPULimit    float64 `json:"cpu_limit"`
-	CPUAlloc    float64 `json:"cpu_alloc"`
-	CPUSeconds  float64 `json:"cpu_seconds"`
-	MemoryBytes float64 `json:"memory_bytes,omitempty"`
-	StartedAt   float64 `json:"started_at"`
-	FinishedAt  float64 `json:"finished_at,omitempty"`
-	Done        bool    `json:"done"`
-}
 
 // PingResponse reports agent liveness and node aggregates.
 type PingResponse struct {
@@ -174,7 +162,6 @@ func NewServer(node *livedock.Node, capacity float64) *Server {
 	s.mux.HandleFunc("GET /v1/ping", s.handlePing)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/containers", s.handleList)
 	s.mux.HandleFunc("DELETE /v1/containers/{id}", s.handleRemove)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{name}", s.handleJobStatus)
@@ -225,32 +212,6 @@ func (s *Server) handlePing(w http.ResponseWriter, _ *http.Request) {
 		Queued:         queued,
 		Draining:       draining,
 	})
-}
-
-// infoOf converts a runtime view to its wire form.
-func infoOf(c runtime.Container) ContainerInfo {
-	return ContainerInfo{
-		ID:          c.ID,
-		Name:        c.Name,
-		Model:       c.Model,
-		State:       c.State.String(),
-		CPULimit:    c.CPULimit,
-		CPUAlloc:    c.CPUAlloc,
-		CPUSeconds:  c.CPUSeconds,
-		MemoryBytes: c.MemoryBytes,
-		StartedAt:   c.StartedAt,
-		FinishedAt:  c.FinishedAt,
-		Done:        c.Done,
-	}
-}
-
-func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	views := s.node.PS(true)
-	out := make([]ContainerInfo, len(views))
-	for i, c := range views {
-		out[i] = infoOf(c)
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 // launch runs a catalog model (the profile its key resolved to) on the

@@ -98,12 +98,27 @@ func TestUnknownContainerIDs(t *testing.T) {
 	}
 }
 
+// The container listing is not served: a job's status carries its
+// container id, state and limit, and nothing read the listing. The path
+// is the mux's plain 404 under every method, with a container running.
+func TestContainerListingIsNotServed(t *testing.T) {
+	h := NewServer(livedock.NewNodeWithClock(1.0, newFakeClock().Now), 1.0).Handler()
+	if rec := serve(h, http.MethodPost, "/v1/jobs", `{"name":"a","model":"MNIST (Pytorch)"}`); rec.Code != http.StatusCreated {
+		t.Fatalf("submit: status %d: %s", rec.Code, rec.Body)
+	}
+	for _, method := range []string{http.MethodGet, http.MethodPost, http.MethodDelete} {
+		if rec := serve(h, method, "/v1/containers", ""); rec.Code != http.StatusNotFound {
+			t.Fatalf("%s /v1/containers: status %d, want 404", method, rec.Code)
+		}
+	}
+}
+
 // Wrong methods on the routes 405 via the method-aware mux patterns.
 func TestMethodNotAllowed(t *testing.T) {
 	url, hc, _ := rawAgent(t)
 	for _, tc := range []struct{ method, path string }{
-		{http.MethodDelete, "/v1/containers"},
-		{http.MethodPost, "/v1/containers"},
+		{http.MethodGet, "/v1/containers/ghost"},
+		{http.MethodPost, "/v1/containers/ghost"},
 		{http.MethodPost, "/v1/ping"},
 		{http.MethodGet, "/v1/jobs"},
 	} {
@@ -164,18 +179,21 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	wg.Wait()
 	clk.Advance(time.Second)
 	c := NewClient(url, hc)
-	list := containers(t, c)
-	if len(list) != n {
-		t.Fatalf("%d containers visible, want %d", len(list), n)
+	if pong, err := c.Ping(context.Background()); err != nil || pong.Running != n {
+		t.Fatalf("after submits: pong=%+v err=%v, want %d running", pong, err, n)
 	}
 	seen := map[string]bool{}
-	for _, info := range list {
-		if seen[info.ID] {
-			t.Fatalf("container %s listed twice", info.ID)
+	for i := 0; i < n; i++ {
+		st, err := c.JobStatus(context.Background(), fmt.Sprintf("job-%d", i))
+		if err != nil || st.State != "running" {
+			t.Fatalf("job-%d: %+v, %v", i, st, err)
 		}
-		seen[info.ID] = true
-		if info.CPULimit != 0.25 {
-			t.Fatalf("container %s limit %g, want 0.25", info.ID, info.CPULimit)
+		if seen[st.ID] {
+			t.Fatalf("container %s serves two jobs", st.ID)
+		}
+		seen[st.ID] = true
+		if st.CPULimit != 0.25 {
+			t.Fatalf("container %s limit %g, want 0.25", st.ID, st.CPULimit)
 		}
 	}
 	// Concurrent cancels: every cancel must stop its job exactly once.

@@ -1,6 +1,6 @@
 // Package cluster provides the manager/worker topology of Figure 2: a
 // Manager accepts job submissions and places containers onto Workers; each
-// Worker hosts a container pool behind the pluggable runtime.Runtime
+// Worker hosts a container pool behind the pluggable runtime.Migratable
 // interface (the simulated Docker daemon in experiments) plus whatever
 // resource-management policy is installed on it.
 //
@@ -49,12 +49,12 @@ const DefaultMemoryBytes = 16 << 30
 
 // Worker is one node in the cluster: a container runtime plus
 // arrival/exit fan-out and admission state (failure, cordon, container
-// cap). It embeds the runtime it wraps, so it implements runtime.Runtime
-// (and flowcon.Runtime, which a FlowCon controller or any baseline policy
-// drives) and cluster-level policies treat a worker exactly like its
-// backend.
+// cap). It embeds the runtime it wraps, so it implements
+// runtime.Migratable (and flowcon.Runtime, which a FlowCon controller or
+// any baseline policy drives) and cluster-level policies treat a worker
+// exactly like its backend.
 type Worker struct {
-	runtime.Runtime
+	runtime.Migratable
 
 	name string
 
@@ -78,12 +78,13 @@ type Worker struct {
 	down     downInterval
 }
 
-var _ runtime.Runtime = (*Worker)(nil)
+var _ runtime.Migratable = (*Worker)(nil)
 
-// NewWorker wraps a container runtime as a cluster worker. Use
+// NewWorker wraps a container runtime as a cluster worker: one that can
+// checkpoint and restore, which migration and self-healing need. Use
 // NewSimWorker for the usual simulated backend.
-func NewWorker(name string, rt runtime.Runtime) *Worker {
-	w := &Worker{Runtime: rt, name: name}
+func NewWorker(name string, rt runtime.Migratable) *Worker {
+	w := &Worker{Migratable: rt, name: name}
 	rt.OnStart(func(c runtime.Container) {
 		for _, fn := range w.startSubs {
 			fn(c.ID)

@@ -368,21 +368,21 @@ func TestMigrateBackAfterRepair(t *testing.T) {
 
 // restoreSpy records the checkpoint a worker is asked to restore.
 type restoreSpy struct {
-	runtime.Runtime
+	runtime.Migratable
 	got *runtime.Checkpoint
 }
 
 func (s *restoreSpy) Restore(cp *runtime.Checkpoint) (runtime.Container, error) {
 	s.got = cp
-	return s.Runtime.Restore(cp)
+	return s.Migratable.Restore(cp)
 }
 
 // The checkpoint a migration produces carries the GE history it was
 // given — the signal travels with the container.
 func TestMigrationAttachesGEHistory(t *testing.T) {
 	e, m, _, w1 := twoWorkerManager(t)
-	spy := &restoreSpy{Runtime: w1.Runtime}
-	w1.Runtime = spy
+	spy := &restoreSpy{Migratable: w1.Migratable}
+	w1.Migratable = spy
 	ge := []float64{0.9, 0.4, 0.1}
 	e.At(5, sim.PriorityState, "migrate", func() {
 		if err := m.Migrate(MigrationSpec{Job: "job", Dst: w1,

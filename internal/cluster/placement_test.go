@@ -60,7 +60,7 @@ func endlessProfile(memBytes float64) dlmodel.Profile {
 // nanMemory reports a NaN resident footprint, which the simulated daemon
 // never does; it pins the NaN ordering BinPackMemory must share with its
 // reference scan.
-type nanMemory struct{ runtime.Runtime }
+type nanMemory struct{ runtime.Migratable }
 
 func (nanMemory) MemoryUsed() float64 { return math.NaN() }
 
@@ -77,7 +77,7 @@ func randomWorkers(t *testing.T, rng *rand.Rand, n int) []*Worker {
 		w, d := NewSimWorker(name, e, 1.0)
 		d.SetMemoryCapacity([]float64{0, 2 << 30, 3 << 30, DefaultMemoryBytes}[rng.Intn(4)])
 		if rng.Intn(8) == 0 {
-			w = NewWorker(name, nanMemory{w.Runtime})
+			w = NewWorker(name, nanMemory{w.Migratable})
 		}
 		running := rng.Intn(5)
 		job := endlessProfile([]float64{512 << 20, 1 << 30}[rng.Intn(2)])

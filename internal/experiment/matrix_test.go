@@ -62,6 +62,11 @@ var matrix sync.Map // [3]any{scenario, seed, watch} → func() (cell, error)
 
 var matrixRuns atomic.Int64
 
+// denseDigest lets one dense archive encode at a time: WriteJSON buffers
+// the whole indented archive, ~1.5 GB for a dense cluster-scale run, so
+// two at once would double the binary's peak memory.
+var denseDigest sync.Mutex
+
 func TestMain(m *testing.M) {
 	m.Run()
 	if testing.Verbose() {
@@ -121,6 +126,10 @@ func runCell(scenario string, seed int64, w watch) (cell, error) {
 	res.Events -= polls
 	c := cell{Result: res, memory: res.Collector.MemoryBytes()}
 	if w.digest {
+		if w.tier == metrics.TierDense {
+			denseDigest.Lock()
+			defer denseDigest.Unlock()
+		}
 		h := sha256.New()
 		err = res.Collector.Export().WriteJSON(h)
 		c.digest = fmt.Sprintf("%x", h.Sum(nil)[:8])
@@ -149,14 +158,11 @@ func (p statsPoller) Attach(engine sim.Scheduler, node sched.Node) {
 	engine.After(p.period, sim.PriorityMetric, "test.poll", poll)
 }
 
-// pinnedRuns is every sweep-sized scenario but those tests register
-// ("test-…", so the set does not depend on test order), at seeds 1 and 2,
-// or seed 1 under -short or -race (trimmed).
+// pinnedRuns is every sweep-sized scenario at seeds 1 and 2, or seed 1
+// under -short or -race (trimmed).
 func pinnedRuns() (scenarios []string, seeds []int64, trimmed bool) {
 	for _, sc := range Scenarios() {
-		if !strings.HasPrefix(sc.Name, "test-") {
-			scenarios = append(scenarios, sc.Name)
-		}
+		scenarios = append(scenarios, sc.Name)
 	}
 	if testing.Short() || raceEnabled {
 		return scenarios, []int64{1}, true

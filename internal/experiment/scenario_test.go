@@ -34,7 +34,8 @@ func TestBuiltinScenarioRegistry(t *testing.T) {
 }
 
 // RegisterScenario rejects invalid definitions and duplicates but accepts
-// (and then lists) a valid custom scenario.
+// (and then lists) a valid custom scenario, which the test removes again
+// so the scenario set other tests see does not depend on test order.
 func TestRegisterScenario(t *testing.T) {
 	if err := RegisterScenario(Scenario{Name: "x"}); err == nil {
 		t.Fatal("scenario without workload accepted")
@@ -53,6 +54,11 @@ func TestRegisterScenario(t *testing.T) {
 	if err := RegisterScenario(custom); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		scenarioMu.Lock()
+		delete(scenarioReg, custom.Name)
+		scenarioMu.Unlock()
+	})
 	got, ok := ScenarioByName("test-custom")
 	if !ok || got.Description != custom.Description {
 		t.Fatalf("custom scenario lookup = %+v, %v", got, ok)
@@ -62,9 +68,6 @@ func TestRegisterScenario(t *testing.T) {
 // Scenario workloads are pure functions of the seed.
 func TestScenarioWorkloadsSeedDeterministic(t *testing.T) {
 	for _, s := range Scenarios() {
-		if strings.HasPrefix(s.Name, "test-") {
-			continue
-		}
 		a, errA := workload.Collect(s.StreamWorkload(3))
 		b, errB := workload.Collect(s.StreamWorkload(3))
 		if errA != nil || errB != nil {

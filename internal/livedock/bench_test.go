@@ -25,11 +25,10 @@ func benchNode(b *testing.B, n int) *Node {
 }
 
 // BenchmarkNodeLaunch measures one container arriving at, and leaving, a
-// node that already runs n: Launch then Checkpoint (exit and removal in
-// one call), so occupancy is n at every launch. Each half settles by the
-// virtual clock and moves O(log n) heap entries; the exit's
-// creation-order splice is what still grows with n. Gated at 4000 by
-// cmd/benchcompare.
+// node that already runs n: Launch, then Stop and Remove, so occupancy is
+// n at every launch. Each settles by the virtual clock and moves O(log n)
+// heap entries; the exit's creation-order splices are what still grow
+// with n. Gated at 4000 by cmd/benchcompare.
 func BenchmarkNodeLaunch(b *testing.B) {
 	for _, n := range []int{1, 1000, 4000} {
 		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
@@ -41,7 +40,10 @@ func BenchmarkNodeLaunch(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := node.Checkpoint(v.ID); err != nil {
+				if err := node.Stop(v.ID); err != nil {
+					b.Fatal(err)
+				}
+				if err := node.Remove(v.ID); err != nil {
 					b.Fatal(err)
 				}
 			}

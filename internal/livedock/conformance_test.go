@@ -33,10 +33,10 @@ func (c *confClock) Advance(d time.Duration) {
 // TestRuntimeConformance runs the shared runtime.Runtime suite against
 // the wall-clock in-process backend under a fake clock.
 func TestRuntimeConformance(t *testing.T) {
-	runtimetest.Run(t, func(t *testing.T) *runtimetest.Env {
+	runtimetest.Run(t, func(t *testing.T) *runtimetest.Env[*livedock.Node] {
 		clk := &confClock{now: time.Unix(0, 0)}
 		n := livedock.NewNodeWithClock(1.0, clk.Now)
-		return &runtimetest.Env{
+		return &runtimetest.Env[*livedock.Node]{
 			RT: n,
 			Spec: func(name string) runtime.LaunchSpec {
 				return runtime.LaunchSpec{

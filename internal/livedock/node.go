@@ -4,13 +4,14 @@
 //
 // Where simdocker exists to make experiments exact and reproducible,
 // livedock exists to run FlowCon the way the paper deploys it — as live
-// middleware beside the containers. It implements the full
-// runtime.Runtime lifecycle contract, flowcon.Runtime's two methods
-// included, so the simulator's flowcon.Controller governs it through its
-// start and exit hooks exactly as it governs simdocker (on an engine
-// realtime.Pacer advances with the wall clock), and the agent service
-// drives it through the same surface. cmd/flowcon-worker runs both in
-// one process and serves the node over HTTP.
+// middleware beside the containers. It implements runtime.Runtime,
+// flowcon.Runtime's two methods included, so the simulator's
+// flowcon.Controller governs it through its start and exit hooks exactly
+// as it governs simdocker (on an engine realtime.Pacer advances with the
+// wall clock), and the agent service launches, stops and removes its
+// containers. cmd/flowcon-worker runs both in one process and serves the
+// node over HTTP. It does not checkpoint: migration and self-healing
+// belong to the simulated cluster (runtime.Migratable).
 //
 // The clock is injectable: tests drive a fake clock deterministically,
 // production uses time.Now.
@@ -85,10 +86,6 @@ var (
 	ErrBadLimit   = fmt.Errorf("livedock: %w", runtime.ErrBadLimit)
 )
 
-// Workload is the same black-box contract simdocker uses; *dlmodel.Job
-// satisfies it.
-type Workload = runtime.Workload
-
 // allocEps is resource.Allocator's threshold: a cap or limit at or below it
 // takes no share.
 const allocEps = 1e-12
@@ -120,7 +117,7 @@ type Container struct {
 	Started  time.Time
 	Finished time.Time
 
-	workload Workload
+	workload runtime.Workload
 	memBytes float64
 	// seq is the creation sequence number the id was minted from; exit
 	// notifications are delivered in this order.
@@ -379,7 +376,10 @@ func (n *Node) Stop(id string) error {
 	}
 	exited := n.settleLocked()
 	if c.State == runtime.Running {
-		n.exitLocked(c)
+		n.detach(c)
+		n.retireLocked(c)
+		n.running = deleteContainer(n.running, c)
+		n.rebalance()
 		exited = append(exited, c)
 	}
 	n.unlockAndNotify(exited)
@@ -397,17 +397,12 @@ func (n *Node) Remove(id string) error {
 	if c.State == runtime.Running {
 		return fmt.Errorf("livedock: remove %s: %w (stop it first)", id, runtime.ErrRunning)
 	}
-	n.removeLocked(c)
-	return nil
-}
-
-// removeLocked splices an exited container out of the pool.
-func (n *Node) removeLocked(c *Container) {
 	delete(n.containers, c.ID)
 	if n.byName[c.Name] == c {
 		delete(n.byName, c.Name)
 	}
 	n.order = deleteContainer(n.order, c)
+	return nil
 }
 
 // deleteContainer splices c out of a pool slice, keeping creation order.
@@ -463,65 +458,6 @@ func (n *Node) RunningStats() []flowcon.Stat {
 	}
 	n.unlockAndNotify(exited)
 	return out
-}
-
-// Checkpoint implements runtime.Runtime: it settles accounting, freezes
-// the running container into a restorable snapshot, and removes it from
-// the pool (subscribers observe the departure as an exit, its name frees
-// up). Unlike the agent's remote surface this is an in-process freeze —
-// the live workload changes ownership, exactly as in simdocker.
-func (n *Node) Checkpoint(id string) (*runtime.Checkpoint, error) {
-	n.mu.Lock()
-	exited := n.settleLocked()
-	c, ok := n.containers[id]
-	if !ok {
-		n.unlockAndNotify(exited)
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if c.State != runtime.Running {
-		n.unlockAndNotify(exited)
-		return nil, fmt.Errorf("%w: %s", ErrNotRunning, id)
-	}
-	n.exitLocked(c)
-	exited = append(exited, c)
-	cp := &runtime.Checkpoint{
-		ID:          c.ID,
-		Name:        c.Name,
-		CPULimit:    c.Limit,
-		MemoryBytes: c.memBytes,
-		FrozenAt:    n.clock().Sub(n.epoch).Seconds(),
-		Payload:     c.workload,
-		Work:        c.workload.Work(),
-	}
-	if rem := c.workload.Remaining(); cp.Work+rem > 0 {
-		cp.ProgressFrac = cp.Work / (cp.Work + rem)
-	}
-	n.removeLocked(c)
-	n.unlockAndNotify(exited)
-	return cp, nil
-}
-
-// Restore implements runtime.Runtime: it thaws a checkpoint into a new
-// running container. The workload resumes exactly where the freeze left
-// it; the container keeps its name and soft limit but gets a fresh id. A
-// checkpoint restores at most once.
-func (n *Node) Restore(cp *runtime.Checkpoint) (runtime.Container, error) {
-	if cp == nil {
-		return runtime.Container{}, errors.New("livedock: restore of nil checkpoint")
-	}
-	if cp.Restored() {
-		return runtime.Container{}, fmt.Errorf("livedock: checkpoint of %s already restored", cp.Name)
-	}
-	v, err := n.Launch(runtime.LaunchSpec{
-		Name:     cp.Name,
-		Workload: cp.Payload,
-		CPULimit: cp.CPULimit,
-	})
-	if err != nil {
-		return runtime.Container{}, err
-	}
-	cp.MarkRestored()
-	return v, nil
 }
 
 // Settle advances accounting to the current instant; completion detection
@@ -602,15 +538,6 @@ func (n *Node) retireLocked(c *Container) {
 	c.State = runtime.Exited
 	c.Finished = n.clock()
 	n.memUsed -= c.memBytes
-}
-
-// exitLocked retires one running container, splices it out of running and
-// rebalances the rest.
-func (n *Node) exitLocked(c *Container) {
-	n.detach(c)
-	n.retireLocked(c)
-	n.running = deleteContainer(n.running, c)
-	n.rebalance()
 }
 
 // share is a container's current CPU share.
@@ -744,8 +671,8 @@ func (n *Node) unlockAndNotify(exited []*Container) {
 		n.mu.Unlock()
 		return
 	}
-	// settleLocked's exits are grouped by how they left; Stop and
-	// Checkpoint append theirs after them.
+	// settleLocked's exits are grouped by how they left; Stop appends its
+	// own after them.
 	slices.SortFunc(exited, func(a, b *Container) int { return a.seq - b.seq })
 	views := make([]runtime.Container, len(exited))
 	for i, c := range exited {

@@ -61,7 +61,7 @@ func (j *tinyJob) EvalAt(w float64) float64 { return j.total - w }
 func (j *tinyJob) Remaining() float64       { return j.total - j.work }
 
 // run launches w under name and returns the container id.
-func run(n *Node, name string, w Workload) (string, error) {
+func run(n *Node, name string, w runtime.Workload) (string, error) {
 	v, err := n.Launch(runtime.LaunchSpec{Name: name, Workload: w})
 	return v.ID, err
 }

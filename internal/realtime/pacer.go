@@ -27,7 +27,7 @@ type Pacer struct {
 	start  time.Time
 
 	mu    sync.Mutex
-	inbox []func()
+	inbox []posted
 	wake  chan struct{}
 	// maxLate is the furthest past its due time a wake found an event.
 	maxLate time.Duration
@@ -52,15 +52,24 @@ func wall(t sim.Time) time.Duration {
 	return time.Duration(float64(t) * float64(time.Second))
 }
 
+// posted is a closure in the inbox and the engine time it was posted at.
+type posted struct {
+	fn func()
+	at sim.Time
+}
+
 // Post queues fn to run on the loop goroutine as a state event at the
-// engine's current time. It never blocks and may be called from any
-// goroutine, the loop's own included.
-func (p *Pacer) Post(fn func()) {
+// engine time of this wall instant. It never blocks and may be called
+// from any goroutine, the loop's own included.
+func (p *Pacer) Post(fn func()) { p.post(fn, sim.Time(time.Since(p.start).Seconds())) }
+
+// post is Post at a given engine time.
+func (p *Pacer) post(fn func(), at sim.Time) {
 	if fn == nil {
 		panic("realtime: nil post")
 	}
 	p.mu.Lock()
-	p.inbox = append(p.inbox, fn)
+	p.inbox = append(p.inbox, posted{fn, at})
 	p.mu.Unlock()
 	select {
 	case p.wake <- struct{}{}:
@@ -89,10 +98,13 @@ func (p *Pacer) Run(ctx context.Context) {
 }
 
 // step brings the engine up to wall instant now and returns the time of
-// its next event. Posted closures become state events at now, so every
-// event already due runs before them and the listener and executor
-// events they cause run after them, in the simulator's order. An event
-// is due once its wall instant, as Run's timer reckons it, has passed.
+// its next event. Each posted closure becomes a state event at the time
+// it was posted, clamped to the engine's time and to now, so it runs
+// after the events due before it and before the listener and executor
+// events it causes, in the simulator's order: a start posted just before
+// a due tick reschedules that tick through its own Algorithm 1 run. An
+// event is due once its wall instant, as Run's timer reckons it, has
+// passed.
 func (p *Pacer) step(now time.Time) sim.Time {
 	elapsed := now.Sub(p.start)
 	t := max(sim.Time(elapsed.Seconds()), p.engine.Now())
@@ -104,8 +116,8 @@ func (p *Pacer) step(now time.Time) sim.Time {
 	batch := p.inbox
 	p.inbox = nil
 	p.mu.Unlock()
-	for _, fn := range batch {
-		p.engine.At(t, sim.PriorityState, "realtime.post", fn)
+	for _, b := range batch {
+		p.engine.At(min(max(b.at, p.engine.Now()), t), sim.PriorityState, "realtime.post", b.fn)
 	}
 	p.engine.Run(t)
 	return p.engine.NextAt()

@@ -113,7 +113,7 @@ func TestPostsRunOnceOnTheLoop(t *testing.T) {
 	}
 }
 
-// A posted closure runs at the wall instant it is picked up, after the
+// A posted closure runs at the wall instant it was posted, after the
 // events that fell due before it and before the listener and executor
 // events at that instant.
 func TestStepKeepsTheSimulatorsOrder(t *testing.T) {
@@ -125,19 +125,57 @@ func TestStepKeepsTheSimulatorsOrder(t *testing.T) {
 	eng.At(2, sim.PriorityExecutor, "now", note("tick at 2"))
 	eng.At(2, sim.PriorityListener, "now", note("listener at 2"))
 	eng.At(3, sim.PriorityState, "later", note("state at 3"))
-	p.Post(func() {
+	p.post(func() {
 		order = append(order, fmt.Sprintf("post at %v", eng.Now()))
-	})
-	if next := p.step(at(p, 2)); next != 3 {
+	}, 2)
+	if next := p.step(at(p, 2.5)); next != 3 {
 		t.Fatalf("step returned %v, want the next event at 3", next)
 	}
 	want := []string{"earlier tick", "post at 2", "listener at 2", "tick at 2"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("order %q, want %q", order, want)
 	}
-	// A wall clock that reads behind the engine does not move it back.
-	if p.step(at(p, 1)); eng.Now() != 2 {
-		t.Fatalf("engine moved back to %v", eng.Now())
+	// A wall clock that reads behind the engine does not move it back,
+	// and a post stamped behind it runs at the engine's time.
+	p.post(func() { order = append(order, fmt.Sprintf("late post at %v", eng.Now())) }, 1)
+	if p.step(at(p, 1)); eng.Now() != 2.5 || order[len(order)-1] != "late post at 2.5" {
+		t.Fatalf("engine moved back to %v; order %q", eng.Now(), order)
+	}
+}
+
+// A start posted just before a due tick, and picked up by a wake after
+// it, runs first: its listener run reschedules the tick, so Algorithm 1
+// runs once, as in the simulator. A start posted after the due instant
+// runs after the tick, which is also the simulator's order.
+func TestPostBeforeADueTickRunsFirst(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		postedAt sim.Time
+		runs     int
+	}{
+		{"posted before the tick", 0.999, 1},
+		{"posted after the tick", 1.0005, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			p := NewPacer(eng)
+			ctrl := flowcon.NewController(flowcon.Config{Alpha: 0.05, InitialInterval: 1}, eng, newReuseRuntime(1), nil)
+			ctrl.Start()
+			runsBefore := -1
+			p.post(func() {
+				runsBefore = ctrl.Runs()
+				ctrl.OnContainerStart("c00")
+			}, tc.postedAt)
+			if next := p.step(at(p, 1.001)); next <= 1.001 {
+				t.Fatalf("next event at %v: the tick was not rescheduled", next)
+			}
+			if runsBefore != tc.runs-1 {
+				t.Fatalf("the post ran after %d Algorithm 1 runs, want %d", runsBefore, tc.runs-1)
+			}
+			if got := ctrl.Runs(); got != tc.runs {
+				t.Fatalf("Algorithm 1 ran %d times, want %d", got, tc.runs)
+			}
+		})
 	}
 }
 

@@ -1,5 +1,17 @@
 package runtime
 
+// Migratable is a Runtime that can also freeze a running container and
+// thaw it elsewhere: the pair the simulated cluster's migration and
+// self-healing drive. simdocker.RT and cluster.Worker implement it; the
+// live node does not.
+type Migratable interface {
+	Runtime
+	// Checkpoint freezes a running container into a restorable snapshot,
+	// removing it from the node. Restore resumes one (exactly once).
+	Checkpoint(id string) (*Checkpoint, error)
+	Restore(cp *Checkpoint) (Container, error)
+}
+
 // Checkpoint is a frozen container: everything needed to resume the
 // workload on another runtime. It is the backend-neutral equivalent of a
 // CRIU image (`docker checkpoint create` on an experimental engine) —
@@ -12,7 +24,7 @@ package runtime
 // this in-process reproduction "serialization" is a change of ownership,
 // and carrying the object preserves the job's noise trajectory and
 // delivered work exactly. It is also why no remote backend implements
-// Runtime: a live Payload cannot cross the wire. A checkpoint must be
+// Migratable: a live Payload cannot cross the wire. A checkpoint must be
 // restored at most once (MarkRestored enforces it).
 type Checkpoint struct {
 	// ID is the container id the checkpoint was taken from (the restored
@@ -39,9 +51,8 @@ type Checkpoint struct {
 	// first), attached by whoever decided the migration. Runtimes do not
 	// populate it — growth efficiency is a policy-layer signal.
 	GEHistory []float64
-	// FrozenAt is the freeze instant in seconds on the source backend's
-	// clock (virtual time for simdocker, seconds since node start for
-	// livedock).
+	// FrozenAt is the freeze instant in seconds of simulation time on the
+	// source backend.
 	FrozenAt float64
 
 	// Payload is the live workload, moved to the restoring runtime.

@@ -1,18 +1,21 @@
 // Package runtime defines the backend-neutral container-runtime surface
-// the upper layers of the reproduction drive: launch/stop/lookup/PS,
-// per-container CPU-limit updates, the running stats Algorithm 1
-// consumes, capacity and memory aggregates, checkpoint/restore, and
-// start/exit hooks.
+// the upper layers of the reproduction drive: launch/stop/remove,
+// lookup/PS, per-container CPU-limit updates, the running stats
+// Algorithm 1 consumes, capacity and memory aggregates, and start/exit
+// hooks. Migratable adds checkpoint/restore, which only the simulated
+// cluster's migration and self-healing drive.
 //
-// Three implementations conform to it today — the deterministic
+// Three implementations conform to Runtime — the deterministic
 // simulator (simdocker.RT), the wall-clock in-process node
-// (livedock.Node), and cluster.Worker wrapping either — all verified by
-// the shared conformance suite in runtimetest. A new backend
-// (cgroups-backed, oversubscribed, fault-injected) costs one
-// conformance-suite run, not a cross-layer rewrite. The agent service
-// serves a livedock.Node over HTTP; its client implements only the
-// two-method flowcon.Runtime the live driver needs. See docs/RUNTIME.md
-// for the contract.
+// (livedock.Node), and cluster.Worker wrapping the simulator — all
+// verified by the shared conformance suite in runtimetest; the two
+// simulator backends also implement Migratable and pass its
+// checkpoint/restore checks. A new backend (cgroups-backed,
+// oversubscribed, fault-injected) costs one conformance-suite run, not a
+// cross-layer rewrite. flowcon-worker runs the simulator's
+// flowcon.Controller over a livedock.Node in process, and the agent
+// service exposes the node's jobs over HTTP; no client implements any
+// interface here. See docs/RUNTIME.md for the contract.
 package runtime
 
 import "repro/internal/flowcon"
@@ -146,11 +149,6 @@ type Runtime interface {
 	// reuse scratch buffers to keep the controller hot path
 	// allocation-free).
 	RunningStats() []flowcon.Stat
-
-	// Checkpoint freezes a running container into a restorable snapshot,
-	// removing it from the node. Restore resumes one (exactly once).
-	Checkpoint(id string) (*Checkpoint, error)
-	Restore(cp *Checkpoint) (Container, error)
 
 	// OnStart and OnExit register lifecycle hooks, fired with the
 	// container's view at the transition instant. Hooks registered on

@@ -4,6 +4,9 @@
 // livedock under a fake wall clock, cluster.Worker wrapping simdocker),
 // so the contract in docs/RUNTIME.md is enforced by tests rather than
 // prose: adding a backend costs one Harness, not a cross-layer rewrite.
+// Run checks runtime.Runtime; RunMigratable checks it and the
+// checkpoint/restore pair of runtime.Migratable, and only compiles for a
+// backend that implements the pair.
 //
 // The suite only touches the backend through the interface plus the
 // small control surface in Env (how to build a launchable spec and how
@@ -19,11 +22,11 @@ import (
 	"repro/internal/runtime"
 )
 
-// Env is one fresh runtime under test plus the backend-specific control
-// surface the suite needs.
-type Env struct {
+// Env is one fresh runtime under test, of type R, plus the
+// backend-specific control surface the suite needs.
+type Env[R runtime.Runtime] struct {
 	// RT is the runtime under test, freshly constructed and empty.
-	RT runtime.Runtime
+	RT R
 
 	// Spec builds a launchable spec for the given container name — an
 	// in-process Workload, plus an Image on backends that model an image
@@ -39,10 +42,10 @@ type Env struct {
 }
 
 // Harness builds a fresh Env per subtest.
-type Harness func(t *testing.T) *Env
+type Harness[R runtime.Runtime] func(t *testing.T) *Env[R]
 
 // Run exercises the full runtime.Runtime contract against the harness.
-func Run(t *testing.T, h Harness) {
+func Run[R runtime.Runtime](t *testing.T, h Harness[R]) {
 	t.Run("EmptyAggregates", func(t *testing.T) { testEmptyAggregates(t, h(t)) })
 	t.Run("LaunchLookupPS", func(t *testing.T) { testLaunchLookupPS(t, h(t)) })
 	t.Run("NameConflict", func(t *testing.T) { testNameConflict(t, h(t)) })
@@ -53,10 +56,16 @@ func Run(t *testing.T, h Harness) {
 	t.Run("ReadsAreCurrent", func(t *testing.T) { testReadsAreCurrent(t, h(t)) })
 	t.Run("Hooks", func(t *testing.T) { testHooks(t, h(t)) })
 	t.Run("RunningStats", func(t *testing.T) { testRunningStats(t, h(t)) })
+}
+
+// RunMigratable exercises the runtime.Runtime contract and then the
+// checkpoint/restore pair of runtime.Migratable.
+func RunMigratable[R runtime.Migratable](t *testing.T, h Harness[R]) {
+	Run(t, h)
 	t.Run("CheckpointRestore", func(t *testing.T) { testCheckpointRestore(t, h(t)) })
 }
 
-func testEmptyAggregates(t *testing.T, e *Env) {
+func testEmptyAggregates[R runtime.Runtime](t *testing.T, e *Env[R]) {
 	if c := e.RT.Capacity(); c <= 0 {
 		t.Fatalf("Capacity() = %g, want > 0", c)
 	}
@@ -74,7 +83,7 @@ func testEmptyAggregates(t *testing.T, e *Env) {
 	}
 }
 
-func testLaunchLookupPS(t *testing.T, e *Env) {
+func testLaunchLookupPS[R runtime.Runtime](t *testing.T, e *Env[R]) {
 	a, err := e.RT.Launch(e.Spec("conf-a"))
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
@@ -102,7 +111,7 @@ func testLaunchLookupPS(t *testing.T, e *Env) {
 	}
 }
 
-func testNameConflict(t *testing.T, e *Env) {
+func testNameConflict[R runtime.Runtime](t *testing.T, e *Env[R]) {
 	if _, err := e.RT.Launch(e.Spec("dup")); err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
@@ -114,7 +123,7 @@ func testNameConflict(t *testing.T, e *Env) {
 	}
 }
 
-func testLimitValidation(t *testing.T, e *Env) {
+func testLimitValidation[R runtime.Runtime](t *testing.T, e *Env[R]) {
 	spec := e.Spec("overlimit")
 	spec.CPULimit = 7
 	if _, err := e.RT.Launch(spec); !errors.Is(err, runtime.ErrBadLimit) {
@@ -138,7 +147,7 @@ func testLimitValidation(t *testing.T, e *Env) {
 	}
 }
 
-func testStopSemantics(t *testing.T, e *Env) {
+func testStopSemantics[R runtime.Runtime](t *testing.T, e *Env[R]) {
 	if err := e.RT.Stop("ghost"); !errors.Is(err, runtime.ErrNotFound) {
 		t.Fatalf("Stop(ghost) = %v, want ErrNotFound", err)
 	}
@@ -173,7 +182,7 @@ func testStopSemantics(t *testing.T, e *Env) {
 	}
 }
 
-func testRemoveFreesName(t *testing.T, e *Env) {
+func testRemoveFreesName[R runtime.Runtime](t *testing.T, e *Env[R]) {
 	c, err := e.RT.Launch(e.Spec("phoenix"))
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
@@ -199,7 +208,7 @@ func testRemoveFreesName(t *testing.T, e *Env) {
 	}
 }
 
-func testWorkAccrues(t *testing.T, e *Env) {
+func testWorkAccrues[R runtime.Runtime](t *testing.T, e *Env[R]) {
 	c, err := e.RT.Launch(e.Spec("worker"))
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
@@ -227,7 +236,7 @@ func testWorkAccrues(t *testing.T, e *Env) {
 // Advance(k) reports the CPU time accrued at the container's share over
 // those k seconds, and reading changes nothing — two reads at one instant
 // are equal.
-func testReadsAreCurrent(t *testing.T, e *Env) {
+func testReadsAreCurrent[R runtime.Runtime](t *testing.T, e *Env[R]) {
 	if _, err := e.RT.Launch(e.Spec("reader")); err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
@@ -259,7 +268,7 @@ func testReadsAreCurrent(t *testing.T, e *Env) {
 	}
 }
 
-func testHooks(t *testing.T, e *Env) {
+func testHooks[R runtime.Runtime](t *testing.T, e *Env[R]) {
 	var order []string
 	e.RT.OnStart(func(c runtime.Container) { order = append(order, "start1:"+c.Name) })
 	e.RT.OnStart(func(c runtime.Container) { order = append(order, "start2:"+c.Name) })
@@ -281,7 +290,7 @@ func testHooks(t *testing.T, e *Env) {
 	}
 }
 
-func testRunningStats(t *testing.T, e *Env) {
+func testRunningStats[R runtime.Runtime](t *testing.T, e *Env[R]) {
 	a, err := e.RT.Launch(e.Spec("stat-a"))
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
@@ -316,7 +325,7 @@ func testRunningStats(t *testing.T, e *Env) {
 	}
 }
 
-func testCheckpointRestore(t *testing.T, e *Env) {
+func testCheckpointRestore[R runtime.Migratable](t *testing.T, e *Env[R]) {
 	c, err := e.RT.Launch(e.Spec("mover"))
 	if err != nil {
 		t.Fatalf("Launch: %v", err)

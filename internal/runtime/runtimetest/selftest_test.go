@@ -28,10 +28,10 @@ func (c *selfClock) Now() time.Time {
 // own plumbing (spec handling, clock advance) is caught here rather
 // than appearing as three simultaneous backend failures.
 func TestSuiteAgainstReferenceBackend(t *testing.T) {
-	runtimetest.Run(t, func(t *testing.T) *runtimetest.Env {
+	runtimetest.Run(t, func(t *testing.T) *runtimetest.Env[*livedock.Node] {
 		clk := &selfClock{now: time.Unix(0, 0)}
 		n := livedock.NewNodeWithClock(1.0, clk.Now)
-		return &runtimetest.Env{
+		return &runtimetest.Env[*livedock.Node]{
 			RT: n,
 			Spec: func(name string) runtime.LaunchSpec {
 				return runtime.LaunchSpec{

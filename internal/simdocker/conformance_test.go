@@ -10,16 +10,17 @@ import (
 	"repro/internal/simdocker"
 )
 
-// TestRuntimeConformance runs the shared runtime.Runtime suite against
-// the deterministic simulator backend under the simulation clock.
+// TestRuntimeConformance runs the shared runtime.Runtime suite, with the
+// checkpoint/restore pair, against the deterministic simulator backend
+// under the simulation clock.
 func TestRuntimeConformance(t *testing.T) {
-	runtimetest.Run(t, func(t *testing.T) *runtimetest.Env {
+	runtimetest.RunMigratable(t, func(t *testing.T) *runtimetest.Env[*simdocker.RT] {
 		e := sim.NewEngine()
 		d := simdocker.NewDaemon(e, 1.0)
 		d.Pull(simdocker.Image{Ref: "conf/img:1", SizeBytes: 100 << 20})
 		rt := simdocker.NewRuntime(d)
 		now := sim.Time(0)
-		return &runtimetest.Env{
+		return &runtimetest.Env[*simdocker.RT]{
 			RT: rt,
 			Spec: func(name string) runtime.LaunchSpec {
 				return runtime.LaunchSpec{

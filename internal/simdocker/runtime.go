@@ -5,7 +5,7 @@ import (
 	"repro/internal/runtime"
 )
 
-// RT adapts a Daemon to the backend-neutral runtime.Runtime interface —
+// RT adapts a Daemon to the backend-neutral runtime.Migratable interface —
 // the view cluster.Worker, the manager and the rebalancer drive. Like
 // the daemon itself it is not thread-safe: all calls belong on the
 // simulation goroutine.
@@ -26,7 +26,7 @@ type RT struct {
 	exitSubs  []func(runtime.Container)
 }
 
-var _ runtime.Runtime = (*RT)(nil)
+var _ runtime.Migratable = (*RT)(nil)
 
 // NewRuntime wraps a daemon in its runtime.Runtime adapter.
 func NewRuntime(d *Daemon) *RT {
@@ -137,12 +137,12 @@ func (rt *RT) RunningStats() []flowcon.Stat {
 	return rt.statScratch
 }
 
-// Checkpoint implements runtime.Runtime.
+// Checkpoint implements runtime.Migratable.
 func (rt *RT) Checkpoint(id string) (*runtime.Checkpoint, error) {
 	return rt.d.Checkpoint(id)
 }
 
-// Restore implements runtime.Runtime.
+// Restore implements runtime.Migratable.
 func (rt *RT) Restore(cp *runtime.Checkpoint) (runtime.Container, error) {
 	c, err := rt.d.Restore(cp)
 	if err != nil {
