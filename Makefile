@@ -99,6 +99,7 @@ parity:
 # testdata/fuzz runs as regular tests too).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzPlanLimits$$' -fuzztime=$(FUZZTIME) ./internal/flowcon
+	$(GO) test -run='^$$' -fuzz='^FuzzCycleMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/flowcon
 	$(GO) test -run='^$$' -fuzz='^FuzzGenerate$$' -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run='^$$' -fuzz='^FuzzReplay$$' -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run='^$$' -fuzz='^FuzzSketchStore$$' -fuzztime=$(FUZZTIME) ./internal/stats

@@ -89,8 +89,12 @@ func (s *stepped) boot() {
 // its controller; boot starts the next one.
 func (s *stepped) crash() { s.handler = nil }
 
-// RecordRun implements flowcon.Tracer.
-func (s *stepped) RecordRun(e flowcon.TraceEntry) { s.runs = append(s.runs, e) }
+// RecordRun implements flowcon.Tracer, copying the entry's Containers out
+// of the controller's reused buffer.
+func (s *stepped) RecordRun(e flowcon.TraceEntry) {
+	e.Containers = slices.Clone(e.Containers)
+	s.runs = append(s.runs, e)
+}
 
 // step advances the clock by d, settles the node as the worker's settle
 // loop does, and wakes the controller's engine as the pacer would: the

@@ -62,11 +62,6 @@ var matrix sync.Map // [3]any{scenario, seed, watch} → func() (cell, error)
 
 var matrixRuns atomic.Int64
 
-// denseDigest lets one dense archive encode at a time: WriteJSON buffers
-// the whole indented archive, ~1.5 GB for a dense cluster-scale run, so
-// two at once would double the binary's peak memory.
-var denseDigest sync.Mutex
-
 func TestMain(m *testing.M) {
 	m.Run()
 	if testing.Verbose() {
@@ -126,10 +121,6 @@ func runCell(scenario string, seed int64, w watch) (cell, error) {
 	res.Events -= polls
 	c := cell{Result: res, memory: res.Collector.MemoryBytes()}
 	if w.digest {
-		if w.tier == metrics.TierDense {
-			denseDigest.Lock()
-			defer denseDigest.Unlock()
-		}
 		h := sha256.New()
 		err = res.Collector.Export().WriteJSON(h)
 		c.digest = fmt.Sprintf("%x", h.Sum(nil)[:8])

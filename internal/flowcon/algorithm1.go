@@ -179,17 +179,16 @@ func clampLimit(l float64, cfg Config) float64 {
 	return l
 }
 
-// NextInterval implements the interval dynamics around Algorithm 1: on an
-// all-Completing run the interval doubles (capped by MaxInterval if set);
-// otherwise it resets to the initial value.
-func NextInterval(current float64, allCompleting bool, cfg Config) float64 {
-	cfg = cfg.withDefaults()
+// nextInterval implements the interval dynamics around Algorithm 1 on a
+// validated config: on an all-Completing run the interval doubles (capped
+// by MaxInterval if set); otherwise it resets to the initial value.
+func (c Config) nextInterval(current float64, allCompleting bool) float64 {
 	if !allCompleting {
-		return cfg.InitialInterval
+		return c.InitialInterval
 	}
 	next := current * 2
-	if cfg.MaxInterval > 0 && next > cfg.MaxInterval {
-		next = cfg.MaxInterval
+	if c.MaxInterval > 0 && next > c.MaxInterval {
+		next = c.MaxInterval
 	}
 	return next
 }

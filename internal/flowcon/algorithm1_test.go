@@ -167,18 +167,18 @@ func TestStepFloorCappedAtOne(t *testing.T) {
 }
 
 func TestNextInterval(t *testing.T) {
-	c := cfg()
-	if got := NextInterval(20, true, c); got != 40 {
+	c := cfg().withDefaults()
+	if got := c.nextInterval(20, true); got != 40 {
 		t.Fatalf("backoff = %v, want 40", got)
 	}
-	if got := NextInterval(40, true, c); got != 80 {
+	if got := c.nextInterval(40, true); got != 80 {
 		t.Fatalf("backoff = %v, want 80", got)
 	}
-	if got := NextInterval(160, false, c); got != 20 {
+	if got := c.nextInterval(160, false); got != 20 {
 		t.Fatalf("reset = %v, want 20", got)
 	}
 	c.MaxInterval = 60
-	if got := NextInterval(40, true, c); got != 60 {
+	if got := c.nextInterval(40, true); got != 60 {
 		t.Fatalf("capped backoff = %v, want 60", got)
 	}
 }

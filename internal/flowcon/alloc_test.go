@@ -21,20 +21,27 @@ func (r *allocRuntime) RunningStats() []Stat {
 
 func (r *allocRuntime) SetCPULimit(string, float64) error { return nil }
 
+// countingTracer counts the containers it is shown, so tracing stays on
+// the measured path without keeping anything.
+type countingTracer struct{ containers int }
+
+func (c *countingTracer) RecordRun(e TraceEntry) { c.containers += len(e.Containers) }
+
 // TestRunAlgorithm1AllocsBounded is the regression guard for the executor
-// hot path: one full measure→classify→plan→apply cycle over a steady pool
-// may allocate at most the rescheduled tick Event — every other buffer
-// (monitor samples and measurements, snapshots, classification lists,
-// decisions) is scratch reused across runs. PR 3 introduced the snapshot
-// reuse; this PR extended it through the monitor and Step, and pins it so
-// it cannot silently rot.
+// hot path: one full measure→classify→plan→apply→trace cycle over a
+// steady pool may allocate only the Events it schedules — every other
+// buffer (slots, snapshots, classification lists, decisions, the trace's
+// containers, the listener callback) is reused across runs. A tick run
+// schedules one Event, the rescheduled tick; a listener-triggered run two,
+// its own and the rescheduled tick.
 func TestRunAlgorithm1AllocsBounded(t *testing.T) {
 	eng := sim.NewEngine()
 	rt := &allocRuntime{}
 	for i := 0; i < 32; i++ {
 		rt.stats = append(rt.stats, Stat{ID: fmt.Sprintf("c%02d", i), Eval: 100})
 	}
-	c := NewController(Config{Alpha: 0.03, InitialInterval: 20}, eng, rt, nil)
+	tr := &countingTracer{}
+	c := NewController(Config{Alpha: 0.03, InitialInterval: 20}, eng, rt, tr)
 	c.Start()
 	horizon := sim.Time(0)
 	avg := testing.AllocsPerRun(200, func() {
@@ -43,7 +50,19 @@ func TestRunAlgorithm1AllocsBounded(t *testing.T) {
 		c.runAlgorithm1("tick")
 	})
 	if avg > 1 {
-		t.Fatalf("runAlgorithm1 allocates %.1f objects per run, want <= 1 (the tick event)", avg)
+		t.Fatalf("a tick run allocates %.1f objects, want <= 1 (the tick event)", avg)
+	}
+	runs := c.Runs()
+	avg = testing.AllocsPerRun(200, func() {
+		horizon += 1
+		c.OnContainerStart("c00") // a start the stats already listed
+		eng.Run(horizon)
+	})
+	if avg > 2 {
+		t.Fatalf("a listener-triggered run allocates %.1f objects, want <= 2 (its event and the tick event)", avg)
+	}
+	if c.Runs() != runs+201 || tr.containers != 32*c.Runs() {
+		t.Fatalf("%d listener runs traced %d containers, want 201 runs of 32", c.Runs()-runs, tr.containers)
 	}
 }
 

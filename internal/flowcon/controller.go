@@ -1,11 +1,6 @@
 package flowcon
 
-import (
-	"slices"
-	"strings"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // TraceEntry records one Algorithm 1 run for offline analysis; the metrics
 // package stores these to regenerate Figures 13-14 (growth efficiency over
@@ -15,7 +10,10 @@ type TraceEntry struct {
 	Trigger       string // "tick", "arrival", "departure", "initial"
 	AllCompleting bool
 	Interval      float64 // interval in effect after this run
-	Containers    []TraceContainer
+	// Containers lists the run's containers in decision order. It is a
+	// buffer the controller reuses: valid only during RecordRun, so a
+	// tracer that keeps it must copy it.
+	Containers []TraceContainer
 }
 
 // TraceContainer is one container's state within a TraceEntry.
@@ -27,7 +25,8 @@ type TraceContainer struct {
 	Limit    float64 // effective limit after this run
 }
 
-// Tracer receives a TraceEntry after every Algorithm 1 run.
+// Tracer receives a TraceEntry after every Algorithm 1 run. The entry's
+// Containers are valid only during RecordRun.
 type Tracer interface {
 	RecordRun(TraceEntry)
 }
@@ -42,9 +41,14 @@ type Controller struct {
 	engine sim.Scheduler
 	tracer Tracer
 
-	tick       *sim.Event
-	tickFn     func()
-	pendingRun bool
+	tick   *sim.Event
+	tickFn func()
+	// listenFn is the listener-priority run, built once like tickFn;
+	// pending is its trigger while one is scheduled, "" otherwise.
+	listenFn func()
+	pending  string
+	// traceBuf backs every TraceEntry's Containers.
+	traceBuf []TraceContainer
 }
 
 // NewController wires a controller to an engine and runtime. Call Start to
@@ -54,7 +58,17 @@ func NewController(cfg Config, engine sim.Scheduler, rt Runtime, tracer Tracer) 
 	if engine == nil {
 		panic("flowcon: nil engine")
 	}
-	return &Controller{Cycle: cycle, engine: engine, tracer: tracer}
+	c := &Controller{Cycle: cycle, engine: engine, tracer: tracer}
+	c.tickFn = func() {
+		c.tick = nil
+		c.runAlgorithm1("tick")
+	}
+	c.listenFn = func() {
+		trigger := c.pending
+		c.pending = ""
+		c.runAlgorithm1(trigger)
+	}
+	return c
 }
 
 // Start schedules the first executor tick. Containers already running are
@@ -81,30 +95,21 @@ func (c *Controller) OnContainerExit(id string) {
 }
 
 // requestImmediateRun schedules a listener-priority Algorithm 1 run at the
-// current instant, deduplicating multiple pool changes within one instant.
+// current instant, deduplicating multiple pool changes within one instant:
+// the run takes the first change's trigger. It costs one Event allocation.
 func (c *Controller) requestImmediateRun(trigger string) {
-	if c.pendingRun {
+	if c.pending != "" {
 		return
 	}
-	c.pendingRun = true
-	c.engine.At(c.engine.Now(), sim.PriorityListener, "flowcon.listener", func() {
-		c.pendingRun = false
-		c.runAlgorithm1(trigger)
-	})
+	c.pending = trigger
+	c.engine.At(c.engine.Now(), sim.PriorityListener, "flowcon.listener", c.listenFn)
 }
 
-// scheduleTick (re)schedules the periodic executor run itval seconds out.
-// The callback closure is built once and reused, so a reschedule costs
-// exactly one Event allocation.
+// scheduleTick (re)schedules the periodic executor run itval seconds out,
+// at the cost of one Event allocation.
 func (c *Controller) scheduleTick() {
 	if c.tick != nil {
 		c.tick.Cancel()
-	}
-	if c.tickFn == nil {
-		c.tickFn = func() {
-			c.tick = nil
-			c.runAlgorithm1("tick")
-		}
 	}
 	c.tick = c.engine.After(c.itval, sim.PriorityExecutor, "flowcon.tick", c.tickFn)
 }
@@ -115,35 +120,35 @@ func (c *Controller) runAlgorithm1(trigger string) {
 	res := c.Run(float64(c.engine.Now()), c.runtime.RunningStats())
 	c.scheduleTick()
 	if c.tracer != nil {
-		c.tracer.RecordRun(c.traceEntry(trigger, res, c.snapScratch))
+		c.tracer.RecordRun(c.traceEntry(trigger, res))
 	}
 }
 
-// traceEntry assembles the per-run trace record in a stable order.
-// stepInto emits Decisions[i] for snaps[i], so each decision's growth
-// efficiency is read by position.
-func (c *Controller) traceEntry(trigger string, res StepResult, snaps []JobSnapshot) TraceEntry {
+// traceEntry assembles the per-run trace record in decision order, in
+// traceBuf. stepInto emits Decisions[i] for snapScratch[i], the container
+// in slot i, so each decision's growth efficiency and applied limit are
+// read by position.
+func (c *Controller) traceEntry(trigger string, res StepResult) TraceEntry {
 	entry := TraceEntry{
 		At:            c.engine.Now(),
 		Trigger:       trigger,
 		AllCompleting: res.AllCompleting,
 		Interval:      c.itval,
 	}
-	if n := len(res.Decisions); n > 0 { // an empty run keeps a nil slice
-		entry.Containers = make([]TraceContainer, 0, n)
-	}
+	buf := c.traceBuf[:0]
 	for i, d := range res.Decisions {
-		s := snaps[i]
-		entry.Containers = append(entry.Containers, TraceContainer{
+		s := c.snapScratch[i]
+		buf = append(buf, TraceContainer{
 			ID:       d.ID,
 			G:        s.G,
 			GDefined: s.GDefined,
 			List:     d.List,
-			Limit:    c.limits[d.ID],
+			Limit:    c.slots[i].limit,
 		})
 	}
-	slices.SortFunc(entry.Containers, func(a, b TraceContainer) int {
-		return strings.Compare(a.ID, b.ID)
-	})
+	c.traceBuf = buf
+	if len(buf) > 0 { // an empty run keeps a nil slice
+		entry.Containers = buf
+	}
 	return entry
 }

@@ -2,6 +2,7 @@ package flowcon
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -26,10 +27,14 @@ func (f *fakeRuntime) SetCPULimit(id string, limit float64) error {
 	return nil
 }
 
-// recordingTracer captures trace entries.
+// recordingTracer captures trace entries, copying each one's Containers
+// out of the controller's reused buffer.
 type recordingTracer struct{ entries []TraceEntry }
 
-func (r *recordingTracer) RecordRun(e TraceEntry) { r.entries = append(r.entries, e) }
+func (r *recordingTracer) RecordRun(e TraceEntry) {
+	e.Containers = slices.Clone(e.Containers)
+	r.entries = append(r.entries, e)
+}
 
 func TestControllerTickCadence(t *testing.T) {
 	e := sim.NewEngine()
@@ -283,13 +288,13 @@ func TestControllerPrunesStaleEntries(t *testing.T) {
 	if l, ok := c.ListOf("b"); ok {
 		t.Fatalf("stale container still tracked in %v after pruning tick", l)
 	}
-	if _, ok := c.limits["b"]; ok {
+	if _, ok := c.LimitOf("b"); ok {
 		t.Fatal("stale container still holds a limit entry")
 	}
 	if _, ok := c.ListOf("a"); !ok {
 		t.Fatal("live container was pruned")
 	}
-	if n := len(c.monitor.prev); n != 1 {
-		t.Fatalf("monitor tracks %d containers, want 1", n)
+	if n := len(c.slots); n != 1 {
+		t.Fatalf("cycle tracks %d containers, want 1", n)
 	}
 }

@@ -6,12 +6,16 @@
 //
 //   - the container monitor (monitor.go) samples each container's
 //     evaluation function and resource usage and computes the progress
-//     score P (Eq. 1) and growth efficiency G (Eq. 2);
+//     score P (Eq. 1) and growth efficiency G (Eq. 2) against the
+//     container's previous sample, its window; the cycle keeps each
+//     window in the container's slot, Monitor keeps them by id for the
+//     callers outside a cycle;
 //   - Algorithm 1 (algorithm1.go) classifies containers into the New /
 //     Watching / Completing lists and plans per-container soft limits,
 //     with the all-Completing exponential back-off;
-//   - the Executor's cycle (cycle.go) runs the monitor and Algorithm 1,
-//     applies limit updates through the runtime, and backs off the
+//   - the Executor's cycle (cycle.go) keeps one slot per container (its
+//     list, applied limit and monitor window), measures, runs Algorithm
+//     1, applies limit updates through the runtime, and backs off the
 //     interval;
 //   - Algorithm 2's listeners (controller.go) react to container
 //     arrivals/departures, reset the interval, and run the cycle

@@ -48,32 +48,38 @@ type Measurement struct {
 // noise alone.
 const usageEps = 1e-6
 
-// Monitor is the paper's Container Monitor: it keeps the previous sample
-// of each tracked container and turns the current sample into progress and
-// growth-efficiency measurements. It is pure bookkeeping — no clock, no
-// runtime dependency.
+// Monitor is the paper's Container Monitor for callers that measure
+// outside a Cycle (sched's quality-driven baseline, the migration
+// rebalancer): it keeps the previous sample of each tracked container,
+// keyed by id, and turns the current sample into progress and
+// growth-efficiency measurements. A Cycle keeps the same window in its
+// per-container slots. It is pure bookkeeping — no clock, no runtime
+// dependency.
 type Monitor struct {
-	prev map[string]monitorSample
+	prev map[string]window
 	// spare is the previous generation's map, recycled on each Collect so
 	// the per-interval hot path allocates nothing in steady state.
-	spare map[string]monitorSample
+	spare map[string]window
 	// out is the reused measurement buffer returned by Collect.
 	out []Measurement
 }
 
-type monitorSample struct {
+// window is one container's monitor state: its previous sample, once it
+// has one (seen).
+type window struct {
 	at         float64
 	eval       float64
 	cpuSeconds float64
 	blkioBytes float64
 	netioBytes float64
+	seen       bool
 }
 
 // NewMonitor returns an empty monitor.
 func NewMonitor() *Monitor {
 	return &Monitor{
-		prev:  make(map[string]monitorSample),
-		spare: make(map[string]monitorSample),
+		prev:  make(map[string]window),
+		spare: make(map[string]window),
 	}
 }
 
@@ -95,30 +101,36 @@ func (m *Monitor) Collect(now float64, stats []Stat) []Measurement {
 	next := m.spare
 	clear(next)
 	for _, s := range stats {
-		prev, ok := m.prev[s.ID]
-		cur := monitorSample{
-			at: now, eval: s.Eval, cpuSeconds: s.CPUSeconds,
-			blkioBytes: s.BlkIOBytes, netioBytes: s.NetIOBytes,
-		}
-		if !ok || now <= prev.at {
-			out = append(out, Measurement{ID: s.ID, Defined: false})
-			if !ok {
-				next[s.ID] = cur
-			} else {
-				next[s.ID] = prev
-			}
-			continue
-		}
-		dt := now - prev.at
-		p := math.Abs(s.Eval-prev.eval) / dt
+		w := m.prev[s.ID]
+		out = append(out, Measurement{})
+		w.measure(now, s, &out[len(out)-1])
+		next[s.ID] = w
+	}
+	m.spare = m.prev
+	m.prev = next
+	m.out = out
+	return out
+}
 
-		var mm Measurement
-		mm.ID = s.ID
+// measure is Eq. 1–2 for one container: it writes into mm the
+// measurement of s, sampled at now, against the window's previous
+// sample, and makes s the window's sample. Without a previous sample, or
+// at its instant, the measurement is undefined; at its instant the
+// window keeps its sample. Monitor.Collect and the Cycle's slots both
+// measure through it.
+func (w *window) measure(now float64, s Stat, mm *Measurement) {
+	*mm = Measurement{ID: s.ID}
+	if w.seen {
+		if now <= w.at {
+			return
+		}
+		dt := now - w.at
+		p := math.Abs(s.Eval-w.eval) / dt
 		mm.P = p
 		mm.Defined = true
-		mm.RKind[resource.CPU] = (s.CPUSeconds - prev.cpuSeconds) / dt
-		mm.RKind[resource.BlkIO] = (s.BlkIOBytes - prev.blkioBytes) / dt
-		mm.RKind[resource.NetIO] = (s.NetIOBytes - prev.netioBytes) / dt
+		mm.RKind[resource.CPU] = (s.CPUSeconds - w.cpuSeconds) / dt
+		mm.RKind[resource.BlkIO] = (s.BlkIOBytes - w.blkioBytes) / dt
+		mm.RKind[resource.NetIO] = (s.NetIOBytes - w.netioBytes) / dt
 		mm.RKind[resource.Memory] = s.MemoryBytes // gauge: average ≈ current
 		for k := resource.Kind(0); k < resource.NumKinds; k++ {
 			r := mm.RKind[k]
@@ -133,23 +145,9 @@ func (m *Monitor) Collect(now float64, stats []Stat) []Measurement {
 		}
 		mm.R = mm.RKind[resource.CPU]
 		mm.G = mm.GKind[resource.CPU]
-		out = append(out, mm)
-		next[s.ID] = cur
 	}
-	m.spare = m.prev
-	m.prev = next
-	m.out = out
-	return out
-}
-
-// Forget drops a container from tracking (used when the Finished Cons
-// listener reports an exit between collections).
-func (m *Monitor) Forget(id string) {
-	delete(m.prev, id)
-}
-
-// tracks reports whether id was in the stats of the last Collect.
-func (m *Monitor) tracks(id string) bool {
-	_, ok := m.prev[id]
-	return ok
+	*w = window{
+		at: now, eval: s.Eval, cpuSeconds: s.CPUSeconds,
+		blkioBytes: s.BlkIOBytes, netioBytes: s.NetIOBytes, seen: true,
+	}
 }

@@ -80,16 +80,6 @@ func TestMonitorDropsExited(t *testing.T) {
 	}
 }
 
-func TestMonitorForget(t *testing.T) {
-	m := NewMonitor()
-	m.Collect(0, []Stat{{ID: "a", Eval: 1, CPUSeconds: 0}})
-	m.Forget("a")
-	got := m.Collect(10, []Stat{{ID: "a", Eval: 2, CPUSeconds: 1}})
-	if got[0].Defined {
-		t.Fatal("forgotten container still had a basis")
-	}
-}
-
 func TestMonitorCounterRegressionPanics(t *testing.T) {
 	m := NewMonitor()
 	m.Collect(0, []Stat{{ID: "a", Eval: 1, CPUSeconds: 10}})

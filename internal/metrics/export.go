@@ -1,8 +1,11 @@
 package metrics
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
+	"maps"
+	"slices"
 )
 
 // ArchiveSchemaVersion is the current archive format version. Schema 2
@@ -59,9 +62,82 @@ func (c *Collector) Export() Archive {
 	return a
 }
 
-// WriteJSON writes the archive as indented JSON.
+// WriteJSON writes the archive as indented JSON: the bytes a
+// json.Encoder with SetIndent("", "  ") writes for it. It writes the
+// top-level object itself and marshals the jobs and each (kind, job)
+// series on its own, so a dense archive is never held encoded in memory
+// whole. A value that cannot be encoded (a NaN) fails the write partway.
 func (a Archive) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(a)
+	b := bufio.NewWriter(w)
+	b.WriteString("{\n")
+	members := []struct {
+		key string
+		v   any
+	}{{"schema", a.Schema}, {"tier", a.Tier}, {"jobs", a.Jobs}, {"makespan", a.Makespan}}
+	for i, m := range members {
+		if i > 0 {
+			b.WriteString(",\n")
+		}
+		if err := writeMember(b, "  ", m.key, m.v); err != nil {
+			return err
+		}
+	}
+	if len(a.Series) > 0 {
+		b.WriteString(",\n  \"series\": {\n")
+		for i, kind := range slices.Sorted(maps.Keys(a.Series)) {
+			if i > 0 {
+				b.WriteString(",\n")
+			}
+			byJob := a.Series[kind]
+			if len(byJob) == 0 { // {} or null, on one line
+				if err := writeMember(b, "    ", kind, byJob); err != nil {
+					return err
+				}
+				continue
+			}
+			if err := writeKey(b, "    ", kind); err != nil {
+				return err
+			}
+			b.WriteString("{")
+			for j, name := range slices.Sorted(maps.Keys(byJob)) {
+				if j > 0 {
+					b.WriteString(",")
+				}
+				b.WriteString("\n")
+				if err := writeMember(b, "      ", name, byJob[name]); err != nil {
+					return err
+				}
+			}
+			b.WriteString("\n    }")
+		}
+		b.WriteString("\n  }")
+	}
+	b.WriteString("\n}\n")
+	return b.Flush()
+}
+
+// writeMember writes one object member at indent: the key, then v
+// indented as if nested there.
+func writeMember(b *bufio.Writer, indent, key string, v any) error {
+	if err := writeKey(b, indent, key); err != nil {
+		return err
+	}
+	val, err := json.MarshalIndent(v, indent, "  ")
+	if err != nil {
+		return err
+	}
+	_, err = b.Write(val)
+	return err
+}
+
+// writeKey writes an object member's indent and key.
+func writeKey(b *bufio.Writer, indent, key string) error {
+	k, err := json.Marshal(key)
+	if err != nil {
+		return err
+	}
+	b.WriteString(indent)
+	b.Write(k)
+	_, err = b.WriteString(": ")
+	return err
 }

@@ -59,6 +59,33 @@ func decodeArchive(t *testing.T, a Archive) Archive {
 	return back
 }
 
+// TestWriteJSONMatchesEncoder pins WriteJSON's bytes to those an indented
+// json.Encoder writes for the whole archive, on a dense run's archive and
+// on the shapes a run never makes: no jobs, an empty or nil kind, names
+// that need escaping, no series.
+func TestWriteJSONMatchesEncoder(t *testing.T) {
+	dense := buildCollector(t).Export()
+	odd := Archive{Schema: ArchiveSchemaVersion, Tier: "dense", Makespan: 1.5, Series: map[string]map[string][]Point{
+		"cpu":    {"b<&>\"\u2028": {{T: 1, V: 0.5}}, "a": {{T: 0, V: 1e-9}, {T: 2, V: 3}}, "c": nil},
+		"eval":   {},
+		"growth": nil,
+	}}
+	for _, a := range []Archive{dense, odd, {Schema: 1, Jobs: []JobRecord{}}, {}} {
+		var want, got bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("WriteJSON wrote\n%s\nthe encoder\n%s", got.Bytes(), want.Bytes())
+		}
+	}
+}
+
 func TestArchiveRoundTrip(t *testing.T) {
 	col := buildCollector(t)
 	a := col.Export()

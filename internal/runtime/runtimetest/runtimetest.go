@@ -56,6 +56,7 @@ func Run[R runtime.Runtime](t *testing.T, h Harness[R]) {
 	t.Run("ReadsAreCurrent", func(t *testing.T) { testReadsAreCurrent(t, h(t)) })
 	t.Run("Hooks", func(t *testing.T) { testHooks(t, h(t)) })
 	t.Run("RunningStats", func(t *testing.T) { testRunningStats(t, h(t)) })
+	t.Run("RunningStatsOrder", func(t *testing.T) { testRunningStatsOrder(t, h(t)) })
 }
 
 // RunMigratable exercises the runtime.Runtime contract and then the
@@ -323,6 +324,43 @@ func testRunningStats[R runtime.Runtime](t *testing.T, e *Env[R]) {
 	if stats := e.RT.RunningStats(); len(stats) != 1 || stats[0].ID != b.ID {
 		t.Fatalf("RunningStats after stop = %+v, want only %s", stats, b.ID)
 	}
+}
+
+// testRunningStatsOrder pins the order RunningStats lists containers in:
+// start order, which a stop keeps for the others. flowcon.Cycle matches
+// each stat to its slot by walking from the previous match, which is
+// O(n) only in this order.
+func testRunningStatsOrder[R runtime.Runtime](t *testing.T, e *Env[R]) {
+	launch := func(name string) string {
+		c, err := e.RT.Launch(e.Spec(name))
+		if err != nil {
+			t.Fatalf("Launch %s: %v", name, err)
+		}
+		return c.ID
+	}
+	want := []string{launch("order-a"), launch("order-b"), launch("order-c")}
+	check := func(when string) {
+		t.Helper()
+		stats := e.RT.RunningStats()
+		ids := make([]string, len(stats))
+		for i, s := range stats {
+			ids[i] = s.ID
+		}
+		if !reflect.DeepEqual(ids, want) {
+			t.Fatalf("RunningStats %s lists %v, want %v", when, ids, want)
+		}
+	}
+	check("after three launches")
+	e.Advance(2)
+	check("two seconds on")
+	if err := e.RT.Stop(want[1]); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+	want = []string{want[0], want[2]}
+	check("after stopping the middle one")
+	want = append(want, launch("order-d"))
+	e.Advance(2)
+	check("after a launch")
 }
 
 func testCheckpointRestore[R runtime.Migratable](t *testing.T, e *Env[R]) {
