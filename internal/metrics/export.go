@@ -95,9 +95,7 @@ func (a Archive) WriteJSON(w io.Writer) error {
 				}
 				continue
 			}
-			if err := writeKey(b, "    ", kind); err != nil {
-				return err
-			}
+			writeKey(b, "    ", kind)
 			b.WriteString("{")
 			for j, name := range slices.Sorted(maps.Keys(byJob)) {
 				if j > 0 {
@@ -119,9 +117,7 @@ func (a Archive) WriteJSON(w io.Writer) error {
 // writeMember writes one object member at indent: the key, then v
 // indented as if nested there.
 func writeMember(b *bufio.Writer, indent, key string, v any) error {
-	if err := writeKey(b, indent, key); err != nil {
-		return err
-	}
+	writeKey(b, indent, key)
 	val, err := json.MarshalIndent(v, indent, "  ")
 	if err != nil {
 		return err
@@ -131,13 +127,9 @@ func writeMember(b *bufio.Writer, indent, key string, v any) error {
 }
 
 // writeKey writes an object member's indent and key.
-func writeKey(b *bufio.Writer, indent, key string) error {
-	k, err := json.Marshal(key)
-	if err != nil {
-		return err
-	}
+func writeKey(b *bufio.Writer, indent, key string) {
+	k, _ := json.Marshal(key) // a string always encodes
 	b.WriteString(indent)
 	b.Write(k)
-	_, err = b.WriteString(": ")
-	return err
+	b.WriteString(": ")
 }
