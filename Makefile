@@ -113,17 +113,21 @@ docs: fmt vet
 	./scripts/check-docs.sh
 
 # Layering lint (see docs/RUNTIME.md): the rebalancer must never reach
-# for the concrete simdocker backend again, and the live path (the node,
-# the agent, the pacer, the worker binary) must stay free of the
-# simulated cluster, its migration and its backend.
+# for the concrete simdocker backend again, the policies (internal/sched,
+# tests aside) see only sched.Node, never the cluster or a backend, and
+# the live path (the node, the agent, the pacer, the worker binary) must
+# stay free of the simulated cluster, its migration and its backend.
 lint-imports:
 	@if grep -rn '"repro/internal/simdocker"' internal/migrate/*.go; then \
 		echo "internal/migrate must not import simdocker: drive workers through cluster.Worker and Manager.Migrate"; exit 1; \
 	fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' '"repro/internal/(cluster|simdocker|livedock)"' internal/sched; then \
+		echo "internal/sched must not import cluster, simdocker or livedock: policies see only sched.Node"; exit 1; \
+	fi
 	@if grep -rnE '"repro/internal/(cluster|migrate|simdocker)"' internal/livedock internal/agent internal/realtime cmd/flowcon-worker; then \
 		echo "the live path must not import cluster, migrate or simdocker: it runs livedock.Node under runtime.Runtime"; exit 1; \
 	fi
-	@echo "import layering ok (internal/migrate is simdocker-free; the live path is free of cluster, migrate and simdocker)"
+	@echo "import layering ok (internal/migrate is simdocker-free; internal/sched is free of cluster, simdocker and livedock; the live path is free of cluster, migrate and simdocker)"
 
 # Boot a real flowcon-worker and drive /v1 with concurrent submitters:
 # zero errors, bounded p99 submit latency, clean SIGTERM shutdown. The

@@ -6,8 +6,11 @@
 //
 //	benchcompare -old BENCH_sim.json -new fresh.json
 //
-// Both files are schema-2 history documents (see internal/benchfile); the
-// latest entry of each is compared. Only the curated key list is gated —
+// Both files are schema-2 history documents (see internal/benchfile).
+// A side's runs are its trailing entries of its latest commit, and each
+// key gates on their median: `make bench-compare-base` records three
+// alternated runs a side, so one noisy run cannot fail a key. Only the
+// curated key list is gated —
 // the full ladder is noisy at smoke benchtimes, while the keys below are
 // the O(n)-per-op hot paths whose regressions compound at cluster scale.
 // A key missing from either side is reported but does not fail the gate
@@ -24,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/benchfile"
 )
@@ -65,31 +69,29 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchcompare: -new is required")
 		os.Exit(2)
 	}
-	oldE, err := loadLatest(*oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcompare:", err)
-		os.Exit(1)
+	var sides [2][]benchfile.Entry
+	for i, path := range []string{*oldPath, *newPath} {
+		var err error
+		if sides[i], err = loadRuns(path); err != nil {
+			fmt.Fprintln(os.Stderr, "benchcompare:", err)
+			os.Exit(1)
+		}
 	}
-	newE, err := loadLatest(*newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcompare:", err)
-		os.Exit(1)
-	}
-
-	fmt.Printf("comparing %s (baseline %s) vs %s (%s), threshold +%.0f%%\n",
-		*oldPath, oldE.Commit, *newPath, newE.Commit, threshold)
-	if failed := compare(os.Stdout, oldE, newE); failed > 0 {
+	oldRuns, newRuns := sides[0], sides[1]
+	fmt.Printf("comparing %s (baseline %s, median of %d runs) vs %s (%s, median of %d), threshold +%.0f%%\n",
+		*oldPath, oldRuns[0].Commit, len(oldRuns), *newPath, newRuns[0].Commit, len(newRuns), threshold)
+	if failed := compare(os.Stdout, oldRuns, newRuns); failed > 0 {
 		fmt.Fprintf(os.Stderr, "benchcompare: %d key benchmark(s) regressed more than %.0f%%\n", failed, threshold)
 		os.Exit(1)
 	}
 	fmt.Println("no key benchmark regressed beyond the threshold")
 }
 
-// compare prints one line per key and returns how many keys regressed by
-// more than threshold percent. A key missing from either entry, or with a
-// zero baseline, is skipped rather than failed.
-func compare(w io.Writer, oldE, newE benchfile.Entry) (failed int) {
-	oldNs, newNs := nsByName(oldE), nsByName(newE)
+// compare prints one line per key and returns how many keys' median
+// regressed by more than threshold percent. A key missing from every run
+// of either side, or with a zero baseline, is skipped rather than failed.
+func compare(w io.Writer, oldRuns, newRuns []benchfile.Entry) (failed int) {
+	oldNs, newNs := medianNs(oldRuns), medianNs(newRuns)
 	for _, k := range keys {
 		o, okO := oldNs[k]
 		n, okN := newNs[k]
@@ -111,20 +113,37 @@ func compare(w io.Writer, oldE, newE benchfile.Entry) (failed int) {
 	return failed
 }
 
-func nsByName(e benchfile.Entry) map[string]float64 {
-	m := make(map[string]float64, len(e.Benchmarks))
-	for _, b := range e.Benchmarks {
-		m[b.Name] = b.NsPerOp
+// medianNs is each benchmark's median ns/op over the runs holding it.
+func medianNs(runs []benchfile.Entry) map[string]float64 {
+	all := map[string][]float64{}
+	for _, e := range runs {
+		for _, b := range e.Benchmarks {
+			all[b.Name] = append(all[b.Name], b.NsPerOp)
+		}
+	}
+	m := make(map[string]float64, len(all))
+	for name, ns := range all {
+		slices.Sort(ns)
+		m[name] = (ns[(len(ns)-1)/2] + ns[len(ns)/2]) / 2
 	}
 	return m
 }
 
-func loadLatest(path string) (benchfile.Entry, error) {
+// loadRuns returns the trailing entries of a document's latest commit.
+func loadRuns(path string) ([]benchfile.Entry, error) {
 	rep, err := benchfile.Load(path)
 	if err != nil {
-		return benchfile.Entry{}, err
+		return nil, err
 	}
-	return rep.Latest()
+	latest, err := rep.Latest()
+	if err != nil {
+		return nil, err
+	}
+	var runs []benchfile.Entry
+	for i := len(rep.Entries) - 1; i >= 0 && rep.Entries[i].Commit == latest.Commit; i-- {
+		runs = append(runs, rep.Entries[i])
+	}
+	return runs, nil
 }
 
 func missingSide(okOld, okNew bool) string {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestCompareGatesKeyRegressions(t *testing.T) {
 		{"faster passes", map[string]float64{"Settle/256": 10, "Reallocate/256": 20}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := compare(io.Discard, base, entryOf(tc.fresh)); got != tc.failed {
+			if got := compare(io.Discard, []benchfile.Entry{base}, []benchfile.Entry{entryOf(tc.fresh)}); got != tc.failed {
 				t.Errorf("compare failed %d keys, want %d", got, tc.failed)
 			}
 		})
@@ -43,7 +44,7 @@ func TestCompareSkipsMissingKeys(t *testing.T) {
 	onlyOld := entryOf(map[string]float64{"Settle/256": 1000})
 	onlyNew := entryOf(map[string]float64{"Reallocate/256": 1e9})
 	var out strings.Builder
-	if got := compare(&out, onlyOld, onlyNew); got != 0 {
+	if got := compare(&out, []benchfile.Entry{onlyOld}, []benchfile.Entry{onlyNew}); got != 0 {
 		t.Fatalf("compare failed %d keys on disjoint entries, want 0", got)
 	}
 	lines := map[string]string{}
@@ -60,5 +61,57 @@ func TestCompareSkipsMissingKeys(t *testing.T) {
 		if want := "skipped (missing from " + side + ")"; !strings.HasSuffix(lines[key], want) {
 			t.Errorf("%s line = %q, want it to end %q", key, lines[key], want)
 		}
+	}
+}
+
+// Each key gates on the median of each side's runs: one noisy run on
+// either side, like a lone +26 % reading of untouched code, neither fails
+// the gate nor hides a regression every other run shows.
+func TestCompareGatesOnTheMedian(t *testing.T) {
+	runs := func(ns ...float64) []benchfile.Entry {
+		var es []benchfile.Entry
+		for _, v := range ns {
+			es = append(es, entryOf(map[string]float64{"Migrate/256": v}))
+		}
+		return es
+	}
+	for _, tc := range []struct {
+		name       string
+		base, head []benchfile.Entry
+		failed     int
+	}{
+		{"one slow head run passes", runs(1000, 1000, 1000), runs(1000, 1300, 1010), 0},
+		{"one fast base run passes", runs(1000, 700, 1000), runs(1100, 1100, 1100), 0},
+		{"two slow head runs fail", runs(1000, 1000, 1000), runs(1300, 1000, 1300), 1},
+		{"one run a side gates as before", runs(1000), runs(1300), 1},
+		{"an even count takes the middle pair's mean", runs(1000, 1000), runs(1000, 1400), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := compare(io.Discard, tc.base, tc.head); got != tc.failed {
+				t.Errorf("compare failed %d keys, want %d", got, tc.failed)
+			}
+		})
+	}
+}
+
+// A side's runs are the trailing entries of its latest commit; an older
+// commit's entries in the same history are not among them.
+func TestLoadRunsTakesTheLatestCommit(t *testing.T) {
+	rep := benchfile.Report{SchemaVersion: benchfile.SchemaVersion}
+	for _, commit := range []string{"aaa", "bbb", "ccc", "ccc", "ccc"} {
+		e := entryOf(map[string]float64{"Settle/256": 1})
+		e.Commit = commit
+		rep.Entries = append(rep.Entries, e)
+	}
+	path := filepath.Join(t.TempDir(), "runs.json")
+	if err := rep.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadRuns(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0].Commit != "ccc" || got[2].Commit != "ccc" {
+		t.Fatalf("loadRuns = %d entries, want the 3 of commit ccc", len(got))
 	}
 }

@@ -5,15 +5,17 @@
 //
 // Usage:
 //
-//	flowcon-worker [-addr :7070] [-capacity 1.0] [-settle 250ms]
+//	flowcon-worker [-addr :7070] [-capacity 1.0]
 //	               [-max-running 0] [-queue-depth 16]
 //	               [-alpha 0.03] [-itval 30s]
 //	               [-log-level info] [-log-format text]
 //
 // FlowCon is the simulator's flowcon.Controller (-alpha, -itval) on the
 // node's start and exit hooks, on a sim.Engine that realtime.Pacer runs
-// with the wall clock. At -log-level debug each Algorithm 1 run is logged
-// with its trigger, interval, and every container's list and limit.
+// with the wall clock and wakes at the node's next finish, so an exit
+// reaches FlowCon within the loop's lateness with no poll to tune. At
+// -log-level debug each Algorithm 1 run is logged with its trigger,
+// interval, and every container's list and limit.
 //
 // -max-running bounds concurrently running containers (0 = unlimited);
 // POST /v1/jobs is the only route that starts one, so the cap holds on
@@ -57,7 +59,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":7070", "listen address")
 	capacity := flag.Float64("capacity", 1.0, "normalized CPU capacity of this node")
-	settle := flag.Duration("settle", 250*time.Millisecond, "background accounting period")
 	maxRunning := flag.Int("max-running", 0, "max concurrently running containers, on every route (0 = unlimited)")
 	queueDepth := flag.Int("queue-depth", 16, "admission queue depth before /v1/jobs returns 429")
 	alpha := flag.Float64("alpha", 0.03, "FlowCon growth-efficiency threshold α, in (0,1)")
@@ -70,7 +71,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "flowcon-worker:", err)
 		os.Exit(2)
 	}
-	if err := checkFlags(*capacity, *settle, *maxRunning, *queueDepth, *alpha, *itval); err != nil {
+	if err := checkFlags(*capacity, *maxRunning, *queueDepth, *alpha, *itval); err != nil {
 		logger.Error("invalid flags", "err", err)
 		os.Exit(2)
 	}
@@ -85,33 +86,18 @@ func main() {
 	// The controller and its engine belong to the pacer's goroutine from
 	// here on; the node's hooks reach them through Post.
 	engine := sim.NewEngine()
-	pacer := realtime.NewPacer(engine)
+	pacer := realtime.NewPacer(engine, node)
 	var tracer flowcon.Tracer
 	if logger.Enabled(ctx, slog.LevelDebug) {
 		tracer = runLog{logger}
 	}
 	ctrl := flowcon.NewController(flowcon.Config{Alpha: *alpha, InitialInterval: itval.Seconds()}, engine, node, tracer)
-	realtime.Listen(node, ctrl, pacer.Post)
+	pacer.Listen(ctrl)
 	ctrl.Start()
 	paced := make(chan struct{})
 	go func() {
 		defer close(paced)
 		pacer.Run(ctx)
-	}()
-
-	// Background settle loop bounds completion-detection latency: a settle
-	// retires finished containers, and their exit hooks wake FlowCon.
-	go func() {
-		ticker := time.NewTicker(*settle)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				node.Settle()
-			}
-		}
 	}()
 
 	srv := agent.NewServer(node, *capacity)
@@ -150,16 +136,13 @@ func main() {
 }
 
 // checkFlags refuses settings the worker cannot run with, before anything
-// starts: a positive finite capacity, a positive settle period (a ticker
-// panics on anything else), non-negative admission limits, and FlowCon's α inside (0,1) and
-// interval positive (flowcon.NewController panics on anything else). The
-// float tests are positive range tests, so NaN fails them.
-func checkFlags(capacity float64, settle time.Duration, maxRunning, queueDepth int, alpha float64, itval time.Duration) error {
+// starts: a positive finite capacity, non-negative admission limits, and
+// FlowCon's α inside (0,1) and interval positive (flowcon.NewController
+// panics on anything else). The float tests are positive range tests, so
+// NaN fails them.
+func checkFlags(capacity float64, maxRunning, queueDepth int, alpha float64, itval time.Duration) error {
 	if !(capacity > 0 && capacity <= math.MaxFloat64) {
 		return fmt.Errorf("-capacity %g must be positive and finite", capacity)
-	}
-	if settle <= 0 {
-		return fmt.Errorf("-settle %v must be positive", settle)
 	}
 	if maxRunning < 0 || queueDepth < 0 {
 		return fmt.Errorf("-max-running %d and -queue-depth %d must be non-negative", maxRunning, queueDepth)

@@ -14,27 +14,24 @@ import (
 // settings are checkFlags's arguments.
 type settings struct {
 	capacity               float64
-	settle                 time.Duration
 	maxRunning, queueDepth int
 	alpha                  float64
 	itval                  time.Duration
 }
 
 func TestCheckFlags(t *testing.T) {
-	defaults := settings{capacity: 1, settle: 250 * time.Millisecond, queueDepth: 16, alpha: 0.03, itval: 30 * time.Second}
+	defaults := settings{capacity: 1, queueDepth: 16, alpha: 0.03, itval: 30 * time.Second}
 	for _, tc := range []struct {
 		name    string
 		edit    func(*settings)
 		wantErr string // substring; "" means valid
 	}{
 		{name: "defaults", edit: func(*settings) {}},
-		{name: "fractional capacity", edit: func(s *settings) { s.capacity, s.settle, s.maxRunning = 0.5, time.Nanosecond, 4 }},
+		{name: "fractional capacity", edit: func(s *settings) { s.capacity, s.maxRunning = 0.5, 4 }},
 		{name: "zero capacity", edit: func(s *settings) { s.capacity = 0 }, wantErr: "-capacity"},
 		{name: "negative capacity", edit: func(s *settings) { s.capacity = -1 }, wantErr: "-capacity"},
 		{name: "NaN capacity", edit: func(s *settings) { s.capacity = math.NaN() }, wantErr: "-capacity"},
 		{name: "+Inf capacity", edit: func(s *settings) { s.capacity = math.Inf(1) }, wantErr: "-capacity"},
-		{name: "zero settle", edit: func(s *settings) { s.settle = 0 }, wantErr: "-settle"},
-		{name: "negative settle", edit: func(s *settings) { s.settle = -time.Second }, wantErr: "-settle"},
 		{name: "negative max-running", edit: func(s *settings) { s.maxRunning = -1 }, wantErr: "-max-running"},
 		{name: "negative queue-depth", edit: func(s *settings) { s.queueDepth = -1 }, wantErr: "-queue-depth"},
 		{name: "alpha near the edges", edit: func(s *settings) { s.alpha = 0.999 }},
@@ -50,7 +47,7 @@ func TestCheckFlags(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := defaults
 			tc.edit(&s)
-			err := checkFlags(s.capacity, s.settle, s.maxRunning, s.queueDepth, s.alpha, s.itval)
+			err := checkFlags(s.capacity, s.maxRunning, s.queueDepth, s.alpha, s.itval)
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatalf("checkFlags = %v, want nil", err)

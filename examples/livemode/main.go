@@ -50,7 +50,7 @@ func main() {
 	const speedup = 20.0
 	node := livedock.NewNode(1.0)
 	engine := sim.NewEngine()
-	pacer := realtime.NewPacer(engine)
+	pacer := realtime.NewPacer(engine, node)
 	// Each Algorithm 1 run prints on the pacer's goroutine; the node,
 	// which is safe for concurrent use, names the containers.
 	printRun := tracerFunc(func(e flowcon.TraceEntry) {
@@ -69,7 +69,7 @@ func main() {
 		Beta:            2,
 		InitialInterval: 20 / speedup, // 1s of wall time
 	}, engine, node, printRun)
-	realtime.Listen(node, ctrl, pacer.Post)
+	pacer.Listen(ctrl)
 	ctrl.Start()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -100,7 +100,6 @@ func main() {
 			fmt.Println("done.")
 			return
 		case <-ticker.C:
-			node.Settle()
 			snap := node.PS(true)
 			running := 0
 			fmt.Printf("%6.1fs  ", time.Since(start).Seconds())

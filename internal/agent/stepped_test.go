@@ -18,9 +18,10 @@ import (
 // stepped is the live worker in one process under one fake clock: a
 // livedock node behind NewServer, a Client whose transport calls the
 // server's handler directly, and the worker's FlowCon, a
-// flowcon.Controller subscribed to the node's hooks through
-// realtime.Listen. The harness advances the controller's engine itself,
-// the way realtime.Pacer's wakes do, with no pacer. Nothing runs on a
+// flowcon.Controller on an engine that the worker's realtime.Pacer paces
+// on the same clock, subscribed to the node's hooks through the pacer.
+// The harness moves the clock to each wake the pacer asks for and wakes
+// it there, as Pacer.Run does with no lateness. Nothing runs on a
 // goroutine, opens a socket or reads the wall clock, yet every request
 // goes through the real /v1 encoding, so a run is a deterministic
 // simulation of the deployed worker.
@@ -34,11 +35,8 @@ type stepped struct {
 	handler http.Handler
 
 	engine *sim.Engine
+	pacer  *realtime.Pacer
 	ctrl   *flowcon.Controller
-	// start is the fake-clock instant of engine time 0, and inbox the
-	// listener calls the node's hooks posted since the last step.
-	start time.Time
-	inbox []func()
 	// runs traces every Algorithm 1 run of the current controller.
 	runs []flowcon.TraceEntry
 }
@@ -78,10 +76,10 @@ func (s *stepped) boot() {
 	s.node = livedock.NewNodeWithClock(1.0, s.clk.Now)
 	s.handler = NewServer(s.node, 1.0).Handler()
 	s.engine = sim.NewEngine()
-	s.start = s.clk.Now()
-	s.inbox, s.runs = nil, nil
+	s.pacer = realtime.NewPacerWithClock(s.engine, s.node, s.clk.Now)
+	s.runs = nil
 	s.ctrl = flowcon.NewController(steppedConfig, s.engine, s.node, s)
-	realtime.Listen(s.node, s.ctrl, func(fn func()) { s.inbox = append(s.inbox, fn) })
+	s.pacer.Listen(s.ctrl)
 	s.ctrl.Start()
 }
 
@@ -96,19 +94,19 @@ func (s *stepped) RecordRun(e flowcon.TraceEntry) {
 	s.runs = append(s.runs, e)
 }
 
-// step advances the clock by d, settles the node as the worker's settle
-// loop does, and wakes the controller's engine as the pacer would: the
-// posted listener calls run as state events at the new instant, after
-// everything already due.
+// step advances the clock by d through every wake the pacer asks for on
+// the way: one at once, as a post since the last step would trigger, one
+// at each engine event and node exit due before the end, and one at the
+// end.
 func (s *stepped) step(d time.Duration) {
-	s.clk.Advance(d)
-	s.node.Settle()
-	now := sim.Time(s.clk.Now().Sub(s.start).Seconds())
-	for _, fn := range s.inbox {
-		s.engine.At(now, sim.PriorityState, "posted", fn)
+	end := s.clk.Now().Add(d)
+	for next := s.pacer.Step(); !next.After(end); next = s.pacer.Step() {
+		if now := s.clk.Now(); next.After(now) {
+			s.clk.Advance(next.Sub(now))
+		}
 	}
-	s.inbox = s.inbox[:0]
-	s.engine.Run(now)
+	s.clk.Advance(end.Sub(s.clk.Now()))
+	s.pacer.Step()
 }
 
 // steps runs n one-second steps.
@@ -221,6 +219,28 @@ func TestExitAndArrivalEachRunAlgorithm1(t *testing.T) {
 	}
 	if _, ok := s.ctrl.ListOf(ids[1]); ok {
 		t.Fatal("departed container still listed")
+	}
+}
+
+// A job that runs out of work with nothing polling it departs at its
+// finish: the pacer wakes at the node's next exit, so the job's status
+// reads the finish instant, not a later read, and the departure's
+// Algorithm 1 run happens at that instant.
+func TestFinishedJobDepartsAtItsFinish(t *testing.T) {
+	s := newStepped(t)
+	s.step(2500 * time.Millisecond)
+	id := s.submit("mnist", "MNIST (Tensorflow)") // 28 cpu-seconds at a full core
+	s.step(40 * time.Second)                      // one step: only the pacer's own wakes
+	st, err := s.client.JobStatus(context.Background(), "mnist")
+	if err != nil || st.State != "exited" || !st.Done {
+		t.Fatalf("status %+v, %v; want exited and done", st, err)
+	}
+	if st.StartedAt != 2.5 || st.FinishedAt != 30.5 || st.CPUSeconds != 28 {
+		t.Fatalf("ran %v to %v for %v cpu-seconds, want 2.5 to 30.5 for 28", st.StartedAt, st.FinishedAt, st.CPUSeconds)
+	}
+	dep, listed := s.lastRun()
+	if dep.Trigger != "departure" || dep.At != 30.5 || slices.Contains(listed, id) {
+		t.Fatalf("last run %q at %v listing %v; want the departure at 30.5 without %s", dep.Trigger, dep.At, listed, id)
 	}
 }
 

@@ -47,11 +47,11 @@ func ImageFor(fw dlmodel.Framework) (string, error) {
 // paper's R320 testbed node (16 GB).
 const DefaultMemoryBytes = 16 << 30
 
-// Worker is one node in the cluster: a container runtime plus
-// arrival/exit fan-out and admission state (failure, cordon, container
-// cap). It embeds the runtime it wraps, so it implements
-// runtime.Migratable (and flowcon.Runtime, which a FlowCon controller or
-// any baseline policy drives) and cluster-level policies treat a worker
+// Worker is one node in the cluster: a container runtime plus admission
+// state (failure, cordon, container cap). It embeds the runtime it wraps,
+// so it implements runtime.Migratable (and flowcon.Runtime, which a
+// FlowCon controller or any baseline policy drives), its start and exit
+// hooks are the runtime's own, and cluster-level policies treat a worker
 // exactly like its backend.
 type Worker struct {
 	runtime.Migratable
@@ -67,8 +67,6 @@ type Worker struct {
 	// maintenance); running containers keep running until drained.
 	cordoned bool
 
-	startSubs  []func(id string)
-	exitSubs   []func(id string)
 	failSubs   []func()
 	repairSubs []func()
 
@@ -84,18 +82,7 @@ var _ runtime.Migratable = (*Worker)(nil)
 // checkpoint and restore, which migration and self-healing need. Use
 // NewSimWorker for the usual simulated backend.
 func NewWorker(name string, rt runtime.Migratable) *Worker {
-	w := &Worker{Migratable: rt, name: name}
-	rt.OnStart(func(c runtime.Container) {
-		for _, fn := range w.startSubs {
-			fn(c.ID)
-		}
-	})
-	rt.OnExit(func(c runtime.Container) {
-		for _, fn := range w.exitSubs {
-			fn(c.ID)
-		}
-	})
-	return w
+	return &Worker{Migratable: rt, name: name}
 }
 
 // NewSimWorker creates a worker backed by a fresh simulated Docker daemon
@@ -114,18 +101,6 @@ func NewSimWorker(name string, engine *sim.Engine, capacity float64) (*Worker, *
 
 // Name returns the worker's name.
 func (w *Worker) Name() string { return w.name }
-
-// OnContainerStart subscribes to container-start notifications (the New
-// Cons listener feed).
-func (w *Worker) OnContainerStart(fn func(id string)) {
-	w.startSubs = append(w.startSubs, fn)
-}
-
-// OnContainerExit subscribes to container-exit notifications (the
-// Finished Cons listener feed).
-func (w *Worker) OnContainerExit(fn func(id string)) {
-	w.exitSubs = append(w.exitSubs, fn)
-}
 
 // SetMaxContainers caps the number of concurrently running containers the
 // worker admits (0 = unlimited).
@@ -388,7 +363,7 @@ func NewManager(engine *sim.Engine, workers []*Worker, placement Placement) *Man
 		avail:     newAvailability(workers),
 	}
 	for _, w := range workers {
-		w.OnContainerExit(func(string) {
+		w.OnExit(func(runtime.Container) {
 			// Admission happens at listener priority so the pool state the
 			// placement sees reflects the exit.
 			if len(m.queue) > 0 {

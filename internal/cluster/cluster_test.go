@@ -54,8 +54,8 @@ func TestWorkerLaunchAndLifecycle(t *testing.T) {
 	e := sim.NewEngine()
 	w, _ := NewSimWorker("w0", e, 1.0)
 	var started, exited []string
-	w.OnContainerStart(func(id string) { started = append(started, id) })
-	w.OnContainerExit(func(id string) { exited = append(exited, id) })
+	w.OnStart(func(c runtime.Container) { started = append(started, c.ID) })
+	w.OnExit(func(c runtime.Container) { exited = append(exited, c.ID) })
 
 	job := dlmodel.NewJob("quick", dlmodel.MNISTTensorFlow())
 	c, err := w.LaunchJob("quick", job)

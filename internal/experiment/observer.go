@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"repro/internal/flowcon"
+	"repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -31,8 +32,8 @@ func (o *observedNA) Attach(engine sim.Scheduler, node sched.Node) {
 		Beta:            2,
 		InitialInterval: o.itval,
 	}, engine, ro, o.tracer)
-	node.OnContainerStart(ctrl.OnContainerStart)
-	node.OnContainerExit(ctrl.OnContainerExit)
+	node.OnStart(func(c runtime.Container) { ctrl.OnContainerStart(c.ID) })
+	node.OnExit(func(c runtime.Container) { ctrl.OnContainerExit(c.ID) })
 	ctrl.Start()
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/flowcon"
+	"repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -346,17 +347,17 @@ func (n recordingNode) RunningStats() []flowcon.Stat {
 	return stats
 }
 
-func (n recordingNode) OnContainerStart(fn func(string)) {
-	n.Node.OnContainerStart(func(id string) {
-		n.s.events = append(n.s.events, streamEvent{start: id})
-		fn(id)
+func (n recordingNode) OnStart(fn func(runtime.Container)) {
+	n.Node.OnStart(func(c runtime.Container) {
+		n.s.events = append(n.s.events, streamEvent{start: c.ID})
+		fn(c)
 	})
 }
 
-func (n recordingNode) OnContainerExit(fn func(string)) {
-	n.Node.OnContainerExit(func(id string) {
-		n.s.events = append(n.s.events, streamEvent{exit: id})
-		fn(id)
+func (n recordingNode) OnExit(fn func(runtime.Container)) {
+	n.Node.OnExit(func(c runtime.Container) {
+		n.s.events = append(n.s.events, streamEvent{exit: c.ID})
+		fn(c)
 	})
 }
 

@@ -8,7 +8,8 @@
 // flowcon.Runtime's two methods included, so the simulator's
 // flowcon.Controller governs it through its start and exit hooks exactly
 // as it governs simdocker (on an engine realtime.Pacer advances with the
-// wall clock), and the agent service launches, stops and removes its
+// wall clock, waking also at the node's next exit), and the agent
+// service launches, stops and removes its
 // containers. cmd/flowcon-worker runs both in one process and serves the
 // node over HTTP. It does not checkpoint: migration and self-healing
 // belong to the simulated cluster (runtime.Migratable).
@@ -45,9 +46,16 @@
 // of generalized processor sharing (Parekh & Gallager 1993) — so a fluid
 // container has earned limit·(V − x0) since it was last charged at x0.
 // That charge is applied only when the container is materialised: when it
-// is read, moves between groups or leaves. A settle pops only the fluid
-// containers whose virtual finish x0 + Remaining()/limit V has passed.
-// Saturated containers are few and are charged eagerly at every settle.
+// is read, moves between groups or leaves. Saturated containers are few
+// and are charged eagerly at every settle.
+//
+// Shares change only at an operation or an exit, so the next exit's
+// instant is known in closed form (NextExit): the finish heap's top,
+// reached when V has gained finish − V at rate L, or the saturated
+// container with the least Remaining()/cap. A settle walks those instants
+// in order up to now and retires each container at its own, charged
+// exactly its work, so neither its CPU-seconds nor its FinishedAt depend
+// on when the node is read; realtime.Pacer settles the node at NextExit.
 //
 // Three indexed heaps hold the groups: fluid by cap/limit (min first),
 // saturated by cap/limit (max first) and fluid by virtual finish. After a
@@ -90,11 +98,6 @@ var (
 // takes no share.
 const allocEps = 1e-12
 
-// finishEps is remaining work small enough to count as finished, as
-// simdocker's completionEps: it absorbs the float residue between a
-// virtual finish and the clock that passes it.
-const finishEps = 1e-9
-
 // group is a running container's accounting group (see the package doc).
 type group uint8
 
@@ -108,14 +111,15 @@ const (
 
 // Container is one live containerized job.
 type Container struct {
-	ID       string
-	Name     string
-	Model    string
-	State    runtime.State
-	Limit    float64
-	CPUSec   float64
-	Started  time.Time
-	Finished time.Time
+	ID     string
+	Name   string
+	Model  string
+	State  runtime.State
+	Limit  float64
+	CPUSec float64
+	// StartedAt and FinishedAt are seconds since the node's epoch;
+	// FinishedAt is the instant the container stopped or its work ran out.
+	StartedAt, FinishedAt float64
 
 	workload runtime.Workload
 	memBytes float64
@@ -146,11 +150,13 @@ type Node struct {
 	byName     map[string]*Container
 	// order and running are the pool in creation order (see the package
 	// doc); memUsed is the resident sum over running.
-	order      []*Container
-	running    []*Container
-	memUsed    float64
-	seq        int
-	lastSettle time.Time
+	order   []*Container
+	running []*Container
+	memUsed float64
+	seq     int
+	// settled is the instant, in seconds since epoch, the accounting has
+	// been advanced to.
+	settled float64
 
 	// The accounting state (see the package doc): vtime is the virtual
 	// clock V, level the water level L, and fluidLimits and satCaps the
@@ -192,7 +198,6 @@ func NewNodeWithClock(capacity float64, clock func() time.Time) *Node {
 		idPrefix:   fmt.Sprintf("live-%x-c", now.UnixNano()),
 		containers: make(map[string]*Container),
 		byName:     make(map[string]*Container),
-		lastSettle: now,
 		level:      math.Inf(1), // levelOf with nothing running
 		// Fluid containers saturate in increasing cap/limit order and
 		// saturated ones turn fluid in decreasing order.
@@ -238,7 +243,7 @@ func (n *Node) OnExit(fn func(runtime.Container)) {
 // value form. Times are seconds since the node's epoch.
 func (n *Node) view(c *Container) runtime.Container {
 	n.materialise(c)
-	v := runtime.Container{
+	return runtime.Container{
 		ID:          c.ID,
 		Name:        c.Name,
 		Model:       c.Model,
@@ -246,15 +251,12 @@ func (n *Node) view(c *Container) runtime.Container {
 		CPUAlloc:    n.share(c),
 		CPUSeconds:  c.CPUSec,
 		MemoryBytes: c.memBytes,
-		StartedAt:   c.Started.Sub(n.epoch).Seconds(),
+		StartedAt:   c.StartedAt,
+		FinishedAt:  c.FinishedAt,
 		State:       c.State,
 		Done:        c.workload.Done(),
 		Work:        c.workload.Work(),
 	}
-	if c.State == runtime.Exited {
-		v.FinishedAt = c.Finished.Sub(n.epoch).Seconds()
-	}
-	return v
 }
 
 // Launch implements runtime.Runtime. The live backend hosts the workload
@@ -293,7 +295,7 @@ func (n *Node) Launch(spec runtime.LaunchSpec) (runtime.Container, error) {
 	}
 	c := &Container{
 		ID: id, Name: name, Model: spec.Model, State: runtime.Running,
-		Limit: limit, Started: n.clock(), workload: spec.Workload, seq: n.seq,
+		Limit: limit, StartedAt: n.settled, workload: spec.Workload, seq: n.seq,
 		cap: min(demand, n.capacity),
 	}
 	if mb, ok := spec.Workload.(interface{ MemoryBytes() float64 }); ok {
@@ -377,7 +379,7 @@ func (n *Node) Stop(id string) error {
 	exited := n.settleLocked()
 	if c.State == runtime.Running {
 		n.detach(c)
-		n.retireLocked(c)
+		n.retireLocked(c, n.settled)
 		n.running = deleteContainer(n.running, c)
 		n.rebalance()
 		exited = append(exited, c)
@@ -460,12 +462,24 @@ func (n *Node) RunningStats() []flowcon.Stat {
 	return out
 }
 
-// Settle advances accounting to the current instant; completion detection
-// happens here, so callers (or a background ticker) should invoke it at
-// the resolution they need.
+// Settle advances accounting to the current instant, retiring each
+// container whose work ran out, stamped with the instant it did. Every
+// other call settles first; Settle delivers exits to the hooks when
+// nothing reads the node, as realtime.Pacer does at each wake.
 func (n *Node) Settle() {
 	n.mu.Lock()
 	n.unlockAndNotify(n.settleLocked())
+}
+
+// NextExit reports when the next running container's work runs out at
+// the shares now in force, rounded up to the nanosecond; false when none
+// will. A settle then retires it, unless a call moves the shares first.
+func (n *Node) NextExit() (time.Time, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	at, c := n.nextExitLocked()
+	// Capped 31 years out, where the nanoseconds still fit a Duration.
+	return n.epoch.Add(time.Duration(math.Ceil(min(at, 1e9) * 1e9))), c != nil
 }
 
 // RunningCount returns the number of running containers.
@@ -475,68 +489,83 @@ func (n *Node) RunningCount() int {
 	return len(n.running)
 }
 
-// settleLocked advances accounting to the current instant at the shares
-// in force since the last settle and retires finished workloads:
-// saturated containers are charged eagerly, the virtual clock carries
-// every fluid one, and only the fluid containers whose virtual finish has
-// passed are touched. Callers must hold the lock and hand the result to
-// unlockAndNotify.
+// settleLocked advances accounting to the current instant and retires the
+// containers whose work ran out on the way, one finish instant at a time
+// (see the package doc). Callers must hold the lock and hand the result
+// to unlockAndNotify.
 func (n *Node) settleLocked() []*Container {
-	now := n.clock()
-	dt := now.Sub(n.lastSettle).Seconds()
-	n.lastSettle = now
-	if dt <= 0 {
-		return nil
-	}
+	now := n.clock().Sub(n.epoch).Seconds()
 	var exited []*Container
-	for _, c := range n.satByRatio.cs {
-		work := c.cap * dt
-		c.workload.Advance(work)
-		c.CPUSec += work
-		if c.workload.Done() {
-			exited = append(exited, c)
+	for {
+		// NextExit rounds up to the nanosecond: an exit within one is due.
+		at, c := n.nextExitLocked()
+		if c == nil || at > now+1e-9 {
+			at, c = now, nil
 		}
-	}
-	for _, c := range n.idle {
-		if c.cap <= 0 || c.workload.Done() {
-			exited = append(exited, c)
+		if dt := at - n.settled; dt > 0 {
+			n.settled = at
+			for _, s := range n.satByRatio.cs {
+				n.charge(s, s.cap*dt)
+			}
+			if len(n.fluidByRatio.cs) > 0 {
+				n.vtime += n.level * dt
+			}
 		}
-	}
-	for _, c := range exited {
+		if c == nil {
+			break
+		}
 		n.detach(c)
+		// Float residue between the finish and the clock: deliver it so
+		// Done is authoritative, as simdocker does.
+		n.charge(c, c.workload.Remaining())
+		n.retireLocked(c, n.settled)
+		n.rebalance()
+		exited = append(exited, c)
 	}
-	if len(n.fluidByRatio.cs) > 0 {
-		n.vtime += n.level * dt
-		for len(n.byFinish.cs) > 0 {
-			c := n.byFinish.cs[0]
-			if (c.finish-n.vtime)*c.Limit > finishEps {
-				break
-			}
-			n.detach(c)
-			if !c.workload.Done() {
-				// Float residue between the virtual finish and the clock:
-				// deliver it so Done is authoritative, as simdocker does.
-				c.workload.Advance(c.workload.Remaining())
-			}
-			exited = append(exited, c)
-		}
+	if len(exited) > 0 {
+		n.running = slices.DeleteFunc(n.running, func(c *Container) bool { return c.State != runtime.Running })
 	}
-	if len(exited) == 0 {
-		return nil
-	}
-	for _, c := range exited {
-		n.retireLocked(c)
-	}
-	n.running = slices.DeleteFunc(n.running, func(c *Container) bool { return c.State != runtime.Running })
-	n.rebalance()
 	return exited
 }
 
-// retireLocked marks a detached container exited and takes its footprint
-// out of the aggregates; the caller splices it out of running.
-func (n *Node) retireLocked(c *Container) {
+// nextExitLocked is the instant, in seconds since epoch, the next running
+// container's work runs out at the current shares, and that container
+// (nil if none will). An idle one with no demand or work left is due now.
+func (n *Node) nextExitLocked() (float64, *Container) {
+	for _, c := range n.idle {
+		if c.cap <= 0 || c.workload.Done() {
+			return n.settled, c
+		}
+	}
+	at, next := math.Inf(1), (*Container)(nil)
+	for _, c := range n.satByRatio.cs {
+		if t := n.settled + c.workload.Remaining()/c.cap; t < at {
+			at, next = t, c
+		}
+	}
+	if len(n.byFinish.cs) > 0 {
+		c := n.byFinish.cs[0]
+		if t := n.settled + max(c.finish-n.vtime, 0)/n.level; t < at {
+			at, next = t, c
+		}
+	}
+	return at, next
+}
+
+// charge delivers up to work cpu-seconds to c's workload, no more than it
+// has left, and counts them as its CPU time.
+func (n *Node) charge(c *Container, work float64) {
+	if work = min(work, c.workload.Remaining()); work > 0 {
+		c.workload.Advance(work)
+		c.CPUSec += work
+	}
+}
+
+// retireLocked marks a detached container exited at instant at and takes
+// its footprint out of the aggregates; the caller splices it out.
+func (n *Node) retireLocked(c *Container, at float64) {
 	c.State = runtime.Exited
-	c.Finished = n.clock()
+	c.FinishedAt = at
 	n.memUsed -= c.memBytes
 }
 
@@ -557,10 +586,7 @@ func (n *Node) materialise(c *Container) {
 	if c.group != fluid {
 		return
 	}
-	if work := c.Limit * (n.vtime - c.x0); work > 0 {
-		c.workload.Advance(work)
-		c.CPUSec += work
-	}
+	n.charge(c, c.Limit*(n.vtime-c.x0))
 	c.x0 = n.vtime
 }
 
@@ -630,7 +656,7 @@ func (n *Node) detach(c *Container) {
 // fluid, then fluid containers at or below it saturate. What is left is
 // the unique partition with every saturated ratio <= L < every fluid one.
 func (n *Node) rebalance() {
-	if len(n.running) == 0 {
+	if len(n.fluidByRatio.cs)+len(n.satByRatio.cs)+len(n.idle) == 0 {
 		// An empty node holds exactly zero bytes; resetting here keeps
 		// float cancellation error from accumulating across generations
 		// of containers.
@@ -671,8 +697,8 @@ func (n *Node) unlockAndNotify(exited []*Container) {
 		n.mu.Unlock()
 		return
 	}
-	// settleLocked's exits are grouped by how they left; Stop appends its
-	// own after them.
+	// settleLocked's exits come in finish order; Stop appends its own
+	// after them.
 	slices.SortFunc(exited, func(a, b *Container) int { return a.seq - b.seq })
 	views := make([]runtime.Container, len(exited))
 	for i, c := range exited {

@@ -37,8 +37,10 @@ func (j *poolJob) Remaining() float64       { return j.total - j.work }
 // step each running container's share is within refTol·capacity of
 // resource.Allocator over the claims
 // PS(false) implies, the shares sum to at most capacity·(1+refTol), the
-// O(1) aggregates equal a recount, and CPU-seconds charged equal
-// allocation times elapsed time.
+// O(1) aggregates equal a recount, and the CPU-seconds charged and the
+// exits match a piecewise replay of the step with the reference
+// allocator: shares constant between exits, each exit at the instant its
+// work runs out.
 type refChecker struct {
 	t        *testing.T
 	clk      *fakeClock
@@ -47,12 +49,17 @@ type refChecker struct {
 
 	jobs      map[string]*poolJob // by container name
 	finalCPU  map[string]float64  // by id, from the exit view
+	finished  map[string]float64  // by id, FinishedAt from the exit view
+	done      map[string]bool     // by id, Done from the exit view
 	lastExits []string            // ids delivered by the current step
 	prev      map[string]reading  // running containers at the previous check
+	at        float64             // node time of the previous check
 	elapsed   float64             // clock advance since the previous check
 }
 
-type reading struct{ cpu, alloc float64 }
+// reading is a running container at a check: its counters and what the
+// replay needs to run it on.
+type reading struct{ cpu, limit, demand, remaining float64 }
 
 // refTol is how far a share may sit from the reference, relative to
 // capacity: the node's level is one quotient where resource.Allocator
@@ -66,11 +73,15 @@ func newRefChecker(t *testing.T, capacity float64) *refChecker {
 		capacity: capacity,
 		jobs:     map[string]*poolJob{},
 		finalCPU: map[string]float64{},
+		finished: map[string]float64{},
+		done:     map[string]bool{},
 		prev:     map[string]reading{},
 	}
 	r.n = NewNodeWithClock(capacity, r.clk.Now)
 	r.n.OnExit(func(c runtime.Container) {
 		r.finalCPU[c.ID] = c.CPUSeconds
+		r.finished[c.ID] = c.FinishedAt
+		r.done[c.ID] = c.Done
 		r.lastExits = append(r.lastExits, c.ID)
 	})
 	return r
@@ -123,14 +134,14 @@ func (r *refChecker) check(step string) []string {
 		t.Fatalf("%s: exits %v not in creation order", step, r.lastExits)
 	}
 
-	// Shares only change inside operations, which settle first, so
-	// everything running at the previous check was charged its share for
-	// exactly the time that has passed since.
+	// Shares change only at operations, which settle first, and at
+	// exits, so the replay of the step from the previous check's pool
+	// owes each container what it was charged.
 	cpuNow := map[string]float64{}
 	for _, c := range n.PS(true) {
 		cpuNow[c.ID] = c.CPUSeconds
 	}
-	charged, owed := 0.0, 0.0
+	owed, ranOut := r.replay()
 	for id, p := range r.prev {
 		now, ok := cpuNow[id]
 		if !ok {
@@ -139,20 +150,77 @@ func (r *refChecker) check(step string) []string {
 		if !ok {
 			t.Fatalf("%s: %s vanished without an exit notification", step, id)
 		}
-		charged += now - p.cpu
-		owed += p.alloc * r.elapsed
+		if charged := now - p.cpu; math.Abs(charged-owed[id]) > 1e-9*(1+owed[id]) {
+			t.Fatalf("%s: %s charged %v cpu-seconds, the replay owes %v", step, id, charged, owed[id])
+		}
 	}
-	if math.Abs(charged-owed) > 1e-9*(1+owed) {
-		t.Fatalf("%s: charged %v cpu-seconds, allocations owe %v", step, charged, owed)
+	for id, dt := range ranOut {
+		if !slices.Contains(r.lastExits, id) {
+			t.Fatalf("%s: %s ran out of work %v s into the step but did not exit", step, id, dt)
+		}
+		if want := r.at + dt; math.Abs(r.finished[id]-want) > 1e-9*(1+want) {
+			t.Fatalf("%s: %s finished at %v, its work ran out at %v", step, id, r.finished[id], want)
+		}
+	}
+	for _, id := range r.lastExits {
+		if _, ok := ranOut[id]; r.done[id] && !ok {
+			t.Fatalf("%s: %s exited done, but the replay has work left for it", step, id)
+		}
 	}
 	clear(r.prev)
 	for _, c := range ps {
-		r.prev[c.ID] = reading{cpu: c.CPUSeconds, alloc: c.CPUAlloc}
+		j := r.jobs[c.Name]
+		r.prev[c.ID] = reading{cpu: c.CPUSeconds, limit: c.CPULimit, demand: j.demand, remaining: j.Remaining()}
 	}
+	r.at += r.elapsed
 	r.elapsed = 0
 	exits := slices.Clone(r.lastExits)
 	r.lastExits = r.lastExits[:0]
 	return exits
+}
+
+// replay runs the previous check's pool over the step's elapsed time
+// with resource.Allocator: the shares hold until the first container's
+// work runs out, it leaves, the rest reshare. It returns the cpu-seconds
+// each container is owed and, for those that ran out, how far into the
+// step they did.
+func (r *refChecker) replay() (owed, ranOut map[string]float64) {
+	owed, ranOut = map[string]float64{}, map[string]float64{}
+	left := map[string]float64{}
+	var ids []string
+	for id, p := range r.prev {
+		ids = append(ids, id)
+		left[id] = p.remaining
+	}
+	slices.SortFunc(ids, func(a, b string) int { return idSeq(a) - idSeq(b) })
+	for t := 0.0; len(ids) > 0 && t < r.elapsed; {
+		claims := make([]resource.Claim, len(ids))
+		for i, id := range ids {
+			claims[i] = resource.Claim{ID: id, Limit: r.prev[id].limit, Demand: r.prev[id].demand}
+		}
+		shares := new(resource.Allocator).Allocate(r.capacity, claims)
+		span := r.elapsed - t
+		for i, id := range ids {
+			if a := shares[i].Amount; a > 0 {
+				span = min(span, left[id]/a)
+			}
+		}
+		t += span
+		kept := ids[:0]
+		for i, id := range ids {
+			a := shares[i].Amount
+			work := min(a*span, left[id])
+			owed[id] += work
+			left[id] -= work
+			if a > 0 && left[id] <= 1e-12*(1+r.prev[id].remaining) {
+				ranOut[id] = t
+				continue
+			}
+			kept = append(kept, id)
+		}
+		ids = kept
+	}
+	return owed, ranOut
 }
 
 // TestNodeMatchesReferenceAllocator drives seeded random operation

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/flowcon"
+	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/simdocker"
 )
@@ -319,7 +320,7 @@ func (s *sampler) sample(sl *samplerSlot, now, dt float64) bool {
 		// archives have always read that way.
 		return false
 	}
-	exited := cont.State() == simdocker.Exited
+	exited := cont.State() == runtime.Exited
 	j := sl.job
 	if j == nil || j.ContainerID != cont.ID() {
 		j = s.c.byCID[cont.ID()]

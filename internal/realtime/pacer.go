@@ -3,10 +3,14 @@
 // flowcon.Controller of every simulated run governs a live node unchanged
 // (same ticks, same listeners, same event order). Only the clock differs.
 //
+// The pacer also wakes at the node's next exit and settles the node first
+// at every wake, so an exit reaches the controller within the loop's
+// lateness of its finish, as a simulated one does at its completion.
+//
 // The goroutine in Run owns the engine and everything on it. Others reach
 // it only through Post, a mutex-guarded inbox that never blocks. It must
-// not: a node fires exit hooks on whichever goroutine settles it, and
-// when the controller reads the node's stats that is the loop itself.
+// not: a node fires its hooks on whichever goroutine settles it, the
+// loop's own included.
 package realtime
 
 import (
@@ -16,29 +20,41 @@ import (
 	"time"
 
 	"repro/internal/flowcon"
+	"repro/internal/livedock"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 )
 
-// Pacer advances a sim.Engine in step with the wall clock. Engine time t
-// is t seconds after the wall instant the Pacer was created at.
+// Pacer advances a sim.Engine in step with the wall clock and settles a
+// live node at its exits. Engine time t is t seconds after the wall
+// instant the Pacer was created at.
 type Pacer struct {
 	engine *sim.Engine
+	node   *livedock.Node
+	clock  func() time.Time
 	start  time.Time
 
 	mu    sync.Mutex
 	inbox []posted
 	wake  chan struct{}
-	// maxLate is the furthest past its due time a wake found an event.
+	// maxLate is the furthest past its due time a wake found anything.
 	maxLate time.Duration
 }
 
-// NewPacer paces engine from now on: its current time maps to this
-// instant.
-func NewPacer(engine *sim.Engine) *Pacer {
+// NewPacer paces engine, and node's exits, from now on: the engine's
+// current time maps to this instant.
+func NewPacer(engine *sim.Engine, node *livedock.Node) *Pacer {
+	return NewPacerWithClock(engine, node, time.Now)
+}
+
+// NewPacerWithClock is NewPacer on an injected clock (tests), which must
+// be the node's: the pacer compares its instants with NextExit's.
+func NewPacerWithClock(engine *sim.Engine, node *livedock.Node, clock func() time.Time) *Pacer {
 	return &Pacer{
 		engine: engine,
-		start:  time.Now().Add(-wall(engine.Now())),
+		node:   node,
+		clock:  clock,
+		start:  clock().Add(-wall(engine.Now())),
 		wake:   make(chan struct{}, 1),
 	}
 }
@@ -61,7 +77,7 @@ type posted struct {
 // Post queues fn to run on the loop goroutine as a state event at the
 // engine time of this wall instant. It never blocks and may be called
 // from any goroutine, the loop's own included.
-func (p *Pacer) Post(fn func()) { p.post(fn, sim.Time(time.Since(p.start).Seconds())) }
+func (p *Pacer) Post(fn func()) { p.post(fn, sim.Time(p.clock().Sub(p.start).Seconds())) }
 
 // post is Post at a given engine time.
 func (p *Pacer) post(fn func(), at sim.Time) {
@@ -77,41 +93,53 @@ func (p *Pacer) post(fn func(), at sim.Time) {
 	}
 }
 
-// Run owns the engine until ctx ends: it sleeps until the next event is
-// due or a closure is posted, then runs everything due.
+// Listen subscribes ctrl's Algorithm 2 listeners to the node's start and
+// exit hooks. A hook may fire on any goroutine, so each posts its
+// listener call to the loop.
+func (p *Pacer) Listen(ctrl *flowcon.Controller) {
+	p.node.OnStart(func(c runtime.Container) { p.Post(func() { ctrl.OnContainerStart(c.ID) }) })
+	p.node.OnExit(func(c runtime.Container) { p.Post(func() { ctrl.OnContainerExit(c.ID) }) })
+}
+
+// Run owns the engine until ctx ends: it sleeps until the next wake or a
+// closure is posted, then runs a Step.
 func (p *Pacer) Run(ctx context.Context) {
-	timer := time.NewTimer(time.Hour) // read only once reset to an event
+	timer := time.NewTimer(time.Hour) // reset before every wait
 	defer timer.Stop()
 	for {
-		var due <-chan time.Time
-		if next := p.step(time.Now()); next != sim.Infinity {
-			timer.Reset(wall(next) - time.Since(p.start))
-			due = timer.C
-		}
+		timer.Reset(p.Step().Sub(p.clock()))
 		select {
 		case <-ctx.Done():
 			return
-		case <-due:
+		case <-timer.C:
 		case <-p.wake:
 		}
 	}
 }
 
-// step brings the engine up to wall instant now and returns the time of
-// its next event. Each posted closure becomes a state event at the time
-// it was posted, clamped to the engine's time and to now, so it runs
+// Step is one wake at the clock's instant: it settles the node (whose
+// exit hooks post), then runs the posted closures and the due events, and
+// returns the next wake, the earlier of the engine's next event and the
+// node's next exit. A test on a fake clock calls it at each instant it
+// returns, as Run does. Each posted closure becomes a state event at the
+// time it was posted, clamped to the engine's time and to now, so it runs
 // after the events due before it and before the listener and executor
 // events it causes, in the simulator's order: a start posted just before
 // a due tick reschedules that tick through its own Algorithm 1 run. An
-// event is due once its wall instant, as Run's timer reckons it, has
-// passed.
-func (p *Pacer) step(now time.Time) sim.Time {
+// event or exit is due once its wall instant, as Run's timer reckons it,
+// has passed.
+func (p *Pacer) Step() time.Time {
+	now := p.clock()
 	elapsed := now.Sub(p.start)
 	t := max(sim.Time(elapsed.Seconds()), p.engine.Now())
 	if due := p.engine.NextAt(); wall(due) <= elapsed {
 		t = max(t, due)
 		p.maxLate = max(p.maxLate, elapsed-wall(due))
 	}
+	if exit, ok := p.node.NextExit(); ok && !exit.After(now) {
+		p.maxLate = max(p.maxLate, now.Sub(exit))
+	}
+	p.node.Settle()
 	p.mu.Lock()
 	batch := p.inbox
 	p.inbox = nil
@@ -120,25 +148,13 @@ func (p *Pacer) step(now time.Time) sim.Time {
 		p.engine.At(min(max(b.at, p.engine.Now()), t), sim.PriorityState, "realtime.post", b.fn)
 	}
 	p.engine.Run(t)
-	return p.engine.NextAt()
+	next := p.start.Add(wall(p.engine.NextAt()))
+	if exit, ok := p.node.NextExit(); ok && exit.Before(next) {
+		next = exit
+	}
+	return next
 }
 
-// Lateness reports the furthest past its due time a wake found an event:
-// how late the paced loop ran. Call it only after Run has returned.
+// Lateness reports the furthest past its due time a wake found an event
+// or exit: how late the loop ran. Call it only after Run has returned.
 func (p *Pacer) Lateness() time.Duration { return p.maxLate }
-
-// Hooks is the part of a live node the controller listens to:
-// livedock.Node's start and exit subscriptions.
-type Hooks interface {
-	OnStart(func(runtime.Container))
-	OnExit(func(runtime.Container))
-}
-
-// Listen subscribes ctrl's Algorithm 2 listeners to node's start and exit
-// hooks. A hook may fire on any goroutine, so each hands its listener
-// call to post, which must deliver it to the goroutine that owns ctrl's
-// engine: Pacer.Post, or a stepped test's own queue.
-func Listen(node Hooks, ctrl *flowcon.Controller, post func(func())) {
-	node.OnStart(func(c runtime.Container) { post(func() { ctrl.OnContainerStart(c.ID) }) })
-	node.OnExit(func(c runtime.Container) { post(func() { ctrl.OnContainerExit(c.ID) }) })
-}

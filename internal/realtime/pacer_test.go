@@ -9,9 +9,37 @@ import (
 	"time"
 
 	"repro/internal/flowcon"
+	"repro/internal/livedock"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 )
+
+// fakeClock is a manually advanced clock.
+type fakeClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func newFakeClock() *fakeClock { return &fakeClock{now: time.Unix(0, 0)} }
+
+func (f *fakeClock) Now() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.now
+}
+
+func (f *fakeClock) Set(t time.Time) {
+	f.mu.Lock()
+	f.now = t
+	f.mu.Unlock()
+}
+
+// newFakePacer paces eng and an empty node on one fake clock.
+func newFakePacer(eng *sim.Engine) (*Pacer, *livedock.Node, *fakeClock) {
+	clk := newFakeClock()
+	node := livedock.NewNodeWithClock(1.0, clk.Now)
+	return NewPacerWithClock(eng, node, clk.Now), node, clk
+}
 
 // reuseRuntime hands back one stats slice with advancing counters and
 // applies limits without allocating, so only the loop's own allocations
@@ -39,12 +67,18 @@ func (r *reuseRuntime) SetCPULimit(string, float64) error { return nil }
 // at is the wall instant of engine time t under p.
 func at(p *Pacer, t float64) time.Time { return p.start.Add(wall(sim.Time(t))) }
 
+// stepAt moves the fake clock to engine time t under p and wakes p there.
+func stepAt(p *Pacer, clk *fakeClock, t float64) time.Time {
+	clk.Set(at(p, t))
+	return p.Step()
+}
+
 // The controller runs on the wall clock: started before Run, it ticks at
 // its interval until the context ends, and it can be read once Run has
 // returned.
 func TestPacerRunsControllerOnTheWallClock(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewPacer(eng)
+	p := NewPacer(eng, livedock.NewNode(1.0))
 	ctrl := flowcon.NewController(flowcon.Config{Alpha: 0.05, InitialInterval: 0.02}, eng, newReuseRuntime(2), nil)
 	ctrl.Start()
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
@@ -71,7 +105,7 @@ func TestPacerRunsControllerOnTheWallClock(t *testing.T) {
 // an exit hook fired inside the controller's stats read), each run exactly
 // once and never block.
 func TestPostsRunOnceOnTheLoop(t *testing.T) {
-	p := NewPacer(sim.NewEngine())
+	p := NewPacer(sim.NewEngine(), livedock.NewNode(1.0))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -118,7 +152,7 @@ func TestPostsRunOnceOnTheLoop(t *testing.T) {
 // events at that instant.
 func TestStepKeepsTheSimulatorsOrder(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewPacer(eng)
+	p, _, clk := newFakePacer(eng)
 	var order []string
 	note := func(s string) func() { return func() { order = append(order, s) } }
 	eng.At(1, sim.PriorityExecutor, "earlier", note("earlier tick"))
@@ -128,7 +162,7 @@ func TestStepKeepsTheSimulatorsOrder(t *testing.T) {
 	p.post(func() {
 		order = append(order, fmt.Sprintf("post at %v", eng.Now()))
 	}, 2)
-	if next := p.step(at(p, 2.5)); next != 3 {
+	if next := stepAt(p, clk, 2.5); !next.Equal(at(p, 3)) {
 		t.Fatalf("step returned %v, want the next event at 3", next)
 	}
 	want := []string{"earlier tick", "post at 2", "listener at 2", "tick at 2"}
@@ -138,7 +172,7 @@ func TestStepKeepsTheSimulatorsOrder(t *testing.T) {
 	// A wall clock that reads behind the engine does not move it back,
 	// and a post stamped behind it runs at the engine's time.
 	p.post(func() { order = append(order, fmt.Sprintf("late post at %v", eng.Now())) }, 1)
-	if p.step(at(p, 1)); eng.Now() != 2.5 || order[len(order)-1] != "late post at 2.5" {
+	if stepAt(p, clk, 1); eng.Now() != 2.5 || order[len(order)-1] != "late post at 2.5" {
 		t.Fatalf("engine moved back to %v; order %q", eng.Now(), order)
 	}
 }
@@ -158,7 +192,7 @@ func TestPostBeforeADueTickRunsFirst(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
-			p := NewPacer(eng)
+			p, _, clk := newFakePacer(eng)
 			ctrl := flowcon.NewController(flowcon.Config{Alpha: 0.05, InitialInterval: 1}, eng, newReuseRuntime(1), nil)
 			ctrl.Start()
 			runsBefore := -1
@@ -166,7 +200,7 @@ func TestPostBeforeADueTickRunsFirst(t *testing.T) {
 				runsBefore = ctrl.Runs()
 				ctrl.OnContainerStart("c00")
 			}, tc.postedAt)
-			if next := p.step(at(p, 1.001)); next <= 1.001 {
+			if next := stepAt(p, clk, 1.001); !next.After(at(p, 1.001)) {
 				t.Fatalf("next event at %v: the tick was not rescheduled", next)
 			}
 			if runsBefore != tc.runs-1 {
@@ -183,15 +217,15 @@ func TestPostBeforeADueTickRunsFirst(t *testing.T) {
 // event; wakes with nothing due record nothing.
 func TestLateness(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewPacer(eng)
+	p, _, clk := newFakePacer(eng)
 	if worst := p.Lateness(); worst != 0 {
 		t.Fatalf("fresh pacer: worst lateness %v", worst)
 	}
 	for i := 1; i <= 10; i++ {
 		eng.At(sim.Time(i), sim.PriorityExecutor, "tick", func() {})
 		p.Post(func() {}) // an early wake: nothing due yet, nothing recorded
-		p.step(at(p, float64(i)-0.5))
-		p.step(at(p, float64(i)+float64(i)/1000))
+		stepAt(p, clk, float64(i)-0.5)
+		stepAt(p, clk, float64(i)+float64(i)/1000)
 	}
 	if worst := p.Lateness(); worst < 9*time.Millisecond || worst > 10*time.Millisecond {
 		t.Fatalf("worst lateness %v, want 10 ms", worst)
@@ -204,19 +238,19 @@ func TestLateness(t *testing.T) {
 // tick event.
 func TestStepAllocs(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewPacer(eng)
+	p, _, clk := newFakePacer(eng)
 	ctrl := flowcon.NewController(flowcon.Config{Alpha: 0.03, InitialInterval: 20}, eng, newReuseRuntime(32), nil)
 	ctrl.Start()
 	now := 0.0
 	if avg := testing.AllocsPerRun(200, func() {
 		now += 0.01
-		p.step(at(p, now))
+		stepAt(p, clk, now)
 	}); avg != 0 {
 		t.Fatalf("an idle wake allocates %.1f objects, want 0", avg)
 	}
 	runs := ctrl.Runs()
 	if avg := testing.AllocsPerRun(200, func() {
-		p.step(at(p, float64(eng.NextAt())))
+		stepAt(p, clk, float64(eng.NextAt()))
 	}); avg > 1 {
 		t.Fatalf("a tick allocates %.1f objects, want <= 1 (the tick event)", avg)
 	}
@@ -225,44 +259,40 @@ func TestStepAllocs(t *testing.T) {
 	}
 }
 
-// fakeNode records the hooks Listen subscribes.
-type fakeNode struct{ start, exit func(runtime.Container) }
-
-func (f *fakeNode) OnStart(fn func(runtime.Container)) { f.start = fn }
-func (f *fakeNode) OnExit(fn func(runtime.Container))  { f.exit = fn }
-
-// Listen routes both hooks through post, and the listener calls run only
+// Listen routes both hooks through Post, and the listener calls run only
 // when the owner of the engine runs them.
 func TestListenPostsTheListeners(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := newReuseRuntime(0)
-	rt.stats = []flowcon.Stat{{ID: "a", Eval: 100}}
-	ctrl := flowcon.NewController(flowcon.Config{Alpha: 0.05, InitialInterval: 20}, eng, rt, nil)
-	var queued []func()
-	node := &fakeNode{}
-	Listen(node, ctrl, func(fn func()) { queued = append(queued, fn) })
-	node.start(runtime.Container{ID: "a"})
-	if _, ok := ctrl.ListOf("a"); ok || len(queued) != 1 {
-		t.Fatalf("the start hook ran the listener in place (%d queued)", len(queued))
+	p, node, _ := newFakePacer(eng)
+	ctrl := flowcon.NewController(flowcon.Config{Alpha: 0.05, InitialInterval: 20}, eng, node, nil)
+	p.Listen(ctrl)
+	c, err := node.Launch(runtime.LaunchSpec{Name: "a", Workload: &lump{total: 100}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	queued[0]()
-	eng.Run(0)
-	if l, ok := ctrl.ListOf("a"); !ok || l != flowcon.NewList || ctrl.Runs() != 1 {
+	if _, ok := ctrl.ListOf(c.ID); ok || len(p.inbox) != 1 {
+		t.Fatalf("the start hook ran the listener in place (%d posted)", len(p.inbox))
+	}
+	p.Step()
+	if l, ok := ctrl.ListOf(c.ID); !ok || l != flowcon.NewList || ctrl.Runs() != 1 {
 		t.Fatalf("after the start: a in %v (%v), %d runs", l, ok, ctrl.Runs())
 	}
-	rt.stats = nil
-	node.exit(runtime.Container{ID: "a"})
-	queued[1]()
-	eng.Run(0)
-	if _, ok := ctrl.ListOf("a"); ok || ctrl.Runs() != 2 {
+	if err := node.Stop(c.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ctrl.ListOf(c.ID); !ok || len(p.inbox) != 1 {
+		t.Fatalf("the exit hook ran the listener in place (%d posted)", len(p.inbox))
+	}
+	p.Step()
+	if _, ok := ctrl.ListOf(c.ID); ok || ctrl.Runs() != 2 {
 		t.Fatalf("after the exit: a still listed or %d runs", ctrl.Runs())
 	}
 }
 
 func TestPacerValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"nil engine": func() { NewPacer(nil) },
-		"nil post":   func() { NewPacer(sim.NewEngine()).Post(nil) },
+		"nil engine": func() { NewPacer(nil, livedock.NewNode(1)) },
+		"nil post":   func() { NewPacer(sim.NewEngine(), livedock.NewNode(1)).Post(nil) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

@@ -20,16 +20,14 @@ package runtime
 
 import "repro/internal/flowcon"
 
-// State is the coarse lifecycle phase of a container as reported by a
-// Runtime. Every backend reports Running or Exited; Queued is the zero
-// value and no backend reports it (the agent service's admission queue
-// has its own "queued" slug on the wire).
+// State is the lifecycle phase of a container as reported by a Runtime:
+// Running or Exited. The zero State is neither, so a zero Container
+// reports "unknown".
 type State int
 
 // Lifecycle states.
 const (
-	Queued State = iota
-	Running
+	Running State = iota + 1
 	Exited
 )
 
@@ -37,8 +35,6 @@ const (
 // and log lines use.
 func (s State) String() string {
 	switch s {
-	case Queued:
-		return "queued"
 	case Running:
 		return "running"
 	case Exited:

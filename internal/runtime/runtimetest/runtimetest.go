@@ -54,6 +54,7 @@ func Run[R runtime.Runtime](t *testing.T, h Harness[R]) {
 	t.Run("RemoveFreesName", func(t *testing.T) { testRemoveFreesName(t, h(t)) })
 	t.Run("WorkAccrues", func(t *testing.T) { testWorkAccrues(t, h(t)) })
 	t.Run("ReadsAreCurrent", func(t *testing.T) { testReadsAreCurrent(t, h(t)) })
+	t.Run("ExitAtFinish", func(t *testing.T) { testExitAtFinish(t, h(t)) })
 	t.Run("Hooks", func(t *testing.T) { testHooks(t, h(t)) })
 	t.Run("RunningStats", func(t *testing.T) { testRunningStats(t, h(t)) })
 	t.Run("RunningStatsOrder", func(t *testing.T) { testRunningStatsOrder(t, h(t)) })
@@ -266,6 +267,29 @@ func testReadsAreCurrent[R runtime.Runtime](t *testing.T, e *Env[R]) {
 	}
 	if ps := e.RT.PS(true); len(ps) != 1 || !reflect.DeepEqual(ps[0], got) {
 		t.Fatalf("PS(true) = %+v, want [%+v]", ps, got)
+	}
+}
+
+// testExitAtFinish: a lone job read long after its work ran out reads as
+// it stood at its finish: exited and done, charged exactly its work, and
+// stamped with the instant that work ran out at its launch share.
+func testExitAtFinish[R runtime.Runtime](t *testing.T, e *Env[R]) {
+	spec := e.Spec("finisher")
+	work := spec.Workload.Remaining()
+	c, err := e.RT.Launch(spec)
+	if err != nil || c.CPUAlloc <= 0 {
+		t.Fatalf("Launch = %+v, %v; want a running share", c, err)
+	}
+	e.Advance(3 * work / c.CPUAlloc)
+	got, err := e.RT.Lookup("finisher")
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
+	switch ran := got.FinishedAt - got.StartedAt; {
+	case err != nil || got.State != runtime.Exited || !got.Done:
+		t.Fatalf("long after the finish: %+v, %v; want exited and done", got, err)
+	case !near(got.CPUSeconds, got.Work):
+		t.Fatalf("CPUSeconds %g for %g of work: charged past the finish", got.CPUSeconds, got.Work)
+	case !near(ran, got.Work/c.CPUAlloc):
+		t.Fatalf("ran %g s for %g of work at share %g, want %g", ran, got.Work, c.CPUAlloc, got.Work/c.CPUAlloc)
 	}
 }
 

@@ -15,15 +15,16 @@ import (
 	"sort"
 
 	"repro/internal/flowcon"
+	"repro/internal/runtime"
 	"repro/internal/sim"
 )
 
-// Node is the worker-side surface a policy manages.
+// Node is the worker-side surface a policy manages: Algorithm 1's pair
+// and the runtime's start and exit hooks, Algorithm 2's feed.
 type Node interface {
 	flowcon.Runtime
-	OnContainerStart(fn func(id string))
-	OnContainerExit(fn func(id string))
-	RunningCount() int
+	OnStart(fn func(runtime.Container))
+	OnExit(fn func(runtime.Container))
 }
 
 // Policy is a worker resource-management strategy.
@@ -58,8 +59,8 @@ func (f *FlowCon) Name() string {
 func (f *FlowCon) Attach(engine sim.Scheduler, node Node) {
 	f.controller = flowcon.NewController(f.Config, engine, node, f.Tracer)
 	if !f.NoListeners {
-		node.OnContainerStart(f.controller.OnContainerStart)
-		node.OnContainerExit(f.controller.OnContainerExit)
+		node.OnStart(func(c runtime.Container) { f.controller.OnContainerStart(c.ID) })
+		node.OnExit(func(c runtime.Container) { f.controller.OnContainerExit(c.ID) })
 	}
 	f.controller.Start()
 }
@@ -85,7 +86,7 @@ func (StaticEqual) Name() string { return "StaticEqual" }
 
 // Attach implements Policy.
 func (StaticEqual) Attach(engine sim.Scheduler, node Node) {
-	rebalance := func(string) {
+	rebalance := func(runtime.Container) {
 		// Defer to listener priority so the pool reflects the change.
 		engine.At(engine.Now(), sim.PriorityListener, "static.rebalance", func() {
 			stats := node.RunningStats()
@@ -99,8 +100,8 @@ func (StaticEqual) Attach(engine sim.Scheduler, node Node) {
 			}
 		})
 	}
-	node.OnContainerStart(rebalance)
-	node.OnContainerExit(rebalance)
+	node.OnStart(rebalance)
+	node.OnExit(rebalance)
 }
 
 // SLAQ is a quality-driven baseline in the spirit of SLAQ (related work):

@@ -3,6 +3,7 @@ package sched
 import (
 	"sort"
 
+	"repro/internal/runtime"
 	"repro/internal/sim"
 )
 
@@ -42,16 +43,16 @@ func (ts *TimeSlice) Attach(engine sim.Scheduler, node Node) {
 		ts.ParkedWeight = 0.02
 	}
 
-	node.OnContainerStart(func(id string) {
-		ts.order = append(ts.order, id)
+	node.OnStart(func(c runtime.Container) {
+		ts.order = append(ts.order, c.ID)
 		// Re-apply at listener priority so the pool reflects the arrival.
 		engine.At(engine.Now(), sim.PriorityListener, "timeslice.arrival", func() {
 			ts.apply(node)
 		})
 	})
-	node.OnContainerExit(func(id string) {
+	node.OnExit(func(c runtime.Container) {
 		for i, oid := range ts.order {
-			if oid == id {
+			if oid == c.ID {
 				ts.order = append(ts.order[:i], ts.order[i+1:]...)
 				if ts.cursor > i {
 					ts.cursor--

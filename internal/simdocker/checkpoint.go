@@ -24,7 +24,7 @@ func (d *Daemon) Checkpoint(id string) (*Checkpoint, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if c.state != Running {
+	if c.state != runtime.Running {
 		return nil, fmt.Errorf("%w: %s", ErrNotRunning, id)
 	}
 	d.settle()

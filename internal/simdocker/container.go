@@ -25,32 +25,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Containers move through the same lifecycle states Docker reports.
-type State int
-
-const (
-	// Created: the container exists but has not started running.
-	Created State = iota
-	// Running: the workload is executing and consuming resources.
-	Running
-	// Exited: the workload finished or the container was stopped.
-	Exited
-)
-
-// String implements fmt.Stringer with Docker's lowercase state names.
-func (s State) String() string {
-	switch s {
-	case Created:
-		return "created"
-	case Running:
-		return "running"
-	case Exited:
-		return "exited"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
-
 // Errors returned by daemon operations. Each wraps the backend-neutral
 // sentinel in internal/runtime (message bytes unchanged), so errors.Is
 // matches against either simdocker.ErrNotFound or runtime.ErrNotFound.
@@ -98,7 +72,7 @@ type Container struct {
 	id    string
 	name  string
 	image string
-	state State
+	state runtime.State
 
 	startedAt  sim.Time
 	finishedAt sim.Time
@@ -134,8 +108,8 @@ func (c *Container) ID() string { return c.id }
 // Name returns the user-supplied container name.
 func (c *Container) Name() string { return c.name }
 
-// State returns the lifecycle state.
-func (c *Container) State() State { return c.state }
+// State returns the lifecycle state, in the runtime's vocabulary.
+func (c *Container) State() runtime.State { return c.state }
 
 // Removed reports whether the container has left its daemon's pool
 // (`docker rm`, or a checkpoint freeze). Observers that hold container

@@ -274,7 +274,7 @@ func (d *Daemon) Run(spec RunSpec) (*Container, error) {
 		id:        id,
 		name:      name,
 		image:     spec.Image,
-		state:     Running,
+		state:     runtime.Running,
 		startedAt: d.engine.Now(),
 		workload:  spec.Workload,
 		cpuLimit:  limit,
@@ -312,7 +312,7 @@ func (d *Daemon) Update(id string, cpuLimit float64) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if c.state != Running {
+	if c.state != runtime.Running {
 		return fmt.Errorf("%w: %s", ErrNotRunning, id)
 	}
 	if err := checkLimit(cpuLimit); err != nil {
@@ -364,7 +364,7 @@ func (d *Daemon) Stop(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if c.state != Running {
+	if c.state != runtime.Running {
 		return fmt.Errorf("%w: %s", ErrNotRunning, id)
 	}
 	d.settle()
@@ -379,7 +379,7 @@ func (d *Daemon) Remove(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if c.state == Running {
+	if c.state == runtime.Running {
 		return fmt.Errorf("simdocker: remove %s: %w", id, runtime.ErrRunning)
 	}
 	delete(d.containers, id)
@@ -533,7 +533,7 @@ func (d *Daemon) settle() {
 // exit transitions a container to Exited, updates the incremental
 // aggregates, and notifies subscribers.
 func (d *Daemon) exit(c *Container) {
-	c.state = Exited
+	c.state = runtime.Exited
 	c.alloc = 0
 	c.finishedAt = d.engine.Now()
 	for i, rc := range d.runningList {
@@ -571,7 +571,7 @@ func (d *Daemon) reallocate() {
 	// splice runningList, so iterate a scratch snapshot.
 	d.retireScratch = append(d.retireScratch[:0], d.runningList...)
 	for _, c := range d.retireScratch {
-		if c.state != Running {
+		if c.state != runtime.Running {
 			continue
 		}
 		rem := remainingWork(c.workload)

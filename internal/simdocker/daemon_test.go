@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dlmodel"
 	"repro/internal/flowcon"
+	"repro/internal/runtime"
 	"repro/internal/sim"
 )
 
@@ -86,7 +87,7 @@ func TestSingleContainerCompletesAnalytically(t *testing.T) {
 	job := &fakeJob{total: 50, demand: 1}
 	c := mustRun(t, d, "solo", job)
 	e.RunAll()
-	if c.State() != Exited {
+	if c.State() != runtime.Exited {
 		t.Fatalf("state = %v, want exited", c.State())
 	}
 	if got := float64(c.FinishedAt()); math.Abs(got-50) > 1e-9 {
@@ -203,7 +204,7 @@ func TestStopAndRemove(t *testing.T) {
 		}
 	})
 	e.RunAll()
-	if c.State() != Exited || float64(c.FinishedAt()) != 5 {
+	if c.State() != runtime.Exited || float64(c.FinishedAt()) != 5 {
 		t.Fatalf("state=%v finishedAt=%v, want exited at 5", c.State(), c.FinishedAt())
 	}
 	if err := d.Remove(c.ID()); err != nil {
@@ -325,12 +326,21 @@ func TestImagesListing(t *testing.T) {
 	}
 }
 
+// Containers report the runtime's lifecycle states, under its names.
 func TestStateString(t *testing.T) {
-	if Created.String() != "created" || Running.String() != "running" || Exited.String() != "exited" {
-		t.Fatal("state strings wrong")
+	e := sim.NewEngine()
+	d := NewDaemon(e, 1.0)
+	d.Pull(Image{Ref: "img"})
+	c, err := d.Run(RunSpec{Image: "img", Workload: &fakeJob{total: 1, demand: 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if State(9).String() != "State(9)" {
-		t.Fatal("out-of-range state string wrong")
+	if c.State() != runtime.Running || c.State().String() != "running" {
+		t.Fatalf("a started container is %q", c.State())
+	}
+	e.RunAll()
+	if c.State() != runtime.Exited || c.State().String() != "exited" {
+		t.Fatalf("a finished container is %q", c.State())
 	}
 }
 
@@ -390,7 +400,7 @@ func TestManyContainersDrain(t *testing.T) {
 	e.RunAll()
 	total := 0.0
 	for _, c := range conts {
-		if c.State() != Exited {
+		if c.State() != runtime.Exited {
 			t.Fatalf("container %s not exited", c.ID())
 		}
 		total += c.cpuSeconds

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/runtime"
 	"repro/internal/sim"
 )
 
@@ -18,7 +19,7 @@ func checkAggregates(t *testing.T, step int, d *Daemon) {
 	}
 	n, mem := 0, 0.0
 	for _, c := range d.containers {
-		if c.state != Running {
+		if c.state != runtime.Running {
 			continue
 		}
 		n++
@@ -36,7 +37,7 @@ func checkAggregates(t *testing.T, step int, d *Daemon) {
 		t.Fatalf("step %d: runningList has %d entries, want %d", step, len(d.runningList), n)
 	}
 	for _, c := range d.runningList {
-		if c.state != Running {
+		if c.state != runtime.Running {
 			t.Fatalf("step %d: %s container %s on runningList", step, c.state, c.id)
 		}
 	}
@@ -59,7 +60,7 @@ func checkAggregates(t *testing.T, step int, d *Daemon) {
 		if c.etaIndex != i {
 			t.Fatalf("step %d: heap slot %d holds container with etaIndex %d", step, i, c.etaIndex)
 		}
-		if c.state != Running {
+		if c.state != runtime.Running {
 			t.Fatalf("step %d: %s container %s still in ETA heap", step, c.state, c.id)
 		}
 	}

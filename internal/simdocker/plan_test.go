@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/resource"
+	"repro/internal/runtime"
 	"repro/internal/sim"
 )
 
@@ -169,7 +170,7 @@ func TestOneReallocationEventPerInstant(t *testing.T) {
 func TestUpdateKeepsCompletionTieOrder(t *testing.T) {
 	e, d := newTestDaemon(t)
 	a := mustRun(t, d, "a", &fakeJob{total: 10, demand: 1}) // completes at T = 10
-	var stateAtTie State
+	var stateAtTie runtime.State
 	e.At(10, sim.PriorityState, "external", func() { stateAtTie = a.State() })
 	e.At(5, sim.PriorityExecutor, "same-limit update", func() {
 		if err := d.Update(a.ID(), 1.0); err != nil {
@@ -177,7 +178,7 @@ func TestUpdateKeepsCompletionTieOrder(t *testing.T) {
 		}
 	})
 	e.RunAll()
-	if stateAtTie != Exited {
+	if stateAtTie != runtime.Exited {
 		t.Fatalf("external event at T saw %s, want exited: the completion lost its place in the tie", stateAtTie)
 	}
 	if a.FinishedAt() != 10 {

@@ -11,38 +11,20 @@ import (
 // simulation goroutine.
 //
 // RT owns the scratch buffer behind RunningStats, so the Algorithm 1
-// hot path stays allocation-free at steady state, and it fans daemon
-// start/exit notifications out to runtime-level hooks as Container
-// views. It subscribes to the daemon exactly once, at construction —
-// construct the RT before any other daemon subscriber whose ordering
-// matters (event insertion order is deterministic, so subscriber order
-// shapes golden traces).
+// hot path stays allocation-free at steady state. Its hooks register on
+// the daemon itself, each wrapped to receive the Container view, so the
+// daemon holds the one list of lifecycle subscribers and fires them in
+// registration order, whether they subscribed through RT or directly.
 type RT struct {
 	d *Daemon
 
 	statScratch []flowcon.Stat
-
-	startSubs []func(runtime.Container)
-	exitSubs  []func(runtime.Container)
 }
 
 var _ runtime.Migratable = (*RT)(nil)
 
 // NewRuntime wraps a daemon in its runtime.Runtime adapter.
-func NewRuntime(d *Daemon) *RT {
-	rt := &RT{d: d}
-	d.OnStart(func(c *Container) {
-		for _, fn := range rt.startSubs {
-			fn(view(c))
-		}
-	})
-	d.OnExit(func(c *Container) {
-		for _, fn := range rt.exitSubs {
-			fn(view(c))
-		}
-	})
-	return rt
-}
+func NewRuntime(d *Daemon) *RT { return &RT{d: d} }
 
 // view snapshots a container into the backend-neutral value form, as of
 // now: CPU seconds and work include what accrued since the daemon's last
@@ -60,10 +42,9 @@ func view(c *Container) runtime.Container {
 		FinishedAt:  float64(c.finishedAt),
 		Done:        c.workload.Done(),
 		Work:        c.workload.Work(),
-		State:       runtime.Exited,
+		State:       c.state,
 	}
-	if c.state == Running {
-		v.State = runtime.Running
+	if c.state == runtime.Running {
 		d := c.d
 		cpu, work := accrued(c, d.elapsed(), d.efficiency(d.running))
 		v.CPUSeconds += cpu
@@ -151,12 +132,12 @@ func (rt *RT) Restore(cp *runtime.Checkpoint) (runtime.Container, error) {
 	return view(c), nil
 }
 
-// OnStart implements runtime.Runtime.
+// OnStart implements runtime.Runtime on the daemon's start hooks.
 func (rt *RT) OnStart(fn func(runtime.Container)) {
-	rt.startSubs = append(rt.startSubs, fn)
+	rt.d.OnStart(func(c *Container) { fn(view(c)) })
 }
 
-// OnExit implements runtime.Runtime.
+// OnExit implements runtime.Runtime on the daemon's exit hooks.
 func (rt *RT) OnExit(fn func(runtime.Container)) {
-	rt.exitSubs = append(rt.exitSubs, fn)
+	rt.d.OnExit(func(c *Container) { fn(view(c)) })
 }

@@ -5,8 +5,9 @@
 # CI must not diff a runner's fresh numbers against the committed
 # BENCH_sim.json (that baseline documents the trajectory on whatever box
 # recorded it). Instead this script records BOTH the merge-base's numbers
-# and the working tree's numbers on the current machine, then gates the
-# delta with cmd/benchcompare.
+# and the working tree's numbers on the current machine, three runs each,
+# alternated base/head so drift in the machine's load hits both sides,
+# then gates each key's median with cmd/benchcompare.
 #
 # Environment:
 #   BENCHTIME  per-benchmark budget passed to benchjson (default 0.3s)
@@ -34,11 +35,13 @@ cleanup() {
 trap cleanup EXIT
 
 git worktree add --detach "$dir/base" "$base" >/dev/null 2>&1
-echo "bench-compare-base: recording merge-base $base on this machine..."
-if ! (cd "$dir/base" && go run ./cmd/benchjson -benchtime "$BENCHTIME" -out "$dir/base.json"); then
-    echo "bench-compare-base: merge base cannot self-benchmark; skipping gate"
-    exit 0
-fi
-echo "bench-compare-base: recording working tree..."
-go run ./cmd/benchjson -benchtime "$BENCHTIME" -out "$dir/head.json"
+for run in 1 2 3; do
+    echo "bench-compare-base: run $run of 3: recording merge-base $base on this machine..."
+    if ! (cd "$dir/base" && go run ./cmd/benchjson -benchtime "$BENCHTIME" -out "$dir/base.json"); then
+        echo "bench-compare-base: merge base cannot self-benchmark; skipping gate"
+        exit 0
+    fi
+    echo "bench-compare-base: run $run of 3: recording working tree..."
+    go run ./cmd/benchjson -benchtime "$BENCHTIME" -out "$dir/head.json"
+done
 go run ./cmd/benchcompare -old "$dir/base.json" -new "$dir/head.json"
