@@ -169,6 +169,31 @@ func BenchmarkFig17(b *testing.B) {
 	b.ReportMetric((na.Makespan-fc.Makespan)/na.Makespan*100, "makespan_gain_%")
 }
 
+// BenchmarkPaperPairsRead runs the four FlowCon/NA pairs behind Figures
+// 7/8, 10/11, 12-16 and 17 and reads every job's CPU and evaluation
+// series inside the timed loop, as a figure regenerator does: the dense
+// tier derives those series on read, so this times the simulation and
+// the derivation together.
+func BenchmarkPaperPairsRead(b *testing.B) {
+	pairs := []func() (*experiment.Result, *experiment.Result){
+		experiment.FixedPair, experiment.RandomPair, experiment.TenJobPair, experiment.FifteenJobPair,
+	}
+	points := 0
+	for i := 0; i < b.N; i++ {
+		points = 0
+		for _, pair := range pairs {
+			fc, na := pair()
+			for _, res := range []*experiment.Result{fc, na} {
+				for _, j := range res.Jobs {
+					points += len(res.Collector.CPUSeries(j.Name).Points())
+					points += len(res.Collector.EvalSeries(j.Name).Points())
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(points), "points")
+}
+
 // --- Ablation benches (design choices from DESIGN.md) ---
 
 // tenJobSpec builds the Figure 12 workload under an arbitrary policy.

@@ -38,8 +38,9 @@ const threshold = 25.0
 // keys are the gated hot paths: the per-event engine cost, the daemon's
 // settle/reallocate ladder top, one Algorithm 1 plan applied by the
 // daemon (128 updates, one fill), one full Algorithm 1 cycle, the
-// migration round trip, one metrics sampler pass (the observer, which
-// runs every sampling period on every node), one arrival on a live node
+// migration round trip, one dense-tier rate-log step (the observer: one
+// reallocation's reports for every running container, plus one tick),
+// one arrival on a live node
 // already running 4000 containers (the /v1/jobs submit path), one status
 // poll on that node (GET /v1/jobs/{name}), and one default placement scan
 // over 1000 workers (the manager's per-arrival serial step) — the
@@ -52,7 +53,7 @@ var keys = []string{
 	"Algorithm1/256",
 	"CheckpointRestore/256",
 	"Migrate/256",
-	"SamplerPass/256",
+	"RateLog/256",
 	"NodeLaunch/4000",
 	// A poll settles the node and reads one container: O(1) in occupancy
 	// under virtual-time accounting, where it used to touch every running

@@ -1,7 +1,7 @@
 // Command benchjson records the repo's microbenchmark trajectory: it runs
 // the simulation hot-path microbenchmarks (event cancellation, daemon
 // settle/reallocate and plan apply, Algorithm 1, the migration ladder,
-// sketch insert and the metrics sampler pass) across the
+// sketch insert and the dense metrics tier's rate log) across the
 // 16/64/256 containers-per-node ladder, the placement scan over 256 and
 // 1000 workers, and the live node's launch/lookup pair at 1/1000/4000
 // running, and appends the results as one per-commit entry to
@@ -44,7 +44,7 @@ import (
 // pool re-limited at one instant, one fill), the migration ladder
 // (checkpoint/restore in simdocker, full manager-mediated migrate and
 // rebalancer scans in migrate), the observer (sketch insert in stats,
-// the dense sampler pass in metrics), the manager's placement scan (LeastLoaded and BinPackMemory
+// the dense tier's rate log in metrics), the manager's placement scan (LeastLoaded and BinPackMemory
 // over loaded workers in cluster) and the live submit path (launch and
 // status lookup on a livedock node).
 var benchPackages = []string{

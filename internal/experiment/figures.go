@@ -86,8 +86,10 @@ func runSweep(title string, subs []workload.Submission, settings []Setting) *Set
 // failed run — the contract of the figure regenerators, which promise
 // complete results. It forces the dense collection tier: figures and
 // paired traces are re-plotted from raw series, which only that tier
-// retains, and regeneration must stay byte-identical across tiers of
-// the surrounding run.
+// keeps (its CPU and evaluation series are derived when a regenerator
+// first reads them, so a run nobody reads costs only its rate log), and
+// regeneration must stay byte-identical across tiers of the surrounding
+// run.
 func mustSweep(specs []Spec) *SweepResult {
 	for i := range specs {
 		specs[i].TraceLevel = metrics.TierDense

@@ -7,18 +7,16 @@ import (
 	"unsafe"
 
 	"repro/internal/flowcon"
-	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/simdocker"
 )
 
-// PostExitSamples is the documented post-exit sampler horizon: an exited
-// container contributes at most this many further CPU samples — the
-// partial window covering the exit instant and the first all-zero window
-// — before the sampler seals it, drops it from iteration and frees its
-// differencing state. Every later sample would be identically zero, so
-// the cap loses no information while keeping the dense tier from
-// accumulating an O(makespan) zero tail per finished job.
+// PostExitSamples is the documented post-exit horizon of the dense CPU
+// series: an exited container contributes at most this many further CPU
+// samples — the partial window covering the exit instant and the first
+// all-zero window — and none after. Every later sample would be
+// identically zero, so the cap loses no information while keeping the
+// dense tier from holding an O(makespan) zero tail per finished job.
 const PostExitSamples = 2
 
 // JobRecord is the lifecycle summary of one job.
@@ -64,16 +62,40 @@ var kindNames = [numKinds]string{"cpu", "eval", "limit", "growth", "list"}
 
 // job is the collector's one record per tracked job: the lifecycle
 // summary and the tier's trajectory store. Both indexes — jobs by name,
-// byCID by container — lead here, so the sampling and tracing paths do
-// one lookup and then follow pointers.
+// byCID by container — lead here, so the tracing path does one lookup
+// and then follows pointers.
 type job struct {
 	JobRecord
 
-	// dense holds the raw series; nil in TierSummary.
-	dense *[numKinds]Series
+	// dense holds the raw series and what derives them; nil in
+	// TierSummary.
+	dense *denseJob
 	// growthC is the bounded growth trajectory behind GrowthAt; nil in
 	// TierDense, which answers from the raw growth trace.
 	growthC *CompactSeries
+}
+
+// denseJob is a dense-tier job's trajectory store. RecordRun appends the
+// growth, limit and list series. The CPU and evaluation series are
+// derived from the rate log on read (see derive) and kept until a later
+// tick makes them stale.
+type denseJob struct {
+	series [numKinds]Series
+	// derived[k] is 1 + the tick count series[k] was derived over, for
+	// the two derived kinds; 0 before the first read.
+	derived [kindEval + 1]int
+	// binds are the containers the job was bound to, in order, each with
+	// the stamp of the binding.
+	binds []bind
+	// finished is the stamp at which the job completed, if it did.
+	finished uint64
+}
+
+// bind records that a job was bound to container cid from stamp on: a
+// tick whose stamp is at least that samples cid for the job.
+type bind struct {
+	cid   string
+	stamp uint64
 }
 
 // Collector accumulates everything an experiment reports. It subscribes to
@@ -83,14 +105,18 @@ type job struct {
 // What it keeps is governed by the collector's Tier. TierSummary keeps the
 // job records and one bounded CompactSeries of growth per job, so GrowthAt
 // can answer the GE@fraction report columns: total memory is O(jobs),
-// independent of makespan. It has no periodic tick. TierDense samples CPU
-// usage and evaluation values every period — pure reads of the daemons —
-// and retains every raw sample, and every Algorithm 1 run's growth, limit
-// and list, in full Series: O(jobs × makespan). The raw-series accessors
-// (CPUSeries etc.) and CPUSummary return nil outside that tier.
+// independent of makespan. It has no periodic tick. TierDense keeps every
+// Algorithm 1 run's growth, limit and list in full Series, and a CPU and
+// evaluation sample per job every period. Those two are not read off the
+// daemons each period: each worker's daemon reports every change to a
+// container's read inputs to the collector's rate log (see
+// simdocker.Observer), each period's tick only notes its instant, and
+// CPUSeries, EvalSeries, CPUSummary and Export derive the samples a read
+// at every tick would have returned (see replay). The raw-series
+// accessors (CPUSeries etc.) and CPUSummary return nil outside that tier.
 //
-// A Collector is not safe for concurrent use. Points mutates the
-// collector too: it compacts a chunked series.
+// A Collector is not safe for concurrent use. Its reads mutate it too:
+// they derive and cache series, and Points compacts a chunked series.
 type Collector struct {
 	engine *sim.Engine
 	period float64
@@ -99,12 +125,18 @@ type Collector struct {
 	jobs  map[string]*job // by job name
 	byCID map[string]*job // by the container the job is bound to
 
-	// samplers holds one sampler per attached worker, in attach order, in
-	// TierDense and none in TierSummary. tickFn is the bound tick method,
-	// built once so rescheduling the metrics.sample event allocates only
-	// the event.
-	samplers []*sampler
-	tickFn   func()
+	// workers holds one rate log per attached worker, in attach order, in
+	// TierDense and none in TierSummary.
+	workers []*workerLog
+	// ticks are the metrics.sample events that have run, in order.
+	ticks []tickMark
+	// tickEv is the metrics.sample event, re-armed every period.
+	tickEv *sim.Event
+	// conts groups the rate logs by container id for derivation. Reads
+	// build it and extend it with what was logged since; indexedTicks is
+	// the tick count at the last extension.
+	conts        map[string]*contLog
+	indexedTicks int
 
 	algoRuns int
 }
@@ -154,7 +186,7 @@ func (c *Collector) TrackJob(name, worker, model, containerID string, startedAt 
 		StartedAt:   startedAt,
 	}}
 	if c.tier == TierDense {
-		j.dense = new([numKinds]Series)
+		j.dense = &denseJob{binds: []bind{{cid: containerID, stamp: c.engine.Executed()}}}
 	} else {
 		j.growthC = NewCompactSeries(0)
 	}
@@ -193,9 +225,9 @@ func (c *Collector) TrackJobCheckpointed(name, worker, model, containerID string
 	j.Checkpoints++
 }
 
-// rebind points an open job record at a new container. Sampler slots
-// holding the old container notice on their next pass: the record's
-// ContainerID no longer names theirs.
+// rebind points an open job record at a new container. From the next
+// tick on the job is sampled from the new container, and the old one
+// samples nothing more.
 func (c *Collector) rebind(j *job, worker, containerID string) {
 	if j.Finished {
 		panic(fmt.Sprintf("metrics: re-tracking finished job %q", j.Name))
@@ -204,6 +236,9 @@ func (c *Collector) rebind(j *job, worker, containerID string) {
 	j.ContainerID = containerID
 	j.Worker = worker
 	c.byCID[containerID] = j
+	if d := j.dense; d != nil {
+		d.binds = append(d.binds, bind{cid: containerID, stamp: c.engine.Executed()})
+	}
 }
 
 // JobExited records a job's completion. Call from the daemon's OnExit
@@ -219,141 +254,41 @@ func (c *Collector) JobExited(cont *simdocker.Container) {
 	}
 	j.FinishedAt = float64(cont.FinishedAt())
 	j.Finished = true
-}
-
-// sampler is one dense-tier worker's CPU and evaluation sampler. All its
-// bookkeeping (usage differencing, post-exit tail counts) lives here; the
-// collector's tick decides when its passes run.
-type sampler struct {
-	c      *Collector
-	daemon *simdocker.Daemon
-	// live holds one slot per container that can still produce a sample,
-	// in creation order: a pass costs O(live containers), not O(every
-	// container the daemon ever held).
-	live []samplerSlot
-	// lastAt is this sampler's previous pass (or its attach instant), so a
-	// worker attached between ticks gets a partial first window.
-	lastAt float64
-}
-
-// samplerSlot is the sampler's state for one live container.
-type samplerSlot struct {
-	cont *simdocker.Container
-	// job is the record cont is bound to; nil until its id resolves in
-	// byCID (OnStart fires before the manager's TrackJob) and again after
-	// the record is rebound to another container.
-	job *job
-	// lastCPU is cont's cumulative CPU seconds at the previous sample.
-	lastCPU float64
-	// tail counts samples taken after cont was observed exited. At
-	// PostExitSamples the slot is dropped; see the constant's doc for why
-	// the cap is lossless.
-	tail int
+	if j.dense != nil {
+		j.dense.finished = c.engine.Executed()
+	}
 }
 
 // AttachWorker subscribes the collector to a worker daemon's lifecycle. In
-// TierDense the worker also gets a sampler, and the first attach schedules
-// the tick: one metrics.sample event per period on the collector's engine,
-// which passes every sampler in attach order and reschedules itself once —
-// O(1) events per period however many workers there are. A worker attached between ticks joins the collector's phase;
-// its first sample covers the time from attach to the next tick.
-// Containers already in the daemon's pool are picked up, so attaching
-// after launching works. TierSummary schedules nothing.
+// TierDense the collector also becomes the daemon's observer (a daemon
+// has one, so one dense collector observes it), logging every change to
+// a container's read inputs in the worker's rate log (containers already
+// in the pool are logged at once, so attaching after launching works),
+// and the first attach schedules the tick: one
+// metrics.sample event per period on the collector's engine, however
+// many workers there are. A worker attached between ticks joins the
+// collector's phase; its first sample covers the time from attach to the
+// next tick. TierSummary schedules nothing.
 func (c *Collector) AttachWorker(name string, daemon *simdocker.Daemon) {
 	daemon.OnExit(c.JobExited)
 	if c.tier != TierDense {
 		return
 	}
-	c.samplers = append(c.samplers, c.newSampler(daemon))
-	if len(c.samplers) == 1 {
-		c.tickFn = c.tick
-		c.engine.After(c.period, sim.PriorityMetric, "metrics.sample", c.tickFn)
+	w := &workerLog{daemon: daemon, at: float64(c.engine.Now()), stamp: c.engine.Executed()}
+	c.workers = append(c.workers, w)
+	daemon.SetObserver(w)
+	if c.tickEv == nil {
+		c.tickEv = c.engine.After(c.period, sim.PriorityMetric, "metrics.sample", c.tick)
 	}
 }
 
-// tick is the dense collector's metrics.sample event: one pass of every
-// sampler, then the next period's event.
+// tick is the dense collector's metrics.sample event: it notes its
+// instant and stamp, the samples' timestamps, and re-arms itself for the
+// next period. It reads no daemon.
 func (c *Collector) tick() {
-	for _, s := range c.samplers {
-		s.pass()
-	}
-	c.engine.After(c.period, sim.PriorityMetric, "metrics.sample", c.tickFn)
-}
-
-// newSampler builds a daemon's sampler: one slot per container already in
-// the pool, extended from the daemon's start notifications. The caller
-// decides when passes run.
-func (c *Collector) newSampler(daemon *simdocker.Daemon) *sampler {
-	s := &sampler{c: c, daemon: daemon, lastAt: float64(c.engine.Now())}
-	track := func(cont *simdocker.Container) {
-		s.live = append(s.live, samplerSlot{cont: cont})
-	}
-	daemon.EachContainer(track)
-	daemon.OnStart(track)
-	return s
-}
-
-// pass takes one sample of every live container and drops the slots that
-// can produce no further sample. Allocation-free at steady state.
-func (s *sampler) pass() {
-	now := float64(s.c.engine.Now())
-	dt := now - s.lastAt
-	kept := s.live[:0]
-	for i := range s.live {
-		if s.sample(&s.live[i], now, dt) {
-			kept = append(kept, s.live[i])
-		}
-	}
-	clear(s.live[len(kept):]) // let dropped containers be collected
-	s.live = kept
-	s.lastAt = now
-}
-
-// sample records one slot's usage over the last dt seconds and reports
-// whether the slot stays live.
-func (s *sampler) sample(sl *samplerSlot, now, dt float64) bool {
-	cont := sl.cont
-	if cont.Removed() {
-		// Frozen by a checkpoint, killed, or reaped on repair since the
-		// last pass. Its final partial window goes unsampled: the job's
-		// series continue from the container it is restored into, and
-		// archives have always read that way.
-		return false
-	}
-	exited := cont.State() == runtime.Exited
-	j := sl.job
-	if j == nil || j.ContainerID != cont.ID() {
-		j = s.c.byCID[cont.ID()]
-		sl.job = j
-		if j == nil {
-			// Untracked. A running container may yet be bound; an exited
-			// one (e.g. replaced after a rebind) never will be.
-			return !exited
-		}
-	}
-	d := j.dense
-	if j.Finished && exited {
-		// Exited containers have final counters and a closed record: read
-		// the CPU time alone, without the evaluation.
-		if dt > 0 {
-			d[kindCPU].Append(now, (cont.CPUSeconds()-sl.lastCPU)/dt)
-		}
-		sl.lastCPU = cont.CPUSeconds()
-	} else {
-		cpu, eval := s.daemon.Usage(cont)
-		if dt > 0 {
-			d[kindCPU].Append(now, (cpu-sl.lastCPU)/dt)
-		}
-		sl.lastCPU = cpu
-		if !j.Finished {
-			d[kindEval].Append(now, eval)
-		}
-	}
-	if exited {
-		sl.tail++
-		return sl.tail < PostExitSamples
-	}
-	return true
+	now := c.engine.Now()
+	c.ticks = append(c.ticks, tickMark{at: float64(now), stamp: c.engine.Executed()})
+	c.engine.Rearm(c.tickEv, now+sim.Time(c.period))
 }
 
 // RecordRun implements flowcon.Tracer: per algorithm run it appends each
@@ -370,11 +305,11 @@ func (c *Collector) RecordRun(e flowcon.TraceEntry) {
 		if !ok {
 			continue
 		}
-		d := j.dense
-		if d == nil {
+		if j.dense == nil {
 			j.growthC.Append(now, tc.G)
 			continue
 		}
+		d := &j.dense.series
 		if tc.GDefined {
 			d[kindGrowth].Append(now, tc.G)
 		}
@@ -401,21 +336,28 @@ func (c *Collector) Jobs() []JobRecord {
 	return out
 }
 
-// series returns one of a job's raw traces: nil for an untracked job and
-// outside TierDense.
+// series returns one of a job's raw traces, derived first if it is a
+// derived kind: nil for an untracked job and outside TierDense.
 func (c *Collector) series(name string, k seriesKind) *Series {
-	if j := c.jobs[name]; j != nil && j.dense != nil {
-		return &j.dense[k]
+	j := c.jobs[name]
+	if j == nil || j.dense == nil {
+		return nil
 	}
-	return nil
+	if k <= kindEval {
+		c.derive(j, k)
+	}
+	return &j.dense.series[k]
 }
 
-// CPUSeries returns the sampled CPU-usage trace for a job. Dense tier
-// only: nil in TierSummary, which samples nothing.
+// CPUSeries returns the CPU-usage trace for a job: one sample per tick
+// while it is bound to a container, each the container's CPU seconds
+// over the tick's window divided by the window. Dense tier only: nil in
+// TierSummary, which samples nothing.
 func (c *Collector) CPUSeries(name string) *Series { return c.series(name, kindCPU) }
 
-// EvalSeries returns the sampled evaluation-function trace for a job.
-// Dense tier only: nil in TierSummary.
+// EvalSeries returns the evaluation-function trace for a job: its
+// workload's evaluation value at every tick until it finishes. Dense
+// tier only: nil in TierSummary.
 func (c *Collector) EvalSeries(name string) *Series { return c.series(name, kindEval) }
 
 // LimitSeries returns the configured-limit trace for a job. Dense tier
@@ -428,22 +370,20 @@ func (c *Collector) LimitSeries(name string) *Series { return c.series(name, kin
 func (c *Collector) GrowthSeries(name string) *Series { return c.series(name, kindGrowth) }
 
 // CPUSummary returns the moments of a job's CPU-usage trace, folded into
-// a fresh SeriesSummary from CPUSeries on every call. Dense tier only, like
-// CPUSeries: nil in TierSummary and for an untracked job. For the
-// benchmark this means metrics.samples counts dense-tier samples only (it
-// reads 0 on summary-tier workloads), and metrics.sample_ns, which times a
-// summary-tier collector, times no tick against a no-op Sync.
+// a fresh SeriesSummary on every call: the samples are derived from the
+// rate log and streamed into it, without materialising CPUSeries. Dense
+// tier only, like CPUSeries: nil in TierSummary and for an untracked job.
+// For the benchmark this means metrics.samples counts dense-tier samples
+// only (it reads 0 on summary-tier workloads), and metrics.sample_ns,
+// which times a summary-tier collector, times no tick against a no-op
+// Sync.
 func (c *Collector) CPUSummary(name string) *SeriesSummary {
-	s := c.CPUSeries(name)
-	if s == nil {
+	j := c.jobs[name]
+	if j == nil || j.dense == nil {
 		return nil
 	}
 	sum := NewSeriesSummary()
-	for _, ch := range s.chunks {
-		for _, p := range ch {
-			sum.Observe(p.T, p.V)
-		}
-	}
+	c.replay(j, sum.Observe, nil)
 	return sum
 }
 
@@ -459,7 +399,7 @@ func (c *Collector) GrowthAt(name string, t float64) (float64, bool) {
 		return 0, false
 	}
 	if j.dense != nil {
-		g := &j.dense[kindGrowth]
+		g := &j.dense.series[kindGrowth]
 		if len(g.chunks) == 0 || g.chunks[0][0].T > t {
 			return 0, false
 		}
@@ -469,9 +409,12 @@ func (c *Collector) GrowthAt(name string, t float64) (float64, bool) {
 }
 
 // MemoryBytes returns the collector's retained observability memory: per
-// job the record itself plus everything it points at — raw series or the
-// compact trajectory — and an estimate for its two index entries. It is
-// the figure ./bench reports as metrics.collector_mb, and the one
+// job the record itself plus everything it points at — raw series (the
+// derived CPU and evaluation series only once a read materialised them)
+// and bindings, or the compact trajectory — and an estimate for its two
+// index entries; in TierDense also the rate logs, the tick instants and
+// the container index reads build over the logs. It is the figure
+// ./bench reports as metrics.collector_mb, and the one
 // TestSummaryTierMemoryClusterScale uses to verify the summary tier is
 // O(jobs) rather than O(jobs × makespan).
 func (c *Collector) MemoryBytes() int {
@@ -484,14 +427,15 @@ func (c *Collector) MemoryBytes() int {
 	for _, j := range c.jobs {
 		total += fixed
 		if d := j.dense; d != nil {
-			for k := range d {
-				total += d[k].MemoryBytes()
+			total += int(unsafe.Sizeof(*d)) + cap(d.binds)*int(unsafe.Sizeof(bind{}))
+			for k := range d.series {
+				total += d.series[k].MemoryBytes()
 			}
 		} else {
 			total += j.growthC.MemoryBytes()
 		}
 	}
-	return total
+	return total + c.rateLogBytes()
 }
 
 // Makespan returns the total schedule length: latest finish over all jobs

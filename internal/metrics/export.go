@@ -51,10 +51,18 @@ func (c *Collector) Export() Archive {
 	for k, kind := range kindNames {
 		out := make(map[string][]Point, len(c.jobs))
 		for name, j := range c.jobs {
-			if s := &j.dense[k]; s.Len() > 0 {
-				// Not Points: compacting first would allocate every
-				// point a second time.
-				out[name] = s.copyPoints()
+			// The derived kinds are derived afresh, not cached: the
+			// archive is their one reader. The stored ones are copied,
+			// not compacted through Points, which would allocate every
+			// point a second time.
+			var pts []Point
+			if k := seriesKind(k); k <= kindEval {
+				pts = c.derivePoints(j, k)
+			} else {
+				pts = j.dense.series[k].copyPoints()
+			}
+			if len(pts) > 0 {
+				out[name] = pts
 			}
 		}
 		a.Series[kind] = out

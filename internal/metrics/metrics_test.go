@@ -238,7 +238,7 @@ func TestCollectorRecordRun(t *testing.T) {
 	if col.LimitSeries("x").At(5) != 0.9 {
 		t.Fatal("limit not recorded")
 	}
-	if col.jobs["x"].dense[kindList].At(5) != float64(flowcon.NewList) {
+	if col.jobs["x"].dense.series[kindList].At(5) != float64(flowcon.NewList) {
 		t.Fatal("list not recorded")
 	}
 }

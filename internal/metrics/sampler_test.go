@@ -133,16 +133,20 @@ func TestAttachWorkerSamplesRunningContainers(t *testing.T) {
 
 // TestSamplerStateBoundedAcrossCheckpoints is the regression test for the
 // per-checkpoint leak: Daemon.Checkpoint removes the frozen container
-// from the pool before the sampler ever sees it exited, and the old
-// id-keyed sampler maps kept one entry per snapshot forever. After any
-// number of checkpoint→restore cycles the sampler holds O(running) slots.
+// from the pool before any tick sees it exited, and the old id-keyed
+// sampler maps kept one entry per snapshot forever. The rate log grows
+// by a fixed number of records per checkpoint→restore cycle (the
+// freeze's exit and removal, the restore's start), whatever the series
+// derived from it hold, and those equal the reference sampler's.
 func TestSamplerStateBoundedAcrossCheckpoints(t *testing.T) {
 	const cycles = 50
 	e := sim.NewEngine()
 	d := simdocker.NewDaemon(e, 1.0)
 	d.Pull(simdocker.Image{Ref: "img:1"})
 	col := NewCollectorTier(e, 1.0, TierDense)
-	s := col.newSampler(d)
+	ref := newRefCollector(col)
+	col.AttachWorker("w0", d)
+	ref.attach(d)
 	p := dlmodel.MNISTTensorFlow()
 	p.TotalWork = 1e15
 	c, err := d.Run(simdocker.RunSpec{Image: "img:1", Name: "A", Workload: dlmodel.NewJob("A", p)})
@@ -151,7 +155,7 @@ func TestSamplerStateBoundedAcrossCheckpoints(t *testing.T) {
 	}
 	col.TrackJob("A", "w0", p.Key(), c.ID(), 0)
 	for i := 0; i < cycles; i++ {
-		// Freeze between passes, at a non-sample instant.
+		// Freeze between ticks, at a non-sample instant.
 		e.Run(e.Now() + 0.5)
 		cp, err := d.Checkpoint(c.ID())
 		if err != nil {
@@ -162,49 +166,24 @@ func TestSamplerStateBoundedAcrossCheckpoints(t *testing.T) {
 		}
 		col.TrackJobCheckpointed("A", "w0", p.Key(), c.ID(), float64(c.StartedAt()))
 		e.Run(e.Now() + 0.5)
-		s.pass()
-		if len(s.live) != 1 {
-			t.Fatalf("cycle %d: sampler holds %d slots for 1 running container", i, len(s.live))
-		}
+	}
+	if n := len(col.workers[0].recs); n > 3*cycles+1 {
+		t.Fatalf("rate log holds %d records after %d cycles, want at most %d", n, cycles, 3*cycles+1)
 	}
 	rec := col.jobs["A"].JobRecord
 	if rec.Checkpoints != cycles {
 		t.Fatalf("checkpoints = %d, want %d", rec.Checkpoints, cycles)
 	}
-	// Every pass found the job bound to a live container, so every pass
+	// Every tick found the job bound to a live container, so every tick
 	// sampled it — but each sample covers only the half window since the
-	// restore: the frozen container's last partial window is dropped with
-	// its slot (see sampler.sample), as it always has been.
+	// restore: the frozen container's last partial window is dropped
+	// with it (see replay), as it always has been.
 	cpu := col.CPUSummary("A")
 	if cpu.Count() != cycles {
-		t.Fatalf("cpu samples = %d, want one per pass (%d)", cpu.Count(), cycles)
+		t.Fatalf("cpu samples = %d, want one per tick (%d)", cpu.Count(), cycles)
 	}
 	if m := cpu.moments; math.Abs(m.Mean()-0.5) > 1e-9 {
 		t.Fatalf("mean usage %g, want 0.5 (post-restore half windows only)", m.Mean())
 	}
-}
-
-// TestSamplerPassAllocs pins one whole steady-state dense-tier sampler
-// pass — slot walk, usage read, both appends per container — at
-// zero allocations. A series allocates only when it opens a chunk: after
-// 250 warm passes the measured ones stay inside each series' fifth chunk
-// (points 241–496).
-func TestSamplerPassAllocs(t *testing.T) {
-	e := sim.NewEngine()
-	col := NewCollectorTier(e, 1.0, TierDense)
-	d := endlessPool(t, col, e, "", 8)
-	s := col.newSampler(d)
-	step := func() {
-		e.Run(e.Now() + 1)
-		s.pass()
-	}
-	for i := 0; i < 250; i++ {
-		step()
-	}
-	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-		t.Fatalf("steady-state sampler pass allocates %.1f per run, want 0", allocs)
-	}
-	if got := col.CPUSeries("J0").Len(); got < 300 {
-		t.Fatalf("passes recorded %d samples: the guard measured nothing", got)
-	}
+	ref.check(t)
 }

@@ -5,10 +5,14 @@
 // Collection is tiered (see Tier). The default summary tier keeps only
 // the job records and a bounded growth trajectory per job
 // (CompactSeries), so collector memory is O(jobs) regardless of makespan;
-// it schedules no sampling event. The dense tier
-// keeps every raw sample as a Series, O(jobs × makespan); it is required
-// for figure regeneration and limit-event traces. Archives exported from
-// either tier carry a schema version (ArchiveSchemaVersion).
+// it schedules no sampling event. The dense tier keeps every Algorithm 1
+// run's growth, limit and list as a Series, and gives every job a CPU and
+// an evaluation sample per period, O(jobs × makespan); it is required for
+// figure regeneration and limit-event traces. Those samples are derived
+// on read from a per-worker rate log, which the daemons write wherever a
+// container's rate changes (simdocker.Observer), and the period's tick
+// instants: no tick reads a daemon. Archives exported from either tier
+// carry a schema version (ArchiveSchemaVersion).
 package metrics
 
 import (

@@ -21,8 +21,8 @@ func traceEntryAt(cid string, at, g float64) flowcon.TraceEntry {
 
 // runTailScenario runs one short job, then keeps the engine (and the
 // dense collector's tick) running long past the job's exit, returning the
-// collector. Without the cap the dense sampler would append a zero sample
-// per period until the horizon.
+// collector. Without the cap the dense CPU series would hold a zero
+// sample per period until the horizon.
 func runTailScenario(t *testing.T, tier Tier, horizon float64) *Collector {
 	t.Helper()
 	e := sim.NewEngine()
@@ -43,8 +43,8 @@ func runTailScenario(t *testing.T, tier Tier, horizon float64) *Collector {
 	return col
 }
 
-// TestPostExitTailCapDense is the regression test for the sampler tail
-// cap: after a job exits, at most PostExitSamples further CPU samples
+// TestPostExitTailCapDense is the regression test for the CPU series'
+// tail cap: after a job exits, at most PostExitSamples further CPU samples
 // are recorded, no matter how long the engine keeps running.
 func TestPostExitTailCapDense(t *testing.T) {
 	const horizon = 500.0
@@ -84,8 +84,8 @@ func TestPostExitTailCapSummary(t *testing.T) {
 	if got := col.MemoryBytes(); got != atExit {
 		t.Fatalf("collector grew from %d B to %d B after the exit at %g", atExit, got, r.FinishedAt)
 	}
-	if len(col.samplers) != 0 {
-		t.Fatalf("summary tier holds %d samplers", len(col.samplers))
+	if len(col.workers) != 0 || len(col.ticks) != 0 {
+		t.Fatalf("summary tier holds %d rate logs and %d ticks", len(col.workers), len(col.ticks))
 	}
 }
 

@@ -4,9 +4,10 @@ import "fmt"
 
 // Tier selects how much observability data a Collector computes and
 // retains. The tier never changes what the simulation does: a daemon's
-// reads change no state (see simdocker.Daemon), so sampling the nodes or
-// not leaves makespans, job records and decisions bit-identical; only
-// what is kept, and the collector's own events, differ.
+// reads change no state, and its observer only records (see
+// simdocker.Daemon), so observing the nodes or not leaves makespans, job
+// records and decisions bit-identical; only what is kept, and the
+// collector's own events, differ.
 type Tier int
 
 const (
@@ -17,10 +18,12 @@ const (
 	// independent of makespan. Raw series accessors (CPUSeries etc.) and
 	// CPUSummary return nil in this tier.
 	TierSummary Tier = iota
-	// TierDense samples CPU usage and evaluation values every period and
-	// retains every sample, and every Algorithm 1 run's growth, limit and
-	// list, as full metrics.Series — O(jobs × makespan) memory.
-	// Required for figure regeneration, CPU-trace export, and event
+	// TierDense retains every Algorithm 1 run's growth, limit and list
+	// as full metrics.Series, and a CPU-usage and an evaluation sample
+	// per job every period — O(jobs × makespan). The samples are derived
+	// on read from the workers' rate logs and the period's tick instants
+	// (see Collector), bit-identical to reading every container at every
+	// tick. Required for figure regeneration, CPU-trace export, and event
 	// traces that include per-container limit updates (the §5.3 golden).
 	TierDense
 )

@@ -20,3 +20,21 @@ func TestScheduleCancelAllocsOne(t *testing.T) {
 		t.Fatalf("schedule+cancel allocates %.1f objects per op, want <= 1 (the Event)", avg)
 	}
 }
+
+// TestRearmAllocsZero: re-queuing a fired event reuses it, so a periodic
+// event that re-arms itself costs no allocation against a warm queue.
+func TestRearmAllocsZero(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 256; i++ {
+		e.At(1e9, PriorityState, "fill", fn)
+	}
+	ev := e.At(0, PriorityMetric, "tick", fn)
+	avg := testing.AllocsPerRun(1000, func() {
+		e.Run(e.Now() + 1)
+		e.Rearm(ev, e.Now()+1)
+	})
+	if avg != 0 {
+		t.Fatalf("run+re-arm allocates %.1f objects per op, want 0", avg)
+	}
+}

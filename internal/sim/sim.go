@@ -61,7 +61,8 @@ type Scheduler interface {
 }
 
 // Event is a scheduled callback. Events are created via Engine.At/After and
-// may be canceled before they fire.
+// may be canceled before they fire. An event that has fired (or was
+// canceled) can be queued again with Engine.Rearm.
 type Event struct {
 	at       Time
 	prio     Priority
@@ -79,7 +80,9 @@ func (e *Event) At() Time { return e.at }
 // Cancel prevents the event's callback from running and eagerly removes the
 // event from the engine's queue via its maintained heap index — O(log n),
 // with no tombstone left behind to silt up the heap. Canceling an event
-// that already fired or was already canceled is a no-op.
+// that already fired or was already canceled is a no-op. A re-armed event
+// is queued again, so Cancel removes it like any other; re-arming a
+// canceled event queues it again.
 func (e *Event) Cancel() {
 	if e.canceled {
 		return
@@ -177,10 +180,37 @@ func (e *Engine) At(t Time, prio Priority, name string, fn func()) *Event {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	e.seq++
-	ev := &Event{at: t, prio: prio, seq: e.seq, name: name, fn: fn, engine: e, index: -1}
-	heap.Push(&e.queue, ev)
+	ev := &Event{prio: prio, name: name, fn: fn, engine: e, index: -1}
+	e.push(ev, t)
 	return ev
+}
+
+// Rearm queues an event that has already fired, or was canceled, again
+// at absolute time t, keeping its priority, name and callback: a periodic
+// event calls it from its own callback instead of allocating the next
+// one with At. The event takes a fresh sequence number exactly as At
+// would give a new one, so it orders against same-instant events as a
+// freshly scheduled event would. Re-arming a queued event, an event of
+// another engine, or at a time before now (or NaN) panics.
+func (e *Engine) Rearm(ev *Event, t Time) {
+	if ev.engine != e {
+		panic(fmt.Sprintf("sim: re-arming %q on another engine", ev.name))
+	}
+	if ev.index >= 0 {
+		panic(fmt.Sprintf("sim: re-arming %q while it is queued", ev.name))
+	}
+	if !(t >= e.now) {
+		panic(fmt.Sprintf("sim: re-arming %q at %.6f before now %.6f", ev.name, float64(t), float64(e.now)))
+	}
+	ev.canceled = false
+	e.push(ev, t)
+}
+
+// push stamps ev with time t and the next sequence number and queues it.
+func (e *Engine) push(ev *Event, t Time) {
+	e.seq++
+	ev.at, ev.seq = t, e.seq
+	heap.Push(&e.queue, ev)
 }
 
 // After schedules fn to run d seconds from now. Negative d panics.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -392,5 +393,96 @@ func TestEngineExecutedCounter(t *testing.T) {
 	e.RunAll()
 	if e.Executed() != 5 {
 		t.Fatalf("Executed = %d, want 5", e.Executed())
+	}
+}
+
+// TestRearmOrdersAsFreshEvent: a periodic event that re-arms itself runs
+// at exactly the instants, and in exactly the same-instant order, as one
+// that schedules a new event with At each time.
+func TestRearmOrdersAsFreshEvent(t *testing.T) {
+	trace := func(rearm bool) []string {
+		e := NewEngine()
+		var got []string
+		var ev *Event
+		var tick func()
+		tick = func() {
+			got = append(got, fmt.Sprintf("tick@%g", float64(e.Now())))
+			// A same-instant peer queued before the next tick is armed
+			// runs first at that instant; one queued after runs second.
+			e.At(e.Now()+1, PriorityMetric, "before", func() { got = append(got, "before") })
+			if rearm {
+				e.Rearm(ev, e.Now()+1)
+			} else {
+				e.After(1, PriorityMetric, "tick", tick)
+			}
+			e.At(e.Now()+1, PriorityMetric, "after", func() { got = append(got, "after") })
+		}
+		ev = e.After(1, PriorityMetric, "tick", tick)
+		e.Run(4)
+		return got
+	}
+	want, got := trace(false), trace(true)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("re-armed order %v, want %v", got, want)
+	}
+	if len(got) != 10 {
+		t.Fatalf("got %v: want 4 ticks and their peers", got)
+	}
+}
+
+// TestCancelRearmedEvent defines Cancel on a re-armed handle: it removes
+// the queued event like any other, and re-arming the canceled handle
+// queues it once more.
+func TestCancelRearmedEvent(t *testing.T) {
+	e := NewEngine()
+	runs := 0
+	ev := e.At(1, PriorityState, "x", func() { runs++ })
+	e.Run(1)
+	e.Rearm(ev, 2)
+	if e.Len() != 1 || ev.At() != 2 {
+		t.Fatalf("re-armed: Len %d, At %g", e.Len(), float64(ev.At()))
+	}
+	ev.Cancel()
+	if e.Len() != 0 {
+		t.Fatalf("Cancel left %d queued events", e.Len())
+	}
+	e.Run(5)
+	if runs != 1 {
+		t.Fatalf("canceled re-armed event ran: %d runs", runs)
+	}
+	e.Rearm(ev, 6)
+	e.RunAll()
+	if runs != 2 {
+		t.Fatalf("re-armed after Cancel: %d runs, want 2", runs)
+	}
+	ev.Cancel() // fired: a no-op
+	if e.Len() != 0 {
+		t.Fatal("Cancel on a fired re-armed event queued something")
+	}
+}
+
+// TestRearmRejectsMisuse: re-arming a queued event, another engine's
+// event, or at a time before now or NaN panics.
+func TestRearmRejectsMisuse(t *testing.T) {
+	e := NewEngine()
+	ev := e.At(2, PriorityState, "x", func() {})
+	other := NewEngine().At(1, PriorityState, "y", func() {})
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"queued", func() { e.Rearm(ev, 3) }},
+		{"another engine", func() { e.Rearm(other, 3) }},
+		{"past", func() { e.RunAll(); e.Rearm(ev, 1) }},
+		{"NaN", func() { e.Rearm(ev, Time(math.NaN())) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Rearm did not panic", tc.name)
+				}
+			}()
+			tc.fn()
+		}()
 	}
 }

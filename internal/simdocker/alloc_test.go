@@ -127,3 +127,29 @@ func TestSettleReallocateAllocsZeroLadder(t *testing.T) {
 		})
 	}
 }
+
+// TestRuntimePSAllocsOne: the runtime adapter's PS builds its views in
+// one pass into the slice it returns, so a listing costs one allocation,
+// `docker ps -a` over exited containers included.
+func TestRuntimePSAllocsOne(t *testing.T) {
+	eng, d, ids := steadyDaemon(t, 32)
+	for _, id := range ids[:8] {
+		if err := d.Stop(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run(1)
+	rt := NewRuntime(d)
+	for _, all := range []bool{false, true} {
+		want := 24
+		if all {
+			want = 32
+		}
+		if got := len(rt.PS(all)); got != want {
+			t.Fatalf("PS(%t) lists %d containers, want %d", all, got, want)
+		}
+		if avg := testing.AllocsPerRun(100, func() { rt.PS(all) }); avg != 1 {
+			t.Fatalf("PS(%t) allocates %.1f objects, want 1", all, avg)
+		}
+	}
+}

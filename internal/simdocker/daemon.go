@@ -44,10 +44,12 @@ const completionEps = 1e-9
 // grow linearly in time (a GPS fluid node). settle folds alloc·dt into
 // the counters, node-wide, only on the paths that go on to reallocate:
 // Run, Stop, Checkpoint, SetCapacity, the completion event and an
-// instant's reallocation event. Every read — AppendRunningStats, Usage,
-// the runtime views, Container.CPUSeconds — returns the value at the
-// last fold plus alloc·(now − lastAdvance) and changes nothing, so how
-// often anything observes the node never changes what its jobs do.
+// instant's reallocation event. Every read — AppendRunningStats, the
+// runtime views, Container.CPUSeconds — returns the value at the last
+// fold plus alloc·(now − lastAdvance) and changes nothing, so how often
+// anything observes the node never changes what its jobs do. An
+// Observer is told every change to those inputs (see Fold), so it can
+// rebuild any such read later without reading the node at all.
 type Daemon struct {
 	engine   *sim.Engine
 	capacity float64
@@ -81,6 +83,9 @@ type Daemon struct {
 
 	onStart []func(*Container)
 	onExit  []func(*Container)
+	// observer, if set, is told every change to a container's read
+	// inputs; nil (the default) costs the hot path nothing.
+	observer Observer
 
 	// lastAdvance is the time of the last fold: container counters hold
 	// their values at this instant. folds counts the settles that moved
@@ -391,6 +396,9 @@ func (d *Daemon) Remove(id string) error {
 			break
 		}
 	}
+	if d.observer != nil {
+		d.observer.Removed(c, d.engine.Executed())
+	}
 	return nil
 }
 
@@ -431,15 +439,6 @@ func (d *Daemon) PS(all bool) []*Container {
 // Algorithm 2's notation. The count is maintained incrementally on
 // start/exit, so reading it is O(1).
 func (d *Daemon) RunningCount() int { return d.running }
-
-// Usage is the handle-taking form of AppendRunningStats for observers that
-// already hold the container and need only what a usage sampler reads:
-// cumulative CPU seconds and the workload's evaluation value, both now.
-// No id lookup, no snapshot struct, no state change.
-func (d *Daemon) Usage(c *Container) (cpuSeconds, eval float64) {
-	cpu, work := accrued(c, d.elapsed(), d.efficiency(d.running))
-	return c.cpuSeconds + cpu, c.workload.EvalAt(c.workload.Work() + work)
-}
 
 // AppendRunningStats appends a snapshot of every running container, as of
 // now, to buf in creation order — the simulated `docker stats` — and
@@ -553,6 +552,9 @@ func (d *Daemon) exit(c *Container) {
 	if c.etaIndex >= 0 {
 		heap.Remove(&d.etas, c.etaIndex)
 	}
+	if d.observer != nil {
+		d.observer.Folded(c, d.fold(c, d.efficiency(d.running)))
+	}
 	for _, fn := range d.onExit {
 		fn(c)
 	}
@@ -606,6 +608,11 @@ func (d *Daemon) reallocate() {
 		if eta != c.eta {
 			c.eta = eta
 			heap.Fix(&d.etas, c.etaIndex)
+		}
+	}
+	if d.observer != nil {
+		for _, c := range d.runningList {
+			d.observer.Folded(c, d.fold(c, eff))
 		}
 	}
 	d.scheduleCompletion()

@@ -101,12 +101,21 @@ func (rt *RT) Lookup(name string) (runtime.Container, error) {
 	return view(c), nil
 }
 
-// PS implements runtime.Runtime.
+// PS implements runtime.Runtime: the views are built in one pass over
+// the daemon's creation order (or its running list), into the one slice
+// returned.
 func (rt *RT) PS(all bool) []runtime.Container {
-	cs := rt.d.PS(all)
-	out := make([]runtime.Container, len(cs))
-	for i, c := range cs {
-		out[i] = view(c)
+	d := rt.d
+	if !all {
+		out := make([]runtime.Container, len(d.runningList))
+		for i, c := range d.runningList {
+			out[i] = view(c)
+		}
+		return out
+	}
+	out := make([]runtime.Container, len(d.order))
+	for i, id := range d.order {
+		out[i] = view(d.containers[id])
 	}
 	return out
 }
