@@ -235,13 +235,15 @@ experiments:
 `)
 }
 
-// app caches expensive shared runs (fig12's pair feeds five figures).
+// app caches expensive shared runs (fig12's pair feeds five figures,
+// and table2 reads the fig4 and fig5 sweeps).
 type app struct {
 	csvDir string
 
 	fixedFC, fixedNA *experiment.Result
 	randFC, randNA   *experiment.Result
 	tenFC, tenNA     *experiment.Result
+	sweep4, sweep5   *experiment.SettingSweep
 }
 
 func (a *app) fixedPair() (*experiment.Result, *experiment.Result) {
@@ -263,6 +265,20 @@ func (a *app) tenPair() (*experiment.Result, *experiment.Result) {
 		a.tenFC, a.tenNA = experiment.TenJobPair()
 	}
 	return a.tenFC, a.tenNA
+}
+
+func (a *app) fig4() *experiment.SettingSweep {
+	if a.sweep4 == nil {
+		a.sweep4 = experiment.Fig4()
+	}
+	return a.sweep4
+}
+
+func (a *app) fig5() *experiment.SettingSweep {
+	if a.sweep5 == nil {
+		a.sweep5 = experiment.Fig5()
+	}
+	return a.sweep5
 }
 
 // exportCPU writes a result's CPU traces as CSV if -csv was given.
@@ -308,8 +324,8 @@ func (a *app) experiments() map[string]func() {
 			a.writeCSV("fig1", lines)
 		},
 		"fig3": func() { experiment.ReportSweep(os.Stdout, experiment.Fig3()) },
-		"fig4": func() { experiment.ReportSweep(os.Stdout, experiment.Fig4()) },
-		"fig5": func() { experiment.ReportSweep(os.Stdout, experiment.Fig5()) },
+		"fig4": func() { experiment.ReportSweep(os.Stdout, a.fig4()) },
+		"fig5": func() { experiment.ReportSweep(os.Stdout, a.fig5()) },
 		"fig6": func() { experiment.ReportSweep(os.Stdout, experiment.Fig6()) },
 		"fig7": func() {
 			fc, _ := a.fixedPair()
@@ -373,7 +389,7 @@ func (a *app) experiments() map[string]func() {
 		},
 		"ablations": func() { runAblations() },
 		"table2": func() {
-			rows := experiment.Table2(experiment.Fig4(), experiment.Fig5())
+			rows := experiment.Table2(a.fig4(), a.fig5())
 			experiment.ReportTable2(os.Stdout, rows)
 		},
 	}

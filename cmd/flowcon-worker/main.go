@@ -28,10 +28,12 @@
 // -log-format pair; per-request access logs appear at debug level.
 //
 // On SIGINT/SIGTERM the worker shuts down gracefully: it stops accepting
-// submissions (503), stops every running container, finishes in-flight
-// HTTP requests, and exits cleanly. Its last line, "flowcon-worker:
-// stopped", reports algorithm1_runs, limit_updates and the paced loop's
-// lateness.
+// submissions (503), waits for the paced loop to return and logs
+// "flowcon-worker: controller stopped", then stops every running
+// container, finishes in-flight HTTP requests, and exits cleanly. The
+// controller goes first, so the stops trigger no Algorithm 1 run over a
+// pool being torn down. Its last line, "flowcon-worker: stopped", reports
+// algorithm1_runs, limit_updates and the paced loop's lateness.
 package main
 
 import (
@@ -109,19 +111,7 @@ func main() {
 		defer close(done)
 		<-ctx.Done()
 		logger.Info("flowcon-worker: shutting down")
-		// Graceful sequence: refuse new submissions, stop the containers,
-		// then let in-flight HTTP requests finish.
-		srv.Drain()
-		for _, c := range node.PS(false) {
-			if err := node.Stop(c.ID); err != nil {
-				logger.Warn("stopping container", "id", c.ID, "err", err)
-			}
-		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Warn("http shutdown", "err", err)
-		}
+		shutdown(logger, srv, paced, node, httpSrv)
 	}()
 
 	logger.Info("flowcon-worker listening", "addr", *addr, "capacity", *capacity, "alpha", *alpha, "itval", *itval)
@@ -133,6 +123,27 @@ func main() {
 	<-paced
 	logger.Info("flowcon-worker: stopped", "algorithm1_runs", ctrl.Runs(), "limit_updates", ctrl.LimitUpdates(),
 		"max_lateness_ms", float64(pacer.Lateness())/float64(time.Millisecond))
+}
+
+// shutdown is the graceful sequence once the signal context has ended:
+// refuse new submissions, wait for the pacer loop to return (paced
+// closes), stop the containers, then let in-flight HTTP requests finish.
+// With the loop gone, a stop's exit hook only posts to an inbox nothing
+// reads any more, so tearing the pool down runs no Algorithm 1.
+func shutdown(logger *slog.Logger, srv *agent.Server, paced <-chan struct{}, node *livedock.Node, httpSrv *http.Server) {
+	srv.Drain()
+	<-paced
+	logger.Info("flowcon-worker: controller stopped")
+	for _, c := range node.PS(false) {
+		if err := node.Stop(c.ID); err != nil {
+			logger.Warn("stopping container", "id", c.ID, "err", err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(ctx); err != nil {
+		logger.Warn("http shutdown", "err", err)
+	}
 }
 
 // checkFlags refuses settings the worker cannot run with, before anything

@@ -21,28 +21,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Default image references pre-pulled onto every worker, one per framework
-// (the paper's community images).
-const (
-	ImagePyTorch    = "pytorch/pytorch:1.0"
-	ImageTensorFlow = "tensorflow/tensorflow:1.13"
-)
-
-// ImageFor maps a model's framework to its container image reference. An
-// unknown framework is an error, not a panic: profiles are a user
-// extension point, and a typo in a custom profile should surface as a
-// failed launch rather than tear down the whole simulation.
-func ImageFor(fw dlmodel.Framework) (string, error) {
-	switch fw {
-	case dlmodel.PyTorch:
-		return ImagePyTorch, nil
-	case dlmodel.TensorFlow:
-		return ImageTensorFlow, nil
-	default:
-		return "", fmt.Errorf("cluster: no image for unknown framework %q", fw)
-	}
-}
-
 // DefaultMemoryBytes is each worker's physical memory, matching the
 // paper's R320 testbed node (16 GB).
 const DefaultMemoryBytes = 16 << 30
@@ -86,16 +64,14 @@ func NewWorker(name string, rt runtime.Migratable) *Worker {
 }
 
 // NewSimWorker creates a worker backed by a fresh simulated Docker daemon
-// with the given normalized CPU capacity, the testbed's 16 GB of memory,
-// and the framework images pre-pulled. The daemon is returned alongside
+// with the given normalized CPU capacity and the testbed's 16 GB of
+// memory. The daemon is returned alongside
 // for simulation assembly (contention model, metrics attachment, typed
 // container hooks); policy layers should stay on the Worker surface.
 func NewSimWorker(name string, engine *sim.Engine, capacity float64) (*Worker, *simdocker.Daemon) {
 	d := simdocker.NewDaemon(engine, capacity)
 	d.SetIDPrefix(name)
 	d.SetMemoryCapacity(DefaultMemoryBytes)
-	d.Pull(simdocker.Image{Ref: ImagePyTorch, SizeBytes: 750 << 20})
-	d.Pull(simdocker.Image{Ref: ImageTensorFlow, SizeBytes: 680 << 20})
 	return NewWorker(name, simdocker.NewRuntime(d)), d
 }
 
@@ -199,15 +175,9 @@ func (w *Worker) MemoryFree() float64 {
 }
 
 // LaunchJob runs a DL job in a new container on this worker and returns
-// its view. Name is the experiment-level job label (e.g. "Job-3"); the
-// image is derived from the job's framework.
+// its view. Name is the experiment-level job label (e.g. "Job-3").
 func (w *Worker) LaunchJob(name string, job *dlmodel.Job) (runtime.Container, error) {
-	img, err := ImageFor(job.Profile().Framework)
-	if err != nil {
-		return runtime.Container{}, err
-	}
 	return w.Launch(runtime.LaunchSpec{
-		Image:    img,
 		Name:     name,
 		Model:    job.Profile().Key(),
 		Workload: job,

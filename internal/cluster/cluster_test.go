@@ -9,47 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestImageFor(t *testing.T) {
-	tests := []struct {
-		name    string
-		fw      dlmodel.Framework
-		want    string
-		wantErr bool
-	}{
-		{"pytorch", dlmodel.PyTorch, ImagePyTorch, false},
-		{"tensorflow", dlmodel.TensorFlow, ImageTensorFlow, false},
-		{"unknown framework", dlmodel.Framework("mxnet"), "", true},
-		{"empty framework", dlmodel.Framework(""), "", true},
-		{"case-sensitive", dlmodel.Framework("pytorch"), "", true},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := ImageFor(tc.fw)
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("ImageFor(%q) error = %v, wantErr %v", tc.fw, err, tc.wantErr)
-			}
-			if got != tc.want {
-				t.Fatalf("ImageFor(%q) = %q, want %q", tc.fw, got, tc.want)
-			}
-		})
-	}
-}
-
-// A profile with an unmappable framework fails at launch with an error
-// instead of tearing the simulation down.
-func TestLaunchUnknownFrameworkErrors(t *testing.T) {
-	e := sim.NewEngine()
-	w, _ := NewSimWorker("w0", e, 1.0)
-	p := dlmodel.MNISTTensorFlow()
-	p.Framework = dlmodel.Framework("mxnet")
-	if _, err := w.LaunchJob("j", dlmodel.NewJob("j", p)); err == nil {
-		t.Fatal("launch with unknown framework succeeded")
-	}
-	if w.RunningCount() != 0 {
-		t.Fatal("failed launch left a container behind")
-	}
-}
-
 func TestWorkerLaunchAndLifecycle(t *testing.T) {
 	e := sim.NewEngine()
 	w, _ := NewSimWorker("w0", e, 1.0)
@@ -176,15 +135,5 @@ func TestManagerCustomPlacement(t *testing.T) {
 	e.Run(1)
 	if m.WorkerOf("a") != w1 {
 		t.Fatal("custom placement ignored")
-	}
-}
-
-func TestWorkerPrePullsImages(t *testing.T) {
-	e := sim.NewEngine()
-	w, _ := NewSimWorker("w0", e, 1.0)
-	for _, img := range []string{ImagePyTorch, ImageTensorFlow} {
-		if _, err := w.Launch(runtime.LaunchSpec{Image: img, Name: img, Workload: dlmodel.NewJob(img, dlmodel.GRU())}); err != nil {
-			t.Fatalf("launch of pre-pulled %s: %v", img, err)
-		}
 	}
 }

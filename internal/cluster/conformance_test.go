@@ -23,7 +23,6 @@ func TestRuntimeConformance(t *testing.T) {
 			Spec: func(name string) runtime.LaunchSpec {
 				return runtime.LaunchSpec{
 					Name:     name,
-					Image:    ImagePyTorch,
 					Workload: dlmodel.NewJob(name, dlmodel.MNISTPyTorch()),
 				}
 			},

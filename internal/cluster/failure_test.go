@@ -184,14 +184,13 @@ func TestMemoryPressureSlowsTraining(t *testing.T) {
 		if memCapacity > 0 {
 			d.SetMemoryCapacity(memCapacity)
 		}
-		d.Pull(simdocker.Image{Ref: "img:1"})
 		p := dlmodel.MNISTTensorFlow() // 800 MB each
 		j1 := dlmodel.NewJob("m1", p)
 		j2 := dlmodel.NewJob("m2", p)
-		if _, err := d.Run(simdocker.RunSpec{Image: "img:1", Name: "m1", Workload: j1}); err != nil {
+		if _, err := d.Run(simdocker.RunSpec{Name: "m1", Workload: j1}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Run(simdocker.RunSpec{Image: "img:1", Name: "m2", Workload: j2}); err != nil {
+		if _, err := d.Run(simdocker.RunSpec{Name: "m2", Workload: j2}); err != nil {
 			t.Fatal(err)
 		}
 		e.RunAll()

@@ -62,10 +62,6 @@ type MigrationSpec struct {
 	Dst *Worker
 	// Cost is the freeze/transfer/thaw model (zero value = free move).
 	Cost MigrationCost
-	// GEHistory is the growth-efficiency trail that justified the move;
-	// it is attached to the checkpoint so the signal travels with the
-	// container.
-	GEHistory []float64
 }
 
 // Migrate checkpoints a running job off its current worker and restores
@@ -118,7 +114,6 @@ func (m *Manager) migrate(j *job, spec MigrationSpec) error {
 	if err != nil {
 		return fmt.Errorf("cluster: migrate %q: %w", j.name, err)
 	}
-	cp.GEHistory = append([]float64(nil), spec.GEHistory...)
 
 	if m.tracer != nil {
 		dstName := "any"

@@ -81,7 +81,6 @@ func TestMigrationCostValidate(t *testing.T) {
 func TestMigrateMovesJob(t *testing.T) {
 	e, m, _, w1 := twoWorkerManager(t)
 	cost := MigrationCost{FreezeSec: 1, ThawSec: 1} // 2s in flight
-	var ge = []float64{0.5, 0.25}
 	places := 0
 	m.OnPlace(func(string, *Worker, runtime.Container) { places++ })
 	migrations := 0
@@ -95,7 +94,7 @@ func TestMigrateMovesJob(t *testing.T) {
 		}
 	})
 	e.At(10, sim.PriorityState, "migrate", func() {
-		if err := m.Migrate(MigrationSpec{Job: "job", Dst: w1, Cost: cost, GEHistory: ge}); err != nil {
+		if err := m.Migrate(MigrationSpec{Job: "job", Dst: w1, Cost: cost}); err != nil {
 			t.Errorf("Migrate: %v", err)
 		}
 		if m.InFlight() != 1 || m.WorkerOf("job") != nil {
@@ -363,39 +362,5 @@ func TestMigrateBackAfterRepair(t *testing.T) {
 	}
 	if !c.Done {
 		t.Fatal("job did not finish on the repaired worker")
-	}
-}
-
-// restoreSpy records the checkpoint a worker is asked to restore.
-type restoreSpy struct {
-	runtime.Migratable
-	got *runtime.Checkpoint
-}
-
-func (s *restoreSpy) Restore(cp *runtime.Checkpoint) (runtime.Container, error) {
-	s.got = cp
-	return s.Migratable.Restore(cp)
-}
-
-// The checkpoint a migration produces carries the GE history it was
-// given — the signal travels with the container.
-func TestMigrationAttachesGEHistory(t *testing.T) {
-	e, m, _, w1 := twoWorkerManager(t)
-	spy := &restoreSpy{Migratable: w1.Migratable}
-	w1.Migratable = spy
-	ge := []float64{0.9, 0.4, 0.1}
-	e.At(5, sim.PriorityState, "migrate", func() {
-		if err := m.Migrate(MigrationSpec{Job: "job", Dst: w1,
-			Cost: MigrationCost{FreezeSec: 1}, GEHistory: ge}); err != nil {
-			t.Errorf("Migrate: %v", err)
-		}
-	})
-	e.RunAll()
-	cp := spy.got
-	if cp == nil {
-		t.Fatal("no checkpoint thawed on the destination")
-	}
-	if len(cp.GEHistory) != 3 || cp.GEHistory[2] != 0.1 {
-		t.Errorf("GE history = %v", cp.GEHistory)
 	}
 }

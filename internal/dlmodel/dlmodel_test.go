@@ -271,6 +271,9 @@ func TestProfileValidatePanics(t *testing.T) {
 	good := GRU()
 	cases := []func(p *Profile){
 		func(p *Profile) { p.Name = "" },
+		func(p *Profile) { p.Framework = "mxnet" },
+		func(p *Profile) { p.Framework = "" },
+		func(p *Profile) { p.Framework = "pytorch" },
 		func(p *Profile) { p.TotalWork = 0 },
 		func(p *Profile) { p.CPUDemand = 0 },
 		func(p *Profile) { p.CPUDemand = 1.5 },

@@ -57,13 +57,17 @@ type Profile struct {
 	NoiseAmp float64
 }
 
-// Check reports how the profile is malformed, or nil. Every numeric test
-// is a positive range test, so NaN fails it. Profiles are user input to
-// the experiment runner, which calls Check to turn a bad one into an
-// error instead of a panic mid-run.
+// Check reports how the profile is malformed, or nil. The framework must
+// be one of the paper's two, spelled as the constants are. Every numeric
+// test is a positive range test, so NaN fails it. Profiles are user
+// input to the experiment runner, which calls Check to turn a bad one
+// into an error instead of a panic mid-run.
 func (p Profile) Check() error {
 	if p.Name == "" {
 		return errors.New("dlmodel: profile with empty name")
+	}
+	if p.Framework != PyTorch && p.Framework != TensorFlow {
+		return fmt.Errorf("dlmodel: profile %s has unknown framework %q", p.Name, p.Framework)
 	}
 	if !(p.TotalWork > 0 && p.TotalWork <= math.MaxFloat64) {
 		return fmt.Errorf("dlmodel: profile %s TotalWork=%g must be positive and finite", p.Name, p.TotalWork)

@@ -11,7 +11,6 @@ import (
 	"slices"
 
 	"repro/internal/cluster"
-	"repro/internal/dlmodel"
 	"repro/internal/faults"
 	"repro/internal/flowcon"
 	"repro/internal/metrics"
@@ -227,16 +226,6 @@ func (spec Spec) arrivalStream() workload.ArrivalStream {
 	return workload.SliceStream(subs)
 }
 
-// checkProfile reports why a submitted profile cannot run: it is
-// malformed, or its framework has no image.
-func checkProfile(p dlmodel.Profile) error {
-	if err := p.Check(); err != nil {
-		return err
-	}
-	_, err := cluster.ImageFor(p.Framework)
-	return err
-}
-
 // checkShared validates the fields a Scenario shares with the Spec it
 // expands into (Scenario.base): cluster shape, node settings, drains,
 // migration cost, faults, recovery and the rebalancer. RunE and
@@ -324,11 +313,10 @@ func RunE(spec Spec) (*Result, error) {
 		return nil, fmt.Errorf("experiment: spec %q sets both Submissions and Arrivals", spec.Name)
 	}
 	for _, s := range spec.Submissions {
-		// A malformed profile or a framework with no image would otherwise
-		// surface as a panic mid-run; custom profiles are user input, so
-		// fail upfront (a lazy stream can only be checked as each arrival
-		// fires).
-		if err := checkProfile(s.Profile); err != nil {
+		// A malformed profile would otherwise surface as a panic mid-run;
+		// custom profiles are user input, so fail upfront (a lazy stream
+		// can only be checked as each arrival fires).
+		if err := s.Profile.Check(); err != nil {
 			return nil, fmt.Errorf("experiment: spec %q job %q: %v", spec.Name, s.Name, err)
 		}
 	}
@@ -477,7 +465,7 @@ func RunE(spec Spec) (*Result, error) {
 	var schedule func(sub workload.Submission)
 	schedule = func(sub workload.Submission) {
 		engine.At(sim.Time(sub.At), sim.PriorityState, "experiment.arrive", func() {
-			if err := checkProfile(sub.Profile); err != nil {
+			if err := sub.Profile.Check(); err != nil {
 				fail(fmt.Errorf("experiment: spec %q job %q: %v", spec.Name, sub.Name, err))
 				return
 			}

@@ -260,8 +260,8 @@ func (n *Node) view(c *Container) runtime.Container {
 }
 
 // Launch implements runtime.Runtime. The live backend hosts the workload
-// in-process, so spec.Workload is required; spec.Image is ignored (no
-// image store) and spec.Model is recorded for observability.
+// in-process, so spec.Workload is required; spec.Model is recorded for
+// observability.
 func (n *Node) Launch(spec runtime.LaunchSpec) (runtime.Container, error) {
 	if spec.Workload == nil {
 		return runtime.Container{}, errors.New("livedock: nil workload")

@@ -21,13 +21,12 @@ func buildCollectorTier(t testing.TB, tier Tier) *Collector {
 	t.Helper()
 	e := sim.NewEngine()
 	d := simdocker.NewDaemon(e, 1.0)
-	d.Pull(simdocker.Image{Ref: "img:1"})
 	col := NewCollectorTier(e, 1.0, tier)
 	col.AttachWorker("w0", d)
 	for i, p := range []dlmodel.Profile{dlmodel.MNISTTensorFlow(), dlmodel.GRU()} {
 		name := []string{"A", "B"}[i]
 		j := dlmodel.NewJob(name, p)
-		c, err := d.Run(simdocker.RunSpec{Image: "img:1", Name: name, Workload: j})
+		c, err := d.Run(simdocker.RunSpec{Name: name, Workload: j})
 		if err != nil {
 			t.Fatal(err)
 		}

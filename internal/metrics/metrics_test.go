@@ -82,12 +82,11 @@ func TestSeriesAtProperty(t *testing.T) {
 func TestCollectorEndToEnd(t *testing.T) {
 	e := sim.NewEngine()
 	d := simdocker.NewDaemon(e, 1.0)
-	d.Pull(simdocker.Image{Ref: "img:1"})
 	col := NewCollectorTier(e, 1.0, TierDense)
 	col.AttachWorker("w0", d)
 
 	jobA := dlmodel.NewJob("A", dlmodel.MNISTTensorFlow())
-	cA, err := d.Run(simdocker.RunSpec{Image: "img:1", Name: "A", Workload: jobA})
+	cA, err := d.Run(simdocker.RunSpec{Name: "A", Workload: jobA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +94,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 
 	e.At(10, sim.PriorityState, "launch-b", func() {
 		jobB := dlmodel.NewJob("B", dlmodel.GRU())
-		cB, err := d.Run(simdocker.RunSpec{Image: "img:1", Name: "B", Workload: jobB})
+		cB, err := d.Run(simdocker.RunSpec{Name: "B", Workload: jobB})
 		if err != nil {
 			t.Error(err)
 			return
@@ -147,10 +146,9 @@ func TestCollectorEndToEnd(t *testing.T) {
 func TestCollectorRetrackRebinds(t *testing.T) {
 	e := sim.NewEngine()
 	d := simdocker.NewDaemon(e, 1.0)
-	d.Pull(simdocker.Image{Ref: "img:1"})
 	col := NewCollector(e, 1.0)
 	j := dlmodel.NewJob("x", dlmodel.GRU())
-	c1, _ := d.Run(simdocker.RunSpec{Image: "img:1", Name: "x1", Workload: j})
+	c1, _ := d.Run(simdocker.RunSpec{Name: "x1", Workload: j})
 	col.TrackJob("x", "w", "m", c1.ID(), float64(c1.StartedAt()))
 
 	// Simulate a failure-kill and a re-placement onto a new container.
@@ -163,7 +161,7 @@ func TestCollectorRetrackRebinds(t *testing.T) {
 		t.Fatal("killed container counted as completion")
 	}
 	j2 := dlmodel.NewJob("x", dlmodel.GRU())
-	c2, _ := d.Run(simdocker.RunSpec{Image: "img:1", Name: "x2", Workload: j2})
+	c2, _ := d.Run(simdocker.RunSpec{Name: "x2", Workload: j2})
 	col.TrackJob("x", "w2", "m", c2.ID(), float64(c2.StartedAt()))
 	r = col.jobs["x"].JobRecord
 	if r.ContainerID != c2.ID() || r.Restarts != 1 || r.Worker != "w2" {
@@ -181,10 +179,9 @@ func TestCollectorRetrackRebinds(t *testing.T) {
 func TestCollectorTracksMigrationsSeparately(t *testing.T) {
 	e := sim.NewEngine()
 	d := simdocker.NewDaemon(e, 1.0)
-	d.Pull(simdocker.Image{Ref: "img:1"})
 	col := NewCollector(e, 1.0)
 	j := dlmodel.NewJob("x", dlmodel.GRU())
-	c1, _ := d.Run(simdocker.RunSpec{Image: "img:1", Name: "x1", Workload: j})
+	c1, _ := d.Run(simdocker.RunSpec{Name: "x1", Workload: j})
 	col.TrackJob("x", "w", "m", c1.ID(), float64(c1.StartedAt()))
 
 	// A live-migration thaw re-binds without counting a restart.
@@ -206,7 +203,7 @@ func TestCollectorTracksMigrationsSeparately(t *testing.T) {
 	}
 	// A never-tracked job falls through to a fresh record.
 	j2 := dlmodel.NewJob("y", dlmodel.GRU())
-	c3, _ := d.Run(simdocker.RunSpec{Image: "img:1", Name: "y1", Workload: j2})
+	c3, _ := d.Run(simdocker.RunSpec{Name: "y1", Workload: j2})
 	col.TrackJobMigrated("y", "w", "m", c3.ID(), float64(c3.StartedAt()))
 	if j := col.jobs["y"]; j == nil || j.Migrations != 0 {
 		t.Fatalf("fallback tracking failed: %+v", j)
@@ -216,10 +213,9 @@ func TestCollectorTracksMigrationsSeparately(t *testing.T) {
 func TestCollectorRecordRun(t *testing.T) {
 	e := sim.NewEngine()
 	d := simdocker.NewDaemon(e, 1.0)
-	d.Pull(simdocker.Image{Ref: "img:1"})
 	col := NewCollectorTier(e, 1.0, TierDense)
 	j := dlmodel.NewJob("x", dlmodel.GRU())
-	c, _ := d.Run(simdocker.RunSpec{Image: "img:1", Workload: j})
+	c, _ := d.Run(simdocker.RunSpec{Workload: j})
 	col.TrackJob("x", "w", "m", c.ID(), float64(c.StartedAt()))
 
 	col.RecordRun(flowcon.TraceEntry{

@@ -31,7 +31,6 @@ func (r *rig) worker(prefix string) *simdocker.Daemon {
 	d := simdocker.NewDaemon(r.e, 1.0)
 	d.SetIDPrefix(prefix)
 	d.SetContentionOverhead(0.05)
-	d.Pull(simdocker.Image{Ref: "img:1"})
 	r.col.AttachWorker(prefix, d)
 	r.ref.attach(d)
 	return d
@@ -43,7 +42,7 @@ func (r *rig) launch(t *testing.T, d *simdocker.Daemon, name string, work float6
 	t.Helper()
 	p := dlmodel.MNISTTensorFlow()
 	p.TotalWork = work
-	c, err := d.Run(simdocker.RunSpec{Image: "img:1", Name: name, Workload: dlmodel.NewJob(name, p)})
+	c, err := d.Run(simdocker.RunSpec{Name: name, Workload: dlmodel.NewJob(name, p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +113,6 @@ func TestLateAttachMatchesReference(t *testing.T) {
 	r.e.Run(1.5)
 	d1 := simdocker.NewDaemon(r.e, 1.0)
 	d1.SetIDPrefix("w1.")
-	d1.Pull(simdocker.Image{Ref: "img:1"})
 	r.launch(t, d1, "short", 0.2)
 	r.launch(t, d1, "b", 1e9)
 	r.e.Run(2.5)

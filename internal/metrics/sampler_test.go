@@ -18,13 +18,12 @@ func endlessPool(tb testing.TB, col *Collector, e *sim.Engine, prefix string, n 
 	tb.Helper()
 	d := simdocker.NewDaemon(e, 1.0)
 	d.SetIDPrefix(prefix)
-	d.Pull(simdocker.Image{Ref: "img:1"})
 	catalog := dlmodel.Catalog()
 	for i := 0; i < n; i++ {
 		p := catalog[i%len(catalog)]
 		p.TotalWork = 1e15
 		name := fmt.Sprintf("%sJ%d", prefix, i)
-		c, err := d.Run(simdocker.RunSpec{Image: "img:1", Name: name, Workload: dlmodel.NewJob(name, p)})
+		c, err := d.Run(simdocker.RunSpec{Name: name, Workload: dlmodel.NewJob(name, p)})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -142,14 +141,13 @@ func TestSamplerStateBoundedAcrossCheckpoints(t *testing.T) {
 	const cycles = 50
 	e := sim.NewEngine()
 	d := simdocker.NewDaemon(e, 1.0)
-	d.Pull(simdocker.Image{Ref: "img:1"})
 	col := NewCollectorTier(e, 1.0, TierDense)
 	ref := newRefCollector(col)
 	col.AttachWorker("w0", d)
 	ref.attach(d)
 	p := dlmodel.MNISTTensorFlow()
 	p.TotalWork = 1e15
-	c, err := d.Run(simdocker.RunSpec{Image: "img:1", Name: "A", Workload: dlmodel.NewJob("A", p)})
+	c, err := d.Run(simdocker.RunSpec{Name: "A", Workload: dlmodel.NewJob("A", p)})
 	if err != nil {
 		t.Fatal(err)
 	}

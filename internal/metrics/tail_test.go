@@ -27,11 +27,10 @@ func runTailScenario(t *testing.T, tier Tier, horizon float64) *Collector {
 	t.Helper()
 	e := sim.NewEngine()
 	d := simdocker.NewDaemon(e, 1.0)
-	d.Pull(simdocker.Image{Ref: "img:1"})
 	col := NewCollectorTier(e, 1.0, tier)
 	col.AttachWorker("w0", d)
 	j := dlmodel.NewJob("A", dlmodel.MNISTTensorFlow())
-	c, err := d.Run(simdocker.RunSpec{Image: "img:1", Name: "A", Workload: j})
+	c, err := d.Run(simdocker.RunSpec{Name: "A", Workload: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +123,9 @@ func TestGrowthAtTierParity(t *testing.T) {
 	build := func(tier Tier) *Collector {
 		e := sim.NewEngine()
 		d := simdocker.NewDaemon(e, 1.0)
-		d.Pull(simdocker.Image{Ref: "img:1"})
 		col := NewCollectorTier(e, 1.0, tier)
 		j := dlmodel.NewJob("x", dlmodel.GRU())
-		c, _ := d.Run(simdocker.RunSpec{Image: "img:1", Workload: j})
+		c, _ := d.Run(simdocker.RunSpec{Workload: j})
 		col.TrackJob("x", "w", "m", c.ID(), float64(c.StartedAt()))
 		for i := 0; i < 50; i++ {
 			col.RecordRun(traceEntryAt(c.ID(), float64(10+i*30), float64(i)/50))

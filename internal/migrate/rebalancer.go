@@ -48,15 +48,10 @@ type Config struct {
 	Cost cluster.MigrationCost
 }
 
-const (
-	// minGap is the minimum running-container gap between the hottest and
-	// coldest node before a pressure-gap move triggers; a gap of 1 would
-	// oscillate.
-	minGap = 2
-	// geWindow is how many recent GE measurements are kept per container
-	// and attached to its checkpoint on migration.
-	geWindow = 3
-)
+// minGap is the minimum running-container gap between the hottest and
+// coldest node before a pressure-gap move triggers; a gap of 1 would
+// oscillate.
+const minGap = 2
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
@@ -91,8 +86,6 @@ type Plan struct {
 	Src, Dst string
 	// G is the victim's most recent growth efficiency.
 	G float64
-	// GEHistory is the victim's recent GE trail (oldest first).
-	GEHistory []float64
 }
 
 // Rebalancer is the cluster-level policy: create with New, wire with
@@ -106,10 +99,10 @@ type Rebalancer struct {
 	// monitors derive per-interval growth efficiency per worker, exactly
 	// like the worker-local container monitor but at cluster scope.
 	monitors []*flowcon.Monitor
-	// ge holds each container's recent GE measurements (oldest first),
-	// keyed by container id. A migrated container gets a fresh id and so
-	// starts over — built-in hysteresis against ping-ponging.
-	ge map[string][]float64
+	// ge holds each container's most recent growth efficiency, keyed by
+	// container id. A migrated container gets a fresh id and so starts
+	// over — built-in hysteresis against ping-ponging.
+	ge map[string]float64
 	// res holds each container's most recent per-kind resource-usage rates
 	// (Eq. 2's R vector), keyed by container id. It prices both what a
 	// victim would add to a destination and how loaded each node already
@@ -133,7 +126,7 @@ func New(cfg Config) *Rebalancer {
 	}
 	return &Rebalancer{
 		cfg: cfg.withDefaults(),
-		ge:  make(map[string][]float64),
+		ge:  make(map[string]float64),
 		res: make(map[string][resource.NumKinds]float64),
 	}
 }
@@ -195,10 +188,10 @@ type victim struct {
 	vec [resource.NumKinds]float64
 }
 
-// Scan samples every worker, updates the GE histories, and returns the
-// migrations the heuristic decides against the current state (capped by
-// MaxMovesPerScan). It does not execute them; AttachCluster's tick does.
-// Everything iterates in worker/creation order, so scans are
+// Scan samples every worker, records each container's latest GE, and
+// returns the migrations the heuristic decides against the current state
+// (capped by MaxMovesPerScan). It does not execute them; AttachCluster's
+// tick does. Everything iterates in worker/creation order, so scans are
 // deterministic.
 func (r *Rebalancer) Scan() []Plan {
 	if r.manager == nil {
@@ -225,11 +218,7 @@ func (r *Rebalancer) Scan() []Plan {
 				unmeasured[mm.ID] = true
 				continue
 			}
-			hist := append(r.ge[mm.ID], mm.G)
-			if len(hist) > geWindow {
-				hist = hist[len(hist)-geWindow:]
-			}
-			r.ge[mm.ID] = hist
+			r.ge[mm.ID] = mm.G
 			r.res[mm.ID] = mm.RKind
 			for k := range mm.RKind {
 				ws.load[k] += mm.RKind[k]
@@ -246,13 +235,11 @@ func (r *Rebalancer) Scan() []Plan {
 			if unmeasured[c.ID] {
 				ws.load[resource.CPU] += c.CPUAlloc
 			}
-			hist, ok := r.ge[c.ID]
-			if !ok || len(hist) == 0 || c.Done {
+			g, ok := r.ge[c.ID]
+			if !ok || c.Done {
 				continue
 			}
-			ws.movable = append(ws.movable, victim{
-				job: c.Name, g: hist[len(hist)-1], vec: r.res[c.ID],
-			})
+			ws.movable = append(ws.movable, victim{job: c.Name, g: g, vec: r.res[c.ID]})
 		}
 		sortVictims(ws.movable)
 	}
@@ -371,10 +358,6 @@ func fitness(ws *workerState, v victim, p dlmodel.Profile, ioNorm *[resource.Num
 // guarantees scans converge instead of ping-ponging.
 func (r *Rebalancer) planMove(states []workerState, src *workerState) (Plan, bool) {
 	v := src.movable[0]
-	c, err := src.worker.Lookup(v.job)
-	if err != nil {
-		return Plan{}, false
-	}
 	profile, ok := r.manager.ProfileOf(v.job)
 	if !ok {
 		return Plan{}, false
@@ -412,13 +395,7 @@ func (r *Rebalancer) planMove(states []workerState, src *workerState) (Plan, boo
 	if dst == nil {
 		return Plan{}, false
 	}
-	return Plan{
-		Job:       v.job,
-		Src:       src.worker.Name(),
-		Dst:       dst.worker.Name(),
-		G:         v.g,
-		GEHistory: append([]float64(nil), r.ge[c.ID]...),
-	}, true
+	return Plan{Job: v.job, Src: src.worker.Name(), Dst: dst.worker.Name(), G: v.g}, true
 }
 
 // execute hands one plan to the manager.
@@ -433,13 +410,7 @@ func (r *Rebalancer) execute(p Plan) bool {
 	if dst == nil {
 		return false
 	}
-	err := r.manager.Migrate(cluster.MigrationSpec{
-		Job:       p.Job,
-		Dst:       dst,
-		Cost:      r.cfg.Cost,
-		GEHistory: p.GEHistory,
-	})
-	return err == nil
+	return r.manager.Migrate(cluster.MigrationSpec{Job: p.Job, Dst: dst, Cost: r.cfg.Cost}) == nil
 }
 
 // sortVictims orders candidates by ascending recent GE, ties by job name.

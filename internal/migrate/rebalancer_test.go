@@ -111,7 +111,7 @@ func TestBalancedClusterPlansNothing(t *testing.T) {
 
 // The victim is the source's lowest-GE movable container: with two old
 // jobs and a fresh one on the hot node, an old job moves, and the plan
-// carries its GE trail.
+// carries its latest GE.
 func TestPressureGapMovesLowestGEVictim(t *testing.T) {
 	e, m, _ := buildCluster(2)
 	// FirstFit stacks all three on w0. By t=300 the old jobs' exponential
@@ -143,8 +143,12 @@ func TestPressureGapMovesLowestGEVictim(t *testing.T) {
 	if p.Job != "old-a" && p.Job != "old-b" {
 		t.Fatalf("victim %q is not one of the old, low-GE jobs", p.Job)
 	}
-	if len(p.GEHistory) == 0 || p.GEHistory[len(p.GEHistory)-1] != p.G {
-		t.Fatalf("GE history %v does not end at plan G %g", p.GEHistory, p.G)
+	c, err := m.WorkerOf(p.Job).Lookup(p.Job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, ok := r.ge[c.ID]; !ok || p.G != g {
+		t.Fatalf("plan G %g is not the victim's latest GE %g", p.G, g)
 	}
 }
 

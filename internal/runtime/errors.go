@@ -18,8 +18,6 @@ var (
 	ErrRunning = errors.New("container is running")
 	// ErrNameInUse: a container with that name already exists.
 	ErrNameInUse = errors.New("container name already in use")
-	// ErrNoImage: the requested image is not present on the node.
-	ErrNoImage = errors.New("no such image")
 	// ErrBadLimit: CPU limits must lie in (0,1].
 	ErrBadLimit = errors.New("cpu limit must be in (0,1]")
 	// ErrQueueFull: the admission queue rejected the launch

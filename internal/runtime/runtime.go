@@ -69,12 +69,10 @@ type Workload interface {
 
 // LaunchSpec describes one container to launch. Every backend requires
 // Workload; Model, a dlmodel catalog key like "MNIST (Tensorflow)", is
-// recorded for observability (the agent service sets it). Image is
-// consumed by backends that model an image store (simdocker); others
-// ignore it. A zero CPULimit means the backend default (1.0).
+// recorded for observability (the agent service sets it). A zero
+// CPULimit means the backend default (1.0).
 type LaunchSpec struct {
 	Name     string
-	Image    string
 	Model    string
 	Workload Workload
 	CPULimit float64
@@ -84,9 +82,8 @@ type LaunchSpec struct {
 // are seconds on the backend's own clock (simulation time for simdocker,
 // seconds since node start for livedock).
 type Container struct {
-	ID    string
-	Name  string
-	Image string
+	ID   string
+	Name string
 	// Model is the catalog key the container was launched from, when the
 	// launch recorded one (the agent service does); empty otherwise.
 	Model string
@@ -123,7 +120,7 @@ type Runtime interface {
 	RunningCount() int
 
 	// Launch starts a container and returns its view. Errors wrap
-	// ErrNameInUse, ErrNoImage, ErrBadLimit or ErrQueueFull.
+	// ErrNameInUse, ErrBadLimit or ErrQueueFull.
 	Launch(spec LaunchSpec) (Container, error)
 	// Stop terminates a running container (workload incomplete — a
 	// manual stop is not a completion). Wraps ErrNotFound/ErrNotRunning.

@@ -28,10 +28,8 @@ type Env[R runtime.Runtime] struct {
 	// RT is the runtime under test, freshly constructed and empty.
 	RT R
 
-	// Spec builds a launchable spec for the given container name — an
-	// in-process Workload, plus an Image on backends that model an image
-	// store (simdocker, cluster). The workload must run for well over 10
-	// clock seconds.
+	// Spec builds a launchable spec for the given container name around
+	// an in-process Workload that runs for well over 10 clock seconds.
 	Spec func(name string) runtime.LaunchSpec
 
 	// Advance moves this backend's clock forward by the given seconds,

@@ -13,10 +13,9 @@ func steadyDaemon(t *testing.T, n int) (*sim.Engine, *Daemon, []string) {
 	t.Helper()
 	eng := sim.NewEngine()
 	d := NewDaemon(eng, 1.0)
-	d.Pull(Image{Ref: "img", SizeBytes: 1})
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		c, err := d.Run(RunSpec{Image: "img", Workload: &fakeJob{total: 1e9, demand: 1}})
+		c, err := d.Run(RunSpec{Workload: &fakeJob{total: 1e9, demand: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,9 +96,8 @@ func TestPlanAllocsAtMostOne(t *testing.T) {
 func TestAppendRunningStatsAllocsZero(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDaemon(eng, 1.0)
-	d.Pull(Image{Ref: "img", SizeBytes: 1})
 	for i := 0; i < 64; i++ {
-		if _, err := d.Run(RunSpec{Image: "img", Workload: &fakeJob{total: 1e9, demand: 1}}); err != nil {
+		if _, err := d.Run(RunSpec{Workload: &fakeJob{total: 1e9, demand: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,7 +20,6 @@ func benchDaemon(b *testing.B, n int) (*sim.Engine, *Daemon, []string) {
 	d := NewDaemon(e, 1.0)
 	d.SetContentionOverhead(0.06)
 	d.SetMemoryCapacity(16 << 30)
-	d.Pull(Image{Ref: "img:1"})
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		// Totals far beyond what the benchmark can deliver: nothing ever
@@ -29,7 +28,7 @@ func benchDaemon(b *testing.B, n int) (*sim.Engine, *Daemon, []string) {
 			fakeJob: fakeJob{total: 1e15, demand: 1},
 			memory:  float64((16 << 30) / (2 * n)),
 		}
-		c, err := d.Run(RunSpec{Image: "img:1", Workload: w})
+		c, err := d.Run(RunSpec{Workload: w})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +129,7 @@ func BenchmarkRunStop(b *testing.B) {
 			_, d, _ := benchDaemon(b, n-1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := d.Run(RunSpec{Image: "img:1", Workload: &fakeJob{total: 1e15, demand: 1}})
+				c, err := d.Run(RunSpec{Workload: &fakeJob{total: 1e15, demand: 1}})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,20 +6,13 @@ import (
 	"repro/internal/runtime"
 )
 
-// Checkpoint is a frozen container ready to resume on another daemon —
-// the backend-neutral runtime.Checkpoint (see its doc for the field
-// semantics and the restore-at-most-once contract). The alias keeps the
-// historical simdocker.Checkpoint name compiling while letting a
-// snapshot frozen here thaw on any conforming runtime.
-type Checkpoint = runtime.Checkpoint
-
 // Checkpoint freezes a running container: accounting is settled, the
 // container exits (subscribers observe the departure, exactly as they
 // would a `docker checkpoint` that stops the task), and it is removed
 // from the pool so its name frees up for a later return to this node.
-// The returned snapshot can be restored onto any daemon with the image
-// pulled — including this one.
-func (d *Daemon) Checkpoint(id string) (*Checkpoint, error) {
+// The returned snapshot restores at most once (see runtime.Checkpoint),
+// onto any daemon, this one included.
+func (d *Daemon) Checkpoint(id string) (*runtime.Checkpoint, error) {
 	c, ok := d.containers[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
@@ -28,18 +21,12 @@ func (d *Daemon) Checkpoint(id string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotRunning, id)
 	}
 	d.settle()
-	cp := &Checkpoint{
-		ID:          c.id,
+	cp := &runtime.Checkpoint{
 		Name:        c.name,
-		Image:       c.image,
 		CPULimit:    c.cpuLimit,
 		MemoryBytes: c.memBytes,
-		FrozenAt:    float64(d.engine.Now()),
 		Payload:     c.workload,
 		Work:        c.workload.Work(),
-	}
-	if rem := remainingWork(c.workload); cp.Work+rem > 0 {
-		cp.ProgressFrac = cp.Work / (cp.Work + rem)
 	}
 	d.exit(c)
 	// The frozen container leaves the pool entirely (unlike a plain stop,
@@ -57,10 +44,10 @@ func (d *Daemon) Checkpoint(id string) (*Checkpoint, error) {
 // Restore thaws a checkpoint into a new running container on this daemon.
 // The workload resumes exactly where the freeze left it; the container
 // keeps its name and soft limit but gets a fresh id (real restores create
-// a new container from the image too). A checkpoint restores at most
-// once — the workload is live state, and running it in two containers
-// would double-deliver its work.
-func (d *Daemon) Restore(cp *Checkpoint) (*Container, error) {
+// a new container too). A checkpoint restores at most once — the
+// workload is live state, and running it in two containers would
+// double-deliver its work.
+func (d *Daemon) Restore(cp *runtime.Checkpoint) (*Container, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("simdocker: restore of nil checkpoint")
 	}
@@ -68,7 +55,6 @@ func (d *Daemon) Restore(cp *Checkpoint) (*Container, error) {
 		return nil, fmt.Errorf("simdocker: checkpoint of %s already restored", cp.Name)
 	}
 	c, err := d.Run(RunSpec{
-		Image:    cp.Image,
 		Name:     cp.Name,
 		Workload: cp.Payload,
 		CPULimit: cp.CPULimit,

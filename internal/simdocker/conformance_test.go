@@ -17,7 +17,6 @@ func TestRuntimeConformance(t *testing.T) {
 	runtimetest.RunMigratable(t, func(t *testing.T) *runtimetest.Env[*simdocker.RT] {
 		e := sim.NewEngine()
 		d := simdocker.NewDaemon(e, 1.0)
-		d.Pull(simdocker.Image{Ref: "conf/img:1", SizeBytes: 100 << 20})
 		rt := simdocker.NewRuntime(d)
 		now := sim.Time(0)
 		return &runtimetest.Env[*simdocker.RT]{
@@ -25,7 +24,6 @@ func TestRuntimeConformance(t *testing.T) {
 			Spec: func(name string) runtime.LaunchSpec {
 				return runtime.LaunchSpec{
 					Name:     name,
-					Image:    "conf/img:1",
 					Workload: dlmodel.NewJob(name, dlmodel.MNISTPyTorch()),
 				}
 			},

@@ -35,18 +35,9 @@ var (
 	ErrNotRunning = fmt.Errorf("simdocker: %w", runtime.ErrNotRunning)
 	// ErrNameInUse means a container with that name already exists.
 	ErrNameInUse = fmt.Errorf("simdocker: %w", runtime.ErrNameInUse)
-	// ErrNoImage means the referenced image has not been pulled.
-	ErrNoImage = fmt.Errorf("simdocker: %w", runtime.ErrNoImage)
 	// ErrBadLimit means an update specified a limit outside (0, 1].
 	ErrBadLimit = fmt.Errorf("simdocker: %w", runtime.ErrBadLimit)
 )
-
-// Workload is the black-box process a container runs. FlowCon's contract
-// with a DL job is exactly this: it can be driven by CPU time, reports an
-// evaluation function value, and eventually finishes. *dlmodel.Job
-// satisfies it. The contract is backend-neutral, so the type is shared
-// with every other runtime implementation.
-type Workload = runtime.Workload
 
 // ResourceProfiler is optionally implemented by workloads that model
 // memory/IO footprints; the daemon uses it to fill the non-CPU
@@ -71,13 +62,12 @@ type Container struct {
 	d     *Daemon
 	id    string
 	name  string
-	image string
 	state runtime.State
 
 	startedAt  sim.Time
 	finishedAt sim.Time
 
-	workload Workload
+	workload runtime.Workload
 
 	// cpuLimit is the soft limit in (0,1] set at run time or by Update.
 	cpuLimit float64
@@ -140,4 +130,4 @@ func (c *Container) CPUAlloc() float64 { return c.alloc }
 
 // Workload exposes the contained workload (the monitor samples Eval
 // through it).
-func (c *Container) Workload() Workload { return c.workload }
+func (c *Container) Workload() runtime.Workload { return c.workload }

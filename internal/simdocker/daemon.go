@@ -11,21 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Image is a pulled container image in the daemon's local store.
-type Image struct {
-	// Ref is the full reference, e.g. "pytorch/pytorch:1.0".
-	Ref string
-	// SizeBytes is the image size (bookkeeping only).
-	SizeBytes int64
-}
-
-// RunSpec describes a `docker run`: which image, an optional name, the
-// workload process, and an initial soft CPU limit (1.0 — unlimited — if
-// zero, matching `docker run` without --cpus).
+// RunSpec describes a `docker run`: an optional name, the workload
+// process, and an initial soft CPU limit (1.0 — unlimited — if zero,
+// matching `docker run` without --cpus).
 type RunSpec struct {
-	Image    string
 	Name     string
-	Workload Workload
+	Workload runtime.Workload
 	CPULimit float64
 }
 
@@ -54,7 +45,6 @@ type Daemon struct {
 	engine   *sim.Engine
 	capacity float64
 
-	images     map[string]Image
 	containers map[string]*Container
 	order      []string // creation order, for stable iteration
 	seq        int
@@ -142,7 +132,6 @@ func NewDaemon(engine *sim.Engine, capacity float64) *Daemon {
 	d := &Daemon{
 		engine:     engine,
 		capacity:   capacity,
-		images:     make(map[string]Image),
 		containers: make(map[string]*Container),
 		byName:     make(map[string]string),
 	}
@@ -228,15 +217,6 @@ func (d *Daemon) efficiency(n int) float64 {
 	return eff
 }
 
-// Pull registers an image in the local store (the offline equivalent of
-// `docker pull`).
-func (d *Daemon) Pull(img Image) {
-	if img.Ref == "" {
-		panic("simdocker: image with empty ref")
-	}
-	d.images[img.Ref] = img
-}
-
 // OnStart registers a callback invoked whenever a container starts. This
 // feeds the paper's "New Cons" listener.
 func (d *Daemon) OnStart(fn func(*Container)) { d.onStart = append(d.onStart, fn) }
@@ -245,13 +225,10 @@ func (d *Daemon) OnStart(fn func(*Container)) { d.onStart = append(d.onStart, fn
 // feeds the paper's "Finished Cons" listener.
 func (d *Daemon) OnExit(fn func(*Container)) { d.onExit = append(d.onExit, fn) }
 
-// Run creates and starts a container (the `docker run -d <image>` path).
+// Run creates and starts a container (the `docker run -d` path).
 func (d *Daemon) Run(spec RunSpec) (*Container, error) {
-	if _, ok := d.images[spec.Image]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoImage, spec.Image)
-	}
 	if spec.Workload == nil {
-		return nil, fmt.Errorf("simdocker: run %s: nil workload", spec.Image)
+		return nil, fmt.Errorf("simdocker: run %q: nil workload", spec.Name)
 	}
 	limit := spec.CPULimit
 	if limit == 0 {
@@ -278,7 +255,6 @@ func (d *Daemon) Run(spec RunSpec) (*Container, error) {
 		d:         d,
 		id:        id,
 		name:      name,
-		image:     spec.Image,
 		state:     runtime.Running,
 		startedAt: d.engine.Now(),
 		workload:  spec.Workload,
@@ -673,7 +649,7 @@ func (h *etaHeap) Pop() any {
 // remainingWork returns the workload's remaining CPU work, reading
 // residue at or below completionEps as finished. It is what lets the
 // daemon compute exact completion times instead of polling.
-func remainingWork(w Workload) float64 {
+func remainingWork(w runtime.Workload) float64 {
 	if rem := w.Remaining(); rem > completionEps {
 		return rem
 	}

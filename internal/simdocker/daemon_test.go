@@ -40,34 +40,24 @@ func newTestDaemon(t *testing.T) (*sim.Engine, *Daemon) {
 	t.Helper()
 	e := sim.NewEngine()
 	d := NewDaemon(e, 1.0)
-	d.Pull(Image{Ref: "test/img:1", SizeBytes: 100})
 	return e, d
 }
 
-func mustRun(t *testing.T, d *Daemon, name string, w Workload) *Container {
+func mustRun(t *testing.T, d *Daemon, name string, w runtime.Workload) *Container {
 	t.Helper()
-	c, err := d.Run(RunSpec{Image: "test/img:1", Name: name, Workload: w})
+	c, err := d.Run(RunSpec{Name: name, Workload: w})
 	if err != nil {
 		t.Fatalf("Run(%s): %v", name, err)
 	}
 	return c
 }
 
-func TestRunRequiresImage(t *testing.T) {
-	e := sim.NewEngine()
-	d := NewDaemon(e, 1.0)
-	_, err := d.Run(RunSpec{Image: "missing", Workload: &fakeJob{total: 1, demand: 1}})
-	if !errors.Is(err, ErrNoImage) {
-		t.Fatalf("err = %v, want ErrNoImage", err)
-	}
-}
-
 func TestRunRejectsNilWorkloadAndBadLimit(t *testing.T) {
 	_, d := newTestDaemon(t)
-	if _, err := d.Run(RunSpec{Image: "test/img:1"}); err == nil {
+	if _, err := d.Run(RunSpec{}); err == nil {
 		t.Fatal("nil workload accepted")
 	}
-	_, err := d.Run(RunSpec{Image: "test/img:1", Workload: &fakeJob{total: 1, demand: 1}, CPULimit: 1.5})
+	_, err := d.Run(RunSpec{Workload: &fakeJob{total: 1, demand: 1}, CPULimit: 1.5})
 	if !errors.Is(err, ErrBadLimit) {
 		t.Fatalf("err = %v, want ErrBadLimit", err)
 	}
@@ -76,7 +66,7 @@ func TestRunRejectsNilWorkloadAndBadLimit(t *testing.T) {
 func TestRunDuplicateName(t *testing.T) {
 	_, d := newTestDaemon(t)
 	mustRun(t, d, "dup", &fakeJob{total: 100, demand: 1})
-	_, err := d.Run(RunSpec{Image: "test/img:1", Name: "dup", Workload: &fakeJob{total: 1, demand: 1}})
+	_, err := d.Run(RunSpec{Name: "dup", Workload: &fakeJob{total: 1, demand: 1}})
 	if !errors.Is(err, ErrNameInUse) {
 		t.Fatalf("err = %v, want ErrNameInUse", err)
 	}
@@ -176,7 +166,7 @@ func TestBadLimitsRejectedAtTheEdge(t *testing.T) {
 	c := mustRun(t, d, "a", &fakeJob{total: 100, demand: 1})
 	for _, limit := range []float64{math.NaN(), -0.5, 1.5, math.Inf(1), math.Inf(-1)} {
 		t.Run(fmt.Sprint(limit), func(t *testing.T) {
-			_, err := d.Run(RunSpec{Image: "test/img:1", Workload: &fakeJob{total: 1, demand: 1}, CPULimit: limit})
+			_, err := d.Run(RunSpec{Workload: &fakeJob{total: 1, demand: 1}, CPULimit: limit})
 			if !errors.Is(err, ErrBadLimit) {
 				t.Errorf("Run(limit %v) = %v, want ErrBadLimit", limit, err)
 			}
@@ -312,26 +302,11 @@ func TestDLModelJobInContainer(t *testing.T) {
 	}
 }
 
-// The local image store holds every pulled image by reference, and a run
-// of an image that was never pulled fails with ErrNoImage.
-func TestImagesListing(t *testing.T) {
-	_, d := newTestDaemon(t)
-	d.Pull(Image{Ref: "b/img:2"})
-	d.Pull(Image{Ref: "a/img:1", SizeBytes: 7})
-	if len(d.images) != 3 || d.images["a/img:1"].SizeBytes != 7 {
-		t.Fatalf("image store = %v, want 3 images with a/img:1 at 7 bytes", d.images)
-	}
-	if _, err := d.Run(RunSpec{Image: "c/img:3", Workload: &fakeJob{total: 1, demand: 1}}); !errors.Is(err, ErrNoImage) {
-		t.Fatalf("run of an unpulled image = %v, want ErrNoImage", err)
-	}
-}
-
 // Containers report the runtime's lifecycle states, under its names.
 func TestStateString(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDaemon(e, 1.0)
-	d.Pull(Image{Ref: "img"})
-	c, err := d.Run(RunSpec{Image: "img", Workload: &fakeJob{total: 1, demand: 1}})
+	c, err := d.Run(RunSpec{Workload: &fakeJob{total: 1, demand: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,14 +77,13 @@ func TestIncrementalAggregatesInvariant(t *testing.T) {
 	d := NewDaemon(e, 1.0)
 	d.SetMemoryCapacity(1 << 20)
 	d.SetContentionOverhead(0.05)
-	d.Pull(Image{Ref: "img:1"})
 
 	var ids []string
 	const steps = 4000
 	for step := 0; step < steps; step++ {
 		switch rng.Intn(6) {
 		case 0, 1: // start a container (some with memory footprints)
-			var w Workload
+			var w runtime.Workload
 			total := 1 + rng.Float64()*40
 			if rng.Intn(2) == 0 {
 				w = &memJob{
@@ -94,7 +93,7 @@ func TestIncrementalAggregatesInvariant(t *testing.T) {
 			} else {
 				w = &fakeJob{total: total, demand: 0.2 + rng.Float64()*0.8}
 			}
-			c, err := d.Run(RunSpec{Image: "img:1", Workload: w})
+			c, err := d.Run(RunSpec{Workload: w})
 			if err != nil {
 				t.Fatalf("step %d: Run: %v", step, err)
 			}

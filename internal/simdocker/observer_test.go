@@ -46,7 +46,6 @@ func TestObserverRebuildsReads(t *testing.T) {
 				d.SetIDPrefix(fmt.Sprint("w", i))
 				d.SetContentionOverhead(0.1)
 				d.SetMemoryCapacity(3)
-				d.Pull(Image{Ref: "img"})
 				ds = append(ds, d)
 			}
 			ds[0].SetObserver(obs)
@@ -113,7 +112,7 @@ func TestObserverRebuildsReads(t *testing.T) {
 					d := ds[rng.Intn(2)]
 					switch op {
 					case 0, 1, 2:
-						c, err := d.Run(RunSpec{Image: "img", Workload: &memJob{
+						c, err := d.Run(RunSpec{Workload: &memJob{
 							fakeJob: fakeJob{total: 1 + rng.Float64()*20, demand: 0.2 + 0.8*rng.Float64()},
 							memory:  rng.Float64()}})
 						if err != nil {
@@ -166,7 +165,7 @@ func TestObserverStampsOrderAgainstEvents(t *testing.T) {
 	e, d := newTestDaemon(t)
 	obs := newLastFold()
 	d.SetObserver(obs)
-	c, err := d.Run(RunSpec{Image: "test/img:1", Workload: &fakeJob{total: 1e9, demand: 1}})
+	c, err := d.Run(RunSpec{Workload: &fakeJob{total: 1e9, demand: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,6 @@ func TestPlanExactness(t *testing.T) {
 			d := NewDaemon(e, 1.0)
 			d.SetContentionOverhead(0.05)
 			d.SetMemoryCapacity(1 << 20)
-			d.Pull(Image{Ref: "img:1"})
 
 			// Totals far beyond the horizon: containers leave only by a
 			// plan's Stop, so nothing reallocates between instants and the
@@ -56,7 +55,7 @@ func TestPlanExactness(t *testing.T) {
 					fakeJob: fakeJob{total: 1e12, demand: 0.2 + 0.8*rng.Float64()},
 					memory:  float64(rng.Intn(1 << 18)),
 				}
-				if _, err := d.Run(RunSpec{Image: "img:1", Workload: w, CPULimit: 0.05 + 0.95*rng.Float64()}); err != nil {
+				if _, err := d.Run(RunSpec{Workload: w, CPULimit: 0.05 + 0.95*rng.Float64()}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -126,10 +125,9 @@ func TestPlanExactness(t *testing.T) {
 func TestOneReallocationEventPerInstant(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDaemon(e, 1.0)
-	d.Pull(Image{Ref: "img"})
 	var ids []string
 	for i := 0; i < 32; i++ {
-		c, err := d.Run(RunSpec{Image: "img", Workload: &fakeJob{total: 1e9, demand: 1}})
+		c, err := d.Run(RunSpec{Workload: &fakeJob{total: 1e9, demand: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,9 +22,8 @@ func TestContentionOverheadSlowsWork(t *testing.T) {
 		e := sim.NewEngine()
 		d := NewDaemon(e, 1.0)
 		d.SetContentionOverhead(h)
-		d.Pull(Image{Ref: "img:1"})
 		for i := 0; i < jobs; i++ {
-			if _, err := d.Run(RunSpec{Image: "img:1", Workload: &fakeJob{total: 30, demand: 1}}); err != nil {
+			if _, err := d.Run(RunSpec{Workload: &fakeJob{total: 30, demand: 1}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -50,12 +49,11 @@ func TestMemoryThrashPenalty(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDaemon(e, 1.0)
 	d.SetMemoryCapacity(1000)
-	d.Pull(Image{Ref: "img:1"})
 	// Two jobs of 750 bytes each: 1500/1000 = 50% overcommit -> efficiency
 	// 1/(1+4*0.5) = 1/3. Total work 20 at rate 1/3 -> makespan 60.
 	for i := 0; i < 2; i++ {
 		j := &memJob{fakeJob: fakeJob{total: 10, demand: 1}, memory: 750}
-		if _, err := d.Run(RunSpec{Image: "img:1", Workload: j}); err != nil {
+		if _, err := d.Run(RunSpec{Workload: j}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,10 +70,9 @@ func TestMemoryWithinCapacityNoPenalty(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDaemon(e, 1.0)
 	d.SetMemoryCapacity(2000)
-	d.Pull(Image{Ref: "img:1"})
 	for i := 0; i < 2; i++ {
 		j := &memJob{fakeJob: fakeJob{total: 10, demand: 1}, memory: 750}
-		if _, err := d.Run(RunSpec{Image: "img:1", Workload: j}); err != nil {
+		if _, err := d.Run(RunSpec{Workload: j}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,8 +85,7 @@ func TestMemoryWithinCapacityNoPenalty(t *testing.T) {
 func TestSettersRejectLateCalls(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDaemon(e, 1.0)
-	d.Pull(Image{Ref: "img:1"})
-	if _, err := d.Run(RunSpec{Image: "img:1", Workload: &fakeJob{total: 1, demand: 1}}); err != nil {
+	if _, err := d.Run(RunSpec{Workload: &fakeJob{total: 1, demand: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	for name, fn := range map[string]func(){
@@ -132,10 +128,8 @@ func TestIDPrefixNamespacesContainers(t *testing.T) {
 	a.SetIDPrefix("w0")
 	b := NewDaemon(e, 1.0)
 	b.SetIDPrefix("w1")
-	a.Pull(Image{Ref: "img:1"})
-	b.Pull(Image{Ref: "img:1"})
-	ca, _ := a.Run(RunSpec{Image: "img:1", Workload: &fakeJob{total: 1, demand: 1}})
-	cb, _ := b.Run(RunSpec{Image: "img:1", Workload: &fakeJob{total: 1, demand: 1}})
+	ca, _ := a.Run(RunSpec{Workload: &fakeJob{total: 1, demand: 1}})
+	cb, _ := b.Run(RunSpec{Workload: &fakeJob{total: 1, demand: 1}})
 	if ca.ID() == cb.ID() {
 		t.Fatalf("ids collide across daemons: %s", ca.ID())
 	}
@@ -149,12 +143,11 @@ func TestEfficiencyComposition(t *testing.T) {
 	d := NewDaemon(e, 1.0)
 	d.SetContentionOverhead(0.5)
 	d.SetMemoryCapacity(1000)
-	d.Pull(Image{Ref: "img:1"})
 	// Two containers (contention 1/1.5) with 25% memory overcommit
 	// (thrash 1/2): combined efficiency 1/3.
 	for i := 0; i < 2; i++ {
 		j := &memJob{fakeJob: fakeJob{total: 10, demand: 1}, memory: 625}
-		if _, err := d.Run(RunSpec{Image: "img:1", Workload: j}); err != nil {
+		if _, err := d.Run(RunSpec{Workload: j}); err != nil {
 			t.Fatal(err)
 		}
 	}

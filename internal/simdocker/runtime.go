@@ -33,7 +33,6 @@ func view(c *Container) runtime.Container {
 	v := runtime.Container{
 		ID:          c.id,
 		Name:        c.name,
-		Image:       c.image,
 		CPULimit:    c.cpuLimit,
 		CPUAlloc:    c.alloc,
 		CPUSeconds:  c.cpuSeconds,
@@ -70,7 +69,6 @@ func (rt *RT) RunningCount() int { return rt.d.RunningCount() }
 // and spec.Model is ignored.
 func (rt *RT) Launch(spec runtime.LaunchSpec) (runtime.Container, error) {
 	c, err := rt.d.Run(RunSpec{
-		Image:    spec.Image,
 		Name:     spec.Name,
 		Workload: spec.Workload,
 		CPULimit: spec.CPULimit,

@@ -42,8 +42,7 @@ func TestExitHookRecordAllocsZero(t *testing.T) {
 		tr.Record(float64(c.FinishedAt()), telemetry.PhaseExit, c.Name(), "node", c.ID())
 	}
 	d.OnExit(hook)
-	d.Pull(Image{Ref: "img", SizeBytes: 1})
-	if _, err := d.Run(RunSpec{Image: "img", Workload: &fakeJob{total: 1e9, demand: 1}}); err != nil {
+	if _, err := d.Run(RunSpec{Workload: &fakeJob{total: 1e9, demand: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(1)

@@ -8,15 +8,21 @@
 # for two more seconds after the load, so the paced executor ticks as well
 # as the start and exit listeners firing; after the SIGTERM its stopped
 # line must report algorithm1_runs >= 1, and the script prints that line
-# with the paced loop's worst lateness.
+# with the paced loop's worst lateness. Ticks alone would satisfy that
+# count, so the worker's debug log must also show an Algorithm 1 run
+# triggered by an arrival before the shutdown began, and none after the
+# worker logged that its controller stopped (stopping the containers
+# must not wake FlowCon).
 #
-# Env knobs: ADDR (:7177), SUBMITTERS (8), JOBS (25), P99_BUDGET (500ms).
+# Env knobs: ADDR (:7177), SUBMITTERS (8), JOBS (25), P99_BUDGET (500ms),
+# LEFT_RUNNING (4).
 set -eu
 
 ADDR="${ADDR:-127.0.0.1:7177}"
 SUBMITTERS="${SUBMITTERS:-8}"
 JOBS="${JOBS:-25}"
 P99_BUDGET="${P99_BUDGET:-500ms}"
+LEFT_RUNNING="${LEFT_RUNNING:-4}"
 
 dir=$(mktemp -d)
 worker_pid=""
@@ -45,6 +51,15 @@ fi
 
 # Graceful-shutdown leg: SIGTERM must stop the worker cleanly, after
 # enough executor ticks to measure how late the paced loop runs them.
+# The load above cancels its jobs; a few more are left running here, so
+# the shutdown has containers to stop.
+i=0
+while [ "$i" -lt "$LEFT_RUNNING" ]; do
+    curl -sSf -o /dev/null -H 'Content-Type: application/json' \
+        -d "{\"name\": \"left-$i\", \"model\": \"MNIST (Pytorch)\"}" "http://$ADDR/v1/jobs" || {
+        echo "submitting job left-$i failed"; cat "$dir/worker.log"; exit 1; }
+    i=$((i + 1))
+done
 sleep 2
 kill -TERM "$worker_pid"
 wait "$worker_pid" || { echo "worker did not exit cleanly"; cat "$dir/worker.log"; exit 1; }
@@ -59,4 +74,20 @@ if [ "${runs:-0}" -lt 1 ]; then
     echo "the worker ran Algorithm 1 ${runs:-0} times, want >= 1"
     cat "$dir/worker.log"; exit 1
 fi
-echo "loadtest-smoke passed ($SUBMITTERS submitters x $JOBS jobs, p99 budget $P99_BUDGET, Algorithm 1 ran $runs times, clean shutdown)"
+# The controller heard a submission itself, not only its ticks, and the
+# shutdown's container stops ran nothing once it had stopped.
+grep -q "flowcon-worker: controller stopped" "$dir/worker.log" || {
+    echo "controller-stopped message missing"; cat "$dir/worker.log"; exit 1; }
+arrivals=$(awk '/flowcon-worker: shutting down/ {exit}
+    /msg="algorithm 1"/ && / trigger=arrival / {n++} END {print n+0}' "$dir/worker.log")
+if [ "$arrivals" -lt 1 ]; then
+    echo "no Algorithm 1 run was triggered by an arrival before the shutdown"
+    cat "$dir/worker.log"; exit 1
+fi
+late=$(awk '/flowcon-worker: controller stopped/ {stopped=1; next}
+    stopped && /msg="algorithm 1"/ {n++} END {print n+0}' "$dir/worker.log")
+if [ "$late" -ne 0 ]; then
+    echo "Algorithm 1 ran $late times after the controller stopped"
+    cat "$dir/worker.log"; exit 1
+fi
+echo "loadtest-smoke passed ($SUBMITTERS submitters x $JOBS jobs, p99 budget $P99_BUDGET, Algorithm 1 ran $runs times, $arrivals on arrivals, none after the controller stopped, clean shutdown)"
