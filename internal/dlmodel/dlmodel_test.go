@@ -267,13 +267,36 @@ func TestGrowthEfficiencyCrossings(t *testing.T) {
 	}
 }
 
+// Only the two frameworks the paper's images ship are accepted, spelled
+// exactly as the figure labels spell them.
+func TestCheckFramework(t *testing.T) {
+	tests := []struct {
+		name    string
+		fw      Framework
+		wantErr bool
+	}{
+		{"pytorch", PyTorch, false},
+		{"tensorflow", TensorFlow, false},
+		{"unknown framework", Framework("mxnet"), true},
+		{"empty framework", Framework(""), true},
+		{"case-sensitive", Framework("pytorch"), true},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			p := GRU()
+			p.Framework = tc.fw
+			if err := p.Check(); (err != nil) != tc.wantErr {
+				t.Fatalf("Check() with framework %q: error = %v, wantErr %v", tc.fw, err, tc.wantErr)
+			}
+		})
+	}
+}
+
 func TestProfileValidatePanics(t *testing.T) {
 	good := GRU()
 	cases := []func(p *Profile){
 		func(p *Profile) { p.Name = "" },
 		func(p *Profile) { p.Framework = "mxnet" },
-		func(p *Profile) { p.Framework = "" },
-		func(p *Profile) { p.Framework = "pytorch" },
 		func(p *Profile) { p.TotalWork = 0 },
 		func(p *Profile) { p.CPUDemand = 0 },
 		func(p *Profile) { p.CPUDemand = 1.5 },
