@@ -120,7 +120,6 @@ func main() {
 		os.Exit(1)
 	}
 	<-done
-	<-paced
 	logger.Info("flowcon-worker: stopped", "algorithm1_runs", ctrl.Runs(), "limit_updates", ctrl.LimitUpdates(),
 		"max_lateness_ms", float64(pacer.Lateness())/float64(time.Millisecond))
 }

@@ -14,15 +14,13 @@
 # worker logged that its controller stopped (stopping the containers
 # must not wake FlowCon).
 #
-# Env knobs: ADDR (:7177), SUBMITTERS (8), JOBS (25), P99_BUDGET (500ms),
-# LEFT_RUNNING (4).
+# Env knobs: ADDR (:7177), SUBMITTERS (8), JOBS (25), P99_BUDGET (500ms).
 set -eu
 
 ADDR="${ADDR:-127.0.0.1:7177}"
 SUBMITTERS="${SUBMITTERS:-8}"
 JOBS="${JOBS:-25}"
 P99_BUDGET="${P99_BUDGET:-500ms}"
-LEFT_RUNNING="${LEFT_RUNNING:-4}"
 
 dir=$(mktemp -d)
 worker_pid=""
@@ -51,14 +49,12 @@ fi
 
 # Graceful-shutdown leg: SIGTERM must stop the worker cleanly, after
 # enough executor ticks to measure how late the paced loop runs them.
-# The load above cancels its jobs; a few more are left running here, so
+# The load above cancels its jobs; four more are left running here, so
 # the shutdown has containers to stop.
-i=0
-while [ "$i" -lt "$LEFT_RUNNING" ]; do
+for i in 0 1 2 3; do
     curl -sSf -o /dev/null -H 'Content-Type: application/json' \
         -d "{\"name\": \"left-$i\", \"model\": \"MNIST (Pytorch)\"}" "http://$ADDR/v1/jobs" || {
         echo "submitting job left-$i failed"; cat "$dir/worker.log"; exit 1; }
-    i=$((i + 1))
 done
 sleep 2
 kill -TERM "$worker_pid"
